@@ -34,6 +34,7 @@ from zetatower.rh_lab import (
     DEFAULT_PRECISION_BITS,
     SweepConfig,
     builtin_elliptic_grid,
+    check_numeric_settings,
     report_to_json,
     rh_verdict_for_level,
     sweep,
@@ -48,15 +49,36 @@ class UsageError(ValueError):
     pass
 
 
+def _int_field(text: str, key: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise UsageError(f"{key}={value!r} in {text!r} is not an integer") from None
+
+
+def _spec_fields(text: str, prefix: str, keys: tuple) -> dict:
+    """The key=value fields after ``prefix``; each of ``keys`` must be present."""
+    fields = {}
+    for part in text[len(prefix) :].split(","):
+        key, sep, value = part.partition("=")
+        if not sep:
+            raise UsageError(f"malformed field {part!r} in {text!r}; expected key=value")
+        fields[key] = value
+    missing = [k for k in keys if k not in fields]
+    if missing:
+        raise UsageError(f"{text!r} lacks {', '.join(missing)}; expected {prefix}{','.join(k + '=..' for k in keys)}")
+    return fields
+
+
 def parse_curve_arg(text: str) -> CurveSpec:
     if text.startswith("elliptic:"):
-        kv = dict(part.split("=", 1) for part in text[len("elliptic:") :].split(","))
-        q, a = int(kv["q"]), int(kv["a"])
+        kv = _spec_fields(text, "elliptic:", ("q", "a"))
+        q, a = _int_field(text, "q", kv["q"]), _int_field(text, "a", kv["a"])
         return CurveSpec(label=f"elliptic_q{q}_a{a}", q=q, genus=1, trace=a)
     if text.startswith("counts:"):
-        kv = dict(part.split("=", 1) for part in text[len("counts:") :].split(","))
-        counts = tuple(int(n) for n in kv["N"].split(";"))
-        q, g = int(kv["q"]), int(kv["g"])
+        kv = _spec_fields(text, "counts:", ("q", "g", "N"))
+        counts = tuple(_int_field(text, "N", n) for n in kv["N"].split(";"))
+        q, g = _int_field(text, "q", kv["q"]), _int_field(text, "g", kv["g"])
         return CurveSpec(label=f"counts_q{q}_g{g}", q=q, genus=g, point_counts=counts)
     if text.startswith("catalog:"):
         return catalog_curve(text[len("catalog:") :]).spec()
@@ -82,6 +104,19 @@ def parse_tuple_arg(text: str, cap: int, allow_large: bool) -> tuple:
     if prod > cap and not allow_large:
         raise UsageError(f"step product {prod} exceeds cap {cap}; pass --allow-large to override")
     return steps
+
+
+def _precision_bits(args) -> int:
+    """--precision-bits, else the environment, else the default; checked with the tolerance."""
+    if args.precision_bits is not None:
+        precision = args.precision_bits
+    else:
+        precision = int(os.environ.get(ENV_PRECISION, DEFAULT_PRECISION_BITS))
+    try:
+        check_numeric_settings(precision, getattr(args, "tolerance", None))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return precision
 
 
 def _write_output(text: str, output):
@@ -177,7 +212,7 @@ def cmd_invariants(args) -> int:
 
 def cmd_rh_check(args) -> int:
     spec, steps, levels = _tower(args)
-    precision = args.precision_bits or int(os.environ.get(ENV_PRECISION, DEFAULT_PRECISION_BITS))
+    precision = _precision_bits(args)
     verdicts = []
     all_hold = True
     for z in levels:
@@ -201,6 +236,8 @@ def cmd_rh_check(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     cap = int(os.environ.get(ENV_PRODUCT_CAP, DEFAULT_PRODUCT_CAP))
     tuples = tuple(parse_tuple_arg(part, cap, args.allow_large) for part in args.tuples.split(";"))
     if args.curves:
@@ -216,7 +253,7 @@ def cmd_sweep(args) -> int:
     unknown = set(checks) - set(ALL_CHECKS)
     if unknown:
         raise UsageError(f"unknown checks: {sorted(unknown)}; available: {ALL_CHECKS}")
-    precision = args.precision_bits or int(os.environ.get(ENV_PRECISION, DEFAULT_PRECISION_BITS))
+    precision = _precision_bits(args)
     config = SweepConfig(
         curves=curves,
         tuples=tuples,

@@ -308,12 +308,15 @@ class ZetaLevel:
     label: str = ""
 
     def standard_denominator(self) -> Poly:
-        d = Poly([1, -1]) * Poly([1, -self.Q])
-        return d * Poly([0, 1]) ** (self.genus - 1)
+        """(1-T)(1-QT)T^(g-1)."""
+        return Poly([0] * (self.genus - 1) + [1, -1 - self.Q, self.Q])
 
     def numerator(self) -> Poly:
         """P(T) = zeta * (1-T)(1-QT)T^(g-1); raises if the level is malformed."""
-        return (self.zeta * RatFunc(self.standard_denominator())).to_poly()
+        std_den = self.standard_denominator()
+        if self.zeta.den == std_den:  # canonical form with nothing cancelled
+            return self.zeta.num
+        return (self.zeta * RatFunc(std_den)).to_poly()
 
 
 @dataclass(frozen=True)
@@ -367,11 +370,12 @@ def validate_zeta_level(z: ZetaLevel) -> list:
     return results
 
 
-def _assemble_level(P: Poly, q: int, g: int, label: str) -> ZetaLevel:
-    den = Poly([1, -1]) * Poly([1, -q]) * Poly([0, 1]) ** (g - 1)
+def level_from_numerator(P: Poly, Q: BigRat, g: int, label: str, steps: tuple = ()) -> ZetaLevel:
+    """The level P / ((1-T)(1-QT)T^(g-1)), unnormalized."""
+    den = Poly([0] * (g - 1) + [1, -1 - Q, Q])
     return ZetaLevel(
-        steps=(),
-        Q=Fraction(q),
+        steps=steps,
+        Q=Fraction(Q),
         genus=g,
         zeta=RatFunc(P, den),
         normalized=False,
@@ -385,7 +389,7 @@ def artin_elliptic(q: int, a: int, label: str = "") -> ZetaLevel:
     if a * a > 4 * q:
         raise ValueError(f"Hasse bound violated: {a}^2 = {a * a} > 4q = {4 * q}")
     P = Poly([1, -a, q])
-    return _assemble_level(P, q, 1, label or f"elliptic(q={q},a={a})")
+    return level_from_numerator(P, q, 1, label or f"elliptic(q={q},a={a})")
 
 
 def artin_from_point_counts(q: int, g: int, counts: Sequence[int], label: str = "") -> ZetaLevel:
@@ -415,7 +419,7 @@ def artin_from_point_counts(q: int, g: int, counts: Sequence[int], label: str = 
         implied = Fraction(q) ** k + 1 - psums[k - 1]
         if implied != n_k:
             raise ValueError(f"point count N_{k} = {n_k} inconsistent with the zeta numerator ({implied})")
-    return _assemble_level(P, q, g, label or f"counts(q={q},g={g})")
+    return level_from_numerator(P, q, g, label or f"counts(q={q},g={g})")
 
 
 def artin_zeta(spec: CurveSpec) -> ZetaLevel:
@@ -425,7 +429,7 @@ def artin_zeta(spec: CurveSpec) -> ZetaLevel:
     if spec.point_counts is not None:
         return artin_from_point_counts(spec.q, spec.genus, spec.point_counts, spec.label)
     P = Poly(spec.numerator)
-    return _assemble_level(P, spec.q, spec.genus, spec.label)
+    return level_from_numerator(P, spec.q, spec.genus, spec.label)
 
 
 # --------------------------------------------------------------------------

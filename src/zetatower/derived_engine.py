@@ -1,19 +1,46 @@
-"""The inductive derivation step of the zeta tower.
+"""The inductive derivation step of the zeta tower, at polynomial cost in n.
 
-Given a level with prime power Q, zeta Z(T) and special values, the next
-level for index n is the finite double-composition sum
+Given a level with prime power Q, complete zeta Z(T) = P(T)/((1-T)(1-QT)T^(g-1))
+and special values, the next level for index n is the finite double sum
 
-    q^(C(n,2)(g-1)) * sum over a = 1..n of
-        [sum over compositions (k) of n-a:  w(k) * T/(T - Q^(a+k_p-n))]
-      * Z(Q^(n-a) * T)
-      * [sum over compositions (l) of a-1:  w(l) / (1 - Q^(n-a+1+l_1) * T)]
+    q^(C(n,2)(g-1)) * sum over a = 1..n of  R_a(T) * Z(Q^(n-a) T) * L_a(T),
+
+    R_a(T) = sum over compositions (k) of n-a:  w(k) * T/(T - Q^(a+k_last-n)),
+    L_a(T) = sum over compositions (l) of a-1:  w(l) / (1 - Q^(n-a+1+l_first) T),
 
 with composition weight w(k) = prod v_{k_i} / prod_j (1 - Q^(k_j + k_{j+1})),
-where v_N is the product of the first N special values of the previous level.
-An empty composition sum (n-a = 0, resp. a-1 = 0) contributes the constant 1
-with no boundary factor.  Everything is exact rational-function arithmetic;
-the apparent extra poles at intermediate powers of Q cancel identically, and
-the result is re-validated before being returned.
+where v_N is the product of the first N special values of the previous level
+and q^(...) means the previous Q.  An empty composition sum (n-a = 0, resp.
+a-1 = 0) contributes the constant 1 with no boundary factor.
+
+Nothing here loops over the 2^(m-1) compositions of m.  A weight depends on
+adjacent parts only and each boundary factor on the last (first) part only,
+so ``composition_sums`` builds E[m][p], the sum of w(k) over the compositions
+of m with last part p, by the recurrence
+
+    E[m][m] = v_m,    E[m][p] = v_p * sum_r E[m-p][r] / (1 - Q^(r+p)),
+
+in O(n^3) scalar operations.  Reversing a composition keeps its weight, so
+the same table gives the first-part sums L_a needs.
+
+The new numerator P_n = Z_n(T) (1-T)(1-Q^n T) T^(g-1) has degree at most 2g.
+It is evaluated exactly at the 2g+1 points T = -1, ..., -(2g+1), where no
+factor has a pole (all poles sit at 0 or at powers of Q), and recovered by
+Lagrange interpolation.
+
+Interpolation alone would fit a polynomial through any values, so before it
+the step certifies that the poles at the interior points T = Q^e,
+e = 1-n..-1, really cancel.  Within one a-term every pole is simple and the
+poles are distinct: R_a has them at e = a-n+1..0, Z(Q^(n-a) T) at a-n and
+a-n-1, L_a at -n..a-n-2.  So each a-term has exactly one simple pole at each
+interior point, and cancellation means that the n scalar residues there sum
+to exactly zero.  The residues of Z come from the previous numerator P, the
+composition sums from the special values, so a wrong table entry or special
+value makes some sum nonzero and raises DerivationError.  The poles at T = 1
+and T = Q^-n are cleared by the denominator, the one at 0 has order at most
+g-1, and every term grows at most like T^(g-1), so a certified sum times that
+denominator is a polynomial of degree at most 2g and the interpolation is
+exact.  The level is then validated like any other.
 """
 
 from __future__ import annotations
@@ -23,17 +50,18 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator, Sequence, Union
 
-from zetatower.curves import CurveSpec, ZetaLevel, artin_zeta, validate_zeta_level
-from zetatower.exact_arith import (
-    BigRat,
-    Poly,
-    RatFunc,
-    residue_simple_pole,
+from zetatower.curves import (
+    CurveSpec,
+    ZetaLevel,
+    artin_zeta,
+    level_from_numerator,
+    validate_zeta_level,
 )
+from zetatower.exact_arith import BigRat, interpolate, residue_simple_pole
 
 
 class DerivationError(RuntimeError):
-    """A derived level failed validation; signals an implementation bug."""
+    """A derivation failed its pole-cancellation certificate or validation; signals a bug."""
 
 
 def compositions(total: int) -> Iterator[tuple]:
@@ -102,47 +130,114 @@ def composition_weight(comp: Sequence[int], sv: SpecialValues) -> Fraction:
     return w
 
 
+def composition_sums(sv: SpecialValues, m_max: int, positive: bool = False) -> tuple:
+    """E[m][p]: the sum of composition weights over the compositions of m with last part p.
+
+    Built by the recurrence E[m][m] = vhat(m),
+    E[m][p] = vhat(p) * sum_r E[m-p][r] / (1 - Q^(r+p)) in O(m_max^3) scalar
+    operations.  Rows run m = 0..m_max and are indexed by p, so E[m][0] = 0
+    and E[0] = (0,) holds no composition.  Reversal keeps the weight, so
+    E[m][p] is also the sum over the compositions of m with first part p.
+    With positive=True every pair denominator is Q^(r+p) - 1 instead, the
+    interlacing convention.
+    """
+    if sv.depth < m_max:
+        raise ValueError(f"special values of depth {sv.depth} < {m_max}")
+    sign = -1 if positive else 1
+    inv_pair = [None, None] + [1 / (sign * (1 - sv.Q**s)) for s in range(2, m_max + 1)]
+    table = [(Fraction(0),)]
+    for m in range(1, m_max + 1):
+        row = [Fraction(0)] * (m + 1)
+        for p in range(1, m):
+            prev = table[m - p]
+            row[p] = sv.vhat(p) * sum(prev[r] * inv_pair[r + p] for r in range(1, m - p + 1))
+        row[m] = sv.vhat(m)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+class _StepSum:
+    """Scalar evaluation of the step sum's factors for index n over one level.
+
+    The a-th term is right(a, T) * mid(a, T) * left(a, T); see the module
+    docstring.  The previous zeta and its residues at 1 and 1/Q come from
+    the previous numerator, the composition sums from the special values.
+    """
+
+    def __init__(self, z: ZetaLevel, n: int):
+        self.n, self.Q, self.g = n, z.Q, z.genus
+        self.P = z.numerator()
+        self.table = composition_sums(special_values(z, n - 1), n - 1) if n > 1 else ()
+        self.res_one = self.P(1) / (self.Q - 1)
+        self.res_inv_q = -self.P(1 / self.Q) * self.Q ** (self.g - 1) / (self.Q - 1)
+        self.power = {e: self.Q**e for e in range(-n, n + 1)}
+
+    def zeta(self, u: Fraction) -> Fraction:
+        return self.P(u) / ((1 - u) * (1 - self.Q * u) * u ** (self.g - 1))
+
+    def right(self, a: int, t: Fraction) -> Fraction:
+        """Sum over compositions k of m = n-a of w(k) T / (T - Q^(k_last - m))."""
+        m = self.n - a
+        if m == 0:
+            return Fraction(1)
+        row = self.table[m]
+        return sum(row[p] * t / (t - self.power[p - m]) for p in range(1, m + 1))
+
+    def mid(self, a: int, t: Fraction) -> Fraction:
+        return self.zeta(self.power[self.n - a] * t)
+
+    def left(self, a: int, t: Fraction) -> Fraction:
+        """Sum over compositions l of m = a-1 of w(l) / (1 - Q^(n-m+l_first) T)."""
+        m = a - 1
+        if m == 0:
+            return Fraction(1)
+        row = self.table[m]
+        return sum(row[p] / (1 - self.power[self.n - m + p] * t) for p in range(1, m + 1))
+
+    def value(self, t: Fraction) -> Fraction:
+        """The sum over a at a point that is neither 0 nor a power of Q."""
+        return sum(self.right(a, t) * self.mid(a, t) * self.left(a, t) for a in range(1, self.n + 1))
+
+    def residue_sum(self, e: int) -> Fraction:
+        """Sum over a of the a-terms' residues at T = Q^e, for 1-n <= e <= -1.
+
+        Each a-term has exactly one simple pole there: in right() for
+        a <= n-1+e, in mid() at its pole u = 1 for a = n+e and u = 1/Q for
+        a = n+e+1, and in left() for a >= n+e+2.
+        """
+        n, c = self.n, self.power[e]
+        total = Fraction(0)
+        for a in range(1, n + 1):
+            if a <= n - 1 + e:
+                m = n - a
+                total += self.table[m][m + e] * c * self.mid(a, c) * self.left(a, c)
+            elif a <= n + e + 1:
+                res = self.res_one if a == n + e else self.res_inv_q
+                total += res * self.power[a - n] * self.right(a, c) * self.left(a, c)
+            else:
+                m = a - 1
+                total -= self.table[m][m - n - e] * c * self.right(a, c) * self.mid(a, c)
+        return total
+
+
 def derive_step(z: ZetaLevel, n: int) -> ZetaLevel:
-    """Produce the next tower level; exact, validated, and pure."""
+    """Produce the next tower level; exact, certified, validated, and pure."""
     if n < 1:
         raise ValueError("derivation index must be >= 1")
     g = z.genus
-    qp = z.Q
-    sv = special_values(z, n) if n > 1 else None
-
-    total = RatFunc(0)
-    for a in range(1, n + 1):
-        mid = z.zeta.scale_var(qp ** (n - a))
-
-        if n - a == 0:
-            right = RatFunc(1)
-        else:
-            right = RatFunc(0)
-            for comp in compositions(n - a):
-                w = composition_weight(comp, sv)
-                boundary = RatFunc(Poly([0, 1]), Poly([-(qp ** (a + comp[-1] - n)), 1]))
-                right = right + w * boundary
-
-        if a - 1 == 0:
-            left = RatFunc(1)
-        else:
-            left = RatFunc(0)
-            for comp in compositions(a - 1):
-                w = composition_weight(comp, sv)
-                boundary = RatFunc(1, Poly([1, -(qp ** (n - a + 1 + comp[0]))]))
-                left = left + w * boundary
-
-        total = total + right * mid * left
-
-    zeta_new = qp ** (comb(n, 2) * (g - 1)) * total
-    level = ZetaLevel(
-        steps=z.steps + (n,),
-        Q=qp**n,
-        genus=g,
-        zeta=zeta_new,
-        normalized=False,
-        label=z.label,
-    )
+    steps = z.steps + (n,)
+    terms = _StepSum(z, n)
+    uncancelled = [e for e in range(1 - n, 0) if terms.residue_sum(e) != 0]
+    if uncancelled:
+        raise DerivationError(
+            f"derivation inconsistency at steps {steps}: residues at T = Q^e "
+            f"do not cancel for e in {uncancelled}"
+        )
+    Q_new = z.Q**n
+    prefactor = z.Q ** (comb(n, 2) * (g - 1))
+    xs = [Fraction(-i) for i in range(1, 2 * g + 2)]
+    ys = [prefactor * terms.value(t) * (1 - t) * (1 - Q_new * t) * t ** (g - 1) for t in xs]
+    level = level_from_numerator(interpolate(xs, ys), Q_new, g, z.label, steps)
     failed = [c for c in validate_zeta_level(level) if not c.passed]
     if failed:
         raise DerivationError(

@@ -239,6 +239,22 @@ ONE = Poly([1])
 X = Poly([0, 1])
 
 
+def interpolate(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> Poly:
+    """The unique polynomial of degree < len(xs) through the points (xs[i], ys[i])."""
+    xs = [as_rat(x) for x in xs]
+    if len(set(xs)) != len(xs):
+        raise ValueError("interpolation nodes must be distinct")
+    out = ZERO
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        basis, scale = ONE, as_rat(yi)
+        for j, xj in enumerate(xs):
+            if j != i:
+                basis = basis * Poly([-xj, 1])
+                scale /= xi - xj
+        out = out + basis * scale
+    return out
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor over the rationals."""
     if a.is_zero() and b.is_zero():

@@ -7,15 +7,20 @@ A level's numerator P (degree 2g, constant term alpha(0)) decomposes as
 where beta is the residue at T = 1 and S is palindromic of degree 2(g-1) with
 lower coefficients alpha(0)..alpha(g-1).  Extraction inverts that by exact
 division, so any deviation from the required shape fails loudly instead of
-being least-squares'd away.  The same beta is also given by a closed sum over
-integer compositions of special values of the previous level, which gives the
-dual route the test suite exercises everywhere.
+being least-squares'd away; a reconstruction mismatch raises
+ReconstructionError, which ``python -O`` keeps.  The same beta is also given
+by a closed sum over integer compositions of special values of the previous
+level, q^(C(n,2)(g-1)) * sum_p E[n][p] with the last-part table E of
+``derived_engine.composition_sums``; that is the dual route the test suite
+exercises everywhere.
 
 The interlacing polynomial built here clears the composition sum
 
-    sum over (k) of n:  [prod v_{k_i} / prod_j (Q^(k_j+k_{j+1}) - 1)] / (Q^(k_p) T - 1)
+    sum over (k) of n:  [prod v_{k_i} / prod_j (Q^(k_j+k_{j+1}) - 1)] / (Q^(k_last) T - 1)
 
-against prod_{l=1..n} (Q^l T - 1).  All composition weights are positive, so
+against prod_{l=1..n} (Q^l T - 1).  Grouped by last part p, with W_p the
+positive-denominator table entry, it is sum_p W_p * prod_{l != p} (Q^l T - 1),
+built in O(n^3) scalar operations.  All composition weights are positive, so
 at T = Q^-kappa only the compositions ending in kappa survive and the sign is
 forced to (-1)^(kappa+1): the sign vector alternates and pins one real root in
 each interval (Q^-(kappa+1), Q^-kappa), kappa = 1..n-1.
@@ -28,13 +33,12 @@ from fractions import Fraction
 from math import comb
 
 from zetatower.curves import CheckResult, ZetaLevel
-from zetatower.derived_engine import (
-    SpecialValues,
-    compositions,
-    composition_weight,
-    derive_step,
-)
-from zetatower.exact_arith import BigRat, Poly, RatFunc, rat_str, residue_simple_pole
+from zetatower.derived_engine import SpecialValues, composition_sums, derive_step
+from zetatower.exact_arith import ONE, ZERO, BigRat, Poly, RatFunc, rat_str, residue_simple_pole
+
+
+class ReconstructionError(RuntimeError):
+    """Extracted invariants do not rebuild their numerator; signals an implementation bug."""
 
 
 @dataclass(frozen=True)
@@ -90,30 +94,30 @@ def extract_invariants(z: ZetaLevel) -> InvariantSet:
             raise ValueError("interior part is not palindromic")
     alphas = tuple(S[ell] for ell in range(g))
     A = tuple(P[i] for i in range(2 * g + 1))
-    inv = InvariantSet(alphas=alphas, beta=beta, P=P, A=A, Q=z.Q, genus=g)
-    assert reconstruct_numerator(alphas, beta, z.Q, g) == P
-    return inv
+    if reconstruct_numerator(alphas, beta, z.Q, g) != P:
+        raise ReconstructionError(f"invariants of level {z.steps} do not reconstruct its numerator")
+    return InvariantSet(alphas=alphas, beta=beta, P=P, A=A, Q=z.Q, genus=g)
 
 
 def beta_closed_form(sv: SpecialValues, n: int, genus: int) -> Fraction:
     """Residue of the next level by the closed composition sum, no derivation."""
-    if sv.depth < n:
-        raise ValueError(f"special values of depth {sv.depth} < {n}")
-    acc = Fraction(0)
-    for comp in compositions(n):
-        acc += composition_weight(comp, sv)
-    return sv.Q ** (comb(n, 2) * (genus - 1)) * acc
+    return sv.Q ** (comb(n, 2) * (genus - 1)) * sum(composition_sums(sv, n)[n])
 
 
-def counting_miracle_check(prev: ZetaLevel, n: int) -> CheckResult:
+def counting_miracle_check(prev: ZetaLevel, n: int, derived: ZetaLevel = None) -> CheckResult:
     """Constant term at step n+1 against q^(n(g-1)) * alpha_prev(0) * beta at step n.
 
-    All three quantities are computed independently: two fresh derivations and
-    one residue.
+    ``derived`` is the level prev derived by n, if the caller already holds it;
+    derive_step is pure, so deriving it again would add no independence.  The
+    step n+1 is always derived here, and beta is read off as a residue.
     """
+    if derived is None:
+        derived = derive_step(prev, n)
+    elif derived.steps != prev.steps + (n,):
+        raise ValueError(f"level {derived.steps} is not {prev.steps} derived by {n}")
     g = prev.genus
     alpha0_prev = prev.numerator()[0]
-    beta_n = residue_simple_pole(derive_step(prev, n).zeta, 1)
+    beta_n = residue_simple_pole(derived.zeta, 1)
     alpha0_next = derive_step(prev, n + 1).numerator()[0]
     expected = prev.Q ** (n * (g - 1)) * alpha0_prev * beta_n
     return CheckResult(
@@ -128,49 +132,51 @@ def counting_miracle_check(prev: ZetaLevel, n: int) -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-def _positive_weight(comp, sv: SpecialValues) -> Fraction:
-    """Composition weight with the pair denominators taken positively."""
-    w = Fraction(1)
-    for part in comp:
-        w *= sv.vhat(part)
-    for left, right in zip(comp, comp[1:]):
-        w /= sv.Q ** (left + right) - 1
-    return w
-
-
 @dataclass(frozen=True)
 class InterlacingPoly:
     """Cleared composition sum whose sign alternation certifies root interlacing."""
 
     n: int
     Q_prev: BigRat
-    tail: RatFunc  # the uncleaned sum, one simple pole per ending part
-    poly: Poly  # tail * prod_{l=1..n} (Q^l T - 1)
+    weights: tuple  # weights[p-1] = W_p, the positive-weight sum over last part p
+    poly: Poly  # sum_p W_p * prod_{l != p} (Q^l T - 1)
+
+    @property
+    def tail(self) -> RatFunc:
+        """The uncleared sum sum_p W_p / (Q^p T - 1), one simple pole per ending part."""
+        out = RatFunc(0)
+        for p, w in enumerate(self.weights, start=1):
+            out = out + w * RatFunc(1, Poly([-1, self.Q_prev**p]))
+        return out
 
     def constant_term_identity(self) -> bool:
         """(-1)^(n-1) * poly(0) equals the plain positive-weight sum."""
         return Fraction(-1) ** (self.n - 1) * self.poly[0] == self.tail_sum()
 
     def tail_sum(self) -> Fraction:
-        return -self.tail(0)  # each 1/(Q^k * 0 - 1) contributes -weight
+        return sum(self.weights, Fraction(0))
 
 
 def interlacing_poly(sv: SpecialValues, n: int, Q_prev: BigRat = None) -> InterlacingPoly:
     """Build the cleared composition polynomial of degree n-1."""
-    if sv.depth < n:
-        raise ValueError(f"special values of depth {sv.depth} < {n}")
     Q = Fraction(Q_prev) if Q_prev is not None else sv.Q
-    tail = RatFunc(0)
-    for comp in compositions(n):
-        w = _positive_weight(comp, sv)
-        tail = tail + w * RatFunc(1, Poly([-1, Q ** comp[-1]]))
-    clearing = Poly([1])
+    weights = composition_sums(sv, n, positive=True)[n][1:]
+    clearing = ONE
     for ell in range(1, n + 1):
         clearing = clearing * Poly([-1, Q**ell])
-    poly = (tail * RatFunc(clearing)).to_poly()
-    if poly.degree > n - 1:
-        raise ValueError(f"cleared polynomial has degree {poly.degree} > n-1 = {n - 1}")
-    return InterlacingPoly(n=n, Q_prev=Q, tail=tail, poly=poly)
+    poly = ZERO
+    for p, w in enumerate(weights, start=1):
+        poly = poly + (clearing // Poly([-1, Q**p])) * w
+    return InterlacingPoly(n=n, Q_prev=Q, weights=weights, poly=poly)
+
+
+def interlacing_signs(ip: InterlacingPoly) -> list:
+    """Exact signs of the polynomial at T = Q^-kappa, kappa = 1..n."""
+    signs = []
+    for kappa in range(1, ip.n + 1):
+        v = ip.poly(ip.Q_prev**-kappa)
+        signs.append(0 if v == 0 else (1 if v > 0 else -1))
+    return signs
 
 
 def interlacing_sign_check(ip: InterlacingPoly) -> CheckResult:
@@ -180,10 +186,7 @@ def interlacing_sign_check(ip: InterlacingPoly) -> CheckResult:
     (Q^-(kappa+1), Q^-kappa) for kappa = 1..n-1; a zero value at a sample
     point is reported as degenerate rather than passed.
     """
-    signs = []
-    for kappa in range(1, ip.n + 1):
-        v = ip.poly(ip.Q_prev**-kappa)
-        signs.append(0 if v == 0 else (1 if v > 0 else -1))
+    signs = interlacing_signs(ip)
     if 0 in signs:
         return CheckResult("interlacing", False, f"root at sample point; signs {signs}")
     ok = all(s == (-1) ** (kappa + 1) for kappa, s in enumerate(signs, start=1))
@@ -193,14 +196,6 @@ def interlacing_sign_check(ip: InterlacingPoly) -> CheckResult:
         ok and degree_ok,
         f"signs at Q^-kappa: {signs}; degree {ip.poly.degree}",
     )
-
-
-def interlacing_signs(ip: InterlacingPoly) -> list:
-    signs = []
-    for kappa in range(1, ip.n + 1):
-        v = ip.poly(ip.Q_prev**-kappa)
-        signs.append(0 if v == 0 else (1 if v > 0 else -1))
-    return signs
 
 
 # --------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from zetatower.invariants import (
 from zetatower.mult_struct import elliptic_beta_recursion, ratio_bounds_check
 
 DEFAULT_PRECISION_BITS = 256
+MIN_PRECISION_BITS = 32
 UNKNOWN_BAND_FACTOR = 10
 
 
@@ -141,6 +142,24 @@ def _find_roots(P: Poly, Q: Fraction, precision_bits: int):
         return [mp.mpc(r) for r in roots], residual, converged
 
 
+def check_numeric_settings(precision_bits: int, tolerance=None) -> None:
+    """Reject a precision or tolerance under which a root off the circle could pass.
+
+    With precision_bits = 0 the default tolerance would be 10^0 = 1, and a
+    root at deviation 0.41 from the circle would pass.
+    """
+    if precision_bits < MIN_PRECISION_BITS:
+        raise ValueError(f"precision must be at least {MIN_PRECISION_BITS} bits, got {precision_bits}")
+    if tolerance is None:
+        return
+    try:
+        tol = mp.mpf(tolerance)
+    except (TypeError, ValueError):
+        raise ValueError(f"tolerance {tolerance!r} is not a number") from None
+    if not 0 < tol < 1:
+        raise ValueError(f"tolerance must lie strictly between 0 and 1, got {tolerance}")
+
+
 def rh_numeric(
     source,
     Q: BigRat = None,
@@ -154,6 +173,7 @@ def rh_numeric(
     self-inversive symmetry is recorded rather than enforced so that planted
     negative controls can run through the same code path.
     """
+    check_numeric_settings(precision_bits, tolerance)
     if isinstance(source, InvariantSet):
         P, Q = source.P, source.Q
     else:
@@ -310,7 +330,10 @@ def run_cell(spec: CurveSpec, steps: tuple, config: SweepConfig) -> dict:
             _status("beta_routes", results, checks)
 
         if "miracle" in config.checks:
-            results = [counting_miracle_check(prev, n) for prev, n in zip(levels, steps)]
+            results = [
+                counting_miracle_check(prev, n, derived)
+                for prev, derived, n in zip(levels, levels[1:], steps)
+            ]
             _status("miracle", results, checks)
 
         if "interlacing" in config.checks:

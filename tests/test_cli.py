@@ -2,7 +2,9 @@
 
 import json
 
-from zetatower.cli import main
+import pytest
+
+from zetatower.cli import UsageError, main, parse_curve_arg
 
 
 def run_cli(args):
@@ -173,3 +175,50 @@ def test_curve_file_input(tmp_path):
     out = tmp_path / "out.json"
     assert run_cli(["derive", "--curve", str(path), "--tuple", "2", "--output", str(out)]) == 0
     assert json.loads(out.read_text())["curve"]["label"] == "file_curve"
+
+
+@pytest.mark.parametrize(
+    "curve",
+    ["elliptic:q=2", "elliptic:a=0", "elliptic:q=2,a=x", "elliptic:q=2.5,a=0", "elliptic:q", "counts:q=2,g=2", "counts:q=2,g=2,N=3;x", "counts:q=two,g=2,N=3;5"],
+)
+def test_malformed_curve_spec_is_usage_error(curve, capsys):
+    with pytest.raises(UsageError):
+        parse_curve_arg(curve)
+    assert run_cli(["derive", "--curve", curve, "--tuple", "2"]) == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
+def test_jobs_zero_is_usage_error(capsys):
+    assert run_cli(["sweep", "--grid", "builtin-elliptic", "--q", "2", "--tuples", "2", "--jobs", "0"]) == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["rh-check", "--curve", "catalog:X2g2", "--tuple", "1", "--precision-bits", "0"],
+        ["rh-check", "--curve", "elliptic:q=2,a=0", "--tuple", "1", "--precision-bits", "31"],
+        ["rh-check", "--curve", "elliptic:q=2,a=0", "--tuple", "1", "--tolerance", "1"],
+        ["rh-check", "--curve", "elliptic:q=2,a=0", "--tuple", "1", "--tolerance", "0"],
+        ["rh-check", "--curve", "elliptic:q=2,a=0", "--tuple", "1", "--tolerance", "nan"],
+        ["rh-check", "--curve", "elliptic:q=2,a=0", "--tuple", "1", "--tolerance", "abc"],
+        ["sweep", "--grid", "builtin-elliptic", "--q", "2", "--tuples", "1", "--precision-bits", "0"],
+    ],
+)
+def test_bad_numeric_settings_are_usage_errors(args, tmp_path):
+    assert run_cli(args + ["--output", str(tmp_path / "out.json")]) == 2
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_precision_env_zero_is_usage_error(monkeypatch, tmp_path):
+    monkeypatch.setenv("ZETATOWER_PRECISION_BITS", "0")
+    args = ["rh-check", "--curve", "catalog:X2g2", "--tuple", "1", "--output", str(tmp_path / "rh.json")]
+    assert run_cli(args) == 2
+
+
+def test_math_layer_bug_exits_3(monkeypatch, capsys):
+    import zetatower.invariants as invariants
+
+    monkeypatch.setattr(invariants, "reconstruct_numerator", lambda *args: invariants.Poly([7]))
+    assert run_cli(["invariants", "--curve", "elliptic:q=2,a=0", "--tuple", "2"]) == 3
+    assert "ReconstructionError" in capsys.readouterr().err

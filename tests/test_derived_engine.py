@@ -12,7 +12,9 @@ from zetatower.curves import (
     artin_from_point_counts,
     validate_zeta_level,
 )
+from zetatower import derived_engine
 from zetatower.derived_engine import (
+    DerivationError,
     SpecialValues,
     compositions,
     composition_weight,
@@ -118,7 +120,6 @@ def test_derive_tower_two_three():
 
 
 def test_derivation_guard_trips_on_malformed_input():
-    from zetatower.derived_engine import DerivationError
     from zetatower.exact_arith import ONE
 
     garbage = ZetaLevel(steps=(), Q=Fraction(2), genus=1, zeta=RatFunc(ONE, Poly([1, -1])))
@@ -187,3 +188,53 @@ def test_derive_tower_from_curve_spec():
     spec = CurveSpec(label="e", q=2, genus=1, trace=0)
     levels = derive_tower(spec, (2,))
     assert levels[0].numerator() == Poly([3, 3, 12])
+
+
+# -- pole-cancellation certificate ------------------------------------------------
+
+
+def _corrupt_table(monkeypatch, m, p):
+    real = derived_engine.composition_sums
+
+    def corrupted(sv, m_max, positive=False):
+        table = [list(row) for row in real(sv, m_max, positive)]
+        table[m][p] += 1
+        return tuple(tuple(row) for row in table)
+
+    monkeypatch.setattr(derived_engine, "composition_sums", corrupted)
+
+
+@pytest.mark.parametrize("z", [artin_elliptic(3, 1), artin_from_point_counts(2, 2, [3, 5])], ids=["E3a1", "X2g2"])
+def test_corrupted_composition_sum_is_caught(monkeypatch, z):
+    n = 5
+    for m in range(1, n):
+        for p in range(1, m + 1):
+            with monkeypatch.context() as mp:
+                _corrupt_table(mp, m, p)
+                with pytest.raises(DerivationError, match="do not cancel"):
+                    derive_step(z, n)
+    assert derive_step(z, n).steps == (n,)  # the real table passes
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_corrupted_special_value_is_caught(monkeypatch, k):
+    real = derived_engine.special_values
+
+    def corrupted(z, n_max):
+        sv = real(z, n_max)
+        values = list(sv.values)
+        values[k - 1] += Fraction(1, 3)
+        vhats = [Fraction(1)]
+        for v in values:
+            vhats.append(vhats[-1] * v)
+        return SpecialValues(Q=sv.Q, values=tuple(values), vhats=tuple(vhats))
+
+    monkeypatch.setattr(derived_engine, "special_values", corrupted)
+    with pytest.raises(DerivationError, match="do not cancel"):
+        derive_step(artin_elliptic(2, -1), 5)
+
+
+def test_deep_genus2_step_is_certified_and_valid():
+    z = derive_step(artin_from_point_counts(2, 2, [3, 5]), 20)
+    assert z.Q == 2**20 and z.numerator().degree == 4
+    assert all(r.passed for r in validate_zeta_level(z))

@@ -1,8 +1,14 @@
 """Tests for invariant extraction, the closed beta formula, and interlacing."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import zetatower.invariants as invariants_module
 
 from zetatower.curves import artin_elliptic, artin_from_point_counts, hasse_traces
 from zetatower.derived_engine import derive_step, derive_tower, special_values
@@ -190,3 +196,29 @@ def test_invariant_report_schema():
     assert rep["beta"] == "6"
     assert rep["positivity"] is True
     assert rep["gamma_signs"] == {"2": [1, -1]}
+
+
+def test_miracle_accepts_the_derived_level():
+    z = artin_elliptic(3, -1)
+    derived = derive_step(z, 3)
+    assert counting_miracle_check(z, 3, derived) == counting_miracle_check(z, 3)
+    with pytest.raises(ValueError, match="derived by"):
+        counting_miracle_check(z, 2, derived)
+
+
+def test_reconstruction_check_survives_python_O():
+    # an assert would be stripped under -O; the explicit raise must still fire
+    code = (
+        "import zetatower.invariants as inv\n"
+        "from zetatower.curves import artin_elliptic\n"
+        "inv.reconstruct_numerator = lambda *args: inv.Poly([7])\n"
+        "try:\n"
+        "    inv.extract_invariants(artin_elliptic(2, 0))\n"
+        "except inv.ReconstructionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(invariants_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()

@@ -10,6 +10,7 @@ from zetatower.derived_engine import derive_step
 from zetatower.exact_arith import Poly
 from zetatower.invariants import extract_invariants
 from zetatower.rh_lab import (
+    MIN_PRECISION_BITS,
     SweepConfig,
     builtin_elliptic_grid,
     report_to_json,
@@ -151,3 +152,47 @@ def test_run_cell_genus2():
     assert cell["checks"]["rh"] == "pass"
     assert cell["checks"]["ratio_bounds"] == "skipped"
     assert cell["checks"]["miracle"] == "pass"
+
+
+# -- numeric settings ------------------------------------------------------------------
+
+
+def test_precision_zero_no_longer_passes_an_off_circle_root():
+    # at precision 0 the default tolerance is 10^0 = 1, wide enough to pass this root at deviation 0.41
+    with pytest.raises(ValueError, match="precision"):
+        rh_numeric(Poly([1, -5, 4]), 2, precision_bits=0)
+    assert rh_numeric(Poly([1, -5, 4]), 2, precision_bits=MIN_PRECISION_BITS).holds is False
+
+
+def test_precision_below_floor_rejected():
+    with pytest.raises(ValueError, match="precision"):
+        rh_numeric(Poly([1, 0, 2]), 2, precision_bits=MIN_PRECISION_BITS - 1)
+
+
+@pytest.mark.parametrize("tolerance", [0, 1, 2, -1, "0", "1", "inf", "nan", "abc"])
+def test_tolerance_outside_unit_interval_rejected(tolerance):
+    with pytest.raises(ValueError, match="tolerance"):
+        rh_numeric(Poly([1, 0, 2]), 2, tolerance=tolerance)
+
+
+def test_valid_explicit_tolerance_accepted():
+    assert rh_numeric(Poly([1, 0, 2]), 2, tolerance="1e-20").holds is True
+
+
+def test_miracle_reuses_the_tower_levels(monkeypatch):
+    import zetatower.derived_engine as engine
+    import zetatower.invariants as invariants
+
+    calls = []
+    real = engine.derive_step
+
+    def counting(z, n):
+        calls.append(n)
+        return real(z, n)
+
+    monkeypatch.setattr(engine, "derive_step", counting)
+    monkeypatch.setattr(invariants, "derive_step", counting)
+    spec = CurveSpec(label="e", q=3, genus=1, trace=1)
+    cell = run_cell(spec, (2, 3), SweepConfig(curves=(spec,), tuples=((2, 3),), checks=("miracle",)))
+    assert cell["checks"] == {"miracle": "pass"}
+    assert calls == [2, 3, 3, 4]  # the tower, then only the n+1 steps

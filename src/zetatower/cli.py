@@ -66,7 +66,8 @@ def _spec_fields(text: str, prefix: str, keys: tuple) -> dict:
         fields[key] = value
     missing = [k for k in keys if k not in fields]
     if missing:
-        raise UsageError(f"{text!r} lacks {', '.join(missing)}; expected {prefix}{','.join(k + '=..' for k in keys)}")
+        expected = prefix + ",".join(f"{k}=.." for k in keys)
+        raise UsageError(f"{text!r} lacks {', '.join(missing)}; expected {expected}")
     return fields
 
 

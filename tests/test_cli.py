@@ -179,7 +179,16 @@ def test_curve_file_input(tmp_path):
 
 @pytest.mark.parametrize(
     "curve",
-    ["elliptic:q=2", "elliptic:a=0", "elliptic:q=2,a=x", "elliptic:q=2.5,a=0", "elliptic:q", "counts:q=2,g=2", "counts:q=2,g=2,N=3;x", "counts:q=two,g=2,N=3;5"],
+    [
+        "elliptic:q=2",
+        "elliptic:a=0",
+        "elliptic:q=2,a=x",
+        "elliptic:q=2.5,a=0",
+        "elliptic:q",
+        "counts:q=2,g=2",
+        "counts:q=2,g=2,N=3;x",
+        "counts:q=two,g=2,N=3;5",
+    ],
 )
 def test_malformed_curve_spec_is_usage_error(curve, capsys):
     with pytest.raises(UsageError):

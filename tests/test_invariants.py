@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 import zetatower.invariants as invariants_module
-
 from zetatower.curves import artin_elliptic, artin_from_point_counts, hasse_traces
 from zetatower.derived_engine import derive_step, derive_tower, special_values
 from zetatower.exact_arith import Poly, residue_simple_pole

@@ -157,16 +157,12 @@ def test_run_cell_genus2():
 # -- numeric settings ------------------------------------------------------------------
 
 
-def test_precision_zero_no_longer_passes_an_off_circle_root():
+@pytest.mark.parametrize("bits", [0, MIN_PRECISION_BITS - 1])
+def test_precision_below_floor_rejected(bits):
     # at precision 0 the default tolerance is 10^0 = 1, wide enough to pass this root at deviation 0.41
     with pytest.raises(ValueError, match="precision"):
-        rh_numeric(Poly([1, -5, 4]), 2, precision_bits=0)
+        rh_numeric(Poly([1, -5, 4]), 2, precision_bits=bits)
     assert rh_numeric(Poly([1, -5, 4]), 2, precision_bits=MIN_PRECISION_BITS).holds is False
-
-
-def test_precision_below_floor_rejected():
-    with pytest.raises(ValueError, match="precision"):
-        rh_numeric(Poly([1, 0, 2]), 2, precision_bits=MIN_PRECISION_BITS - 1)
 
 
 @pytest.mark.parametrize("tolerance", [0, 1, 2, -1, "0", "1", "inf", "nan", "abc"])

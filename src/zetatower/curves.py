@@ -271,6 +271,11 @@ class CurveSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CurveSpec":
+        if not isinstance(d, dict):
+            raise ValueError(f"a curve entry must be a JSON object, got {d!r}")
+        missing = [k for k in ("label", "q", "genus") if k not in d]
+        if missing:
+            raise ValueError(f"curve entry {d!r} lacks {', '.join(missing)}")
         return cls(
             label=d["label"],
             q=int(d["q"]),
@@ -331,14 +336,9 @@ def validate_zeta_level(z: ZetaLevel) -> list:
     results = []
     std_den = z.standard_denominator()
 
-    rem = std_den % z.zeta.den
-    results.append(
-        CheckResult(
-            "denominator_divides",
-            rem.is_zero(),
-            f"reduced denominator {z.zeta.den!r} must divide (1-T)(1-QT)T^(g-1)",
-        )
-    )
+    divides = (std_den % z.zeta.den).is_zero()
+    detail = "" if divides else f"reduced denominator {z.zeta.den!r} must divide (1-T)(1-QT)T^(g-1)"
+    results.append(CheckResult("denominator_divides", divides, detail))
 
     fe = z.zeta.subst_reciprocal(1 / z.Q) == z.zeta
     results.append(CheckResult("functional_equation", fe, "zeta(1/(QT)) = zeta(T)"))
@@ -346,12 +346,15 @@ def validate_zeta_level(z: ZetaLevel) -> list:
     try:
         res1 = residue_simple_pole(z.zeta, 1)
         res_q = residue_simple_pole(z.zeta, 1 / z.Q)
-        # The functional equation forces Res_{T=1} = -Q * Res_{T=1/Q}.
-        ok = res1 == -z.Q * res_q
-        detail = f"Res(1)={rat_str(res1)}, Res(1/Q)={rat_str(res_q)}"
     except (ValueError, ArithmeticError) as exc:
-        ok, detail = False, f"residue computation failed: {exc}"
-    results.append(CheckResult("residue_antisymmetry", ok, detail))
+        results.append(CheckResult("residue_antisymmetry", False, f"residue computation failed: {exc}"))
+    else:
+        # The functional equation forces Res_{T=1} = -Q * Res_{T=1/Q}.  The
+        # detail is built only on failure: a valid level's residues can have
+        # more digits than Python converts to a decimal string.
+        ok = res1 == -z.Q * res_q
+        detail = "" if ok else f"Res(1)={rat_str(res1)}, Res(1/Q)={rat_str(res_q)}"
+        results.append(CheckResult("residue_antisymmetry", ok, detail))
 
     try:
         num = z.numerator()
@@ -383,13 +386,19 @@ def level_from_numerator(P: Poly, Q: BigRat, g: int, label: str, steps: tuple = 
     )
 
 
+def _base_level(P: Poly, q: int, g: int, label: str) -> ZetaLevel:
+    """The base level of numerator P; rejects P(1) <= 0, since P(1) is the class number."""
+    if P(1) <= 0:
+        raise ValueError(f"P(1) = {rat_str(P(1))} is not a class number (at least 1); no curve has this zeta")
+    return level_from_numerator(P, q, g, label)
+
+
 def artin_elliptic(q: int, a: int, label: str = "") -> ZetaLevel:
     """Complete zeta (1 - aT + qT^2)/((1-T)(1-qT)) of an elliptic trace."""
     prime_power_split(q)
     if a * a > 4 * q:
         raise ValueError(f"Hasse bound violated: {a}^2 = {a * a} > 4q = {4 * q}")
-    P = Poly([1, -a, q])
-    return level_from_numerator(P, q, 1, label or f"elliptic(q={q},a={a})")
+    return _base_level(Poly([1, -a, q]), q, 1, label or f"elliptic(q={q},a={a})")
 
 
 def artin_from_point_counts(q: int, g: int, counts: Sequence[int], label: str = "") -> ZetaLevel:
@@ -419,7 +428,7 @@ def artin_from_point_counts(q: int, g: int, counts: Sequence[int], label: str = 
         implied = Fraction(q) ** k + 1 - psums[k - 1]
         if implied != n_k:
             raise ValueError(f"point count N_{k} = {n_k} inconsistent with the zeta numerator ({implied})")
-    return level_from_numerator(P, q, g, label or f"counts(q={q},g={g})")
+    return _base_level(P, q, g, label or f"counts(q={q},g={g})")
 
 
 def artin_zeta(spec: CurveSpec) -> ZetaLevel:
@@ -428,8 +437,7 @@ def artin_zeta(spec: CurveSpec) -> ZetaLevel:
         return artin_elliptic(spec.q, spec.trace, spec.label)
     if spec.point_counts is not None:
         return artin_from_point_counts(spec.q, spec.genus, spec.point_counts, spec.label)
-    P = Poly(spec.numerator)
-    return level_from_numerator(P, spec.q, spec.genus, spec.label)
+    return _base_level(Poly(spec.numerator), spec.q, spec.genus, spec.label)
 
 
 # --------------------------------------------------------------------------

@@ -264,6 +264,31 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
+def squarefree_factors(P: Poly) -> list:
+    """Yun's squarefree decomposition: [(F, m)] with P = lead * prod F^m.
+
+    The F are monic, squarefree, pairwise coprime and of positive degree
+    (D. Y. Y. Yun, On square-free decomposition algorithms, SYMSAC 1976).
+    Exact over the rationals, so a repeated root becomes a simple root of
+    one factor.  P must have positive degree.
+    """
+    dP = P.derivative()
+    common = poly_gcd(P, dP)
+    if common.degree == 0:
+        return [(P.monic(), 1)]
+    b = P // common
+    d = dP // common - b.derivative()
+    out, m = [], 1
+    while b.degree > 0:
+        a = poly_gcd(b, d)
+        b = b // a
+        d = d // a - b.derivative()
+        if a.degree > 0:
+            out.append((a, m))
+        m += 1
+    return out
+
+
 class RatFunc:
     """Reduced quotient of two polynomials in one formal variable.
 

@@ -3,13 +3,21 @@
 Genus 1 is decided exactly: with P = alpha(0) (1 - A T + Q T^2), all roots lie
 on |T| = Q^(-1/2) iff A^2 <= 4Q, a single rational comparison (the boundary
 A^2 = 4Q is a repeated on-circle root and carries its own flag).  Higher genus
-falls back to arbitrary-precision numerics: all roots at once by simultaneous
-Weierstrass/Durand-Kerner iteration, started on a circle of radius
-Q^(-1/2) * (1 + 1/8) around the conjectured locus, with a deterministic
-scattered restart if that stalls.  A verdict is "holds" when the worst
-|root| * sqrt(Q) deviation from 1 is below tolerance, "fails" beyond 10x
-tolerance, and lands in the unknown band between (after one automatic retry
-at doubled precision).
+falls back to arbitrary-precision numerics.  The numerator is first split
+exactly into squarefree factors (Yun's algorithm over the rationals), so a
+repeated root is a simple root of its factor; each root is then counted by
+its multiplicity.  Each factor is solved in the scaled variable
+x = sqrt(Q) T, where the roots RH predicts lie on |x| = 1, so the
+convergence target and the stall floor are relative to the root size
+Q^(-1/2) whatever the size of Q.  All roots of a factor come at once from
+simultaneous Weierstrass/Durand-Kerner iteration: first in hardware floats,
+which only picks the starting points, then polished at the working
+precision.  If the float stage overflows, meets a zero denominator or does
+not settle, the polish starts on the circle |x| = 1 + 1/8 instead, with a
+deterministic scattered restart if that stalls.  A verdict is "holds" when
+the worst |root| * sqrt(Q) deviation from 1 is below tolerance, "fails"
+beyond 10x tolerance, and lands in the unknown band between (after one
+automatic retry at doubled precision).
 
 Sweeps run a configurable battery of checks over a curve x tuple grid and
 emit a deterministic JSON-able report: no timestamps, fixed ordering, exact
@@ -18,8 +26,10 @@ rationals as strings.  Identical configs give byte-identical reports.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -28,7 +38,7 @@ import mpmath as mp
 
 from zetatower.curves import CheckResult, CurveSpec, ZetaLevel, artin_zeta, hasse_traces
 from zetatower.derived_engine import derive_tower, special_values
-from zetatower.exact_arith import BigRat, Poly, rat_str, residue_simple_pole
+from zetatower.exact_arith import BigRat, Poly, rat_str, residue_simple_pole, squarefree_factors
 from zetatower.invariants import (
     InvariantSet,
     beta_closed_form,
@@ -43,6 +53,11 @@ from zetatower.mult_struct import elliptic_beta_recursion, ratio_bounds_check
 DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 32
 UNKNOWN_BAND_FACTOR = 10
+# Durand-Kerner starts on |x| = 1 + 1/8 in x = sqrt(Q) T, just outside the conjectured locus
+START_RADIUS = 1.125
+# the float stage only picks starting points for the polish at full precision
+FLOAT_SEED_ITER = 100
+FLOAT_SEED_TARGET = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -83,33 +98,42 @@ def _poly_is_self_inversive(P: Poly, Q: Fraction, g: int) -> bool:
     return all(P[2 * g - i] == Q ** (g - i) * P[i] for i in range(2 * g + 1))
 
 
+def _dk_sweep(coeffs, roots, zero_den):
+    """One Weierstrass/Durand-Kerner sweep over ``roots`` in place; returns the largest correction.
+
+    Works on builtin complex floats and on mpmath numbers alike.  A vanishing
+    denominator is replaced by ``zero_den``; 0 lets ZeroDivisionError through.
+    """
+    worst = 0
+    for i, x in enumerate(roots):
+        val = coeffs[0]
+        for c in coeffs[1:]:
+            val = val * x + c
+        den = 1
+        for j, y in enumerate(roots):
+            if j != i:
+                den *= x - y
+        if den == 0:
+            den = zero_den
+        delta = val / den
+        roots[i] = x - delta
+        worst = max(worst, abs(delta))
+    return worst
+
+
 def _durand_kerner(coeffs, initials, target, max_iter):
     """Simultaneous root iteration; returns (roots, final residual, converged)."""
-    n = len(coeffs) - 1
     roots = list(initials)
     residual = mp.mpf("inf")
     stagnant = 0
+    tiny = mp.mpc(mp.mpf(2) ** (-mp.mp.prec), 0)
     for _ in range(max_iter):
-        worst = mp.mpf(0)
-        for i in range(n):
-            x = roots[i]
-            val = coeffs[0]
-            for c in coeffs[1:]:
-                val = val * x + c
-            den = mp.mpc(1)
-            for j in range(n):
-                if j != i:
-                    den *= x - roots[j]
-            if den == 0:
-                den = mp.mpc(mp.mpf(2) ** (-mp.mp.prec), 0)
-            delta = val / den
-            roots[i] = x - delta
-            worst = max(worst, abs(delta))
+        worst = _dk_sweep(coeffs, roots, tiny)
         if worst < target:
             return roots, worst, True
         if worst >= residual * mp.mpf("0.999"):
             stagnant += 1
-            # double roots stall the correction near its attainable floor
+            # a cluster of nearly equal roots stalls the correction near its attainable floor
             if stagnant >= 8:
                 return roots, worst, worst < mp.mpf(2) ** (-mp.mp.prec // 4)
         else:
@@ -118,28 +142,68 @@ def _durand_kerner(coeffs, initials, target, max_iter):
     return roots, residual, False
 
 
-def _find_roots(P: Poly, Q: Fraction, precision_bits: int):
-    """All complex roots of P at working precision ~2x the requested bits."""
-    wp = 2 * precision_bits + 64
-    deg = int(P.degree)
-    with mp.workprec(wp):
-        lead = P.coeffs[-1]
-        monic = [mp.mpf(int((c / lead).numerator)) / mp.mpf(int((c / lead).denominator)) for c in P.coeffs[::-1]]
-        radius = (mp.mpf(1) / mp.sqrt(mp.mpf(Q.numerator) / mp.mpf(Q.denominator))) * (1 + mp.mpf(1) / 8)
-        target = mp.mpf(2) ** (-(precision_bits + 16))
+def _circle(deg: int):
+    """The angles of the starting points on |x| = START_RADIUS, as multiples of pi."""
+    return [2 * mp.mpf(i) / deg + mp.mpf(1) / (2 * deg + 1) for i in range(deg)]
+
+
+def _float_seed(coeffs):
+    """Roots of a monic real polynomial (highest coefficient first) in hardware floats, or None.
+
+    Durand-Kerner on builtin complex numbers from the same circle as the
+    polishing stage.  None when a coefficient overflows a double, the constant
+    term underflows to 0, a denominator vanishes, or the corrections do not
+    fall below FLOAT_SEED_TARGET within FLOAT_SEED_ITER sweeps.
+    """
+    cs = [float(c) for c in coeffs]
+    if not all(math.isfinite(c) for c in cs) or cs[-1] == 0:
+        return None
+    roots = [START_RADIUS * cmath.exp(1j * math.pi * float(a)) for a in _circle(len(cs) - 1)]
+    try:
+        for _ in range(FLOAT_SEED_ITER):
+            if _dk_sweep(cs, roots, 0) < FLOAT_SEED_TARGET:
+                return roots if all(cmath.isfinite(r) for r in roots) else None
+    except ZeroDivisionError:
+        pass
+    return None
+
+
+def _factor_roots(F: Poly, sqrt_q, target, precision_bits: int):
+    """Roots x = sqrt(Q) T of one squarefree factor: float seed, then polish at the working precision."""
+    deg = int(F.degree)
+    # monic in x; the roots RH predicts lie on |x| = 1 whatever the size of Q
+    coeffs = [mp.mpf(c.numerator) / c.denominator * sqrt_q ** (deg - i) for i, c in enumerate(F.coeffs)]
+    coeffs.reverse()
+    init = _float_seed(coeffs)
+    if init is None:
+        init = [START_RADIUS * mp.expjpi(a) for a in _circle(deg)]
+    roots, residual, ok = _durand_kerner(coeffs, [mp.mpc(r) for r in init], target, max_iter=4000)
+    if not ok:
+        # deterministic scattered fallback: spread moduli geometrically
         init = [
-            radius * mp.expjpi(2 * mp.mpf(i) / deg + mp.mpf(1) / (2 * deg + 1)) for i in range(deg)
+            START_RADIUS * mp.mpf(2) ** ((i % 5) - 2) * mp.expjpi(2 * mp.mpf(i) / deg + mp.mpf(1) / 7)
+            for i in range(deg)
         ]
-        roots, residual, ok = _durand_kerner(monic, init, target, max_iter=4000)
-        if not ok:
-            # deterministic scattered fallback: spread moduli geometrically
-            init = [
-                radius * mp.mpf(2) ** ((i % 5) - 2) * mp.expjpi(2 * mp.mpf(i) / deg + mp.mpf(1) / 7)
-                for i in range(deg)
-            ]
-            roots, residual, ok = _durand_kerner(monic, init, target, max_iter=4000)
-        converged = ok or residual < mp.mpf(2) ** (-(precision_bits // 2))
-        return [mp.mpc(r) for r in roots], residual, converged
+        roots, residual, ok = _durand_kerner(coeffs, init, target, max_iter=4000)
+    return roots, residual, ok or residual < mp.mpf(2) ** (-(precision_bits // 2))
+
+
+def _find_roots(P: Poly, Q: Fraction, precision_bits: int):
+    """All complex roots of P, each repeated by its multiplicity, at working precision ~2x the requested bits.
+
+    Each squarefree factor is iterated in x = sqrt(Q) T, so the convergence
+    target and the stall floor are relative to the root size Q^(-1/2).
+    """
+    wp = 2 * precision_bits + 64
+    with mp.workprec(wp):
+        sqrt_q = mp.sqrt(mp.mpf(Q.numerator) / Q.denominator)
+        target = mp.mpf(2) ** (-(precision_bits + 16))
+        roots, residual, converged = [], mp.mpf(0), True
+        for F, mult in squarefree_factors(P):
+            xs, res, ok = _factor_roots(F, sqrt_q, target, precision_bits)
+            roots += [x / sqrt_q for x in xs] * mult
+            residual, converged = max(residual, res), converged and ok
+        return roots, residual, converged
 
 
 def check_numeric_settings(precision_bits: int, tolerance=None) -> None:
@@ -243,10 +307,9 @@ def root_pairing_defect(P: Poly, Q: BigRat, precision_bits: int = 128):
 
 def rh_verdict_for_level(level: ZetaLevel, precision_bits: int = DEFAULT_PRECISION_BITS, tolerance=None) -> RHVerdict:
     """Exact criterion when genus 1, numeric otherwise."""
-    inv = extract_invariants(level)
     if level.genus == 1:
-        return rh_exact_genus1(inv)
-    return rh_numeric(inv, precision_bits=precision_bits, tolerance=tolerance)
+        return rh_exact_genus1(extract_invariants(level))
+    return rh_numeric(level.numerator(), level.Q, precision_bits=precision_bits, tolerance=tolerance)
 
 
 # --------------------------------------------------------------------------

@@ -197,6 +197,19 @@ def test_malformed_curve_spec_is_usage_error(curve, capsys):
     assert "internal error" not in capsys.readouterr().err
 
 
+def test_curve_file_without_required_keys_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"q": 2}')
+    assert run_cli(["derive", "--curve", str(bad), "--tuple", "1"]) == 2
+    assert "lacks label, genus" in capsys.readouterr().err
+
+
+def test_point_counts_with_zero_class_number_are_usage_error(capsys):
+    # N_1 = 0 over F_2 gives P(1) = 0; P(1) is the class number, at least 1
+    assert run_cli(["derive", "--curve", "counts:q=2,g=1,N=0", "--tuple", "1"]) == 2
+    assert "class number" in capsys.readouterr().err
+
+
 def test_jobs_zero_is_usage_error(capsys):
     assert run_cli(["sweep", "--grid", "builtin-elliptic", "--q", "2", "--tuples", "2", "--jobs", "0"]) == 2
     assert "--jobs" in capsys.readouterr().err

@@ -238,3 +238,11 @@ def test_deep_genus2_step_is_certified_and_valid():
     z = derive_step(artin_from_point_counts(2, 2, [3, 5]), 20)
     assert z.Q == 2**20 and z.numerator().degree == 4
     assert all(r.passed for r in validate_zeta_level(z))
+
+
+def test_level_with_residues_past_the_int_str_limit_validates():
+    # Res(1) at (10, 10, 6) has more than 4300 decimal digits, Python's default
+    # limit for converting an int to a string
+    levels = derive_tower(artin_from_point_counts(2, 2, [3, 5]), (10, 10, 6))
+    assert levels[-1].Q == 2**600
+    assert all(r.passed for r in validate_zeta_level(levels[-1]))

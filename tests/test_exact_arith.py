@@ -17,6 +17,7 @@ from zetatower.exact_arith import (
     as_rat,
     newton_power_sums,
     poly_gcd,
+    squarefree_factors,
     rat_str,
     residue_simple_pole,
     series_exp,
@@ -66,6 +67,13 @@ def test_gcd_shared_linear_factor():
     a = Poly([1, -1]) * Poly([1, -2])
     b = Poly([1, -2]) * Poly([0, 1])
     assert poly_gcd(a, b) == Poly([Fraction(-1, 2), 1])
+
+
+def test_squarefree_factors_by_multiplicity():
+    # 3 (T^2 + 1) (T + 2)^2 (T - 1)^3
+    P = 3 * Poly([1, 0, 1]) * Poly([2, 1]) ** 2 * Poly([-1, 1]) ** 3
+    assert squarefree_factors(P) == [(Poly([1, 0, 1]), 1), (Poly([2, 1]), 2), (Poly([-1, 1]), 3)]
+    assert squarefree_factors(Poly([2, -4, 4])) == [(Poly([Fraction(1, 2), -1, 1]), 1)]
 
 
 def test_gcd_both_zero_rejected():
@@ -237,3 +245,17 @@ def test_newton_power_sums_against_brute_force(roots, k_max):
     psums = newton_power_sums(elem, k_max)
     for k in range(1, k_max + 1):
         assert psums[k - 1] == sum(r**k for r in roots)
+
+
+@given(coeff_lists(max_size=3), coeff_lists(max_size=3), coeff_lists(max_size=3))
+def test_squarefree_factors_rebuild_the_polynomial(a, b, c):
+    P = Poly(a) * Poly(b) ** 2 * Poly(c) ** 3
+    assume(P.degree > 0)
+    factors = squarefree_factors(P)
+    rebuilt = Poly([P.coeffs[-1]])
+    for F, m in factors:
+        assert F.degree > 0 and F.coeffs[-1] == 1
+        assert poly_gcd(F, F.derivative()) == ONE
+        rebuilt = rebuilt * F**m
+    assert rebuilt == P
+    assert len({m for _, m in factors}) == len(factors)

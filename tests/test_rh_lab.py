@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from zetatower import rh_lab
 from zetatower.curves import CurveSpec, artin_elliptic, artin_from_point_counts, hasse_traces
 from zetatower.derived_engine import derive_step
 from zetatower.exact_arith import Poly
@@ -99,6 +100,73 @@ def test_numeric_needs_q_for_raw_poly():
         rh_numeric(Poly([1, 0, 2]))
 
 
+def _weil_rh_holds(q, a1, a2):
+    """Exact RH for P = 1 + a1 T + a2 T^2 + q a1 T^3 + q^2 T^4, in integers.
+
+    P(T) = T^2 h(qT + 1/T) with h(u) = u^2 + a1 u + a2 - 2q, and RH holds iff
+    both roots of h are real and lie in [-2 sqrt q, 2 sqrt q]: a real pair
+    whose midpoint -a1/2 is inside, with h(+-2 sqrt q) = m +- 2 a1 sqrt q >= 0
+    for m = a2 + 2q, that is m >= 0 and m^2 >= 4 q a1^2.
+    """
+    m = a2 + 2 * q
+    real = a1 * a1 >= 4 * (a2 - 2 * q)
+    return real and a1 * a1 <= 16 * q and m >= 0 and m * m >= 4 * q * a1 * a1
+
+
+def _genus2_grid():
+    """Every (a1, a2) with |a1| <= 4q, |a2| <= 6q at q = 2; at q = 3 the RH pairs plus |a1| <= 2q, |a2| <= 3q."""
+    cases = [(2, a1, a2) for a1 in range(-8, 9) for a2 in range(-12, 13)]
+    admissible = {(a1, a2) for a1 in range(-12, 13) for a2 in range(-18, 19) if _weil_rh_holds(3, a1, a2)}
+    box = {(a1, a2) for a1 in range(-6, 7) for a2 in range(-9, 10)}
+    return cases + [(3, a1, a2) for a1, a2 in sorted(admissible | box)]
+
+
+def _grid_outcomes():
+    return [rh_numeric(Poly([1, a1, a2, q * a1, q * q]), q) for q, a1, a2 in _genus2_grid()]
+
+
+def test_numeric_matches_exact_real_weil_class(monkeypatch):
+    cases = _genus2_grid()
+    assert len(cases) == 678
+    seeded = _grid_outcomes()
+    for (q, a1, a2), v in zip(cases, seeded):
+        assert v.holds is _weil_rh_holds(q, a1, a2), (q, a1, a2, v.max_deviation)
+        assert v.precision_bits == 256  # no escalation
+    # the float stage only picks starting points: the circle start gives the same verdicts
+    monkeypatch.setattr(rh_lab, "_float_seed", lambda coeffs: None)
+    assert [v.outcome() for v in _grid_outcomes()] == [v.outcome() for v in seeded]
+
+
+def test_numeric_repeated_on_circle_factor_converges():
+    v = rh_numeric(Poly([1, -2, 2]) ** 2, 2)
+    assert v.holds is True and v.precision_bits == 256
+    assert len(v.deviations) == 4
+    assert all(mp.mpf(d) < mp.mpf("1e-60") for d in v.deviations)
+
+
+def test_numeric_repeated_off_circle_factor_fails():
+    v = rh_numeric(Poly([1, -3]) ** 2 * Poly([1, 0, 2]), 2)
+    assert v.holds is False and len(v.deviations) == 4
+
+
+@pytest.mark.parametrize("e", [600, 1100, 1101])
+def test_numeric_stopping_is_relative_to_root_size(e):
+    # the roots have modulus 2^(-e/2), far below an absolute stopping threshold
+    Q, h = 2**e, 2 ** (e // 2)
+    on_circle = rh_numeric(Poly([1, 0, Q]) * Poly([1, -h, Q]), Q)
+    assert on_circle.holds is True and mp.mpf(on_circle.max_deviation) < mp.mpf("1e-60")
+    # sqrt(Q) T = (3 +- sqrt 5)/2 for even e, sqrt 2 and 1/sqrt 2 for odd e
+    off_circle = rh_numeric(Poly([1, 0, Q]) * Poly([1, -3 * h, Q]), Q)
+    assert off_circle.holds is False and mp.mpf(off_circle.max_deviation) > mp.mpf("0.4")
+
+
+def test_float_seed_gives_up_outside_double_range():
+    assert rh_lab._float_seed([mp.mpf(1), mp.mpf(0), mp.mpf(10) ** 400]) is None  # overflow
+    assert rh_lab._float_seed([mp.mpf(1), mp.mpf(0), mp.mpf(10) ** -400]) is None  # constant term underflows
+    roots = rh_lab._float_seed([mp.mpf(1), mp.mpf(0), mp.mpf(1)])
+    assert sorted(round(r.imag, 12) for r in roots) == [-1, 1]
+
+
 def test_self_inversive_root_pairing():
     P = Poly([1, 0, 2]) * Poly([1, -2, 2])
     assert root_pairing_defect(P, 2) < mp.mpf("1e-20")
@@ -107,6 +175,14 @@ def test_self_inversive_root_pairing():
 def test_verdict_dispatch_by_genus():
     assert rh_verdict_for_level(artin_elliptic(2, 1)).method == "exact_g1"
     assert rh_verdict_for_level(artin_from_point_counts(2, 2, [3, 5])).method == "numeric"
+
+
+def test_numeric_verdict_reads_the_numerator_directly(monkeypatch):
+    def refuse(level):
+        raise AssertionError("genus >= 2 needs only P and Q")
+
+    monkeypatch.setattr(rh_lab, "extract_invariants", refuse)
+    assert rh_verdict_for_level(artin_from_point_counts(2, 2, [3, 5])).holds is True
 
 
 # -- sweep harness -------------------------------------------------------------------

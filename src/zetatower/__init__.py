@@ -19,18 +19,7 @@ from zetatower.derived_engine import (
     normalize_level,
     special_values,
 )
-from zetatower.exact_arith import (
-    BigRat,
-    FormalSeries,
-    PoleError,
-    Poly,
-    RatFunc,
-    as_rat,
-    poly_gcd,
-    rat_str,
-    residue_simple_pole,
-    series_exp,
-)
+from zetatower.exact_arith import BigRat, Poly, as_rat, poly_gcd, rat_str, series_exp
 from zetatower.invariants import (
     InvariantSet,
     beta_closed_form,

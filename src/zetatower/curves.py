@@ -7,6 +7,11 @@ point counts, or the numerator coefficients themselves), validates it, and
 provides a small brute-force point counter for the catalog curves so the
 analytic data can be cross-checked against actual counting.
 
+Every level of the derived tower has the same shape over its own Q, so a
+``ZetaLevel`` stores just the numerator P and Q.  Its functional equation is
+the coefficient symmetry, its residue at T = 1 is P(1)/(Q-1), and validation
+is exact coefficient arithmetic on P.
+
 Point counting supports plane models y^2 + a3*y = f(x) with coefficients in
 the prime field and a single smooth point at infinity; that covers the whole
 catalog (char-2 Weierstrass forms, odd-characteristic y^2 = cubic, and the
@@ -23,17 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from zetatower.exact_arith import (
-    BigRat,
-    FormalSeries,
-    Poly,
-    RatFunc,
-    as_rat,
-    newton_power_sums,
-    rat_str,
-    residue_simple_pole,
-    series_exp,
-)
+from zetatower.exact_arith import BigRat, Poly, as_rat, newton_power_sums, rat_str, series_exp
 
 BRUTE_FORCE_FIELD_CAP = 2**20
 
@@ -249,7 +244,10 @@ class CurveSpec:
             if len(self.point_counts) < self.genus:
                 raise ValueError(f"need at least g = {self.genus} point counts")
         if self.numerator is not None:
-            coeffs = tuple(as_rat(c) for c in self.numerator)
+            try:
+                coeffs = tuple(as_rat(c) for c in self.numerator)
+            except ZeroDivisionError:
+                raise ValueError(f"numerator {list(self.numerator)} has a zero denominator") from None
             if len(coeffs) != 2 * self.genus + 1 or coeffs[0] == 0 or coeffs[-1] == 0:
                 raise ValueError("numerator must have degree exactly 2g with nonzero ends")
             coeffs = tuple(c / coeffs[0] for c in coeffs)  # force A_0 = 1
@@ -271,19 +269,39 @@ class CurveSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CurveSpec":
+        """Build from a parsed JSON object; a field of the wrong type raises ValueError.
+
+        A null trace, point_counts or numerator counts as absent.
+        """
         if not isinstance(d, dict):
             raise ValueError(f"a curve entry must be a JSON object, got {d!r}")
         missing = [k for k in ("label", "q", "genus") if k not in d]
         if missing:
             raise ValueError(f"curve entry {d!r} lacks {', '.join(missing)}")
+        if not isinstance(d["label"], str) or not (_is_int(d["q"]) and _is_int(d["genus"])):
+            raise ValueError(f"curve entry {d!r} needs a string label and integer q and genus")
+        trace, counts, numerator = d.get("trace"), d.get("point_counts"), d.get("numerator")
+        if trace is not None and not _is_int(trace):
+            raise ValueError(f"trace must be an integer, got {trace!r}")
+        if counts is not None and not (isinstance(counts, list) and all(_is_int(n) for n in counts)):
+            raise ValueError(f"point_counts must be a list of integers, got {counts!r}")
+        if numerator is not None and not (
+            isinstance(numerator, list) and all(_is_int(c) or isinstance(c, str) for c in numerator)
+        ):
+            raise ValueError(f'numerator must be a list of integers or "p/q" strings, got {numerator!r}')
         return cls(
             label=d["label"],
-            q=int(d["q"]),
-            genus=int(d["genus"]),
-            trace=d.get("trace"),
-            point_counts=tuple(d["point_counts"]) if "point_counts" in d else None,
-            numerator=tuple(d["numerator"]) if "numerator" in d else None,
+            q=d["q"],
+            genus=d["genus"],
+            trace=trace,
+            point_counts=None if counts is None else tuple(counts),
+            numerator=None if numerator is None else tuple(numerator),
         )
+
+
+def _is_int(x) -> bool:
+    """True for a JSON integer; bool is an int subclass in Python, but not one in JSON."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def load_curves(path) -> list:
@@ -296,10 +314,10 @@ def load_curves(path) -> list:
 
 @dataclass(frozen=True)
 class ZetaLevel:
-    """One rung of the derived tower.
+    """One rung of the derived tower: Z(T) = P(T) / ((1-T)(1-QT)T^(g-1)).
 
     steps is the tuple of derivation indices applied so far (empty for the
-    base), Q = q**prod(steps), zeta is the complete zeta in this level's own
+    base), Q = q**prod(steps), P is the numerator in this level's own
     variable, and scale records the constant divided out when the level was
     normalized to constant term 1.
     """
@@ -307,21 +325,21 @@ class ZetaLevel:
     steps: tuple
     Q: BigRat
     genus: int
-    zeta: RatFunc
+    P: Poly
     normalized: bool = False
     scale: BigRat = Fraction(1)
     label: str = ""
 
-    def standard_denominator(self) -> Poly:
-        """(1-T)(1-QT)T^(g-1)."""
-        return Poly([0] * (self.genus - 1) + [1, -1 - self.Q, self.Q])
-
     def numerator(self) -> Poly:
-        """P(T) = zeta * (1-T)(1-QT)T^(g-1); raises if the level is malformed."""
-        std_den = self.standard_denominator()
-        if self.zeta.den == std_den:  # canonical form with nothing cancelled
-            return self.zeta.num
-        return (self.zeta * RatFunc(std_den)).to_poly()
+        return self.P
+
+    def residue(self) -> Fraction:
+        """Res_{T=1} Z = P(1)/(Q-1), which is beta."""
+        return self.P(1) / (self.Q - 1)
+
+    def value(self, t: Fraction) -> Fraction:
+        """Z(t) at a point t that is not a pole: not 1 or 1/Q, and not 0 when g > 1."""
+        return self.P(t) / ((1 - t) * (1 - self.Q * t) * t ** (self.genus - 1))
 
 
 @dataclass(frozen=True)
@@ -332,65 +350,44 @@ class CheckResult:
 
 
 def validate_zeta_level(z: ZetaLevel) -> list:
-    """Structural checks every well-formed level must pass; reports, never raises."""
+    """Structural checks every well-formed level must pass; reports, never raises.
+
+    All of them are exact arithmetic on the coefficients A_i of P.
+    """
+    P, Q, g = z.P, z.Q, z.genus
     results = []
-    std_den = z.standard_denominator()
 
-    divides = (std_den % z.zeta.den).is_zero()
-    detail = "" if divides else f"reduced denominator {z.zeta.den!r} must divide (1-T)(1-QT)T^(g-1)"
-    results.append(CheckResult("denominator_divides", divides, detail))
-
-    fe = z.zeta.subst_reciprocal(1 / z.Q) == z.zeta
+    # Z(1/(QT)) = Z(T) holds exactly when A_{2g-i} = Q^(g-i) A_i and deg P <= 2g
+    fe = P.degree <= 2 * g and all(P[2 * g - i] == Q ** (g - i) * P[i] for i in range(2 * g + 1))
     results.append(CheckResult("functional_equation", fe, "zeta(1/(QT)) = zeta(T)"))
 
-    try:
-        res1 = residue_simple_pole(z.zeta, 1)
-        res_q = residue_simple_pole(z.zeta, 1 / z.Q)
-    except (ValueError, ArithmeticError) as exc:
-        results.append(CheckResult("residue_antisymmetry", False, f"residue computation failed: {exc}"))
+    # Z has a simple pole at T = 1 (resp. 1/Q) unless P vanishes there.  The
+    # functional equation forces Res_{T=1} = -Q * Res_{T=1/Q}.  The detail is
+    # built only on failure: a valid level's residues can have more digits
+    # than Python converts to a decimal string.
+    zeros = [t for t in (Fraction(1), 1 / Q) if P(t) == 0]
+    if zeros:
+        detail = f"residue computation failed: not a pole: {', '.join(rat_str(t) for t in zeros)}"
+        results.append(CheckResult("residue_antisymmetry", False, detail))
     else:
-        # The functional equation forces Res_{T=1} = -Q * Res_{T=1/Q}.  The
-        # detail is built only on failure: a valid level's residues can have
-        # more digits than Python converts to a decimal string.
-        ok = res1 == -z.Q * res_q
+        res1 = z.residue()
+        res_q = -P(1 / Q) * Q ** (g - 1) / (Q - 1)
+        ok = res1 == -Q * res_q
         detail = "" if ok else f"Res(1)={rat_str(res1)}, Res(1/Q)={rat_str(res_q)}"
         results.append(CheckResult("residue_antisymmetry", ok, detail))
 
-    try:
-        num = z.numerator()
-        deg_ok = num.degree == 2 * z.genus
-        detail = f"numerator degree {num.degree}"
-    except ValueError as exc:
-        deg_ok, detail = False, str(exc)
-    results.append(CheckResult("numerator_degree", deg_ok, detail))
+    results.append(CheckResult("numerator_degree", P.degree == 2 * g, f"numerator degree {P.degree}"))
 
     if not z.steps:
-        try:
-            pos = residue_simple_pole(z.zeta, 1) > 0
-        except (ValueError, ArithmeticError):
-            pos = False
-        results.append(CheckResult("base_residue_positive", pos, "Res_{T=1} > 0 at the base"))
+        results.append(CheckResult("base_residue_positive", P(1) > 0, "Res_{T=1} > 0 at the base"))
     return results
-
-
-def level_from_numerator(P: Poly, Q: BigRat, g: int, label: str, steps: tuple = ()) -> ZetaLevel:
-    """The level P / ((1-T)(1-QT)T^(g-1)), unnormalized."""
-    den = Poly([0] * (g - 1) + [1, -1 - Q, Q])
-    return ZetaLevel(
-        steps=steps,
-        Q=Fraction(Q),
-        genus=g,
-        zeta=RatFunc(P, den),
-        normalized=False,
-        label=label,
-    )
 
 
 def _base_level(P: Poly, q: int, g: int, label: str) -> ZetaLevel:
     """The base level of numerator P; rejects P(1) <= 0, since P(1) is the class number."""
     if P(1) <= 0:
         raise ValueError(f"P(1) = {rat_str(P(1))} is not a class number (at least 1); no curve has this zeta")
-    return level_from_numerator(P, q, g, label)
+    return ZetaLevel(steps=(), Q=Fraction(q), genus=g, P=P, label=label)
 
 
 def artin_elliptic(q: int, a: int, label: str = "") -> ZetaLevel:
@@ -413,10 +410,9 @@ def artin_from_point_counts(q: int, g: int, counts: Sequence[int], label: str = 
         raise ValueError("genus must be >= 1")
     if len(counts) < g:
         raise ValueError(f"need at least g = {g} point counts, got {len(counts)}")
-    log_z = FormalSeries(tuple([0] + [Fraction(counts[k - 1], k) for k in range(1, g + 1)]))
-    zser = series_exp(log_z)
-    pser = zser * FormalSeries.from_poly(Poly([1, -1]) * Poly([1, -q]), g)
-    coeffs = [pser[i] for i in range(g + 1)]
+    zser = series_exp([0] + [Fraction(counts[k - 1], k) for k in range(1, g + 1)])
+    lower = Poly(zser) * Poly([1, -1]) * Poly([1, -q])
+    coeffs = [lower[i] for i in range(g + 1)]
     for i in range(g - 1, -1, -1):
         coeffs.append(Fraction(q) ** (g - i) * coeffs[i])
     P = Poly(coeffs)

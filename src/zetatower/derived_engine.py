@@ -1,5 +1,8 @@
 """The inductive derivation step of the zeta tower, at polynomial cost in n.
 
+Levels are numerators (``curves.ZetaLevel`` holds P and Q); every value,
+residue and special value of the previous zeta below is read off its P.
+
 Given a level with prime power Q, complete zeta Z(T) = P(T)/((1-T)(1-QT)T^(g-1))
 and special values, the next level for index n is the finite double sum
 
@@ -45,19 +48,13 @@ exact.  The level is then validated like any other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 from typing import Iterator, Sequence, Union
 
-from zetatower.curves import (
-    CurveSpec,
-    ZetaLevel,
-    artin_zeta,
-    level_from_numerator,
-    validate_zeta_level,
-)
-from zetatower.exact_arith import BigRat, interpolate, residue_simple_pole
+from zetatower.curves import CurveSpec, ZetaLevel, artin_zeta, validate_zeta_level
+from zetatower.exact_arith import BigRat, interpolate
 
 
 class DerivationError(RuntimeError):
@@ -111,9 +108,7 @@ class SpecialValues:
 def special_values(z: ZetaLevel, n_max: int) -> SpecialValues:
     if n_max < 1:
         raise ValueError("need depth >= 1")
-    values = [residue_simple_pole(z.zeta, 1)]
-    for k in range(2, n_max + 1):
-        values.append(z.zeta(z.Q**-k))
+    values = [z.residue()] + [z.value(z.Q**-k) for k in range(2, n_max + 1)]
     vhats = [Fraction(1)]
     for v in values:
         vhats.append(vhats[-1] * v)
@@ -161,19 +156,16 @@ class _StepSum:
 
     The a-th term is right(a, T) * mid(a, T) * left(a, T); see the module
     docstring.  The previous zeta and its residues at 1 and 1/Q come from
-    the previous numerator, the composition sums from the special values.
+    the previous level, the composition sums from the special values.
     """
 
     def __init__(self, z: ZetaLevel, n: int):
-        self.n, self.Q, self.g = n, z.Q, z.genus
-        self.P = z.numerator()
+        self.n, self.z = n, z
+        Q = z.Q
         self.table = composition_sums(special_values(z, n - 1), n - 1) if n > 1 else ()
-        self.res_one = self.P(1) / (self.Q - 1)
-        self.res_inv_q = -self.P(1 / self.Q) * self.Q ** (self.g - 1) / (self.Q - 1)
-        self.power = {e: self.Q**e for e in range(-n, n + 1)}
-
-    def zeta(self, u: Fraction) -> Fraction:
-        return self.P(u) / ((1 - u) * (1 - self.Q * u) * u ** (self.g - 1))
+        self.res_one = z.residue()
+        self.res_inv_q = -z.P(1 / Q) * Q ** (z.genus - 1) / (Q - 1)
+        self.power = {e: Q**e for e in range(-n, n + 1)}
 
     def right(self, a: int, t: Fraction) -> Fraction:
         """Sum over compositions k of m = n-a of w(k) T / (T - Q^(k_last - m))."""
@@ -184,7 +176,7 @@ class _StepSum:
         return sum(row[p] * t / (t - self.power[p - m]) for p in range(1, m + 1))
 
     def mid(self, a: int, t: Fraction) -> Fraction:
-        return self.zeta(self.power[self.n - a] * t)
+        return self.z.value(self.power[self.n - a] * t)
 
     def left(self, a: int, t: Fraction) -> Fraction:
         """Sum over compositions l of m = a-1 of w(l) / (1 - Q^(n-m+l_first) T)."""
@@ -237,7 +229,7 @@ def derive_step(z: ZetaLevel, n: int) -> ZetaLevel:
     prefactor = z.Q ** (comb(n, 2) * (g - 1))
     xs = [Fraction(-i) for i in range(1, 2 * g + 2)]
     ys = [prefactor * terms.value(t) * (1 - t) * (1 - Q_new * t) * t ** (g - 1) for t in xs]
-    level = level_from_numerator(interpolate(xs, ys), Q_new, g, z.label, steps)
+    level = ZetaLevel(steps=steps, Q=Q_new, genus=g, P=interpolate(xs, ys), label=z.label)
     failed = [c for c in validate_zeta_level(level) if not c.passed]
     if failed:
         raise DerivationError(
@@ -248,19 +240,11 @@ def derive_step(z: ZetaLevel, n: int) -> ZetaLevel:
 
 
 def normalize_level(z: ZetaLevel) -> ZetaLevel:
-    """Divide the zeta by its constant numerator coefficient and record it."""
-    alpha0 = z.numerator()[0]
+    """Divide the numerator by its constant coefficient and record it."""
+    alpha0 = z.P[0]
     if alpha0 == 0:
         raise ValueError("cannot normalize: numerator constant term is zero")
-    return ZetaLevel(
-        steps=z.steps,
-        Q=z.Q,
-        genus=z.genus,
-        zeta=z.zeta * (1 / alpha0),
-        normalized=True,
-        scale=z.scale * alpha0,
-        label=z.label,
-    )
+    return replace(z, P=z.P * (1 / alpha0), normalized=True, scale=z.scale * alpha0)
 
 
 def derive_tower(

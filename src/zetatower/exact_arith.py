@@ -1,13 +1,10 @@
-"""Exact arithmetic substrate: big rationals, dense polynomials, rational functions.
+"""Exact arithmetic substrate: big rationals, dense polynomials, truncated series.
 
 Every scalar is a ``fractions.Fraction`` (aliased ``BigRat``); nothing in this
 module ever touches a float.  A polynomial is a dense tuple of coefficients,
 index ``i`` holding the coefficient of ``T**i``, with no trailing zeros (the
-zero polynomial is the empty tuple).  A rational function is stored fully
-reduced and canonically normalized: numerator and denominator are coprime and
-the denominator's lowest nonzero coefficient is 1.  Structural equality of the
-canonical form is therefore mathematical equality, which the rest of the
-package (and its tests) relies on everywhere.
+zero polynomial is the empty tuple), so structural equality is mathematical
+equality.  A truncated power series is a plain coefficient list.
 
 All values are immutable after construction and all operations are pure, so
 everything here is safe to share freely across threads.
@@ -15,7 +12,6 @@ everything here is safe to share freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -38,14 +34,6 @@ def as_rat(x: Scalar) -> Fraction:
 def rat_str(x: Fraction) -> str:
     """Serialize exactly; round-trips through as_rat."""
     return str(Fraction(x))
-
-
-class PoleError(ArithmeticError):
-    """Raised when a rational function is evaluated at a pole."""
-
-    def __init__(self, point: Fraction):
-        self.point = point
-        super().__init__(f"pole at evaluation point {point}")
 
 
 class Poly:
@@ -201,30 +189,6 @@ class Poly:
         lead = self.coeffs[-1]
         return Poly([c / lead for c in self.coeffs])
 
-    def scale_var(self, c: Scalar) -> "Poly":
-        """p(c*T) for a nonzero constant c."""
-        c = as_rat(c)
-        out, power = [], Fraction(1)
-        for coeff in self.coeffs:
-            out.append(coeff * power)
-            power *= c
-        return Poly(out)
-
-    def reverse_scaled(self, c: Scalar) -> "Poly":
-        """T**deg * p(c/T), the coefficient reversal with a substitution scale."""
-        c = as_rat(c)
-        out, power = [], Fraction(1)
-        for coeff in self.coeffs:
-            out.append(coeff * power)
-            power *= c
-        return Poly(out[::-1])
-
-    def lowest_nonzero(self) -> Fraction:
-        for c in self.coeffs:
-            if c != 0:
-                return c
-        raise ValueError("zero polynomial has no nonzero coefficient")
-
 
 def _as_poly(x) -> Poly:
     if isinstance(x, Poly):
@@ -236,7 +200,6 @@ def _as_poly(x) -> Poly:
 
 ZERO = Poly()
 ONE = Poly([1])
-X = Poly([0, 1])
 
 
 def interpolate(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> Poly:
@@ -289,205 +252,19 @@ def squarefree_factors(P: Poly) -> list:
     return out
 
 
-class RatFunc:
-    """Reduced quotient of two polynomials in one formal variable.
+def series_exp(g: Sequence[Scalar]) -> list:
+    """exp of a truncated series with zero constant term, to the same order.
 
-    Canonical form: gcd(num, den) = 1 and the denominator's lowest nonzero
-    coefficient equals 1 (its constant term, whenever that is nonzero).
+    ``g[i]`` is the coefficient of T**i.  Uses the derivative recursion
+    exp(g)' = g' * exp(g), so every coefficient is an exact rational.
     """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num=ZERO, den=ONE):
-        num = _as_poly(num)
-        den = _as_poly(den)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            num, den = ZERO, ONE
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-            c = den.lowest_nonzero()
-            if c != 1:
-                num = num * (1 / c)
-                den = den * (1 / c)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("RatFunc is immutable")
-
-    # -- structure ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_poly(self) -> bool:
-        return self.den == ONE
-
-    def to_poly(self) -> Poly:
-        if not self.is_poly():
-            raise ValueError(f"not a polynomial: denominator {self.den!r}")
-        return self.num
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RatFunc):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, (int, Fraction, Poly)):
-            return self == RatFunc(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __repr__(self) -> str:
-        return f"RatFunc({self.num!r} / {self.den!r})"
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other) -> "RatFunc":
-        other = _as_ratfunc(other)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other) -> "RatFunc":
-        return self + (-_as_ratfunc(other))
-
-    def __rsub__(self, other) -> "RatFunc":
-        return _as_ratfunc(other) - self
-
-    def __mul__(self, other) -> "RatFunc":
-        other = _as_ratfunc(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RatFunc":
-        other = _as_ratfunc(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other) -> "RatFunc":
-        return _as_ratfunc(other) / self
-
-    # -- evaluation and substitution ------------------------------------------
-
-    def __call__(self, t: Scalar) -> Fraction:
-        t = as_rat(t)
-        d = self.den(t)
-        if d == 0:
-            raise PoleError(t)
-        return self.num(t) / d
-
-    def scale_var(self, c: Scalar) -> "RatFunc":
-        """f(c*T) for nonzero c."""
-        c = as_rat(c)
-        if c == 0:
-            raise ValueError("variable scale must be nonzero")
-        return RatFunc(self.num.scale_var(c), self.den.scale_var(c))
-
-    def subst_reciprocal(self, c: Scalar) -> "RatFunc":
-        """f(c/T) for nonzero c, as a rational function of T."""
-        c = as_rat(c)
-        if c == 0:
-            raise ValueError("substitution constant must be nonzero")
-        num = self.num.reverse_scaled(c)
-        den = self.den.reverse_scaled(c)
-        dn = len(self.num.coeffs) - 1 if self.num.coeffs else 0
-        dd = len(self.den.coeffs) - 1
-        if dd >= dn:
-            num = num * X ** (dd - dn)
-        else:
-            den = den * X ** (dn - dd)
-        return RatFunc(num, den)
-
-
-def _as_ratfunc(x) -> RatFunc:
-    if isinstance(x, RatFunc):
-        return x
-    return RatFunc(_as_poly(x))
-
-
-RF_ZERO = RatFunc(ZERO)
-RF_ONE = RatFunc(ONE)
-
-
-def residue_simple_pole(f: RatFunc, t0: Scalar) -> Fraction:
-    """Residue of f at a simple pole t0, computed as num(t0)/den'(t0)."""
-    t0 = as_rat(t0)
-    if f.den(t0) != 0:
-        raise ValueError(f"not a pole: {t0}")
-    d = f.den.derivative()(t0)
-    if d == 0:
-        raise ValueError(f"pole not simple at {t0}")
-    return f.num(t0) / d
-
-
-@dataclass(frozen=True)
-class FormalSeries:
-    """Power series truncated at a stated order; arithmetic keeps the min order."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(as_rat(c) for c in self.coeffs))
-        if not self.coeffs:
-            raise ValueError("a truncated series needs at least the constant term")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def from_poly(cls, p: Poly, order: int) -> "FormalSeries":
-        return cls(tuple(p[i] for i in range(order + 1)))
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i]
-
-    def __add__(self, other: "FormalSeries") -> "FormalSeries":
-        k = min(self.order, other.order)
-        return FormalSeries(tuple(self.coeffs[i] + other.coeffs[i] for i in range(k + 1)))
-
-    def __sub__(self, other: "FormalSeries") -> "FormalSeries":
-        k = min(self.order, other.order)
-        return FormalSeries(tuple(self.coeffs[i] - other.coeffs[i] for i in range(k + 1)))
-
-    def __mul__(self, other: "FormalSeries") -> "FormalSeries":
-        k = min(self.order, other.order)
-        out = [Fraction(0)] * (k + 1)
-        for i in range(k + 1):
-            a = self.coeffs[i]
-            if a == 0:
-                continue
-            for j in range(k + 1 - i):
-                out[i + j] += a * other.coeffs[j]
-        return FormalSeries(tuple(out))
-
-
-def series_exp(g: FormalSeries) -> FormalSeries:
-    """exp of a series with zero constant term, truncated to the same order.
-
-    Uses the derivative recursion exp(g)' = g' * exp(g), so every coefficient
-    is an exact rational.
-    """
-    if g[0] != 0:
+    g = [as_rat(c) for c in g]
+    if not g or g[0] != 0:
         raise ValueError("series_exp requires a zero constant term")
-    k = g.order
-    e = [Fraction(1)] + [Fraction(0)] * k
-    for n in range(1, k + 1):
-        acc = Fraction(0)
-        for j in range(1, n + 1):
-            acc += j * g[j] * e[n - j]
-        e[n] = acc / n
-    return FormalSeries(tuple(e))
+    e = [Fraction(1)]
+    for n in range(1, len(g)):
+        e.append(sum(j * g[j] * e[n - j] for j in range(1, n + 1)) / n)
+    return e
 
 
 def newton_power_sums(elem: Sequence[Fraction], k_max: int) -> list:

@@ -34,7 +34,7 @@ from math import comb
 
 from zetatower.curves import CheckResult, ZetaLevel
 from zetatower.derived_engine import SpecialValues, composition_sums, derive_step
-from zetatower.exact_arith import ONE, ZERO, BigRat, Poly, RatFunc, rat_str, residue_simple_pole
+from zetatower.exact_arith import ONE, ZERO, BigRat, Poly, rat_str
 
 
 class ReconstructionError(RuntimeError):
@@ -82,7 +82,7 @@ def extract_invariants(z: ZetaLevel) -> InvariantSet:
     P = z.numerator()
     if P.degree != 2 * g:
         raise ValueError(f"numerator degree {P.degree}, expected {2 * g}")
-    beta = residue_simple_pole(z.zeta, 1)
+    beta = z.residue()
     remainder_num = P - (z.Q - 1) * beta * Poly([0, 1]) ** g
     S, rem = divmod(remainder_num, Poly([1, -1]) * Poly([1, -z.Q]))
     if not rem.is_zero():
@@ -117,7 +117,7 @@ def counting_miracle_check(prev: ZetaLevel, n: int, derived: ZetaLevel = None) -
         raise ValueError(f"level {derived.steps} is not {prev.steps} derived by {n}")
     g = prev.genus
     alpha0_prev = prev.numerator()[0]
-    beta_n = residue_simple_pole(derived.zeta, 1)
+    beta_n = derived.residue()
     alpha0_next = derive_step(prev, n + 1).numerator()[0]
     expected = prev.Q ** (n * (g - 1)) * alpha0_prev * beta_n
     ok = alpha0_next == expected
@@ -139,14 +139,6 @@ class InterlacingPoly:
     Q_prev: BigRat
     weights: tuple  # weights[p-1] = W_p, the positive-weight sum over last part p
     poly: Poly  # sum_p W_p * prod_{l != p} (Q^l T - 1)
-
-    @property
-    def tail(self) -> RatFunc:
-        """The uncleared sum sum_p W_p / (Q^p T - 1), one simple pole per ending part."""
-        out = RatFunc(0)
-        for p, w in enumerate(self.weights, start=1):
-            out = out + w * RatFunc(1, Poly([-1, self.Q_prev**p]))
-        return out
 
     def constant_term_identity(self) -> bool:
         """(-1)^(n-1) * poly(0) equals the plain positive-weight sum."""

@@ -29,13 +29,7 @@ from typing import Sequence
 
 from zetatower.curves import CheckResult, ZetaLevel
 from zetatower.derived_engine import derive_tower
-from zetatower.exact_arith import (
-    BigRat,
-    FormalSeries,
-    newton_power_sums,
-    rat_str,
-    series_exp,
-)
+from zetatower.exact_arith import BigRat, newton_power_sums, rat_str, series_exp
 from zetatower.invariants import InvariantSet, extract_invariants
 
 
@@ -74,10 +68,8 @@ def residue_series_exp(ps: PowerSums, k_max: int) -> ResidueSeries:
         raise ValueError("Q = 1 makes the series undefined")
     if len(ps.N) < k_max:
         raise ValueError(f"need N_1..N_{k_max}, have {len(ps.N)}")
-    log_b = FormalSeries(
-        tuple([Fraction(0)] + [ps.n_k(m) / ((ps.Q**m - 1) * m) for m in range(1, k_max + 1)])
-    )
-    return ResidueSeries(Q=ps.Q, b=series_exp(log_b).coeffs, route="exp")
+    log_b = [Fraction(0)] + [ps.n_k(m) / ((ps.Q**m - 1) * m) for m in range(1, k_max + 1)]
+    return ResidueSeries(Q=ps.Q, b=tuple(series_exp(log_b)), route="exp")
 
 
 def residue_series_recursion(inv: InvariantSet, k_max: int) -> ResidueSeries:

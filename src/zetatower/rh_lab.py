@@ -38,7 +38,7 @@ import mpmath as mp
 
 from zetatower.curves import CheckResult, CurveSpec, ZetaLevel, artin_zeta, hasse_traces
 from zetatower.derived_engine import derive_tower, special_values
-from zetatower.exact_arith import BigRat, Poly, rat_str, residue_simple_pole, squarefree_factors
+from zetatower.exact_arith import BigRat, Poly, rat_str, squarefree_factors
 from zetatower.invariants import (
     InvariantSet,
     beta_closed_form,
@@ -362,8 +362,14 @@ def run_cell(spec: CurveSpec, steps: tuple, config: SweepConfig) -> dict:
         base = artin_zeta(spec)
         levels = [base] + derive_tower(base, steps, normalize=False)
 
-        if "positivity" in config.checks:
+        # each level's invariants and each step's special values are computed
+        # once and shared by the checks that read them
+        if {"positivity", "interlacing", "ratio_bounds"} & set(config.checks):
             invs = [extract_invariants(z) for z in levels]
+        if {"beta_routes", "interlacing"} & set(config.checks):
+            svs = [special_values(prev, n) for prev, n in zip(levels, steps)]
+
+        if "positivity" in config.checks:
             bad = [z.steps for z, i in zip(levels, invs) if not i.positivity()]
             checks["positivity"] = "pass" if not bad else "fail"
             final = invs[-1]
@@ -384,12 +390,10 @@ def run_cell(spec: CurveSpec, steps: tuple, config: SweepConfig) -> dict:
             cell["data"]["rh_methods"] = sorted(set("exact_g1" if z.genus == 1 else "numeric" for z in levels))
 
         if "beta_routes" in config.checks:
-            results = []
-            for i, n in enumerate(steps):
-                sv = special_values(levels[i], n)
-                closed = beta_closed_form(sv, n, levels[i].genus)
-                residue = residue_simple_pole(levels[i + 1].zeta, 1)
-                results.append(CheckResult("beta_routes", residue == closed))
+            results = [
+                CheckResult("beta_routes", nxt.residue() == beta_closed_form(sv, n, prev.genus))
+                for prev, nxt, sv, n in zip(levels, levels[1:], svs, steps)
+            ]
             _status("beta_routes", results, checks)
 
         if "miracle" in config.checks:
@@ -402,10 +406,9 @@ def run_cell(spec: CurveSpec, steps: tuple, config: SweepConfig) -> dict:
         if "interlacing" in config.checks:
             results = []
             signs = {}
-            for prev, n in zip(levels, steps):
-                if not extract_invariants(prev).positivity():
+            for inv, sv, n in zip(invs, svs, steps):
+                if not inv.positivity():
                     continue  # hypothesis of the interlacing statement
-                sv = special_values(prev, n)
                 ip = interlacing_poly(sv, n)
                 results.append(interlacing_sign_check(ip))
                 signs[str(n)] = interlacing_signs(ip)
@@ -420,10 +423,9 @@ def run_cell(spec: CurveSpec, steps: tuple, config: SweepConfig) -> dict:
                 checks["ratio_bounds"] = "skipped"
             else:
                 results = []
-                for prev, n in zip(levels, steps):
-                    inv_prev = extract_invariants(prev)
-                    betas = elliptic_beta_recursion(inv_prev.trace(), prev.Q, max(n, 2))
-                    results.extend(ratio_bounds_check(betas, prev.Q)[1:])  # bounds start at n = 2
+                for inv_prev, n in zip(invs, steps):
+                    betas = elliptic_beta_recursion(inv_prev.trace(), inv_prev.Q, max(n, 2))
+                    results.extend(ratio_bounds_check(betas, inv_prev.Q)[1:])  # bounds start at n = 2
                 _status("ratio_bounds", results, checks)
     except Exception as exc:  # per-cell errors are recorded, never fatal
         cell["error"] = f"{type(exc).__name__}: {exc}"

@@ -1,16 +1,165 @@
-"""Second route for the tower step and the interlacing polynomial, for tests only.
+"""Rational functions and the second route for the tower step, for tests only.
 
-This is the direct transcription of the double-composition sum: it loops over
-every integer composition (2^(n-1) of them) and adds canonical ``RatFunc``s,
-so the pole cancellation happens symbolically, by gcd reduction, instead of
-being certified by residues.  Its cost is exponential in n; keep n <= 8.
+The package stores a level as its numerator P; ``to_ratfunc`` rebuilds the
+complete zeta P / ((1-T)(1-QT)T^(g-1)) as a canonical ``RatFunc``, so the
+tests can check the functional equation, the reduced denominator and the
+residues symbolically, independently of the coefficient arithmetic in
+``curves.validate_zeta_level``.
+
+``oracle_zeta`` is the direct transcription of the double-composition sum:
+it loops over every integer composition (2^(n-1) of them) and adds canonical
+``RatFunc``s, so the pole cancellation happens symbolically, by gcd
+reduction, instead of being certified by residues.  Its cost is exponential
+in n; keep n <= 8.
 """
 
 from fractions import Fraction
 from math import comb
 
 from zetatower.derived_engine import composition_weight, compositions, special_values
-from zetatower.exact_arith import Poly, RatFunc
+from zetatower.exact_arith import ONE, ZERO, Poly, as_rat, poly_gcd
+
+
+class PoleError(ArithmeticError):
+    """Raised when a rational function is evaluated at a pole."""
+
+    def __init__(self, point: Fraction):
+        self.point = point
+        super().__init__(f"pole at evaluation point {point}")
+
+
+def _scaled_coeffs(p: Poly, c: Fraction) -> list:
+    """The coefficients of p(c*T)."""
+    return [coeff * c**i for i, coeff in enumerate(p.coeffs)]
+
+
+def _as_poly(x) -> Poly:
+    return x if isinstance(x, Poly) else Poly([x])
+
+
+class RatFunc:
+    """Reduced quotient of two polynomials in one formal variable.
+
+    Canonical form: gcd(num, den) = 1 and the denominator's lowest nonzero
+    coefficient equals 1 (its constant term, whenever that is nonzero), so
+    structural equality is mathematical equality.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num=ZERO, den=ONE):
+        num, den = _as_poly(num), _as_poly(den)
+        if den.is_zero():
+            raise ZeroDivisionError("rational function with zero denominator")
+        if num.is_zero():
+            num, den = ZERO, ONE
+        else:
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num, den = num // g, den // g
+            c = next(c for c in den.coeffs if c != 0)
+            if c != 1:
+                num, den = num * (1 / c), den * (1 / c)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RatFunc is immutable")
+
+    def is_poly(self) -> bool:
+        return self.den == ONE
+
+    def to_poly(self) -> Poly:
+        if not self.is_poly():
+            raise ValueError(f"not a polynomial: denominator {self.den!r}")
+        return self.num
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RatFunc):
+            other = RatFunc(other)
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
+    def __repr__(self) -> str:
+        return f"RatFunc({self.num!r} / {self.den!r})"
+
+    def __add__(self, other) -> "RatFunc":
+        other = _as_ratfunc(other)
+        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    __radd__ = __add__
+
+    def __mul__(self, other) -> "RatFunc":
+        other = _as_ratfunc(other)
+        return RatFunc(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __call__(self, t) -> Fraction:
+        t = as_rat(t)
+        d = self.den(t)
+        if d == 0:
+            raise PoleError(t)
+        return self.num(t) / d
+
+    def scale_var(self, c) -> "RatFunc":
+        """f(c*T) for nonzero c."""
+        c = as_rat(c)
+        if c == 0:
+            raise ValueError("variable scale must be nonzero")
+        return RatFunc(Poly(_scaled_coeffs(self.num, c)), Poly(_scaled_coeffs(self.den, c)))
+
+    def subst_reciprocal(self, c) -> "RatFunc":
+        """f(c/T) for nonzero c, as a rational function of T."""
+        c = as_rat(c)
+        if c == 0:
+            raise ValueError("substitution constant must be nonzero")
+        # T**deg * p(c/T) reverses the coefficients of p(c*T)
+        num = Poly(_scaled_coeffs(self.num, c)[::-1])
+        den = Poly(_scaled_coeffs(self.den, c)[::-1])
+        dn = len(self.num.coeffs) - 1 if self.num.coeffs else 0
+        dd = len(self.den.coeffs) - 1
+        T = Poly([0, 1])
+        if dd >= dn:
+            num = num * T ** (dd - dn)
+        else:
+            den = den * T ** (dn - dd)
+        return RatFunc(num, den)
+
+
+def _as_ratfunc(x) -> RatFunc:
+    return x if isinstance(x, RatFunc) else RatFunc(x)
+
+
+def residue_simple_pole(f: RatFunc, t0) -> Fraction:
+    """Residue of f at a simple pole t0, computed as num(t0)/den'(t0)."""
+    t0 = as_rat(t0)
+    if f.den(t0) != 0:
+        raise ValueError(f"not a pole: {t0}")
+    d = f.den.derivative()(t0)
+    if d == 0:
+        raise ValueError(f"pole not simple at {t0}")
+    return f.num(t0) / d
+
+
+def standard_denominator(Q, genus: int) -> Poly:
+    """(1-T)(1-QT)T^(g-1)."""
+    return Poly([1, -1]) * Poly([1, -Q]) * Poly([0, 1]) ** (genus - 1)
+
+
+def to_ratfunc(level) -> RatFunc:
+    """The complete zeta of a level, P / ((1-T)(1-QT)T^(g-1)), reduced."""
+    return RatFunc(level.numerator(), standard_denominator(level.Q, level.genus))
+
+
+def interlacing_tail(ip) -> RatFunc:
+    """The uncleared sum sum_p W_p / (Q^p T - 1) of an InterlacingPoly, one simple pole per ending part."""
+    out = RatFunc(0)
+    for p, w in enumerate(ip.weights, start=1):
+        out = out + w * RatFunc(1, Poly([-1, ip.Q_prev**p]))
+    return out
 
 
 def oracle_zeta(z, n: int) -> RatFunc:
@@ -19,7 +168,7 @@ def oracle_zeta(z, n: int) -> RatFunc:
     sv = special_values(z, n) if n > 1 else None
     total = RatFunc(0)
     for a in range(1, n + 1):
-        mid = z.zeta.scale_var(qp ** (n - a))
+        mid = to_ratfunc(z).scale_var(qp ** (n - a))
 
         if n - a == 0:
             right = RatFunc(1)
@@ -43,8 +192,7 @@ def oracle_zeta(z, n: int) -> RatFunc:
 
 def oracle_numerator(z, n: int) -> Poly:
     """P of the derived level: the oracle zeta times (1-T)(1-Q^n T)T^(g-1)."""
-    den = Poly([1, -1]) * Poly([1, -(z.Q**n)]) * Poly([0, 1]) ** (z.genus - 1)
-    return (oracle_zeta(z, n) * RatFunc(den)).to_poly()
+    return (oracle_zeta(z, n) * RatFunc(standard_denominator(z.Q**n, z.genus))).to_poly()
 
 
 def positive_weight(comp, sv) -> Fraction:

@@ -1,10 +1,19 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import sys
+import tempfile
+from math import prod
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
 from zetatower.cli import UsageError, main, parse_curve_arg
+from zetatower.curves import artin_zeta, catalog_curve
+from zetatower.derived_engine import derive_tower
+from zetatower.exact_arith import as_rat
 
 
 def run_cli(args):
@@ -204,6 +213,24 @@ def test_curve_file_without_required_keys_is_usage_error(tmp_path, capsys):
     assert "lacks label, genus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"trace": "a"},
+        {"trace": 1.5},
+        {"point_counts": 5},
+        {"numerator": [1.0, 0, 2]},
+        {"trace": None, "numerator": None, "point_counts": None},
+        {"numerator": ["1/0", 0, 2]},
+    ],
+)
+def test_curve_file_with_mistyped_fields_is_usage_error(fields, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"label": "x", "q": 2, "genus": 1, **fields}))
+    assert run_cli(["derive", "--curve", str(bad), "--tuple", "1"]) == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
 def test_point_counts_with_zero_class_number_are_usage_error(capsys):
     # N_1 = 0 over F_2 gives P(1) = 0; P(1) is the class number, at least 1
     assert run_cli(["derive", "--curve", "counts:q=2,g=1,N=0", "--tuple", "1"]) == 2
@@ -244,3 +271,96 @@ def test_math_layer_bug_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(invariants, "reconstruct_numerator", lambda *args: invariants.Poly([7]))
     assert run_cli(["invariants", "--curve", "elliptic:q=2,a=0", "--tuple", "2"]) == 3
     assert "ReconstructionError" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_derive_past_the_int_str_digit_limit(tmp_path):
+    # beta at (10, 10) and the numerator at (10, 10, 5) have more than 4300 decimal digits
+    out = tmp_path / "big.json"
+    limit = sys.get_int_max_str_digits()
+    args = ["derive", "--curve", "catalog:X2g2", "--tuple", "10,10,5", "--allow-large", "--output", str(out)]
+    assert run_cli(args) == 0
+    assert sys.get_int_max_str_digits() == limit
+    levels = derive_tower(artin_zeta(catalog_curve("X2g2").spec()), (10, 10, 5))
+    sys.set_int_max_str_digits(0)
+    try:
+        emitted = [[as_rat(c) for c in lvl["numerator"]] for lvl in json.loads(out.read_text())["levels"]]
+        assert max(len(str(c)) for c in emitted[-1]) > 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert emitted[1:] == [[z.numerator()[i] for i in range(5)] for z in levels]
+
+
+# -- input contract: malformed input exits 2, never 3 ----------------------------------
+
+_FIELD_VALUES = st.one_of(st.integers(min_value=-64, max_value=64).map(str), st.text(max_size=4))
+_SPEC_FIELDS = st.lists(
+    st.tuples(st.sampled_from(["q", "a", "g", "N", "x", ""]), _FIELD_VALUES), max_size=4
+).map(lambda kv: ",".join(f"{k}={v}" for k, v in kv))
+_CURVE_STRINGS = st.one_of(
+    st.builds(lambda p, f: p + f, st.sampled_from(["elliptic:", "counts:"]), _SPEC_FIELDS),
+    st.builds(
+        lambda q, g, counts: f"counts:q={q},g={g},N={';'.join(map(str, counts))}",
+        st.integers(min_value=-2, max_value=64),
+        st.integers(min_value=0, max_value=3),
+        st.lists(st.integers(min_value=-5, max_value=80), min_size=1, max_size=4),
+    ),
+    st.builds(lambda label: "catalog:" + label, st.sampled_from(["E2a0", "X2g2", "E5a2", "nope", ""])),
+)
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-64, max_value=64),
+    st.floats(min_value=-64, max_value=64),
+    st.text(max_size=4),
+)
+_JSON_VALUES = st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=5))
+_SOURCES = st.one_of(
+    st.fixed_dictionaries({"trace": st.one_of(st.integers(min_value=-16, max_value=16), _JSON_VALUES)}),
+    st.fixed_dictionaries(
+        {"point_counts": st.one_of(st.lists(st.integers(min_value=-5, max_value=80), max_size=4), _JSON_VALUES)}
+    ),
+    st.fixed_dictionaries(
+        {
+            "numerator": st.one_of(
+                st.lists(st.one_of(st.integers(min_value=-8, max_value=8), st.sampled_from(["1/2", "1/0", "x"])), max_size=5),
+                _JSON_VALUES,
+            )
+        }
+    ),
+)
+_CURVE_OBJECTS = st.one_of(
+    st.dictionaries(st.sampled_from(["label", "q", "genus", "trace", "point_counts", "numerator"]), _JSON_VALUES),
+    st.builds(
+        lambda head, source: {**head, **source},
+        st.fixed_dictionaries(
+            {
+                "label": st.just("x"),
+                "q": st.one_of(st.sampled_from([2, 3, 4, 5]), st.integers(min_value=-2, max_value=64)),
+                "genus": st.one_of(st.just(1), st.integers(min_value=-1, max_value=3)),
+            }
+        ),
+        _SOURCES,
+    ),
+)
+# the step product stays at most 8: prime_power_split and the tower cost grow with q and the steps
+_TUPLES = st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=3).filter(lambda t: prod(t) <= 8)
+
+
+def _derive_exit_code(curve: str, steps: list) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = str(Path(tmp) / "out.json")
+        return main(["derive", "--curve", curve, "--tuple", ",".join(map(str, steps)), "--output", out])
+
+
+@given(_CURVE_STRINGS, _TUPLES)
+def test_fuzzed_curve_strings_never_exit_3(curve, steps):
+    assert _derive_exit_code(curve, steps) in (0, 1, 2)
+
+
+@given(_CURVE_OBJECTS, _TUPLES)
+def test_fuzzed_curve_json_never_exits_3(obj, steps):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "curve.json"
+        path.write_text(json.dumps(obj))
+        assert _derive_exit_code(str(path), steps) in (0, 1, 2)

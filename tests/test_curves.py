@@ -4,7 +4,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
+from ratfunc_oracle import RatFunc, residue_simple_pole, standard_denominator, to_ratfunc
 from zetatower.curves import (
     CATALOG,
     CurveSpec,
@@ -20,7 +23,7 @@ from zetatower.curves import (
     prime_power_split,
     validate_zeta_level,
 )
-from zetatower.exact_arith import Poly, RatFunc, residue_simple_pole
+from zetatower.exact_arith import Poly
 
 
 def _passed(results):
@@ -78,7 +81,7 @@ def test_hasse_traces():
 def test_artin_elliptic_trace_zero():
     z = artin_elliptic(2, 0)
     assert z.numerator() == Poly([1, 0, 2])
-    assert z.zeta == RatFunc(Poly([1, 0, 2]), Poly([1, -1]) * Poly([1, -2]))
+    assert to_ratfunc(z) == RatFunc(Poly([1, 0, 2]), Poly([1, -1]) * Poly([1, -2]))
 
 
 def test_artin_elliptic_q3_a3():
@@ -152,25 +155,71 @@ def test_validate_artin_all_pass():
 def test_validate_catches_tampered_numerator():
     # genus 1: the only pinned coefficients are the endpoints (A_2 = q A_0)
     z = artin_elliptic(2, 0)
-    tampered = ZetaLevel(
-        steps=(), Q=z.Q, genus=1, zeta=RatFunc(Poly([1, 0, 3]), Poly([1, -1]) * Poly([1, -2]))
-    )
+    tampered = ZetaLevel(steps=(), Q=z.Q, genus=1, P=Poly([1, 0, 3]))
     assert not _passed(validate_zeta_level(tampered))["functional_equation"]
     # genus 2: tampering A_1 breaks A_3 = q A_1
     zg = artin_from_point_counts(2, 2, [3, 5])
     bad = zg.numerator() + Poly([0, 1])
-    tampered2 = ZetaLevel(
-        steps=(), Q=zg.Q, genus=2, zeta=RatFunc(bad, zg.standard_denominator())
-    )
+    tampered2 = ZetaLevel(steps=(), Q=zg.Q, genus=2, P=bad)
     assert not _passed(validate_zeta_level(tampered2))["functional_equation"]
 
 
 def test_validate_residue_relation():
     z = artin_elliptic(2, 0)
-    assert residue_simple_pole(z.zeta, 1) == 3
-    assert residue_simple_pole(z.zeta, Fraction(1, 2)) == Fraction(-3, 2)
+    assert residue_simple_pole(to_ratfunc(z), 1) == 3 == z.residue()
+    assert residue_simple_pole(to_ratfunc(z), Fraction(1, 2)) == Fraction(-3, 2)
     status = _passed(validate_zeta_level(z))
     assert status["residue_antisymmetry"]
+
+
+def test_validate_planted_numerator_without_poles():
+    # P = (1-T)(1-2T) cancels both poles: the zeta is the constant 1
+    z = ZetaLevel(steps=(), Q=Fraction(2), genus=1, P=Poly([1, -3, 2]))
+    assert to_ratfunc(z) == RatFunc(1)
+    assert _passed(validate_zeta_level(z)) == {
+        "functional_equation": True,
+        "residue_antisymmetry": False,
+        "numerator_degree": True,
+        "base_residue_positive": False,
+    }
+
+
+def _ratfunc_verdicts(z):
+    """The checks of validate_zeta_level, computed on the reduced rational function."""
+    zeta = to_ratfunc(z)
+
+    def residue(t0):
+        try:
+            return residue_simple_pole(zeta, t0)
+        except ValueError:  # not a pole
+            return None
+
+    res1, res_q = residue(1), residue(1 / z.Q)
+    antisymmetric = res1 is not None and res_q is not None and res1 == -z.Q * res_q
+    verdicts = {
+        "functional_equation": zeta.subst_reciprocal(1 / z.Q) == zeta,
+        "residue_antisymmetry": antisymmetric,
+        "numerator_degree": (zeta * RatFunc(standard_denominator(z.Q, z.genus))).to_poly().degree == 2 * z.genus,
+    }
+    if not z.steps:
+        verdicts["base_residue_positive"] = res1 is not None and res1 > 0
+    return verdicts
+
+
+@given(
+    st.sampled_from([2, 3, 4]),
+    st.integers(min_value=1, max_value=2),
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=6, max_size=6),
+    st.booleans(),
+    st.booleans(),
+)
+def test_coefficient_checks_match_the_ratfunc_route(q, g, coeffs, symmetric, base):
+    # coeffs[2g+1] is an extra coefficient above degree 2g, usually zero after the slice
+    coeffs = coeffs[: 2 * g + 2]
+    if symmetric:
+        coeffs[g + 1 : 2 * g + 1] = [q ** (g - i) * coeffs[i] for i in range(g - 1, -1, -1)]
+    z = ZetaLevel(steps=() if base else (2,), Q=Fraction(q), genus=g, P=Poly(coeffs))
+    assert _passed(validate_zeta_level(z)) == _ratfunc_verdicts(z)
 
 
 def test_genus0_rejected():

@@ -1,12 +1,13 @@
 """Tests for the RH verdicts and the sweep harness."""
 
+import hashlib
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
 from zetatower import rh_lab
-from zetatower.curves import CurveSpec, artin_elliptic, artin_from_point_counts, hasse_traces
+from zetatower.curves import CurveSpec, artin_elliptic, artin_from_point_counts, catalog_curve, hasse_traces
 from zetatower.derived_engine import derive_step
 from zetatower.exact_arith import Poly
 from zetatower.invariants import extract_invariants
@@ -206,6 +207,44 @@ def test_sweep_small_grid_all_pass():
 def test_sweep_reports_are_byte_identical():
     cfg = SweepConfig(curves=tuple(builtin_elliptic_grid((2,))), tuples=((2,),))
     assert report_to_json(sweep(cfg)) == report_to_json(sweep(cfg))
+
+
+# sha256 of report_to_json for two small sweeps with all checks, recorded when
+# levels were still stored as reduced rational functions
+REPORT_DIGESTS = {
+    "elliptic q=2,3; 1;2;2,2": "d24592c02a8dd0bcec9232672c6331b28d567c8abfbc066e36e78a1754e4cba4",
+    "X2g2; 2": "ebb5951d58cdfcf9da62a7241bb696b30332fe16a12e704ff48535478e174df6",
+}
+
+
+def test_sweep_report_bytes_are_unchanged():
+    configs = {
+        "elliptic q=2,3; 1;2;2,2": SweepConfig(
+            curves=tuple(builtin_elliptic_grid((2, 3))), tuples=((1,), (2,), (2, 2))
+        ),
+        "X2g2; 2": SweepConfig(curves=(catalog_curve("X2g2").spec(),), tuples=((2,),)),
+    }
+    for name, config in configs.items():
+        report = report_to_json(sweep(config)).encode("utf-8")
+        assert hashlib.sha256(report).hexdigest() == REPORT_DIGESTS[name], name
+
+
+def test_run_cell_extracts_invariants_once_per_level(monkeypatch):
+    calls = {"extract_invariants": 0, "special_values": 0}
+    for name in calls:
+        real = getattr(rh_lab, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(rh_lab, name, counting)
+    spec = CurveSpec(label="e", q=3, genus=1, trace=1)
+    cell = run_cell(spec, (2, 3), SweepConfig(curves=(spec,), tuples=((2, 3),)))
+    assert set(cell["checks"].values()) == {"pass"}
+    # three levels, shared by positivity, interlacing and ratio_bounds, plus the
+    # genus-1 RH verdict's own route; one set of special values per step
+    assert calls == {"extract_invariants": 6, "special_values": 2}
 
 
 def test_sweep_parallel_matches_serial():

@@ -28,7 +28,7 @@ from zetatower.curves import (
 )
 from zetatower.derived_engine import derive_tower, special_values
 from zetatower.exact_arith import rat_str
-from zetatower.invariants import extract_invariants, invariant_report
+from zetatower.invariants import invariant_report
 from zetatower.rh_lab import (
     ALL_CHECKS,
     DEFAULT_PRECISION_BITS,
@@ -171,7 +171,7 @@ def cmd_derive(args) -> int:
         )
         print(
             f"level {list(z.steps)}: Q = {rat_str(z.Q)}, numerator degree {int(P.degree)}, "
-            f"beta = {rat_str(extract_invariants(z).beta)}",
+            f"beta = {rat_str(z.residue())}",
             file=sys.stderr,
         )
     _write_output(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.output)
@@ -327,9 +327,6 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,41 +25,30 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 from typing import Optional, Sequence
 
-from zetatower.exact_arith import BigRat, Poly, as_rat, newton_power_sums, rat_str, series_exp
+from zetatower.exact_arith import BigRat, Poly, as_rat, is_self_inversive, newton_power_sums, rat_str, series_exp
 
 BRUTE_FORCE_FIELD_CAP = 2**20
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def prime_power_split(q: int) -> tuple:
-    """(p, d) with q = p**d, or raise if q is not a prime power."""
+    """(p, d) with q = p**d, or raise if q is not a prime power.
+
+    d is the largest exponent for which q has an exact integer d-th root p,
+    found by Newton's method on integers, and p must be prime; trial division
+    up to sqrt(p) makes the work O(sqrt(p)), not O(q).
+    """
     if q < 2:
         raise ValueError(f"q must be a prime power >= 2, got {q}")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            if not is_prime(p):
-                break
-            d = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                d += 1
-            if m == 1:
+    for d in range(q.bit_length(), 0, -1):
+        p = 1 << -(-q.bit_length() // d)  # at least q^(1/d); Newton descends to its floor
+        while (s := ((d - 1) * p + q // p ** (d - 1)) // d) < p:
+            p = s
+        if p**d == q:
+            if all(p % f for f in range(2, isqrt(p) + 1)):
                 return p, d
             break
     raise ValueError(f"q must be a prime power, got {q}")
@@ -251,10 +240,8 @@ class CurveSpec:
             if len(coeffs) != 2 * self.genus + 1 or coeffs[0] == 0 or coeffs[-1] == 0:
                 raise ValueError("numerator must have degree exactly 2g with nonzero ends")
             coeffs = tuple(c / coeffs[0] for c in coeffs)  # force A_0 = 1
-            g, q = self.genus, Fraction(self.q)
-            for i in range(2 * g + 1):
-                if coeffs[2 * g - i] != q ** (g - i) * coeffs[i]:
-                    raise ValueError("numerator violates the functional-equation symmetry")
+            if not is_self_inversive(Poly(coeffs), self.q, self.genus):
+                raise ValueError("numerator violates the functional-equation symmetry")
             object.__setattr__(self, "numerator", coeffs)
 
     def to_dict(self) -> dict:
@@ -341,6 +328,12 @@ class ZetaLevel:
         """Z(t) at a point t that is not a pole: not 1 or 1/Q, and not 0 when g > 1."""
         return self.P(t) / ((1 - t) * (1 - self.Q * t) * t ** (self.genus - 1))
 
+    def trace(self) -> Fraction:
+        """For genus 1: the A with P = alpha(0) * (1 - A*T + Q*T^2)."""
+        if self.genus != 1:
+            raise ValueError("trace only defined for genus 1")
+        return -self.P[1] / self.P[0]
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -358,7 +351,7 @@ def validate_zeta_level(z: ZetaLevel) -> list:
     results = []
 
     # Z(1/(QT)) = Z(T) holds exactly when A_{2g-i} = Q^(g-i) A_i and deg P <= 2g
-    fe = P.degree <= 2 * g and all(P[2 * g - i] == Q ** (g - i) * P[i] for i in range(2 * g + 1))
+    fe = P.degree <= 2 * g and is_self_inversive(P, Q, g)
     results.append(CheckResult("functional_equation", fe, "zeta(1/(QT)) = zeta(T)"))
 
     # Z has a simple pole at T = 1 (resp. 1/Q) unless P vanishes there.  The
@@ -418,13 +411,23 @@ def artin_from_point_counts(q: int, g: int, counts: Sequence[int], label: str = 
     P = Poly(coeffs)
 
     # Any extra supplied counts must agree with the counts the numerator implies.
-    elem = [(-1) ** i * P[i] for i in range(1, 2 * g + 1)]
-    psums = newton_power_sums(elem, len(counts))
-    for k, n_k in enumerate(counts, start=1):
-        implied = Fraction(q) ** k + 1 - psums[k - 1]
+    implied_counts = point_counts_from_numerator(P, q, len(counts))
+    for k, (n_k, implied) in enumerate(zip(counts, implied_counts), start=1):
         if implied != n_k:
             raise ValueError(f"point count N_{k} = {n_k} inconsistent with the zeta numerator ({implied})")
     return _base_level(P, q, g, label or f"counts(q={q},g={g})")
+
+
+def point_counts_from_numerator(P: Poly, Q: BigRat, k_max: int) -> tuple:
+    """N_1..N_K implied by a constant-term-1 numerator over Q: N_k = Q^k + 1 - p_k.
+
+    p_k is the k-th power sum of the reciprocal roots, from the coefficients
+    by Newton's identities; no root extraction.
+    """
+    if P[0] != 1:
+        raise ValueError("power sums need the numerator normalized to constant term 1")
+    psums = newton_power_sums([(-1) ** i * c for i, c in enumerate(P.coeffs)][1:], k_max)
+    return tuple(Fraction(Q) ** k + 1 - psums[k - 1] for k in range(1, k_max + 1))
 
 
 def artin_zeta(spec: CurveSpec) -> ZetaLevel:

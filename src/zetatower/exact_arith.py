@@ -218,6 +218,11 @@ def interpolate(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> Poly:
     return out
 
 
+def is_self_inversive(P: Poly, Q: Scalar, g: int) -> bool:
+    """A_{2g-i} = Q^(g-i) A_i for i = 0..g, the coefficient form of the functional equation."""
+    return all(P[2 * g - i] == Q ** (g - i) * P[i] for i in range(g + 1))
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor over the rationals."""
     if a.is_zero() and b.is_zero():

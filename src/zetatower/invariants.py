@@ -8,7 +8,9 @@ where beta is the residue at T = 1 and S is palindromic of degree 2(g-1) with
 lower coefficients alpha(0)..alpha(g-1).  Extraction inverts that by exact
 division, so any deviation from the required shape fails loudly instead of
 being least-squares'd away; a reconstruction mismatch raises
-ReconstructionError, which ``python -O`` keeps.  The same beta is also given
+ReconstructionError, which ``python -O`` keeps.  An ``InvariantSet`` holds
+just the alphas and beta: P, Q and the genus are read off the ``ZetaLevel``,
+so only callers that need the alphas extract.  The same beta is also given
 by a closed sum over integer compositions of special values of the previous
 level, q^(C(n,2)(g-1)) * sum_p E[n][p] with the last-part table E of
 ``derived_engine.composition_sums``; that is the dual route the test suite
@@ -34,7 +36,7 @@ from math import comb
 
 from zetatower.curves import CheckResult, ZetaLevel
 from zetatower.derived_engine import SpecialValues, composition_sums, derive_step
-from zetatower.exact_arith import ONE, ZERO, BigRat, Poly, rat_str
+from zetatower.exact_arith import ONE, ZERO, BigRat, Poly, is_self_inversive, rat_str
 
 
 class ReconstructionError(RuntimeError):
@@ -43,23 +45,13 @@ class ReconstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class InvariantSet:
-    """alpha(0)..alpha(g-1), beta, and the numerator they reconstruct."""
+    """alpha(0)..alpha(g-1) and beta of one level; its P and Q stay on the ZetaLevel."""
 
     alphas: tuple
     beta: BigRat
-    P: Poly
-    A: tuple  # A[i] = coefficient of T^i in P, length 2g+1
-    Q: BigRat
-    genus: int
 
     def positivity(self) -> bool:
         return all(a > 0 for a in self.alphas) and self.beta > 0
-
-    def trace(self) -> Fraction:
-        """For genus 1: the A with P = alpha(0) * (1 - A*T + Q*T^2)."""
-        if self.genus != 1:
-            raise ValueError("trace only defined for genus 1")
-        return -self.A[1] / self.A[0]
 
 
 def reconstruct_numerator(alphas, beta, Q: BigRat, genus: int) -> Poly:
@@ -89,14 +81,12 @@ def extract_invariants(z: ZetaLevel) -> InvariantSet:
         raise ValueError("level violates the numerator decomposition shape")
     if S.degree > 2 * (g - 1):
         raise ValueError(f"interior part has degree {S.degree} > 2(g-1)")
-    for ell in range(g - 1):
-        if S[2 * (g - 1) - ell] != z.Q ** (g - 1 - ell) * S[ell]:
-            raise ValueError("interior part is not palindromic")
+    if not is_self_inversive(S, z.Q, g - 1):
+        raise ValueError("interior part is not palindromic")
     alphas = tuple(S[ell] for ell in range(g))
-    A = tuple(P[i] for i in range(2 * g + 1))
     if reconstruct_numerator(alphas, beta, z.Q, g) != P:
         raise ReconstructionError(f"invariants of level {z.steps} do not reconstruct its numerator")
-    return InvariantSet(alphas=alphas, beta=beta, P=P, A=A, Q=z.Q, genus=g)
+    return InvariantSet(alphas=alphas, beta=beta)
 
 
 def beta_closed_form(sv: SpecialValues, n: int, genus: int) -> Fraction:
@@ -148,17 +138,16 @@ class InterlacingPoly:
         return sum(self.weights, Fraction(0))
 
 
-def interlacing_poly(sv: SpecialValues, n: int, Q_prev: BigRat = None) -> InterlacingPoly:
+def interlacing_poly(sv: SpecialValues, n: int) -> InterlacingPoly:
     """Build the cleared composition polynomial of degree n-1."""
-    Q = Fraction(Q_prev) if Q_prev is not None else sv.Q
     weights = composition_sums(sv, n, positive=True)[n][1:]
     clearing = ONE
     for ell in range(1, n + 1):
-        clearing = clearing * Poly([-1, Q**ell])
+        clearing = clearing * Poly([-1, sv.Q**ell])
     poly = ZERO
     for p, w in enumerate(weights, start=1):
-        poly = poly + (clearing // Poly([-1, Q**p])) * w
-    return InterlacingPoly(n=n, Q_prev=Q, weights=weights, poly=poly)
+        poly = poly + (clearing // Poly([-1, sv.Q**p])) * w
+    return InterlacingPoly(n=n, Q_prev=sv.Q, weights=weights, poly=poly)
 
 
 def interlacing_signs(ip: InterlacingPoly) -> list:

@@ -27,10 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from zetatower.curves import CheckResult, ZetaLevel
-from zetatower.derived_engine import derive_tower
-from zetatower.exact_arith import BigRat, newton_power_sums, rat_str, series_exp
-from zetatower.invariants import InvariantSet, extract_invariants
+from zetatower.curves import CheckResult, ZetaLevel, artin_elliptic, hasse_traces, point_counts_from_numerator
+from zetatower.derived_engine import derive_step
+from zetatower.exact_arith import BigRat, rat_str, series_exp
 
 
 @dataclass(frozen=True)
@@ -42,13 +41,9 @@ class PowerSums:
         return self.N[k - 1]
 
 
-def power_sums(inv: InvariantSet, k_max: int) -> PowerSums:
+def power_sums(level: ZetaLevel, k_max: int) -> PowerSums:
     """N_1..N_K from the numerator coefficients by Newton's identities."""
-    if inv.A[0] != 1:
-        raise ValueError("power sums need the numerator normalized to constant term 1")
-    elem = [(-1) ** i * inv.A[i] for i in range(1, 2 * inv.genus + 1)]
-    psums = newton_power_sums(elem, k_max)
-    return PowerSums(Q=inv.Q, N=tuple(inv.Q**k + 1 - psums[k - 1] for k in range(1, k_max + 1)))
+    return PowerSums(Q=level.Q, N=point_counts_from_numerator(level.numerator(), level.Q, k_max))
 
 
 @dataclass(frozen=True)
@@ -72,17 +67,17 @@ def residue_series_exp(ps: PowerSums, k_max: int) -> ResidueSeries:
     return ResidueSeries(Q=ps.Q, b=tuple(series_exp(log_b)), route="exp")
 
 
-def residue_series_recursion(inv: InvariantSet, k_max: int) -> ResidueSeries:
-    if inv.A[0] != 1:
+def residue_series_recursion(level: ZetaLevel, k_max: int) -> ResidueSeries:
+    P, Q, g = level.numerator(), level.Q, level.genus
+    if P[0] != 1:
         raise ValueError("recursion needs the numerator normalized to constant term 1")
-    Q, g = inv.Q, inv.genus
     b = [Fraction(1)]
     for k in range(1, k_max + 1):
         rhs = (Q + 1) * Q ** (k - 1) * b[k - 1]
         if k >= 2:
             rhs -= Q ** (k - 1) * b[k - 2]
         for ell in range(1, min(k, 2 * g) + 1):
-            rhs += inv.A[ell] * b[k - ell]
+            rhs += P[ell] * b[k - ell]
         b.append(rhs / (Q**k - 1))
     return ResidueSeries(Q=Q, b=tuple(b), route="recursion")
 
@@ -107,22 +102,15 @@ def elliptic_beta_recursion(a: BigRat, Q_prev: BigRat, n_max: int) -> list:
 def elliptic_beta_series_check(level: ZetaLevel, n_max: int) -> CheckResult:
     """Residues of the derived levels against the series coefficients, exactly.
 
-    level must be a normalized genus-1 level; beta at step n comes from a
-    fresh derivation plus extraction, b_n from the exp route on the level.
+    level must be a normalized genus-1 level; beta at step n is the residue
+    of a fresh derivation, b_n from the exp route on the level.
     """
     if level.genus != 1:
         raise ValueError("the identity is specific to genus 1")
-    if not level.normalized and level.numerator()[0] != 1:
-        raise ValueError("the identity needs the constant-term-1 convention")
-    inv = extract_invariants(level)
-    series = residue_series_exp(power_sums(inv, n_max), n_max)
+    series = residue_series_exp(power_sums(level, n_max), n_max)
     mismatches = []
     for n in range(0, n_max + 1):
-        if n == 0:
-            beta_n = Fraction(1)
-        else:
-            derived = derive_tower(level, (n,), normalize=False)[-1]
-            beta_n = extract_invariants(derived).beta
+        beta_n = derive_step(level, n).residue() if n else Fraction(1)
         if beta_n != series[n]:
             mismatches.append((n, beta_n, series[n]))
     return CheckResult(
@@ -162,8 +150,6 @@ def export_elliptic_grid_csv(path, qs: Sequence[int], n_max: int = 8) -> int:
     Returns the number of rows written.  Row order and formatting are fixed,
     so identical inputs produce byte-identical files.
     """
-    from zetatower.curves import artin_elliptic, hasse_traces
-
     rows = 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -171,10 +157,9 @@ def export_elliptic_grid_csv(path, qs: Sequence[int], n_max: int = 8) -> int:
         for q in qs:
             for a in hasse_traces(q):
                 level = artin_elliptic(q, a)
-                inv = extract_invariants(level)
-                series = residue_series_exp(power_sums(inv, n_max), n_max)
-                betas = elliptic_beta_recursion(inv.trace(), inv.Q, n_max)
-                checks = ratio_bounds_check(betas, inv.Q)
+                series = residue_series_exp(power_sums(level, n_max), n_max)
+                betas = elliptic_beta_recursion(level.trace(), level.Q, n_max)
+                checks = ratio_bounds_check(betas, level.Q)
                 for n in range(1, n_max + 1):
                     r = betas[n] / betas[n - 1]
                     ok = checks[n - 1].passed

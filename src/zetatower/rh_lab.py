@@ -38,9 +38,8 @@ import mpmath as mp
 
 from zetatower.curves import CheckResult, CurveSpec, ZetaLevel, artin_zeta, hasse_traces
 from zetatower.derived_engine import derive_tower, special_values
-from zetatower.exact_arith import BigRat, Poly, rat_str, squarefree_factors
+from zetatower.exact_arith import BigRat, Poly, is_self_inversive, rat_str, squarefree_factors
 from zetatower.invariants import (
-    InvariantSet,
     beta_closed_form,
     counting_miracle_check,
     extract_invariants,
@@ -79,12 +78,12 @@ class RHVerdict:
         return "pass" if self.holds else "fail"
 
 
-def rh_exact_genus1(inv: InvariantSet) -> RHVerdict:
+def rh_exact_genus1(level: ZetaLevel) -> RHVerdict:
     """Exact rational decision for a quadratic numerator: A^2 <= 4Q."""
-    if inv.genus != 1:
+    if level.genus != 1:
         raise ValueError("exact criterion only applies to genus 1")
-    a = inv.trace()
-    disc = a * a - 4 * inv.Q
+    a = level.trace()
+    disc = a * a - 4 * level.Q
     return RHVerdict(
         method="exact_g1",
         holds=disc <= 0,
@@ -92,10 +91,6 @@ def rh_exact_genus1(inv: InvariantSet) -> RHVerdict:
         discriminant=disc,
         detail=f"trace {rat_str(a)}, discriminant {rat_str(disc)}",
     )
-
-
-def _poly_is_self_inversive(P: Poly, Q: Fraction, g: int) -> bool:
-    return all(P[2 * g - i] == Q ** (g - i) * P[i] for i in range(2 * g + 1))
 
 
 def _dk_sweep(coeffs, roots, zero_den):
@@ -225,31 +220,24 @@ def check_numeric_settings(precision_bits: int, tolerance=None) -> None:
 
 
 def rh_numeric(
-    source,
-    Q: BigRat = None,
+    P: Poly,
+    Q: BigRat,
     precision_bits: int = DEFAULT_PRECISION_BITS,
     tolerance=None,
     _escalated: bool = False,
 ) -> RHVerdict:
-    """Numeric root-modulus verdict for a degree-2g numerator.
+    """Numeric root-modulus verdict for a degree-2g numerator P over Q.
 
-    ``source`` is an InvariantSet or a Poly (then Q must be given).  The
-    self-inversive symmetry is recorded rather than enforced so that planted
-    negative controls can run through the same code path.
+    The self-inversive symmetry is recorded rather than enforced so that
+    planted negative controls can run through the same code path.
     """
     check_numeric_settings(precision_bits, tolerance)
-    if isinstance(source, InvariantSet):
-        P, Q = source.P, source.Q
-    else:
-        P = source
-        if Q is None:
-            raise ValueError("a raw numerator needs Q")
-        Q = Fraction(Q)
+    Q = Fraction(Q)
     deg = P.degree
     if deg == float("-inf") or deg < 2 or deg % 2 != 0:
         raise ValueError(f"numerator degree must be even and >= 2, got {deg}")
     g = int(deg) // 2
-    symmetric = _poly_is_self_inversive(P, Q, g)
+    symmetric = is_self_inversive(P, Q, g)
 
     wp = 2 * precision_bits + 64
     with mp.workprec(wp):
@@ -308,7 +296,7 @@ def root_pairing_defect(P: Poly, Q: BigRat, precision_bits: int = 128):
 def rh_verdict_for_level(level: ZetaLevel, precision_bits: int = DEFAULT_PRECISION_BITS, tolerance=None) -> RHVerdict:
     """Exact criterion when genus 1, numeric otherwise."""
     if level.genus == 1:
-        return rh_exact_genus1(extract_invariants(level))
+        return rh_exact_genus1(level)
     return rh_numeric(level.numerator(), level.Q, precision_bits=precision_bits, tolerance=tolerance)
 
 
@@ -364,7 +352,7 @@ def run_cell(spec: CurveSpec, steps: tuple, config: SweepConfig) -> dict:
 
         # each level's invariants and each step's special values are computed
         # once and shared by the checks that read them
-        if {"positivity", "interlacing", "ratio_bounds"} & set(config.checks):
+        if {"positivity", "interlacing"} & set(config.checks):
             invs = [extract_invariants(z) for z in levels]
         if {"beta_routes", "interlacing"} & set(config.checks):
             svs = [special_values(prev, n) for prev, n in zip(levels, steps)]
@@ -423,9 +411,9 @@ def run_cell(spec: CurveSpec, steps: tuple, config: SweepConfig) -> dict:
                 checks["ratio_bounds"] = "skipped"
             else:
                 results = []
-                for inv_prev, n in zip(invs, steps):
-                    betas = elliptic_beta_recursion(inv_prev.trace(), inv_prev.Q, max(n, 2))
-                    results.extend(ratio_bounds_check(betas, inv_prev.Q)[1:])  # bounds start at n = 2
+                for prev, n in zip(levels, steps):
+                    betas = elliptic_beta_recursion(prev.trace(), prev.Q, max(n, 2))
+                    results.extend(ratio_bounds_check(betas, prev.Q)[1:])  # bounds start at n = 2
                 _status("ratio_bounds", results, checks)
     except Exception as exc:  # per-cell errors are recorded, never fatal
         cell["error"] = f"{type(exc).__name__}: {exc}"

@@ -132,9 +132,8 @@ def test_criterion_05_series_dual_route(grid, genus2):
         for levels in towers.values():
             for z in levels:
                 zn = z if z.numerator()[0] == 1 else normalize_level(z)
-                inv = extract_invariants(zn)
-                exp_route = residue_series_exp(power_sums(inv, 12), 12)
-                rec_route = residue_series_recursion(inv, 12)
+                exp_route = residue_series_exp(power_sums(zn, 12), 12)
+                rec_route = residue_series_recursion(zn, 12)
                 assert exp_route.b == rec_route.b, (z.label, z.steps)
                 count += 1
     _report(5, "series coefficients dual route", f"({count} levels, order 12, exact)")
@@ -145,8 +144,7 @@ def test_criterion_06_elliptic_triangle():
     for q in ELLIPTIC_QS:
         for a in hasse_traces(q):
             base = artin_elliptic(q, a)
-            inv = extract_invariants(base)
-            series = residue_series_exp(power_sums(inv, 6), 6)
+            series = residue_series_exp(power_sums(base, 6), 6)
             recursion = elliptic_beta_recursion(a, q, 6)
             for n in range(1, 7):
                 extracted = extract_invariants(derive_step(base, n)).beta
@@ -189,10 +187,9 @@ def test_criterion_09_rh_genus1(grid):
     for towers in grid.values():
         for levels in towers.values():
             for z in levels[1:]:
-                inv = extract_invariants(z)
-                exact = rh_exact_genus1(inv)
+                exact = rh_exact_genus1(z)
                 assert exact.holds is True, (z.label, z.steps)
-                numeric = rh_numeric(inv, precision_bits=256)
+                numeric = rh_numeric(z.numerator(), z.Q, precision_bits=256)
                 assert numeric.holds is exact.holds is True, (z.label, z.steps)
                 assert mp.mpf(numeric.max_deviation) < DEV_BOUND, (z.label, z.steps)
                 count += 1
@@ -202,7 +199,7 @@ def test_criterion_09_rh_genus1(grid):
 def test_criterion_10_rh_genus2_tuples(genus2):
     for steps in ((2,), (2, 2)):
         z = genus2["towers"][steps][-1]
-        v = rh_numeric(extract_invariants(z), precision_bits=256)
+        v = rh_numeric(z.numerator(), z.Q, precision_bits=256)
         assert v.holds is True, steps
         assert mp.mpf(v.max_deviation) < DEV_BOUND, (steps, v.max_deviation)
     _report(10, "derived RH, genus 2, tuples (2) and (2,2)", "(256-bit numeric)")

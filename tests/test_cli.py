@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from math import prod
@@ -130,6 +133,83 @@ def test_invariants_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "curve,tuple,Q,alphas,beta,positivity"
     assert len(lines) == 3
+
+
+# (exit code, sha256 of stdout, sha256 of stderr), recorded when InvariantSet
+# still carried its own copies of P, A, Q and the genus
+OUTPUT_DIGESTS = {
+    "rh-check --curve elliptic:q=3,a=1 --tuple 2,3": (
+        0,
+        "4f61cbff4fcb771fa9e1e7072a953958e1f393e560787c4c8734d3ae875dddb2",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "rh-check --curve catalog:X2g2 --tuple 2": (
+        0,
+        "0890a2b3b0bf6cb45a92ff7a86cc6fdf34b55e0f26d118b1d7755852599c4def",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "invariants --curve elliptic:q=3,a=1 --tuple 2,3 --format json": (
+        0,
+        "fb0675dfba14ae7feb3ea9036f86aeab7b2a9c75f98b42aceec926076c4338c3",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "invariants --curve elliptic:q=3,a=1 --tuple 2,3 --format csv": (
+        0,
+        "c02a076ee1947da48c7863a3fb8f850afb9ba2e1718985b9fe64dd9b37f28ffd",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "invariants --curve catalog:X2g2 --tuple 2,2 --format json": (
+        0,
+        "ccf02b843bbb5fcf1effef3918dfc1d4757d37f3931a1ce4ac1d379cbca527d1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "invariants --curve catalog:X2g2 --tuple 2,2 --format csv": (
+        0,
+        "51f1c420903228af3ea1eba78dbf07c285abf216da9c8a158cccad89cf6bc650",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "derive --curve elliptic:q=3,a=1 --tuple 2,3": (
+        0,
+        "4d1879ff046117f5a21515775d4999f3b71127dd6ddc1d86310461033ecc669c",
+        "208c1091479824dc1f1d0254091efed2a3269657f301b137e9ea8cfb6a223be6",
+    ),
+    "derive --curve catalog:X2g2 --tuple 2,2": (
+        0,
+        "7ad9c82cb890f8b6c8f72ba62991509b45c9343a2ece458b4680880c17ab0023",
+        "23b84c03978617fe1ed3d821d44b75c2c6f33797b54f8a3863bdf486e77a6403",
+    ),
+    "derive --curve elliptic:q=2,a=-1 --tuple 2,2 --normalize": (
+        0,
+        "0f0dfdc8c9c2dbf8ec65398a36aa9c9e71e31e8a2e057186c52d27b2c4b508fa",
+        "94a6315431be4c25e39a9017dbe46abdd5678d3496288ca4c1ac16c09329833a",
+    ),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_DIGESTS))
+def test_command_output_bytes_are_unchanged(command, capsys):
+    code = run_cli(command.split())
+    out, err = capsys.readouterr()
+    assert (code, _sha256(out), _sha256(err)) == OUTPUT_DIGESTS[command]
+
+
+def test_beta_table_script_bytes_are_unchanged(tmp_path):
+    # sha256 of the CSV written by the export script, recorded with the digests above
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "table.csv"
+    script = root / "scripts" / "export_beta_table.py"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    args = [sys.executable, str(script), "--q", "2,3", "--nmax", "6", "--out", str(out)]
+    proc = subprocess.run(args, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"wrote {out} (72 rows)\n"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "d06e884cdcac2c43eb51b8c00a1f9b86cd8b3a79826c0f16eee861f95f16cde5"
+    )
 
 
 def test_sweep_builtin_grid(tmp_path, capsys):
@@ -343,7 +423,7 @@ _CURVE_OBJECTS = st.one_of(
         _SOURCES,
     ),
 )
-# the step product stays at most 8: prime_power_split and the tower cost grow with q and the steps
+# the step product stays at most 8: the tower cost grows with the steps
 _TUPLES = st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=3).filter(lambda t: prod(t) <= 8)
 
 

@@ -1,6 +1,7 @@
 """Tests for base-level zeta construction, validation, and point counting."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -66,8 +67,34 @@ def test_count_rejects_unknown_equation():
 def test_prime_power_split():
     assert prime_power_split(4) == (2, 2)
     assert prime_power_split(5) == (5, 1)
-    with pytest.raises(ValueError):
-        prime_power_split(6)
+    for q in (6, 12, 36, 2**3 * 3**3, (2**31 - 1) * 2):
+        with pytest.raises(ValueError):
+            prime_power_split(q)
+
+
+@pytest.mark.parametrize("q, split", [(2**31 - 1, (2**31 - 1, 1)), ((2**31 - 1) ** 2, (2**31 - 1, 2))])
+def test_prime_power_split_of_a_large_prime_is_fast(q, split):
+    # trial division runs only up to sqrt(p), about 46k candidates, not up to q
+    start = time.perf_counter()
+    assert prime_power_split(q) == split
+    assert time.perf_counter() - start < 1.0
+
+
+def test_prime_power_split_matches_trial_division():
+    def by_trial_division(q):
+        p = next(f for f in range(2, q + 1) if q % f == 0)
+        d = 0
+        while q % p == 0:
+            q //= p
+            d += 1
+        return (p, d) if q == 1 else None
+
+    for q in range(2, 2000):
+        try:
+            split = prime_power_split(q)
+        except ValueError:
+            split = None
+        assert split == by_trial_division(q), q
 
 
 def test_hasse_traces():

@@ -13,6 +13,7 @@ from zetatower.exact_arith import (
     Poly,
     ZERO,
     as_rat,
+    is_self_inversive,
     newton_power_sums,
     poly_gcd,
     squarefree_factors,
@@ -237,6 +238,15 @@ def test_newton_power_sums_against_brute_force(roots, k_max):
     psums = newton_power_sums(elem, k_max)
     for k in range(1, k_max + 1):
         assert psums[k - 1] == sum(r**k for r in roots)
+
+
+def test_self_inversive_examples():
+    assert is_self_inversive(Poly([1, -1, 2]), 2, 1)
+    assert is_self_inversive(Poly([1, 0, 2]) * Poly([1, -2, 2]), 2, 2)
+    assert is_self_inversive(Poly([1, -3, 2]), 2, 1)  # (1-T)(1-2T): roots 1 and 1/2 pair up
+    assert not is_self_inversive(Poly([1, -3]) ** 2 * Poly([1, 0, 2]), 2, 2)
+    assert not is_self_inversive(Poly([1, -1, 3]), 2, 1)
+    assert is_self_inversive(Poly([5]), 7, 0)  # an interior part of a genus-1 level
 
 
 @given(coeff_lists(max_size=3), coeff_lists(max_size=3), coeff_lists(max_size=3))

@@ -14,7 +14,6 @@ from zetatower.curves import (
     hasse_traces,
 )
 from zetatower.derived_engine import derive_step, normalize_level
-from zetatower.invariants import extract_invariants
 from zetatower.mult_struct import (
     elliptic_beta_recursion,
     elliptic_beta_series_check,
@@ -30,31 +29,27 @@ from zetatower.mult_struct import (
 
 
 def test_power_sums_q2_a0():
-    inv = extract_invariants(artin_elliptic(2, 0))
-    ps = power_sums(inv, 2)
+    ps = power_sums(artin_elliptic(2, 0), 2)
     assert ps.n_k(1) == 3  # p_1 = 0
     assert ps.n_k(2) == 9  # p_2 = a^2 - 2q = -4
 
 
 def test_power_sums_derived_level():
     z2n = normalize_level(derive_step(artin_elliptic(2, 0), 2))
-    inv = extract_invariants(z2n)
-    ps = power_sums(inv, 1)
+    ps = power_sums(z2n, 1)
     # k = 1 Newton identity: N_1 = Q + 1 - trace, trace = -A_1
-    assert ps.n_k(1) == inv.Q + 1 - inv.trace() == 6
+    assert ps.n_k(1) == z2n.Q + 1 - z2n.trace() == 6
 
 
 def test_power_sums_requires_normalization():
-    inv = extract_invariants(derive_step(artin_elliptic(2, 0), 2))
     with pytest.raises(ValueError, match="constant term 1"):
-        power_sums(inv, 3)
+        power_sums(derive_step(artin_elliptic(2, 0), 2), 3)
 
 
 def test_power_sums_match_brute_force_counts():
     for label in ("E2a0", "E2am2", "E3a0", "E3am3", "E5a2", "X2g2"):
         curve = CATALOG[label]
-        inv = extract_invariants(artin_zeta(curve.spec()))
-        ps = power_sums(inv, 3)
+        ps = power_sums(artin_zeta(curve.spec()), 3)
         for k in (1, 2, 3):
             assert ps.n_k(k) == count_points_bruteforce(curve.model, curve.q, k)
 
@@ -63,8 +58,7 @@ def test_power_sums_match_brute_force_counts():
 
 
 def test_series_first_coefficients():
-    inv = extract_invariants(artin_elliptic(2, 0))
-    series = residue_series_exp(power_sums(inv, 3), 3)
+    series = residue_series_exp(power_sums(artin_elliptic(2, 0), 3), 3)
     assert series[0] == 1
     assert series[1] == Fraction(3, 2 - 1)  # N_1/(Q-1), the first derived residue
     assert series[2] == 6
@@ -75,9 +69,9 @@ def test_series_routes_agree_to_order_12():
     cases.append(artin_from_point_counts(2, 2, [3, 5]))
     cases.append(normalize_level(derive_step(artin_elliptic(2, 1), 2)))
     for z in cases:
-        inv = extract_invariants(normalize_level(z) if z.numerator()[0] != 1 else z)
-        exp_route = residue_series_exp(power_sums(inv, 12), 12)
-        rec_route = residue_series_recursion(inv, 12)
+        zn = normalize_level(z) if z.numerator()[0] != 1 else z
+        exp_route = residue_series_exp(power_sums(zn, 12), 12)
+        rec_route = residue_series_recursion(zn, 12)
         assert exp_route.b == rec_route.b
         assert exp_route.route == "exp" and rec_route.route == "recursion"
 

@@ -7,10 +7,9 @@ import mpmath as mp
 import pytest
 
 from zetatower import rh_lab
-from zetatower.curves import CurveSpec, artin_elliptic, artin_from_point_counts, catalog_curve, hasse_traces
+from zetatower.curves import CurveSpec, ZetaLevel, artin_elliptic, artin_from_point_counts, catalog_curve, hasse_traces
 from zetatower.derived_engine import derive_step
 from zetatower.exact_arith import Poly
-from zetatower.invariants import extract_invariants
 from zetatower.rh_lab import (
     MIN_PRECISION_BITS,
     SweepConfig,
@@ -29,32 +28,29 @@ from zetatower.rh_lab import (
 
 
 def test_exact_holds_trace_zero():
-    v = rh_exact_genus1(extract_invariants(artin_elliptic(2, 0)))
+    v = rh_exact_genus1(artin_elliptic(2, 0))
     assert v.holds and not v.boundary and v.method == "exact_g1"
 
 
 def test_exact_holds_derived_level():
-    v = rh_exact_genus1(extract_invariants(derive_step(artin_elliptic(2, 0), 2)))
+    v = rh_exact_genus1(derive_step(artin_elliptic(2, 0), 2))
     assert v.holds and v.discriminant == 1 - 16
 
 
 def test_exact_fails_synthetic():
     # A = 5, Q = 4 sits outside the Hasse interval: 25 > 16
-    from zetatower.invariants import InvariantSet
-
-    P = Poly([1, -5, 4])
-    inv = InvariantSet(alphas=(Fraction(1),), beta=Fraction(0), P=P, A=(1, -5, 4), Q=Fraction(4), genus=1)
-    assert rh_exact_genus1(inv).holds is False
+    level = ZetaLevel(steps=(), Q=Fraction(4), genus=1, P=Poly([1, -5, 4]))
+    assert rh_exact_genus1(level).holds is False
 
 
 def test_exact_boundary_flag():
-    v = rh_exact_genus1(extract_invariants(artin_elliptic(4, 4)))
+    v = rh_exact_genus1(artin_elliptic(4, 4))
     assert v.holds and v.boundary
 
 
 def test_exact_rejects_higher_genus():
     with pytest.raises(ValueError):
-        rh_exact_genus1(extract_invariants(artin_from_point_counts(2, 2, [3, 5])))
+        rh_exact_genus1(artin_from_point_counts(2, 2, [3, 5]))
 
 
 # -- numeric route ------------------------------------------------------------------
@@ -63,9 +59,9 @@ def test_exact_rejects_higher_genus():
 def test_numeric_matches_exact_on_subgrid():
     for q in (2, 3):
         for a in hasse_traces(q):
-            inv = extract_invariants(artin_elliptic(q, a))
-            exact = rh_exact_genus1(inv)
-            numeric = rh_numeric(inv)
+            z = artin_elliptic(q, a)
+            exact = rh_exact_genus1(z)
+            numeric = rh_numeric(z.numerator(), z.Q)
             assert numeric.holds == exact.holds is True
             assert mp.mpf(numeric.max_deviation) < mp.mpf("1e-30")
 
@@ -87,18 +83,14 @@ def test_numeric_planted_off_circle_fails():
 
 
 def test_numeric_boundary_double_root():
-    v = rh_numeric(extract_invariants(artin_elliptic(4, -4)))
+    z = artin_elliptic(4, -4)
+    v = rh_numeric(z.numerator(), z.Q)
     assert v.holds and mp.mpf(v.max_deviation) < mp.mpf("1e-30")
 
 
 def test_numeric_requires_even_degree():
     with pytest.raises(ValueError):
         rh_numeric(Poly([1, 1, 1, 1]), 2)
-
-
-def test_numeric_needs_q_for_raw_poly():
-    with pytest.raises(ValueError):
-        rh_numeric(Poly([1, 0, 2]))
 
 
 def _weil_rh_holds(q, a1, a2):
@@ -186,6 +178,15 @@ def test_numeric_verdict_reads_the_numerator_directly(monkeypatch):
     assert rh_verdict_for_level(artin_from_point_counts(2, 2, [3, 5])).holds is True
 
 
+def test_exact_verdict_reads_the_numerator_directly(monkeypatch):
+    def refuse(level):
+        raise AssertionError("genus 1 needs only the trace and Q")
+
+    monkeypatch.setattr(rh_lab, "extract_invariants", refuse)
+    assert rh_verdict_for_level(artin_elliptic(2, 1)).holds is True
+    assert rh_verdict_for_level(derive_step(artin_elliptic(2, 0), 2)).discriminant == 1 - 16
+
+
 # -- sweep harness -------------------------------------------------------------------
 
 
@@ -242,9 +243,9 @@ def test_run_cell_extracts_invariants_once_per_level(monkeypatch):
     spec = CurveSpec(label="e", q=3, genus=1, trace=1)
     cell = run_cell(spec, (2, 3), SweepConfig(curves=(spec,), tuples=((2, 3),)))
     assert set(cell["checks"].values()) == {"pass"}
-    # three levels, shared by positivity, interlacing and ratio_bounds, plus the
-    # genus-1 RH verdict's own route; one set of special values per step
-    assert calls == {"extract_invariants": 6, "special_values": 2}
+    # three levels, shared by positivity and interlacing (the RH verdict and
+    # ratio_bounds read the trace off the level); one set of special values per step
+    assert calls == {"extract_invariants": 3, "special_values": 2}
 
 
 def test_sweep_parallel_matches_serial():

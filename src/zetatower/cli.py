@@ -158,7 +158,7 @@ def cmd_derive(args) -> int:
     spec, steps, levels = _tower(args)
     payload = {"curve": spec.to_dict(), "tuple": list(steps), "levels": []}
     for z in levels:
-        P = z.numerator()
+        P = z.P
         payload["levels"].append(
             {
                 "tuple": list(z.steps),

@@ -34,12 +34,42 @@ from zetatower.exact_arith import BigRat, Poly, as_rat, is_self_inversive, newto
 BRUTE_FORCE_FIELD_CAP = 2**20
 
 
+# Miller-Rabin with the primes up to 41 as bases accepts no composite below
+# this bound (Sorenson and Webster, 2015); above it only trial division is exact.
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
+def _is_prime(p: int) -> bool:
+    """Exact primality: deterministic Miller-Rabin below MILLER_RABIN_BOUND, trial division above."""
+    if p >= MILLER_RABIN_BOUND:
+        return all(p % f for f in range(2, isqrt(p) + 1))
+    if p < 2:
+        return False
+    if p in MILLER_RABIN_BASES:
+        return True
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in MILLER_RABIN_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def prime_power_split(q: int) -> tuple:
     """(p, d) with q = p**d, or raise if q is not a prime power.
 
     d is the largest exponent for which q has an exact integer d-th root p,
-    found by Newton's method on integers, and p must be prime; trial division
-    up to sqrt(p) makes the work O(sqrt(p)), not O(q).
+    found by Newton's method on integers, and p must be prime (``_is_prime``),
+    so a prime q of 61 bits splits in milliseconds.
     """
     if q < 2:
         raise ValueError(f"q must be a prime power >= 2, got {q}")
@@ -48,7 +78,7 @@ def prime_power_split(q: int) -> tuple:
         while (s := ((d - 1) * p + q // p ** (d - 1)) // d) < p:
             p = s
         if p**d == q:
-            if all(p % f for f in range(2, isqrt(p) + 1)):
+            if _is_prime(p):
                 return p, d
             break
     raise ValueError(f"q must be a prime power, got {q}")
@@ -316,9 +346,6 @@ class ZetaLevel:
     normalized: bool = False
     scale: BigRat = Fraction(1)
     label: str = ""
-
-    def numerator(self) -> Poly:
-        return self.P
 
     def residue(self) -> Fraction:
         """Res_{T=1} Z = P(1)/(Q-1), which is beta."""

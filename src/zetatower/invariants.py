@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import comb
 
 from zetatower.curves import CheckResult, ZetaLevel
-from zetatower.derived_engine import SpecialValues, composition_sums, derive_step
+from zetatower.derived_engine import SpecialValues, composition_sums
 from zetatower.exact_arith import ONE, ZERO, BigRat, Poly, is_self_inversive, rat_str
 
 
@@ -71,7 +71,7 @@ def reconstruct_numerator(alphas, beta, Q: BigRat, genus: int) -> Poly:
 def extract_invariants(z: ZetaLevel) -> InvariantSet:
     """Read (alphas, beta) off a level by residue plus exact division."""
     g = z.genus
-    P = z.numerator()
+    P = z.P
     if P.degree != 2 * g:
         raise ValueError(f"numerator degree {P.degree}, expected {2 * g}")
     beta = z.residue()
@@ -94,21 +94,20 @@ def beta_closed_form(sv: SpecialValues, n: int, genus: int) -> Fraction:
     return sv.Q ** (comb(n, 2) * (genus - 1)) * sum(composition_sums(sv, n)[n])
 
 
-def counting_miracle_check(prev: ZetaLevel, n: int, derived: ZetaLevel = None) -> CheckResult:
+def counting_miracle_check(prev: ZetaLevel, derived: ZetaLevel, following: ZetaLevel) -> CheckResult:
     """Constant term at step n+1 against q^(n(g-1)) * alpha_prev(0) * beta at step n.
 
-    ``derived`` is the level prev derived by n, if the caller already holds it;
-    derive_step is pure, so deriving it again would add no independence.  The
-    step n+1 is always derived here, and beta is read off as a residue.
+    ``derived`` and ``following`` are ``prev`` derived by n and by n+1, taken
+    from the caller's tower; nothing is derived here.  Their steps must say
+    so, else ValueError.  beta is read off ``derived`` as a residue.
     """
-    if derived is None:
-        derived = derive_step(prev, n)
-    elif derived.steps != prev.steps + (n,):
-        raise ValueError(f"level {derived.steps} is not {prev.steps} derived by {n}")
+    n = derived.steps[-1] if derived.steps else 0
+    if derived.steps != prev.steps + (n,) or following.steps != prev.steps + (n + 1,):
+        raise ValueError(f"levels {derived.steps}, {following.steps} are not {prev.steps} derived by n, n+1")
     g = prev.genus
-    alpha0_prev = prev.numerator()[0]
+    alpha0_prev = prev.P[0]
     beta_n = derived.residue()
-    alpha0_next = derive_step(prev, n + 1).numerator()[0]
+    alpha0_next = following.P[0]
     expected = prev.Q ** (n * (g - 1)) * alpha0_prev * beta_n
     ok = alpha0_next == expected
     # built only on failure: deep levels have more digits than Python converts to a string

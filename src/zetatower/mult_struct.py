@@ -43,7 +43,7 @@ class PowerSums:
 
 def power_sums(level: ZetaLevel, k_max: int) -> PowerSums:
     """N_1..N_K from the numerator coefficients by Newton's identities."""
-    return PowerSums(Q=level.Q, N=point_counts_from_numerator(level.numerator(), level.Q, k_max))
+    return PowerSums(Q=level.Q, N=point_counts_from_numerator(level.P, level.Q, k_max))
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def residue_series_exp(ps: PowerSums, k_max: int) -> ResidueSeries:
 
 
 def residue_series_recursion(level: ZetaLevel, k_max: int) -> ResidueSeries:
-    P, Q, g = level.numerator(), level.Q, level.genus
+    P, Q, g = level.P, level.Q, level.genus
     if P[0] != 1:
         raise ValueError("recursion needs the numerator normalized to constant term 1")
     b = [Fraction(1)]

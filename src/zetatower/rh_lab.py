@@ -21,7 +21,10 @@ automatic retry at doubled precision).
 
 Sweeps run a configurable battery of checks over a curve x tuple grid and
 emit a deterministic JSON-able report: no timestamps, fixed ordering, exact
-rationals as strings.  Identical configs give byte-identical reports.
+rationals as strings.  Identical configs give byte-identical reports.  Each
+curve has one tower: a level is derived from its prefix's level at most once
+and shared by every cell whose path or counting-miracle check reads it, and
+``--jobs`` spreads the curves, not the cells, over worker processes.
 """
 
 from __future__ import annotations
@@ -32,12 +35,12 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import mpmath as mp
 
 from zetatower.curves import CheckResult, CurveSpec, ZetaLevel, artin_zeta, hasse_traces
-from zetatower.derived_engine import derive_tower, special_values
+from zetatower.derived_engine import derive_step, special_values
 from zetatower.exact_arith import BigRat, Poly, is_self_inversive, rat_str, squarefree_factors
 from zetatower.invariants import (
     beta_closed_form,
@@ -297,7 +300,7 @@ def rh_verdict_for_level(level: ZetaLevel, precision_bits: int = DEFAULT_PRECISI
     """Exact criterion when genus 1, numeric otherwise."""
     if level.genus == 1:
         return rh_exact_genus1(level)
-    return rh_numeric(level.numerator(), level.Q, precision_bits=precision_bits, tolerance=tolerance)
+    return rh_numeric(level.P, level.Q, precision_bits=precision_bits, tolerance=tolerance)
 
 
 # --------------------------------------------------------------------------
@@ -342,13 +345,16 @@ def _status(name: str, results, cell_checks: dict):
     return failed
 
 
-def run_cell(spec: CurveSpec, steps: tuple, config: SweepConfig) -> dict:
-    """Run the configured battery on one (curve, tuple) cell; never raises."""
+def run_cell(spec: CurveSpec, steps: tuple, config: SweepConfig, level: Callable[[tuple], ZetaLevel]) -> dict:
+    """Run the configured battery on one (curve, tuple) cell; never raises.
+
+    ``level(steps)`` is the curve's level for a tuple of steps, from ``run_curve``'s
+    tower; a derivation that fails there becomes the cell's error.
+    """
     cell = {"curve": spec.label, "tuple": list(steps), "checks": {}, "data": {}}
     checks = cell["checks"]
     try:
-        base = artin_zeta(spec)
-        levels = [base] + derive_tower(base, steps, normalize=False)
+        levels = [level(steps[:i]) for i in range(len(steps) + 1)]
 
         # each level's invariants and each step's special values are computed
         # once and shared by the checks that read them
@@ -386,7 +392,7 @@ def run_cell(spec: CurveSpec, steps: tuple, config: SweepConfig) -> dict:
 
         if "miracle" in config.checks:
             results = [
-                counting_miracle_check(prev, n, derived)
+                counting_miracle_check(prev, derived, level(prev.steps + (n + 1,)))
                 for prev, derived, n in zip(levels, levels[1:], steps)
             ]
             _status("miracle", results, checks)
@@ -420,29 +426,43 @@ def run_cell(spec: CurveSpec, steps: tuple, config: SweepConfig) -> dict:
     return cell
 
 
-def _cell_key(cell: dict):
-    return (cell["curve"], cell["tuple"])
+def run_curve(spec: CurveSpec, config: SweepConfig) -> list:
+    """Run every configured tuple on one curve over a single tower; returns the cells in tuple order.
+
+    The tower maps a tuple of steps to its level.  A level is derived from
+    its prefix's level the first time a cell asks for it (the base comes from
+    the curve), so each is derived at most once and in the order a cell-by-cell
+    run would first reach it.  A derivation that raises is not stored: it is
+    tried again, and raises again, in every cell that needs that level.
+    """
+    tower = {}
+
+    def level(steps: tuple) -> ZetaLevel:
+        if steps not in tower:
+            tower[steps] = derive_step(level(steps[:-1]), steps[-1]) if steps else artin_zeta(spec)
+        return tower[steps]
+
+    return [run_cell(spec, tuple(steps), config, level) for steps in config.tuples]
 
 
 def sweep(config: SweepConfig, jobs: int = 1) -> dict:
     """Run the battery over the whole grid and assemble a deterministic report."""
     for steps in config.tuples:
-        prod = 1
-        for n in steps:
-            prod *= n
-        if prod > config.product_cap:
+        if not steps or min(steps) < 1:
+            raise ValueError(f"tuple {steps} must be a nonempty list of positive integers")
+        if math.prod(steps) > config.product_cap:
             raise ValueError(
                 f"tuple {steps} exceeds the step-product cap {config.product_cap}; raise the cap explicitly"
             )
-    work = [(spec, tuple(steps)) for spec in config.curves for steps in config.tuples]
-    if jobs > 1 and len(work) > 1:
+    if jobs > 1 and len(config.curves) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(_run_cell_star, [(s, t, config) for s, t in work]))
+            per_curve = list(pool.map(run_curve, config.curves, [config] * len(config.curves)))
     else:
-        cells = [run_cell(spec, steps, config) for spec, steps in work]
-    cells.sort(key=_cell_key)
+        per_curve = [run_curve(spec, config) for spec in config.curves]
+    cells = [cell for curve_cells in per_curve for cell in curve_cells]
+    cells.sort(key=lambda c: (c["curve"], c["tuple"]))
 
     summary: dict = {"cells": len(cells), "errors": 0}
     per_check: dict = {}
@@ -463,10 +483,6 @@ def sweep(config: SweepConfig, jobs: int = 1) -> dict:
         "cells": cells,
         "summary": summary,
     }
-
-
-def _run_cell_star(args):
-    return run_cell(*args)
 
 
 def report_to_json(report: dict) -> str:

@@ -151,7 +151,7 @@ def standard_denominator(Q, genus: int) -> Poly:
 
 def to_ratfunc(level) -> RatFunc:
     """The complete zeta of a level, P / ((1-T)(1-QT)T^(g-1)), reduced."""
-    return RatFunc(level.numerator(), standard_denominator(level.Q, level.genus))
+    return RatFunc(level.P, standard_denominator(level.Q, level.genus))
 
 
 def interlacing_tail(ip) -> RatFunc:

@@ -45,6 +45,12 @@ def test_derive_tuple_one_is_identity(tmp_path):
     assert payload["levels"][0]["Q"] == payload["levels"][1]["Q"]
 
 
+def test_derive_over_a_61_bit_prime(tmp_path):
+    out = tmp_path / "big_q.json"
+    assert run_cli(["derive", "--curve", "elliptic:q=2305843009213693951,a=0", "--tuple", "1", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["levels"][1]["Q"] == "2305843009213693951"
+
+
 def test_derive_byte_identical_outputs(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["derive", "--curve", "elliptic:q=2,a=-1", "--tuple", "2,2"]
@@ -368,7 +374,7 @@ def test_derive_past_the_int_str_digit_limit(tmp_path):
         assert max(len(str(c)) for c in emitted[-1]) > 4300
     finally:
         sys.set_int_max_str_digits(limit)
-    assert emitted[1:] == [[z.numerator()[i] for i in range(5)] for z in levels]
+    assert emitted[1:] == [[z.P[i] for i in range(5)] for z in levels]
 
 
 # -- input contract: malformed input exits 2, never 3 ----------------------------------

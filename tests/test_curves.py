@@ -67,14 +67,24 @@ def test_count_rejects_unknown_equation():
 def test_prime_power_split():
     assert prime_power_split(4) == (2, 2)
     assert prime_power_split(5) == (5, 1)
-    for q in (6, 12, 36, 2**3 * 3**3, (2**31 - 1) * 2):
+    # 561 is a Carmichael number; 3825123056546413051 is a strong pseudoprime to the bases 2..23;
+    # 3 (2^89 - 1) lies above the Miller-Rabin bound, where trial division finds the 3
+    for q in (6, 12, 36, 2**3 * 3**3, (2**31 - 1) * 2, 561, 3825123056546413051, 3 * (2**89 - 1)):
         with pytest.raises(ValueError):
             prime_power_split(q)
 
 
-@pytest.mark.parametrize("q, split", [(2**31 - 1, (2**31 - 1, 1)), ((2**31 - 1) ** 2, (2**31 - 1, 2))])
+@pytest.mark.parametrize(
+    "q, split",
+    [
+        (2**31 - 1, (2**31 - 1, 1)),
+        ((2**31 - 1) ** 2, (2**31 - 1, 2)),
+        (2**61 - 1, (2**61 - 1, 1)),
+        ((2**61 - 1) ** 2, (2**61 - 1, 2)),
+    ],
+)
 def test_prime_power_split_of_a_large_prime_is_fast(q, split):
-    # trial division runs only up to sqrt(p), about 46k candidates, not up to q
+    # Miller-Rabin, not trial division up to sqrt(p): about 1.5e9 candidates for 2^61 - 1
     start = time.perf_counter()
     assert prime_power_split(q) == split
     assert time.perf_counter() - start < 1.0
@@ -107,13 +117,13 @@ def test_hasse_traces():
 
 def test_artin_elliptic_trace_zero():
     z = artin_elliptic(2, 0)
-    assert z.numerator() == Poly([1, 0, 2])
+    assert z.P == Poly([1, 0, 2])
     assert to_ratfunc(z) == RatFunc(Poly([1, 0, 2]), Poly([1, -1]) * Poly([1, -2]))
 
 
 def test_artin_elliptic_q3_a3():
     z = artin_elliptic(3, 3)
-    assert z.numerator() == Poly([1, -3, 3])
+    assert z.P == Poly([1, -3, 3])
     assert 3 * 3 <= 4 * 3  # admissible
 
 
@@ -123,8 +133,8 @@ def test_artin_elliptic_hasse_rejected():
 
 
 def test_artin_from_counts_matches_trace_form():
-    assert artin_from_point_counts(2, 1, [3]).numerator() == Poly([1, 0, 2])
-    assert artin_from_point_counts(2, 1, [5]).numerator() == Poly([1, 2, 2])
+    assert artin_from_point_counts(2, 1, [3]).P == Poly([1, 0, 2])
+    assert artin_from_point_counts(2, 1, [5]).P == Poly([1, 2, 2])
 
 
 def _exp_series_oracle(log_coeffs, order):
@@ -140,7 +150,7 @@ def _exp_series_oracle(log_coeffs, order):
 
 def test_artin_from_counts_genus2_against_series_oracle():
     z = artin_from_point_counts(2, 2, [3, 5])
-    P = z.numerator()
+    P = z.P
     expanded = _exp_series_oracle([3, Fraction(5, 2)], 2)
     lower = Poly(expanded[:3]) * Poly([1, -3, 2])
     assert [P[i] for i in range(3)] == [lower[i] for i in range(3)]
@@ -158,7 +168,7 @@ def test_artin_from_counts_rejects_inconsistent_extras():
 
 def test_numerator_endpoints():
     for q, g, counts in [(2, 1, [3]), (3, 1, [7]), (2, 2, [3, 5]), (2, 3, [3, 9, 9])]:
-        P = artin_from_point_counts(q, g, counts).numerator()
+        P = artin_from_point_counts(q, g, counts).P
         assert P[0] == 1 and P[2 * g] == Fraction(q) ** g
 
 
@@ -166,9 +176,9 @@ def test_genus1_trace_count_round_trip():
     for q in (2, 3, 5):
         for a in hasse_traces(q):
             z = artin_elliptic(q, a)
-            assert z.numerator()[1] == -a  # A_1 = -(q + 1 - N_1)
+            assert z.P[1] == -a  # A_1 = -(q + 1 - N_1)
             n1 = q + 1 - a
-            assert artin_from_point_counts(q, 1, [n1]).numerator() == z.numerator()
+            assert artin_from_point_counts(q, 1, [n1]).P == z.P
 
 
 # -- validation ---------------------------------------------------------------
@@ -186,7 +196,7 @@ def test_validate_catches_tampered_numerator():
     assert not _passed(validate_zeta_level(tampered))["functional_equation"]
     # genus 2: tampering A_1 breaks A_3 = q A_1
     zg = artin_from_point_counts(2, 2, [3, 5])
-    bad = zg.numerator() + Poly([0, 1])
+    bad = zg.P + Poly([0, 1])
     tampered2 = ZetaLevel(steps=(), Q=zg.Q, genus=2, P=bad)
     assert not _passed(validate_zeta_level(tampered2))["functional_equation"]
 

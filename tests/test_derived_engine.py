@@ -93,7 +93,7 @@ def test_derive_step_index_one_is_identity():
 def test_derive_step_two_golden():
     # expanded by hand: the two a-terms combine to 3(1+T+4T^2)/((1-T)(1-4T))
     z2 = derive_step(artin_elliptic(2, 0), 2)
-    assert z2.numerator() == Poly([3, 3, 12])
+    assert z2.P == Poly([3, 3, 12])
     assert z2.Q == 4
     assert residue_simple_pole(to_ratfunc(z2), 1) == 6
 
@@ -149,7 +149,7 @@ def test_genus2_derivation_validates():
     zg = artin_from_point_counts(2, 2, [3, 5])
     z2 = derive_step(zg, 2)
     assert z2.Q == 4 and z2.genus == 2
-    assert z2.numerator().degree == 4
+    assert z2.P.degree == 4
     assert all(r.passed for r in validate_zeta_level(z2))
 
 
@@ -158,7 +158,7 @@ def test_genus2_derivation_validates():
 def test_constant_scaling_covariance(c, n):
     # scaling the input zeta by c scales the derived zeta by c**n
     z = artin_elliptic(2, 0)
-    scaled = ZetaLevel(steps=(), Q=z.Q, genus=1, P=z.numerator() * c)
+    scaled = ZetaLevel(steps=(), Q=z.Q, genus=1, P=z.P * c)
     assert to_ratfunc(scaled) == to_ratfunc(z) * c
     derived = derive_step(z, n)
     derived_scaled = derive_step(scaled, n)
@@ -172,7 +172,7 @@ def test_normalize_level_records_constant():
     z2 = derive_step(artin_elliptic(2, 0), 2)
     z2n = normalize_level(z2)
     assert z2n.normalized and z2n.scale == 3
-    assert z2n.numerator()[0] == 1
+    assert z2n.P[0] == 1
     assert to_ratfunc(z2n) * 3 == to_ratfunc(z2)
 
 
@@ -191,7 +191,7 @@ def test_derive_tower_from_curve_spec():
 
     spec = CurveSpec(label="e", q=2, genus=1, trace=0)
     levels = derive_tower(spec, (2,))
-    assert levels[0].numerator() == Poly([3, 3, 12])
+    assert levels[0].P == Poly([3, 3, 12])
 
 
 # -- pole-cancellation certificate ------------------------------------------------
@@ -240,7 +240,7 @@ def test_corrupted_special_value_is_caught(monkeypatch, k):
 
 def test_deep_genus2_step_is_certified_and_valid():
     z = derive_step(artin_from_point_counts(2, 2, [3, 5]), 20)
-    assert z.Q == 2**20 and z.numerator().degree == 4
+    assert z.Q == 2**20 and z.P.degree == 4
     assert all(r.passed for r in validate_zeta_level(z))
 
 

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,7 +34,7 @@ def test_extract_artin_elliptic():
     inv = extract_invariants(z)
     assert inv.alphas == (1,)
     assert inv.beta == 3
-    assert z.numerator().coeffs == (1, 0, 2)
+    assert z.P.coeffs == (1, 0, 2)
 
 
 def test_extract_q3_a3():
@@ -47,7 +48,7 @@ def test_extract_genus2():
     inv = extract_invariants(z)
     assert inv.alphas == (1, 3)
     assert inv.beta == 5
-    assert z.numerator() == Poly([1, 0, 0, 0, 4])
+    assert z.P == Poly([1, 0, 0, 0, 4])
 
 
 def test_normalized_level_has_alpha0_one():
@@ -60,7 +61,7 @@ def test_reconstruction_round_trip_small():
     for q, a in [(2, 0), (3, 3), (5, -4)]:
         z = artin_elliptic(q, a)
         inv = extract_invariants(z)
-        assert reconstruct_numerator(inv.alphas, inv.beta, z.Q, 1) == z.numerator()
+        assert reconstruct_numerator(inv.alphas, inv.beta, z.Q, 1) == z.P
 
 
 def test_reconstruction_exercises_all_coefficient_ranges():
@@ -70,7 +71,7 @@ def test_reconstruction_exercises_all_coefficient_ranges():
         z = artin_from_point_counts(q, 3, counts)
         inv = extract_invariants(z)
         P = reconstruct_numerator(inv.alphas, inv.beta, z.Q, 3)
-        assert P == z.numerator()
+        assert P == z.P
         assert P.degree == 6
         for i in range(7):
             assert P[6 - i] == z.Q ** (3 - i) * P[i]
@@ -116,26 +117,30 @@ def test_beta_closed_form_needs_depth():
 # -- counting miracle ---------------------------------------------------------------
 
 
+def _miracle(z, n):
+    return counting_miracle_check(z, derive_step(z, n), derive_step(z, n + 1))
+
+
 def test_miracle_elliptic_n1_n2():
     z = artin_elliptic(2, 0)
-    assert counting_miracle_check(z, 1).passed
-    assert counting_miracle_check(z, 2).passed
+    assert _miracle(z, 1).passed
+    assert _miracle(z, 2).passed
     # g = 1 kills the q-power prefactor: alpha0 at (2) equals beta at (1)
-    assert derive_step(z, 2).numerator()[0] == 3
+    assert derive_step(z, 2).P[0] == 3
 
 
 def test_miracle_at_depth():
     z2 = derive_step(artin_elliptic(2, 0), 2)
-    assert counting_miracle_check(z2, 1).passed
-    assert counting_miracle_check(z2, 2).passed
+    assert _miracle(z2, 1).passed
+    assert _miracle(z2, 2).passed
 
 
 def test_miracle_genus2_prefactor():
     zg = artin_from_point_counts(2, 2, [3, 5])
-    assert counting_miracle_check(zg, 1).passed
-    assert counting_miracle_check(zg, 2).passed
+    assert _miracle(zg, 1).passed
+    assert _miracle(zg, 2).passed
     # n = 1, g = 2: alpha0 at (2) picks up q^(g-1) = 2 on alpha0 * beta = 5
-    assert derive_step(zg, 2).numerator()[0] == 10
+    assert derive_step(zg, 2).P[0] == 10
 
 
 # -- interlacing polynomial -----------------------------------------------------------
@@ -202,10 +207,16 @@ def test_invariant_report_schema():
 
 def test_miracle_accepts_the_derived_level():
     z = artin_elliptic(3, -1)
-    derived = derive_step(z, 3)
-    assert counting_miracle_check(z, 3, derived) == counting_miracle_check(z, 3)
+    derived, following = derive_step(z, 3), derive_step(z, 4)
+    assert counting_miracle_check(z, derived, following).passed
+    # the check compares the levels it is given and derives nothing itself
+    planted = counting_miracle_check(z, derived, replace(following, P=following.P * 2))
+    assert not planted.passed and "expected" in planted.detail
+    for derived_by, following_by in ((2, 4), (3, 5), (3, 3)):
+        with pytest.raises(ValueError, match="derived by"):
+            counting_miracle_check(z, derive_step(z, derived_by), derive_step(z, following_by))
     with pytest.raises(ValueError, match="derived by"):
-        counting_miracle_check(z, 2, derived)
+        counting_miracle_check(z, z, following)
 
 
 def test_reconstruction_check_survives_python_O():

@@ -69,7 +69,7 @@ def test_series_routes_agree_to_order_12():
     cases.append(artin_from_point_counts(2, 2, [3, 5]))
     cases.append(normalize_level(derive_step(artin_elliptic(2, 1), 2)))
     for z in cases:
-        zn = normalize_level(z) if z.numerator()[0] != 1 else z
+        zn = normalize_level(z) if z.P[0] != 1 else z
         exp_route = residue_series_exp(power_sums(zn, 12), 12)
         rec_route = residue_series_recursion(zn, 12)
         assert exp_route.b == rec_route.b

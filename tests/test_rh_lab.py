@@ -2,13 +2,25 @@
 
 import hashlib
 from fractions import Fraction
+from functools import reduce
 
 import mpmath as mp
 import pytest
 
+import zetatower.derived_engine as engine
+import zetatower.invariants as invariants
+import zetatower.mult_struct as mult_struct
 from zetatower import rh_lab
-from zetatower.curves import CurveSpec, ZetaLevel, artin_elliptic, artin_from_point_counts, catalog_curve, hasse_traces
-from zetatower.derived_engine import derive_step
+from zetatower.curves import (
+    CurveSpec,
+    ZetaLevel,
+    artin_elliptic,
+    artin_from_point_counts,
+    artin_zeta,
+    catalog_curve,
+    hasse_traces,
+)
+from zetatower.derived_engine import DerivationError, derive_step
 from zetatower.exact_arith import Poly
 from zetatower.rh_lab import (
     MIN_PRECISION_BITS,
@@ -20,6 +32,7 @@ from zetatower.rh_lab import (
     rh_verdict_for_level,
     root_pairing_defect,
     run_cell,
+    run_curve,
     sweep,
 )
 
@@ -61,7 +74,7 @@ def test_numeric_matches_exact_on_subgrid():
         for a in hasse_traces(q):
             z = artin_elliptic(q, a)
             exact = rh_exact_genus1(z)
-            numeric = rh_numeric(z.numerator(), z.Q)
+            numeric = rh_numeric(z.P, z.Q)
             assert numeric.holds == exact.holds is True
             assert mp.mpf(numeric.max_deviation) < mp.mpf("1e-30")
 
@@ -84,7 +97,7 @@ def test_numeric_planted_off_circle_fails():
 
 def test_numeric_boundary_double_root():
     z = artin_elliptic(4, -4)
-    v = rh_numeric(z.numerator(), z.Q)
+    v = rh_numeric(z.P, z.Q)
     assert v.holds and mp.mpf(v.max_deviation) < mp.mpf("1e-30")
 
 
@@ -230,6 +243,12 @@ def test_sweep_report_bytes_are_unchanged():
         assert hashlib.sha256(report).hexdigest() == REPORT_DIGESTS[name], name
 
 
+def _levels_of(spec):
+    """Each level derived afresh from the base, for run_cell without run_curve's tower."""
+    base = artin_zeta(spec)
+    return lambda steps: reduce(derive_step, steps, base)
+
+
 def test_run_cell_extracts_invariants_once_per_level(monkeypatch):
     calls = {"extract_invariants": 0, "special_values": 0}
     for name in calls:
@@ -241,7 +260,7 @@ def test_run_cell_extracts_invariants_once_per_level(monkeypatch):
 
         monkeypatch.setattr(rh_lab, name, counting)
     spec = CurveSpec(label="e", q=3, genus=1, trace=1)
-    cell = run_cell(spec, (2, 3), SweepConfig(curves=(spec,), tuples=((2, 3),)))
+    cell = run_cell(spec, (2, 3), SweepConfig(curves=(spec,), tuples=((2, 3),)), _levels_of(spec))
     assert set(cell["checks"].values()) == {"pass"}
     # three levels, shared by positivity and interlacing (the RH verdict and
     # ratio_bounds read the trace off the level); one set of special values per step
@@ -255,14 +274,17 @@ def test_sweep_parallel_matches_serial():
 
 def test_sweep_records_cell_errors():
     bad = CurveSpec(label="boundary", q=4, genus=1, trace=4)
-    # tuples beyond the cap abort up front instead of running
+    # tuples beyond the cap, empty ones and entries below 1 abort up front instead of running
     with pytest.raises(ValueError, match="cap"):
         sweep(SweepConfig(curves=(bad,), tuples=((65,),)))
+    for steps in ((), (2, 0), (-1,)):
+        with pytest.raises(ValueError, match="positive"):
+            sweep(SweepConfig(curves=(bad,), tuples=((2,), steps)))
 
 
 def test_run_cell_genus2():
     spec = CurveSpec(label="X2g2", q=2, genus=2, point_counts=(3, 5))
-    cell = run_cell(spec, (2,), SweepConfig(curves=(spec,), tuples=((2,),)))
+    cell = run_cell(spec, (2,), SweepConfig(curves=(spec,), tuples=((2,),)), _levels_of(spec))
     assert "error" not in cell
     assert cell["checks"]["positivity"] == "pass"
     assert cell["checks"]["rh"] == "pass"
@@ -291,20 +313,50 @@ def test_valid_explicit_tolerance_accepted():
     assert rh_numeric(Poly([1, 0, 2]), 2, tolerance="1e-20").holds is True
 
 
-def test_miracle_reuses_the_tower_levels(monkeypatch):
-    import zetatower.derived_engine as engine
-    import zetatower.invariants as invariants
+GRID_TUPLES = ((1,), (2,), (3,), (4,), (2, 2), (2, 3), (3, 2), (2, 2, 2))
 
+
+def _count_derivations(monkeypatch, fail_at=None):
+    """Record the steps of every derive_step call in the package; raise DerivationError at ``fail_at``."""
     calls = []
     real = engine.derive_step
 
     def counting(z, n):
-        calls.append(n)
+        calls.append(z.steps + (n,))
+        if calls[-1] == fail_at:
+            raise DerivationError(f"planted at {fail_at}")
         return real(z, n)
 
-    monkeypatch.setattr(engine, "derive_step", counting)
-    monkeypatch.setattr(invariants, "derive_step", counting)
+    for module in (engine, invariants, mult_struct, rh_lab):
+        monkeypatch.setattr(module, "derive_step", counting, raising=False)
+    return calls
+
+
+def test_run_curve_derives_each_level_once(monkeypatch):
+    calls = _count_derivations(monkeypatch)
     spec = CurveSpec(label="e", q=3, genus=1, trace=1)
-    cell = run_cell(spec, (2, 3), SweepConfig(curves=(spec,), tuples=((2, 3),), checks=("miracle",)))
-    assert cell["checks"] == {"miracle": "pass"}
-    assert calls == [2, 3, 3, 4]  # the tower, then only the n+1 steps
+    cells = run_curve(spec, SweepConfig(curves=(spec,), tuples=GRID_TUPLES))
+    assert [tuple(c["tuple"]) for c in cells] == list(GRID_TUPLES)
+    for cell in cells:
+        assert "error" not in cell
+        assert set(cell["checks"].values()) <= {"pass", "skipped"}
+    # the 8 tower paths and the 13 miracle levels n+1 name 12 distinct levels;
+    # deriving every cell's prefix and miracle levels afresh made 26 calls
+    assert len(calls) == 12
+    assert set(calls) == {
+        (1,), (2,), (3,), (4,), (5,), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (2, 2, 2), (2, 2, 3)
+    }
+
+
+def test_run_curve_shares_a_failed_derivation(monkeypatch):
+    calls = _count_derivations(monkeypatch, fail_at=(2, 2))
+    spec = CurveSpec(label="e", q=3, genus=1, trace=1)
+    cells = run_curve(spec, SweepConfig(curves=(spec,), tuples=GRID_TUPLES))
+    errors = {tuple(c["tuple"]): c.get("error") for c in cells}
+    # the failure is not stored: each cell through (2, 2) tries it and records the same error
+    assert errors.pop((2, 2)) == errors.pop((2, 2, 2)) == "DerivationError: planted at (2, 2)"
+    assert calls.count((2, 2)) == 2
+    assert set(errors.values()) == {None}
+    for cell in cells:
+        if "error" not in cell:
+            assert set(cell["checks"].values()) <= {"pass", "skipped"}

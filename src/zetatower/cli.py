@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -32,6 +33,7 @@ from zetatower.invariants import invariant_report
 from zetatower.rh_lab import (
     ALL_CHECKS,
     DEFAULT_PRECISION_BITS,
+    DEFAULT_PRODUCT_CAP,
     SweepConfig,
     builtin_elliptic_grid,
     check_numeric_settings,
@@ -42,7 +44,6 @@ from zetatower.rh_lab import (
 
 ENV_PRECISION = "ZETATOWER_PRECISION_BITS"
 ENV_PRODUCT_CAP = "ZETATOWER_PRODUCT_CAP"
-DEFAULT_PRODUCT_CAP = 64
 
 
 class UsageError(ValueError):
@@ -99,11 +100,8 @@ def parse_tuple_arg(text: str, cap: int, allow_large: bool) -> tuple:
         raise UsageError(f"malformed tuple {text!r}; expected comma-separated integers") from None
     if not steps or any(n < 1 for n in steps):
         raise UsageError("tuple entries must be positive integers")
-    prod = 1
-    for n in steps:
-        prod *= n
-    if prod > cap and not allow_large:
-        raise UsageError(f"step product {prod} exceeds cap {cap}; pass --allow-large to override")
+    if (product := math.prod(steps)) > cap and not allow_large:
+        raise UsageError(f"step product {product} exceeds cap {cap}; pass --allow-large to override")
     return steps
 
 

@@ -25,7 +25,6 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -35,15 +34,18 @@ BRUTE_FORCE_FIELD_CAP = 2**20
 
 
 # Miller-Rabin with the primes up to 41 as bases accepts no composite below
-# this bound (Sorenson and Webster, 2015); above it only trial division is exact.
+# this bound (Sorenson and Webster, 2015); above it no test here is both exact and fast.
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MILLER_RABIN_BOUND = 3317044064679887385961981
 
 
 def _is_prime(p: int) -> bool:
-    """Exact primality: deterministic Miller-Rabin below MILLER_RABIN_BOUND, trial division above."""
+    """Exact primality by deterministic Miller-Rabin; ValueError from MILLER_RABIN_BOUND on."""
     if p >= MILLER_RABIN_BOUND:
-        return all(p % f for f in range(2, isqrt(p) + 1))
+        raise ValueError(
+            f"cannot decide whether a {p.bit_length()}-bit number is prime: "
+            f"primality is exact only below MILLER_RABIN_BOUND = {MILLER_RABIN_BOUND}"
+        )
     if p < 2:
         return False
     if p in MILLER_RABIN_BASES:
@@ -69,7 +71,8 @@ def prime_power_split(q: int) -> tuple:
 
     d is the largest exponent for which q has an exact integer d-th root p,
     found by Newton's method on integers, and p must be prime (``_is_prime``),
-    so a prime q of 61 bits splits in milliseconds.
+    so a prime q of 61 bits splits in milliseconds.  A p at or above
+    MILLER_RABIN_BOUND raises ValueError at once, since its primality is not decided.
     """
     if q < 2:
         raise ValueError(f"q must be a prime power >= 2, got {q}")
@@ -351,6 +354,10 @@ class ZetaLevel:
         """Res_{T=1} Z = P(1)/(Q-1), which is beta."""
         return self.P(1) / (self.Q - 1)
 
+    def residue_inv_q(self) -> Fraction:
+        """Res_{T=1/Q} Z = -P(1/Q) Q^(g-1)/(Q-1)."""
+        return -self.P(1 / self.Q) * self.Q ** (self.genus - 1) / (self.Q - 1)
+
     def value(self, t: Fraction) -> Fraction:
         """Z(t) at a point t that is not a pole: not 1 or 1/Q, and not 0 when g > 1."""
         return self.P(t) / ((1 - t) * (1 - self.Q * t) * t ** (self.genus - 1))
@@ -391,7 +398,7 @@ def validate_zeta_level(z: ZetaLevel) -> list:
         results.append(CheckResult("residue_antisymmetry", False, detail))
     else:
         res1 = z.residue()
-        res_q = -P(1 / Q) * Q ** (g - 1) / (Q - 1)
+        res_q = z.residue_inv_q()
         ok = res1 == -Q * res_q
         detail = "" if ok else f"Res(1)={rat_str(res1)}, Res(1/Q)={rat_str(res_q)}"
         results.append(CheckResult("residue_antisymmetry", ok, detail))

@@ -26,10 +26,19 @@ of m with last part p, by the recurrence
 in O(n^3) scalar operations.  Reversing a composition keeps its weight, so
 the same table gives the first-part sums L_a needs.
 
+The step sum is only ever evaluated at powers of Q.  At T = Q^e the
+boundary factors become 1/(1 - Q^(p+s)), so both side sums are values of
+
+    F(m, s) = sum over p = 1..m of  E[m][p] / (1 - Q^(p+s)),    F(0, s) = 1,
+
+namely R_a(Q^e) = F(n-a, a-n-e) and L_a(Q^e) = F(a-1, n-a+1+e), and the
+middle factor is Z(Q^(n-a+e)).  ``derive_step`` computes each F and middle
+value once and reads it for the certificate and for the nodes alike.
+
 The new numerator P_n = Z_n(T) (1-T)(1-Q^n T) T^(g-1) has degree at most 2g.
-It is evaluated exactly at the 2g+1 points T = -1, ..., -(2g+1), where no
-factor has a pole (all poles sit at 0 or at powers of Q), and recovered by
-Lagrange interpolation.
+It is evaluated exactly at the 2g+1 nodes T = Q^j, j = 1..2g+1, and recovered
+by Lagrange interpolation.  Every pole of an a-term sits at T = 0 or at Q^e
+with -n <= e <= 0, so no factor has a pole at a node.
 
 Interpolation alone would fit a polynomial through any values, so before it
 the step certifies that the poles at the interior points T = Q^e,
@@ -37,19 +46,21 @@ e = 1-n..-1, really cancel.  Within one a-term every pole is simple and the
 poles are distinct: R_a has them at e = a-n+1..0, Z(Q^(n-a) T) at a-n and
 a-n-1, L_a at -n..a-n-2.  So each a-term has exactly one simple pole at each
 interior point, and cancellation means that the n scalar residues there sum
-to exactly zero.  The residues of Z come from the previous numerator P, the
-composition sums from the special values, so a wrong table entry or special
-value makes some sum nonzero and raises DerivationError.  The poles at T = 1
-and T = Q^-n are cleared by the denominator, the one at 0 has order at most
-g-1, and every term grows at most like T^(g-1), so a certified sum times that
-denominator is a polynomial of degree at most 2g and the interpolation is
-exact.  The level is then validated like any other.
+to exactly zero.  The residues of Z at 1 and 1/Q come from the previous
+numerator P, the composition sums from the special values, so a wrong table
+entry, special value, residue or value of Z makes some sum nonzero and raises
+DerivationError.  The poles at T = 1 and T = Q^-n are cleared by the
+denominator, the one at 0 has order at most g-1, and every term grows at most
+like T^(g-1), so a certified sum times that denominator is a polynomial of
+degree at most 2g and the interpolation is exact.  The level is then
+validated like any other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from math import comb
 from typing import Iterator, Sequence, Union
 
@@ -151,84 +162,62 @@ def composition_sums(sv: SpecialValues, m_max: int, positive: bool = False) -> t
     return tuple(table)
 
 
-class _StepSum:
-    """Scalar evaluation of the step sum's factors for index n over one level.
-
-    The a-th term is right(a, T) * mid(a, T) * left(a, T); see the module
-    docstring.  The previous zeta and its residues at 1 and 1/Q come from
-    the previous level, the composition sums from the special values.
-    """
-
-    def __init__(self, z: ZetaLevel, n: int):
-        self.n, self.z = n, z
-        Q = z.Q
-        self.table = composition_sums(special_values(z, n - 1), n - 1) if n > 1 else ()
-        self.res_one = z.residue()
-        self.res_inv_q = -z.P(1 / Q) * Q ** (z.genus - 1) / (Q - 1)
-        self.power = {e: Q**e for e in range(-n, n + 1)}
-
-    def right(self, a: int, t: Fraction) -> Fraction:
-        """Sum over compositions k of m = n-a of w(k) T / (T - Q^(k_last - m))."""
-        m = self.n - a
-        if m == 0:
-            return Fraction(1)
-        row = self.table[m]
-        return sum(row[p] * t / (t - self.power[p - m]) for p in range(1, m + 1))
-
-    def mid(self, a: int, t: Fraction) -> Fraction:
-        return self.z.value(self.power[self.n - a] * t)
-
-    def left(self, a: int, t: Fraction) -> Fraction:
-        """Sum over compositions l of m = a-1 of w(l) / (1 - Q^(n-m+l_first) T)."""
-        m = a - 1
-        if m == 0:
-            return Fraction(1)
-        row = self.table[m]
-        return sum(row[p] / (1 - self.power[self.n - m + p] * t) for p in range(1, m + 1))
-
-    def value(self, t: Fraction) -> Fraction:
-        """The sum over a at a point that is neither 0 nor a power of Q."""
-        return sum(self.right(a, t) * self.mid(a, t) * self.left(a, t) for a in range(1, self.n + 1))
-
-    def residue_sum(self, e: int) -> Fraction:
-        """Sum over a of the a-terms' residues at T = Q^e, for 1-n <= e <= -1.
-
-        Each a-term has exactly one simple pole there: in right() for
-        a <= n-1+e, in mid() at its pole u = 1 for a = n+e and u = 1/Q for
-        a = n+e+1, and in left() for a >= n+e+2.
-        """
-        n, c = self.n, self.power[e]
-        total = Fraction(0)
-        for a in range(1, n + 1):
-            if a <= n - 1 + e:
-                m = n - a
-                total += self.table[m][m + e] * c * self.mid(a, c) * self.left(a, c)
-            elif a <= n + e + 1:
-                res = self.res_one if a == n + e else self.res_inv_q
-                total += res * self.power[a - n] * self.right(a, c) * self.left(a, c)
-            else:
-                m = a - 1
-                total -= self.table[m][m - n - e] * c * self.right(a, c) * self.mid(a, c)
-        return total
-
-
 def derive_step(z: ZetaLevel, n: int) -> ZetaLevel:
     """Produce the next tower level; exact, certified, validated, and pure."""
     if n < 1:
         raise ValueError("derivation index must be >= 1")
-    g = z.genus
+    Q, g = z.Q, z.genus
     steps = z.steps + (n,)
-    terms = _StepSum(z, n)
-    uncancelled = [e for e in range(1 - n, 0) if terms.residue_sum(e) != 0]
+    table = composition_sums(special_values(z, n - 1), n - 1) if n > 1 else ()
+
+    @cache
+    def pole(k: int) -> Fraction:
+        return 1 / (1 - Q**k)
+
+    @cache
+    def F(m: int, s: int) -> Fraction:
+        return sum(table[m][p] * pole(p + s) for p in range(1, m + 1)) if m else Fraction(1)
+
+    @cache
+    def mid(k: int) -> Fraction:
+        return z.value(Q**k)
+
+    def right(a: int, e: int) -> Fraction:  # R_a(Q^e)
+        return F(n - a, a - n - e)
+
+    def left(a: int, e: int) -> Fraction:  # L_a(Q^e)
+        return F(a - 1, n - a + 1 + e)
+
+    # Each a-term has exactly one simple pole at T = Q^e: in the right sum for
+    # a <= n-1+e, in Z(Q^(n-a) T) at u = 1 (residues[0]) for a = n+e and at
+    # u = 1/Q (residues[1]) for a = n+e+1, and in the left sum for a >= n+e+2.
+    residues = (z.residue(), z.residue_inv_q())
+    uncancelled = []
+    for e in range(1 - n, 0):
+        c, total = Q**e, Fraction(0)
+        for a in range(1, n + 1):
+            if a <= n - 1 + e:
+                total += table[n - a][n - a + e] * c * mid(n - a + e) * left(a, e)
+            elif a <= n + e + 1:
+                total += residues[a - n - e] * Q ** (a - n) * right(a, e) * left(a, e)
+            else:
+                total -= table[a - 1][a - 1 - n - e] * c * right(a, e) * mid(n - a + e)
+        if total:
+            uncancelled.append(e)
     if uncancelled:
         raise DerivationError(
             f"derivation inconsistency at steps {steps}: residues at T = Q^e "
             f"do not cancel for e in {uncancelled}"
         )
-    Q_new = z.Q**n
-    prefactor = z.Q ** (comb(n, 2) * (g - 1))
-    xs = [Fraction(-i) for i in range(1, 2 * g + 2)]
-    ys = [prefactor * terms.value(t) * (1 - t) * (1 - Q_new * t) * t ** (g - 1) for t in xs]
+    Q_new = Q**n
+    prefactor = Q ** (comb(n, 2) * (g - 1))
+    xs = [Q**j for j in range(1, 2 * g + 2)]
+    ys = [
+        prefactor
+        * sum(right(a, j) * mid(n - a + j) * left(a, j) for a in range(1, n + 1))
+        * (1 - t) * (1 - Q_new * t) * t ** (g - 1)
+        for j, t in enumerate(xs, 1)
+    ]
     level = ZetaLevel(steps=steps, Q=Q_new, genus=g, P=interpolate(xs, ys), label=z.label)
     failed = [c for c in validate_zeta_level(level) if not c.passed]
     if failed:

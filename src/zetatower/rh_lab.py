@@ -53,6 +53,7 @@ from zetatower.invariants import (
 from zetatower.mult_struct import elliptic_beta_recursion, ratio_bounds_check
 
 DEFAULT_PRECISION_BITS = 256
+DEFAULT_PRODUCT_CAP = 64  # largest step product a sweep or the CLI accepts by default
 MIN_PRECISION_BITS = 32
 UNKNOWN_BAND_FACTOR = 10
 # Durand-Kerner starts on |x| = 1 + 1/8 in x = sqrt(Q) T, just outside the conjectured locus
@@ -317,7 +318,7 @@ class SweepConfig:
     checks: tuple = ALL_CHECKS
     precision_bits: int = DEFAULT_PRECISION_BITS
     series_order: int = 12
-    product_cap: int = 64
+    product_cap: int = DEFAULT_PRODUCT_CAP
 
     def to_dict(self) -> dict:
         return {

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from math import prod
 from pathlib import Path
 
@@ -49,6 +50,14 @@ def test_derive_over_a_61_bit_prime(tmp_path):
     out = tmp_path / "big_q.json"
     assert run_cli(["derive", "--curve", "elliptic:q=2305843009213693951,a=0", "--tuple", "1", "--output", str(out)]) == 0
     assert json.loads(out.read_text())["levels"][1]["Q"] == "2305843009213693951"
+
+
+def test_derive_over_an_undecided_prime_is_usage_error(capsys):
+    # 2^89 - 1 is prime but lies above the bound of the exact Miller-Rabin test
+    start = time.perf_counter()
+    assert run_cli(["derive", "--curve", "elliptic:q=618970019642690137449562111,a=0", "--tuple", "1"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "MILLER_RABIN_BOUND" in capsys.readouterr().err
 
 
 def test_derive_byte_identical_outputs(tmp_path):

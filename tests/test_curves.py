@@ -68,7 +68,7 @@ def test_prime_power_split():
     assert prime_power_split(4) == (2, 2)
     assert prime_power_split(5) == (5, 1)
     # 561 is a Carmichael number; 3825123056546413051 is a strong pseudoprime to the bases 2..23;
-    # 3 (2^89 - 1) lies above the Miller-Rabin bound, where trial division finds the 3
+    # 3 (2^89 - 1) lies above the Miller-Rabin bound, where primality is not decided
     for q in (6, 12, 36, 2**3 * 3**3, (2**31 - 1) * 2, 561, 3825123056546413051, 3 * (2**89 - 1)):
         with pytest.raises(ValueError):
             prime_power_split(q)
@@ -87,6 +87,14 @@ def test_prime_power_split_of_a_large_prime_is_fast(q, split):
     # Miller-Rabin, not trial division up to sqrt(p): about 1.5e9 candidates for 2^61 - 1
     start = time.perf_counter()
     assert prime_power_split(q) == split
+    assert time.perf_counter() - start < 1.0
+
+
+def test_prime_power_split_refuses_a_prime_above_the_miller_rabin_bound():
+    # trial division up to sqrt(2^89 - 1) did not finish in minutes; the refusal is immediate
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="MILLER_RABIN_BOUND"):
+        prime_power_split(2**89 - 1)
     assert time.perf_counter() - start < 1.0
 
 

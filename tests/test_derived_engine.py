@@ -250,3 +250,46 @@ def test_level_with_residues_past_the_int_str_limit_validates():
     levels = derive_tower(artin_from_point_counts(2, 2, [3, 5]), (10, 10, 6))
     assert levels[-1].Q == 2**600
     assert all(r.passed for r in validate_zeta_level(levels[-1]))
+
+
+# The certificate also reads the previous level directly: its residues at 1 and
+# 1/Q and its values Z(Q^-k) at the interior points.  A wrong one must not cancel.
+
+_BASES = [artin_elliptic(3, 1), artin_from_point_counts(2, 2, [3, 5])]
+
+
+def _plant(monkeypatch, name, wrong):
+    real = getattr(ZetaLevel, name)
+    monkeypatch.setattr(ZetaLevel, name, lambda self, *t: wrong(self, real(self, *t), *t))
+
+
+@pytest.mark.parametrize("z", _BASES, ids=["E3a1", "X2g2"])
+@pytest.mark.parametrize("name", ["residue", "residue_inv_q"])
+def test_wrong_residue_of_the_previous_level_is_caught(monkeypatch, z, name):
+    _plant(monkeypatch, name, lambda self, res: res + Fraction(1, 3))
+    with pytest.raises(DerivationError, match="do not cancel"):
+        derive_step(z, 5)
+
+
+@pytest.mark.parametrize("z", _BASES, ids=["E3a1", "X2g2"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_wrong_interior_value_of_the_previous_level_is_caught(monkeypatch, z, k):
+    _plant(monkeypatch, "value", lambda self, v, t: v + Fraction(1, 3) if t == self.Q**-k else v)
+    with pytest.raises(DerivationError, match="do not cancel"):
+        derive_step(z, 5)
+
+
+@pytest.mark.parametrize("z", _BASES, ids=["E3a1", "X2g2"])
+def test_wrong_value_at_a_node_is_caught_by_validation(monkeypatch, z):
+    # the certificate is over by the time the nodes T = Q^j are interpolated
+    real = derived_engine.interpolate
+    for j in range(1, 2 * z.genus + 2):
+        with monkeypatch.context() as mp:
+
+            def wrong(xs, ys, j=j):
+                return real(xs, [y + Fraction(1, 3) if i == j else y for i, y in enumerate(ys, 1)])
+
+            mp.setattr(derived_engine, "interpolate", wrong)
+            with pytest.raises(DerivationError, match="functional_equation") as caught:
+                derive_step(z, 5)
+            assert "do not cancel" not in str(caught.value)

@@ -23,7 +23,7 @@ of m with last part p, by the recurrence
 
     E[m][m] = v_m,    E[m][p] = v_p * sum_r E[m-p][r] / (1 - Q^(r+p)),
 
-in O(n^3) scalar operations.  Reversing a composition keeps its weight, so
+in O(n^3) operations.  Reversing a composition keeps its weight, so
 the same table gives the first-part sums L_a needs.
 
 The step sum is only ever evaluated at powers of Q.  At T = Q^e the
@@ -35,9 +35,14 @@ namely R_a(Q^e) = F(n-a, a-n-e) and L_a(Q^e) = F(a-1, n-a+1+e), and the
 middle factor is Z(Q^(n-a+e)).  ``derive_step`` computes each F and middle
 value once and reads it for the certificate and for the nodes alike.
 
+All of it runs on Python ints.  Q must be an integer (else ValueError, never
+a truncation), and each sum (a table entry, an F, a node value) puts its
+terms over the lcm of their denominators, adds ints and is reduced once; a
+residue sum is tested for zero unreduced.
+
 The new numerator P_n = Z_n(T) (1-T)(1-Q^n T) T^(g-1) has degree at most 2g.
 It is evaluated exactly at the 2g+1 nodes T = Q^j, j = 1..2g+1, and recovered
-by Lagrange interpolation.  Every pole of an a-term sits at T = 0 or at Q^e
+by interpolation.  Every pole of an a-term sits at T = 0 or at Q^e
 with -n <= e <= 0, so no factor has a pole at a node.
 
 Interpolation alone would fit a polynomial through any values, so before it
@@ -61,11 +66,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
-from math import comb
+from math import comb, prod
 from typing import Iterator, Sequence, Union
 
 from zetatower.curves import CurveSpec, ZetaLevel, artin_zeta, validate_zeta_level
-from zetatower.exact_arith import BigRat, interpolate
+from zetatower.exact_arith import BigRat, as_integer, interpolate, over_lcm
 
 
 class DerivationError(RuntimeError):
@@ -126,39 +131,32 @@ def special_values(z: ZetaLevel, n_max: int) -> SpecialValues:
     return SpecialValues(Q=z.Q, values=tuple(values), vhats=tuple(vhats))
 
 
-def composition_weight(comp: Sequence[int], sv: SpecialValues) -> Fraction:
-    """prod v_{k_i} / prod_j (1 - Q^(k_j + k_{j+1})) for one composition."""
-    w = Fraction(1)
-    for part in comp:
-        w *= sv.vhat(part)
-    for left, right in zip(comp, comp[1:]):
-        w /= 1 - sv.Q ** (left + right)
-    return w
-
-
 def composition_sums(sv: SpecialValues, m_max: int, positive: bool = False) -> tuple:
     """E[m][p]: the sum of composition weights over the compositions of m with last part p.
 
     Built by the recurrence E[m][m] = vhat(m),
-    E[m][p] = vhat(p) * sum_r E[m-p][r] / (1 - Q^(r+p)) in O(m_max^3) scalar
-    operations.  Rows run m = 0..m_max and are indexed by p, so E[m][0] = 0
-    and E[0] = (0,) holds no composition.  Reversal keeps the weight, so
-    E[m][p] is also the sum over the compositions of m with first part p.
-    With positive=True every pair denominator is Q^(r+p) - 1 instead, the
-    interlacing convention.
+    E[m][p] = vhat(p) * sum_r E[m-p][r] / (1 - Q^(r+p)) in O(m_max^3) integer
+    operations, with each row and each inner sum over one lcm.  Rows run
+    m = 0..m_max and are indexed by p, so E[m][0] = 0 and E[0] = (0,) holds no
+    composition.  Reversal keeps the weight, so E[m][p] is also the sum over
+    the compositions of m with first part p.  With positive=True every pair
+    denominator is Q^(r+p) - 1 instead, the interlacing convention.
     """
     if sv.depth < m_max:
         raise ValueError(f"special values of depth {sv.depth} < {m_max}")
-    sign = -1 if positive else 1
-    inv_pair = [None, None] + [1 / (sign * (1 - sv.Q**s)) for s in range(2, m_max + 1)]
-    table = [(Fraction(0),)]
+    Q = as_integer(sv.Q, "Q")
+    sign = 1 if positive else -1  # 1 / (1 - Q^s) = -1 / (Q^s - 1)
+    pair = [None] + [Q**s - 1 for s in range(1, m_max + 1)]
+    table, rows = [(Fraction(0),)], [([0], 1)]  # rows[m]: table[m] over the lcm of its denominators
     for m in range(1, m_max + 1):
         row = [Fraction(0)] * (m + 1)
         for p in range(1, m):
-            prev = table[m - p]
-            row[p] = sv.vhat(p) * sum(prev[r] * inv_pair[r + p] for r in range(1, m - p + 1))
+            nums, D = rows[m - p]
+            scaled, L = over_lcm((x, pair[r + p]) for r, x in enumerate(nums[1:], 1))
+            row[p] = Fraction(sign * sv.vhat(p).numerator * sum(scaled), sv.vhat(p).denominator * D * L)
         row[m] = sv.vhat(m)
         table.append(tuple(row))
+        rows.append(over_lcm((x.numerator, x.denominator) for x in row))
     return tuple(table)
 
 
@@ -166,21 +164,28 @@ def derive_step(z: ZetaLevel, n: int) -> ZetaLevel:
     """Produce the next tower level; exact, certified, validated, and pure."""
     if n < 1:
         raise ValueError("derivation index must be >= 1")
-    Q, g = z.Q, z.genus
+    Q, g = as_integer(z.Q, "Q"), z.genus
     steps = z.steps + (n,)
-    table = composition_sums(special_values(z, n - 1), n - 1) if n > 1 else ()
+    table = composition_sums(special_values(z, n - 1), n - 1) if n > 1 else ((Fraction(0),),)
+    rows = [over_lcm((x.numerator, x.denominator) for x in row) for row in table]  # each row over its lcm
+
+    def lcm_sum(products) -> tuple:  # (N, L) with N / L the sum of the products
+        scaled, L = over_lcm((prod(f.numerator for f in fs), prod(f.denominator for f in fs)) for fs in products)
+        return sum(scaled), L
 
     @cache
     def pole(k: int) -> Fraction:
-        return 1 / (1 - Q**k)
+        return 1 / (1 - z.Q**k)
 
     @cache
-    def F(m: int, s: int) -> Fraction:
-        return sum(table[m][p] * pole(p + s) for p in range(1, m + 1)) if m else Fraction(1)
+    def F(m: int, s: int) -> Fraction:  # row m over its lcm D, the poles over theirs
+        nums, D = rows[m]
+        scaled, L = over_lcm((nums[p] * pole(p + s).numerator, pole(p + s).denominator) for p in range(1, m + 1))
+        return Fraction(sum(scaled), D * L) if m else Fraction(1)
 
     @cache
     def mid(k: int) -> Fraction:
-        return z.value(Q**k)
+        return z.value(z.Q**k)
 
     def right(a: int, e: int) -> Fraction:  # R_a(Q^e)
         return F(n - a, a - n - e)
@@ -191,34 +196,30 @@ def derive_step(z: ZetaLevel, n: int) -> ZetaLevel:
     # Each a-term has exactly one simple pole at T = Q^e: in the right sum for
     # a <= n-1+e, in Z(Q^(n-a) T) at u = 1 (residues[0]) for a = n+e and at
     # u = 1/Q (residues[1]) for a = n+e+1, and in the left sum for a >= n+e+2.
-    residues = (z.residue(), z.residue_inv_q())
+    # The sum is scaled by Q^-e, which drops Q^e from the side sums and leaves Q on Res(1/Q).
+    residues = (z.residue(), z.residue_inv_q() * Q)
     uncancelled = []
     for e in range(1 - n, 0):
-        c, total = Q**e, Fraction(0)
+        terms = []
         for a in range(1, n + 1):
             if a <= n - 1 + e:
-                total += table[n - a][n - a + e] * c * mid(n - a + e) * left(a, e)
+                terms.append((table[n - a][n - a + e], mid(n - a + e), left(a, e)))
             elif a <= n + e + 1:
-                total += residues[a - n - e] * Q ** (a - n) * right(a, e) * left(a, e)
+                terms.append((residues[a - n - e], right(a, e), left(a, e)))
             else:
-                total -= table[a - 1][a - 1 - n - e] * c * right(a, e) * mid(n - a + e)
-        if total:
+                terms.append((-table[a - 1][a - 1 - n - e], right(a, e), mid(n - a + e)))
+        if lcm_sum(terms)[0]:
             uncancelled.append(e)
     if uncancelled:
         raise DerivationError(
             f"derivation inconsistency at steps {steps}: residues at T = Q^e "
             f"do not cancel for e in {uncancelled}"
         )
-    Q_new = Q**n
     prefactor = Q ** (comb(n, 2) * (g - 1))
     xs = [Q**j for j in range(1, 2 * g + 2)]
-    ys = [
-        prefactor
-        * sum(right(a, j) * mid(n - a + j) * left(a, j) for a in range(1, n + 1))
-        * (1 - t) * (1 - Q_new * t) * t ** (g - 1)
-        for j, t in enumerate(xs, 1)
-    ]
-    level = ZetaLevel(steps=steps, Q=Q_new, genus=g, P=interpolate(xs, ys), label=z.label)
+    sums = [lcm_sum((right(a, j), mid(n - a + j), left(a, j)) for a in range(1, n + 1)) for j in range(1, 2 * g + 2)]
+    ys = [Fraction(prefactor * (1 - t) * (1 - Q**n * t) * t ** (g - 1) * N, L) for t, (N, L) in zip(xs, sums)]
+    level = ZetaLevel(steps=steps, Q=z.Q**n, genus=g, P=interpolate(xs, ys), label=z.label)
     failed = [c for c in validate_zeta_level(level) if not c.passed]
     if failed:
         raise DerivationError(

@@ -1,10 +1,12 @@
 """Exact arithmetic substrate: big rationals, dense polynomials, truncated series.
 
-Every scalar is a ``fractions.Fraction`` (aliased ``BigRat``); nothing in this
-module ever touches a float.  A polynomial is a dense tuple of coefficients,
-index ``i`` holding the coefficient of ``T**i``, with no trailing zeros (the
-zero polynomial is the empty tuple), so structural equality is mathematical
-equality.  A truncated power series is a plain coefficient list.
+Every scalar a caller sees is a ``fractions.Fraction`` (aliased ``BigRat``).
+Inside, evaluation and interpolation run on Python ints over the lcm of their
+denominators (``over_lcm``), reduced once per output; nothing touches a float.
+A polynomial is a dense tuple of coefficients, index ``i`` holding the
+coefficient of ``T**i``, with no trailing zeros (the zero polynomial is the
+empty tuple), so structural equality is mathematical equality.  A truncated
+power series is a plain coefficient list.
 
 All values are immutable after construction and all operations are pure, so
 everything here is safe to share freely across threads.
@@ -13,6 +15,7 @@ everything here is safe to share freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 from typing import Iterable, Sequence, Union
 
 BigRat = Fraction
@@ -29,6 +32,20 @@ def as_rat(x: Scalar) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def as_integer(x: Scalar, name: str) -> int:
+    """x as an int; ValueError unless it is integral, so nothing is ever truncated."""
+    if as_rat(x).denominator != 1:
+        raise ValueError(f"{name} must be an integer, got {x}")
+    return as_rat(x).numerator
+
+
+def over_lcm(pairs: Iterable[tuple]) -> tuple:
+    """(scaled, L): the i-th pair (n, d) of ints is scaled[i]/L, L the lcm of the ds, so sum(scaled)/L is the sum."""
+    pairs = list(pairs)
+    L = lcm(*(d for _, d in pairs))
+    return [n * (L // d) for n, d in pairs], L
 
 
 def rat_str(x: Fraction) -> str:
@@ -174,11 +191,13 @@ class Poly:
     # -- analysis ------------------------------------------------------------
 
     def __call__(self, t: Scalar) -> Fraction:
+        """P(u/w) = sum A_i u^i w^(d-i) / w^d, in integer Horner steps over the lcm of the A_i."""
         t = as_rat(t)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        scaled, L = over_lcm((c.numerator, c.denominator) for c in self.coeffs)
+        acc, wk = 0, 1
+        for c in reversed(scaled):
+            acc, wk = acc * t.numerator + c * wk, wk * t.denominator
+        return Fraction(acc, L * wk // t.denominator) if scaled else Fraction(0)
 
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -203,19 +222,28 @@ ONE = Poly([1])
 
 
 def interpolate(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> Poly:
-    """The unique polynomial of degree < len(xs) through the points (xs[i], ys[i])."""
-    xs = [as_rat(x) for x in xs]
+    """The unique polynomial of degree < len(xs) through the points (xs[i], ys[i]).
+
+    Integer nodes u_i = B x_i, B the lcm of the denominators; with M = prod (U - u_i) the
+    weights y_i / M'(u_i) go over one lcm, each M / (U - u_i) is a synthetic division,
+    and each coefficient of U^k, times B^k, is reduced once into that of T^k.
+    """
+    xs, ys = [as_rat(x) for x in xs], [as_rat(y) for y in ys]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
-    out = ZERO
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        basis, scale = ONE, as_rat(yi)
-        for j, xj in enumerate(xs):
-            if j != i:
-                basis = basis * Poly([-xj, 1])
-                scale /= xi - xj
-        out = out + basis * scale
-    return out
+    B = lcm(*(x.denominator for x in xs))
+    us = [x.numerator * (B // x.denominator) for x in xs]
+    master = [1]  # prod (U - u_i), lowest coefficient first
+    for u in us:
+        master = [a - u * b for a, b in zip([0] + master, master + [0])]
+    weights, L = over_lcm((y.numerator, y.denominator * prod(u - v for v in us if v != u)) for u, y in zip(us, ys))
+    coeffs = [0] * len(us)
+    for u, w in zip(us, weights):  # w * M / (U - u) by synthetic division
+        acc = 0
+        for k in range(len(us), 0, -1):
+            acc = acc * u + master[k]
+            coeffs[k - 1] += w * acc
+    return Poly(Fraction(c * B**k, L) for k, c in enumerate(coeffs))
 
 
 def is_self_inversive(P: Poly, Q: Scalar, g: int) -> bool:

@@ -21,11 +21,13 @@ The interlacing polynomial built here clears the composition sum
     sum over (k) of n:  [prod v_{k_i} / prod_j (Q^(k_j+k_{j+1}) - 1)] / (Q^(k_last) T - 1)
 
 against prod_{l=1..n} (Q^l T - 1).  Grouped by last part p, with W_p the
-positive-denominator table entry, it is sum_p W_p * prod_{l != p} (Q^l T - 1),
-built in O(n^3) scalar operations.  All composition weights are positive, so
-at T = Q^-kappa only the compositions ending in kappa survive and the sign is
-forced to (-1)^(kappa+1): the sign vector alternates and pins one real root in
-each interval (Q^-(kappa+1), Q^-kappa), kappa = 1..n-1.
+positive-denominator table entry, it is sum_p W_p * prod_{l != p} (Q^l T - 1):
+each cofactor is an exact integer division of the clearing product by
+(Q^p T - 1), the W_p go over their lcm, and each coefficient is reduced once.
+All composition weights are positive, so at T = Q^-kappa only the
+compositions ending in kappa survive and the sign is forced to (-1)^(kappa+1):
+the sign vector alternates and pins one real root in each interval
+(Q^-(kappa+1), Q^-kappa), kappa = 1..n-1.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from math import comb
 
 from zetatower.curves import CheckResult, ZetaLevel
 from zetatower.derived_engine import SpecialValues, composition_sums
-from zetatower.exact_arith import ONE, ZERO, BigRat, Poly, is_self_inversive, rat_str
+from zetatower.exact_arith import BigRat, Poly, as_integer, is_self_inversive, over_lcm, rat_str
 
 
 class ReconstructionError(RuntimeError):
@@ -139,13 +141,19 @@ class InterlacingPoly:
 
 def interlacing_poly(sv: SpecialValues, n: int) -> InterlacingPoly:
     """Build the cleared composition polynomial of degree n-1."""
+    Q = as_integer(sv.Q, "Q")
     weights = composition_sums(sv, n, positive=True)[n][1:]
-    clearing = ONE
+    clearing = [1]  # prod_{l=1..n} (Q^l T - 1), lowest coefficient first
     for ell in range(1, n + 1):
-        clearing = clearing * Poly([-1, sv.Q**ell])
-    poly = ZERO
-    for p, w in enumerate(weights, start=1):
-        poly = poly + (clearing // Poly([-1, sv.Q**p])) * w
+        clearing = [Q**ell * a - b for a, b in zip([0] + clearing, clearing + [0])]
+    scaled, L = over_lcm((w.numerator, w.denominator) for w in weights)
+    coeffs = [0] * n
+    for p, w in enumerate(scaled, start=1):  # w * clearing / (Q^p T - 1), from the constant term up
+        quotient = 0
+        for k in range(n):
+            quotient = Q**p * quotient - clearing[k]
+            coeffs[k] += w * quotient
+    poly = Poly(Fraction(c, L) for c in coeffs)
     return InterlacingPoly(n=n, Q_prev=sv.Q, weights=weights, poly=poly)
 
 

@@ -209,7 +209,8 @@ def check_numeric_settings(precision_bits: int, tolerance=None) -> None:
     """Reject a precision or tolerance under which a root off the circle could pass.
 
     With precision_bits = 0 the default tolerance would be 10^0 = 1, and a
-    root at deviation 0.41 from the circle would pass.
+    root at deviation 0.41 from the circle would pass.  Below the convergence
+    target 2^-(precision_bits+16) the rounding floor would fail a root on it.
     """
     if precision_bits < MIN_PRECISION_BITS:
         raise ValueError(f"precision must be at least {MIN_PRECISION_BITS} bits, got {precision_bits}")
@@ -221,6 +222,8 @@ def check_numeric_settings(precision_bits: int, tolerance=None) -> None:
         raise ValueError(f"tolerance {tolerance!r} is not a number") from None
     if not 0 < tol < 1:
         raise ValueError(f"tolerance must lie strictly between 0 and 1, got {tolerance}")
+    if tol < mp.mpf(2) ** -(precision_bits + 16):
+        raise ValueError(f"tolerance {tolerance} is below the convergence target 2^-{precision_bits + 16}")
 
 
 def rh_numeric(

@@ -16,7 +16,7 @@ in n; keep n <= 8.
 from fractions import Fraction
 from math import comb
 
-from zetatower.derived_engine import composition_weight, compositions, special_values
+from zetatower.derived_engine import compositions, special_values
 from zetatower.exact_arith import ONE, ZERO, Poly, as_rat, poly_gcd
 
 
@@ -193,6 +193,16 @@ def oracle_zeta(z, n: int) -> RatFunc:
 def oracle_numerator(z, n: int) -> Poly:
     """P of the derived level: the oracle zeta times (1-T)(1-Q^n T)T^(g-1)."""
     return (oracle_zeta(z, n) * RatFunc(standard_denominator(z.Q**n, z.genus))).to_poly()
+
+
+def composition_weight(comp, sv) -> Fraction:
+    """prod v_{k_i} / prod_j (1 - Q^(k_j + k_{j+1})) for one composition."""
+    w = Fraction(1)
+    for part in comp:
+        w *= sv.vhat(part)
+    for left, right in zip(comp, comp[1:]):
+        w /= 1 - sv.Q ** (left + right)
+    return w
 
 
 def positive_weight(comp, sv) -> Fraction:

@@ -354,6 +354,17 @@ def test_bad_numeric_settings_are_usage_errors(args, tmp_path):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_tolerance_below_the_convergence_target_is_usage_error(tmp_path, capsys):
+    # at 256 bits the base level's deviation, 4e-174, is the rounding floor: 1e-400
+    # would report Weil's theorem as failing
+    args = ["rh-check", "--curve", "catalog:X2g2", "--tuple", "2", "--output", str(tmp_path / "rh.json")]
+    assert run_cli(args + ["--tolerance", "1e-400"]) == 2
+    assert "2^-272" in capsys.readouterr().err
+    assert not (tmp_path / "rh.json").exists()
+    assert run_cli(args + ["--tolerance", "1e-60"]) == 0
+    assert all(v["holds"] for v in json.loads((tmp_path / "rh.json").read_text())["verdicts"])
+
+
 def test_precision_env_zero_is_usage_error(monkeypatch, tmp_path):
     monkeypatch.setenv("ZETATOWER_PRECISION_BITS", "0")
     args = ["rh-check", "--curve", "catalog:X2g2", "--tuple", "1", "--output", str(tmp_path / "rh.json")]

@@ -16,14 +16,14 @@ from zetatower import derived_engine
 from zetatower.derived_engine import (
     DerivationError,
     SpecialValues,
+    composition_sums,
     compositions,
-    composition_weight,
     derive_step,
     derive_tower,
     normalize_level,
     special_values,
 )
-from ratfunc_oracle import RatFunc, residue_simple_pole, to_ratfunc
+from ratfunc_oracle import RatFunc, composition_weight, residue_simple_pole, to_ratfunc
 from zetatower.exact_arith import Poly
 
 
@@ -293,3 +293,22 @@ def test_wrong_value_at_a_node_is_caught_by_validation(monkeypatch, z):
             with pytest.raises(DerivationError, match="functional_equation") as caught:
                 derive_step(z, 5)
             assert "do not cancel" not in str(caught.value)
+
+
+# -- a Q with a denominator is refused, never truncated ------------------------------
+
+# no curve has this level: it is built by hand to reach the integer arithmetic
+_HALF_INTEGRAL_Q = ZetaLevel(steps=(), Q=Fraction(5, 2), genus=1, P=Poly([1, -1, Fraction(5, 2)]))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_derive_step_refuses_a_non_integral_q(n):
+    with pytest.raises(ValueError, match="Q must be an integer, got 5/2"):
+        derive_step(_HALF_INTEGRAL_Q, n)
+
+
+@pytest.mark.parametrize("positive", [False, True])
+def test_composition_sums_refuses_a_non_integral_q(positive):
+    sv = special_values(_HALF_INTEGRAL_Q, 3)
+    with pytest.raises(ValueError, match="Q must be an integer, got 5/2"):
+        composition_sums(sv, 3, positive)

@@ -12,9 +12,12 @@ from zetatower.exact_arith import (
     ONE,
     Poly,
     ZERO,
+    as_integer,
     as_rat,
+    interpolate,
     is_self_inversive,
     newton_power_sums,
+    over_lcm,
     poly_gcd,
     squarefree_factors,
     rat_str,
@@ -261,3 +264,66 @@ def test_squarefree_factors_rebuild_the_polynomial(a, b, c):
         rebuilt = rebuilt * F**m
     assert rebuilt == P
     assert len({m for _, m in factors}) == len(factors)
+
+
+# -- integer sums, evaluation and interpolation -----------------------------------
+
+
+def _horner(coeffs, t):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+@given(coeff_lists(max_size=7), rationals(max_abs=50, max_den=40))
+def test_poly_evaluation_matches_fraction_horner(coeffs, t):
+    assert Poly(coeffs)(t) == _horner(coeffs, t)
+
+
+def test_over_lcm_puts_the_fractions_over_the_lcm():
+    scaled, L = over_lcm([(1, 4), (-1, 6), (5, 1)])
+    assert L == 12 and scaled == [3, -2, 60]
+    assert Fraction(sum(scaled), L) == Fraction(1, 4) - Fraction(1, 6) + 5
+    assert over_lcm([]) == ([], 1)
+
+
+@pytest.mark.parametrize("x", [Fraction(5, 2), "5/2", Fraction(-1, 3)])
+def test_as_integer_refuses_to_truncate(x):
+    with pytest.raises(ValueError, match="Q must be an integer"):
+        as_integer(x, "Q")
+    assert as_integer(Fraction(10, 2), "Q") == 5
+
+
+@given(coeff_lists(max_size=6), st.lists(st.integers(-40, 40), min_size=6, max_size=9, unique=True))
+def test_interpolate_round_trip_at_integer_nodes(coeffs, nodes):
+    P = Poly(coeffs)
+    assert interpolate(nodes, [P(x) for x in nodes]) == P
+
+
+@given(st.lists(st.fractions(max_denominator=2**64), min_size=1, max_size=6), st.booleans())
+def test_interpolate_round_trip_at_huge_powers(coeffs, negate):
+    # nodes Q^j with Q = 2^500, the shape of the tower step's nodes at a deep level
+    Q = -(2**500) if negate else 2**500
+    P = Poly(coeffs)
+    nodes = [Q**j for j in range(1, len(coeffs) + 1)]
+    assert interpolate(nodes, [P(x) for x in nodes]) == P
+
+
+@given(coeff_lists(max_size=5), st.lists(rationals(max_abs=9, max_den=7), min_size=5, max_size=7, unique=True))
+def test_interpolate_is_exact_at_rational_nodes(coeffs, nodes):
+    # non-integer nodes are scaled to integers, not rounded: the result is exact
+    P = Poly(coeffs)
+    assert interpolate(nodes, [P(x) for x in nodes]) == P
+
+
+def test_interpolate_examples():
+    assert interpolate([1, 2, 3], [1, 4, 9]) == Poly([0, 0, 1])
+    assert interpolate([Fraction(1, 2), Fraction(1, 3)], [0, 1]) == Poly([3, -6])
+    assert interpolate([], []) == ZERO
+
+
+@pytest.mark.parametrize("xs", [[1, 1], [2, 3, 2], [Fraction(1, 2), "1/2"]])
+def test_interpolate_rejects_duplicate_nodes(xs):
+    with pytest.raises(ValueError, match="distinct"):
+        interpolate(xs, list(range(len(xs))))

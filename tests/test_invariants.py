@@ -11,7 +11,7 @@ import pytest
 
 import zetatower.invariants as invariants_module
 from ratfunc_oracle import interlacing_tail, residue_simple_pole, to_ratfunc
-from zetatower.curves import artin_elliptic, artin_from_point_counts, hasse_traces
+from zetatower.curves import ZetaLevel, artin_elliptic, artin_from_point_counts, hasse_traces
 from zetatower.derived_engine import derive_step, derive_tower, special_values
 from zetatower.exact_arith import Poly
 from zetatower.invariants import (
@@ -235,3 +235,10 @@ def test_reconstruction_check_survives_python_O():
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_interlacing_poly_refuses_a_non_integral_q():
+    # a hand-built level: the cleared polynomial has integer coefficients only for an integer Q
+    z = ZetaLevel(steps=(), Q=Fraction(5, 2), genus=1, P=Poly([1, -1, Fraction(5, 2)]))
+    with pytest.raises(ValueError, match="Q must be an integer, got 5/2"):
+        interlacing_poly(special_values(z, 3), 3)

@@ -8,15 +8,9 @@ The two must produce identical numerators and interlacing polynomials.
 
 import pytest
 
-from ratfunc_oracle import oracle_interlacing_poly, oracle_numerator, positive_weight
+from ratfunc_oracle import composition_weight, oracle_interlacing_poly, oracle_numerator, positive_weight
 from zetatower.curves import artin_elliptic, artin_from_point_counts, hasse_traces
-from zetatower.derived_engine import (
-    composition_sums,
-    composition_weight,
-    compositions,
-    derive_step,
-    special_values,
-)
+from zetatower.derived_engine import composition_sums, compositions, derive_step, special_values
 from zetatower.invariants import interlacing_poly
 
 N_MAX = 8

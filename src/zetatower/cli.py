@@ -248,10 +248,7 @@ def cmd_sweep(args) -> int:
         curves = tuple(CATALOG[label].spec() for label in sorted(CATALOG))
     else:
         raise UsageError(f"unknown grid {args.grid!r} and no --curves file given")
-    checks = ALL_CHECKS if args.checks == "all" else tuple(args.checks.split(","))
-    unknown = set(checks) - set(ALL_CHECKS)
-    if unknown:
-        raise UsageError(f"unknown checks: {sorted(unknown)}; available: {ALL_CHECKS}")
+    checks = ALL_CHECKS if args.checks == "all" else tuple(args.checks.split(","))  # sweep() checks the names
     precision = _precision_bits(args)
     config = SweepConfig(
         curves=curves,

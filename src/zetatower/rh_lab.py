@@ -22,9 +22,12 @@ automatic retry at doubled precision).
 Sweeps run a configurable battery of checks over a curve x tuple grid and
 emit a deterministic JSON-able report: no timestamps, fixed ordering, exact
 rationals as strings.  Identical configs give byte-identical reports.  Each
-curve has one tower: a level is derived from its prefix's level at most once
-and shared by every cell whose path or counting-miracle check reads it, and
-``--jobs`` spreads the curves, not the cells, over worker processes.
+curve has one tower (``curve_tower``): a level is derived from its prefix's
+level at most once, and each level (invariants, RH verdict) and each step
+(special values, the beta routes, the counting miracle, interlacing, the
+ratio bounds) is checked at most once per curve.  A cell only combines the
+results of its path, and ``--jobs`` spreads the curves, not the cells, over
+worker processes.
 """
 
 from __future__ import annotations
@@ -35,14 +38,16 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from functools import cache
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import mpmath as mp
 
 from zetatower.curves import CheckResult, CurveSpec, ZetaLevel, artin_zeta, hasse_traces
-from zetatower.derived_engine import derive_step, special_values
+from zetatower.derived_engine import SpecialValues, derive_step, special_values
 from zetatower.exact_arith import BigRat, Poly, is_self_inversive, rat_str, squarefree_factors
 from zetatower.invariants import (
+    InvariantSet,
     beta_closed_form,
     counting_miracle_check,
     extract_invariants,
@@ -349,23 +354,94 @@ def _status(name: str, results, cell_checks: dict):
     return failed
 
 
-def run_cell(spec: CurveSpec, steps: tuple, config: SweepConfig, level: Callable[[tuple], ZetaLevel]) -> dict:
+class Tower(NamedTuple):
+    """One curve's levels and what the checks read off them, each computed once.
+
+    Every field maps a tuple of steps to a result: ``level``, ``invariants``
+    and ``rh`` belong to the level the steps reach; the others to the last
+    step (prefix, n), the one that derives that level from its prefix.
+    """
+
+    level: Callable[[tuple], ZetaLevel]
+    invariants: Callable[[tuple], InvariantSet]
+    rh: Callable[[tuple], RHVerdict]
+    special_values: Callable[[tuple], SpecialValues]
+    beta_route: Callable[[tuple], CheckResult]
+    miracle: Callable[[tuple], CheckResult]
+    interlacing: Callable[[tuple], tuple]  # (sign check, signs)
+    ratio_bounds: Callable[[tuple], tuple]  # bound checks from n = 2 on; genus 1 only
+
+
+def curve_tower(spec: CurveSpec, precision_bits: int = DEFAULT_PRECISION_BITS) -> Tower:
+    """A lazy tower over one curve: each entry is computed the first time it is read.
+
+    A level is derived from its prefix's level (the base comes from the
+    curve).  The memos are local to this tower, and one that raises stores
+    nothing: it is tried again, and raises again, every time it is read.
+    Callees are looked up by name at call time, so a patched module global
+    is the one that runs.
+    """
+
+    @cache
+    def level(steps: tuple) -> ZetaLevel:
+        return derive_step(level(steps[:-1]), steps[-1]) if steps else artin_zeta(spec)
+
+    @cache
+    def invariants(steps: tuple) -> InvariantSet:
+        return extract_invariants(level(steps))
+
+    @cache
+    def rh(steps: tuple) -> RHVerdict:
+        return rh_verdict_for_level(level(steps), precision_bits)
+
+    @cache
+    def step_values(steps: tuple) -> SpecialValues:
+        return special_values(level(steps[:-1]), steps[-1])
+
+    @cache
+    def beta_route(steps: tuple) -> CheckResult:
+        prev, n = level(steps[:-1]), steps[-1]
+        residue = level(steps).residue()
+        return CheckResult("beta_routes", residue == beta_closed_form(step_values(steps), n, prev.genus))
+
+    @cache
+    def miracle(steps: tuple) -> CheckResult:
+        prefix, n = steps[:-1], steps[-1]
+        return counting_miracle_check(level(prefix), level(steps), level(prefix + (n + 1,)))
+
+    @cache
+    def interlacing(steps: tuple) -> tuple:
+        ip = interlacing_poly(step_values(steps), steps[-1])
+        return interlacing_sign_check(ip), tuple(interlacing_signs(ip))
+
+    @cache
+    def ratio_bounds(steps: tuple) -> tuple:
+        prev, n = level(steps[:-1]), steps[-1]
+        betas = elliptic_beta_recursion(prev.trace(), prev.Q, max(n, 2))
+        return tuple(ratio_bounds_check(betas, prev.Q)[1:])  # bounds start at n = 2
+
+    return Tower(level, invariants, rh, step_values, beta_route, miracle, interlacing, ratio_bounds)
+
+
+def run_cell(spec: CurveSpec, steps: tuple, config: SweepConfig, tower: Tower) -> dict:
     """Run the configured battery on one (curve, tuple) cell; never raises.
 
-    ``level(steps)`` is the curve's level for a tuple of steps, from ``run_curve``'s
-    tower; a derivation that fails there becomes the cell's error.
+    The cell only combines what ``tower`` (the curve's, from ``run_curve``)
+    holds for the levels and steps of its path, so a level or step that
+    several cells read is checked once.  Whatever raises there becomes the
+    cell's error.
     """
     cell = {"curve": spec.label, "tuple": list(steps), "checks": {}, "data": {}}
     checks = cell["checks"]
     try:
-        levels = [level(steps[:i]) for i in range(len(steps) + 1)]
+        paths = [steps[:i] for i in range(len(steps) + 1)]  # the levels; paths[1:] also names the steps
+        levels = [tower.level(path) for path in paths]
 
-        # each level's invariants and each step's special values are computed
-        # once and shared by the checks that read them
         if {"positivity", "interlacing"} & set(config.checks):
-            invs = [extract_invariants(z) for z in levels]
+            invs = [tower.invariants(path) for path in paths]
         if {"beta_routes", "interlacing"} & set(config.checks):
-            svs = [special_values(prev, n) for prev, n in zip(levels, steps)]
+            for path in paths[1:]:  # before any check, like the invariants: a failure here is the cell's error
+                tower.special_values(path)
 
         if "positivity" in config.checks:
             bad = [z.steps for z, i in zip(levels, invs) if not i.positivity()]
@@ -375,10 +451,7 @@ def run_cell(spec: CurveSpec, steps: tuple, config: SweepConfig, level: Callable
             cell["data"]["beta"] = rat_str(final.beta)
 
         if "rh" in config.checks:
-            outcomes = []
-            for z in levels:
-                verdict = rh_verdict_for_level(z, config.precision_bits)
-                outcomes.append(verdict.outcome())
+            outcomes = [tower.rh(path).outcome() for path in paths]
             if "fail" in outcomes:
                 checks["rh"] = "fail"
             elif "unknown" in outcomes:
@@ -388,28 +461,20 @@ def run_cell(spec: CurveSpec, steps: tuple, config: SweepConfig, level: Callable
             cell["data"]["rh_methods"] = sorted(set("exact_g1" if z.genus == 1 else "numeric" for z in levels))
 
         if "beta_routes" in config.checks:
-            results = [
-                CheckResult("beta_routes", nxt.residue() == beta_closed_form(sv, n, prev.genus))
-                for prev, nxt, sv, n in zip(levels, levels[1:], svs, steps)
-            ]
-            _status("beta_routes", results, checks)
+            _status("beta_routes", [tower.beta_route(path) for path in paths[1:]], checks)
 
         if "miracle" in config.checks:
-            results = [
-                counting_miracle_check(prev, derived, level(prev.steps + (n + 1,)))
-                for prev, derived, n in zip(levels, levels[1:], steps)
-            ]
-            _status("miracle", results, checks)
+            _status("miracle", [tower.miracle(path) for path in paths[1:]], checks)
 
         if "interlacing" in config.checks:
             results = []
             signs = {}
-            for inv, sv, n in zip(invs, svs, steps):
+            for inv, path in zip(invs, paths[1:]):
                 if not inv.positivity():
                     continue  # hypothesis of the interlacing statement
-                ip = interlacing_poly(sv, n)
-                results.append(interlacing_sign_check(ip))
-                signs[str(n)] = interlacing_signs(ip)
+                result, step_signs = tower.interlacing(path)
+                results.append(result)
+                signs[str(path[-1])] = list(step_signs)
             if results:
                 _status("interlacing", results, checks)
                 cell["data"]["gamma_signs"] = signs
@@ -420,10 +485,7 @@ def run_cell(spec: CurveSpec, steps: tuple, config: SweepConfig, level: Callable
             if spec.genus != 1:
                 checks["ratio_bounds"] = "skipped"
             else:
-                results = []
-                for prev, n in zip(levels, steps):
-                    betas = elliptic_beta_recursion(prev.trace(), prev.Q, max(n, 2))
-                    results.extend(ratio_bounds_check(betas, prev.Q)[1:])  # bounds start at n = 2
+                results = [r for path in paths[1:] for r in tower.ratio_bounds(path)]
                 _status("ratio_bounds", results, checks)
     except Exception as exc:  # per-cell errors are recorded, never fatal
         cell["error"] = f"{type(exc).__name__}: {exc}"
@@ -433,24 +495,19 @@ def run_cell(spec: CurveSpec, steps: tuple, config: SweepConfig, level: Callable
 def run_curve(spec: CurveSpec, config: SweepConfig) -> list:
     """Run every configured tuple on one curve over a single tower; returns the cells in tuple order.
 
-    The tower maps a tuple of steps to its level.  A level is derived from
-    its prefix's level the first time a cell asks for it (the base comes from
-    the curve), so each is derived at most once and in the order a cell-by-cell
-    run would first reach it.  A derivation that raises is not stored: it is
-    tried again, and raises again, in every cell that needs that level.
+    Each level is derived, and each level and each step checked, at most once
+    per curve, in the order a cell-by-cell run would first reach it.  The
+    tower lives for this call only, so every sweep does all of its own work.
     """
-    tower = {}
-
-    def level(steps: tuple) -> ZetaLevel:
-        if steps not in tower:
-            tower[steps] = derive_step(level(steps[:-1]), steps[-1]) if steps else artin_zeta(spec)
-        return tower[steps]
-
-    return [run_cell(spec, tuple(steps), config, level) for steps in config.tuples]
+    tower = curve_tower(spec, config.precision_bits)
+    return [run_cell(spec, tuple(steps), config, tower) for steps in config.tuples]
 
 
 def sweep(config: SweepConfig, jobs: int = 1) -> dict:
     """Run the battery over the whole grid and assemble a deterministic report."""
+    unknown = set(config.checks) - set(ALL_CHECKS)
+    if unknown:
+        raise ValueError(f"unknown checks: {sorted(unknown)}; available: {ALL_CHECKS}")
     for steps in config.tuples:
         if not steps or min(steps) < 1:
             raise ValueError(f"tuple {steps} must be a nonempty list of positive integers")

@@ -2,7 +2,6 @@
 
 import hashlib
 from fractions import Fraction
-from functools import reduce
 
 import mpmath as mp
 import pytest
@@ -16,7 +15,6 @@ from zetatower.curves import (
     ZetaLevel,
     artin_elliptic,
     artin_from_point_counts,
-    artin_zeta,
     catalog_curve,
     hasse_traces,
 )
@@ -26,6 +24,7 @@ from zetatower.rh_lab import (
     MIN_PRECISION_BITS,
     SweepConfig,
     builtin_elliptic_grid,
+    curve_tower,
     report_to_json,
     rh_exact_genus1,
     rh_numeric,
@@ -223,11 +222,13 @@ def test_sweep_reports_are_byte_identical():
     assert report_to_json(sweep(cfg)) == report_to_json(sweep(cfg))
 
 
-# sha256 of report_to_json for two small sweeps with all checks, recorded when
-# levels were still stored as reduced rational functions
+# sha256 of report_to_json for small sweeps with all checks; the first two were
+# recorded when levels were still stored as reduced rational functions, the
+# genus-2 one while every cell still checked each level of its own path
 REPORT_DIGESTS = {
     "elliptic q=2,3; 1;2;2,2": "d24592c02a8dd0bcec9232672c6331b28d567c8abfbc066e36e78a1754e4cba4",
     "X2g2; 2": "ebb5951d58cdfcf9da62a7241bb696b30332fe16a12e704ff48535478e174df6",
+    "X2g2; 1;2;3;2,2": "26608f8867984f41793c4fc801481e076190643c68a5cf5979eee8452d09795b",
 }
 
 
@@ -237,6 +238,9 @@ def test_sweep_report_bytes_are_unchanged():
             curves=tuple(builtin_elliptic_grid((2, 3))), tuples=((1,), (2,), (2, 2))
         ),
         "X2g2; 2": SweepConfig(curves=(catalog_curve("X2g2").spec(),), tuples=((2,),)),
+        "X2g2; 1;2;3;2,2": SweepConfig(
+            curves=(catalog_curve("X2g2").spec(),), tuples=((1,), (2,), (3,), (2, 2))
+        ),
     }
     for name, config in configs.items():
         report = report_to_json(sweep(config)).encode("utf-8")
@@ -244,9 +248,8 @@ def test_sweep_report_bytes_are_unchanged():
 
 
 def _levels_of(spec):
-    """Each level derived afresh from the base, for run_cell without run_curve's tower."""
-    base = artin_zeta(spec)
-    return lambda steps: reduce(derive_step, steps, base)
+    """A fresh tower of the curve, for run_cell without run_curve."""
+    return curve_tower(spec)
 
 
 def test_run_cell_extracts_invariants_once_per_level(monkeypatch):
@@ -270,6 +273,21 @@ def test_run_cell_extracts_invariants_once_per_level(monkeypatch):
 def test_sweep_parallel_matches_serial():
     cfg = SweepConfig(curves=tuple(builtin_elliptic_grid((2,))), tuples=((2,), (3,)))
     assert report_to_json(sweep(cfg, jobs=1)) == report_to_json(sweep(cfg, jobs=2))
+    genus2 = (
+        catalog_curve("X2g2").spec(),
+        CurveSpec(label="g2_q3_a1_b3", q=3, genus=2, numerator=(1, 1, 3, 3, 9)),
+    )
+    cfg = SweepConfig(curves=genus2, tuples=((1,), (2,), (2, 2)))
+    assert report_to_json(sweep(cfg, jobs=1)) == report_to_json(sweep(cfg, jobs=2))
+
+
+def test_sweep_rejects_unknown_checks():
+    spec = CurveSpec(label="e", q=2, genus=1, trace=0)
+    # a misspelt check would run nothing and read as a pass
+    with pytest.raises(ValueError, match=r"unknown checks: \['positivty', 'rhh'\]; available: "):
+        sweep(SweepConfig(curves=(spec,), tuples=((2,),), checks=("rhh", "positivty")))
+    with pytest.raises(ValueError, match="unknown checks"):
+        sweep(SweepConfig(curves=(), tuples=((2,),), checks=("rh", "nope")))
 
 
 def test_sweep_records_cell_errors():
@@ -360,3 +378,79 @@ def test_run_curve_shares_a_failed_derivation(monkeypatch):
     for cell in cells:
         if "error" not in cell:
             assert set(cell["checks"].values()) <= {"pass", "skipped"}
+
+
+def _count_calls(monkeypatch, names, plant=None):
+    """Record the arguments of every call of ``names`` in rh_lab.
+
+    ``plant(name, args)`` may raise, or return a result that replaces the real one.
+    """
+    calls = {name: [] for name in names}
+    for name in names:
+        real = getattr(rh_lab, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name].append(args)
+            planted = plant(_name, args) if plant else None
+            return _real(*args) if planted is None else planted
+
+        monkeypatch.setattr(rh_lab, name, counting)
+    return calls
+
+
+def test_run_curve_checks_each_level_and_step_once(monkeypatch):
+    per_level = ("extract_invariants", "rh_verdict_for_level")
+    per_step = (
+        "special_values", "beta_closed_form", "counting_miracle_check", "interlacing_poly", "elliptic_beta_recursion"
+    )
+    calls = _count_calls(monkeypatch, per_level + per_step)
+    spec = CurveSpec(label="e", q=3, genus=1, trace=1)
+    cells = run_curve(spec, SweepConfig(curves=(spec,), tuples=GRID_TUPLES))
+    for cell in cells:
+        assert "error" not in cell
+        assert set(cell["checks"].values()) <= {"pass", "skipped"}
+    # the 8 paths reach 9 distinct levels through 8 distinct steps; checking
+    # every cell's own path made 21 calls per level stage and 13 per step stage
+    levels = [(), (1,), (2,), (2, 2), (2, 2, 2), (2, 3), (3,), (3, 2), (4,)]
+    for name in per_level:
+        assert sorted(args[0].steps for args in calls[name]) == levels, name
+    assert sorted(z.steps + (n,) for z, n in calls["special_values"]) == levels[1:]
+    assert sorted(derived.steps for _, derived, _ in calls["counting_miracle_check"]) == levels[1:]
+    assert {name: len(calls[name]) for name in per_step} == dict.fromkeys(per_step, 8)
+
+
+def test_run_curve_shares_a_failed_level_check(monkeypatch):
+    def plant(name, args):
+        if args[0].steps == (2,):
+            raise ArithmeticError(f"planted in {name}")
+
+    spec = CurveSpec(label="e", q=3, genus=1, trace=1)
+    config = SweepConfig(curves=(spec,), tuples=GRID_TUPLES)
+    through = {(2,), (2, 2), (2, 3), (2, 2, 2)}  # the cells whose path reads level (2,)
+    for name in ("extract_invariants", "rh_verdict_for_level"):
+        with monkeypatch.context() as m:
+            calls = _count_calls(m, (name,), plant)
+            cells = run_curve(spec, config)
+        errors = {tuple(c["tuple"]): c.get("error") for c in cells}
+        # a failure is not stored: each cell that reads it runs it again and records the same error
+        assert {errors.pop(steps) for steps in through} == {f"ArithmeticError: planted in {name}"}
+        assert [args[0].steps for args in calls[name]].count((2,)) == len(through)
+        assert set(errors.values()) == {None}
+        for cell in cells:
+            if tuple(cell["tuple"]) not in through:
+                assert set(cell["checks"].values()) <= {"pass", "skipped"}
+
+
+def test_run_curve_shares_a_failed_rh_verdict(monkeypatch):
+    def plant(name, args):
+        if args[0].steps == (2,):
+            return rh_lab.RHVerdict(method="exact_g1", holds=False, detail="planted")
+
+    calls = _count_calls(monkeypatch, ("rh_verdict_for_level",), plant)
+    spec = CurveSpec(label="e", q=3, genus=1, trace=1)
+    cells = run_curve(spec, SweepConfig(curves=(spec,), tuples=GRID_TUPLES))
+    rh = {tuple(c["tuple"]): c["checks"]["rh"] for c in cells}
+    assert {steps for steps, status in rh.items() if status == "fail"} == {(2,), (2, 2), (2, 3), (2, 2, 2)}
+    assert set(rh.values()) == {"pass", "fail"}
+    # a verdict that was reached is shared, whatever it says
+    assert [args[0].steps for args in calls["rh_verdict_for_level"]].count((2,)) == 1

@@ -18,3 +18,51 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+MEMO_NAMES = {"cache", "lru_cache"}
+
+
+def _module_level_memos(source: str, filename: str) -> list:
+    """Lines where functools.cache or lru_cache is used outside every function body.
+
+    A decorator of a top-level function or of a method is evaluated at import,
+    so its memo lives as long as the module does.
+    """
+    found, stack = [], [ast.parse(source, filename=filename)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(node.decorator_list)
+        elif isinstance(node, ast.Lambda):
+            continue
+        elif getattr(node, "id", None) in MEMO_NAMES or getattr(node, "attr", None) in MEMO_NAMES:
+            found.append(node.lineno)  # a Name or an Attribute
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_memos_live_inside_functions():
+    # a memo at module level would carry work and memory from one sweep into
+    # the next; the tower's memos and derive_step's live for one call
+    sample = """import functools
+@functools.cache
+def f(): pass
+class C:
+    @lru_cache
+    def m(self): pass
+g = cache(len)
+def h():
+    @cache
+    def inner(): pass
+"""
+    assert _module_level_memos(sample, "sample") == [2, 5, 7]
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules, f"no modules found under {PACKAGE}"
+    found = [
+        f"{path.name}:{line}"
+        for path in modules
+        for line in _module_level_memos(path.read_text(encoding="utf-8"), str(path))
+    ]
+    assert found == []

@@ -214,8 +214,12 @@ def cmd_rh_check(args) -> int:
     precision = _precision_bits(args)
     verdicts = []
     all_hold = True
+    decided = {}  # one verdict per distinct numerator: a step of index 1 gives back its prefix's
     for z in levels:
-        v = rh_verdict_for_level(z, precision_bits=precision, tolerance=args.tolerance)
+        key = z.numerator_key()
+        if key not in decided:
+            decided[key] = rh_verdict_for_level(z, precision_bits=precision, tolerance=args.tolerance)
+        v = decided[key]
         verdicts.append(
             {
                 "tuple": list(z.steps),

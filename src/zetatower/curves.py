@@ -350,6 +350,13 @@ class ZetaLevel:
     scale: BigRat = Fraction(1)
     label: str = ""
 
+    def numerator_key(self) -> tuple:
+        """(P, Q, genus), all that a level's invariants and RH verdict depend on.
+
+        Levels with one key, such as (..., 1) and its prefix, share those results.
+        """
+        return self.P, self.Q, self.genus
+
     def residue(self) -> Fraction:
         """Res_{T=1} Z = P(1)/(Q-1), which is beta."""
         return self.P(1) / (self.Q - 1)

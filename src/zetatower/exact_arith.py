@@ -246,8 +246,11 @@ def interpolate(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> Poly:
     return Poly(Fraction(c * B**k, L) for k, c in enumerate(coeffs))
 
 
-def is_self_inversive(P: Poly, Q: Scalar, g: int) -> bool:
-    """A_{2g-i} = Q^(g-i) A_i for i = 0..g, the coefficient form of the functional equation."""
+def is_self_inversive(P: "Poly | Sequence", Q: Scalar, g: int) -> bool:
+    """A_{2g-i} = Q^(g-i) A_i for i = 0..g, the coefficient form of the functional equation.
+
+    P is a Poly or a coefficient list of length at least 2g+1, lowest first.
+    """
     return all(P[2 * g - i] == Q ** (g - i) * P[i] for i in range(g + 1))
 
 

@@ -60,33 +60,44 @@ def reconstruct_numerator(alphas, beta, Q: BigRat, genus: int) -> Poly:
     """Expand the (alphas, beta) decomposition back into P."""
     g = genus
     Q = Fraction(Q)
-    s_coeffs = [Fraction(0)] * (2 * g - 1)
+    S = [Fraction(0)] * (2 * g - 1)
     for ell in range(g - 1):
-        s_coeffs[ell] += Fraction(alphas[ell])
-        s_coeffs[2 * (g - 1) - ell] += Q ** (g - 1 - ell) * Fraction(alphas[ell])
-    s_coeffs[g - 1] += Fraction(alphas[g - 1])
-    S = Poly(s_coeffs)
-    pole_part = (Q - 1) * Fraction(beta) * Poly([0, 1]) ** g
-    return S * Poly([1, -1]) * Poly([1, -Q]) + pole_part
+        S[ell] += Fraction(alphas[ell])
+        S[2 * (g - 1) - ell] += Q ** (g - 1 - ell) * Fraction(alphas[ell])
+    S[g - 1] += Fraction(alphas[g - 1])
+    P = [Fraction(0)] * (2 * g + 1)
+    for k, s in enumerate(S):  # S * (1 - (Q+1) T + Q T^2)
+        P[k] += s
+        P[k + 1] -= (Q + 1) * s
+        P[k + 2] += Q * s
+    P[g] += (Q - 1) * Fraction(beta)
+    return Poly(P)
 
 
 def extract_invariants(z: ZetaLevel) -> InvariantSet:
-    """Read (alphas, beta) off a level by residue plus exact division."""
-    g = z.genus
+    """Read (alphas, beta) off a level by residue plus exact division, on the coefficient list."""
+    g, Q = z.genus, z.Q
     P = z.P
     if P.degree != 2 * g:
         raise ValueError(f"numerator degree {P.degree}, expected {2 * g}")
     beta = z.residue()
-    remainder_num = P - (z.Q - 1) * beta * Poly([0, 1]) ** g
-    S, rem = divmod(remainder_num, Poly([1, -1]) * Poly([1, -z.Q]))
-    if not rem.is_zero():
+    R = list(P.coeffs)
+    R[g] -= (Q - 1) * beta
+    # R / (1 - (Q+1) T + Q T^2) from the constant term up; S = R / that exactly iff its last two terms vanish
+    S = []
+    for k, r in enumerate(R):
+        if k >= 1:
+            r += (Q + 1) * S[k - 1]
+        if k >= 2:
+            r -= Q * S[k - 2]
+        S.append(r)
+    if S[-1] or S[-2]:
         raise ValueError("level violates the numerator decomposition shape")
-    if S.degree > 2 * (g - 1):
-        raise ValueError(f"interior part has degree {S.degree} > 2(g-1)")
-    if not is_self_inversive(S, z.Q, g - 1):
+    del S[-2:]
+    if not is_self_inversive(S, Q, g - 1):
         raise ValueError("interior part is not palindromic")
-    alphas = tuple(S[ell] for ell in range(g))
-    if reconstruct_numerator(alphas, beta, z.Q, g) != P:
+    alphas = tuple(S[:g])
+    if reconstruct_numerator(alphas, beta, Q, g) != P:
         raise ReconstructionError(f"invariants of level {z.steps} do not reconstruct its numerator")
     return InvariantSet(alphas=alphas, beta=beta)
 

@@ -23,11 +23,12 @@ Sweeps run a configurable battery of checks over a curve x tuple grid and
 emit a deterministic JSON-able report: no timestamps, fixed ordering, exact
 rationals as strings.  Identical configs give byte-identical reports.  Each
 curve has one tower (``curve_tower``): a level is derived from its prefix's
-level at most once, and each level (invariants, RH verdict) and each step
-(special values, the beta routes, the counting miracle, interlacing, the
-ratio bounds) is checked at most once per curve.  A cell only combines the
-results of its path, and ``--jobs`` spreads the curves, not the cells, over
-worker processes.
+level at most once, each distinct level numerator (invariants, RH verdict) is
+checked at most once per curve, and so is each step (special values, the
+beta routes, the counting miracle, interlacing, the ratio bounds).  A step of
+index 1 gives back its prefix's numerator, so a level ``(..., 1)`` reuses its
+prefix's results.  A cell only combines the results of its path, and
+``--jobs`` spreads the curves, not the cells, over worker processes.
 """
 
 from __future__ import annotations
@@ -93,13 +94,9 @@ def rh_exact_genus1(level: ZetaLevel) -> RHVerdict:
         raise ValueError("exact criterion only applies to genus 1")
     a = level.trace()
     disc = a * a - 4 * level.Q
-    return RHVerdict(
-        method="exact_g1",
-        holds=disc <= 0,
-        boundary=disc == 0,
-        discriminant=disc,
-        detail=f"trace {rat_str(a)}, discriminant {rat_str(disc)}",
-    )
+    # built only on failure: deep levels have more digits than Python converts to a string
+    detail = "" if disc <= 0 else f"trace {rat_str(a)}, discriminant {rat_str(disc)}"
+    return RHVerdict(method="exact_g1", holds=disc <= 0, boundary=disc == 0, discriminant=disc, detail=detail)
 
 
 def _dk_sweep(coeffs, roots, zero_den):
@@ -360,6 +357,10 @@ class Tower(NamedTuple):
     Every field maps a tuple of steps to a result: ``level``, ``invariants``
     and ``rh`` belong to the level the steps reach; the others to the last
     step (prefix, n), the one that derives that level from its prefix.
+    ``level`` and the step fields are kept per tuple of steps, ``invariants``
+    and ``rh`` per ``ZetaLevel.numerator_key`` ``(P, Q, genus)``: levels with
+    one numerator, such as ``(..., 1)`` and its prefix, share one result,
+    computed on the first of them that is read.
     """
 
     level: Callable[[tuple], ZetaLevel]
@@ -386,13 +387,21 @@ def curve_tower(spec: CurveSpec, precision_bits: int = DEFAULT_PRECISION_BITS) -
     def level(steps: tuple) -> ZetaLevel:
         return derive_step(level(steps[:-1]), steps[-1]) if steps else artin_zeta(spec)
 
-    @cache
-    def invariants(steps: tuple) -> InvariantSet:
-        return extract_invariants(level(steps))
+    def by_numerator(stage: Callable[[ZetaLevel], object]) -> Callable[[tuple], object]:
+        """``stage`` of the level ``steps`` reach, computed once per distinct numerator."""
+        memo = {}
 
-    @cache
-    def rh(steps: tuple) -> RHVerdict:
-        return rh_verdict_for_level(level(steps), precision_bits)
+        def read(steps: tuple):
+            z = level(steps)
+            key = z.numerator_key()
+            if key not in memo:
+                memo[key] = stage(z)  # the first level to reach the numerator; a raise stores nothing
+            return memo[key]
+
+        return read
+
+    invariants = by_numerator(lambda z: extract_invariants(z))
+    rh = by_numerator(lambda z: rh_verdict_for_level(z, precision_bits))
 
     @cache
     def step_values(steps: tuple) -> SpecialValues:
@@ -451,14 +460,15 @@ def run_cell(spec: CurveSpec, steps: tuple, config: SweepConfig, tower: Tower) -
             cell["data"]["beta"] = rat_str(final.beta)
 
         if "rh" in config.checks:
-            outcomes = [tower.rh(path).outcome() for path in paths]
+            verdicts = [tower.rh(path) for path in paths]
+            outcomes = [v.outcome() for v in verdicts]
             if "fail" in outcomes:
                 checks["rh"] = "fail"
             elif "unknown" in outcomes:
                 checks["rh"] = "unknown"
             else:
                 checks["rh"] = "pass"
-            cell["data"]["rh_methods"] = sorted(set("exact_g1" if z.genus == 1 else "numeric" for z in levels))
+            cell["data"]["rh_methods"] = sorted(set(v.method for v in verdicts))
 
         if "beta_routes" in config.checks:
             _status("beta_routes", [tower.beta_route(path) for path in paths[1:]], checks)
@@ -495,9 +505,10 @@ def run_cell(spec: CurveSpec, steps: tuple, config: SweepConfig, tower: Tower) -
 def run_curve(spec: CurveSpec, config: SweepConfig) -> list:
     """Run every configured tuple on one curve over a single tower; returns the cells in tuple order.
 
-    Each level is derived, and each level and each step checked, at most once
-    per curve, in the order a cell-by-cell run would first reach it.  The
-    tower lives for this call only, so every sweep does all of its own work.
+    Each level is derived, and each distinct level numerator and each step
+    checked, at most once per curve, in the order a cell-by-cell run would
+    first reach it.  The tower lives for this call only, so every sweep does
+    all of its own work.
     """
     tower = curve_tower(spec, config.precision_bits)
     return [run_cell(spec, tuple(steps), config, tower) for steps in config.tuples]

@@ -11,13 +11,17 @@ it loops over every integer composition (2^(n-1) of them) and adds canonical
 ``RatFunc``s, so the pole cancellation happens symbolically, by gcd
 reduction, instead of being certified by residues.  Its cost is exponential
 in n; keep n <= 8.
+
+``oracle_invariants`` reads (alphas, beta) off a level by ``Poly`` division,
+the reference for ``invariants.extract_invariants``, which divides on the
+coefficient list.
 """
 
 from fractions import Fraction
 from math import comb
 
 from zetatower.derived_engine import compositions, special_values
-from zetatower.exact_arith import ONE, ZERO, Poly, as_rat, poly_gcd
+from zetatower.exact_arith import ONE, ZERO, Poly, as_rat, is_self_inversive, poly_gcd
 
 
 class PoleError(ArithmeticError):
@@ -225,3 +229,21 @@ def oracle_interlacing_poly(sv, n: int) -> Poly:
     for ell in range(1, n + 1):
         clearing = clearing * Poly([-1, Q**ell])
     return (tail * RatFunc(clearing)).to_poly()
+
+
+def oracle_invariants(z) -> tuple:
+    """(alphas, beta) of a level: divide P - (Q-1) beta T^g by (1-T)(1-QT) as polynomials.
+
+    Raises ValueError, with the messages of ``extract_invariants``, when P
+    does not have the decomposition's shape.
+    """
+    g, P = z.genus, z.P
+    if P.degree != 2 * g:
+        raise ValueError(f"numerator degree {P.degree}, expected {2 * g}")
+    beta = z.residue()
+    S, rem = divmod(P - (z.Q - 1) * beta * Poly([0, 1]) ** g, Poly([1, -1]) * Poly([1, -z.Q]))
+    if not rem.is_zero():
+        raise ValueError("level violates the numerator decomposition shape")
+    if not is_self_inversive(S, z.Q, g - 1):
+        raise ValueError("interior part is not palindromic")
+    return tuple(S[ell] for ell in range(g)), beta

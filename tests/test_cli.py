@@ -371,6 +371,24 @@ def test_precision_env_zero_is_usage_error(monkeypatch, tmp_path):
     assert run_cli(args) == 2
 
 
+def test_rh_check_decides_each_numerator_once(monkeypatch, capsys):
+    from zetatower import rh_lab
+
+    calls = []
+    real = rh_lab.rh_numeric
+
+    def counting(P, Q, **kwargs):
+        calls.append(P)
+        return real(P, Q, **kwargs)
+
+    monkeypatch.setattr(rh_lab, "rh_numeric", counting)
+    assert run_cli(["rh-check", "--curve", "catalog:X2g2", "--tuple", "1,2"]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert [v["tuple"] for v in verdicts] == [[], [1], [1, 2]]
+    assert {**verdicts[0], "tuple": [1]} == verdicts[1]
+    assert len(calls) == 2  # (1,) has the base's numerator
+
+
 def test_math_layer_bug_exits_3(monkeypatch, capsys):
     import zetatower.invariants as invariants
 

@@ -4,14 +4,25 @@
 reduction cancel the interior poles; the engine evaluates composition sums by
 dynamic programming, certifies the cancellation by residues and interpolates.
 The two must produce identical numerators and interlacing polynomials.
+Invariant extraction on the coefficient list must agree with ``Poly``
+division, on valid levels and in what it refuses.
 """
+
+from dataclasses import replace
 
 import pytest
 
-from ratfunc_oracle import composition_weight, oracle_interlacing_poly, oracle_numerator, positive_weight
+from ratfunc_oracle import (
+    composition_weight,
+    oracle_interlacing_poly,
+    oracle_invariants,
+    oracle_numerator,
+    positive_weight,
+)
 from zetatower.curves import artin_elliptic, artin_from_point_counts, hasse_traces
-from zetatower.derived_engine import composition_sums, compositions, derive_step, special_values
-from zetatower.invariants import interlacing_poly
+from zetatower.derived_engine import composition_sums, compositions, derive_step, derive_tower, special_values
+from zetatower.exact_arith import Poly
+from zetatower.invariants import extract_invariants, interlacing_poly
 
 N_MAX = 8
 BASES = [(q, a) for q in (2, 3, 4, 5) for a in hasse_traces(q)] + ["X2g2"]
@@ -63,3 +74,45 @@ def test_composition_sums_match_brute_force(z):
             # reversal keeps the weight, so the first-part sums coincide
             assert table[m][p] == sum(composition_weight(k, sv) for k in comps if k[0] == p)
             assert positive[m][p] == sum(positive_weight(k, sv) for k in comps if k[-1] == p)
+
+
+def _extraction_levels():
+    """Levels of genus 1, 2 and 3: bases, derived and normalized levels."""
+    bases = [artin_elliptic(q, a) for q, a in ((2, -2), (3, 1), (5, 4))]
+    bases += [artin_from_point_counts(2, 2, [3, 5]), artin_from_point_counts(3, 2, [4, 10])]
+    bases += [artin_from_point_counts(2, 3, (3, 9, 9)), artin_from_point_counts(3, 3, (5, 11, 29))]
+    levels = []
+    for z in bases:
+        levels += [z] + derive_tower(z, (2, 3)) + derive_tower(z, (3, 1), normalize=True)
+    return levels
+
+
+def test_extraction_matches_poly_division():
+    levels = _extraction_levels()
+    assert {z.genus for z in levels} == {1, 2, 3}
+    for z in levels:
+        inv = extract_invariants(z)
+        assert (inv.alphas, inv.beta) == oracle_invariants(z), (z.label, z.genus, z.steps)
+
+
+def _misshapen(z):
+    """z with P of the wrong degree, with no exact quotient and, from genus 2 on, with a quotient that is not palindromic."""
+    g, Q, P = z.genus, z.Q, z.P.coeffs
+    shapes = [P[:-1], P[:-1] + (P[-1] + 1,)]
+    if g > 1:
+        S = Poly([1] + [0] * (2 * g - 3) + [Q ** (g - 1) + 1])  # S_{2g-2} != Q^(g-1) S_0
+        shapes.append((S * Poly([1, -(Q + 1), Q]) + Poly([0] * g + [5])).coeffs)
+    return [replace(z, P=Poly(cs)) for cs in shapes]
+
+
+def test_extraction_refuses_what_poly_division_refuses():
+    levels = [w for z in _extraction_levels()[::3] for w in _misshapen(z)]
+    messages = set()
+    for z in levels:
+        with pytest.raises(ValueError) as oracle:
+            oracle_invariants(z)
+        with pytest.raises(ValueError) as fast:
+            extract_invariants(z)
+        assert str(fast.value) == str(oracle.value)
+        messages.add(str(fast.value).split(" ")[0])
+    assert messages == {"numerator", "level", "interior"}

@@ -1,6 +1,7 @@
 """Tests for the RH verdicts and the sweep harness."""
 
 import hashlib
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -409,14 +410,70 @@ def test_run_curve_checks_each_level_and_step_once(monkeypatch):
     for cell in cells:
         assert "error" not in cell
         assert set(cell["checks"].values()) <= {"pass", "skipped"}
-    # the 8 paths reach 9 distinct levels through 8 distinct steps; checking
-    # every cell's own path made 21 calls per level stage and 13 per step stage
+    # the 8 paths reach 9 distinct levels through 8 distinct steps, and (1,)
+    # gives back the base's numerator, so the level stages see 8 numerators;
+    # checking every cell's own path made 21 calls per level stage and 13 per step stage
     levels = [(), (1,), (2,), (2, 2), (2, 2, 2), (2, 3), (3,), (3, 2), (4,)]
     for name in per_level:
-        assert sorted(args[0].steps for args in calls[name]) == levels, name
+        assert sorted(args[0].steps for args in calls[name]) == [s for s in levels if s != (1,)], name
     assert sorted(z.steps + (n,) for z, n in calls["special_values"]) == levels[1:]
     assert sorted(derived.steps for _, derived, _ in calls["counting_miracle_check"]) == levels[1:]
     assert {name: len(calls[name]) for name in per_step} == dict.fromkeys(per_step, 8)
+
+
+def test_a_level_of_index_one_gets_its_prefix_results():
+    for spec in (CurveSpec(label="e", q=3, genus=1, trace=1), catalog_curve("X2g2").spec()):
+        tower = curve_tower(spec)
+        for prefix in ((), (2,)):
+            z, same = tower.level(prefix), tower.level(prefix + (1,))
+            assert same.steps == prefix + (1,) and (same.P, same.Q) == (z.P, z.Q)
+            assert tower.rh(prefix + (1,)) is tower.rh(prefix)
+            assert tower.invariants(prefix + (1,)) is tower.invariants(prefix)
+
+
+def test_a_failure_planted_at_the_base_is_shared_by_the_index_one_cells(monkeypatch):
+    def plant(name, args):
+        if args[0].steps == ():
+            if name == "rh_verdict_for_level":
+                return rh_lab.RHVerdict(method="exact_g1", holds=False, detail="planted")
+            return invariants.InvariantSet(alphas=(Fraction(-1),), beta=Fraction(-7))
+
+    names = ("extract_invariants", "rh_verdict_for_level")
+    calls = _count_calls(monkeypatch, names, plant)
+    spec = CurveSpec(label="e", q=3, genus=1, trace=1)
+    tuples = ((1,), (1, 1), (2,), (2, 1))
+    cells = {tuple(c["tuple"]): c for c in run_curve(spec, SweepConfig(curves=(spec,), tuples=tuples))}
+    for name in names:  # the levels (1,), (1, 1) and (2, 1) reuse the results of () and (2,)
+        assert [args[0].steps for args in calls[name]] == [(), (2,)], name
+    for steps in ((1,), (1, 1)):  # their last level is the planted base
+        assert (cells[steps]["data"]["alphas"], cells[steps]["data"]["beta"]) == (["-1"], "-7")
+    for key in ("alphas", "beta"):
+        assert cells[(2, 1)]["data"][key] == cells[(2,)]["data"][key]
+    for cell in cells.values():
+        assert "error" not in cell
+        assert cell["checks"]["positivity"] == cell["checks"]["rh"] == "fail"
+
+
+def test_each_run_curve_call_makes_its_own_verdicts(monkeypatch):
+    calls = _count_calls(monkeypatch, ("rh_verdict_for_level",))
+    spec = CurveSpec(label="e", q=3, genus=1, trace=1)
+    config = SweepConfig(curves=(spec,), tuples=((1,), (2, 1)), checks=("rh",))
+    assert run_curve(spec, config) == run_curve(spec, config)
+    assert [args[0].steps for args in calls["rh_verdict_for_level"]] == [(), (2,)] * 2
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="no int-to-str digit limit")
+def test_passing_checks_format_no_number_past_the_digit_limit():
+    # the trace and discriminant at (10, 10, 5) and the beta ratios at (10, 10, 8)
+    # have more decimal digits than Python converts to a string by default
+    spec = CurveSpec(label="e", q=5, genus=1, trace=2)
+    config = SweepConfig(
+        curves=(spec,), tuples=((10, 10, 5), (10, 10, 8)), checks=("rh", "ratio_bounds"), product_cap=10**9
+    )
+    for cell in sweep(config)["cells"]:
+        assert "error" not in cell, cell["error"]
+        assert cell["checks"] == {"rh": "pass", "ratio_bounds": "pass"}
+        assert cell["data"]["rh_methods"] == ["exact_g1"]
 
 
 def test_run_curve_shares_a_failed_level_check(monkeypatch):

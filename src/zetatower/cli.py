@@ -28,8 +28,8 @@ from zetatower.curves import (
     load_curves,
 )
 from zetatower.derived_engine import derive_tower, special_values
-from zetatower.exact_arith import rat_str
-from zetatower.invariants import invariant_report
+from zetatower.exact_arith import rat_str, unlimited_int_digits
+from zetatower.invariants import interlacing_poly, interlacing_signs, invariant_report
 from zetatower.rh_lab import (
     ALL_CHECKS,
     DEFAULT_PRECISION_BITS,
@@ -179,14 +179,15 @@ def cmd_derive(args) -> int:
 def cmd_invariants(args) -> int:
     spec, steps, levels = _tower(args)
     reports = []
+    extracted = {}  # one extraction per distinct numerator, as rh-check decides once per numerator
     for i, z in enumerate(levels):
-        gamma_ns, sv = (), None
-        if i > 0:
+        key = z.numerator_key()
+        if key not in extracted:
+            extracted[key] = invariant_report(z)
+        rep = {**extracted[key], "curve": spec.label, "tuple": list(z.steps), "gamma_signs": {}}
+        if i > 0:  # the sign vector belongs to the step, not to the numerator
             n = steps[i - 1]
-            sv = special_values(levels[i - 1], n)
-            gamma_ns = (n,)
-        rep = invariant_report(z, gamma_ns=gamma_ns, sv_prev=sv)
-        rep["curve"] = spec.label
+            rep["gamma_signs"][str(n)] = interlacing_signs(interlacing_poly(special_values(levels[i - 1], n), n))
         reports.append(rep)
     if args.format == "csv":
         lines = ["curve,tuple,Q,alphas,beta,positivity"]
@@ -319,22 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Deep levels have coefficients far past Python's default 4300-digit limit
-    # on int <-> str conversion, and every emitted rational is a decimal string.
-    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if digit_limit is not None:
-        sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        with unlimited_int_digits():
+            return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - internal failure path
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    finally:
-        if digit_limit is not None:
-            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -8,9 +8,10 @@ provides a small brute-force point counter for the catalog curves so the
 analytic data can be cross-checked against actual counting.
 
 Every level of the derived tower has the same shape over its own Q, so a
-``ZetaLevel`` stores just the numerator P and Q.  Its functional equation is
-the coefficient symmetry, its residue at T = 1 is P(1)/(Q-1), and validation
-is exact coefficient arithmetic on P.
+``ZetaLevel`` stores just the numerator P and Q, plus an integer view of P
+(content times coprime ints) that every value and residue reads.  Its
+functional equation is the coefficient symmetry, its residue at T = 1 is
+P(1)/(Q-1), and validation is exact coefficient arithmetic on P.
 
 Point counting supports plane models y^2 + a3*y = f(x) with coefficients in
 the prime field and a single smooth point at infinity; that covers the whole
@@ -28,7 +29,17 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from zetatower.exact_arith import BigRat, Poly, as_rat, is_self_inversive, newton_power_sums, rat_str, series_exp
+from zetatower.exact_arith import (
+    BigRat,
+    Poly,
+    as_rat,
+    content_primitive,
+    horner,
+    is_self_inversive,
+    newton_power_sums,
+    rat_str,
+    series_exp,
+)
 
 BRUTE_FORCE_FIELD_CAP = 2**20
 
@@ -340,6 +351,13 @@ class ZetaLevel:
     base), Q = q**prod(steps), P is the numerator in this level's own
     variable, and scale records the constant divided out when the level was
     normalized to constant term 1.
+
+    view is P as (c, ints): a rational content c > 0 times coprime integer
+    coefficients, lowest first (``exact_arith.content_primitive``).  It is
+    built once per level, in ``__post_init__``, so ``dataclasses.replace``
+    (and with it ``normalize_level``) builds it anew for the new P.  Every
+    value and residue is one integer Horner pass over it, reduced once; it
+    takes no part in equality, hashing or ``numerator_key``.
     """
 
     steps: tuple
@@ -349,6 +367,10 @@ class ZetaLevel:
     normalized: bool = False
     scale: BigRat = Fraction(1)
     label: str = ""
+    view: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "view", content_primitive(self.P.coeffs))
 
     def numerator_key(self) -> tuple:
         """(P, Q, genus), all that a level's invariants and RH verdict depend on.
@@ -359,15 +381,39 @@ class ZetaLevel:
 
     def residue(self) -> Fraction:
         """Res_{T=1} Z = P(1)/(Q-1), which is beta."""
-        return self.P(1) / (self.Q - 1)
+        c, ints = self.view
+        a, b = self.Q.numerator, self.Q.denominator
+        return Fraction(c.numerator * sum(ints) * b, c.denominator * (a - b))
 
     def residue_inv_q(self) -> Fraction:
-        """Res_{T=1/Q} Z = -P(1/Q) Q^(g-1)/(Q-1)."""
-        return -self.P(1 / self.Q) * self.Q ** (self.genus - 1) / (self.Q - 1)
+        """Res_{T=1/Q} Z = -P(1/Q) Q^(g-1)/(Q-1).
+
+        With Q = a/b, P(b/a) = c H / a^d (H the Horner sum, d = deg P) and
+        Q^(g-1)/(Q-1) = a^(g-1) b^(2-g) / (a-b); the powers of a and b are
+        put on the side where they are nonnegative.
+        """
+        c, ints = self.view
+        a, b, g = self.Q.numerator, self.Q.denominator, self.genus
+        e = g - len(ints)  # a^(g-1) over the a^d of P(b/a)
+        num = -c.numerator * horner(ints, b, a) * a ** max(e, 0) * b ** max(2 - g, 0)
+        return Fraction(num, c.denominator * a ** max(-e, 0) * b ** max(g - 2, 0) * (a - b))
+
+    def value_pair(self, u: int, w: int) -> tuple:
+        """Z(u/w) as an unreduced pair (N, D) of ints, N/D = Z(u/w); w != 0.
+
+        With Q = a/b the denominator (1-T)(1-QT)T^(g-1) at T = u/w is
+        (w-u)(bw-au)u^(g-1) / (b w^(g+1)), and P(u/w) = c H / w^d.  At a
+        pole D is 0.
+        """
+        c, ints = self.view
+        a, b, g = self.Q.numerator, self.Q.denominator, self.genus
+        e = g + 2 - len(ints)  # w^(g+1) over the w^d of P(u/w)
+        num = c.numerator * horner(ints, u, w) * b * w ** max(e, 0)
+        return num, c.denominator * w ** max(-e, 0) * (w - u) * (b * w - a * u) * u ** (g - 1)
 
     def value(self, t: Fraction) -> Fraction:
         """Z(t) at a point t that is not a pole: not 1 or 1/Q, and not 0 when g > 1."""
-        return self.P(t) / ((1 - t) * (1 - self.Q * t) * t ** (self.genus - 1))
+        return Fraction(*self.value_pair(t.numerator, t.denominator))
 
     def trace(self) -> Fraction:
         """For genus 1: the A with P = alpha(0) * (1 - A*T + Q*T^2)."""
@@ -399,7 +445,7 @@ def validate_zeta_level(z: ZetaLevel) -> list:
     # functional equation forces Res_{T=1} = -Q * Res_{T=1/Q}.  The detail is
     # built only on failure: a valid level's residues can have more digits
     # than Python converts to a decimal string.
-    zeros = [t for t in (Fraction(1), 1 / Q) if P(t) == 0]
+    zeros = [t for t in (Fraction(1), 1 / Q) if horner(z.view[1], t.numerator, t.denominator) == 0]
     if zeros:
         detail = f"residue computation failed: not a pole: {', '.join(rat_str(t) for t in zeros)}"
         results.append(CheckResult("residue_antisymmetry", False, detail))
@@ -413,7 +459,8 @@ def validate_zeta_level(z: ZetaLevel) -> list:
     results.append(CheckResult("numerator_degree", P.degree == 2 * g, f"numerator degree {P.degree}"))
 
     if not z.steps:
-        results.append(CheckResult("base_residue_positive", P(1) > 0, "Res_{T=1} > 0 at the base"))
+        # P(1) = c * sum(ints) with c > 0
+        results.append(CheckResult("base_residue_positive", sum(z.view[1]) > 0, "Res_{T=1} > 0 at the base"))
     return results
 
 

@@ -1,7 +1,9 @@
 """The inductive derivation step of the zeta tower, at polynomial cost in n.
 
 Levels are numerators (``curves.ZetaLevel`` holds P and Q); every value,
-residue and special value of the previous zeta below is read off its P.
+residue and special value of the previous zeta below is read off its P, by
+one integer Horner pass over the level's integer view of P (a rational
+content times coprime ints, built once per level).
 
 Given a level with prime power Q, complete zeta Z(T) = P(T)/((1-T)(1-QT)T^(g-1))
 and special values, the next level for index n is the finite double sum
@@ -36,9 +38,17 @@ middle factor is Z(Q^(n-a+e)).  ``derive_step`` computes each F and middle
 value once and reads it for the certificate and for the nodes alike.
 
 All of it runs on Python ints.  Q must be an integer (else ValueError, never
-a truncation), and each sum (a table entry, an F, a node value) puts its
-terms over the lcm of their denominators, adds ints and is reduced once; a
-residue sum is tested for zero unreduced.
+a truncation).  Inside ``derive_step`` a value is an int pair (N, D) that
+stands for N/D and is never reduced: each pole 1/(1 - Q^k), each F(m, s),
+each middle value Z(Q^k) (``ZetaLevel.value_pair``, for k < 0 too), and the
+table entries and the two residues of the previous level as they are read
+(``exact_arith.as_pair``).  A sum of products of pairs puts the products
+over the lcm of their denominators (``exact_arith.over_lcm``) and adds ints.
+Values are reduced in four places only: the special values and the table
+entries, which ``special_values`` and ``composition_sums`` return as
+Fractions (a table row goes over one lcm for its inner sums), the 2g+1 node
+values, and the interpolated coefficients of the new numerator.  A residue
+sum of the certificate is tested for zero unreduced.
 
 The new numerator P_n = Z_n(T) (1-T)(1-Q^n T) T^(g-1) has degree at most 2g.
 It is evaluated exactly at the 2g+1 nodes T = Q^j, j = 1..2g+1, and recovered
@@ -70,7 +80,7 @@ from math import comb, prod
 from typing import Iterator, Sequence, Union
 
 from zetatower.curves import CurveSpec, ZetaLevel, artin_zeta, validate_zeta_level
-from zetatower.exact_arith import BigRat, as_integer, interpolate, over_lcm
+from zetatower.exact_arith import BigRat, as_integer, as_pair, interpolate, over_lcm
 
 
 class DerivationError(RuntimeError):
@@ -156,7 +166,7 @@ def composition_sums(sv: SpecialValues, m_max: int, positive: bool = False) -> t
             row[p] = Fraction(sign * sv.vhat(p).numerator * sum(scaled), sv.vhat(p).denominator * D * L)
         row[m] = sv.vhat(m)
         table.append(tuple(row))
-        rows.append(over_lcm((x.numerator, x.denominator) for x in row))
+        rows.append(over_lcm(map(as_pair, row)))
     return tuple(table)
 
 
@@ -167,47 +177,49 @@ def derive_step(z: ZetaLevel, n: int) -> ZetaLevel:
     Q, g = as_integer(z.Q, "Q"), z.genus
     steps = z.steps + (n,)
     table = composition_sums(special_values(z, n - 1), n - 1) if n > 1 else ((Fraction(0),),)
-    rows = [over_lcm((x.numerator, x.denominator) for x in row) for row in table]  # each row over its lcm
+    rows = [over_lcm(map(as_pair, row)) for row in table]  # each row over its lcm
 
-    def lcm_sum(products) -> tuple:  # (N, L) with N / L the sum of the products
-        scaled, L = over_lcm((prod(f.numerator for f in fs), prod(f.denominator for f in fs)) for fs in products)
+    def lcm_sum(products) -> tuple:  # (N, L): N / L is the sum of the products of pairs
+        scaled, L = over_lcm((prod(n for n, _ in fs), prod(d for _, d in fs)) for fs in products)
         return sum(scaled), L
 
     @cache
-    def pole(k: int) -> Fraction:
-        return 1 / (1 - z.Q**k)
+    def pole(k: int) -> tuple:  # 1 / (1 - Q^k), k != 0
+        return (1, 1 - Q**k) if k > 0 else (Q**-k, Q**-k - 1)
 
     @cache
-    def F(m: int, s: int) -> Fraction:  # row m over its lcm D, the poles over theirs
+    def F(m: int, s: int) -> tuple:  # row m over its lcm D, the poles over theirs
+        if not m:
+            return 1, 1
         nums, D = rows[m]
-        scaled, L = over_lcm((nums[p] * pole(p + s).numerator, pole(p + s).denominator) for p in range(1, m + 1))
-        return Fraction(sum(scaled), D * L) if m else Fraction(1)
+        scaled, L = over_lcm((nums[p] * pole(p + s)[0], pole(p + s)[1]) for p in range(1, m + 1))
+        return sum(scaled), D * L
 
     @cache
-    def mid(k: int) -> Fraction:
-        return z.value(z.Q**k)
+    def mid(k: int) -> tuple:  # Z(Q^k)
+        return z.value_pair(Q**k, 1) if k >= 0 else z.value_pair(1, Q**-k)
 
-    def right(a: int, e: int) -> Fraction:  # R_a(Q^e)
+    def right(a: int, e: int) -> tuple:  # R_a(Q^e)
         return F(n - a, a - n - e)
 
-    def left(a: int, e: int) -> Fraction:  # L_a(Q^e)
+    def left(a: int, e: int) -> tuple:  # L_a(Q^e)
         return F(a - 1, n - a + 1 + e)
 
     # Each a-term has exactly one simple pole at T = Q^e: in the right sum for
     # a <= n-1+e, in Z(Q^(n-a) T) at u = 1 (residues[0]) for a = n+e and at
     # u = 1/Q (residues[1]) for a = n+e+1, and in the left sum for a >= n+e+2.
     # The sum is scaled by Q^-e, which drops Q^e from the side sums and leaves Q on Res(1/Q).
-    residues = (z.residue(), z.residue_inv_q() * Q)
+    residues = (as_pair(z.residue()), as_pair(z.residue_inv_q() * Q))
     uncancelled = []
     for e in range(1 - n, 0):
         terms = []
         for a in range(1, n + 1):
             if a <= n - 1 + e:
-                terms.append((table[n - a][n - a + e], mid(n - a + e), left(a, e)))
+                terms.append((as_pair(table[n - a][n - a + e]), mid(n - a + e), left(a, e)))
             elif a <= n + e + 1:
                 terms.append((residues[a - n - e], right(a, e), left(a, e)))
             else:
-                terms.append((-table[a - 1][a - 1 - n - e], right(a, e), mid(n - a + e)))
+                terms.append((as_pair(-table[a - 1][a - 1 - n - e]), right(a, e), mid(n - a + e)))
         if lcm_sum(terms)[0]:
             uncancelled.append(e)
     if uncancelled:

@@ -2,20 +2,26 @@
 
 Every scalar a caller sees is a ``fractions.Fraction`` (aliased ``BigRat``).
 Inside, evaluation and interpolation run on Python ints over the lcm of their
-denominators (``over_lcm``), reduced once per output; nothing touches a float.
+denominators (``over_lcm``), reduced once per output; a coefficient list that
+is read many times is kept as a rational content times coprime ints
+(``content_primitive``) and evaluated by integer ``horner``.  Nothing touches
+a float.
 A polynomial is a dense tuple of coefficients, index ``i`` holding the
 coefficient of ``T**i``, with no trailing zeros (the zero polynomial is the
 empty tuple), so structural equality is mathematical equality.  A truncated
 power series is a plain coefficient list.
 
 All values are immutable after construction and all operations are pure, so
-everything here is safe to share freely across threads.
+everything here is safe to share freely across threads; the one exception is
+``unlimited_int_digits``, which changes a process-wide setting.
 """
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence, Union
 
 BigRat = Fraction
@@ -41,6 +47,11 @@ def as_integer(x: Scalar, name: str) -> int:
     return as_rat(x).numerator
 
 
+def as_pair(x: Fraction) -> tuple:
+    """x as the int pair (numerator, denominator)."""
+    return x.numerator, x.denominator
+
+
 def over_lcm(pairs: Iterable[tuple]) -> tuple:
     """(scaled, L): the i-th pair (n, d) of ints is scaled[i]/L, L the lcm of the ds, so sum(scaled)/L is the sum."""
     pairs = list(pairs)
@@ -48,9 +59,43 @@ def over_lcm(pairs: Iterable[tuple]) -> tuple:
     return [n * (L // d) for n, d in pairs], L
 
 
+def content_primitive(coeffs: Sequence[Fraction]) -> tuple:
+    """(c, ints): coeffs[i] = c * ints[i] with c > 0 rational and the ints coprime; (1, ()) when all are zero."""
+    scaled, L = over_lcm(map(as_pair, coeffs))
+    g = gcd(*scaled)
+    return (Fraction(g, L), tuple(x // g for x in scaled)) if g else (Fraction(1), ())
+
+
+def horner(ints: Sequence[int], u: int, w: int) -> int:
+    """sum ints[i] u^i w^(d-i), d = len(ints) - 1: w^d times the polynomial with coefficients ints at u/w."""
+    acc, wk = 0, 1
+    for c in reversed(ints):
+        acc, wk = acc * u + c * wk, wk * w
+    return acc
+
+
 def rat_str(x: Fraction) -> str:
     """Serialize exactly; round-trips through as_rat."""
     return str(Fraction(x))
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Lift Python's limit on int <-> str digits inside the block, then restore it.
+
+    Deep levels have coefficients far past the default 4300 decimal digits,
+    and every emitted rational is a decimal string (``rat_str``).  The limit
+    is process-wide, so blocks in concurrent threads must not interleave.
+    """
+    if not hasattr(sys, "get_int_max_str_digits"):  # Python before 3.11 has no limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class Poly:
@@ -193,11 +238,8 @@ class Poly:
     def __call__(self, t: Scalar) -> Fraction:
         """P(u/w) = sum A_i u^i w^(d-i) / w^d, in integer Horner steps over the lcm of the A_i."""
         t = as_rat(t)
-        scaled, L = over_lcm((c.numerator, c.denominator) for c in self.coeffs)
-        acc, wk = 0, 1
-        for c in reversed(scaled):
-            acc, wk = acc * t.numerator + c * wk, wk * t.denominator
-        return Fraction(acc, L * wk // t.denominator) if scaled else Fraction(0)
+        scaled, L = over_lcm(map(as_pair, self.coeffs))
+        return Fraction(horner(scaled, t.numerator, t.denominator), L * t.denominator ** max(len(scaled) - 1, 0))
 
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])

@@ -38,7 +38,7 @@ from math import comb
 
 from zetatower.curves import CheckResult, ZetaLevel
 from zetatower.derived_engine import SpecialValues, composition_sums
-from zetatower.exact_arith import BigRat, Poly, as_integer, is_self_inversive, over_lcm, rat_str
+from zetatower.exact_arith import BigRat, Poly, as_integer, as_pair, is_self_inversive, over_lcm, rat_str
 
 
 class ReconstructionError(RuntimeError):
@@ -157,7 +157,7 @@ def interlacing_poly(sv: SpecialValues, n: int) -> InterlacingPoly:
     clearing = [1]  # prod_{l=1..n} (Q^l T - 1), lowest coefficient first
     for ell in range(1, n + 1):
         clearing = [Q**ell * a - b for a, b in zip([0] + clearing, clearing + [0])]
-    scaled, L = over_lcm((w.numerator, w.denominator) for w in weights)
+    scaled, L = over_lcm(map(as_pair, weights))
     coeffs = [0] * n
     for p, w in enumerate(scaled, start=1):  # w * clearing / (Q^p T - 1), from the constant term up
         quotient = 0

@@ -46,7 +46,7 @@ import mpmath as mp
 
 from zetatower.curves import CheckResult, CurveSpec, ZetaLevel, artin_zeta, hasse_traces
 from zetatower.derived_engine import SpecialValues, derive_step, special_values
-from zetatower.exact_arith import BigRat, Poly, is_self_inversive, rat_str, squarefree_factors
+from zetatower.exact_arith import BigRat, Poly, is_self_inversive, rat_str, squarefree_factors, unlimited_int_digits
 from zetatower.invariants import (
     InvariantSet,
     beta_closed_form,
@@ -511,7 +511,9 @@ def run_curve(spec: CurveSpec, config: SweepConfig) -> list:
     all of its own work.
     """
     tower = curve_tower(spec, config.precision_bits)
-    return [run_cell(spec, tuple(steps), config, tower) for steps in config.tuples]
+    # the report strings of deep levels pass 4300 digits; lifted here, a --jobs worker lifts it too
+    with unlimited_int_digits():
+        return [run_cell(spec, tuple(steps), config, tower) for steps in config.tuples]
 
 
 def sweep(config: SweepConfig, jobs: int = 1) -> dict:

@@ -389,6 +389,32 @@ def test_rh_check_decides_each_numerator_once(monkeypatch, capsys):
     assert len(calls) == 2  # (1,) has the base's numerator
 
 
+def test_invariants_extracts_each_numerator_once(monkeypatch, capsys):
+    from zetatower import invariants
+    from zetatower.derived_engine import special_values
+
+    calls = []
+    real = invariants.extract_invariants
+
+    def counting(z):
+        calls.append(z.steps)
+        return real(z)
+
+    monkeypatch.setattr(invariants, "extract_invariants", counting)
+    assert run_cli(["invariants", "--curve", "catalog:X2g2", "--tuple", "1,1,2"]) == 0
+    assert calls == [(), (1, 1, 2)]  # (1,) and (1, 1) have the base's numerator
+    monkeypatch.setattr(invariants, "extract_invariants", real)
+    reports = json.loads(capsys.readouterr().out)
+    # the same records as one invariant_report per level, the sign vector of each step included
+    spec = catalog_curve("X2g2").spec()
+    levels = [artin_zeta(spec)] + derive_tower(spec, (1, 1, 2))
+    expected = [invariants.invariant_report(levels[0])] + [
+        invariants.invariant_report(z, gamma_ns=(n,), sv_prev=special_values(prev, n))
+        for prev, z, n in zip(levels, levels[1:], (1, 1, 2))
+    ]
+    assert reports == [{**rep, "curve": "X2g2"} for rep in expected]
+
+
 def test_math_layer_bug_exits_3(monkeypatch, capsys):
     import zetatower.invariants as invariants
 

@@ -2,12 +2,15 @@
 
 import json
 import time
+from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from conftest import rationals
 from ratfunc_oracle import RatFunc, residue_simple_pole, standard_denominator, to_ratfunc
 from zetatower.curves import (
     CATALOG,
@@ -24,6 +27,7 @@ from zetatower.curves import (
     prime_power_split,
     validate_zeta_level,
 )
+from zetatower.derived_engine import normalize_level
 from zetatower.exact_arith import Poly
 
 
@@ -265,6 +269,76 @@ def test_coefficient_checks_match_the_ratfunc_route(q, g, coeffs, symmetric, bas
         coeffs[g + 1 : 2 * g + 1] = [q ** (g - i) * coeffs[i] for i in range(g - 1, -1, -1)]
     z = ZetaLevel(steps=() if base else (2,), Q=Fraction(q), genus=g, P=Poly(coeffs))
     assert _passed(validate_zeta_level(z)) == _ratfunc_verdicts(z)
+
+
+# -- the integer view of P ------------------------------------------------------
+
+
+def _at(P, t):
+    """P(t) as a sum of Fraction powers, the formula the integer view replaces."""
+    return sum((c * t**i for i, c in enumerate(P.coeffs)), Fraction(0))
+
+
+def _view_matches(z):
+    c, ints = z.view
+    return c > 0 and gcd(*ints) in (0, 1) and tuple(c * x for x in ints) == z.P.coeffs
+
+
+@st.composite
+def _levels(draw):
+    """Genus 1..3, rational P, integer Q; now and then P is shifted to vanish at 1 or at 1/Q."""
+    g = draw(st.integers(min_value=1, max_value=3))
+    Q = Fraction(draw(st.integers(min_value=2, max_value=64)))
+    P = Poly(draw(st.lists(rationals(max_abs=50, max_den=12), min_size=2 * g + 1, max_size=2 * g + 1)))
+    root = draw(st.sampled_from([None, Fraction(1), 1 / Q]))
+    if root is not None:
+        P = P - Poly([_at(P, root)])
+    return ZetaLevel(steps=draw(st.sampled_from([(), (2,)])), Q=Q, genus=g, P=P)
+
+
+@given(_levels(), st.integers(min_value=1, max_value=4), rationals(max_abs=9, max_den=9))
+def test_view_matches_the_fraction_formulas(z, k, t):
+    P, Q, g = z.P, z.Q, z.genus
+    assert _view_matches(z)
+    assert z.residue() == _at(P, 1) / (Q - 1)
+    assert z.residue_inv_q() == -_at(P, 1 / Q) * Q ** (g - 1) / (Q - 1)
+    poles = {Fraction(1), 1 / Q} | ({Fraction(0)} if g > 1 else set())
+    for x in {Q**k, Q**-k, t} - poles:
+        assert z.value(x) == _at(P, x) / ((1 - x) * (1 - Q * x) * x ** (g - 1))
+
+
+@given(_levels())
+def test_view_detects_a_zero_of_P_at_either_pole(z):
+    zeros = [t for t in (Fraction(1), 1 / z.Q) if _at(z.P, t) == 0]
+    checks = {r.name: r for r in validate_zeta_level(z)}
+    residues = checks["residue_antisymmetry"]
+    if zeros:
+        assert not residues.passed
+        assert residues.detail == f"residue computation failed: not a pole: {', '.join(map(str, zeros))}"
+    else:
+        assert residues.passed == (z.residue() == -z.Q * z.residue_inv_q())
+    if not z.steps:
+        assert checks["base_residue_positive"].passed == (_at(z.P, 1) > 0)
+
+
+@given(_levels(), rationals(max_abs=9, max_den=9).filter(bool))
+def test_replace_and_normalize_rebuild_the_view(z, factor):
+    scaled = replace(z, P=z.P * factor)
+    assert _view_matches(scaled)
+    assert scaled.residue() == factor * z.residue()
+    if z.P[0]:
+        normal = normalize_level(z)
+        assert _view_matches(normal) and normal.P[0] == 1
+        assert normal.residue() == z.residue() / z.P[0]
+
+
+@given(_levels())
+def test_equality_hash_and_numerator_key_ignore_the_view(z):
+    other = replace(z)
+    object.__setattr__(other, "view", (Fraction(7), (1,)))
+    assert other == z and hash(other) == hash(z)
+    assert other.numerator_key() == z.numerator_key()
+    assert "view" not in repr(z)
 
 
 def test_genus0_rejected():

@@ -476,6 +476,37 @@ def test_passing_checks_format_no_number_past_the_digit_limit():
         assert cell["data"]["rh_methods"] == ["exact_g1"]
 
 
+_DEEP_POSITIVITY = SweepConfig(
+    curves=(CurveSpec(label="e", q=5, genus=1, trace=2),), tuples=((10, 10, 8),), checks=("positivity",), product_cap=10**9
+)
+
+
+def _assert_deep_positivity_cells(cells):
+    # alpha(0) and beta at (10, 10, 8) have more decimal digits than Python converts by default
+    (cell,) = cells
+    assert "error" not in cell, cell["error"]
+    assert cell["checks"] == {"positivity": "pass"}
+    assert max(len(s) for s in cell["data"]["alphas"] + [cell["data"]["beta"]]) > 4300
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="no int-to-str digit limit")
+def test_library_sweep_writes_report_strings_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    _assert_deep_positivity_cells(sweep(_DEEP_POSITIVITY)["cells"])
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="no int-to-str digit limit")
+def test_a_spawned_worker_writes_report_strings_past_the_digit_limit():
+    # a spawned process starts with the default limit, whatever the parent set
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    spec = _DEEP_POSITIVITY.curves[0]
+    with ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        _assert_deep_positivity_cells(pool.submit(run_curve, spec, _DEEP_POSITIVITY).result())
+
+
 def test_run_curve_shares_a_failed_level_check(monkeypatch):
     def plant(name, args):
         if args[0].steps == (2,):

@@ -3,9 +3,11 @@
 Commands: catalog, derive, invariants, rh-check, sweep.  Curves come from an
 inline spec (``elliptic:q=2,a=0`` or ``counts:q=2,g=2,N=3;5``), from the
 built-in catalog (``catalog:E2a0``), or from a JSON file matching the curve
-schema.  Every rational in emitted JSON is an exact string; numeric RH
-deviations are decimal strings at the stated precision.  Identical inputs
-produce byte-identical output files.
+schema.  derive, invariants and rh-check read the levels along --tuple, in
+prefix order, from the curve's lazy tower (``rh_lab.curve_tower``), as sweep
+does; --normalize only presents that unnormalized tower.  Every rational in emitted JSON is an exact string;
+numeric RH deviations are decimal strings at the stated precision.
+Identical inputs produce byte-identical output files.
 
 Exit codes: 0 ok, 1 check failed, 2 usage error, 3 internal error.
 """
@@ -17,19 +19,19 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from zetatower.curves import (
     CATALOG,
     CurveSpec,
-    artin_zeta,
     catalog_curve,
     count_points_bruteforce,
     load_curves,
 )
-from zetatower.derived_engine import derive_tower, special_values
+from zetatower.derived_engine import normalize_level
 from zetatower.exact_arith import rat_str, unlimited_int_digits
-from zetatower.invariants import interlacing_poly, interlacing_signs, invariant_report
+from zetatower.invariants import InvariantSet
 from zetatower.rh_lab import (
     ALL_CHECKS,
     DEFAULT_PRECISION_BITS,
@@ -37,8 +39,8 @@ from zetatower.rh_lab import (
     SweepConfig,
     builtin_elliptic_grid,
     check_numeric_settings,
+    curve_tower,
     report_to_json,
-    rh_verdict_for_level,
     sweep,
 )
 
@@ -143,19 +145,22 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def _tower(args):
+def _tower(args, **rh_settings):
+    """The curve, its lazy tower, and the paths to the levels of --tuple in prefix order."""
     spec = parse_curve_arg(args.curve)
     cap = int(os.environ.get(ENV_PRODUCT_CAP, DEFAULT_PRODUCT_CAP))
     steps = parse_tuple_arg(args.tuple, cap, args.allow_large)
-    base = artin_zeta(spec)
-    levels = [base] + derive_tower(base, steps, normalize=args.normalize)
-    return spec, steps, levels
+    return spec, curve_tower(spec, **rh_settings), [steps[:i] for i in range(len(steps) + 1)]
 
 
 def cmd_derive(args) -> int:
-    spec, steps, levels = _tower(args)
-    payload = {"curve": spec.to_dict(), "tuple": list(steps), "levels": []}
-    for z in levels:
+    spec, tower, paths = _tower(args)
+    payload = {"curve": spec.to_dict(), "tuple": list(paths[-1]), "levels": []}
+    for path in paths:
+        z = tower.level(path)
+        if args.normalize and path:  # the base is emitted as built
+            # a step is homogeneous of degree n in its input: from the normalized prefix it gives z / A_0(prefix)^n
+            z = replace(normalize_level(z), scale=z.P[0] / tower.level(path[:-1]).P[0] ** path[-1])
         P = z.P
         payload["levels"].append(
             {
@@ -177,18 +182,29 @@ def cmd_derive(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    spec, steps, levels = _tower(args)
+    spec, tower, paths = _tower(args)
     reports = []
-    extracted = {}  # one extraction per distinct numerator, as rh-check decides once per numerator
-    for i, z in enumerate(levels):
-        key = z.numerator_key()
-        if key not in extracted:
-            extracted[key] = invariant_report(z)
-        rep = {**extracted[key], "curve": spec.label, "tuple": list(z.steps), "gamma_signs": {}}
-        if i > 0:  # the sign vector belongs to the step, not to the numerator
-            n = steps[i - 1]
-            rep["gamma_signs"][str(n)] = interlacing_signs(interlacing_poly(special_values(levels[i - 1], n), n))
-        reports.append(rep)
+    for path in paths:
+        inv, gamma_signs = tower.invariants(path), {}
+        if args.normalize:  # extraction is linear in P; a base has A_0 = 1
+            a0 = tower.level(path).P[0]
+            inv = InvariantSet(alphas=tuple(a / a0 for a in inv.alphas), beta=inv.beta / a0)
+        if path:  # the sign vector belongs to the step, not to the numerator
+            n, signs = path[-1], list(tower.interlacing(path)[1])
+            if args.normalize and n % 2 and tower.level(path[:-1]).P[0] < 0:
+                signs = [-s for s in signs]  # a normalized prefix scales the step's polynomial by A_0^-n
+            gamma_signs[str(n)] = signs
+        reports.append(
+            {
+                "curve": spec.label,
+                "tuple": list(path),
+                "Q": rat_str(tower.level(path).Q),
+                "alphas": [rat_str(a) for a in inv.alphas],
+                "beta": rat_str(inv.beta),
+                "positivity": inv.positivity(),
+                "gamma_signs": gamma_signs,
+            }
+        )
     if args.format == "csv":
         lines = ["curve,tuple,Q,alphas,beta,positivity"]
         for rep in reports:
@@ -211,19 +227,14 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_rh_check(args) -> int:
-    spec, steps, levels = _tower(args)
-    precision = _precision_bits(args)
+    precision = _precision_bits(args)  # before any level is derived
+    spec, tower, paths = _tower(args, precision_bits=precision, tolerance=args.tolerance)
     verdicts = []
-    all_hold = True
-    decided = {}  # one verdict per distinct numerator: a step of index 1 gives back its prefix's
-    for z in levels:
-        key = z.numerator_key()
-        if key not in decided:
-            decided[key] = rh_verdict_for_level(z, precision_bits=precision, tolerance=args.tolerance)
-        v = decided[key]
+    for path in paths:
+        v = tower.rh(path)
         verdicts.append(
             {
-                "tuple": list(z.steps),
+                "tuple": list(path),
                 "method": v.method,
                 "holds": v.holds,
                 "boundary": v.boundary,
@@ -233,10 +244,9 @@ def cmd_rh_check(args) -> int:
                 "tolerance": v.tolerance,
             }
         )
-        all_hold = all_hold and v.holds is True
     payload = {"curve": spec.to_dict(), "verdicts": verdicts}
     _write_output(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.output)
-    return 0 if all_hold else 1
+    return 0 if all(v["holds"] is True for v in verdicts) else 1
 
 
 def cmd_sweep(args) -> int:
@@ -277,10 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="zetatower", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, tuple_required=True):
+    def add_common(p, normalize=True):
         p.add_argument("--curve", required=True, help="elliptic:q=2,a=0 | counts:q=..,g=..,N=..;.. | catalog:LABEL | file.json")
-        p.add_argument("--tuple", required=tuple_required, default="1", help="comma-separated derivation indices, e.g. 2,3")
-        p.add_argument("--normalize", action="store_true", help="divide each level by its constant term")
+        p.add_argument("--tuple", required=True, help="comma-separated derivation indices, e.g. 2,3")
+        if normalize:
+            p.add_argument("--normalize", action="store_true", help="divide each derived level by its constant term")
         p.add_argument("--allow-large", action="store_true", help="override the step-product cap")
         p.add_argument("--output", default=None, help="output file (default: stdout)")
 
@@ -298,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("rh-check", help="Riemann-hypothesis verdicts per level")
-    add_common(p)
+    add_common(p, normalize=False)  # scaling P changes no verdict
     p.add_argument("--precision-bits", type=int, default=None)
     p.add_argument("--tolerance", default=None)
     p.set_defaults(func=cmd_rh_check)

@@ -194,27 +194,3 @@ def interlacing_sign_check(ip: InterlacingPoly) -> CheckResult:
         ok and degree_ok,
         f"signs at Q^-kappa: {signs}; degree {ip.poly.degree}",
     )
-
-
-# --------------------------------------------------------------------------
-# Report serialization
-# --------------------------------------------------------------------------
-
-
-def invariant_report(z: ZetaLevel, gamma_ns=(), sv_prev: SpecialValues = None) -> dict:
-    """JSON-ready record of one level's invariants and optional sign vectors."""
-    inv = extract_invariants(z)
-    report = {
-        "curve": z.label,
-        "tuple": list(z.steps),
-        "Q": rat_str(z.Q),
-        "alphas": [rat_str(a) for a in inv.alphas],
-        "beta": rat_str(inv.beta),
-        "positivity": inv.positivity(),
-        "gamma_signs": {},
-    }
-    for n in gamma_ns:
-        if sv_prev is None or sv_prev.depth < n:
-            raise ValueError("sign vectors need the previous level's special values")
-        report["gamma_signs"][str(n)] = interlacing_signs(interlacing_poly(sv_prev, n))
-    return report

@@ -22,13 +22,15 @@ automatic retry at doubled precision).
 Sweeps run a configurable battery of checks over a curve x tuple grid and
 emit a deterministic JSON-able report: no timestamps, fixed ordering, exact
 rationals as strings.  Identical configs give byte-identical reports.  Each
-curve has one tower (``curve_tower``): a level is derived from its prefix's
-level at most once, each distinct level numerator (invariants, RH verdict) is
-checked at most once per curve, and so is each step (special values, the
-beta routes, the counting miracle, interlacing, the ratio bounds).  A step of
-index 1 gives back its prefix's numerator, so a level ``(..., 1)`` reuses its
-prefix's results.  A cell only combines the results of its path, and
-``--jobs`` spreads the curves, not the cells, over worker processes.
+curve has one tower (``curve_tower``), the only derivation path of the
+package: sweeps read it, and so do the CLI's derive, invariants and rh-check.
+A level is derived from its prefix's level at most once, each distinct level
+numerator (invariants, RH verdict) is checked at most once per curve, and so
+is each step (special values, the beta routes, the counting miracle,
+interlacing, the ratio bounds).  A step of index 1 gives back its prefix's
+numerator, so a level ``(..., 1)`` reuses its prefix's results.  A cell only
+combines the results of its path, and ``--jobs`` spreads the curves, not the
+cells, over worker processes.
 """
 
 from __future__ import annotations
@@ -373,24 +375,31 @@ class Tower(NamedTuple):
     ratio_bounds: Callable[[tuple], tuple]  # bound checks from n = 2 on; genus 1 only
 
 
-def curve_tower(spec: CurveSpec, precision_bits: int = DEFAULT_PRECISION_BITS) -> Tower:
+def curve_tower(spec: CurveSpec, precision_bits: int = DEFAULT_PRECISION_BITS, tolerance=None) -> Tower:
     """A lazy tower over one curve: each entry is computed the first time it is read.
 
-    A level is derived from its prefix's level (the base comes from the
-    curve).  The memos are local to this tower, and one that raises stores
+    A level is derived, one step at a time, from the longest prefix already
+    stored (the base comes from the curve), so the depth of a path costs no
+    recursion.  The memos are local to this tower, and one that raises stores
     nothing: it is tried again, and raises again, every time it is read.
     Callees are looked up by name at call time, so a patched module global
     is the one that runs.
     """
+    levels = {}
 
-    @cache
     def level(steps: tuple) -> ZetaLevel:
-        return derive_step(level(steps[:-1]), steps[-1]) if steps else artin_zeta(spec)
+        i = len(steps)
+        while i >= 0 and steps[:i] not in levels:
+            i -= 1
+        for j in range(i + 1, len(steps) + 1):  # i = -1: not even the base is stored
+            levels[steps[:j]] = derive_step(levels[steps[: j - 1]], steps[j - 1]) if j else artin_zeta(spec)
+        return levels[steps]
 
     def by_numerator(stage: Callable[[ZetaLevel], object]) -> Callable[[tuple], object]:
         """``stage`` of the level ``steps`` reach, computed once per distinct numerator."""
         memo = {}
 
+        @cache  # the key (P, Q, genus) is built and hashed once per tuple of steps
         def read(steps: tuple):
             z = level(steps)
             key = z.numerator_key()
@@ -401,7 +410,7 @@ def curve_tower(spec: CurveSpec, precision_bits: int = DEFAULT_PRECISION_BITS) -
         return read
 
     invariants = by_numerator(lambda z: extract_invariants(z))
-    rh = by_numerator(lambda z: rh_verdict_for_level(z, precision_bits))
+    rh = by_numerator(lambda z: rh_verdict_for_level(z, precision_bits, tolerance))
 
     @cache
     def step_values(steps: tuple) -> SpecialValues:

@@ -15,9 +15,9 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from zetatower.cli import UsageError, main, parse_curve_arg
-from zetatower.curves import artin_zeta, catalog_curve
+from zetatower.curves import artin_zeta, catalog_curve, load_curves
 from zetatower.derived_engine import derive_tower
-from zetatower.exact_arith import as_rat
+from zetatower.exact_arith import as_rat, rat_str
 
 
 def run_cli(args):
@@ -125,7 +125,11 @@ def test_invariants_json_and_exit_code(tmp_path):
     )
     assert code == 0
     reports = json.loads(out.read_text())
+    assert [rep["tuple"] for rep in reports] == [[], [2]]
+    assert reports[1]["Q"] == "4"
+    assert reports[1]["alphas"] == ["3"]
     assert reports[1]["beta"] == "6"
+    assert reports[1]["positivity"] is True
     assert reports[1]["gamma_signs"] == {"2": [1, -1]}
 
 
@@ -197,6 +201,27 @@ OUTPUT_DIGESTS = {
         0,
         "0f0dfdc8c9c2dbf8ec65398a36aa9c9e71e31e8a2e057186c52d27b2c4b508fa",
         "94a6315431be4c25e39a9017dbe46abdd5678d3496288ca4c1ac16c09329833a",
+    ),
+    # recorded while derive, invariants and rh-check still derived through derive_tower
+    "derive --curve catalog:X2g2 --tuple 2,3,1 --normalize": (
+        0,
+        "aa90a79a7b1f38a76694a2a1f1f91fa85b98f15de3f799fc4a1ba483bd25f316",
+        "6dc24ea37050f2aaa6ee9924d116ff5cfa59d2da9737024197c8d980a68b7297",
+    ),
+    "invariants --curve catalog:X2g2 --tuple 2,3 --normalize --format json": (
+        0,
+        "04255ccbc74a76a401845f3c55461301b36e37fafdda52d778ee054455f6d30c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "invariants --curve elliptic:q=5,a=-3 --tuple 3,1,2 --normalize --format csv": (
+        0,
+        "20299e881079df69e9360eecc76cbb265c77e447fc9733c3ea2e458b283a5e26",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "rh-check --curve catalog:X2g2 --tuple 2,1,2": (
+        0,
+        "cb31401e36fd12f92bfadce38cac49149398a741d59e6f27585c6a4711a2598f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
 }
 
@@ -389,30 +414,92 @@ def test_rh_check_decides_each_numerator_once(monkeypatch, capsys):
     assert len(calls) == 2  # (1,) has the base's numerator
 
 
-def test_invariants_extracts_each_numerator_once(monkeypatch, capsys):
-    from zetatower import invariants
+def _invariant_records(label, levels):
+    """The invariants records of ``levels``, a tower's levels in prefix order, from first principles."""
     from zetatower.derived_engine import special_values
+    from zetatower.invariants import extract_invariants, interlacing_poly, interlacing_signs
+
+    records = []
+    for prev, z in zip([None] + levels, levels):
+        inv = extract_invariants(z)
+        signs = {}
+        if prev is not None:
+            n = z.steps[-1]
+            signs[str(n)] = interlacing_signs(interlacing_poly(special_values(prev, n), n))
+        records.append(
+            {
+                "curve": label,
+                "tuple": list(z.steps),
+                "Q": rat_str(z.Q),
+                "alphas": [rat_str(a) for a in inv.alphas],
+                "beta": rat_str(inv.beta),
+                "positivity": inv.positivity(),
+                "gamma_signs": signs,
+            }
+        )
+    return records
+
+
+def test_invariants_extracts_each_numerator_once(monkeypatch, capsys):
+    from zetatower import rh_lab
 
     calls = []
-    real = invariants.extract_invariants
+    real = rh_lab.extract_invariants
 
     def counting(z):
         calls.append(z.steps)
         return real(z)
 
-    monkeypatch.setattr(invariants, "extract_invariants", counting)
+    monkeypatch.setattr(rh_lab, "extract_invariants", counting)
     assert run_cli(["invariants", "--curve", "catalog:X2g2", "--tuple", "1,1,2"]) == 0
     assert calls == [(), (1, 1, 2)]  # (1,) and (1, 1) have the base's numerator
-    monkeypatch.setattr(invariants, "extract_invariants", real)
     reports = json.loads(capsys.readouterr().out)
-    # the same records as one invariant_report per level, the sign vector of each step included
+    # the same records as one extraction per level, the sign vector of each step included
     spec = catalog_curve("X2g2").spec()
-    levels = [artin_zeta(spec)] + derive_tower(spec, (1, 1, 2))
-    expected = [invariants.invariant_report(levels[0])] + [
-        invariants.invariant_report(z, gamma_ns=(n,), sv_prev=special_values(prev, n))
-        for prev, z, n in zip(levels, levels[1:], (1, 1, 2))
-    ]
-    assert reports == [{**rep, "curve": "X2g2"} for rep in expected]
+    assert reports == _invariant_records("X2g2", [artin_zeta(spec)] + derive_tower(spec, (1, 1, 2)))
+
+
+def test_invariants_normalize_matches_a_tower_of_normalized_levels(tmp_path, capsys):
+    # level (2, 3) of this numerator has A_0 < 0: over its normalized prefix the odd step's
+    # polynomial changes sign, and so does its sign vector
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"label": "neg", "q": 2, "genus": 3, "numerator": [1, -7, 8, 11, 16, -28, 8]}))
+    assert run_cli(["invariants", "--curve", str(path), "--tuple", "2,3,1", "--normalize"]) == 1
+    reports = json.loads(capsys.readouterr().out)
+    base = artin_zeta(load_curves(path)[0])
+    levels = [base] + derive_tower(base, (2, 3, 1), normalize=True)
+    assert derive_tower(base, (2, 3))[-1].P[0] < 0
+    assert reports == _invariant_records("neg", levels)
+
+
+def test_rh_check_has_no_normalize_option(capsys):
+    # scaling P changes no verdict, so the option would only suggest that it could
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["rh-check", "--curve", "elliptic:q=2,a=0", "--tuple", "2", "--normalize"])
+    assert exc.value.code == 2
+    assert "--normalize" in capsys.readouterr().err
+
+
+def test_rh_check_checks_the_precision_before_deriving(monkeypatch, capsys):
+    from zetatower import derived_engine, rh_lab
+
+    def fail(*args):
+        raise AssertionError("derived a level before checking the precision")
+
+    for module in (rh_lab, derived_engine):  # the tower's step, and any other route to one
+        monkeypatch.setattr(module, "derive_step", fail)
+    args = ["rh-check", "--curve", "catalog:X2g2", "--tuple", "10,10,10", "--allow-large", "--precision-bits", "8"]
+    assert run_cli(args) == 2
+    assert "precision must be at least 32 bits, got 8" in capsys.readouterr().err
+
+
+def test_derive_a_thousand_steps_of_index_one(tmp_path):
+    # the tower derives a path step by step, so its length costs no recursion
+    out = tmp_path / "ones.json"
+    assert run_cli(["derive", "--curve", "elliptic:q=2,a=0", "--tuple", ",".join(["1"] * 1000), "--output", str(out)]) == 0
+    levels = json.loads(out.read_text())["levels"]
+    assert len(levels) == 1001
+    assert levels[-1]["numerator"] == levels[0]["numerator"] == ["1", "0", "2"]
 
 
 def test_math_layer_bug_exits_3(monkeypatch, capsys):

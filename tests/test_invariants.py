@@ -21,7 +21,6 @@ from zetatower.invariants import (
     interlacing_poly,
     interlacing_sign_check,
     interlacing_signs,
-    invariant_report,
     reconstruct_numerator,
 )
 
@@ -191,18 +190,6 @@ def test_interlacing_defining_identity():
 
 def test_positivity_flag():
     assert extract_invariants(artin_elliptic(2, 2)).positivity()
-
-
-def test_invariant_report_schema():
-    z = artin_elliptic(2, 0)
-    z2 = derive_step(z, 2)
-    rep = invariant_report(z2, gamma_ns=(2,), sv_prev=special_values(z, 2))
-    assert rep["tuple"] == [2]
-    assert rep["Q"] == "4"
-    assert rep["alphas"] == ["3"]
-    assert rep["beta"] == "6"
-    assert rep["positivity"] is True
-    assert rep["gamma_signs"] == {"2": [1, -1]}
 
 
 def test_miracle_accepts_the_derived_level():

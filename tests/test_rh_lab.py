@@ -431,6 +431,27 @@ def test_a_level_of_index_one_gets_its_prefix_results():
             assert tower.invariants(prefix + (1,)) is tower.invariants(prefix)
 
 
+def test_a_long_path_on_a_fresh_tower_costs_no_recursion():
+    # a level is derived from the longest stored prefix in a loop, not one call deeper per step
+    tower = curve_tower(CurveSpec(label="e", q=2, genus=1, trace=0))
+    z = tower.level((1,) * 2000)
+    assert z.steps == (1,) * 2000 and (z.P, z.Q) == (tower.level(()).P, tower.level(()).Q)
+
+
+def test_a_path_read_twice_builds_its_numerator_key_once(monkeypatch):
+    calls = []
+    real = ZetaLevel.numerator_key
+
+    def counting(self):
+        calls.append(self.steps)
+        return real(self)
+
+    monkeypatch.setattr(ZetaLevel, "numerator_key", counting)
+    tower = curve_tower(CurveSpec(label="e", q=3, genus=1, trace=1))
+    assert tower.invariants((2,)) is tower.invariants((2,))
+    assert calls == [(2,)]
+
+
 def test_a_failure_planted_at_the_base_is_shared_by_the_index_one_cells(monkeypatch):
     def plant(name, args):
         if args[0].steps == ():

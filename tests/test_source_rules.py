@@ -66,3 +66,31 @@ def h():
         for line in _module_level_memos(path.read_text(encoding="utf-8"), str(path))
     ]
     assert found == []
+
+
+DERIVATIONS = {"derive_step", "derive_tower", "special_values", "interlacing_poly"}
+
+
+def _names(source: str, filename: str) -> set:
+    """Every name a module imports (under its own name) or reads, as a variable or an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name.rpartition(".")[2] for alias in node.names}
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_cli_reads_levels_only_from_the_tower():
+    # derive, invariants and rh-check read rh_lab.curve_tower, so one memo rule serves
+    # every command; a derivation used in the CLI would be a second path
+    assert _names("from m import derive_step as d\nimport e\ne.special_values", "sample") >= {
+        "derive_step", "special_values"
+    }
+    path = PACKAGE / "cli.py"
+    names = _names(path.read_text(encoding="utf-8"), str(path))
+    assert "curve_tower" in names
+    assert names & DERIVATIONS == set()

@@ -13,7 +13,7 @@ import zetatower.invariants as invariants_module
 from ratfunc_oracle import interlacing_tail, residue_simple_pole, to_ratfunc
 from zetatower.curves import ZetaLevel, artin_elliptic, artin_from_point_counts, hasse_traces
 from zetatower.derived_engine import derive_step, derive_tower, special_values
-from zetatower.exact_arith import Poly
+from zetatower.exact_arith import Poly, rat_str
 from zetatower.invariants import (
     beta_closed_form,
     counting_miracle_check,
@@ -190,6 +190,20 @@ def test_interlacing_defining_identity():
 
 def test_positivity_flag():
     assert extract_invariants(artin_elliptic(2, 2)).positivity()
+
+
+def test_invariant_report_schema():
+    # the values one level's report carries; the JSON record itself is built
+    # by the invariants command and pinned in test_cli
+    z = artin_elliptic(2, 0)
+    z2 = derive_step(z, 2)
+    inv = extract_invariants(z2)
+    assert list(z2.steps) == [2]
+    assert rat_str(z2.Q) == "4"
+    assert [rat_str(a) for a in inv.alphas] == ["3"]
+    assert rat_str(inv.beta) == "6"
+    assert inv.positivity() is True
+    assert interlacing_signs(interlacing_poly(special_values(z, 2), 2)) == [1, -1]
 
 
 def test_miracle_accepts_the_derived_level():

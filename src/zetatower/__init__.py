@@ -31,7 +31,6 @@ from zetatower.invariants import (
 from zetatower.mult_struct import (
     elliptic_beta_recursion,
     elliptic_beta_series_check,
-    power_sums,
     ratio_bounds_check,
     residue_series_exp,
     residue_series_recursion,

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 from zetatower.curves import (
@@ -36,6 +36,7 @@ from zetatower.rh_lab import (
     ALL_CHECKS,
     DEFAULT_PRECISION_BITS,
     DEFAULT_PRODUCT_CAP,
+    MIN_PRECISION_BITS,
     SweepConfig,
     builtin_elliptic_grid,
     check_numeric_settings,
@@ -107,12 +108,28 @@ def parse_tuple_arg(text: str, cap: int, allow_large: bool) -> tuple:
     return steps
 
 
+def _env_int(name: str, default: int, minimum: int) -> int:
+    """The environment variable ``name`` as an int, else ``default``; UsageError naming it unless an int >= minimum."""
+    text = os.environ.get(name, str(default))
+    try:
+        if int(text) >= minimum:
+            return int(text)
+    except ValueError:
+        pass
+    raise UsageError(f"{name}={text!r} is not an integer of at least {minimum}")
+
+
+def _product_cap() -> int:
+    """The largest step product a tuple may have without --allow-large."""
+    return _env_int(ENV_PRODUCT_CAP, DEFAULT_PRODUCT_CAP, 1)
+
+
 def _precision_bits(args) -> int:
     """--precision-bits, else the environment, else the default; checked with the tolerance."""
     if args.precision_bits is not None:
         precision = args.precision_bits
     else:
-        precision = int(os.environ.get(ENV_PRECISION, DEFAULT_PRECISION_BITS))
+        precision = _env_int(ENV_PRECISION, DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS)
     try:
         check_numeric_settings(precision, getattr(args, "tolerance", None))
     except ValueError as exc:
@@ -148,8 +165,7 @@ def cmd_catalog(args) -> int:
 def _tower(args, **rh_settings):
     """The curve, its lazy tower, and the paths to the levels of --tuple in prefix order."""
     spec = parse_curve_arg(args.curve)
-    cap = int(os.environ.get(ENV_PRODUCT_CAP, DEFAULT_PRODUCT_CAP))
-    steps = parse_tuple_arg(args.tuple, cap, args.allow_large)
+    steps = parse_tuple_arg(args.tuple, _product_cap(), args.allow_large)
     return spec, curve_tower(spec, **rh_settings), [steps[:i] for i in range(len(steps) + 1)]
 
 
@@ -157,10 +173,12 @@ def cmd_derive(args) -> int:
     spec, tower, paths = _tower(args)
     payload = {"curve": spec.to_dict(), "tuple": list(paths[-1]), "levels": []}
     for path in paths:
-        z = tower.level(path)
-        if args.normalize and path:  # the base is emitted as built
+        z, scale = tower.level(path), Fraction(1)
+        normalized = args.normalize and bool(path)  # the base is emitted as built
+        if normalized:
             # a step is homogeneous of degree n in its input: from the normalized prefix it gives z / A_0(prefix)^n
-            z = replace(normalize_level(z), scale=z.P[0] / tower.level(path[:-1]).P[0] ** path[-1])
+            scale = z.P[0] / tower.level(path[:-1]).P[0] ** path[-1]
+            z = normalize_level(z)
         P = z.P
         payload["levels"].append(
             {
@@ -168,8 +186,8 @@ def cmd_derive(args) -> int:
                 "Q": rat_str(z.Q),
                 "genus": z.genus,
                 "numerator": [rat_str(P[i]) for i in range(2 * z.genus + 1)],
-                "normalized": z.normalized,
-                "normalization": rat_str(z.scale),
+                "normalized": normalized,
+                "normalization": rat_str(scale),
             }
         )
         print(
@@ -252,7 +270,7 @@ def cmd_rh_check(args) -> int:
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    cap = int(os.environ.get(ENV_PRODUCT_CAP, DEFAULT_PRODUCT_CAP))
+    cap = _product_cap()
     tuples = tuple(parse_tuple_arg(part, cap, args.allow_large) for part in args.tuples.split(";"))
     if args.curves:
         curves = tuple(load_curves(args.curves))

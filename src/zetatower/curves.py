@@ -8,10 +8,11 @@ provides a small brute-force point counter for the catalog curves so the
 analytic data can be cross-checked against actual counting.
 
 Every level of the derived tower has the same shape over its own Q, so a
-``ZetaLevel`` stores just the numerator P and Q, plus an integer view of P
-(content times coprime ints) that every value and residue reads.  Its
-functional equation is the coefficient symmetry, its residue at T = 1 is
-P(1)/(Q-1), and validation is exact coefficient arithmetic on P.
+``ZetaLevel`` is its steps, Q, genus and numerator P, nothing more.  Every
+value and residue reads the integer view of P (content times coprime ints)
+that the ``Poly`` itself carries.  Its functional equation is the coefficient
+symmetry, its residue at T = 1 is P(1)/(Q-1), and validation is exact
+coefficient arithmetic on P.
 
 Point counting supports plane models y^2 + a3*y = f(x) with coefficients in
 the prime field and a single smooth point at infinity; that covers the whole
@@ -24,7 +25,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -33,7 +35,6 @@ from zetatower.exact_arith import (
     BigRat,
     Poly,
     as_rat,
-    content_primitive,
     horner,
     is_self_inversive,
     newton_power_sums,
@@ -100,9 +101,7 @@ def prime_power_split(q: int) -> tuple:
 
 def hasse_traces(q: int) -> list:
     """All integer traces a with a^2 <= 4q."""
-    a = 0
-    while (a + 1) * (a + 1) <= 4 * q:
-        a += 1
+    a = math.isqrt(4 * q)
     return list(range(-a, a + 1))
 
 
@@ -336,10 +335,13 @@ def _is_int(x) -> bool:
 
 
 def load_curves(path) -> list:
-    """Read one curve object or a list of them from a JSON file."""
+    """Read one curve object or a list of them from a JSON file; any other JSON value raises ValueError."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if isinstance(data, dict):
         data = [data]
+    if not isinstance(data, list):
+        kind = {bool: "a boolean", str: "a string", type(None): "null"}.get(type(data), "a number")
+        raise ValueError(f"a curves file must hold a JSON object or a list of them, got {kind}")
     return [CurveSpec.from_dict(d) for d in data]
 
 
@@ -348,29 +350,15 @@ class ZetaLevel:
     """One rung of the derived tower: Z(T) = P(T) / ((1-T)(1-QT)T^(g-1)).
 
     steps is the tuple of derivation indices applied so far (empty for the
-    base), Q = q**prod(steps), P is the numerator in this level's own
-    variable, and scale records the constant divided out when the level was
-    normalized to constant term 1.
-
-    view is P as (c, ints): a rational content c > 0 times coprime integer
-    coefficients, lowest first (``exact_arith.content_primitive``).  It is
-    built once per level, in ``__post_init__``, so ``dataclasses.replace``
-    (and with it ``normalize_level``) builds it anew for the new P.  Every
-    value and residue is one integer Horner pass over it, reduced once; it
-    takes no part in equality, hashing or ``numerator_key``.
+    base), Q = q**prod(steps), and P is the numerator in this level's own
+    variable.  Every value and residue is one integer Horner pass over
+    ``P.view`` (content times coprime ints), reduced once.
     """
 
     steps: tuple
     Q: BigRat
     genus: int
     P: Poly
-    normalized: bool = False
-    scale: BigRat = Fraction(1)
-    label: str = ""
-    view: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "view", content_primitive(self.P.coeffs))
 
     def numerator_key(self) -> tuple:
         """(P, Q, genus), all that a level's invariants and RH verdict depend on.
@@ -381,7 +369,7 @@ class ZetaLevel:
 
     def residue(self) -> Fraction:
         """Res_{T=1} Z = P(1)/(Q-1), which is beta."""
-        c, ints = self.view
+        c, ints = self.P.view
         a, b = self.Q.numerator, self.Q.denominator
         return Fraction(c.numerator * sum(ints) * b, c.denominator * (a - b))
 
@@ -392,7 +380,7 @@ class ZetaLevel:
         Q^(g-1)/(Q-1) = a^(g-1) b^(2-g) / (a-b); the powers of a and b are
         put on the side where they are nonnegative.
         """
-        c, ints = self.view
+        c, ints = self.P.view
         a, b, g = self.Q.numerator, self.Q.denominator, self.genus
         e = g - len(ints)  # a^(g-1) over the a^d of P(b/a)
         num = -c.numerator * horner(ints, b, a) * a ** max(e, 0) * b ** max(2 - g, 0)
@@ -405,7 +393,7 @@ class ZetaLevel:
         (w-u)(bw-au)u^(g-1) / (b w^(g+1)), and P(u/w) = c H / w^d.  At a
         pole D is 0.
         """
-        c, ints = self.view
+        c, ints = self.P.view
         a, b, g = self.Q.numerator, self.Q.denominator, self.genus
         e = g + 2 - len(ints)  # w^(g+1) over the w^d of P(u/w)
         num = c.numerator * horner(ints, u, w) * b * w ** max(e, 0)
@@ -445,7 +433,7 @@ def validate_zeta_level(z: ZetaLevel) -> list:
     # functional equation forces Res_{T=1} = -Q * Res_{T=1/Q}.  The detail is
     # built only on failure: a valid level's residues can have more digits
     # than Python converts to a decimal string.
-    zeros = [t for t in (Fraction(1), 1 / Q) if horner(z.view[1], t.numerator, t.denominator) == 0]
+    zeros = [t for t in (Fraction(1), 1 / Q) if horner(P.view[1], t.numerator, t.denominator) == 0]
     if zeros:
         detail = f"residue computation failed: not a pole: {', '.join(rat_str(t) for t in zeros)}"
         results.append(CheckResult("residue_antisymmetry", False, detail))
@@ -460,26 +448,26 @@ def validate_zeta_level(z: ZetaLevel) -> list:
 
     if not z.steps:
         # P(1) = c * sum(ints) with c > 0
-        results.append(CheckResult("base_residue_positive", sum(z.view[1]) > 0, "Res_{T=1} > 0 at the base"))
+        results.append(CheckResult("base_residue_positive", sum(P.view[1]) > 0, "Res_{T=1} > 0 at the base"))
     return results
 
 
-def _base_level(P: Poly, q: int, g: int, label: str) -> ZetaLevel:
+def _base_level(P: Poly, q: int, g: int) -> ZetaLevel:
     """The base level of numerator P; rejects P(1) <= 0, since P(1) is the class number."""
     if P(1) <= 0:
         raise ValueError(f"P(1) = {rat_str(P(1))} is not a class number (at least 1); no curve has this zeta")
-    return ZetaLevel(steps=(), Q=Fraction(q), genus=g, P=P, label=label)
+    return ZetaLevel(steps=(), Q=Fraction(q), genus=g, P=P)
 
 
-def artin_elliptic(q: int, a: int, label: str = "") -> ZetaLevel:
+def artin_elliptic(q: int, a: int) -> ZetaLevel:
     """Complete zeta (1 - aT + qT^2)/((1-T)(1-qT)) of an elliptic trace."""
     prime_power_split(q)
     if a * a > 4 * q:
         raise ValueError(f"Hasse bound violated: {a}^2 = {a * a} > 4q = {4 * q}")
-    return _base_level(Poly([1, -a, q]), q, 1, label or f"elliptic(q={q},a={a})")
+    return _base_level(Poly([1, -a, q]), q, 1)
 
 
-def artin_from_point_counts(q: int, g: int, counts: Sequence[int], label: str = "") -> ZetaLevel:
+def artin_from_point_counts(q: int, g: int, counts: Sequence[int]) -> ZetaLevel:
     """Complete zeta from the first g point counts N_1..N_g.
 
     A_0..A_g come from the truncation of exp(sum N_k T^k / k) * (1-T)(1-qT);
@@ -503,7 +491,7 @@ def artin_from_point_counts(q: int, g: int, counts: Sequence[int], label: str = 
     for k, (n_k, implied) in enumerate(zip(counts, implied_counts), start=1):
         if implied != n_k:
             raise ValueError(f"point count N_{k} = {n_k} inconsistent with the zeta numerator ({implied})")
-    return _base_level(P, q, g, label or f"counts(q={q},g={g})")
+    return _base_level(P, q, g)
 
 
 def point_counts_from_numerator(P: Poly, Q: BigRat, k_max: int) -> tuple:
@@ -521,10 +509,10 @@ def point_counts_from_numerator(P: Poly, Q: BigRat, k_max: int) -> tuple:
 def artin_zeta(spec: CurveSpec) -> ZetaLevel:
     """Build the base ZetaLevel from a CurveSpec, whatever its source."""
     if spec.trace is not None:
-        return artin_elliptic(spec.q, spec.trace, spec.label)
+        return artin_elliptic(spec.q, spec.trace)
     if spec.point_counts is not None:
-        return artin_from_point_counts(spec.q, spec.genus, spec.point_counts, spec.label)
-    return _base_level(Poly(spec.numerator), spec.q, spec.genus, spec.label)
+        return artin_from_point_counts(spec.q, spec.genus, spec.point_counts)
+    return _base_level(Poly(spec.numerator), spec.q, spec.genus)
 
 
 # --------------------------------------------------------------------------

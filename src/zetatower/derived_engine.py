@@ -1,9 +1,9 @@
 """The inductive derivation step of the zeta tower, at polynomial cost in n.
 
-Levels are numerators (``curves.ZetaLevel`` holds P and Q); every value,
-residue and special value of the previous zeta below is read off its P, by
-one integer Horner pass over the level's integer view of P (a rational
-content times coprime ints, built once per level).
+A level is its numerator (``curves.ZetaLevel`` holds steps, Q, genus and P);
+every value, residue and special value of the previous zeta below is read
+off its P, by one integer Horner pass over ``P.view``, the rational content
+times coprime ints that each ``Poly`` builds once.
 
 Given a level with prime power Q, complete zeta Z(T) = P(T)/((1-T)(1-QT)T^(g-1))
 and special values, the next level for index n is the finite double sum
@@ -231,7 +231,7 @@ def derive_step(z: ZetaLevel, n: int) -> ZetaLevel:
     xs = [Q**j for j in range(1, 2 * g + 2)]
     sums = [lcm_sum((right(a, j), mid(n - a + j), left(a, j)) for a in range(1, n + 1)) for j in range(1, 2 * g + 2)]
     ys = [Fraction(prefactor * (1 - t) * (1 - Q**n * t) * t ** (g - 1) * N, L) for t, (N, L) in zip(xs, sums)]
-    level = ZetaLevel(steps=steps, Q=z.Q**n, genus=g, P=interpolate(xs, ys), label=z.label)
+    level = ZetaLevel(steps=steps, Q=z.Q**n, genus=g, P=interpolate(xs, ys))
     failed = [c for c in validate_zeta_level(level) if not c.passed]
     if failed:
         raise DerivationError(
@@ -242,11 +242,11 @@ def derive_step(z: ZetaLevel, n: int) -> ZetaLevel:
 
 
 def normalize_level(z: ZetaLevel) -> ZetaLevel:
-    """Divide the numerator by its constant coefficient and record it."""
+    """Divide the numerator by its constant coefficient."""
     alpha0 = z.P[0]
     if alpha0 == 0:
         raise ValueError("cannot normalize: numerator constant term is zero")
-    return replace(z, P=z.P * (1 / alpha0), normalized=True, scale=z.scale * alpha0)
+    return replace(z, P=z.P * (1 / alpha0))
 
 
 def derive_tower(
@@ -255,8 +255,7 @@ def derive_tower(
     """Iterate derive_step along ``steps``; returns the derived levels in order.
 
     With normalize=True every level (including the base) is divided by its
-    constant numerator coefficient before deriving further; the constants are
-    recorded in each level's ``scale`` field.
+    constant numerator coefficient before deriving further.
     """
     steps = tuple(int(n) for n in steps)
     if not steps:

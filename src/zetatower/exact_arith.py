@@ -1,15 +1,14 @@
 """Exact arithmetic substrate: big rationals, dense polynomials, truncated series.
 
 Every scalar a caller sees is a ``fractions.Fraction`` (aliased ``BigRat``).
-Inside, evaluation and interpolation run on Python ints over the lcm of their
-denominators (``over_lcm``), reduced once per output; a coefficient list that
-is read many times is kept as a rational content times coprime ints
-(``content_primitive``) and evaluated by integer ``horner``.  Nothing touches
-a float.
+Inside, sums and interpolation run on Python ints over the lcm of their
+denominators (``over_lcm``), reduced once per output.  Nothing touches a float.
 A polynomial is a dense tuple of coefficients, index ``i`` holding the
 coefficient of ``T**i``, with no trailing zeros (the zero polynomial is the
-empty tuple), so structural equality is mathematical equality.  A truncated
-power series is a plain coefficient list.
+empty tuple), so structural equality is mathematical equality.  Each ``Poly``
+also keeps, from construction on, its integer view: a rational content times
+coprime ints (``content_primitive``), which every evaluation reads by one
+integer ``horner`` pass.  A truncated power series is a plain coefficient list.
 
 All values are immutable after construction and all operations are pure, so
 everything here is safe to share freely across threads; the one exception is
@@ -61,7 +60,8 @@ def over_lcm(pairs: Iterable[tuple]) -> tuple:
 
 def content_primitive(coeffs: Sequence[Fraction]) -> tuple:
     """(c, ints): coeffs[i] = c * ints[i] with c > 0 rational and the ints coprime; (1, ()) when all are zero."""
-    scaled, L = over_lcm(map(as_pair, coeffs))
+    L = lcm(*[c.denominator for c in coeffs])
+    scaled = [c.numerator * (L // c.denominator) for c in coeffs]
     g = gcd(*scaled)
     return (Fraction(g, L), tuple(x // g for x in scaled)) if g else (Fraction(1), ())
 
@@ -99,15 +99,19 @@ def unlimited_int_digits():
 
 
 class Poly:
-    """Dense univariate polynomial over the rationals."""
+    """Dense univariate polynomial over the rationals.
 
-    __slots__ = ("coeffs",)
+    ``view`` is (c, ints) from ``content_primitive``, built with the coefficients; ==, hash and repr ignore it.
+    """
+
+    __slots__ = ("coeffs", "view")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [as_rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "view", content_primitive(cs))
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Poly is immutable")
@@ -195,7 +199,8 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other: "Poly"):
+    def _divide(self, other: "Poly") -> tuple:
+        """(quotient, remainder) as coefficient lists, so // and % build only the Poly they return."""
         other = _as_poly(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -214,13 +219,17 @@ class Poly:
             for i, c in enumerate(other.coeffs):
                 rem[shift + i] -= f * c
             rem.pop()
+        return quo, rem
+
+    def __divmod__(self, other: "Poly"):
+        quo, rem = self._divide(other)
         return Poly(quo), Poly(rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
+        return Poly(self._divide(other)[0])
 
     def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
+        return Poly(self._divide(other)[1])
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -236,10 +245,11 @@ class Poly:
     # -- analysis ------------------------------------------------------------
 
     def __call__(self, t: Scalar) -> Fraction:
-        """P(u/w) = sum A_i u^i w^(d-i) / w^d, in integer Horner steps over the lcm of the A_i."""
+        """P(u/w) = c sum ints_i u^i w^(d-i) / w^d, one integer Horner pass over the view."""
         t = as_rat(t)
-        scaled, L = over_lcm(map(as_pair, self.coeffs))
-        return Fraction(horner(scaled, t.numerator, t.denominator), L * t.denominator ** max(len(scaled) - 1, 0))
+        c, ints = self.view
+        num = c.numerator * horner(ints, t.numerator, t.denominator)
+        return Fraction(num, c.denominator * t.denominator ** max(len(ints) - 1, 0))
 
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])

@@ -1,8 +1,9 @@
-"""Power sums, the residue-generating series, and the elliptic recursions.
+"""The residue-generating series and the elliptic recursions.
 
 N_k = Q^k + 1 - p_k, where p_k is the k-th power sum of the reciprocal roots
 of the (constant-term-1) numerator, obtained from its coefficients by
-Newton's identities; no root extraction anywhere.  The generating series
+Newton's identities (``curves.point_counts_from_numerator``); no root
+extraction anywhere.  The generating series
 
     B(x) = exp( sum_m  N_m / (Q^m - 1) * x^m / m )
 
@@ -33,20 +34,6 @@ from zetatower.exact_arith import BigRat, rat_str, series_exp
 
 
 @dataclass(frozen=True)
-class PowerSums:
-    Q: BigRat
-    N: tuple  # N[k-1] = N_k
-
-    def n_k(self, k: int) -> Fraction:
-        return self.N[k - 1]
-
-
-def power_sums(level: ZetaLevel, k_max: int) -> PowerSums:
-    """N_1..N_K from the numerator coefficients by Newton's identities."""
-    return PowerSums(Q=level.Q, N=point_counts_from_numerator(level.P, level.Q, k_max))
-
-
-@dataclass(frozen=True)
 class ResidueSeries:
     """Coefficients b_0..b_K of B(x), tagged with the route that produced them."""
 
@@ -58,13 +45,14 @@ class ResidueSeries:
         return self.b[k]
 
 
-def residue_series_exp(ps: PowerSums, k_max: int) -> ResidueSeries:
-    if ps.Q == 1:
+def residue_series_exp(level: ZetaLevel, k_max: int) -> ResidueSeries:
+    """b_0..b_K by the exp route, from the counts N_1..N_K the constant-term-1 numerator implies."""
+    Q = level.Q
+    if Q == 1:
         raise ValueError("Q = 1 makes the series undefined")
-    if len(ps.N) < k_max:
-        raise ValueError(f"need N_1..N_{k_max}, have {len(ps.N)}")
-    log_b = [Fraction(0)] + [ps.n_k(m) / ((ps.Q**m - 1) * m) for m in range(1, k_max + 1)]
-    return ResidueSeries(Q=ps.Q, b=tuple(series_exp(log_b)), route="exp")
+    N = point_counts_from_numerator(level.P, Q, k_max)
+    log_b = [Fraction(0)] + [N[m - 1] / ((Q**m - 1) * m) for m in range(1, k_max + 1)]
+    return ResidueSeries(Q=Q, b=tuple(series_exp(log_b)), route="exp")
 
 
 def residue_series_recursion(level: ZetaLevel, k_max: int) -> ResidueSeries:
@@ -107,7 +95,7 @@ def elliptic_beta_series_check(level: ZetaLevel, n_max: int) -> CheckResult:
     """
     if level.genus != 1:
         raise ValueError("the identity is specific to genus 1")
-    series = residue_series_exp(power_sums(level, n_max), n_max)
+    series = residue_series_exp(level, n_max)
     mismatches = []
     for n in range(0, n_max + 1):
         beta_n = derive_step(level, n).residue() if n else Fraction(1)
@@ -154,7 +142,7 @@ def export_elliptic_grid_csv(path, qs: Sequence[int], n_max: int = 8) -> int:
         for q in qs:
             for a in hasse_traces(q):
                 level = artin_elliptic(q, a)
-                series = residue_series_exp(power_sums(level, n_max), n_max)
+                series = residue_series_exp(level, n_max)
                 betas = elliptic_beta_recursion(level.trace(), level.Q, n_max)
                 checks = ratio_bounds_check(betas, level.Q)
                 for n in range(1, n_max + 1):

@@ -22,8 +22,9 @@ automatic retry at doubled precision).
 Sweeps run a configurable battery of checks over a curve x tuple grid and
 emit a deterministic JSON-able report: no timestamps, fixed ordering, exact
 rationals as strings.  Identical configs give byte-identical reports.  Each
-curve has one tower (``curve_tower``), the only derivation path of the
-package: sweeps read it, and so do the CLI's derive, invariants and rh-check.
+curve has one tower (``curve_tower``), the only derivation path that sweeps
+and the CLI use: sweeps read it, and so do the CLI's derive, invariants and
+rh-check.
 A level is derived from its prefix's level at most once, each distinct level
 numerator (invariants, RH verdict) is checked at most once per curve, and so
 is each step (special values, the beta routes, the counting miracle,
@@ -46,7 +47,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import mpmath as mp
 
-from zetatower.curves import CheckResult, CurveSpec, ZetaLevel, artin_zeta, hasse_traces
+from zetatower.curves import CheckResult, CurveSpec, ZetaLevel, artin_zeta, hasse_traces, prime_power_split
 from zetatower.derived_engine import SpecialValues, derive_step, special_values
 from zetatower.exact_arith import BigRat, Poly, is_self_inversive, rat_str, squarefree_factors, unlimited_int_digits
 from zetatower.invariants import (
@@ -339,9 +340,10 @@ class SweepConfig:
 
 
 def builtin_elliptic_grid(qs: Sequence[int] = (2, 3, 4, 5)) -> list:
-    """One CurveSpec per Hasse-admissible integer trace over each q."""
+    """One CurveSpec per Hasse-admissible integer trace over each q; ValueError unless each q is a prime power."""
     out = []
     for q in qs:
+        prime_power_split(q)  # before the traces, whose number grows like sqrt(q)
         for a in hasse_traces(q):
             out.append(CurveSpec(label=f"elliptic_q{q}_a{a}", q=q, genus=1, trace=a))
     return out

@@ -38,7 +38,6 @@ from zetatower.invariants import (
 )
 from zetatower.mult_struct import (
     elliptic_beta_recursion,
-    power_sums,
     ratio_bounds_check,
     residue_series_exp,
     residue_series_recursion,
@@ -56,19 +55,19 @@ def _report(num, name, detail=""):
 
 @pytest.fixture(scope="module")
 def grid():
-    """All towers over the elliptic grid, unnormalized, base included."""
+    """All towers over the elliptic grid, unnormalized, base included, keyed by curve."""
     cells = {}
     for q in ELLIPTIC_QS:
         for a in hasse_traces(q):
             base = artin_elliptic(q, a)
             towers = {steps: [base] + derive_tower(base, steps) for steps in GRID_TUPLES}
-            cells[(q, a)] = towers
+            cells[f"elliptic(q={q},a={a})"] = towers
     return cells
 
 
 @pytest.fixture(scope="module")
 def genus2():
-    base = artin_from_point_counts(2, 2, [3, 5], label="X2g2")
+    base = artin_from_point_counts(2, 2, [3, 5])
     return {
         "base": base,
         "towers": {steps: [base] + derive_tower(base, steps) for steps in ((2,), (2, 2))},
@@ -77,23 +76,23 @@ def genus2():
 
 def test_criterion_01_functional_equation(grid):
     count = 0
-    for towers in grid.values():
+    for curve, towers in grid.items():
         for levels in towers.values():
             for z in levels:
                 zeta = to_ratfunc(z)
-                assert zeta.subst_reciprocal(1 / z.Q) == zeta, (z.label, z.steps)
+                assert zeta.subst_reciprocal(1 / z.Q) == zeta, (curve, z.steps)
                 count += 1
     _report(1, "functional equation", f"({count} levels, exact)")
 
 
 def test_criterion_02_pole_cancellation(grid):
     count = 0
-    for towers in grid.values():
+    for curve, towers in grid.items():
         for levels in towers.values():
             for z in levels:
                 std = standard_denominator(z.Q, z.genus)
-                assert (std % to_ratfunc(z).den).is_zero(), (z.label, z.steps)
-                assert z.P.degree == 2 * z.genus, (z.label, z.steps)
+                assert (std % to_ratfunc(z).den).is_zero(), (curve, z.steps)
+                assert z.P.degree == 2 * z.genus, (curve, z.steps)
                 count += 1
     _report(2, "pole cancellation", f"({count} levels, exact)")
 
@@ -128,14 +127,14 @@ def test_criterion_04_counting_miracle(genus2):
 
 def test_criterion_05_series_dual_route(grid, genus2):
     count = 0
-    every = list(grid.values()) + [genus2["towers"]]
-    for towers in every:
+    every = list(grid.items()) + [("X2g2", genus2["towers"])]
+    for curve, towers in every:
         for levels in towers.values():
             for z in levels:
                 zn = z if z.P[0] == 1 else normalize_level(z)
-                exp_route = residue_series_exp(power_sums(zn, 12), 12)
+                exp_route = residue_series_exp(zn, 12)
                 rec_route = residue_series_recursion(zn, 12)
-                assert exp_route.b == rec_route.b, (z.label, z.steps)
+                assert exp_route.b == rec_route.b, (curve, z.steps)
                 count += 1
     _report(5, "series coefficients dual route", f"({count} levels, order 12, exact)")
 
@@ -145,7 +144,7 @@ def test_criterion_06_elliptic_triangle():
     for q in ELLIPTIC_QS:
         for a in hasse_traces(q):
             base = artin_elliptic(q, a)
-            series = residue_series_exp(power_sums(base, 6), 6)
+            series = residue_series_exp(base, 6)
             recursion = elliptic_beta_recursion(a, q, 6)
             for n in range(1, 7):
                 extracted = extract_invariants(derive_step(base, n)).beta
@@ -185,14 +184,14 @@ def test_criterion_08_interlacing_signs():
 
 def test_criterion_09_rh_genus1(grid):
     count = 0
-    for towers in grid.values():
+    for curve, towers in grid.items():
         for levels in towers.values():
             for z in levels[1:]:
                 exact = rh_exact_genus1(z)
-                assert exact.holds is True, (z.label, z.steps)
+                assert exact.holds is True, (curve, z.steps)
                 numeric = rh_numeric(z.P, z.Q, precision_bits=256)
-                assert numeric.holds is exact.holds is True, (z.label, z.steps)
-                assert mp.mpf(numeric.max_deviation) < DEV_BOUND, (z.label, z.steps)
+                assert numeric.holds is exact.holds is True, (curve, z.steps)
+                assert mp.mpf(numeric.max_deviation) < DEV_BOUND, (curve, z.steps)
                 count += 1
     _report(9, "derived RH, genus 1", f"({count} levels, exact + 256-bit numeric)")
 
@@ -208,15 +207,15 @@ def test_criterion_10_rh_genus2_tuples(genus2):
 
 def test_criterion_11_positivity_scan(grid, genus2, tmp_path_factory):
     records = []
-    every = list(grid.values()) + [genus2["towers"]]
-    for towers in every:
+    every = list(grid.items()) + [("X2g2", genus2["towers"])]
+    for curve, towers in every:
         for levels in towers.values():
             for z in levels:
                 inv = extract_invariants(z)
-                assert inv.positivity(), (z.label, z.steps)
+                assert inv.positivity(), (curve, z.steps)
                 records.append(
                     {
-                        "curve": z.label,
+                        "curve": curve,
                         "tuple": list(z.steps),
                         "alphas": [str(x) for x in inv.alphas],
                         "beta": str(inv.beta),

@@ -284,6 +284,45 @@ def test_sweep_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_sweep_rejects_a_huge_non_prime_power_q_at_once(capsys):
+    # the grid checks q before it lists the traces, whose number grows like sqrt(q)
+    start = time.perf_counter()
+    assert run_cli(["sweep", "--q", "100000000000000", "--tuples", "1", "--checks", "rh"]) == 2
+    assert time.perf_counter() - start < 1
+    assert "q must be a prime power" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("top", ["3", "null", "true", '"x"'])
+def test_curves_file_of_neither_object_nor_list_is_usage_error(top, tmp_path, capsys):
+    path = tmp_path / "curves.json"
+    path.write_text(top)
+    kind = {"3": "a number", "null": "null", "true": "a boolean", '"x"': "a string"}[top]
+    for args in (["derive", "--curve", str(path), "--tuple", "1"], ["sweep", "--curves", str(path), "--tuples", "1"]):
+        assert run_cli(args + ["--output", str(tmp_path / "out.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"a JSON object or a list of them, got {kind}" in err and "internal error" not in err
+    assert not (tmp_path / "out.json").exists()
+
+
+_COMMAND_ARGS = {
+    "derive": ["derive", "--curve", "elliptic:q=2,a=0", "--tuple", "2"],
+    "rh-check": ["rh-check", "--curve", "elliptic:q=2,a=0", "--tuple", "2"],
+    "sweep": ["sweep", "--q", "2", "--tuples", "2"],
+}
+
+
+@pytest.mark.parametrize(
+    "name, value, command",
+    [("ZETATOWER_PRODUCT_CAP", v, c) for v in ("abc", "1e3", "0", "-1") for c in ("derive", "sweep")]
+    + [("ZETATOWER_PRECISION_BITS", v, c) for v in ("abc", "1e3", "0") for c in ("rh-check", "sweep")],
+)
+def test_bad_environment_overrides_are_usage_errors_naming_the_variable(name, value, command, monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv(name, value)
+    assert run_cli(_COMMAND_ARGS[command] + ["--output", str(tmp_path / "out.json")]) == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_sweep_unknown_check_is_usage_error():
     assert (
         run_cli(["sweep", "--grid", "builtin-elliptic", "--tuples", "2", "--checks", "nope"]) == 2

@@ -281,6 +281,14 @@ def test_poly_evaluation_matches_fraction_horner(coeffs, t):
     assert Poly(coeffs)(t) == _horner(coeffs, t)
 
 
+@given(coeff_lists(max_size=7), rationals(max_abs=50, max_den=40))
+def test_poly_evaluation_matches_the_fraction_power_sum(coeffs, t):
+    P = Poly(coeffs)
+    c, ints = P.view
+    assert c > 0 and tuple(c * x for x in ints) == P.coeffs
+    assert P(t) == sum((a * t**i for i, a in enumerate(coeffs)), Fraction(0))
+
+
 def test_over_lcm_puts_the_fractions_over_the_lcm():
     scaled, L = over_lcm([(1, 4), (-1, 6), (5, 1)])
     assert L == 12 and scaled == [3, -2, 60]

@@ -7,18 +7,20 @@ import pytest
 
 from zetatower.curves import (
     CATALOG,
+    ZetaLevel,
     artin_elliptic,
     artin_from_point_counts,
     artin_zeta,
     count_points_bruteforce,
     hasse_traces,
+    point_counts_from_numerator,
 )
 from zetatower.derived_engine import derive_step, normalize_level
+from zetatower.exact_arith import Poly
 from zetatower.mult_struct import (
     elliptic_beta_recursion,
     elliptic_beta_series_check,
     export_elliptic_grid_csv,
-    power_sums,
     ratio_bounds_check,
     residue_series_exp,
     residue_series_recursion,
@@ -28,37 +30,41 @@ from zetatower.mult_struct import (
 # -- power sums -----------------------------------------------------------------
 
 
+def _counts(z, k_max):
+    return point_counts_from_numerator(z.P, z.Q, k_max)
+
+
 def test_power_sums_q2_a0():
-    ps = power_sums(artin_elliptic(2, 0), 2)
-    assert ps.n_k(1) == 3  # p_1 = 0
-    assert ps.n_k(2) == 9  # p_2 = a^2 - 2q = -4
+    N = _counts(artin_elliptic(2, 0), 2)
+    assert N[0] == 3  # p_1 = 0
+    assert N[1] == 9  # p_2 = a^2 - 2q = -4
 
 
 def test_power_sums_derived_level():
     z2n = normalize_level(derive_step(artin_elliptic(2, 0), 2))
-    ps = power_sums(z2n, 1)
+    N = _counts(z2n, 1)
     # k = 1 Newton identity: N_1 = Q + 1 - trace, trace = -A_1
-    assert ps.n_k(1) == z2n.Q + 1 - z2n.trace() == 6
+    assert N[0] == z2n.Q + 1 - z2n.trace() == 6
 
 
 def test_power_sums_requires_normalization():
     with pytest.raises(ValueError, match="constant term 1"):
-        power_sums(derive_step(artin_elliptic(2, 0), 2), 3)
+        residue_series_exp(derive_step(artin_elliptic(2, 0), 2), 3)
 
 
 def test_power_sums_match_brute_force_counts():
     for label in ("E2a0", "E2am2", "E3a0", "E3am3", "E5a2", "X2g2"):
         curve = CATALOG[label]
-        ps = power_sums(artin_zeta(curve.spec()), 3)
+        N = _counts(artin_zeta(curve.spec()), 3)
         for k in (1, 2, 3):
-            assert ps.n_k(k) == count_points_bruteforce(curve.model, curve.q, k)
+            assert N[k - 1] == count_points_bruteforce(curve.model, curve.q, k)
 
 
 # -- residue series -----------------------------------------------------------------
 
 
 def test_series_first_coefficients():
-    series = residue_series_exp(power_sums(artin_elliptic(2, 0), 3), 3)
+    series = residue_series_exp(artin_elliptic(2, 0), 3)
     assert series[0] == 1
     assert series[1] == Fraction(3, 2 - 1)  # N_1/(Q-1), the first derived residue
     assert series[2] == 6
@@ -70,17 +76,16 @@ def test_series_routes_agree_to_order_12():
     cases.append(normalize_level(derive_step(artin_elliptic(2, 1), 2)))
     for z in cases:
         zn = normalize_level(z) if z.P[0] != 1 else z
-        exp_route = residue_series_exp(power_sums(zn, 12), 12)
+        exp_route = residue_series_exp(zn, 12)
         rec_route = residue_series_recursion(zn, 12)
         assert exp_route.b == rec_route.b
         assert exp_route.route == "exp" and rec_route.route == "recursion"
 
 
 def test_series_rejects_q_one():
-    from zetatower.mult_struct import PowerSums
-
+    level = ZetaLevel(steps=(), Q=Fraction(1), genus=1, P=Poly([1, 0, 1]))
     with pytest.raises(ValueError, match="Q = 1"):
-        residue_series_exp(PowerSums(Q=Fraction(1), N=(Fraction(1),)), 1)
+        residue_series_exp(level, 1)
 
 
 # -- elliptic beta recursion -----------------------------------------------------------

@@ -22,7 +22,7 @@ BASES = [(q, a) for q in (2, 3, 4, 5) for a in hasse_traces(q)] + ["X2g2"]
 
 def _base(key):
     if key == "X2g2":
-        return artin_from_point_counts(2, 2, [3, 5], label="X2g2")
+        return artin_from_point_counts(2, 2, [3, 5])
     q, a = key
     return artin_elliptic(q, a)
 

@@ -30,7 +30,7 @@ BASES = [(q, a) for q in (2, 3, 4, 5) for a in hasse_traces(q)] + ["X2g2"]
 
 def _base(key):
     if key == "X2g2":
-        return artin_from_point_counts(2, 2, [3, 5], label="X2g2")
+        return artin_from_point_counts(2, 2, [3, 5])
     q, a = key
     return artin_elliptic(q, a)
 
@@ -92,7 +92,7 @@ def test_extraction_matches_poly_division():
     assert {z.genus for z in levels} == {1, 2, 3}
     for z in levels:
         inv = extract_invariants(z)
-        assert (inv.alphas, inv.beta) == oracle_invariants(z), (z.label, z.genus, z.steps)
+        assert (inv.alphas, inv.beta) == oracle_invariants(z), z
 
 
 def _misshapen(z):

@@ -68,6 +68,16 @@ def h():
     assert found == []
 
 
+def test_a_level_is_its_numerator():
+    # steps, Q, genus and P describe a level; its integer view lives on P
+    from dataclasses import fields
+
+    from zetatower.curves import ZetaLevel
+
+    assert [f.name for f in fields(ZetaLevel)] == ["steps", "Q", "genus", "P"]
+    assert "__post_init__" not in vars(ZetaLevel)
+
+
 DERIVATIONS = {"derive_step", "derive_tower", "special_values", "interlacing_poly"}
 
 

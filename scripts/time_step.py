@@ -7,9 +7,13 @@ the time of each step of X2g2 along the tuple (10, 10, 10, 5), whose last
 level has Q = 2^5000.  Then the shallow regime a default elliptic sweep runs:
 over the 30 bases of the built-in elliptic grid (q = 2..5) and X2g2, the total
 time of ``derive_step(base, n)`` for n = 1..5, of ``validate_zeta_level`` on
-those 155 levels, and of ``special_values(base, n)`` for n = 1..5.  Each
-figure is the best of three runs on the same input; the inputs of the
-tuple's steps and the levels to validate are derived once, outside the timer.
+those 155 levels, and of ``special_values(base, n)`` for n = 1..5.  Last the
+RH verdict: ``rh_verdict_for_level`` summed over the 98 RH-admissible integer
+genus-2 numerators 1 + a1 T + a2 T^2 + q a1 T^3 + q^2 T^4 over q = 2, 3 at the
+steps (), (2), (3), (2, 2), and alone on X2g2 at (10, 10, 10) and at
+(10, 10, 10, 5).  Each figure is the best of three runs on the same input;
+the inputs of the tuple's steps, the levels to validate and the levels to
+judge are derived once, outside the timer.
 
   PYTHONPATH=src python scripts/time_step.py
 """
@@ -17,13 +21,14 @@ tuple's steps and the levels to validate are derived once, outside the timer.
 import sys
 import time
 
-from zetatower.curves import artin_elliptic, artin_zeta, catalog_curve, validate_zeta_level
+from zetatower.curves import CurveSpec, artin_elliptic, artin_zeta, catalog_curve, validate_zeta_level
 from zetatower.derived_engine import derive_step, special_values
-from zetatower.rh_lab import builtin_elliptic_grid
+from zetatower.rh_lab import builtin_elliptic_grid, curve_tower, rh_verdict_for_level
 
 DEPTHS = (10, 20, 40, 60)
 TUPLE = (10, 10, 10, 5)
 SHALLOW = (1, 2, 3, 4, 5)
+POOL_STEPS = ((), (2,), (3,), (2, 2))
 
 
 def best_of_3(run) -> float:
@@ -33,6 +38,21 @@ def best_of_3(run) -> float:
         run()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def genus2_pool(q: int) -> list:
+    """Every integer (a1, a2) whose numerator satisfies RH over q, by the exact test on its R(u).
+
+    R(u) = u^2 + a1 u + a2 - 2q must have both roots real and in
+    [-2 sqrt q, 2 sqrt q]; with m = a2 + 2q that reads m >= 0 and m^2 >= 4q a1^2.
+    """
+    pool = []
+    for a1 in range(-4 * q, 4 * q + 1):
+        for a2 in range(-6 * q, 6 * q + 1):
+            m = a2 + 2 * q
+            if a1 * a1 >= 4 * (a2 - 2 * q) and a1 * a1 <= 16 * q and m >= 0 and m * m >= 4 * q * a1 * a1:
+                pool.append((a1, a2))
+    return pool
 
 
 def main() -> int:
@@ -54,6 +74,21 @@ def main() -> int:
     print(f"{label}: validate_zeta_level total {best_of_3(lambda: list(map(validate_zeta_level, levels))):.3f} s")
     values_s = best_of_3(lambda: [special_values(z, n) for z in shallow for n in SHALLOW])
     print(f"{label}: special_values total {values_s:.3f} s", flush=True)
+
+    specs = [
+        CurveSpec(label=f"g2_q{q}", q=q, genus=2, numerator=(1, a1, a2, q * a1, q * q))
+        for q in (2, 3)
+        for a1, a2 in genus2_pool(q)
+    ]
+    levels = [curve_tower(spec).level(steps) for spec in specs for steps in POOL_STEPS]
+    verdicts_s = best_of_3(lambda: list(map(rh_verdict_for_level, levels)))
+    label = f"{len(specs)} genus-2 numerators at {len(POOL_STEPS)} steps"
+    print(f"{label}: rh_verdict_for_level total {verdicts_s:.3f} s", flush=True)
+    tower = curve_tower(catalog_curve("X2g2").spec())
+    for steps in (TUPLE[:-1], TUPLE):
+        z = tower.level(steps)
+        verdict_s = best_of_3(lambda: rh_verdict_for_level(z))
+        print(f"X2g2 {steps} (Q has {int(z.Q).bit_length()} bits): rh_verdict_for_level {verdict_s:.3f} s", flush=True)
     return 0
 
 

@@ -116,6 +116,10 @@ class Poly:
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        """Pickle and copy by the coefficients alone, so the view is rebuilt and no slot is set."""
+        return Poly, (self.coeffs,)
+
     # -- structure ----------------------------------------------------------
 
     @property
@@ -304,6 +308,25 @@ def is_self_inversive(P: "Poly | Sequence", Q: Scalar, g: int) -> bool:
     P is a Poly or a coefficient list of length at least 2g+1, lowest first.
     """
     return all(P[2 * g - i] == Q ** (g - i) * P[i] for i in range(g + 1))
+
+
+def real_weil_poly(P: "Poly | Sequence", Q: Scalar, g: int) -> Poly:
+    """The degree-g R(u) with P(T) = T^g R(Q T + 1/T), for a self-inversive P of degree 2g.
+
+    Kedlaya's substitution (Search techniques for root-unitary polynomials,
+    2008): s_k = T^-k + Q^k T^k obeys s_0 = 2, s_1 = u, s_{k+1} = u s_k - Q s_{k-1},
+    so R = A_g + sum_k A_{g-k} s_k.  P is a Poly or a coefficient list of
+    length at least 2g+1, lowest first; R is linear in P, so the primitive
+    ints of ``Poly.view`` give R up to the content, with the same roots.
+    """
+    Q = as_rat(Q)
+    out = [P[g]] + [0] * g
+    s_prev, s = [2], [0, 1]  # s_0 and s_1, lowest coefficient first
+    for k in range(1, g + 1):
+        for i, c in enumerate(s):
+            out[i] += P[g - k] * c
+        s_prev, s = s, [a - Q * b for a, b in zip([0] + s, s_prev + [0, 0])]
+    return Poly(out)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

@@ -3,13 +3,18 @@
 Genus 1 is decided exactly: with P = alpha(0) (1 - A T + Q T^2), all roots lie
 on |T| = Q^(-1/2) iff A^2 <= 4Q, a single rational comparison (the boundary
 A^2 = 4Q is a repeated on-circle root and carries its own flag).  Higher genus
-falls back to arbitrary-precision numerics.  The numerator is first split
-exactly into squarefree factors (Yun's algorithm over the rationals), so a
-repeated root is a simple root of its factor; each root is then counted by
-its multiplicity.  Each factor is solved in the scaled variable
-x = sqrt(Q) T, where the roots RH predicts lie on |x| = 1, so the
-convergence target and the stall floor are relative to the root size
-Q^(-1/2) whatever the size of Q.  All roots of a factor come at once from
+falls back to arbitrary-precision numerics.  A self-inversive numerator, as
+the functional equation makes every level's, is P(T) = T^g R(QT + 1/T) with
+R of degree g (``real_weil_poly``), so only R is solved: in v = u / sqrt(Q),
+where the roots RH predicts lie in [-2, 2], and each root u gives the two
+roots (u +- sqrt(u^2 - 4Q)) / 2Q of Q T^2 - u T + 1.  A numerator that is not
+self-inversive, such as a planted control, is solved whole, in
+x = sqrt(Q) T, where the roots RH predicts lie on |x| = 1.  Either way the
+convergence target and the stall floor are relative to the size of the
+roots whatever the size of Q.  The polynomial solved is first split exactly
+into squarefree factors (Yun's algorithm over the rationals), so a repeated
+root is a simple root of its factor; each root is then counted by its
+multiplicity.  All roots of a factor come at once from
 simultaneous Weierstrass/Durand-Kerner iteration: first in hardware floats,
 which only picks the starting points, then polished at the working
 precision.  If the float stage overflows, meets a zero denominator or does
@@ -49,7 +54,15 @@ import mpmath as mp
 
 from zetatower.curves import CheckResult, CurveSpec, ZetaLevel, artin_zeta, hasse_traces, prime_power_split
 from zetatower.derived_engine import SpecialValues, derive_step, special_values
-from zetatower.exact_arith import BigRat, Poly, is_self_inversive, rat_str, squarefree_factors, unlimited_int_digits
+from zetatower.exact_arith import (
+    BigRat,
+    Poly,
+    is_self_inversive,
+    rat_str,
+    real_weil_poly,
+    squarefree_factors,
+    unlimited_int_digits,
+)
 from zetatower.invariants import (
     InvariantSet,
     beta_closed_form,
@@ -65,7 +78,8 @@ DEFAULT_PRECISION_BITS = 256
 DEFAULT_PRODUCT_CAP = 64  # largest step product a sweep or the CLI accepts by default
 MIN_PRECISION_BITS = 32
 UNKNOWN_BAND_FACTOR = 10
-# Durand-Kerner starts on |x| = 1 + 1/8 in x = sqrt(Q) T, just outside the conjectured locus
+# Durand-Kerner starts on |x| = 1 + 1/8 in the scaled variable: just outside the conjectured
+# locus |x| = 1 of x = sqrt(Q) T, across the conjectured locus [-2, 2] of v = u / sqrt(Q)
 START_RADIUS = 1.125
 # the float stage only picks starting points for the polish at full precision
 FLOAT_SEED_ITER = 100
@@ -172,11 +186,11 @@ def _float_seed(coeffs):
     return None
 
 
-def _factor_roots(F: Poly, sqrt_q, target, precision_bits: int):
-    """Roots x = sqrt(Q) T of one squarefree factor: float seed, then polish at the working precision."""
+def _factor_roots(F: Poly, scale, target, precision_bits: int):
+    """Roots x = scale * T of one squarefree factor in T: float seed, then polish at the working precision."""
     deg = int(F.degree)
-    # monic in x; the roots RH predicts lie on |x| = 1 whatever the size of Q
-    coeffs = [mp.mpf(c.numerator) / c.denominator * sqrt_q ** (deg - i) for i, c in enumerate(F.coeffs)]
+    # monic in x, scaled so that the roots RH predicts have size about 1 whatever the size of Q
+    coeffs = [mp.mpf(c.numerator) / c.denominator * scale ** (deg - i) for i, c in enumerate(F.coeffs)]
     coeffs.reverse()
     init = _float_seed(coeffs)
     if init is None:
@@ -206,6 +220,29 @@ def _find_roots(P: Poly, Q: Fraction, precision_bits: int):
         for F, mult in squarefree_factors(P):
             xs, res, ok = _factor_roots(F, sqrt_q, target, precision_bits)
             roots += [x / sqrt_q for x in xs] * mult
+            residual, converged = max(residual, res), converged and ok
+        return roots, residual, converged
+
+
+def _real_weil_roots(P: Poly, Q: Fraction, g: int, precision_bits: int):
+    """The 2g roots of a self-inversive P, as _find_roots gives them, from the g roots of its R.
+
+    Each squarefree factor of R = ``real_weil_poly`` is iterated in
+    v = u / sqrt(Q), where the roots RH predicts lie in [-2, 2]; each root u
+    gives the two roots (u +- sqrt(u^2 - 4Q)) / 2Q of Q T^2 - u T + 1.
+    """
+    wp = 2 * precision_bits + 64
+    with mp.workprec(wp):
+        q = mp.mpf(Q.numerator) / Q.denominator
+        sqrt_q = mp.sqrt(q)
+        target = mp.mpf(2) ** (-(precision_bits + 16))
+        roots, residual, converged = [], mp.mpf(0), True
+        for F, mult in squarefree_factors(real_weil_poly(P.view[1], Q, g)):
+            vs, res, ok = _factor_roots(F, 1 / sqrt_q, target, precision_bits)
+            for v in vs:
+                u = v * sqrt_q
+                w = mp.sqrt(u * u - 4 * q)
+                roots += [(u + w) / (2 * q), (u - w) / (2 * q)] * mult
             residual, converged = max(residual, res), converged and ok
         return roots, residual, converged
 
@@ -240,8 +277,9 @@ def rh_numeric(
 ) -> RHVerdict:
     """Numeric root-modulus verdict for a degree-2g numerator P over Q.
 
-    The self-inversive symmetry is recorded rather than enforced so that
-    planted negative controls can run through the same code path.
+    The self-inversive symmetry is recorded rather than enforced: a
+    self-inversive P is solved through its degree-g R, and any other P, such
+    as a planted negative control, whole, so both give 2g deviations.
     """
     check_numeric_settings(precision_bits, tolerance)
     Q = Fraction(Q)
@@ -257,7 +295,10 @@ def rh_numeric(
             tol = mp.mpf(10) ** (-(mp.mpf(precision_bits) * 3 / 20))
         else:
             tol = mp.mpf(tolerance)
-        roots, residual, converged = _find_roots(P, Q, precision_bits)
+        if symmetric:
+            roots, residual, converged = _real_weil_roots(P, Q, g, precision_bits)
+        else:
+            roots, residual, converged = _find_roots(P, Q, precision_bits)
         sqrt_q = mp.sqrt(mp.mpf(Q.numerator) / mp.mpf(Q.denominator))
         devs = sorted(abs(abs(r) * sqrt_q - 1) for r in roots)
         max_dev = devs[-1]
@@ -291,18 +332,6 @@ def rh_numeric(
             self_inversive=symmetric,
             detail=detail,
         )
-
-
-def root_pairing_defect(P: Poly, Q: BigRat, precision_bits: int = 128):
-    """Worst distance from {roots} to its image under r -> 1/(Q * conj(r))."""
-    with mp.workprec(2 * precision_bits + 64):
-        roots, _, _ = _find_roots(P, Q, precision_bits)
-        qf = mp.mpf(Fraction(Q).numerator) / mp.mpf(Fraction(Q).denominator)
-        worst = mp.mpf(0)
-        for r in roots:
-            image = 1 / (qf * mp.conj(r))
-            worst = max(worst, min(abs(image - s) for s in roots))
-        return worst
 
 
 def rh_verdict_for_level(level: ZetaLevel, precision_bits: int = DEFAULT_PRECISION_BITS, tolerance=None) -> RHVerdict:

@@ -1,6 +1,8 @@
 """Tests for base-level zeta construction, validation, and point counting."""
 
+import copy
 import json
+import pickle
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -27,7 +29,7 @@ from zetatower.curves import (
     prime_power_split,
     validate_zeta_level,
 )
-from zetatower.derived_engine import normalize_level
+from zetatower.derived_engine import derive_step, normalize_level
 from zetatower.exact_arith import Poly
 
 
@@ -348,6 +350,14 @@ def test_equality_hash_and_numerator_key_ignore_the_view(z):
     assert other == z and hash(other) == hash(z) and repr(other) == repr(z)
     assert other.numerator_key() == z.numerator_key()
     assert "view" not in repr(z)
+
+
+def test_a_derived_level_pickles_and_copies():
+    # a level sent to a worker process comes back equal, with its view rebuilt
+    z = derive_step(derive_step(artin_zeta(catalog_curve("X2g2").spec()), 2), 3)
+    for twin in (pickle.loads(pickle.dumps(z)), copy.copy(z), copy.deepcopy(z)):
+        assert twin == z and twin.P.view == z.P.view
+        assert twin.numerator_key() == z.numerator_key()
 
 
 def test_genus0_rejected():

@@ -1,5 +1,7 @@
 """Unit and property tests for the exact arithmetic substrate."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from zetatower.exact_arith import (
     newton_power_sums,
     over_lcm,
     poly_gcd,
+    real_weil_poly,
     squarefree_factors,
     rat_str,
     series_exp,
@@ -250,6 +253,45 @@ def test_self_inversive_examples():
     assert not is_self_inversive(Poly([1, -3]) ** 2 * Poly([1, 0, 2]), 2, 2)
     assert not is_self_inversive(Poly([1, -1, 3]), 2, 1)
     assert is_self_inversive(Poly([5]), 7, 0)  # an interior part of a genus-1 level
+
+
+@st.composite
+def _self_inversive(draw):
+    """(P, Q, g): genus 1..4, rational A_0..A_g with A_0 != 0, A_{2g-i} = Q^(g-i) A_i, Q a positive rational."""
+    g = draw(st.integers(min_value=1, max_value=4))
+    Q = draw(rationals(max_abs=40, max_den=5).filter(lambda q: q > 0))
+    half = [draw(rationals(max_abs=50, max_den=12).filter(bool))]
+    half += draw(st.lists(rationals(max_abs=50, max_den=12), min_size=g, max_size=g))
+    return Poly(half + [Q ** (g - i) * half[i] for i in range(g - 1, -1, -1)]), Q, g
+
+
+@given(_self_inversive(), rationals(max_abs=9, max_den=9).filter(bool))
+def test_real_weil_poly_is_the_substitution(case, t):
+    P, Q, g = case
+    assert is_self_inversive(P, Q, g) and P.degree == 2 * g
+    R = real_weil_poly(P, Q, g)
+    assert R.degree == g and R.coeffs[-1] == P[0]
+    assert P(t) == t**g * R(Q * t + 1 / t)
+    # R is linear in P: the primitive ints of the view give R over the content
+    c, ints = P.view
+    assert real_weil_poly(ints, Q, g) * c == R
+
+
+def test_real_weil_poly_examples():
+    # y^2 + y = x^5 over F_2: P = 1 + 4T^4, R = u^2 - 4
+    assert real_weil_poly(Poly([1, 0, 0, 0, 4]), 2, 2) == Poly([-4, 0, 1])
+    # (1 - 2T^2)^2: R = u^2 - 8 has the simple roots +-2 sqrt 2 where P has its double roots
+    assert real_weil_poly(Poly([1, 0, -2]) ** 2, 2, 2) == Poly([-8, 0, 1])
+    # genus 1: A_0 (1 - A T + Q T^2) gives A_0 (u - A)
+    assert real_weil_poly(Poly([3, -6, 15]), 5, 1) == Poly([-6, 3])
+    # (1 + 2T^2)^3: R = u^3, a triple root at the centre of [-2 sqrt 2, 2 sqrt 2]
+    assert real_weil_poly(Poly([1, 0, 6, 0, 12, 0, 8]), 2, 3) == Poly([0, 0, 0, 1])
+
+
+@pytest.mark.parametrize("P", [ZERO, ONE, Poly([1, 2]), Poly([Fraction(-3, 4), 0, 2**300])])
+def test_poly_pickles_and_copies_with_its_view(P):
+    for twin in (pickle.loads(pickle.dumps(P)), copy.copy(P), copy.deepcopy(P)):
+        assert type(twin) is Poly and twin == P and twin.view == P.view
 
 
 @given(coeff_lists(max_size=3), coeff_lists(max_size=3), coeff_lists(max_size=3))

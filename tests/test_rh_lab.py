@@ -30,7 +30,6 @@ from zetatower.rh_lab import (
     rh_exact_genus1,
     rh_numeric,
     rh_verdict_for_level,
-    root_pairing_defect,
     run_cell,
     run_curve,
     sweep,
@@ -173,9 +172,82 @@ def test_float_seed_gives_up_outside_double_range():
     assert sorted(round(r.imag, 12) for r in roots) == [-1, 1]
 
 
+def root_pairing_defect(P: Poly, Q, precision_bits: int = 128):
+    """Worst distance from {roots} to its image under r -> 1/(Q * conj(r))."""
+    with mp.workprec(2 * precision_bits + 64):
+        roots, _, _ = rh_lab._find_roots(P, Fraction(Q), precision_bits)
+        qf = mp.mpf(Fraction(Q).numerator) / mp.mpf(Fraction(Q).denominator)
+        worst = mp.mpf(0)
+        for r in roots:
+            image = 1 / (qf * mp.conj(r))
+            worst = max(worst, min(abs(image - s) for s in roots))
+        return worst
+
+
 def test_self_inversive_root_pairing():
     P = Poly([1, 0, 2]) * Poly([1, -2, 2])
     assert root_pairing_defect(P, 2) < mp.mpf("1e-20")
+
+
+# -- the real Weil polynomial R ----------------------------------------------------
+
+
+def _full_route(monkeypatch):
+    """Solve every numerator as the degree-2g P, as an asymmetric one is."""
+    monkeypatch.setattr(rh_lab, "_real_weil_roots", lambda P, Q, g, bits: rh_lab._find_roots(P, Q, bits))
+
+
+def _refuse(monkeypatch, name):
+    def refuse(*args):
+        raise AssertionError(f"{name} called")
+
+    monkeypatch.setattr(rh_lab, name, refuse)
+
+
+def _parity_numerators():
+    """(P, Q): the genus-2 grid, X2g2 at (2), (3), (2, 2), and two genus-3 numerators over F_2 at () and (2)."""
+    cases = [(Poly([1, a1, a2, q * a1, q * q]), q) for q, a1, a2 in _genus2_grid()]
+    x2g2 = curve_tower(catalog_curve("X2g2").spec())
+    cases += [(x2g2.level(steps).P, x2g2.level(steps).Q) for steps in ((2,), (3,), (2, 2))]
+    for numerator in ((1, 0, 6, 0, 12, 0, 8), (1, 1, 2, 3, 4, 4, 8)):
+        tower = curve_tower(CurveSpec(label="g3", q=2, genus=3, numerator=numerator))
+        cases += [(tower.level(steps).P, tower.level(steps).Q) for steps in ((), (2,))]
+    return cases
+
+
+def test_reduced_route_matches_the_full_numerator(monkeypatch):
+    cases = _parity_numerators()
+    assert len(cases) == 678 + 3 + 4
+    with monkeypatch.context() as m:
+        _refuse(m, "_find_roots")  # every case is self-inversive: R alone is solved
+        reduced = [rh_numeric(P, Q) for P, Q in cases]
+    _full_route(monkeypatch)
+    full = [rh_numeric(P, Q) for P, Q in cases]
+    for (P, Q), r, f in zip(cases, reduced, full):
+        assert r.self_inversive and len(r.deviations) == len(f.deviations) == P.degree, (P, Q)
+        assert (r.outcome(), r.precision_bits) == (f.outcome(), f.precision_bits), (P, Q, r.max_deviation)
+        for a, b in zip(r.deviations, f.deviations):  # sorted; equal to the printed digits, or both below tolerance
+            assert abs(mp.mpf(a) - mp.mpf(b)) < mp.mpf(r.tolerance) + mp.mpf(b) * mp.mpf("1e-5"), (P, Q, a, b)
+    assert sum(v.holds is True for v in reduced) == sum(_weil_rh_holds(*case) for case in _genus2_grid()) + 7
+
+
+@pytest.mark.parametrize("bits", [MIN_PRECISION_BITS, 256])
+def test_a_double_root_on_the_circle_is_a_simple_root_of_R(bits, monkeypatch):
+    # (1 - 2T^2)^2 at Q = 2: R = u^2 - 8 has simple roots at u = +-2 sqrt Q, each a double root T = +-1/sqrt 2
+    _refuse(monkeypatch, "_find_roots")
+    P = Poly([1, 0, -2]) ** 2
+    just_above_target = mp.nstr(mp.mpf(2) ** -(bits + 16) * mp.mpf("1.01"), 20)
+    for tolerance in (None, just_above_target):
+        v = rh_numeric(P, 2, precision_bits=bits, tolerance=tolerance)
+        assert v.holds is True and v.self_inversive and v.precision_bits == bits, (tolerance, v.max_deviation)
+        assert len(v.deviations) == 4
+
+
+def test_an_asymmetric_numerator_keeps_the_full_route(monkeypatch):
+    # 1 - 2T^2 at Q = 2 is not self-inversive, yet both its roots lie on |T| = 2^(-1/2)
+    _refuse(monkeypatch, "_real_weil_roots")
+    v = rh_numeric(Poly([1, 0, -2]), 2)
+    assert v.holds is True and v.self_inversive is False and len(v.deviations) == 2
 
 
 def test_verdict_dispatch_by_genus():

@@ -7,9 +7,12 @@ schema.  derive, invariants and rh-check read the levels along --tuple, in
 prefix order, from the curve's lazy tower (``rh_lab.curve_tower``), as sweep
 does; --normalize only presents that unnormalized tower.  Every rational in emitted JSON is an exact string;
 numeric RH deviations are decimal strings at the stated precision.
-Identical inputs produce byte-identical output files.
+--precision-bits is the numeric RH verdict's only setting: its tolerance is
+derived from the precision.  The one environment override is
+ZETATOWER_PRODUCT_CAP.  Identical inputs produce byte-identical output files.
 
-Exit codes: 0 ok, 1 check failed, 2 usage error, 3 internal error.
+Exit codes: 0 ok, 1 check failed or an RH verdict unknown, 2 usage error,
+3 internal error.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from zetatower.rh_lab import (
     ALL_CHECKS,
     DEFAULT_PRECISION_BITS,
     DEFAULT_PRODUCT_CAP,
-    MIN_PRECISION_BITS,
     SweepConfig,
     builtin_elliptic_grid,
     check_numeric_settings,
@@ -45,7 +47,6 @@ from zetatower.rh_lab import (
     sweep,
 )
 
-ENV_PRECISION = "ZETATOWER_PRECISION_BITS"
 ENV_PRODUCT_CAP = "ZETATOWER_PRODUCT_CAP"
 
 
@@ -108,33 +109,15 @@ def parse_tuple_arg(text: str, cap: int, allow_large: bool) -> tuple:
     return steps
 
 
-def _env_int(name: str, default: int, minimum: int) -> int:
-    """The environment variable ``name`` as an int, else ``default``; UsageError naming it unless an int >= minimum."""
-    text = os.environ.get(name, str(default))
+def _product_cap() -> int:
+    """The largest step product a tuple may have without --allow-large: the environment, else the default."""
+    text = os.environ.get(ENV_PRODUCT_CAP, str(DEFAULT_PRODUCT_CAP))
     try:
-        if int(text) >= minimum:
+        if int(text) >= 1:
             return int(text)
     except ValueError:
         pass
-    raise UsageError(f"{name}={text!r} is not an integer of at least {minimum}")
-
-
-def _product_cap() -> int:
-    """The largest step product a tuple may have without --allow-large."""
-    return _env_int(ENV_PRODUCT_CAP, DEFAULT_PRODUCT_CAP, 1)
-
-
-def _precision_bits(args) -> int:
-    """--precision-bits, else the environment, else the default; checked with the tolerance."""
-    if args.precision_bits is not None:
-        precision = args.precision_bits
-    else:
-        precision = _env_int(ENV_PRECISION, DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS)
-    try:
-        check_numeric_settings(precision, getattr(args, "tolerance", None))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    return precision
+    raise UsageError(f"{ENV_PRODUCT_CAP}={text!r} is not an integer of at least 1")
 
 
 def _write_output(text: str, output):
@@ -245,8 +228,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_rh_check(args) -> int:
-    precision = _precision_bits(args)  # before any level is derived
-    spec, tower, paths = _tower(args, precision_bits=precision, tolerance=args.tolerance)
+    check_numeric_settings(args.precision_bits)  # before any level is derived
+    spec, tower, paths = _tower(args, precision_bits=args.precision_bits)
     verdicts = []
     for path in paths:
         v = tower.rh(path)
@@ -282,12 +265,12 @@ def cmd_sweep(args) -> int:
     else:
         raise UsageError(f"unknown grid {args.grid!r} and no --curves file given")
     checks = ALL_CHECKS if args.checks == "all" else tuple(args.checks.split(","))  # sweep() checks the names
-    precision = _precision_bits(args)
+    check_numeric_settings(args.precision_bits)
     config = SweepConfig(
         curves=curves,
         tuples=tuples,
         checks=checks,
-        precision_bits=precision,
+        precision_bits=args.precision_bits,
         product_cap=cap if not args.allow_large else 10**9,
     )
     report = sweep(config, jobs=args.jobs)
@@ -298,7 +281,8 @@ def cmd_sweep(args) -> int:
         ),
         file=sys.stderr,
     )
-    return 1 if report["summary"]["failed"] else 0
+    unknown = any(counts["unknown"] for counts in report["summary"]["per_check"].values())
+    return 1 if report["summary"]["failed"] or unknown else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,8 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rh-check", help="Riemann-hypothesis verdicts per level")
     add_common(p, normalize=False)  # scaling P changes no verdict
-    p.add_argument("--precision-bits", type=int, default=None)
-    p.add_argument("--tolerance", default=None)
+    p.add_argument("--precision-bits", type=int, default=DEFAULT_PRECISION_BITS)
     p.set_defaults(func=cmd_rh_check)
 
     p = sub.add_parser("sweep", help="run a check battery over a curve x tuple grid")
@@ -339,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tuples", required=True, help="semicolon-separated tuples, e.g. '2;3;2,2'")
     p.add_argument("--checks", default="all", help="all or comma-separated subset of " + ",".join(ALL_CHECKS))
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--precision-bits", type=int, default=None)
+    p.add_argument("--precision-bits", type=int, default=DEFAULT_PRECISION_BITS)
     p.add_argument("--allow-large", action="store_true")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_sweep)

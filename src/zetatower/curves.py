@@ -260,6 +260,8 @@ class CurveSpec:
     numerator: Optional[tuple] = None
 
     def __post_init__(self):
+        _integer(self.q, "q")
+        _integer(self.genus, "genus")
         prime_power_split(self.q)
         if self.genus < 1:
             raise ValueError("genus 0 is rejected; the tower formulas need g >= 1")
@@ -267,12 +269,13 @@ class CurveSpec:
         if sum(sources) != 1:
             raise ValueError("exactly one of trace / point_counts / numerator must be given")
         if self.trace is not None:
+            _integer(self.trace, "trace")
             if self.genus != 1:
                 raise ValueError("a trace only describes a genus-1 curve")
             if self.trace * self.trace > 4 * self.q:
                 raise ValueError(f"Hasse bound violated: {self.trace}^2 > 4*{self.q}")
         if self.point_counts is not None:
-            object.__setattr__(self, "point_counts", tuple(int(n) for n in self.point_counts))
+            object.__setattr__(self, "point_counts", _point_counts(self.point_counts))
             if len(self.point_counts) < self.genus:
                 raise ValueError(f"need at least g = {self.genus} point counts")
         if self.numerator is not None:
@@ -332,6 +335,18 @@ class CurveSpec:
 def _is_int(x) -> bool:
     """True for a JSON integer; bool is an int subclass in Python, but not one in JSON."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _integer(x, name: str) -> int:
+    """x if it is an int; ValueError naming ``name`` otherwise, so nothing is ever truncated."""
+    if not _is_int(x):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return x
+
+
+def _point_counts(counts) -> tuple:
+    """The point counts N_1, N_2, ... as a tuple of ints; ValueError naming the first that is not one."""
+    return tuple(_integer(n, f"point count N_{k}") for k, n in enumerate(counts, start=1))
 
 
 def load_curves(path) -> list:
@@ -474,7 +489,7 @@ def artin_from_point_counts(q: int, g: int, counts: Sequence[int]) -> ZetaLevel:
     the upper half follows from A_{2g-i} = q^(g-i) A_i.  Extra counts beyond
     the g needed are cross-checked against the result and rejected on mismatch.
     """
-    counts = [int(n) for n in counts]
+    counts = _point_counts(counts)
     if g < 1:
         raise ValueError("genus must be >= 1")
     if len(counts) < g:

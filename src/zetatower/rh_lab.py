@@ -19,10 +19,12 @@ simultaneous Weierstrass/Durand-Kerner iteration: first in hardware floats,
 which only picks the starting points, then polished at the working
 precision.  If the float stage overflows, meets a zero denominator or does
 not settle, the polish starts on the circle |x| = 1 + 1/8 instead, with a
-deterministic scattered restart if that stalls.  A verdict is "holds" when
-the worst |root| * sqrt(Q) deviation from 1 is below tolerance, "fails"
-beyond 10x tolerance, and lands in the unknown band between (after one
-automatic retry at doubled precision).
+deterministic scattered restart if that stalls.  The precision is the only
+setting: the tolerance is derived from it, 10^(-0.15 precision_bits).  A
+verdict is "holds" when the worst |root| * sqrt(Q) deviation from 1 is below
+the tolerance, "fails" at 10x the tolerance or beyond, and lands in the
+unknown band between (after one automatic retry at doubled precision), as it
+does when the iteration does not converge.
 
 Sweeps run a configurable battery of checks over a curve x tuple grid and
 emit a deterministic JSON-able report: no timestamps, fixed ordering, exact
@@ -247,41 +249,25 @@ def _real_weil_roots(P: Poly, Q: Fraction, g: int, precision_bits: int):
         return roots, residual, converged
 
 
-def check_numeric_settings(precision_bits: int, tolerance=None) -> None:
-    """Reject a precision or tolerance under which a root off the circle could pass.
+def check_numeric_settings(precision_bits: int) -> None:
+    """Reject a precision under which a root off the circle could pass.
 
-    With precision_bits = 0 the default tolerance would be 10^0 = 1, and a
-    root at deviation 0.41 from the circle would pass.  Below the convergence
-    target 2^-(precision_bits+16) the rounding floor would fail a root on it.
+    The tolerance is 10^(-0.15 precision_bits): at precision_bits = 0 it would
+    be 1, and a root at deviation 0.41 from the circle would pass.
     """
     if precision_bits < MIN_PRECISION_BITS:
         raise ValueError(f"precision must be at least {MIN_PRECISION_BITS} bits, got {precision_bits}")
-    if tolerance is None:
-        return
-    try:
-        tol = mp.mpf(tolerance)
-    except (TypeError, ValueError):
-        raise ValueError(f"tolerance {tolerance!r} is not a number") from None
-    if not 0 < tol < 1:
-        raise ValueError(f"tolerance must lie strictly between 0 and 1, got {tolerance}")
-    if tol < mp.mpf(2) ** -(precision_bits + 16):
-        raise ValueError(f"tolerance {tolerance} is below the convergence target 2^-{precision_bits + 16}")
 
 
-def rh_numeric(
-    P: Poly,
-    Q: BigRat,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-    tolerance=None,
-    _escalated: bool = False,
-) -> RHVerdict:
+def rh_numeric(P: Poly, Q: BigRat, precision_bits: int = DEFAULT_PRECISION_BITS, _escalated: bool = False) -> RHVerdict:
     """Numeric root-modulus verdict for a degree-2g numerator P over Q.
 
     The self-inversive symmetry is recorded rather than enforced: a
     self-inversive P is solved through its degree-g R, and any other P, such
-    as a planted negative control, whole, so both give 2g deviations.
+    as a planted negative control, whole, so both give 2g deviations.  The
+    tolerance is derived from the precision, 10^(-0.15 precision_bits).
     """
-    check_numeric_settings(precision_bits, tolerance)
+    check_numeric_settings(precision_bits)
     Q = Fraction(Q)
     deg = P.degree
     if deg == float("-inf") or deg < 2 or deg % 2 != 0:
@@ -289,56 +275,42 @@ def rh_numeric(
     g = int(deg) // 2
     symmetric = is_self_inversive(P, Q, g)
 
-    wp = 2 * precision_bits + 64
-    with mp.workprec(wp):
-        if tolerance is None:
-            tol = mp.mpf(10) ** (-(mp.mpf(precision_bits) * 3 / 20))
-        else:
-            tol = mp.mpf(tolerance)
+    with mp.workprec(2 * precision_bits + 64):
+        tol = mp.mpf(10) ** (-(mp.mpf(precision_bits) * 3 / 20))
         if symmetric:
             roots, residual, converged = _real_weil_roots(P, Q, g, precision_bits)
         else:
             roots, residual, converged = _find_roots(P, Q, precision_bits)
         sqrt_q = mp.sqrt(mp.mpf(Q.numerator) / mp.mpf(Q.denominator))
         devs = sorted(abs(abs(r) * sqrt_q - 1) for r in roots)
-        max_dev = devs[-1]
 
         if not converged:
-            return RHVerdict(
-                method="numeric",
-                holds=None,
-                precision_bits=precision_bits,
-                tolerance=mp.nstr(tol, 6),
-                max_deviation=mp.nstr(max_dev, 6),
-                deviations=tuple(mp.nstr(d, 6) for d in devs),
-                self_inversive=symmetric,
-                detail=f"no convergence; residual {mp.nstr(residual, 6)}",
-            )
-        if max_dev < tol:
+            holds, detail = None, f"no convergence; residual {mp.nstr(residual, 6)}"
+        elif devs[-1] < tol:
             holds, detail = True, ""
-        elif max_dev < UNKNOWN_BAND_FACTOR * tol:
-            if not _escalated:
-                return rh_numeric(P, Q, precision_bits * 2, tolerance, _escalated=True)
-            holds, detail = None, "deviation inside the escalation band after retry"
-        else:
+        elif not devs[-1] < UNKNOWN_BAND_FACTOR * tol:  # a NaN deviation fails too
             holds, detail = False, "off-circle root"
+        elif not _escalated:
+            return rh_numeric(P, Q, precision_bits * 2, _escalated=True)
+        else:
+            holds, detail = None, "deviation inside the escalation band after retry"
         return RHVerdict(
             method="numeric",
             holds=holds,
             precision_bits=precision_bits,
             tolerance=mp.nstr(tol, 6),
-            max_deviation=mp.nstr(max_dev, 6),
+            max_deviation=mp.nstr(devs[-1], 6),
             deviations=tuple(mp.nstr(d, 6) for d in devs),
             self_inversive=symmetric,
             detail=detail,
         )
 
 
-def rh_verdict_for_level(level: ZetaLevel, precision_bits: int = DEFAULT_PRECISION_BITS, tolerance=None) -> RHVerdict:
+def rh_verdict_for_level(level: ZetaLevel, precision_bits: int = DEFAULT_PRECISION_BITS) -> RHVerdict:
     """Exact criterion when genus 1, numeric otherwise."""
     if level.genus == 1:
         return rh_exact_genus1(level)
-    return rh_numeric(level.P, level.Q, precision_bits=precision_bits, tolerance=tolerance)
+    return rh_numeric(level.P, level.Q, precision_bits=precision_bits)
 
 
 # --------------------------------------------------------------------------
@@ -406,7 +378,7 @@ class Tower(NamedTuple):
     ratio_bounds: Callable[[tuple], tuple]  # bound checks from n = 2 on; genus 1 only
 
 
-def curve_tower(spec: CurveSpec, precision_bits: int = DEFAULT_PRECISION_BITS, tolerance=None) -> Tower:
+def curve_tower(spec: CurveSpec, precision_bits: int = DEFAULT_PRECISION_BITS) -> Tower:
     """A lazy tower over one curve: each entry is computed the first time it is read.
 
     A level is derived, one step at a time, from the longest prefix already
@@ -441,7 +413,7 @@ def curve_tower(spec: CurveSpec, precision_bits: int = DEFAULT_PRECISION_BITS, t
         return read
 
     invariants = by_numerator(lambda z: extract_invariants(z))
-    rh = by_numerator(lambda z: rh_verdict_for_level(z, precision_bits, tolerance))
+    rh = by_numerator(lambda z: rh_verdict_for_level(z, precision_bits))
 
     @cache
     def step_values(steps: tuple) -> SpecialValues:

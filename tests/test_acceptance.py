@@ -2,8 +2,10 @@
 
 The grid is elliptic q in {2,3,4,5} with every Hasse-admissible integer trace,
 tuples (1),(2),(3),(4),(2,2),(2,3),(3,2),(2,2,2), plus the genus-2 curve
-y^2 + y = x^5 over F_2 built from brute-force counts.  Everything except the
-numeric RH route is exact rational arithmetic with zero tolerance.
+y^2 + y = x^5 over F_2 built from brute-force counts.  Everything is exact
+rational arithmetic except the numeric RH route, which finds roots with
+mpmath and compares their deviations with a tolerance derived from the
+precision.
 
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """

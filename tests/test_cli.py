@@ -15,7 +15,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from zetatower.cli import UsageError, main, parse_curve_arg
-from zetatower.curves import artin_zeta, catalog_curve, load_curves
+from zetatower.curves import CATALOG, artin_zeta, catalog_curve, load_curves
 from zetatower.derived_engine import derive_tower
 from zetatower.exact_arith import as_rat, rat_str
 
@@ -87,15 +87,6 @@ def test_tuple_cap_env_and_override(tmp_path, monkeypatch):
     args = ["derive", "--curve", "elliptic:q=2,a=0", "--tuple", "3"]
     assert run_cli(args + ["--output", str(tmp_path / "x.json")]) == 2
     assert run_cli(args + ["--allow-large", "--output", str(tmp_path / "y.json")]) == 0
-
-
-def test_precision_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("ZETATOWER_PRECISION_BITS", "128")
-    out = tmp_path / "rh.json"
-    code = run_cli(["rh-check", "--curve", "catalog:X2g2", "--tuple", "2", "--output", str(out)])
-    assert code == 0
-    payload = json.loads(out.read_text())
-    assert payload["verdicts"][-1]["precision_bits"] == 128
 
 
 def test_rh_check_exact(tmp_path):
@@ -292,6 +283,26 @@ def test_sweep_rejects_a_huge_non_prime_power_q_at_once(capsys):
     assert "q must be a prime power" in capsys.readouterr().err
 
 
+def test_sweep_over_the_catalog(capsys):
+    assert run_cli(["sweep", "--grid", "catalog", "--tuples", "1", "--checks", "rh,beta_routes"]) == 0
+    cells = json.loads(capsys.readouterr().out)["cells"]
+    assert [c["curve"] for c in cells] == sorted(CATALOG)
+    assert len(cells) == 7
+    for cell in cells:
+        assert cell["checks"] == {"rh": "pass", "beta_routes": "pass"}
+
+
+def test_sweep_exits_1_on_an_unknown_verdict(monkeypatch, capsys):
+    from zetatower import rh_lab
+
+    unknown = rh_lab.RHVerdict(method="numeric", holds=None, detail="planted")
+    monkeypatch.setattr(rh_lab, "rh_verdict_for_level", lambda level, precision_bits: unknown)
+    assert run_cli(["sweep", "--q", "2", "--tuples", "1", "--checks", "rh"]) == 1  # as rh-check does
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["per_check"]["rh"] == {"pass": 0, "fail": 0, "unknown": 5, "skipped": 0}
+    assert summary["failed"] is False and summary["errors"] == 0
+
+
 @pytest.mark.parametrize("top", ["3", "null", "true", '"x"'])
 def test_curves_file_of_neither_object_nor_list_is_usage_error(top, tmp_path, capsys):
     path = tmp_path / "curves.json"
@@ -306,15 +317,13 @@ def test_curves_file_of_neither_object_nor_list_is_usage_error(top, tmp_path, ca
 
 _COMMAND_ARGS = {
     "derive": ["derive", "--curve", "elliptic:q=2,a=0", "--tuple", "2"],
-    "rh-check": ["rh-check", "--curve", "elliptic:q=2,a=0", "--tuple", "2"],
     "sweep": ["sweep", "--q", "2", "--tuples", "2"],
 }
 
 
 @pytest.mark.parametrize(
     "name, value, command",
-    [("ZETATOWER_PRODUCT_CAP", v, c) for v in ("abc", "1e3", "0", "-1") for c in ("derive", "sweep")]
-    + [("ZETATOWER_PRECISION_BITS", v, c) for v in ("abc", "1e3", "0") for c in ("rh-check", "sweep")],
+    [("ZETATOWER_PRODUCT_CAP", v, c) for v in ("abc", "1e3", "0", "-1") for c in ("derive", "sweep")],
 )
 def test_bad_environment_overrides_are_usage_errors_naming_the_variable(name, value, command, monkeypatch, tmp_path, capsys):
     monkeypatch.setenv(name, value)
@@ -406,10 +415,6 @@ def test_jobs_zero_is_usage_error(capsys):
     [
         ["rh-check", "--curve", "catalog:X2g2", "--tuple", "1", "--precision-bits", "0"],
         ["rh-check", "--curve", "elliptic:q=2,a=0", "--tuple", "1", "--precision-bits", "31"],
-        ["rh-check", "--curve", "elliptic:q=2,a=0", "--tuple", "1", "--tolerance", "1"],
-        ["rh-check", "--curve", "elliptic:q=2,a=0", "--tuple", "1", "--tolerance", "0"],
-        ["rh-check", "--curve", "elliptic:q=2,a=0", "--tuple", "1", "--tolerance", "nan"],
-        ["rh-check", "--curve", "elliptic:q=2,a=0", "--tuple", "1", "--tolerance", "abc"],
         ["sweep", "--grid", "builtin-elliptic", "--q", "2", "--tuples", "1", "--precision-bits", "0"],
     ],
 )
@@ -418,21 +423,34 @@ def test_bad_numeric_settings_are_usage_errors(args, tmp_path):
     assert not (tmp_path / "out.json").exists()
 
 
-def test_tolerance_below_the_convergence_target_is_usage_error(tmp_path, capsys):
-    # at 256 bits the base level's deviation, 4e-174, is the rounding floor: 1e-400
-    # would report Weil's theorem as failing
-    args = ["rh-check", "--curve", "catalog:X2g2", "--tuple", "2", "--output", str(tmp_path / "rh.json")]
-    assert run_cli(args + ["--tolerance", "1e-400"]) == 2
-    assert "2^-272" in capsys.readouterr().err
-    assert not (tmp_path / "rh.json").exists()
-    assert run_cli(args + ["--tolerance", "1e-60"]) == 0
-    assert all(v["holds"] for v in json.loads((tmp_path / "rh.json").read_text())["verdicts"])
+def _off_circle_g2(tmp_path):
+    # self-inversive, so the curve schema accepts it, yet sqrt(2) |T| is 1 +- 0.414 at its roots
+    path = tmp_path / "g2.json"
+    path.write_text(json.dumps({"label": "g2", "q": 2, "genus": 2, "numerator": [1, 0, 5, 0, 4]}))
+    return ["rh-check", "--curve", str(path), "--tuple", "1"]
 
 
-def test_precision_env_zero_is_usage_error(monkeypatch, tmp_path):
-    monkeypatch.setenv("ZETATOWER_PRECISION_BITS", "0")
-    args = ["rh-check", "--curve", "catalog:X2g2", "--tuple", "1", "--output", str(tmp_path / "rh.json")]
-    assert run_cli(args) == 2
+@pytest.mark.parametrize("bits", [32, 64, 256])
+def test_no_precision_passes_a_root_off_the_circle(bits, tmp_path, capsys):
+    assert run_cli(_off_circle_g2(tmp_path) + ["--precision-bits", str(bits)]) == 1
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert [(v["holds"], v["precision_bits"]) for v in verdicts] == [(False, bits)] * 2
+    assert all(0.41 < float(v["max_deviation"]) < 0.42 for v in verdicts)
+
+
+def test_the_tolerance_is_no_option(tmp_path, capsys):
+    # the tolerance is derived from the precision; a looser one passed the roots above
+    with pytest.raises(SystemExit) as exc:
+        run_cli(_off_circle_g2(tmp_path) + ["--tolerance", "0.5"])
+    assert exc.value.code == 2
+    assert "--tolerance" in capsys.readouterr().err
+
+
+def test_the_precision_is_no_environment_setting(monkeypatch, capsys):
+    monkeypatch.setenv("ZETATOWER_PRECISION_BITS", "128")
+    assert run_cli(["rh-check", "--curve", "catalog:X2g2", "--tuple", "2"]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert [v["precision_bits"] for v in verdicts] == [256, 256]
 
 
 def test_rh_check_decides_each_numerator_once(monkeypatch, capsys):

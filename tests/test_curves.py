@@ -375,6 +375,29 @@ def test_curve_spec_sources_exclusive():
         CurveSpec(label="x", q=2, genus=1)
 
 
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ({"point_counts": (3.7,)}, "point count N_1"),
+        ({"genus": 2, "point_counts": (3, 5.0)}, "point count N_2"),
+        ({"trace": 0.5}, "trace"),
+        ({"q": 2.0, "trace": 0}, "q"),
+        ({"genus": 1.0, "trace": 0}, "genus"),
+        ({"point_counts": ("3",)}, "point count N_1"),
+    ],
+)
+def test_curve_spec_refuses_non_integers(fields, name):
+    # 3.7 was truncated to N_1 = 3, 0.5 failed later with a TypeError and q = 2.0 with an AttributeError
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        CurveSpec(**{"label": "x", "q": 2, "genus": 1, **fields})
+
+
+def test_point_counts_are_never_truncated():
+    with pytest.raises(ValueError, match="point count N_1 must be an integer"):
+        artin_from_point_counts(2, 1, [3.7])
+    assert CurveSpec(label="x", q=2, genus=2, point_counts=[3, 5]).point_counts == (3, 5)
+
+
 def test_curve_json_round_trip(tmp_path):
     specs = [
         CurveSpec(label="e", q=2, genus=1, trace=0),

@@ -1,6 +1,7 @@
 """Tests for the RH verdicts and the sweep harness."""
 
 import hashlib
+import json
 import sys
 from fractions import Fraction
 
@@ -235,12 +236,11 @@ def test_reduced_route_matches_the_full_numerator(monkeypatch):
 def test_a_double_root_on_the_circle_is_a_simple_root_of_R(bits, monkeypatch):
     # (1 - 2T^2)^2 at Q = 2: R = u^2 - 8 has simple roots at u = +-2 sqrt Q, each a double root T = +-1/sqrt 2
     _refuse(monkeypatch, "_find_roots")
-    P = Poly([1, 0, -2]) ** 2
-    just_above_target = mp.nstr(mp.mpf(2) ** -(bits + 16) * mp.mpf("1.01"), 20)
-    for tolerance in (None, just_above_target):
-        v = rh_numeric(P, 2, precision_bits=bits, tolerance=tolerance)
-        assert v.holds is True and v.self_inversive and v.precision_bits == bits, (tolerance, v.max_deviation)
-        assert len(v.deviations) == 4
+    v = rh_numeric(Poly([1, 0, -2]) ** 2, 2, precision_bits=bits)
+    assert v.holds is True and v.self_inversive and v.precision_bits == bits, v.max_deviation
+    assert len(v.deviations) == 4
+    # the roots are found to just above the convergence target, far inside the tolerance
+    assert mp.mpf(v.max_deviation) < mp.mpf(2) ** -(bits + 16) * mp.mpf("1.01"), v.max_deviation
 
 
 def test_an_asymmetric_numerator_keeps_the_full_route(monkeypatch):
@@ -248,6 +248,71 @@ def test_an_asymmetric_numerator_keeps_the_full_route(monkeypatch):
     _refuse(monkeypatch, "_real_weil_roots")
     v = rh_numeric(Poly([1, 0, -2]), 2)
     assert v.holds is True and v.self_inversive is False and len(v.deviations) == 2
+
+
+# -- the verdict's branches --------------------------------------------------------
+
+
+def _plant_band_roots(monkeypatch, at_bits=None):
+    """Make _real_weil_roots return 2g roots at deviation 2 * 10^(-0.15 bits), inside the band; only at ``at_bits`` if given."""
+    real = rh_lab._real_weil_roots
+    calls = []
+
+    def planted(P, Q, g, bits):
+        calls.append(bits)
+        if at_bits is not None and bits != at_bits:
+            return real(P, Q, g, bits)
+        deviation = 2 * mp.mpf(10) ** (-mp.mpf(bits) * 3 / 20)
+        return [(1 + deviation) / mp.sqrt(mp.mpf(Q.numerator) / Q.denominator)] * (2 * g), mp.mpf(0), True
+
+    monkeypatch.setattr(rh_lab, "_real_weil_roots", planted)
+    return calls
+
+
+_G2_P = Poly([1, 1, 3, 2, 4])  # 1 + T + 3T^2 + 2T^3 + 4T^4 over F_2: RH holds
+
+
+def test_a_deviation_in_the_band_twice_is_unknown(monkeypatch):
+    calls = _plant_band_roots(monkeypatch)
+    v = rh_numeric(_G2_P, 2, precision_bits=MIN_PRECISION_BITS)
+    assert calls == [MIN_PRECISION_BITS, 2 * MIN_PRECISION_BITS]
+    assert v.holds is None and v.outcome() == "unknown" and v.precision_bits == 2 * MIN_PRECISION_BITS
+    assert v.detail == "deviation inside the escalation band after retry"
+    assert len(v.deviations) == 4 and v.self_inversive is True
+
+
+def test_a_deviation_in_the_band_once_holds_after_the_retry(monkeypatch):
+    calls = _plant_band_roots(monkeypatch, at_bits=256)
+    v = rh_numeric(_G2_P, 2, precision_bits=256)
+    assert calls == [256, 512]
+    assert v.holds is True and v.precision_bits == 512 and v.detail == ""
+    assert mp.mpf(v.max_deviation) < mp.mpf(v.tolerance)
+
+
+def test_a_factor_that_does_not_converge_is_unknown(monkeypatch):
+    real = rh_lab._factor_roots
+    calls = []
+
+    def stalled(F, scale, target, bits):
+        roots, residual, ok = real(F, scale, target, bits)
+        calls.append(F)
+        return roots, residual, ok and len(calls) > 1  # the first factor reports no convergence
+
+    monkeypatch.setattr(rh_lab, "_factor_roots", stalled)
+    v = rh_numeric(_G2_P, 2)
+    assert v.holds is None and v.precision_bits == 256  # no retry at a higher precision
+    assert v.detail.startswith("no convergence; residual ")
+    assert len(v.deviations) == 4 and v.max_deviation is not None
+
+
+def test_an_unknown_level_verdict_reads_unknown_in_its_cell(monkeypatch):
+    _plant_band_roots(monkeypatch)
+    spec = catalog_curve("X2g2").spec()
+    report = sweep(SweepConfig(curves=(spec,), tuples=((2,),), checks=("rh",)))
+    (cell,) = report["cells"]
+    assert cell["checks"] == {"rh": "unknown"} and cell["data"]["rh_methods"] == ["numeric"]
+    assert report["summary"]["per_check"]["rh"] == {"pass": 0, "fail": 0, "unknown": 1, "skipped": 0}
+    assert report["summary"]["failed"] is False  # counts failed checks and cell errors only
 
 
 def test_verdict_dispatch_by_genus():
@@ -394,16 +459,6 @@ def test_precision_below_floor_rejected(bits):
     assert rh_numeric(Poly([1, -5, 4]), 2, precision_bits=MIN_PRECISION_BITS).holds is False
 
 
-@pytest.mark.parametrize("tolerance", [0, 1, 2, -1, "0", "1", "inf", "nan", "abc"])
-def test_tolerance_outside_unit_interval_rejected(tolerance):
-    with pytest.raises(ValueError, match="tolerance"):
-        rh_numeric(Poly([1, 0, 2]), 2, tolerance=tolerance)
-
-
-def test_valid_explicit_tolerance_accepted():
-    assert rh_numeric(Poly([1, 0, 2]), 2, tolerance="1e-20").holds is True
-
-
 GRID_TUPLES = ((1,), (2,), (3,), (4,), (2, 2), (2, 3), (3, 2), (2, 2, 2))
 
 
@@ -451,6 +506,27 @@ def test_run_curve_shares_a_failed_derivation(monkeypatch):
     for cell in cells:
         if "error" not in cell:
             assert set(cell["checks"].values()) <= {"pass", "skipped"}
+
+
+def test_sweep_counts_the_errored_cells(monkeypatch, tmp_path):
+    from zetatower.cli import main
+
+    calls = _count_derivations(monkeypatch, fail_at=(2, 2))
+    spec = CurveSpec(label="e", q=3, genus=1, trace=1)
+    report = sweep(SweepConfig(curves=(spec,), tuples=GRID_TUPLES))
+    errors = {tuple(c["tuple"]): c.get("error") for c in report["cells"]}
+    # the cells that read the level (2, 2) carry its error, and only they
+    assert {steps for steps, error in errors.items() if error} == {(2, 2), (2, 2, 2)}
+    assert {errors[(2, 2)], errors[(2, 2, 2)]} == {"DerivationError: planted at (2, 2)"}
+    assert report["summary"]["errors"] == 2 and report["summary"]["failed"] is True
+    for cell in report["cells"]:
+        if "error" not in cell:
+            assert set(cell["checks"].values()) <= {"pass", "skipped"}
+    path = tmp_path / "curves.json"
+    path.write_text(json.dumps([spec.to_dict()]))
+    tuples = ";".join(",".join(map(str, steps)) for steps in GRID_TUPLES)
+    assert main(["sweep", "--curves", str(path), "--tuples", tuples, "--output", str(tmp_path / "r.json")]) == 1
+    assert calls.count((2, 2)) == 4  # two cells in each sweep
 
 
 def _count_calls(monkeypatch, names, plant=None):

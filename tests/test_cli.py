@@ -416,6 +416,10 @@ def test_jobs_zero_is_usage_error(capsys):
         ["rh-check", "--curve", "catalog:X2g2", "--tuple", "1", "--precision-bits", "0"],
         ["rh-check", "--curve", "elliptic:q=2,a=0", "--tuple", "1", "--precision-bits", "31"],
         ["sweep", "--grid", "builtin-elliptic", "--q", "2", "--tuples", "1", "--precision-bits", "0"],
+        ["rh-check", "--curve", "catalog:X2g2", "--tuple", "1", "--precision-bits", "31"],
+        ["rh-check", "--curve", "elliptic:q=2,a=0", "--tuple", "1", "--precision-bits", "-1"],
+        ["sweep", "--grid", "catalog", "--tuples", "1", "--checks", "rh", "--precision-bits", "31"],
+        ["sweep", "--grid", "builtin-elliptic", "--q", "2", "--tuples", "1", "--precision-bits", "-1"],
     ],
 )
 def test_bad_numeric_settings_are_usage_errors(args, tmp_path):
@@ -446,11 +450,23 @@ def test_the_tolerance_is_no_option(tmp_path, capsys):
     assert "--tolerance" in capsys.readouterr().err
 
 
-def test_the_precision_is_no_environment_setting(monkeypatch, capsys):
-    monkeypatch.setenv("ZETATOWER_PRECISION_BITS", "128")
+@pytest.mark.parametrize("value", ["128", "abc", "0"])
+def test_the_precision_is_no_environment_setting(value, monkeypatch, capsys):
+    monkeypatch.setenv("ZETATOWER_PRECISION_BITS", value)
     assert run_cli(["rh-check", "--curve", "catalog:X2g2", "--tuple", "2"]) == 0
     verdicts = json.loads(capsys.readouterr().out)["verdicts"]
     assert [v["precision_bits"] for v in verdicts] == [256, 256]
+
+
+@pytest.mark.parametrize("value", ["128", "abc", "0"])
+def test_the_precision_variable_leaves_a_sweep_unchanged(value, monkeypatch, capsys):
+    # the config hash covers the precision, so the whole report pins it
+    args = ["sweep", "--grid", "catalog", "--tuples", "1", "--checks", "rh"]
+    assert run_cli(args) == 0
+    unset = capsys.readouterr().out
+    monkeypatch.setenv("ZETATOWER_PRECISION_BITS", value)
+    assert run_cli(args) == 0
+    assert capsys.readouterr().out == unset
 
 
 def test_rh_check_decides_each_numerator_once(monkeypatch, capsys):

@@ -3,16 +3,46 @@
 
 The beta column comes from the three-term recursion, b_n from the exact series
 exponential; the two must agree row by row, so the file doubles as a quick
-dual-route audit that is easy to diff or plot.
+dual-route audit that is easy to diff or plot.  ``lower_ok`` and ``upper_ok``
+say whether the ratio beta(n)/beta(n-1) meets each side of the ratio bounds
+1 < r < (q^(n/2)+1)/(q^(n/2)-1).
 
-  python scripts/export_beta_table.py --out reports/elliptic_beta_table.csv --nmax 8
+  PYTHONPATH=src python scripts/export_beta_table.py --out reports/elliptic_beta_table.csv --nmax 8
 """
 
 import argparse
+import csv
 import sys
 from pathlib import Path
+from typing import Sequence
 
-from zetatower.mult_struct import export_elliptic_grid_csv
+from zetatower.curves import artin_elliptic, hasse_traces
+from zetatower.exact_arith import rat_str
+from zetatower.mult_struct import elliptic_beta_recursion, ratio_bounds, residue_series_exp
+
+
+def export_elliptic_grid_csv(path, qs: Sequence[int], n_max: int = 8) -> int:
+    """Write (q, a, n, beta, b_n, ratio, bounds) rows for the full Hasse grid.
+
+    Returns the number of rows written.  Row order and formatting are fixed,
+    so identical inputs produce byte-identical files.
+    """
+    rows = 0
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["q", "a", "n", "beta", "b_n", "ratio", "lower_ok", "upper_ok"])
+        for q in qs:
+            for a in hasse_traces(q):
+                level = artin_elliptic(q, a)
+                series = residue_series_exp(level, n_max)
+                betas = elliptic_beta_recursion(level.trace(), level.Q, n_max)
+                for n in range(1, n_max + 1):
+                    r = betas[n] / betas[n - 1]
+                    lower, upper = ratio_bounds(r, level.Q, n)
+                    row = [q, a, n, rat_str(betas[n]), rat_str(series[n]), rat_str(r), int(lower), int(upper)]
+                    writer.writerow(row)
+                    rows += 1
+    return rows
 
 
 def main() -> int:

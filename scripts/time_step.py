@@ -10,10 +10,12 @@ time of ``derive_step(base, n)`` for n = 1..5, of ``validate_zeta_level`` on
 those 155 levels, and of ``special_values(base, n)`` for n = 1..5.  Last the
 RH verdict: ``rh_verdict_for_level`` summed over the 98 RH-admissible integer
 genus-2 numerators 1 + a1 T + a2 T^2 + q a1 T^3 + q^2 T^4 over q = 2, 3 at the
-steps (), (2), (3), (2, 2), and alone on X2g2 at (10, 10, 10) and at
-(10, 10, 10, 5).  Each figure is the best of three runs on the same input;
-the inputs of the tuple's steps, the levels to validate and the levels to
-judge are derived once, outside the timer.
+steps (), (2), (3), (2, 2), alone on X2g2 at (10, 10, 10) and at
+(10, 10, 10, 5), and alone on the genus-3 numerator 1 + T + 2T^2 + 3T^3 +
+4T^4 + 4T^5 + 8T^6 over F_2 at (10, 10, 10), next to the squarefree split
+of that level's real Weil polynomial R.  Each figure is the best of three
+runs on the same input; the inputs of the tuple's steps, the levels to
+validate and the levels to judge are derived once, outside the timer.
 
   PYTHONPATH=src python scripts/time_step.py
 """
@@ -23,12 +25,14 @@ import time
 
 from zetatower.curves import CurveSpec, artin_elliptic, artin_zeta, catalog_curve, validate_zeta_level
 from zetatower.derived_engine import derive_step, special_values
+from zetatower.exact_arith import real_weil_poly, squarefree_factors
 from zetatower.rh_lab import builtin_elliptic_grid, curve_tower, rh_verdict_for_level
 
 DEPTHS = (10, 20, 40, 60)
 TUPLE = (10, 10, 10, 5)
 SHALLOW = (1, 2, 3, 4, 5)
 POOL_STEPS = ((), (2,), (3,), (2, 2))
+GENUS3 = (1, 1, 2, 3, 4, 4, 8)  # over F_2
 
 
 def best_of_3(run) -> float:
@@ -89,6 +93,11 @@ def main() -> int:
         z = tower.level(steps)
         verdict_s = best_of_3(lambda: rh_verdict_for_level(z))
         print(f"X2g2 {steps} (Q has {int(z.Q).bit_length()} bits): rh_verdict_for_level {verdict_s:.3f} s", flush=True)
+    z = curve_tower(CurveSpec(label="g3", q=2, genus=3, numerator=GENUS3)).level(TUPLE[:-1])
+    R = real_weil_poly(z.P.view[1], z.Q, z.genus)
+    split_s = best_of_3(lambda: squarefree_factors(R))
+    verdict_s = best_of_3(lambda: rh_verdict_for_level(z))
+    print(f"genus 3 {z.steps}: squarefree_factors(R) {split_s:.3f} s, rh_verdict_for_level {verdict_s:.3f} s")
     return 0
 
 

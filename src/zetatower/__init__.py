@@ -11,15 +11,8 @@ from zetatower.curves import (
     hasse_traces,
     validate_zeta_level,
 )
-from zetatower.derived_engine import (
-    SpecialValues,
-    compositions,
-    derive_step,
-    derive_tower,
-    normalize_level,
-    special_values,
-)
-from zetatower.exact_arith import BigRat, Poly, as_rat, poly_gcd, rat_str, series_exp
+from zetatower.derived_engine import SpecialValues, derive_step, normalize_level, special_values
+from zetatower.exact_arith import BigRat, Poly, as_rat, rat_str
 from zetatower.invariants import (
     InvariantSet,
     beta_closed_form,
@@ -28,19 +21,12 @@ from zetatower.invariants import (
     interlacing_poly,
     interlacing_sign_check,
 )
-from zetatower.mult_struct import (
-    elliptic_beta_recursion,
-    elliptic_beta_series_check,
-    ratio_bounds_check,
-    residue_series_exp,
-    residue_series_recursion,
-)
+from zetatower.mult_struct import elliptic_beta_recursion, ratio_bounds_check
 from zetatower.rh_lab import (
     RHVerdict,
     SweepConfig,
     builtin_elliptic_grid,
     rh_exact_genus1,
-    rh_numeric,
     rh_verdict_for_level,
     sweep,
 )

@@ -264,8 +264,7 @@ def cmd_sweep(args) -> int:
         curves = tuple(CATALOG[label].spec() for label in sorted(CATALOG))
     else:
         raise UsageError(f"unknown grid {args.grid!r} and no --curves file given")
-    checks = ALL_CHECKS if args.checks == "all" else tuple(args.checks.split(","))  # sweep() checks the names
-    check_numeric_settings(args.precision_bits)
+    checks = ALL_CHECKS if args.checks == "all" else tuple(args.checks.split(","))  # sweep() checks them and the precision
     config = SweepConfig(
         curves=curves,
         tuples=tuples,

@@ -8,7 +8,10 @@ coefficient of ``T**i``, with no trailing zeros (the zero polynomial is the
 empty tuple), so structural equality is mathematical equality.  Each ``Poly``
 also keeps, from construction on, its integer view: a rational content times
 coprime ints (``content_primitive``), which every evaluation reads by one
-integer ``horner`` pass.  A truncated power series is a plain coefficient list.
+integer ``horner`` pass.  ``Poly`` has no division: ``pseudo_divide``,
+``poly_gcd`` and ``squarefree_factors`` work on int coefficient lists, such
+as a view's ints, and form no rational until a factor is made monic.  A
+truncated power series is a plain coefficient list.
 
 All values are immutable after construction and all operations are pure, so
 everything here is safe to share freely across threads; the one exception is
@@ -20,6 +23,7 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence, Union
 
@@ -203,38 +207,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def _divide(self, other: "Poly") -> tuple:
-        """(quotient, remainder) as coefficient lists, so // and % build only the Poly they return."""
-        other = _as_poly(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        lead = other.coeffs[-1]
-        dlen = len(other.coeffs)
-        while len(rem) >= dlen and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) < dlen:
-                break
-            f = rem[-1] / lead
-            shift = len(rem) - dlen
-            quo[shift] = f
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= f * c
-            rem.pop()
-        return quo, rem
-
-    def __divmod__(self, other: "Poly"):
-        quo, rem = self._divide(other)
-        return Poly(quo), Poly(rem)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return Poly(self._divide(other)[0])
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return Poly(self._divide(other)[1])
-
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
@@ -254,15 +226,6 @@ class Poly:
         c, ints = self.view
         num = c.numerator * horner(ints, t.numerator, t.denominator)
         return Fraction(num, c.denominator * t.denominator ** max(len(ints) - 1, 0))
-
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            raise ValueError("zero polynomial has no monic form")
-        lead = self.coeffs[-1]
-        return Poly([c / lead for c in self.coeffs])
 
 
 def _as_poly(x) -> Poly:
@@ -329,13 +292,55 @@ def real_weil_poly(P: "Poly | Sequence", Q: Scalar, g: int) -> Poly:
     return Poly(out)
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor over the rationals."""
-    if a.is_zero() and b.is_zero():
+def _trim(xs: list) -> list:
+    """xs without its trailing zeros, in place."""
+    while xs and not xs[-1]:
+        xs.pop()
+    return xs
+
+
+def _primitive(a: Sequence[int]) -> tuple:
+    """The ints a over their gcd, with a positive lead; () for zero."""
+    a = _trim(list(a))
+    g = -gcd(*a) if a and a[-1] < 0 else gcd(*a)
+    return tuple(x // g for x in a)
+
+
+def pseudo_divide(a: Sequence[int], b: Sequence[int]) -> tuple:
+    """(q, r, m) over the ints with m a = q b + r, deg r < deg b, m = lead(b)^k; b has no trailing zero.
+
+    A step divides by lead(b) when it can and scales the remainder by it
+    otherwise, k times in all; so m = 1 when b divides a over the ints, as a
+    primitive b that divides a over the rationals does (Gauss's lemma).
+    """
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    r, m, lead = _trim(list(a)), 1, b[-1]
+    q = [0] * max(len(r) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        f, rest = divmod(r[-1], lead)
+        if rest:
+            q, r, m, f = [lead * x for x in q], [lead * x for x in r], m * lead, r[-1]
+        shift = len(r) - len(b)
+        q[shift] = f
+        for i, c in enumerate(b):
+            r[shift + i] -= f * c
+        _trim(r)
+    return q, r, m
+
+
+def poly_gcd(a: Sequence[int], b: Sequence[int]) -> tuple:
+    """Primitive gcd, with a positive lead, of int coefficient sequences, lowest first; (1,) when constant.
+
+    The primitive remainder sequence (Basu, Pollack and Roy, Algorithms in
+    Real Algebraic Geometry, ch. 8): no rational is formed.
+    """
+    a, b = _primitive(a), _primitive(b)
+    if not a and not b:
         raise ValueError("gcd undefined for two zero polynomials")
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    while b:
+        a, b = b, _primitive(pseudo_divide(a, b)[1])
+    return a
 
 
 def squarefree_factors(P: Poly) -> list:
@@ -343,22 +348,37 @@ def squarefree_factors(P: Poly) -> list:
 
     The F are monic, squarefree, pairwise coprime and of positive degree
     (D. Y. Y. Yun, On square-free decomposition algorithms, SYMSAC 1976).
-    Exact over the rationals, so a repeated root becomes a simple root of
-    one factor.  P must have positive degree.
+    It runs on the ints of ``P.view``, each gcd primitive so each quotient
+    exact, and makes each F monic at the end; a repeated root becomes a
+    simple root of one factor.  P must have positive degree.
     """
-    dP = P.derivative()
-    common = poly_gcd(P, dP)
-    if common.degree == 0:
-        return [(P.monic(), 1)]
-    b = P // common
-    d = dP // common - b.derivative()
+
+    def quotient(a, b) -> list:
+        q, r, m = pseudo_divide(a, b)
+        if r or m != 1:
+            raise ArithmeticError("inexact polynomial quotient over the integers")
+        return q
+
+    def derivative(a) -> list:
+        return [i * c for i, c in enumerate(a)][1:]
+
+    def minus(a, b) -> list:
+        return _trim([x - y for x, y in zip_longest(a, b, fillvalue=0)])
+
+    ints = P.view[1]
+    dP = derivative(ints)
+    common = poly_gcd(ints, dP)
+    if len(common) == 1:
+        return [(Poly(Fraction(c, ints[-1]) for c in ints), 1)]
+    b = quotient(ints, common)
+    d = minus(quotient(dP, common), derivative(b))
     out, m = [], 1
-    while b.degree > 0:
+    while len(b) > 1:
         a = poly_gcd(b, d)
-        b = b // a
-        d = d // a - b.derivative()
-        if a.degree > 0:
-            out.append((a, m))
+        b = quotient(b, a)
+        d = minus(quotient(d, a), derivative(b))
+        if len(a) > 1:
+            out.append((Poly(Fraction(c, a[-1]) for c in a), m))
         m += 1
     return out
 

@@ -12,9 +12,9 @@ self-inversive, such as a planted control, is solved whole, in
 x = sqrt(Q) T, where the roots RH predicts lie on |x| = 1.  Either way the
 convergence target and the stall floor are relative to the size of the
 roots whatever the size of Q.  The polynomial solved is first split exactly
-into squarefree factors (Yun's algorithm over the rationals), so a repeated
-root is a simple root of its factor; each root is then counted by its
-multiplicity.  All roots of a factor come at once from
+into squarefree factors (Yun's algorithm on its primitive integer
+coefficients), so a repeated root is a simple root of its factor; each root
+is then counted by its multiplicity.  All roots of a factor come at once from
 simultaneous Weierstrass/Durand-Kerner iteration: first in hardware floats,
 which only picks the starting points, then polished at the working
 precision.  If the float stage overflows, meets a zero denominator or does
@@ -533,6 +533,7 @@ def sweep(config: SweepConfig, jobs: int = 1) -> dict:
     unknown = set(config.checks) - set(ALL_CHECKS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}; available: {ALL_CHECKS}")
+    check_numeric_settings(config.precision_bits)
     for steps in config.tuples:
         if not steps or min(steps) < 1:
             raise ValueError(f"tuple {steps} must be a nonempty list of positive integers")

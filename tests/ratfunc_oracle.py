@@ -1,4 +1,4 @@
-"""Rational functions and the second route for the tower step, for tests only.
+"""Rational functions and the second routes to what the package computes, for tests only.
 
 The package stores a level as its numerator P; ``to_ratfunc`` rebuilds the
 complete zeta P / ((1-T)(1-QT)T^(g-1)) as a canonical ``RatFunc``, so the
@@ -15,13 +15,24 @@ in n; keep n <= 8.
 ``oracle_invariants`` reads (alphas, beta) off a level by ``Poly`` division,
 the reference for ``invariants.extract_invariants``, which divides on the
 coefficient list.
+
+``derivative``, ``rational_divmod``, ``rational_gcd`` and
+``rational_squarefree_factors`` are Euclid and Yun's split over ``Fraction``
+coefficients, the parity route for the package's integer ``poly_gcd`` and
+``squarefree_factors``.
+
+``residue_series_recursion`` is the second route to the residue series, and
+``elliptic_beta_series_check`` matches each derived residue of a genus-1
+level against the series coefficient.
 """
 
 from fractions import Fraction
 from math import comb
 
-from zetatower.derived_engine import compositions, special_values
-from zetatower.exact_arith import ONE, ZERO, Poly, as_rat, is_self_inversive, poly_gcd
+from zetatower.curves import CheckResult, ZetaLevel
+from zetatower.derived_engine import compositions, derive_step, special_values
+from zetatower.exact_arith import ONE, ZERO, Poly, as_rat, is_self_inversive
+from zetatower.mult_struct import ResidueSeries, residue_series_exp
 
 
 class PoleError(ArithmeticError):
@@ -41,6 +52,67 @@ def _as_poly(x) -> Poly:
     return x if isinstance(x, Poly) else Poly([x])
 
 
+def derivative(p: Poly) -> Poly:
+    return Poly([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
+def rational_divmod(a: Poly, b: Poly) -> tuple:
+    """(quotient, remainder) of a by b, long division over the rationals."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    quo = [Fraction(0)] * max(len(rem) - len(b.coeffs) + 1, 0)
+    lead = b.coeffs[-1]
+    dlen = len(b.coeffs)
+    while len(rem) >= dlen and any(rem):
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) < dlen:
+            break
+        f = rem[-1] / lead
+        shift = len(rem) - dlen
+        quo[shift] = f
+        for i, c in enumerate(b.coeffs):
+            rem[shift + i] -= f * c
+        rem.pop()
+    return Poly(quo), Poly(rem)
+
+
+def monic(p: Poly) -> Poly:
+    if p.is_zero():
+        raise ValueError("zero polynomial has no monic form")
+    lead = p.coeffs[-1]
+    return Poly([c / lead for c in p.coeffs])
+
+
+def rational_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic greatest common divisor over the rationals."""
+    if a.is_zero() and b.is_zero():
+        raise ValueError("gcd undefined for two zero polynomials")
+    while not b.is_zero():
+        a, b = b, rational_divmod(a, b)[1]
+    return monic(a)
+
+
+def rational_squarefree_factors(P: Poly) -> list:
+    """Yun's squarefree decomposition over the rationals: [(F, m)] with P = lead * prod F^m, the F monic."""
+    dP = derivative(P)
+    common = rational_gcd(P, dP)
+    if common.degree == 0:
+        return [(monic(P), 1)]
+    b = rational_divmod(P, common)[0]
+    d = rational_divmod(dP, common)[0] - derivative(b)
+    out, m = [], 1
+    while b.degree > 0:
+        a = rational_gcd(b, d)
+        b = rational_divmod(b, a)[0]
+        d = rational_divmod(d, a)[0] - derivative(b)
+        if a.degree > 0:
+            out.append((a, m))
+        m += 1
+    return out
+
+
 class RatFunc:
     """Reduced quotient of two polynomials in one formal variable.
 
@@ -58,9 +130,9 @@ class RatFunc:
         if num.is_zero():
             num, den = ZERO, ONE
         else:
-            g = poly_gcd(num, den)
+            g = rational_gcd(num, den)
             if g.degree > 0:
-                num, den = num // g, den // g
+                num, den = rational_divmod(num, g)[0], rational_divmod(den, g)[0]
             c = next(c for c in den.coeffs if c != 0)
             if c != 1:
                 num, den = num * (1 / c), den * (1 / c)
@@ -142,7 +214,7 @@ def residue_simple_pole(f: RatFunc, t0) -> Fraction:
     t0 = as_rat(t0)
     if f.den(t0) != 0:
         raise ValueError(f"not a pole: {t0}")
-    d = f.den.derivative()(t0)
+    d = derivative(f.den)(t0)
     if d == 0:
         raise ValueError(f"pole not simple at {t0}")
     return f.num(t0) / d
@@ -241,9 +313,45 @@ def oracle_invariants(z) -> tuple:
     if P.degree != 2 * g:
         raise ValueError(f"numerator degree {P.degree}, expected {2 * g}")
     beta = z.residue()
-    S, rem = divmod(P - (z.Q - 1) * beta * Poly([0, 1]) ** g, Poly([1, -1]) * Poly([1, -z.Q]))
+    S, rem = rational_divmod(P - (z.Q - 1) * beta * Poly([0, 1]) ** g, Poly([1, -1]) * Poly([1, -z.Q]))
     if not rem.is_zero():
         raise ValueError("level violates the numerator decomposition shape")
     if not is_self_inversive(S, z.Q, g - 1):
         raise ValueError("interior part is not palindromic")
     return tuple(S[ell] for ell in range(g)), beta
+
+
+def residue_series_recursion(level: ZetaLevel, k_max: int) -> ResidueSeries:
+    P, Q, g = level.P, level.Q, level.genus
+    if P[0] != 1:
+        raise ValueError("recursion needs the numerator normalized to constant term 1")
+    b = [Fraction(1)]
+    for k in range(1, k_max + 1):
+        rhs = (Q + 1) * Q ** (k - 1) * b[k - 1]
+        if k >= 2:
+            rhs -= Q ** (k - 1) * b[k - 2]
+        for ell in range(1, min(k, 2 * g) + 1):
+            rhs += P[ell] * b[k - ell]
+        b.append(rhs / (Q**k - 1))
+    return ResidueSeries(Q=Q, b=tuple(b), route="recursion")
+
+
+def elliptic_beta_series_check(level: ZetaLevel, n_max: int) -> CheckResult:
+    """Residues of the derived levels against the series coefficients, exactly.
+
+    level must be a normalized genus-1 level; beta at step n is the residue
+    of a fresh derivation, b_n from the exp route on the level.
+    """
+    if level.genus != 1:
+        raise ValueError("the identity is specific to genus 1")
+    series = residue_series_exp(level, n_max)
+    mismatches = []
+    for n in range(0, n_max + 1):
+        beta_n = derive_step(level, n).residue() if n else Fraction(1)
+        if beta_n != series[n]:
+            mismatches.append((n, beta_n, series[n]))
+    return CheckResult(
+        "beta_equals_series",
+        not mismatches,
+        "exact match to order %d" % n_max if not mismatches else f"mismatches: {mismatches}",
+    )

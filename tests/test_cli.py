@@ -229,7 +229,9 @@ def test_command_output_bytes_are_unchanged(command, capsys):
 
 
 def test_beta_table_script_bytes_are_unchanged(tmp_path):
-    # sha256 of the CSV written by the export script, recorded with the digests above
+    # sha256 of the CSV written by the export script; re-recorded when upper_ok came to
+    # report the upper bound alone, which turned it from 0 to 1 on the three n = 1 rows
+    # with a ratio of at most 1 (q=2 a=2, q=3 a=2, q=3 a=3) and changed no other byte
     root = Path(__file__).resolve().parents[1]
     out = tmp_path / "table.csv"
     script = root / "scripts" / "export_beta_table.py"
@@ -239,7 +241,7 @@ def test_beta_table_script_bytes_are_unchanged(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"wrote {out} (72 rows)\n"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "d06e884cdcac2c43eb51b8c00a1f9b86cd8b3a79826c0f16eee861f95f16cde5"
+        "d0403495214e7af879121c46719865af14a57e7169cb190081228a5da473b4b5"
     )
 
 
@@ -563,6 +565,18 @@ def test_rh_check_checks_the_precision_before_deriving(monkeypatch, capsys):
         monkeypatch.setattr(module, "derive_step", fail)
     args = ["rh-check", "--curve", "catalog:X2g2", "--tuple", "10,10,10", "--allow-large", "--precision-bits", "8"]
     assert run_cli(args) == 2
+    assert "precision must be at least 32 bits, got 8" in capsys.readouterr().err
+
+
+def test_sweep_checks_the_precision_before_deriving(monkeypatch, capsys):
+    from zetatower import derived_engine, rh_lab
+
+    def fail(*args):
+        raise AssertionError("derived a level before checking the precision")
+
+    for module in (rh_lab, derived_engine):
+        monkeypatch.setattr(module, "derive_step", fail)
+    assert run_cli(["sweep", "--grid", "catalog", "--tuples", "1;2", "--precision-bits", "8"]) == 2
     assert "precision must be at least 32 bits, got 8" in capsys.readouterr().err
 
 

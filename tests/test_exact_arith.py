@@ -9,7 +9,14 @@ from hypothesis import assume, given
 import hypothesis.strategies as st
 
 from conftest import coeff_lists, rationals
-from ratfunc_oracle import PoleError, RatFunc, residue_simple_pole
+from ratfunc_oracle import (
+    PoleError,
+    RatFunc,
+    derivative,
+    rational_gcd,
+    rational_squarefree_factors,
+    residue_simple_pole,
+)
 from zetatower.exact_arith import (
     ONE,
     Poly,
@@ -21,6 +28,7 @@ from zetatower.exact_arith import (
     newton_power_sums,
     over_lcm,
     poly_gcd,
+    pseudo_divide,
     real_weil_poly,
     squarefree_factors,
     rat_str,
@@ -52,25 +60,33 @@ def test_poly_trailing_zeros_stripped():
 
 
 def test_poly_divmod_exact():
-    num = Poly([1, -3, 2])  # (1-T)(1-2T)
-    q, r = divmod(num, Poly([1, -1]))
-    assert r.is_zero() and q == Poly([1, -2])
+    num = (1, -3, 2)  # (1-T)(1-2T)
+    q, r, m = pseudo_divide(num, (1, -1))
+    assert r == [] and m == 1 and q == [1, -2]
+
+
+def test_pseudo_division_scales_by_the_divisor_lead():
+    # 2 (T^2 + 1) = (2T - 1)(T + 1/2) + 5/2, so 4 (T^2 + 1) = (2T + 1)(2T - 1) + 5
+    q, r, m = pseudo_divide((1, 0, 1), (-1, 2))
+    assert (q, r, m) == ([1, 2], [5], 4)
+    with pytest.raises(ZeroDivisionError):
+        pseudo_divide((1, 2), ())
 
 
 def test_gcd_difference_of_squares():
-    g = poly_gcd(Poly([1, 0, -1]), Poly([1, -1]))
-    assert g == Poly([-1, 1])  # monic T - 1
+    g = poly_gcd((1, 0, -1), (1, -1))
+    assert g == (-1, 1)  # T - 1, primitive with a positive lead
 
 
 def test_gcd_with_unit():
-    assert poly_gcd(Poly([5, 1, 3]), ONE) == ONE
+    assert poly_gcd((5, 1, 3), (1,)) == (1,)
 
 
 def test_gcd_shared_linear_factor():
-    # (1-T)(1-2T) and (1-2T)T share (1-2T); monic gcd is T - 1/2
-    a = Poly([1, -1]) * Poly([1, -2])
-    b = Poly([1, -2]) * Poly([0, 1])
-    assert poly_gcd(a, b) == Poly([Fraction(-1, 2), 1])
+    # (1-T)(1-2T) and (1-2T)T share (1-2T); the primitive gcd with a positive lead is 2T - 1
+    a = (Poly([1, -1]) * Poly([1, -2])).view[1]
+    b = (Poly([1, -2]) * Poly([0, 1])).view[1]
+    assert poly_gcd(a, b) == (-1, 2)
 
 
 def test_squarefree_factors_by_multiplicity():
@@ -82,7 +98,7 @@ def test_squarefree_factors_by_multiplicity():
 
 def test_gcd_both_zero_rejected():
     with pytest.raises(ValueError, match="gcd undefined"):
-        poly_gcd(ZERO, ZERO)
+        poly_gcd((), ())
 
 
 # -- rational functions (the test-side oracle) ---------------------------------
@@ -302,10 +318,29 @@ def test_squarefree_factors_rebuild_the_polynomial(a, b, c):
     rebuilt = Poly([P.coeffs[-1]])
     for F, m in factors:
         assert F.degree > 0 and F.coeffs[-1] == 1
-        assert poly_gcd(F, F.derivative()) == ONE
+        assert poly_gcd(F.view[1], derivative(F).view[1]) == (1,)
         rebuilt = rebuilt * F**m
     assert rebuilt == P
     assert len({m for _, m in factors}) == len(factors)
+
+
+def _factor_products():
+    """(factors, c): c times one to three rational factors of degree 1 or 2, each with a multiplicity 1 to 3."""
+    factor = st.lists(rationals(), min_size=2, max_size=3).filter(lambda cs: cs[-1] != 0)
+    return st.lists(st.tuples(factor, st.integers(1, 3)), min_size=1, max_size=3), rationals().filter(bool)
+
+
+@given(*_factor_products(), coeff_lists(max_size=3))
+def test_integer_gcd_and_split_match_the_rational_route(factors, c, extra):
+    P, shared = Poly([c]), Poly(extra) if any(extra) else ONE
+    for i, (cs, m) in enumerate(factors):
+        P = P * Poly(cs) ** m
+        if i % 2 == 0:
+            shared = shared * Poly(cs) ** (m % 2 + 1)
+    for a, b in ((P, derivative(P)), (P, shared)):
+        g = poly_gcd(a.view[1], b.view[1])
+        assert g[-1] > 0 and Poly(Fraction(x, g[-1]) for x in g) == rational_gcd(a, b)
+    assert squarefree_factors(P) == rational_squarefree_factors(P)
 
 
 # -- integer sums, evaluation and interpolation -----------------------------------

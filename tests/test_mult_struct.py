@@ -1,7 +1,9 @@
 """Tests for power sums, the residue series, and the elliptic recursions."""
 
 import csv
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,14 +19,17 @@ from zetatower.curves import (
 )
 from zetatower.derived_engine import derive_step, normalize_level
 from zetatower.exact_arith import Poly
-from zetatower.mult_struct import (
-    elliptic_beta_recursion,
-    elliptic_beta_series_check,
-    export_elliptic_grid_csv,
-    ratio_bounds_check,
-    residue_series_exp,
-    residue_series_recursion,
-)
+from zetatower.mult_struct import elliptic_beta_recursion, ratio_bounds, ratio_bounds_check, residue_series_exp
+from ratfunc_oracle import elliptic_beta_series_check, residue_series_recursion
+
+EXPORT = Path(__file__).resolve().parents[1] / "scripts" / "export_beta_table.py"
+
+
+def _export_script():
+    spec = importlib.util.spec_from_file_location("export_beta_table", EXPORT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 # -- power sums -----------------------------------------------------------------
@@ -161,7 +166,23 @@ def test_ratio_bounds_interior_grid():
 # -- csv export ----------------------------------------------------------------------------
 
 
+def test_ratio_upper_bound_holds_below_one():
+    # (3^(1/2)+1)/(3^(1/2)-1) > 1 > 1/2: only the lower bound fails at q = 3, a = 3, n = 1
+    betas = elliptic_beta_recursion(3, 3, 1)
+    assert betas[1] == Fraction(1, 2)
+    check = ratio_bounds_check(betas, 3)[0]
+    assert not check.passed and check.detail == "r = 1/2; lower FAIL, upper ok"
+    assert ratio_bounds(Fraction(1), 3, 1) == (False, True)
+    assert ratio_bounds(Fraction(-5), 4, 3) == (False, True)
+    # r = 3 at Q = 2, n = 2: 4 (3-1)^2 = 16 is not below (3+1)^2 = 16
+    assert ratio_bounds(Fraction(3), 2, 2) == (True, False)
+
+
+# -- csv export ----------------------------------------------------------------------------
+
+
 def test_csv_export_deterministic(tmp_path):
+    export_elliptic_grid_csv = _export_script().export_elliptic_grid_csv
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     rows = export_elliptic_grid_csv(p1, (2,), n_max=3)
     export_elliptic_grid_csv(p2, (2,), n_max=3)
@@ -171,3 +192,17 @@ def test_csv_export_deterministic(tmp_path):
         table = list(csv.DictReader(fh))
     first = [r for r in table if r["q"] == "2" and r["a"] == "0" and r["n"] == "2"][0]
     assert first["beta"] == "6" and first["b_n"] == "6" and first["ratio"] == "2"
+
+
+def test_csv_export_routes_agree_on_every_row(tmp_path):
+    # the recursion's beta and the series' b_n, row by row over q = 2..5 and n <= 8
+    path = tmp_path / "grid.csv"
+    rows = _export_script().export_elliptic_grid_csv(path, (2, 3, 4, 5), n_max=8)
+    with open(path, newline="") as fh:
+        table = list(csv.DictReader(fh))
+    assert rows == len(table) == 8 * sum(len(hasse_traces(q)) for q in (2, 3, 4, 5))
+    assert all(r["beta"] == r["b_n"] for r in table)
+    # a ratio of at most 1, which only n = 1 has, misses the lower bound and meets the upper one
+    below = [r for r in table if Fraction(r["ratio"]) <= 1]
+    assert len(below) == 9
+    assert all(r["n"] == "1" and (r["lower_ok"], r["upper_ok"]) == ("0", "1") for r in below)

@@ -428,6 +428,19 @@ def test_sweep_rejects_unknown_checks():
         sweep(SweepConfig(curves=(), tuples=((2,),), checks=("rh", "nope")))
 
 
+def test_sweep_checks_the_precision_up_front(monkeypatch):
+    # below the floor every cell once ran and recorded the same error, while positivity counted as passed
+    def fail(*args):
+        raise AssertionError("derived a level before checking the precision")
+
+    monkeypatch.setattr(rh_lab, "derive_step", fail)
+    cfg = SweepConfig(
+        curves=(catalog_curve("X2g2").spec(),), tuples=((1,), (2,)), checks=("rh", "positivity"), precision_bits=8
+    )
+    with pytest.raises(ValueError, match="precision must be at least 32 bits, got 8"):
+        sweep(cfg)
+
+
 def test_sweep_records_cell_errors():
     bad = CurveSpec(label="boundary", q=4, genus=1, trace=4)
     # tuples beyond the cap, empty ones and entries below 1 abort up front instead of running

@@ -104,3 +104,51 @@ def test_cli_reads_levels_only_from_the_tower():
     names = _names(path.read_text(encoding="utf-8"), str(path))
     assert "curve_tower" in names
     assert names & DERIVATIONS == set()
+
+
+# top-level defs that no command reaches, each kept for the reader named
+REACH_ALLOWLIST = {
+    "derived_engine.compositions": "perfbench/tracer.py counts what it yields",
+    "derived_engine.derive_tower": "perfbench/tracer.py times it",
+    "mult_struct.ResidueSeries": "scripts/export_beta_table.py, through residue_series_exp",
+    "mult_struct.residue_series_exp": "scripts/export_beta_table.py",
+}
+
+
+def _named(nodes) -> set:
+    """Every name the nodes read, as a variable or an attribute."""
+    return {getattr(n, "id", None) or getattr(n, "attr", None) for node in nodes for n in ast.walk(node)} - {None}
+
+
+def _unreached(sources: dict, entry: str) -> list:
+    """The top-level defs, as "module.name", that a walk from entry never names.
+
+    sources maps a module name to its text.  A def is reached when the entry,
+    a reached def or a module-level statement names it; names are matched
+    across modules, so the walk can only over-reach.
+    """
+    defs, named = {}, set()
+    for module, source in sources.items():
+        for node in ast.parse(source, filename=module).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs[f"{module}.{node.name}"] = node
+            else:
+                named |= _named([node])
+    reached, frontier = set(), {entry}
+    while frontier:
+        reached |= frontier
+        named |= _named(defs[key] for key in frontier)
+        frontier = {key for key in defs if key.rpartition(".")[2] in named} - reached
+    return sorted(defs.keys() - reached)
+
+
+def test_src_holds_what_the_commands_reach():
+    # a def that no command reaches is test or script code; it lives in tests/ or scripts/
+    sample = {
+        "cli": "from m import helper\ndef main():\n    return helper()\ndef dead():\n    pass\n",
+        "m": "TABLE = {'k': Row}\nclass Row:\n    pass\ndef helper():\n    return m.leaf()\ndef leaf():\n    pass\n"
+        "def planted():\n    return leaf()\n",
+    }
+    assert _unreached(sample, "cli.main") == ["cli.dead", "m.planted"]
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert _unreached(sources, "cli.main") == sorted(REACH_ALLOWLIST)

@@ -168,6 +168,10 @@ class Poly:
             return self.coeffs[i]
         return Fraction(0)
 
+    def __iter__(self):
+        """The stored coefficients, lowest first; without it iteration would run on past the degree through __getitem__."""
+        return iter(self.coeffs)
+
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":

@@ -3,6 +3,7 @@
 import copy
 import pickle
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given
@@ -57,6 +58,17 @@ def test_poly_trailing_zeros_stripped():
     assert Poly([1, 2, 0, 0]) == Poly([1, 2])
     assert Poly([0, 0]).is_zero()
     assert Poly([0]).degree == float("-inf")
+
+
+def test_iterating_a_poly_stops_at_its_degree():
+    # islice first: an iteration that runs on past the degree must fail here, not hang
+    P = Poly([1, 2])
+    assert list(islice(iter(P), 10)) == [1, 2]
+    assert list(islice(iter(ZERO), 10)) == []
+    assert list(P) == [1, 2] and Poly(P) == P
+    assert 2 in P and 3 not in P
+    with pytest.raises(TypeError):
+        poly_gcd(P, P)  # the int API refuses rational coefficients instead of reading zeros forever
 
 
 def test_poly_divmod_exact():

@@ -25,7 +25,7 @@ import time
 
 from zetatower.curves import CurveSpec, artin_elliptic, artin_zeta, catalog_curve, validate_zeta_level
 from zetatower.derived_engine import derive_step, special_values
-from zetatower.exact_arith import real_weil_poly, squarefree_factors
+from zetatower.exact_arith import as_integer, real_weil_poly, squarefree_factors
 from zetatower.rh_lab import builtin_elliptic_grid, curve_tower, rh_verdict_for_level
 
 DEPTHS = (10, 20, 40, 60)
@@ -94,7 +94,7 @@ def main() -> int:
         verdict_s = best_of_3(lambda: rh_verdict_for_level(z))
         print(f"X2g2 {steps} (Q has {int(z.Q).bit_length()} bits): rh_verdict_for_level {verdict_s:.3f} s", flush=True)
     z = curve_tower(CurveSpec(label="g3", q=2, genus=3, numerator=GENUS3)).level(TUPLE[:-1])
-    R = real_weil_poly(z.P.view[1], z.Q, z.genus)
+    R = real_weil_poly(z.P.view[1], as_integer(z.Q, "Q"), z.genus)  # ints, as the verdict splits it
     split_s = best_of_3(lambda: squarefree_factors(R))
     verdict_s = best_of_3(lambda: rh_verdict_for_level(z))
     print(f"genus 3 {z.steps}: squarefree_factors(R) {split_s:.3f} s, rh_verdict_for_level {verdict_s:.3f} s")

@@ -10,8 +10,8 @@ also keeps, from construction on, its integer view: a rational content times
 coprime ints (``content_primitive``), which every evaluation reads by one
 integer ``horner`` pass.  ``Poly`` has no division: ``pseudo_divide``,
 ``poly_gcd`` and ``squarefree_factors`` work on int coefficient lists, such
-as a view's ints, and form no rational until a factor is made monic.  A
-truncated power series is a plain coefficient list.
+as a view's ints, and form no rational.  A truncated power series is a plain
+coefficient list.
 
 All values are immutable after construction and all operations are pure, so
 everything here is safe to share freely across threads; the one exception is
@@ -169,7 +169,7 @@ class Poly:
         return Fraction(0)
 
     def __iter__(self):
-        """The stored coefficients, lowest first; without it iteration would run on past the degree through __getitem__."""
+        """The stored coefficients, lowest first: iteration through __getitem__ would never stop."""
         return iter(self.coeffs)
 
     # -- arithmetic ----------------------------------------------------------
@@ -277,23 +277,23 @@ def is_self_inversive(P: "Poly | Sequence", Q: Scalar, g: int) -> bool:
     return all(P[2 * g - i] == Q ** (g - i) * P[i] for i in range(g + 1))
 
 
-def real_weil_poly(P: "Poly | Sequence", Q: Scalar, g: int) -> Poly:
-    """The degree-g R(u) with P(T) = T^g R(Q T + 1/T), for a self-inversive P of degree 2g.
+def real_weil_poly(P: "Poly | Sequence", Q: "int | Fraction", g: int) -> list:
+    """The coefficients, lowest first and trimmed, of the degree-g R(u) with P(T) = T^g R(Q T + 1/T).
 
     Kedlaya's substitution (Search techniques for root-unitary polynomials,
-    2008): s_k = T^-k + Q^k T^k obeys s_0 = 2, s_1 = u, s_{k+1} = u s_k - Q s_{k-1},
-    so R = A_g + sum_k A_{g-k} s_k.  P is a Poly or a coefficient list of
-    length at least 2g+1, lowest first; R is linear in P, so the primitive
-    ints of ``Poly.view`` give R up to the content, with the same roots.
+    2008) for a self-inversive P of degree 2g: s_k = T^-k + Q^k T^k obeys
+    s_0 = 2, s_1 = u, s_{k+1} = u s_k - Q s_{k-1}, so R = A_g + sum_k A_{g-k} s_k.
+    P is a Poly or a coefficient list of length at least 2g+1, lowest first.
+    R is linear in P, so ``Poly.view``'s ints and an integer Q give R in ints
+    up to the content, with the same roots.
     """
-    Q = as_rat(Q)
     out = [P[g]] + [0] * g
     s_prev, s = [2], [0, 1]  # s_0 and s_1, lowest coefficient first
     for k in range(1, g + 1):
         for i, c in enumerate(s):
             out[i] += P[g - k] * c
         s_prev, s = s, [a - Q * b for a, b in zip([0] + s, s_prev + [0, 0])]
-    return Poly(out)
+    return _trim(out)
 
 
 def _trim(xs: list) -> list:
@@ -347,14 +347,14 @@ def poly_gcd(a: Sequence[int], b: Sequence[int]) -> tuple:
     return a
 
 
-def squarefree_factors(P: Poly) -> list:
-    """Yun's squarefree decomposition: [(F, m)] with P = lead * prod F^m.
+def squarefree_factors(ints: Sequence[int]) -> list:
+    """Yun's squarefree decomposition of an int polynomial, lowest first: [(F, m)] with ints = c * prod F^m, c an int.
 
-    The F are monic, squarefree, pairwise coprime and of positive degree
-    (D. Y. Y. Yun, On square-free decomposition algorithms, SYMSAC 1976).
-    It runs on the ints of ``P.view``, each gcd primitive so each quotient
-    exact, and makes each F monic at the end; a repeated root becomes a
-    simple root of one factor.  P must have positive degree.
+    The F are primitive int tuples with a positive lead, squarefree, pairwise
+    coprime and of positive degree (D. Y. Y. Yun, On square-free
+    decomposition algorithms, SYMSAC 1976).  Each gcd is primitive, so each
+    quotient is exact; a repeated root becomes a simple root of one factor.
+    The polynomial must have positive degree.
     """
 
     def quotient(a, b) -> list:
@@ -369,11 +369,10 @@ def squarefree_factors(P: Poly) -> list:
     def minus(a, b) -> list:
         return _trim([x - y for x, y in zip_longest(a, b, fillvalue=0)])
 
-    ints = P.view[1]
     dP = derivative(ints)
     common = poly_gcd(ints, dP)
     if len(common) == 1:
-        return [(Poly(Fraction(c, ints[-1]) for c in ints), 1)]
+        return [(_primitive(ints), 1)]
     b = quotient(ints, common)
     d = minus(quotient(dP, common), derivative(b))
     out, m = [], 1
@@ -382,7 +381,7 @@ def squarefree_factors(P: Poly) -> list:
         b = quotient(b, a)
         d = minus(quotient(d, a), derivative(b))
         if len(a) > 1:
-            out.append((Poly(Fraction(c, a[-1]) for c in a), m))
+            out.append((a, m))
         m += 1
     return out
 

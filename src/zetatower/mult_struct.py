@@ -23,7 +23,6 @@ three-term recursion and the ratio bounds checked here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -31,26 +30,14 @@ from zetatower.curves import CheckResult, ZetaLevel, point_counts_from_numerator
 from zetatower.exact_arith import BigRat, rat_str, series_exp
 
 
-@dataclass(frozen=True)
-class ResidueSeries:
-    """Coefficients b_0..b_K of B(x), tagged with the route that produced them."""
-
-    Q: BigRat
-    b: tuple
-    route: str
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.b[k]
-
-
-def residue_series_exp(level: ZetaLevel, k_max: int) -> ResidueSeries:
-    """b_0..b_K by the exp route, from the counts N_1..N_K the constant-term-1 numerator implies."""
+def residue_series_exp(level: ZetaLevel, k_max: int) -> tuple:
+    """b_0..b_K of B(x) by the exp route, from the counts N_1..N_K the constant-term-1 numerator implies."""
     Q = level.Q
     if Q == 1:
         raise ValueError("Q = 1 makes the series undefined")
     N = point_counts_from_numerator(level.P, Q, k_max)
     log_b = [Fraction(0)] + [N[m - 1] / ((Q**m - 1) * m) for m in range(1, k_max + 1)]
-    return ResidueSeries(Q=Q, b=tuple(series_exp(log_b)), route="exp")
+    return tuple(series_exp(log_b))
 
 
 def elliptic_beta_recursion(a: BigRat, Q_prev: BigRat, n_max: int) -> list:

@@ -3,28 +3,25 @@
 Genus 1 is decided exactly: with P = alpha(0) (1 - A T + Q T^2), all roots lie
 on |T| = Q^(-1/2) iff A^2 <= 4Q, a single rational comparison (the boundary
 A^2 = 4Q is a repeated on-circle root and carries its own flag).  Higher genus
-falls back to arbitrary-precision numerics.  A self-inversive numerator, as
-the functional equation makes every level's, is P(T) = T^g R(QT + 1/T) with
-R of degree g (``real_weil_poly``), so only R is solved: in v = u / sqrt(Q),
-where the roots RH predicts lie in [-2, 2], and each root u gives the two
-roots (u +- sqrt(u^2 - 4Q)) / 2Q of Q T^2 - u T + 1.  A numerator that is not
-self-inversive, such as a planted control, is solved whole, in
-x = sqrt(Q) T, where the roots RH predicts lie on |x| = 1.  Either way the
-convergence target and the stall floor are relative to the size of the
-roots whatever the size of Q.  The polynomial solved is first split exactly
-into squarefree factors (Yun's algorithm on its primitive integer
-coefficients), so a repeated root is a simple root of its factor; each root
-is then counted by its multiplicity.  All roots of a factor come at once from
-simultaneous Weierstrass/Durand-Kerner iteration: first in hardware floats,
-which only picks the starting points, then polished at the working
-precision.  If the float stage overflows, meets a zero denominator or does
-not settle, the polish starts on the circle |x| = 1 + 1/8 instead, with a
-deterministic scattered restart if that stalls.  The precision is the only
-setting: the tolerance is derived from it, 10^(-0.15 precision_bits).  A
-verdict is "holds" when the worst |root| * sqrt(Q) deviation from 1 is below
-the tolerance, "fails" at 10x the tolerance or beyond, and lands in the
-unknown band between (after one automatic retry at doubled precision), as it
-does when the iteration does not converge.
+falls back to arbitrary-precision numerics on the degree-g R with
+P(T) = T^g R(QT + 1/T) (``real_weil_poly``); the functional equation makes
+every level's P self-inversive, and any other P fails.  R is split exactly
+into primitive integer squarefree factors (Yun's algorithm), so a repeated
+root is a simple root of its factor, counted by its multiplicity.  All roots
+of a factor come at once from simultaneous Weierstrass/Durand-Kerner
+iteration in v = u / sqrt(Q), where RH puts them in [-2, 2], so the
+convergence target and the stall floor are relative to the size of the roots
+whatever the size of Q: first in hardware floats, which only picks the
+starting points, then polished at the working precision.  If the float stage
+overflows, meets a zero denominator or does not settle, the polish starts on
+the circle |v| = 1 + 1/8 instead, with a deterministic scattered restart if
+that stalls.  Each root u gives the two roots (u +- sqrt(u^2 - 4Q)) / 2Q of
+Q T^2 - u T + 1.  The precision is the only setting: the tolerance is derived
+from it, 10^(-0.15 precision_bits).  A verdict is "holds" when the worst
+|root| * sqrt(Q) deviation from 1 is below the tolerance, "fails" at 10x the
+tolerance or beyond, and lands in the unknown band between (after one
+automatic retry at doubled precision), as it does when the iteration does
+not converge.
 
 Sweeps run a configurable battery of checks over a curve x tuple grid and
 emit a deterministic JSON-able report: no timestamps, fixed ordering, exact
@@ -48,7 +45,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -59,6 +55,7 @@ from zetatower.derived_engine import SpecialValues, derive_step, special_values
 from zetatower.exact_arith import (
     BigRat,
     Poly,
+    as_integer,
     is_self_inversive,
     rat_str,
     real_weil_poly,
@@ -80,8 +77,7 @@ DEFAULT_PRECISION_BITS = 256
 DEFAULT_PRODUCT_CAP = 64  # largest step product a sweep or the CLI accepts by default
 MIN_PRECISION_BITS = 32
 UNKNOWN_BAND_FACTOR = 10
-# Durand-Kerner starts on |x| = 1 + 1/8 in the scaled variable: just outside the conjectured
-# locus |x| = 1 of x = sqrt(Q) T, across the conjectured locus [-2, 2] of v = u / sqrt(Q)
+# Durand-Kerner starts on |v| = 1 + 1/8, across the conjectured locus [-2, 2] of v = u / sqrt(Q)
 START_RADIUS = 1.125
 # the float stage only picks starting points for the polish at full precision
 FLOAT_SEED_ITER = 100
@@ -98,7 +94,6 @@ class RHVerdict:
     deviations: tuple = ()
     precision_bits: Optional[int] = None
     tolerance: Optional[str] = None
-    self_inversive: Optional[bool] = None
     detail: str = ""
 
     def outcome(self) -> str:
@@ -163,7 +158,7 @@ def _durand_kerner(coeffs, initials, target, max_iter):
 
 
 def _circle(deg: int):
-    """The angles of the starting points on |x| = START_RADIUS, as multiples of pi."""
+    """The angles of the starting points on |v| = START_RADIUS, as multiples of pi."""
     return [2 * mp.mpf(i) / deg + mp.mpf(1) / (2 * deg + 1) for i in range(deg)]
 
 
@@ -188,11 +183,13 @@ def _float_seed(coeffs):
     return None
 
 
-def _factor_roots(F: Poly, scale, target, precision_bits: int):
-    """Roots x = scale * T of one squarefree factor in T: float seed, then polish at the working precision."""
-    deg = int(F.degree)
-    # monic in x, scaled so that the roots RH predicts have size about 1 whatever the size of Q
-    coeffs = [mp.mpf(c.numerator) / c.denominator * scale ** (deg - i) for i, c in enumerate(F.coeffs)]
+def _factor_roots(F: Sequence[int], scale, target, precision_bits: int):
+    """Roots scale * u of one primitive int squarefree factor in u: float seed, then polish at the working precision."""
+    deg, lead = len(F) - 1, F[-1]
+    coeffs = []  # monic in scale * u
+    for i, c in enumerate(F):
+        k = math.gcd(c, lead)  # reduce c / lead first: an unreduced quotient may round differently
+        coeffs.append(mp.mpf(c // k) / (lead // k) * scale ** (deg - i))
     coeffs.reverse()
     init = _float_seed(coeffs)
     if init is None:
@@ -208,38 +205,15 @@ def _factor_roots(F: Poly, scale, target, precision_bits: int):
     return roots, residual, ok or residual < mp.mpf(2) ** (-(precision_bits // 2))
 
 
-def _find_roots(P: Poly, Q: Fraction, precision_bits: int):
-    """All complex roots of P, each repeated by its multiplicity, at working precision ~2x the requested bits.
-
-    Each squarefree factor is iterated in x = sqrt(Q) T, so the convergence
-    target and the stall floor are relative to the root size Q^(-1/2).
-    """
+def _real_weil_roots(ints: Sequence[int], Q: int, g: int, precision_bits: int):
+    """The 2g roots of a self-inversive P = c * ints over Q, each repeated by its multiplicity, from the g of its R."""
     wp = 2 * precision_bits + 64
     with mp.workprec(wp):
-        sqrt_q = mp.sqrt(mp.mpf(Q.numerator) / Q.denominator)
-        target = mp.mpf(2) ** (-(precision_bits + 16))
-        roots, residual, converged = [], mp.mpf(0), True
-        for F, mult in squarefree_factors(P):
-            xs, res, ok = _factor_roots(F, sqrt_q, target, precision_bits)
-            roots += [x / sqrt_q for x in xs] * mult
-            residual, converged = max(residual, res), converged and ok
-        return roots, residual, converged
-
-
-def _real_weil_roots(P: Poly, Q: Fraction, g: int, precision_bits: int):
-    """The 2g roots of a self-inversive P, as _find_roots gives them, from the g roots of its R.
-
-    Each squarefree factor of R = ``real_weil_poly`` is iterated in
-    v = u / sqrt(Q), where the roots RH predicts lie in [-2, 2]; each root u
-    gives the two roots (u +- sqrt(u^2 - 4Q)) / 2Q of Q T^2 - u T + 1.
-    """
-    wp = 2 * precision_bits + 64
-    with mp.workprec(wp):
-        q = mp.mpf(Q.numerator) / Q.denominator
+        q = mp.mpf(Q)
         sqrt_q = mp.sqrt(q)
         target = mp.mpf(2) ** (-(precision_bits + 16))
         roots, residual, converged = [], mp.mpf(0), True
-        for F, mult in squarefree_factors(real_weil_poly(P.view[1], Q, g)):
+        for F, mult in squarefree_factors(real_weil_poly(ints, Q, g)):
             vs, res, ok = _factor_roots(F, 1 / sqrt_q, target, precision_bits)
             for v in vs:
                 u = v * sqrt_q
@@ -260,28 +234,31 @@ def check_numeric_settings(precision_bits: int) -> None:
 
 
 def rh_numeric(P: Poly, Q: BigRat, precision_bits: int = DEFAULT_PRECISION_BITS, _escalated: bool = False) -> RHVerdict:
-    """Numeric root-modulus verdict for a degree-2g numerator P over Q.
+    """Numeric root-modulus verdict for a degree-2g numerator P over an integer Q, from the g roots of its R.
 
-    The self-inversive symmetry is recorded rather than enforced: a
-    self-inversive P is solved through its degree-g R, and any other P, such
-    as a planted negative control, whole, so both give 2g deviations.  The
-    tolerance is derived from the precision, 10^(-0.15 precision_bits).
+    A P that is not self-inversive fails with no root sought.  The tolerance
+    is derived from the precision, 10^(-0.15 precision_bits).
     """
     check_numeric_settings(precision_bits)
-    Q = Fraction(Q)
+    Q = as_integer(Q, "Q")
     deg = P.degree
     if deg == float("-inf") or deg < 2 or deg % 2 != 0:
         raise ValueError(f"numerator degree must be even and >= 2, got {deg}")
-    g = int(deg) // 2
-    symmetric = is_self_inversive(P, Q, g)
+    g, ints = int(deg) // 2, P.view[1]
 
     with mp.workprec(2 * precision_bits + 64):
         tol = mp.mpf(10) ** (-(mp.mpf(precision_bits) * 3 / 20))
-        if symmetric:
-            roots, residual, converged = _real_weil_roots(P, Q, g, precision_bits)
-        else:
-            roots, residual, converged = _find_roots(P, Q, precision_bits)
-        sqrt_q = mp.sqrt(mp.mpf(Q.numerator) / mp.mpf(Q.denominator))
+        tolerance = mp.nstr(tol, 6)
+        if not is_self_inversive(ints, Q, g):
+            return RHVerdict(
+                method="numeric",
+                holds=False,
+                precision_bits=precision_bits,
+                tolerance=tolerance,
+                detail="not self-inversive",
+            )
+        roots, residual, converged = _real_weil_roots(ints, Q, g, precision_bits)
+        sqrt_q = mp.sqrt(mp.mpf(Q))
         devs = sorted(abs(abs(r) * sqrt_q - 1) for r in roots)
 
         if not converged:
@@ -298,10 +275,9 @@ def rh_numeric(P: Poly, Q: BigRat, precision_bits: int = DEFAULT_PRECISION_BITS,
             method="numeric",
             holds=holds,
             precision_bits=precision_bits,
-            tolerance=mp.nstr(tol, 6),
+            tolerance=tolerance,
             max_deviation=mp.nstr(devs[-1], 6),
             deviations=tuple(mp.nstr(d, 6) for d in devs),
-            self_inversive=symmetric,
             detail=detail,
         )
 
@@ -375,7 +351,7 @@ class Tower(NamedTuple):
     beta_route: Callable[[tuple], CheckResult]
     miracle: Callable[[tuple], CheckResult]
     interlacing: Callable[[tuple], tuple]  # (sign check, signs)
-    ratio_bounds: Callable[[tuple], tuple]  # bound checks from n = 2 on; genus 1 only
+    ratio_bounds: Callable[[tuple], tuple]  # the residue link, then bound checks from n = 2 on; genus 1 only
 
 
 def curve_tower(spec: CurveSpec, precision_bits: int = DEFAULT_PRECISION_BITS) -> Tower:
@@ -439,7 +415,9 @@ def curve_tower(spec: CurveSpec, precision_bits: int = DEFAULT_PRECISION_BITS) -
     def ratio_bounds(steps: tuple) -> tuple:
         prev, n = level(steps[:-1]), steps[-1]
         betas = elliptic_beta_recursion(prev.trace(), prev.Q, max(n, 2))
-        return tuple(ratio_bounds_check(betas, prev.Q)[1:])  # bounds start at n = 2
+        # the recursion's betas are the tower's: the residue of (prefix, n) is alpha_0(prefix)^n beta(n)
+        link = CheckResult("ratio_bounds[residue]", level(steps).residue() == prev.P[0] ** n * betas[n])
+        return (link, *ratio_bounds_check(betas, prev.Q)[1:])  # bounds start at n = 2
 
     return Tower(level, invariants, rh, step_values, beta_route, miracle, interlacing, ratio_bounds)
 

@@ -32,7 +32,7 @@ from math import comb
 from zetatower.curves import CheckResult, ZetaLevel
 from zetatower.derived_engine import compositions, derive_step, special_values
 from zetatower.exact_arith import ONE, ZERO, Poly, as_rat, is_self_inversive
-from zetatower.mult_struct import ResidueSeries, residue_series_exp
+from zetatower.mult_struct import residue_series_exp
 
 
 class PoleError(ArithmeticError):
@@ -321,7 +321,7 @@ def oracle_invariants(z) -> tuple:
     return tuple(S[ell] for ell in range(g)), beta
 
 
-def residue_series_recursion(level: ZetaLevel, k_max: int) -> ResidueSeries:
+def residue_series_recursion(level: ZetaLevel, k_max: int) -> tuple:
     P, Q, g = level.P, level.Q, level.genus
     if P[0] != 1:
         raise ValueError("recursion needs the numerator normalized to constant term 1")
@@ -333,7 +333,7 @@ def residue_series_recursion(level: ZetaLevel, k_max: int) -> ResidueSeries:
         for ell in range(1, min(k, 2 * g) + 1):
             rhs += P[ell] * b[k - ell]
         b.append(rhs / (Q**k - 1))
-    return ResidueSeries(Q=Q, b=tuple(b), route="recursion")
+    return tuple(b)
 
 
 def elliptic_beta_series_check(level: ZetaLevel, n_max: int) -> CheckResult:

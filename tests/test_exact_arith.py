@@ -4,6 +4,7 @@ import copy
 import pickle
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 
 import pytest
 from hypothesis import assume, given
@@ -101,11 +102,18 @@ def test_gcd_shared_linear_factor():
     assert poly_gcd(a, b) == (-1, 2)
 
 
+def _monic(F) -> Poly:
+    """The int coefficients F over their lead."""
+    return Poly(Fraction(c, F[-1]) for c in F)
+
+
 def test_squarefree_factors_by_multiplicity():
     # 3 (T^2 + 1) (T + 2)^2 (T - 1)^3
     P = 3 * Poly([1, 0, 1]) * Poly([2, 1]) ** 2 * Poly([-1, 1]) ** 3
-    assert squarefree_factors(P) == [(Poly([1, 0, 1]), 1), (Poly([2, 1]), 2), (Poly([-1, 1]), 3)]
-    assert squarefree_factors(Poly([2, -4, 4])) == [(Poly([Fraction(1, 2), -1, 1]), 1)]
+    assert squarefree_factors(P.view[1]) == [((1, 0, 1), 1), ((2, 1), 2), ((-1, 1), 3)]
+    # each factor is primitive with a positive lead, whatever the content and sign of the input
+    assert squarefree_factors((2, -4, 4)) == squarefree_factors((-2, 4, -4)) == [((1, -2, 2), 1)]
+    assert squarefree_factors((0, 0, -6)) == [((0, 1), 2)]
 
 
 def test_gcd_both_zero_rejected():
@@ -297,23 +305,26 @@ def _self_inversive(draw):
 def test_real_weil_poly_is_the_substitution(case, t):
     P, Q, g = case
     assert is_self_inversive(P, Q, g) and P.degree == 2 * g
-    R = real_weil_poly(P, Q, g)
+    R = Poly(real_weil_poly(P, Q, g))
     assert R.degree == g and R.coeffs[-1] == P[0]
     assert P(t) == t**g * R(Q * t + 1 / t)
     # R is linear in P: the primitive ints of the view give R over the content
     c, ints = P.view
-    assert real_weil_poly(ints, Q, g) * c == R
+    assert Poly(real_weil_poly(ints, Q, g)) * c == R
 
 
 def test_real_weil_poly_examples():
     # y^2 + y = x^5 over F_2: P = 1 + 4T^4, R = u^2 - 4
-    assert real_weil_poly(Poly([1, 0, 0, 0, 4]), 2, 2) == Poly([-4, 0, 1])
+    assert real_weil_poly(Poly([1, 0, 0, 0, 4]), 2, 2) == [-4, 0, 1]
     # (1 - 2T^2)^2: R = u^2 - 8 has the simple roots +-2 sqrt 2 where P has its double roots
-    assert real_weil_poly(Poly([1, 0, -2]) ** 2, 2, 2) == Poly([-8, 0, 1])
+    assert real_weil_poly(Poly([1, 0, -2]) ** 2, 2, 2) == [-8, 0, 1]
     # genus 1: A_0 (1 - A T + Q T^2) gives A_0 (u - A)
-    assert real_weil_poly(Poly([3, -6, 15]), 5, 1) == Poly([-6, 3])
+    assert real_weil_poly(Poly([3, -6, 15]), 5, 1) == [-6, 3]
     # (1 + 2T^2)^3: R = u^3, a triple root at the centre of [-2 sqrt 2, 2 sqrt 2]
-    assert real_weil_poly(Poly([1, 0, 6, 0, 12, 0, 8]), 2, 3) == Poly([0, 0, 0, 1])
+    assert real_weil_poly(Poly([1, 0, 6, 0, 12, 0, 8]), 2, 3) == [0, 0, 0, 1]
+    # int coefficients and an int Q give int coefficients
+    R = real_weil_poly((1, 0, 6, 0, 12, 0, 8), 2, 3)
+    assert R == [0, 0, 0, 1] and all(type(c) is int for c in R)
 
 
 @pytest.mark.parametrize("P", [ZERO, ONE, Poly([1, 2]), Poly([Fraction(-3, 4), 0, 2**300])])
@@ -326,12 +337,12 @@ def test_poly_pickles_and_copies_with_its_view(P):
 def test_squarefree_factors_rebuild_the_polynomial(a, b, c):
     P = Poly(a) * Poly(b) ** 2 * Poly(c) ** 3
     assume(P.degree > 0)
-    factors = squarefree_factors(P)
+    factors = squarefree_factors(P.view[1])
     rebuilt = Poly([P.coeffs[-1]])
     for F, m in factors:
-        assert F.degree > 0 and F.coeffs[-1] == 1
-        assert poly_gcd(F.view[1], derivative(F).view[1]) == (1,)
-        rebuilt = rebuilt * F**m
+        assert len(F) > 1 and F[-1] > 0 and gcd(*F) == 1
+        assert poly_gcd(F, derivative(Poly(F)).view[1]) == (1,)
+        rebuilt = rebuilt * _monic(F) ** m
     assert rebuilt == P
     assert len({m for _, m in factors}) == len(factors)
 
@@ -351,8 +362,8 @@ def test_integer_gcd_and_split_match_the_rational_route(factors, c, extra):
             shared = shared * Poly(cs) ** (m % 2 + 1)
     for a, b in ((P, derivative(P)), (P, shared)):
         g = poly_gcd(a.view[1], b.view[1])
-        assert g[-1] > 0 and Poly(Fraction(x, g[-1]) for x in g) == rational_gcd(a, b)
-    assert squarefree_factors(P) == rational_squarefree_factors(P)
+        assert g[-1] > 0 and _monic(g) == rational_gcd(a, b)
+    assert [(_monic(F), m) for F, m in squarefree_factors(P.view[1])] == rational_squarefree_factors(P)
 
 
 # -- integer sums, evaluation and interpolation -----------------------------------

@@ -21,7 +21,7 @@ from zetatower.curves import (
     hasse_traces,
 )
 from zetatower.derived_engine import DerivationError, derive_step
-from zetatower.exact_arith import Poly
+from zetatower.exact_arith import Poly, squarefree_factors
 from zetatower.rh_lab import (
     MIN_PRECISION_BITS,
     SweepConfig,
@@ -83,15 +83,15 @@ def test_numeric_genus2_product():
     # (1 + 2T^2)(1 - 2T + 2T^2): all reciprocal roots on |T| = 2^(-1/2)
     P = Poly([1, 0, 2]) * Poly([1, -2, 2])
     v = rh_numeric(P, 2, precision_bits=256)
-    assert v.holds and v.self_inversive
+    assert v.holds
     assert mp.mpf(v.max_deviation) < mp.mpf("1e-30")
 
 
 def test_numeric_planted_off_circle_fails():
-    P = Poly([1, Fraction(-1, 3)]) * Poly([1, -3]) * Poly([1, 0, 2])
+    # (1 - 3T)(1 - 2T/3) is self-inversive at Q = 2, and sqrt(2) |T| is 0.47 and 2.12 at its roots
+    P = Poly([1, -3]) * Poly([1, Fraction(-2, 3)]) * Poly([1, 0, 2])
     v = rh_numeric(P, 2)
-    assert v.holds is False
-    assert v.self_inversive is False
+    assert v.holds is False and v.detail == "off-circle root"
     assert mp.mpf(v.max_deviation) > 1
 
 
@@ -104,6 +104,11 @@ def test_numeric_boundary_double_root():
 def test_numeric_requires_even_degree():
     with pytest.raises(ValueError):
         rh_numeric(Poly([1, 1, 1, 1]), 2)
+
+
+def test_numeric_requires_an_integer_q():
+    with pytest.raises(ValueError, match="Q must be an integer"):
+        rh_numeric(Poly([1, 0, Fraction(5, 2)]), Fraction(5, 2))
 
 
 def _weil_rh_holds(q, a1, a2):
@@ -151,7 +156,7 @@ def test_numeric_repeated_on_circle_factor_converges():
 
 
 def test_numeric_repeated_off_circle_factor_fails():
-    v = rh_numeric(Poly([1, -3]) ** 2 * Poly([1, 0, 2]), 2)
+    v = rh_numeric((Poly([1, -3]) * Poly([1, Fraction(-2, 3)])) ** 2, 2)
     assert v.holds is False and len(v.deviations) == 4
 
 
@@ -173,11 +178,30 @@ def test_float_seed_gives_up_outside_double_range():
     assert sorted(round(r.imag, 12) for r in roots) == [-1, 1]
 
 
-def root_pairing_defect(P: Poly, Q, precision_bits: int = 128):
+def _whole_p_roots(ints, Q: int, precision_bits: int):
+    """The roots of P = c * ints, each repeated by its multiplicity, from P's own squarefree factors.
+
+    The parity reference for the reduced route: each factor is iterated by
+    ``rh_lab._factor_roots`` in x = sqrt(Q) T, where the roots RH predicts lie
+    on |x| = 1, at the same working precision; as (roots, residual,
+    converged), like ``rh_lab._real_weil_roots``.
+    """
+    with mp.workprec(2 * precision_bits + 64):
+        sqrt_q = mp.sqrt(mp.mpf(Q))
+        target = mp.mpf(2) ** (-(precision_bits + 16))
+        roots, residual, converged = [], mp.mpf(0), True
+        for F, mult in squarefree_factors(ints):
+            xs, res, ok = rh_lab._factor_roots(F, sqrt_q, target, precision_bits)
+            roots += [x / sqrt_q for x in xs] * mult
+            residual, converged = max(residual, res), converged and ok
+        return roots, residual, converged
+
+
+def root_pairing_defect(P: Poly, Q: int, precision_bits: int = 128):
     """Worst distance from {roots} to its image under r -> 1/(Q * conj(r))."""
     with mp.workprec(2 * precision_bits + 64):
-        roots, _, _ = rh_lab._find_roots(P, Fraction(Q), precision_bits)
-        qf = mp.mpf(Fraction(Q).numerator) / mp.mpf(Fraction(Q).denominator)
+        roots, _, _ = _whole_p_roots(P.view[1], Q, precision_bits)
+        qf = mp.mpf(Q)
         worst = mp.mpf(0)
         for r in roots:
             image = 1 / (qf * mp.conj(r))
@@ -194,8 +218,8 @@ def test_self_inversive_root_pairing():
 
 
 def _full_route(monkeypatch):
-    """Solve every numerator as the degree-2g P, as an asymmetric one is."""
-    monkeypatch.setattr(rh_lab, "_real_weil_roots", lambda P, Q, g, bits: rh_lab._find_roots(P, Q, bits))
+    """Solve every numerator as the degree-2g P, by the parity reference."""
+    monkeypatch.setattr(rh_lab, "_real_weil_roots", lambda ints, Q, g, bits: _whole_p_roots(ints, Q, bits))
 
 
 def _refuse(monkeypatch, name):
@@ -219,13 +243,11 @@ def _parity_numerators():
 def test_reduced_route_matches_the_full_numerator(monkeypatch):
     cases = _parity_numerators()
     assert len(cases) == 678 + 3 + 4
-    with monkeypatch.context() as m:
-        _refuse(m, "_find_roots")  # every case is self-inversive: R alone is solved
-        reduced = [rh_numeric(P, Q) for P, Q in cases]
+    reduced = [rh_numeric(P, Q) for P, Q in cases]
     _full_route(monkeypatch)
     full = [rh_numeric(P, Q) for P, Q in cases]
     for (P, Q), r, f in zip(cases, reduced, full):
-        assert r.self_inversive and len(r.deviations) == len(f.deviations) == P.degree, (P, Q)
+        assert len(r.deviations) == len(f.deviations) == P.degree, (P, Q)
         assert (r.outcome(), r.precision_bits) == (f.outcome(), f.precision_bits), (P, Q, r.max_deviation)
         for a, b in zip(r.deviations, f.deviations):  # sorted; equal to the printed digits, or both below tolerance
             assert abs(mp.mpf(a) - mp.mpf(b)) < mp.mpf(r.tolerance) + mp.mpf(b) * mp.mpf("1e-5"), (P, Q, a, b)
@@ -235,19 +257,19 @@ def test_reduced_route_matches_the_full_numerator(monkeypatch):
 @pytest.mark.parametrize("bits", [MIN_PRECISION_BITS, 256])
 def test_a_double_root_on_the_circle_is_a_simple_root_of_R(bits, monkeypatch):
     # (1 - 2T^2)^2 at Q = 2: R = u^2 - 8 has simple roots at u = +-2 sqrt Q, each a double root T = +-1/sqrt 2
-    _refuse(monkeypatch, "_find_roots")
     v = rh_numeric(Poly([1, 0, -2]) ** 2, 2, precision_bits=bits)
-    assert v.holds is True and v.self_inversive and v.precision_bits == bits, v.max_deviation
+    assert v.holds is True and v.precision_bits == bits, v.max_deviation
     assert len(v.deviations) == 4
     # the roots are found to just above the convergence target, far inside the tolerance
     assert mp.mpf(v.max_deviation) < mp.mpf(2) ** -(bits + 16) * mp.mpf("1.01"), v.max_deviation
 
 
-def test_an_asymmetric_numerator_keeps_the_full_route(monkeypatch):
-    # 1 - 2T^2 at Q = 2 is not self-inversive, yet both its roots lie on |T| = 2^(-1/2)
+def test_an_asymmetric_numerator_fails_with_no_root_sought(monkeypatch):
+    # 1 - 2T^2 at Q = 2 is not self-inversive, though both its roots lie on |T| = 2^(-1/2): no level has such a P
     _refuse(monkeypatch, "_real_weil_roots")
     v = rh_numeric(Poly([1, 0, -2]), 2)
-    assert v.holds is True and v.self_inversive is False and len(v.deviations) == 2
+    assert v.holds is False and v.detail == "not self-inversive" and v.deviations == ()
+    assert v.method == "numeric" and v.max_deviation is None and v.precision_bits == 256
 
 
 # -- the verdict's branches --------------------------------------------------------
@@ -278,7 +300,7 @@ def test_a_deviation_in_the_band_twice_is_unknown(monkeypatch):
     assert calls == [MIN_PRECISION_BITS, 2 * MIN_PRECISION_BITS]
     assert v.holds is None and v.outcome() == "unknown" and v.precision_bits == 2 * MIN_PRECISION_BITS
     assert v.detail == "deviation inside the escalation band after retry"
-    assert len(v.deviations) == 4 and v.self_inversive is True
+    assert len(v.deviations) == 4
 
 
 def test_a_deviation_in_the_band_once_holds_after_the_retry(monkeypatch):
@@ -461,15 +483,32 @@ def test_run_cell_genus2():
     assert cell["checks"]["miracle"] == "pass"
 
 
+def test_ratio_bounds_read_the_tower_they_report_on(monkeypatch):
+    # doubling every beta(n >= 1) of the recursion leaves each bounded ratio, from n = 2 on, as it was
+    curves = tuple(builtin_elliptic_grid((2, 3)))
+    config = SweepConfig(curves=curves, tuples=((2,), (3,), (2, 2)), checks=("ratio_bounds",))
+    cells = sweep(config)["cells"]
+    assert len(cells) == 36 and all(cell["checks"] == {"ratio_bounds": "pass"} for cell in cells)
+    real = rh_lab.elliptic_beta_recursion
+
+    def doubled(a, Q, n_max):
+        betas = real(a, Q, n_max)
+        return betas[:1] + [2 * b for b in betas[1:]]
+
+    monkeypatch.setattr(rh_lab, "elliptic_beta_recursion", doubled)
+    cells = sweep(config)["cells"]
+    assert len(cells) == 36 and all(cell["checks"] == {"ratio_bounds": "fail"} for cell in cells)
+
+
 # -- numeric settings ------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("bits", [0, MIN_PRECISION_BITS - 1])
 def test_precision_below_floor_rejected(bits):
-    # at precision 0 the default tolerance is 10^0 = 1, wide enough to pass this root at deviation 0.41
+    # at precision 0 the default tolerance is 10^0 = 1, wide enough to pass the root T = 1 at deviation 0.41
     with pytest.raises(ValueError, match="precision"):
-        rh_numeric(Poly([1, -5, 4]), 2, precision_bits=bits)
-    assert rh_numeric(Poly([1, -5, 4]), 2, precision_bits=MIN_PRECISION_BITS).holds is False
+        rh_numeric(Poly([1, -3, 2]), 2, precision_bits=bits)
+    assert rh_numeric(Poly([1, -3, 2]), 2, precision_bits=MIN_PRECISION_BITS).holds is False
 
 
 GRID_TUPLES = ((1,), (2,), (3,), (4,), (2, 2), (2, 3), (3, 2), (2, 2, 2))

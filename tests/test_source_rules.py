@@ -110,7 +110,6 @@ def test_cli_reads_levels_only_from_the_tower():
 REACH_ALLOWLIST = {
     "derived_engine.compositions": "perfbench/tracer.py counts what it yields",
     "derived_engine.derive_tower": "perfbench/tracer.py times it",
-    "mult_struct.ResidueSeries": "scripts/export_beta_table.py, through residue_series_exp",
     "mult_struct.residue_series_exp": "scripts/export_beta_table.py",
 }
 

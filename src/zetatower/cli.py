@@ -29,7 +29,6 @@ from zetatower.curves import (
     CATALOG,
     CurveSpec,
     catalog_curve,
-    count_points_bruteforce,
     load_curves,
 )
 from zetatower.derived_engine import normalize_level
@@ -62,12 +61,16 @@ def _int_field(text: str, key: str, value: str) -> int:
 
 
 def _spec_fields(text: str, prefix: str, keys: tuple) -> dict:
-    """The key=value fields after ``prefix``; each of ``keys`` must be present."""
+    """The key=value fields after ``prefix``: each of ``keys`` exactly once, and no other."""
     fields = {}
     for part in text[len(prefix) :].split(","):
         key, sep, value = part.partition("=")
         if not sep:
             raise UsageError(f"malformed field {part!r} in {text!r}; expected key=value")
+        if key not in keys:
+            raise UsageError(f"unknown field {key!r} in {text!r}; expected {', '.join(keys)}")
+        if key in fields:
+            raise UsageError(f"repeated field {key!r} in {text!r}")
         fields[key] = value
     missing = [k for k in keys if k not in fields]
     if missing:
@@ -131,14 +134,13 @@ def cmd_catalog(args) -> int:
     entries = []
     for label in sorted(CATALOG):
         c = CATALOG[label]
-        counts = [count_points_bruteforce(c.model, c.q, k) for k in range(1, c.genus + 1)]
         entries.append(
             {
                 "label": label,
                 "q": c.q,
                 "genus": c.genus,
                 "model": c.model.describe(),
-                "point_counts": counts,
+                "point_counts": list(c.spec().point_counts),
             }
         )
     _write_output(json.dumps(entries, sort_keys=True, indent=2) + "\n", args.output)

@@ -40,15 +40,16 @@ value once and reads it for the certificate and for the nodes alike.
 All of it runs on Python ints.  Q must be an integer (else ValueError, never
 a truncation).  Inside ``derive_step`` a value is an int pair (N, D) that
 stands for N/D and is never reduced: each pole 1/(1 - Q^k), each F(m, s),
-each middle value Z(Q^k) (``ZetaLevel.value_pair``, for k < 0 too), and the
-table entries and the two residues of the previous level as they are read
-(``exact_arith.as_pair``).  A sum of products of pairs puts the products
+each middle value Z(Q^k) (``ZetaLevel.value_pair``, for k < 0 too), each
+table entry, the two residues of the previous level as they are read
+(``exact_arith.as_pair``), and the 2g+1 node values that go to
+``exact_arith.interpolate``.  A sum of products of pairs puts the products
 over the lcm of their denominators (``exact_arith.over_lcm``) and adds ints.
-Values are reduced in four places only: the special values and the table
-entries, which ``special_values`` and ``composition_sums`` return as
-Fractions (a table row goes over one lcm for its inner sums), the 2g+1 node
-values, and the interpolated coefficients of the new numerator.  A residue
-sum of the certificate is tested for zero unreduced.
+Values are reduced in three places only: the special values, which
+``special_values`` returns as Fractions; the rows of the table, each of which
+``composition_sums`` returns as ints over one denominator, divided by their
+gcd; and the interpolated coefficients of the new numerator.  A residue sum
+of the certificate is tested for zero unreduced.
 
 The new numerator P_n = Z_n(T) (1-T)(1-Q^n T) T^(g-1) has degree at most 2g.
 It is evaluated exactly at the 2g+1 nodes T = Q^j, j = 1..2g+1, and recovered
@@ -76,7 +77,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
-from math import comb, prod
+from math import comb, gcd, prod
 from typing import Iterator, Sequence, Union
 
 from zetatower.curves import CurveSpec, ZetaLevel, artin_zeta, validate_zeta_level
@@ -146,9 +147,11 @@ def composition_sums(sv: SpecialValues, m_max: int, positive: bool = False) -> t
 
     Built by the recurrence E[m][m] = vhat(m),
     E[m][p] = vhat(p) * sum_r E[m-p][r] / (1 - Q^(r+p)) in O(m_max^3) integer
-    operations, with each row and each inner sum over one lcm.  Rows run
-    m = 0..m_max and are indexed by p, so E[m][0] = 0 and E[0] = (0,) holds no
-    composition.  Reversal keeps the weight, so E[m][p] is also the sum over
+    operations.  Row m, for m = 0..m_max, is the int row (nums, D) with
+    E[m][p] = nums[p] / D, D > 0 and gcd(D, *nums) = 1: its unreduced entries
+    go over one lcm and the row is divided by one gcd, which keeps D from
+    compounding down the rows.  nums[0] = 0, and row 0 is ([0], 1): it holds
+    no composition.  Reversal keeps the weight, so E[m][p] is also the sum over
     the compositions of m with first part p.  With positive=True every pair
     denominator is Q^(r+p) - 1 instead, the interlacing convention.
     """
@@ -157,17 +160,19 @@ def composition_sums(sv: SpecialValues, m_max: int, positive: bool = False) -> t
     Q = as_integer(sv.Q, "Q")
     sign = 1 if positive else -1  # 1 / (1 - Q^s) = -1 / (Q^s - 1)
     pair = [None] + [Q**s - 1 for s in range(1, m_max + 1)]
-    table, rows = [(Fraction(0),)], [([0], 1)]  # rows[m]: table[m] over the lcm of its denominators
+    rows = [([0], 1)]
     for m in range(1, m_max + 1):
-        row = [Fraction(0)] * (m + 1)
+        entries = [(0, 1)]
         for p in range(1, m):
             nums, D = rows[m - p]
             scaled, L = over_lcm((x, pair[r + p]) for r, x in enumerate(nums[1:], 1))
-            row[p] = Fraction(sign * sv.vhat(p).numerator * sum(scaled), sv.vhat(p).denominator * D * L)
-        row[m] = sv.vhat(m)
-        table.append(tuple(row))
-        rows.append(over_lcm(map(as_pair, row)))
-    return tuple(table)
+            v = sv.vhat(p)
+            entries.append((sign * v.numerator * sum(scaled), v.denominator * D * L))
+        entries.append(as_pair(sv.vhat(m)))
+        nums, D = over_lcm(entries)
+        c = gcd(D, *nums)
+        rows.append(([x // c for x in nums], D // c))
+    return tuple(rows)
 
 
 def derive_step(z: ZetaLevel, n: int) -> ZetaLevel:
@@ -176,8 +181,7 @@ def derive_step(z: ZetaLevel, n: int) -> ZetaLevel:
         raise ValueError("derivation index must be >= 1")
     Q, g = as_integer(z.Q, "Q"), z.genus
     steps = z.steps + (n,)
-    table = composition_sums(special_values(z, n - 1), n - 1) if n > 1 else ((Fraction(0),),)
-    rows = [over_lcm(map(as_pair, row)) for row in table]  # each row over its lcm
+    rows = composition_sums(special_values(z, n - 1), n - 1) if n > 1 else (([0], 1),)
 
     def lcm_sum(products) -> tuple:  # (N, L): N / L is the sum of the products of pairs
         scaled, L = over_lcm((prod(n for n, _ in fs), prod(d for _, d in fs)) for fs in products)
@@ -188,7 +192,7 @@ def derive_step(z: ZetaLevel, n: int) -> ZetaLevel:
         return (1, 1 - Q**k) if k > 0 else (Q**-k, Q**-k - 1)
 
     @cache
-    def F(m: int, s: int) -> tuple:  # row m over its lcm D, the poles over theirs
+    def F(m: int, s: int) -> tuple:  # row m over its D, the poles over their lcm
         if not m:
             return 1, 1
         nums, D = rows[m]
@@ -215,11 +219,11 @@ def derive_step(z: ZetaLevel, n: int) -> ZetaLevel:
         terms = []
         for a in range(1, n + 1):
             if a <= n - 1 + e:
-                terms.append((as_pair(table[n - a][n - a + e]), mid(n - a + e), left(a, e)))
+                terms.append(((rows[n - a][0][n - a + e], rows[n - a][1]), mid(n - a + e), left(a, e)))
             elif a <= n + e + 1:
                 terms.append((residues[a - n - e], right(a, e), left(a, e)))
             else:
-                terms.append((as_pair(-table[a - 1][a - 1 - n - e]), right(a, e), mid(n - a + e)))
+                terms.append(((-rows[a - 1][0][a - 1 - n - e], rows[a - 1][1]), right(a, e), mid(n - a + e)))
         if lcm_sum(terms)[0]:
             uncancelled.append(e)
     if uncancelled:
@@ -230,7 +234,7 @@ def derive_step(z: ZetaLevel, n: int) -> ZetaLevel:
     prefactor = Q ** (comb(n, 2) * (g - 1))
     xs = [Q**j for j in range(1, 2 * g + 2)]
     sums = [lcm_sum((right(a, j), mid(n - a + j), left(a, j)) for a in range(1, n + 1)) for j in range(1, 2 * g + 2)]
-    ys = [Fraction(prefactor * (1 - t) * (1 - Q**n * t) * t ** (g - 1) * N, L) for t, (N, L) in zip(xs, sums)]
+    ys = [(prefactor * (1 - t) * (1 - Q**n * t) * t ** (g - 1) * N, L) for t, (N, L) in zip(xs, sums)]
     level = ZetaLevel(steps=steps, Q=z.Q**n, genus=g, P=interpolate(xs, ys))
     failed = [c for c in validate_zeta_level(level) if not c.passed]
     if failed:

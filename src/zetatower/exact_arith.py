@@ -244,29 +244,26 @@ ZERO = Poly()
 ONE = Poly([1])
 
 
-def interpolate(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> Poly:
-    """The unique polynomial of degree < len(xs) through the points (xs[i], ys[i]).
+def interpolate(xs: Sequence[int], ys: Sequence[tuple]) -> Poly:
+    """The unique polynomial of degree < len(xs) through the points (xs[i], N_i/D_i), ys[i] = (N_i, D_i).
 
-    Integer nodes u_i = B x_i, B the lcm of the denominators; with M = prod (U - u_i) the
-    weights y_i / M'(u_i) go over one lcm, each M / (U - u_i) is a synthetic division,
-    and each coefficient of U^k, times B^k, is reduced once into that of T^k.
+    The nodes are distinct ints.  With M = prod (T - x_i) the weights
+    N_i / (D_i M'(x_i)) go over one lcm, each M / (T - x_i) is a synthetic
+    division, and each coefficient is reduced once.
     """
-    xs, ys = [as_rat(x) for x in xs], [as_rat(y) for y in ys]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
-    B = lcm(*(x.denominator for x in xs))
-    us = [x.numerator * (B // x.denominator) for x in xs]
-    master = [1]  # prod (U - u_i), lowest coefficient first
-    for u in us:
-        master = [a - u * b for a, b in zip([0] + master, master + [0])]
-    weights, L = over_lcm((y.numerator, y.denominator * prod(u - v for v in us if v != u)) for u, y in zip(us, ys))
-    coeffs = [0] * len(us)
-    for u, w in zip(us, weights):  # w * M / (U - u) by synthetic division
+    master = [1]  # prod (T - x_i), lowest coefficient first
+    for x in xs:
+        master = [a - x * b for a, b in zip([0] + master, master + [0])]
+    weights, L = over_lcm((N, D * prod(x - v for v in xs if v != x)) for x, (N, D) in zip(xs, ys))
+    coeffs = [0] * len(xs)
+    for x, w in zip(xs, weights):  # w * M / (T - x) by synthetic division
         acc = 0
-        for k in range(len(us), 0, -1):
-            acc = acc * u + master[k]
+        for k in range(len(xs), 0, -1):
+            acc = acc * x + master[k]
             coeffs[k - 1] += w * acc
-    return Poly(Fraction(c * B**k, L) for k, c in enumerate(coeffs))
+    return Poly(Fraction(c, L) for c in coeffs)
 
 
 def is_self_inversive(P: "Poly | Sequence", Q: Scalar, g: int) -> bool:

@@ -13,8 +13,9 @@ just the alphas and beta: P, Q and the genus are read off the ``ZetaLevel``,
 so only callers that need the alphas extract.  The same beta is also given
 by a closed sum over integer compositions of special values of the previous
 level, q^(C(n,2)(g-1)) * sum_p E[n][p] with the last-part table E of
-``derived_engine.composition_sums``; that is the dual route the test suite
-exercises everywhere.
+``derived_engine.composition_sums``, whose row n is the int row (nums, D)
+with E[n][p] = nums[p] / D, so the sum is one Fraction sum(nums) / D; that is
+the dual route the test suite exercises everywhere.
 
 The interlacing polynomial built here clears the composition sum
 
@@ -23,7 +24,9 @@ The interlacing polynomial built here clears the composition sum
 against prod_{l=1..n} (Q^l T - 1).  Grouped by last part p, with W_p the
 positive-denominator table entry, it is sum_p W_p * prod_{l != p} (Q^l T - 1):
 each cofactor is an exact integer division of the clearing product by
-(Q^p T - 1), the W_p go over their lcm, and each coefficient is reduced once.
+(Q^p T - 1), the W_p are the ints nums[p] of the table's row n over its one
+denominator D, and each coefficient is reduced once.  An ``InterlacingPoly``
+holds just n, the previous Q and that polynomial.
 All composition weights are positive, so at T = Q^-kappa only the
 compositions ending in kappa survive and the sign is forced to (-1)^(kappa+1):
 the sign vector alternates and pins one real root in each interval
@@ -38,7 +41,7 @@ from math import comb
 
 from zetatower.curves import CheckResult, ZetaLevel
 from zetatower.derived_engine import SpecialValues, composition_sums
-from zetatower.exact_arith import BigRat, Poly, as_integer, as_pair, is_self_inversive, over_lcm, rat_str
+from zetatower.exact_arith import BigRat, Poly, as_integer, is_self_inversive, rat_str
 
 
 class ReconstructionError(RuntimeError):
@@ -104,7 +107,8 @@ def extract_invariants(z: ZetaLevel) -> InvariantSet:
 
 def beta_closed_form(sv: SpecialValues, n: int, genus: int) -> Fraction:
     """Residue of the next level by the closed composition sum, no derivation."""
-    return sv.Q ** (comb(n, 2) * (genus - 1)) * sum(composition_sums(sv, n)[n])
+    nums, D = composition_sums(sv, n)[n]
+    return sv.Q ** (comb(n, 2) * (genus - 1)) * Fraction(sum(nums), D)
 
 
 def counting_miracle_check(prev: ZetaLevel, derived: ZetaLevel, following: ZetaLevel) -> CheckResult:
@@ -139,33 +143,23 @@ class InterlacingPoly:
 
     n: int
     Q_prev: BigRat
-    weights: tuple  # weights[p-1] = W_p, the positive-weight sum over last part p
-    poly: Poly  # sum_p W_p * prod_{l != p} (Q^l T - 1)
-
-    def constant_term_identity(self) -> bool:
-        """(-1)^(n-1) * poly(0) equals the plain positive-weight sum."""
-        return Fraction(-1) ** (self.n - 1) * self.poly[0] == self.tail_sum()
-
-    def tail_sum(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
+    poly: Poly  # sum_p W_p * prod_{l != p} (Q^l T - 1), W_p the positive-weight sum over last part p
 
 
 def interlacing_poly(sv: SpecialValues, n: int) -> InterlacingPoly:
     """Build the cleared composition polynomial of degree n-1."""
     Q = as_integer(sv.Q, "Q")
-    weights = composition_sums(sv, n, positive=True)[n][1:]
+    nums, D = composition_sums(sv, n, positive=True)[n]  # W_p = nums[p] / D
     clearing = [1]  # prod_{l=1..n} (Q^l T - 1), lowest coefficient first
     for ell in range(1, n + 1):
         clearing = [Q**ell * a - b for a, b in zip([0] + clearing, clearing + [0])]
-    scaled, L = over_lcm(map(as_pair, weights))
     coeffs = [0] * n
-    for p, w in enumerate(scaled, start=1):  # w * clearing / (Q^p T - 1), from the constant term up
+    for p, w in enumerate(nums[1:], start=1):  # w * clearing / (Q^p T - 1), from the constant term up
         quotient = 0
         for k in range(n):
             quotient = Q**p * quotient - clearing[k]
             coeffs[k] += w * quotient
-    poly = Poly(Fraction(c, L) for c in coeffs)
-    return InterlacingPoly(n=n, Q_prev=sv.Q, weights=weights, poly=poly)
+    return InterlacingPoly(n=n, Q_prev=sv.Q, poly=Poly(Fraction(c, D) for c in coeffs))
 
 
 def interlacing_signs(ip: InterlacingPoly) -> list:

@@ -230,14 +230,6 @@ def to_ratfunc(level) -> RatFunc:
     return RatFunc(level.P, standard_denominator(level.Q, level.genus))
 
 
-def interlacing_tail(ip) -> RatFunc:
-    """The uncleared sum sum_p W_p / (Q^p T - 1) of an InterlacingPoly, one simple pole per ending part."""
-    out = RatFunc(0)
-    for p, w in enumerate(ip.weights, start=1):
-        out = out + w * RatFunc(1, Poly([-1, ip.Q_prev**p]))
-    return out
-
-
 def oracle_zeta(z, n: int) -> RatFunc:
     """The complete zeta of z derived by n, summed as rational functions."""
     g, qp = z.genus, z.Q
@@ -291,16 +283,20 @@ def positive_weight(comp, sv) -> Fraction:
     return w
 
 
-def oracle_interlacing_poly(sv, n: int) -> Poly:
-    """sum over compositions k of n of w+(k) / (Q^(k_last) T - 1), cleared by prod_l (Q^l T - 1)."""
-    Q = sv.Q
+def interlacing_tail(sv, n: int) -> RatFunc:
+    """The uncleared sum over compositions k of n of w+(k) / (Q^(k_last) T - 1), one simple pole per last part."""
     tail = RatFunc(0)
     for comp in compositions(n):
-        tail = tail + positive_weight(comp, sv) * RatFunc(1, Poly([-1, Q ** comp[-1]]))
+        tail = tail + positive_weight(comp, sv) * RatFunc(1, Poly([-1, sv.Q ** comp[-1]]))
+    return tail
+
+
+def oracle_interlacing_poly(sv, n: int) -> Poly:
+    """The interlacing tail of n cleared by prod_l (Q^l T - 1)."""
     clearing = Poly([1])
     for ell in range(1, n + 1):
-        clearing = clearing * Poly([-1, Q**ell])
-    return (tail * RatFunc(clearing)).to_poly()
+        clearing = clearing * Poly([-1, sv.Q**ell])
+    return (interlacing_tail(sv, n) * RatFunc(clearing)).to_poly()
 
 
 def oracle_invariants(z) -> tuple:

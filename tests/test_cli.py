@@ -214,6 +214,12 @@ OUTPUT_DIGESTS = {
         "cb31401e36fd12f92bfadce38cac49149398a741d59e6f27585c6a4711a2598f",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
+    # recorded while the catalog command still counted the points itself
+    "catalog": (
+        0,
+        "90763f794f493177ac731b2a87fe534cc5d53da3316b354ece6178ac2fc7e6ba",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
 }
 
 
@@ -367,6 +373,9 @@ def test_curve_file_input(tmp_path):
         "counts:q=2,g=2",
         "counts:q=2,g=2,N=3;x",
         "counts:q=two,g=2,N=3;5",
+        "elliptic:q=2,a=0,g=5",
+        "elliptic:q=2,a=0,a=2",
+        "counts:q=2,g=2,N=3;5,a=1",
     ],
 )
 def test_malformed_curve_spec_is_usage_error(curve, capsys):

@@ -197,12 +197,14 @@ def test_derive_tower_from_curve_spec():
 
 
 def _corrupt_table(monkeypatch, m, p):
+    # E[m][p] + 1 on the int row (nums, D): nums[p] + D
     real = derived_engine.composition_sums
 
     def corrupted(sv, m_max, positive=False):
-        table = [list(row) for row in real(sv, m_max, positive)]
-        table[m][p] += 1
-        return tuple(tuple(row) for row in table)
+        rows = list(real(sv, m_max, positive))
+        nums, D = rows[m]
+        rows[m] = (nums[:p] + [nums[p] + D] + nums[p + 1 :], D)
+        return tuple(rows)
 
     monkeypatch.setattr(derived_engine, "composition_sums", corrupted)
 
@@ -285,8 +287,8 @@ def test_wrong_value_at_a_node_is_caught_by_validation(monkeypatch, z):
     for j in range(1, 2 * z.genus + 2):
         with monkeypatch.context() as mp:
 
-            def wrong(xs, ys, j=j):
-                return real(xs, [y + Fraction(1, 3) if i == j else y for i, y in enumerate(ys, 1)])
+            def wrong(xs, ys, j=j):  # N/D + 1/3 at node j
+                return real(xs, [(3 * N + D, 3 * D) if i == j else (N, D) for i, (N, D) in enumerate(ys, 1)])
 
             mp.setattr(derived_engine, "interpolate", wrong)
             with pytest.raises(DerivationError, match="functional_equation") as caught:

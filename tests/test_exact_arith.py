@@ -403,10 +403,14 @@ def test_as_integer_refuses_to_truncate(x):
     assert as_integer(Fraction(10, 2), "Q") == 5
 
 
+def _pair(x: Fraction) -> tuple:
+    return x.numerator, x.denominator
+
+
 @given(coeff_lists(max_size=6), st.lists(st.integers(-40, 40), min_size=6, max_size=9, unique=True))
 def test_interpolate_round_trip_at_integer_nodes(coeffs, nodes):
     P = Poly(coeffs)
-    assert interpolate(nodes, [P(x) for x in nodes]) == P
+    assert interpolate(nodes, [_pair(P(x)) for x in nodes]) == P
 
 
 @given(st.lists(st.fractions(max_denominator=2**64), min_size=1, max_size=6), st.booleans())
@@ -415,23 +419,17 @@ def test_interpolate_round_trip_at_huge_powers(coeffs, negate):
     Q = -(2**500) if negate else 2**500
     P = Poly(coeffs)
     nodes = [Q**j for j in range(1, len(coeffs) + 1)]
-    assert interpolate(nodes, [P(x) for x in nodes]) == P
-
-
-@given(coeff_lists(max_size=5), st.lists(rationals(max_abs=9, max_den=7), min_size=5, max_size=7, unique=True))
-def test_interpolate_is_exact_at_rational_nodes(coeffs, nodes):
-    # non-integer nodes are scaled to integers, not rounded: the result is exact
-    P = Poly(coeffs)
-    assert interpolate(nodes, [P(x) for x in nodes]) == P
+    assert interpolate(nodes, [_pair(P(x)) for x in nodes]) == P
 
 
 def test_interpolate_examples():
-    assert interpolate([1, 2, 3], [1, 4, 9]) == Poly([0, 0, 1])
-    assert interpolate([Fraction(1, 2), Fraction(1, 3)], [0, 1]) == Poly([3, -6])
+    assert interpolate([1, 2, 3], [(1, 1), (4, 1), (9, 1)]) == Poly([0, 0, 1])
+    # values as unreduced pairs, a denominator negative: 1, 2 and 9/2 at T = 0, 1, -1
+    assert interpolate([0, 1, -1], [(2, 2), (-6, -3), (18, 4)]) == Poly([1, Fraction(-5, 4), Fraction(9, 4)])
     assert interpolate([], []) == ZERO
 
 
-@pytest.mark.parametrize("xs", [[1, 1], [2, 3, 2], [Fraction(1, 2), "1/2"]])
+@pytest.mark.parametrize("xs", [[1, 1], [2, 3, 2], [-2**500, 2**500, -2**500]])
 def test_interpolate_rejects_duplicate_nodes(xs):
     with pytest.raises(ValueError, match="distinct"):
-        interpolate(xs, list(range(len(xs))))
+        interpolate(xs, [(y, 1) for y in range(len(xs))])

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import zetatower.invariants as invariants_module
-from ratfunc_oracle import interlacing_tail, residue_simple_pole, to_ratfunc
+from ratfunc_oracle import interlacing_tail, positive_weight, residue_simple_pole, to_ratfunc
 from zetatower.curves import ZetaLevel, artin_elliptic, artin_from_point_counts, hasse_traces
-from zetatower.derived_engine import derive_step, derive_tower, special_values
+from zetatower.derived_engine import compositions, derive_step, derive_tower, special_values
 from zetatower.exact_arith import Poly, rat_str
 from zetatower.invariants import (
     beta_closed_form,
@@ -145,6 +145,11 @@ def test_miracle_genus2_prefactor():
 # -- interlacing polynomial -----------------------------------------------------------
 
 
+def _tail_sum(sv, n):
+    """The plain positive-weight sum over the compositions of n: (-1)^(n-1) times the constant term."""
+    return sum(positive_weight(k, sv) for k in compositions(n))
+
+
 def test_interlacing_n1_constant():
     sv = special_values(artin_elliptic(2, 0), 1)
     ip = interlacing_poly(sv, 1)
@@ -159,7 +164,7 @@ def test_interlacing_n2_shape_and_signs():
     assert ip.poly == Poly([-12, 30])
     assert ip.poly.degree == 1
     assert interlacing_signs(ip) == [1, -1]
-    assert ip.constant_term_identity()
+    assert -ip.poly[0] == _tail_sum(sv, 2)
     # the single root 2/5 lies inside (Q^-2, Q^-1) = (1/4, 1/2)
     root = Fraction(12, 30)
     assert Fraction(1, 4) < root < Fraction(1, 2)
@@ -172,7 +177,7 @@ def test_interlacing_alternation_deeper():
         assert ip.poly.degree == n - 1
         assert interlacing_signs(ip) == [(-1) ** (k + 1) for k in range(1, n + 1)]
         assert interlacing_sign_check(ip).passed
-        assert ip.constant_term_identity()
+        assert (-1) ** (n - 1) * ip.poly[0] == _tail_sum(sv, n)
 
 
 def test_interlacing_defining_identity():
@@ -182,7 +187,7 @@ def test_interlacing_defining_identity():
     clearing = Poly([1])
     for ell in range(1, 5):
         clearing = clearing * Poly([-1, Fraction(3) ** ell])
-    assert (interlacing_tail(ip) * clearing).to_poly() == ip.poly
+    assert (interlacing_tail(sv, 4) * clearing).to_poly() == ip.poly
 
 
 # -- reports -----------------------------------------------------------------------

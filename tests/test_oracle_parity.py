@@ -9,6 +9,8 @@ division, on valid levels and in what it refuses.
 """
 
 from dataclasses import replace
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -63,17 +65,20 @@ def test_oracle_parity_at_a_derived_level():
 def test_composition_sums_match_brute_force(z):
     m_max = 10
     sv = special_values(z, m_max)
-    table = composition_sums(sv, m_max)
+    rows = composition_sums(sv, m_max)
     positive = composition_sums(sv, m_max, positive=True)
-    assert table[0] == (0,)
+    assert rows[0] == positive[0] == ([0], 1)
     for m in range(1, m_max + 1):
         comps = list(compositions(m))
-        assert table[m][0] == 0
+        for (nums, D) in (rows[m], positive[m]):
+            assert len(nums) == m + 1 and nums[0] == 0
+            assert D > 0 and gcd(D, *nums) == 1
+        (nums, D), (pos, pos_D) = rows[m], positive[m]
         for p in range(1, m + 1):
-            assert table[m][p] == sum(composition_weight(k, sv) for k in comps if k[-1] == p)
+            assert Fraction(nums[p], D) == sum(composition_weight(k, sv) for k in comps if k[-1] == p)
             # reversal keeps the weight, so the first-part sums coincide
-            assert table[m][p] == sum(composition_weight(k, sv) for k in comps if k[0] == p)
-            assert positive[m][p] == sum(positive_weight(k, sv) for k in comps if k[-1] == p)
+            assert Fraction(nums[p], D) == sum(composition_weight(k, sv) for k in comps if k[0] == p)
+            assert Fraction(pos[p], pos_D) == sum(positive_weight(k, sv) for k in comps if k[-1] == p)
 
 
 def _extraction_levels():

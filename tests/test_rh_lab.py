@@ -500,6 +500,38 @@ def test_ratio_bounds_read_the_tower_they_report_on(monkeypatch):
     assert len(cells) == 36 and all(cell["checks"] == {"ratio_bounds": "fail"} for cell in cells)
 
 
+def _plant_in_the_checked_row(monkeypatch, in_positive_row, edit):
+    """Edit row n of the composition sums that invariants reads; derive_step reads its own and stays right."""
+    real = invariants.composition_sums
+
+    def planted(sv, m_max, positive=False):
+        rows = list(real(sv, m_max, positive))
+        if positive == in_positive_row:
+            rows[m_max] = edit(*rows[m_max])
+        return tuple(rows)
+
+    monkeypatch.setattr(invariants, "composition_sums", planted)
+
+
+@pytest.mark.parametrize(
+    "check, positive, edit",
+    [
+        # E[n][n] + 1 in the closed beta sum
+        ("beta_routes", False, lambda nums, D: (nums[:-1] + [nums[-1] + D], D)),
+        # W_1 -> -W_1, which flips the sign at T = Q^-1
+        ("interlacing", True, lambda nums, D: ([0, -nums[1]] + nums[2:], D)),
+    ],
+)
+def test_table_checks_read_the_table_they_report_on(monkeypatch, check, positive, edit):
+    curves = tuple(builtin_elliptic_grid((2, 3)))
+    config = SweepConfig(curves=curves, tuples=((2,), (3,), (2, 2)), checks=(check,))
+    cells = sweep(config)["cells"]
+    assert len(cells) == 36 and all(cell["checks"] == {check: "pass"} for cell in cells)
+    _plant_in_the_checked_row(monkeypatch, positive, edit)
+    cells = sweep(config)["cells"]
+    assert len(cells) == 36 and all(cell["checks"] == {check: "fail"} for cell in cells)
+
+
 # -- numeric settings ------------------------------------------------------------------
 
 

@@ -25,7 +25,7 @@ import time
 
 from zetatower.curves import CurveSpec, artin_elliptic, artin_zeta, catalog_curve, validate_zeta_level
 from zetatower.derived_engine import derive_step, special_values
-from zetatower.exact_arith import as_integer, real_weil_poly, squarefree_factors
+from zetatower.exact_arith import real_weil_poly, squarefree_factors
 from zetatower.rh_lab import builtin_elliptic_grid, curve_tower, rh_verdict_for_level
 
 DEPTHS = (10, 20, 40, 60)
@@ -66,7 +66,7 @@ def main() -> int:
             print(f"{name} (genus {z.genus}) derive_step n={n}: {best_of_3(lambda: derive_step(z, n)):.3f} s", flush=True)
     z = bases["X2g2"]
     for n in TUPLE:
-        bits = int(z.Q**n).bit_length()
+        bits = (z.Q**n).bit_length()
         print(f"X2g2 step {z.steps + (n,)} (new Q has {bits} bits): {best_of_3(lambda: derive_step(z, n)):.3f} s", flush=True)
         z = derive_step(z, n)
 
@@ -92,9 +92,9 @@ def main() -> int:
     for steps in (TUPLE[:-1], TUPLE):
         z = tower.level(steps)
         verdict_s = best_of_3(lambda: rh_verdict_for_level(z))
-        print(f"X2g2 {steps} (Q has {int(z.Q).bit_length()} bits): rh_verdict_for_level {verdict_s:.3f} s", flush=True)
+        print(f"X2g2 {steps} (Q has {z.Q.bit_length()} bits): rh_verdict_for_level {verdict_s:.3f} s", flush=True)
     z = curve_tower(CurveSpec(label="g3", q=2, genus=3, numerator=GENUS3)).level(TUPLE[:-1])
-    R = real_weil_poly(z.P.view[1], as_integer(z.Q, "Q"), z.genus)  # ints, as the verdict splits it
+    R = real_weil_poly(z.P.view[1], z.Q, z.genus)  # ints, as the verdict splits it
     split_s = best_of_3(lambda: squarefree_factors(R))
     verdict_s = best_of_3(lambda: rh_verdict_for_level(z))
     print(f"genus 3 {z.steps}: squarefree_factors(R) {split_s:.3f} s, rh_verdict_for_level {verdict_s:.3f} s")

@@ -7,12 +7,12 @@ point counts, or the numerator coefficients themselves), validates it, and
 provides a small brute-force point counter for the catalog curves so the
 analytic data can be cross-checked against actual counting.
 
-Every level of the derived tower has the same shape over its own Q, so a
-``ZetaLevel`` is its steps, Q, genus and numerator P, nothing more.  Every
-value and residue reads the integer view of P (content times coprime ints)
-that the ``Poly`` itself carries.  Its functional equation is the coefficient
-symmetry, its residue at T = 1 is P(1)/(Q-1), and validation is exact
-coefficient arithmetic on P.
+Every level of the derived tower has the same shape over its own Q, the int
+q^(prod of its steps), so a ``ZetaLevel`` is its steps, Q, genus and
+numerator P, nothing more.  Every value and residue reads the integer view
+of P (content times coprime ints) that the ``Poly`` itself carries.  Its
+functional equation is the coefficient symmetry, its residue at T = 1 is
+P(1)/(Q-1), and validation is exact coefficient arithmetic on P.
 
 Point counting supports plane models y^2 + a3*y = f(x) with coefficients in
 the prime field and a single smooth point at infinity; that covers the whole
@@ -32,7 +32,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from zetatower.exact_arith import (
-    BigRat,
     Poly,
     as_rat,
     horner,
@@ -365,13 +364,13 @@ class ZetaLevel:
     """One rung of the derived tower: Z(T) = P(T) / ((1-T)(1-QT)T^(g-1)).
 
     steps is the tuple of derivation indices applied so far (empty for the
-    base), Q = q**prod(steps), and P is the numerator in this level's own
-    variable.  Every value and residue is one integer Horner pass over
-    ``P.view`` (content times coprime ints), reduced once.
+    base), Q = q**prod(steps) is an int, and P is the numerator in this
+    level's own variable.  Every value and residue is one integer Horner pass
+    over ``P.view`` (content times coprime ints), reduced once.
     """
 
     steps: tuple
-    Q: BigRat
+    Q: int
     genus: int
     P: Poly
 
@@ -385,34 +384,30 @@ class ZetaLevel:
     def residue(self) -> Fraction:
         """Res_{T=1} Z = P(1)/(Q-1), which is beta."""
         c, ints = self.P.view
-        a, b = self.Q.numerator, self.Q.denominator
-        return Fraction(c.numerator * sum(ints) * b, c.denominator * (a - b))
+        return Fraction(c.numerator * sum(ints), c.denominator * (self.Q - 1))
 
     def residue_inv_q(self) -> Fraction:
         """Res_{T=1/Q} Z = -P(1/Q) Q^(g-1)/(Q-1).
 
-        With Q = a/b, P(b/a) = c H / a^d (H the Horner sum, d = deg P) and
-        Q^(g-1)/(Q-1) = a^(g-1) b^(2-g) / (a-b); the powers of a and b are
-        put on the side where they are nonnegative.
+        P(1/Q) = c H / Q^d (H the Horner sum, d = deg P), so the residue is
+        -c H Q^(g-1-d) / (Q-1), the power of Q on the side where it is nonnegative.
         """
         c, ints = self.P.view
-        a, b, g = self.Q.numerator, self.Q.denominator, self.genus
-        e = g - len(ints)  # a^(g-1) over the a^d of P(b/a)
-        num = -c.numerator * horner(ints, b, a) * a ** max(e, 0) * b ** max(2 - g, 0)
-        return Fraction(num, c.denominator * a ** max(-e, 0) * b ** max(g - 2, 0) * (a - b))
+        Q = self.Q
+        e = self.genus - len(ints)  # g-1-d
+        return Fraction(-c.numerator * horner(ints, 1, Q) * Q ** max(e, 0), c.denominator * Q ** max(-e, 0) * (Q - 1))
 
     def value_pair(self, u: int, w: int) -> tuple:
         """Z(u/w) as an unreduced pair (N, D) of ints, N/D = Z(u/w); w != 0.
 
-        With Q = a/b the denominator (1-T)(1-QT)T^(g-1) at T = u/w is
-        (w-u)(bw-au)u^(g-1) / (b w^(g+1)), and P(u/w) = c H / w^d.  At a
-        pole D is 0.
+        The denominator (1-T)(1-QT)T^(g-1) at T = u/w is
+        (w-u)(w-Qu)u^(g-1) / w^(g+1), and P(u/w) = c H / w^d.  At a pole D is 0.
         """
         c, ints = self.P.view
-        a, b, g = self.Q.numerator, self.Q.denominator, self.genus
+        g = self.genus
         e = g + 2 - len(ints)  # w^(g+1) over the w^d of P(u/w)
-        num = c.numerator * horner(ints, u, w) * b * w ** max(e, 0)
-        return num, c.denominator * w ** max(-e, 0) * (w - u) * (b * w - a * u) * u ** (g - 1)
+        num = c.numerator * horner(ints, u, w) * w ** max(e, 0)
+        return num, c.denominator * w ** max(-e, 0) * (w - u) * (w - self.Q * u) * u ** (g - 1)
 
     def value(self, t: Fraction) -> Fraction:
         """Z(t) at a point t that is not a pole: not 1 or 1/Q, and not 0 when g > 1."""
@@ -448,9 +443,9 @@ def validate_zeta_level(z: ZetaLevel) -> list:
     # functional equation forces Res_{T=1} = -Q * Res_{T=1/Q}.  The detail is
     # built only on failure: a valid level's residues can have more digits
     # than Python converts to a decimal string.
-    zeros = [t for t in (Fraction(1), 1 / Q) if horner(P.view[1], t.numerator, t.denominator) == 0]
+    zeros = [w for w in (1, Q) if horner(P.view[1], 1, w) == 0]  # P(1/w) = 0
     if zeros:
-        detail = f"residue computation failed: not a pole: {', '.join(rat_str(t) for t in zeros)}"
+        detail = f"residue computation failed: not a pole: {', '.join(rat_str(Fraction(1, w)) for w in zeros)}"
         results.append(CheckResult("residue_antisymmetry", False, detail))
     else:
         res1 = z.residue()
@@ -471,7 +466,7 @@ def _base_level(P: Poly, q: int, g: int) -> ZetaLevel:
     """The base level of numerator P; rejects P(1) <= 0, since P(1) is the class number."""
     if P(1) <= 0:
         raise ValueError(f"P(1) = {rat_str(P(1))} is not a class number (at least 1); no curve has this zeta")
-    return ZetaLevel(steps=(), Q=Fraction(q), genus=g, P=P)
+    return ZetaLevel(steps=(), Q=q, genus=g, P=P)
 
 
 def artin_elliptic(q: int, a: int) -> ZetaLevel:
@@ -498,7 +493,7 @@ def artin_from_point_counts(q: int, g: int, counts: Sequence[int]) -> ZetaLevel:
     lower = Poly(zser) * Poly([1, -1]) * Poly([1, -q])
     coeffs = [lower[i] for i in range(g + 1)]
     for i in range(g - 1, -1, -1):
-        coeffs.append(Fraction(q) ** (g - i) * coeffs[i])
+        coeffs.append(q ** (g - i) * coeffs[i])
     P = Poly(coeffs)
 
     # Any extra supplied counts must agree with the counts the numerator implies.
@@ -509,7 +504,7 @@ def artin_from_point_counts(q: int, g: int, counts: Sequence[int]) -> ZetaLevel:
     return _base_level(P, q, g)
 
 
-def point_counts_from_numerator(P: Poly, Q: BigRat, k_max: int) -> tuple:
+def point_counts_from_numerator(P: Poly, Q: int, k_max: int) -> tuple:
     """N_1..N_K implied by a constant-term-1 numerator over Q: N_k = Q^k + 1 - p_k.
 
     p_k is the k-th power sum of the reciprocal roots, from the coefficients
@@ -518,7 +513,7 @@ def point_counts_from_numerator(P: Poly, Q: BigRat, k_max: int) -> tuple:
     if P[0] != 1:
         raise ValueError("power sums need the numerator normalized to constant term 1")
     psums = newton_power_sums([(-1) ** i * c for i, c in enumerate(P.coeffs)][1:], k_max)
-    return tuple(Fraction(Q) ** k + 1 - psums[k - 1] for k in range(1, k_max + 1))
+    return tuple(Q**k + 1 - psums[k - 1] for k in range(1, k_max + 1))
 
 
 def artin_zeta(spec: CurveSpec) -> ZetaLevel:

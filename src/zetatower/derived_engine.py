@@ -37,8 +37,8 @@ namely R_a(Q^e) = F(n-a, a-n-e) and L_a(Q^e) = F(a-1, n-a+1+e), and the
 middle factor is Z(Q^(n-a+e)).  ``derive_step`` computes each F and middle
 value once and reads it for the certificate and for the nodes alike.
 
-All of it runs on Python ints.  Q must be an integer (else ValueError, never
-a truncation).  Inside ``derive_step`` a value is an int pair (N, D) that
+All of it runs on Python ints, a level's Q = q^(prod of its steps) among
+them.  Inside ``derive_step`` a value is an int pair (N, D) that
 stands for N/D and is never reduced: each pole 1/(1 - Q^k), each F(m, s),
 each middle value Z(Q^k) (``ZetaLevel.value_pair``, for k < 0 too), each
 table entry, the two residues of the previous level as they are read
@@ -81,7 +81,7 @@ from math import comb, gcd, prod
 from typing import Iterator, Sequence, Union
 
 from zetatower.curves import CurveSpec, ZetaLevel, artin_zeta, validate_zeta_level
-from zetatower.exact_arith import BigRat, as_integer, as_pair, interpolate, over_lcm
+from zetatower.exact_arith import as_pair, interpolate, over_lcm
 
 
 class DerivationError(RuntimeError):
@@ -113,7 +113,7 @@ class SpecialValues:
     vhat(N) = prod_{k<=N} zeta_hat(k), with vhat(0) = 1.
     """
 
-    Q: BigRat
+    Q: int
     values: tuple  # values[k-1] = zeta_hat(k)
     vhats: tuple  # vhats[N] = vhat(N), length depth+1
 
@@ -135,7 +135,7 @@ class SpecialValues:
 def special_values(z: ZetaLevel, n_max: int) -> SpecialValues:
     if n_max < 1:
         raise ValueError("need depth >= 1")
-    values = [z.residue()] + [z.value(z.Q**-k) for k in range(2, n_max + 1)]
+    values = [z.residue()] + [z.value(Fraction(1, z.Q**k)) for k in range(2, n_max + 1)]
     vhats = [Fraction(1)]
     for v in values:
         vhats.append(vhats[-1] * v)
@@ -157,7 +157,7 @@ def composition_sums(sv: SpecialValues, m_max: int, positive: bool = False) -> t
     """
     if sv.depth < m_max:
         raise ValueError(f"special values of depth {sv.depth} < {m_max}")
-    Q = as_integer(sv.Q, "Q")
+    Q = sv.Q
     sign = 1 if positive else -1  # 1 / (1 - Q^s) = -1 / (Q^s - 1)
     pair = [None] + [Q**s - 1 for s in range(1, m_max + 1)]
     rows = [([0], 1)]
@@ -179,7 +179,7 @@ def derive_step(z: ZetaLevel, n: int) -> ZetaLevel:
     """Produce the next tower level; exact, certified, validated, and pure."""
     if n < 1:
         raise ValueError("derivation index must be >= 1")
-    Q, g = as_integer(z.Q, "Q"), z.genus
+    Q, g = z.Q, z.genus
     steps = z.steps + (n,)
     rows = composition_sums(special_values(z, n - 1), n - 1) if n > 1 else (([0], 1),)
 
@@ -235,7 +235,7 @@ def derive_step(z: ZetaLevel, n: int) -> ZetaLevel:
     xs = [Q**j for j in range(1, 2 * g + 2)]
     sums = [lcm_sum((right(a, j), mid(n - a + j), left(a, j)) for a in range(1, n + 1)) for j in range(1, 2 * g + 2)]
     ys = [(prefactor * (1 - t) * (1 - Q**n * t) * t ** (g - 1) * N, L) for t, (N, L) in zip(xs, sums)]
-    level = ZetaLevel(steps=steps, Q=z.Q**n, genus=g, P=interpolate(xs, ys))
+    level = ZetaLevel(steps=steps, Q=Q**n, genus=g, P=interpolate(xs, ys))
     failed = [c for c in validate_zeta_level(level) if not c.passed]
     if failed:
         raise DerivationError(

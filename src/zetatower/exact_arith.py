@@ -1,6 +1,7 @@
 """Exact arithmetic substrate: big rationals, dense polynomials, truncated series.
 
-Every scalar a caller sees is a ``fractions.Fraction`` (aliased ``BigRat``).
+Every scalar a caller sees is a ``fractions.Fraction`` (aliased ``BigRat``),
+except a level's Q, an int prime power that the callers pass in.
 Inside, sums and interpolation run on Python ints over the lcm of their
 denominators (``over_lcm``), reduced once per output.  Nothing touches a float.
 A polynomial is a dense tuple of coefficients, index ``i`` holding the
@@ -41,13 +42,6 @@ def as_rat(x: Scalar) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
-
-
-def as_integer(x: Scalar, name: str) -> int:
-    """x as an int; ValueError unless it is integral, so nothing is ever truncated."""
-    if as_rat(x).denominator != 1:
-        raise ValueError(f"{name} must be an integer, got {x}")
-    return as_rat(x).numerator
 
 
 def as_pair(x: Fraction) -> tuple:

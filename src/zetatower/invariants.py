@@ -26,11 +26,11 @@ positive-denominator table entry, it is sum_p W_p * prod_{l != p} (Q^l T - 1):
 each cofactor is an exact integer division of the clearing product by
 (Q^p T - 1), the W_p are the ints nums[p] of the table's row n over its one
 denominator D, and each coefficient is reduced once.  An ``InterlacingPoly``
-holds just n, the previous Q and that polynomial.
+holds just n, the previous (int) Q and that polynomial.
 All composition weights are positive, so at T = Q^-kappa only the
 compositions ending in kappa survive and the sign is forced to (-1)^(kappa+1):
 the sign vector alternates and pins one real root in each interval
-(Q^-(kappa+1), Q^-kappa), kappa = 1..n-1.
+(Q^-(kappa+1), Q^-kappa), kappa = 1..n-1; each sign is an integer Horner sum's.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from math import comb
 
 from zetatower.curves import CheckResult, ZetaLevel
 from zetatower.derived_engine import SpecialValues, composition_sums
-from zetatower.exact_arith import BigRat, Poly, as_integer, is_self_inversive, rat_str
+from zetatower.exact_arith import BigRat, Poly, horner, is_self_inversive, rat_str
 
 
 class ReconstructionError(RuntimeError):
@@ -59,10 +59,9 @@ class InvariantSet:
         return all(a > 0 for a in self.alphas) and self.beta > 0
 
 
-def reconstruct_numerator(alphas, beta, Q: BigRat, genus: int) -> Poly:
+def reconstruct_numerator(alphas, beta, Q: int, genus: int) -> Poly:
     """Expand the (alphas, beta) decomposition back into P."""
     g = genus
-    Q = Fraction(Q)
     S = [Fraction(0)] * (2 * g - 1)
     for ell in range(g - 1):
         S[ell] += Fraction(alphas[ell])
@@ -142,13 +141,13 @@ class InterlacingPoly:
     """Cleared composition sum whose sign alternation certifies root interlacing."""
 
     n: int
-    Q_prev: BigRat
+    Q_prev: int
     poly: Poly  # sum_p W_p * prod_{l != p} (Q^l T - 1), W_p the positive-weight sum over last part p
 
 
 def interlacing_poly(sv: SpecialValues, n: int) -> InterlacingPoly:
     """Build the cleared composition polynomial of degree n-1."""
-    Q = as_integer(sv.Q, "Q")
+    Q = sv.Q
     nums, D = composition_sums(sv, n, positive=True)[n]  # W_p = nums[p] / D
     clearing = [1]  # prod_{l=1..n} (Q^l T - 1), lowest coefficient first
     for ell in range(1, n + 1):
@@ -159,15 +158,15 @@ def interlacing_poly(sv: SpecialValues, n: int) -> InterlacingPoly:
         for k in range(n):
             quotient = Q**p * quotient - clearing[k]
             coeffs[k] += w * quotient
-    return InterlacingPoly(n=n, Q_prev=sv.Q, poly=Poly(Fraction(c, D) for c in coeffs))
+    return InterlacingPoly(n=n, Q_prev=Q, poly=Poly(Fraction(c, D) for c in coeffs))
 
 
 def interlacing_signs(ip: InterlacingPoly) -> list:
-    """Exact signs of the polynomial at T = Q^-kappa, kappa = 1..n."""
+    """Exact signs at T = Q^-kappa, kappa = 1..n: the view's content is positive, so the Horner sums' signs."""
     signs = []
     for kappa in range(1, ip.n + 1):
-        v = ip.poly(ip.Q_prev**-kappa)
-        signs.append(0 if v == 0 else (1 if v > 0 else -1))
+        h = horner(ip.poly.view[1], 1, ip.Q_prev**kappa)
+        signs.append((h > 0) - (h < 0))
     return signs
 
 

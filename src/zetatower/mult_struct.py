@@ -40,14 +40,13 @@ def residue_series_exp(level: ZetaLevel, k_max: int) -> tuple:
     return tuple(series_exp(log_b))
 
 
-def elliptic_beta_recursion(a: BigRat, Q_prev: BigRat, n_max: int) -> list:
-    """beta(0)..beta(n_max) for a genus-1 level with trace a over Q_prev.
+def elliptic_beta_recursion(a: BigRat, Q: int, n_max: int) -> list:
+    """beta(0)..beta(n_max) for a genus-1 level with trace a over Q.
 
     (Q^n - 1) beta(n) = (Q^n + Q^(n-1) - a) beta(n-1) - (Q^(n-1) - Q) beta(n-2),
     with beta(0) = 1 and beta(-1) = 0 under the constant-term-1 convention.
     """
     a = Fraction(a)
-    Q = Fraction(Q_prev)
     betas = [Fraction(1)]
     prev2 = Fraction(0)
     for n in range(1, n_max + 1):
@@ -57,7 +56,7 @@ def elliptic_beta_recursion(a: BigRat, Q_prev: BigRat, n_max: int) -> list:
     return betas
 
 
-def ratio_bounds(r: Fraction, Q: BigRat, n: int) -> tuple:
+def ratio_bounds(r: Fraction, Q: int, n: int) -> tuple:
     """(lower, upper): 1 < r, and r < (Q^(n/2)+1)/(Q^(n/2)-1) as Q^n (r-1)^2 < (r+1)^2 when r > 1.
 
     For Q > 1 the right side exceeds 1, so every r <= 1 meets the upper bound.
@@ -65,14 +64,13 @@ def ratio_bounds(r: Fraction, Q: BigRat, n: int) -> tuple:
     return r > 1, r <= 1 or Q**n * (r - 1) ** 2 < (r + 1) ** 2
 
 
-def ratio_bounds_check(betas: Sequence[Fraction], Q_prev: BigRat) -> list:
+def ratio_bounds_check(betas: Sequence[Fraction], Q: int) -> list:
     """Per-step bound checks 1 < beta(n)/beta(n-1) < (Q^(n/2)+1)/(Q^(n/2)-1), by ``ratio_bounds``.
 
     Entry n = 1 is reported but the bounds genuinely start at n = 2 (the base
     ratio N_1/(Q-1) may drop below 1 for admissible traces); callers asserting
     the theorem should look at n >= 2.
     """
-    Q = Fraction(Q_prev)
     out = []
     for n in range(1, len(betas)):
         r = Fraction(betas[n]) / Fraction(betas[n - 1])

@@ -232,7 +232,7 @@ def to_ratfunc(level) -> RatFunc:
 
 def oracle_zeta(z, n: int) -> RatFunc:
     """The complete zeta of z derived by n, summed as rational functions."""
-    g, qp = z.genus, z.Q
+    g, qp = z.genus, Fraction(z.Q)  # a boundary factor reads a negative power
     sv = special_values(z, n) if n > 1 else None
     total = RatFunc(0)
     for a in range(1, n + 1):

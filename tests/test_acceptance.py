@@ -83,7 +83,7 @@ def test_criterion_01_functional_equation(grid):
         for levels in towers.values():
             for z in levels:
                 zeta = to_ratfunc(z)
-                assert zeta.subst_reciprocal(1 / z.Q) == zeta, (curve, z.steps)
+                assert zeta.subst_reciprocal(Fraction(1, z.Q)) == zeta, (curve, z.steps)
                 count += 1
     _report(1, "functional equation", f"({count} levels, exact)")
 

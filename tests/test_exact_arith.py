@@ -23,7 +23,6 @@ from zetatower.exact_arith import (
     ONE,
     Poly,
     ZERO,
-    as_integer,
     as_rat,
     interpolate,
     is_self_inversive,
@@ -394,13 +393,6 @@ def test_over_lcm_puts_the_fractions_over_the_lcm():
     assert L == 12 and scaled == [3, -2, 60]
     assert Fraction(sum(scaled), L) == Fraction(1, 4) - Fraction(1, 6) + 5
     assert over_lcm([]) == ([], 1)
-
-
-@pytest.mark.parametrize("x", [Fraction(5, 2), "5/2", Fraction(-1, 3)])
-def test_as_integer_refuses_to_truncate(x):
-    with pytest.raises(ValueError, match="Q must be an integer"):
-        as_integer(x, "Q")
-    assert as_integer(Fraction(10, 2), "Q") == 5
 
 
 def _pair(x: Fraction) -> tuple:

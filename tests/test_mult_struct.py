@@ -87,7 +87,7 @@ def test_series_routes_agree_to_order_12():
 
 
 def test_series_rejects_q_one():
-    level = ZetaLevel(steps=(), Q=Fraction(1), genus=1, P=Poly([1, 0, 1]))
+    level = ZetaLevel(steps=(), Q=1, genus=1, P=Poly([1, 0, 1]))
     with pytest.raises(ValueError, match="Q = 1"):
         residue_series_exp(level, 1)
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
+from math import prod
 
 import mpmath as mp
 import pytest
@@ -20,6 +21,7 @@ from zetatower.curves import (
     catalog_curve,
     hasse_traces,
 )
+from zetatower.cli import parse_curve_arg
 from zetatower.derived_engine import DerivationError, derive_step
 from zetatower.exact_arith import Poly, squarefree_factors
 from zetatower.rh_lab import (
@@ -52,7 +54,7 @@ def test_exact_holds_derived_level():
 
 def test_exact_fails_synthetic():
     # A = 5, Q = 4 sits outside the Hasse interval: 25 > 16
-    level = ZetaLevel(steps=(), Q=Fraction(4), genus=1, P=Poly([1, -5, 4]))
+    level = ZetaLevel(steps=(), Q=4, genus=1, P=Poly([1, -5, 4]))
     assert rh_exact_genus1(level).holds is False
 
 
@@ -104,11 +106,6 @@ def test_numeric_boundary_double_root():
 def test_numeric_requires_even_degree():
     with pytest.raises(ValueError):
         rh_numeric(Poly([1, 1, 1, 1]), 2)
-
-
-def test_numeric_requires_an_integer_q():
-    with pytest.raises(ValueError, match="Q must be an integer"):
-        rh_numeric(Poly([1, 0, Fraction(5, 2)]), Fraction(5, 2))
 
 
 def _weil_rh_holds(q, a1, a2):
@@ -530,6 +527,68 @@ def test_table_checks_read_the_table_they_report_on(monkeypatch, check, positive
     _plant_in_the_checked_row(monkeypatch, positive, edit)
     cells = sweep(config)["cells"]
     assert len(cells) == 36 and all(cell["checks"] == {check: "fail"} for cell in cells)
+
+
+def _minus_beta(z):
+    # P - 2(Q-1) beta T^g: the residue becomes -beta, the alphas and the functional equation stay
+    return z.P - Poly([0] * z.genus + [2 * (z.Q - 1) * z.residue()])
+
+
+def _off_circle(z):
+    # trace Q + 2 > 2 sqrt(Q): both roots leave |T| = Q^(-1/2); P(1) = -alpha_0 keeps the pole at 1
+    return Poly([z.P[0], -(z.Q + 2) * z.P[0], z.Q * z.P[0]])
+
+
+def _scaled_by_last_step(z):
+    # n * P at the step (prefix, n): alpha_0(prefix, n+1) and beta(prefix, n) are off by factors that differ
+    return z.P * z.steps[-1]
+
+
+@pytest.mark.parametrize(
+    "check, plant",
+    [("positivity", _minus_beta), ("rh", _off_circle), ("miracle", _scaled_by_last_step)],
+)
+def test_level_checks_read_the_levels_they_report_on(monkeypatch, check, plant):
+    # the tower derives every level through rh_lab.derive_step; each plant is a valid level with one defect
+    curves = tuple(builtin_elliptic_grid((2, 3)))
+    config = SweepConfig(curves=curves, tuples=((2,), (3,), (2, 2)), checks=(check,))
+    cells = sweep(config)["cells"]
+    assert len(cells) == 36 and all(cell["checks"] == {check: "pass"} for cell in cells)
+    real = rh_lab.derive_step
+
+    def planted(z, n):
+        level = real(z, n)
+        return ZetaLevel(steps=level.steps, Q=level.Q, genus=level.genus, P=plant(level))
+
+    monkeypatch.setattr(rh_lab, "derive_step", planted)
+    cells = sweep(config)["cells"]
+    assert len(cells) == 36 and all(cell["checks"] == {check: "fail"} for cell in cells)
+
+
+def test_every_level_has_an_int_q_and_no_float_leaks_in(tmp_path):
+    path = tmp_path / "g2.json"
+    path.write_text(json.dumps({"label": "g2", "q": 2, "genus": 2, "numerator": [1, -1, 1, -2, 4]}))
+    sources = ("elliptic:q=3,a=1", "counts:q=2,g=2,N=3;5", str(path), "catalog:X2g2")
+
+    def exact(x):
+        return type(x) in (int, Fraction)
+
+    for source in sources:
+        spec = parse_curve_arg(source)
+        tower = curve_tower(spec)
+        for steps in ((), (2,), (3,), (2, 2)):
+            z = tower.level(steps)
+            assert type(z.Q) is int and z.Q == spec.q ** prod(steps), (source, steps)
+            assert exact(z.residue()) and exact(z.residue_inv_q()), (source, steps)
+            invs = tower.invariants(steps)
+            assert all(map(exact, invs.alphas)) and exact(invs.beta), (source, steps)
+            if z.genus == 1:
+                assert all(map(exact, mult_struct.elliptic_beta_recursion(z.trace(), z.Q, 4))), (source, steps)
+            if steps:
+                sv = tower.special_values(steps)
+                assert type(sv.Q) is int and all(map(exact, sv.values + sv.vhats)), (source, steps)
+                signs = tower.interlacing(steps)[1]
+                assert signs and all(type(s) is int and s in (-1, 0, 1) for s in signs), (source, steps)
 
 
 # -- numeric settings ------------------------------------------------------------------

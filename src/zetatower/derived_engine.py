@@ -118,15 +118,8 @@ class SpecialValues:
     vhats: tuple  # vhats[N] = vhat(N), length depth+1
 
     @property
-    def zeta1(self) -> Fraction:
-        return self.values[0]
-
-    @property
     def depth(self) -> int:
         return len(self.values)
-
-    def zeta_hat(self, k: int) -> Fraction:
-        return self.values[k - 1]
 
     def vhat(self, n: int) -> Fraction:
         return self.vhats[n]

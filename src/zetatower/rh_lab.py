@@ -7,17 +7,20 @@ falls back to arbitrary-precision numerics on the degree-g R with
 P(T) = T^g R(QT + 1/T) (``real_weil_poly``); the functional equation makes
 every level's P self-inversive, and any other P fails.  R is split exactly
 into primitive integer squarefree factors (Yun's algorithm), so a repeated
-root is a simple root of its factor, counted by its multiplicity.  All roots
-of a factor come at once from simultaneous Weierstrass/Durand-Kerner
-iteration in v = u / sqrt(Q), where RH puts them in [-2, 2], so the
-convergence target and the stall floor are relative to the size of the roots
-whatever the size of Q: first in hardware floats, which only picks the
-starting points, then polished at the working precision.  If the float stage
-overflows, meets a zero denominator or does not settle, the polish starts on
-the circle |v| = 1 + 1/8 instead, with a deterministic scattered restart if
-that stalls.  Each root u gives the two roots (u +- sqrt(u^2 - 4Q)) / 2Q of
-Q T^2 - u T + 1.  The precision is the only setting: the tolerance is derived
-from it, 10^(-0.15 precision_bits).  A verdict is "holds" when the worst
+root is a simple root of its factor, counted by its multiplicity.  Each
+factor is solved in v = u / sqrt(Q), where RH puts its roots in [-2, 2].  A
+factor of degree 1 or 2 (every factor at genus 2) is solved in closed form at
+the working precision, by the quadratic formula that does not cancel.  From
+degree 3 on, all roots of a factor come at once from simultaneous
+Weierstrass/Durand-Kerner iteration, so the convergence target and the stall
+floor are relative to the size of the roots whatever the size of Q: first in
+hardware floats, which only picks the starting points, then polished at the
+working precision.  If the float stage overflows, meets a zero denominator
+or does not settle, the polish starts on the circle |v| = 1 + 1/8 instead,
+with a deterministic scattered restart if that stalls.  Each root u gives
+the two roots (u +- sqrt(u^2 - 4Q)) / 2Q of Q T^2 - u T + 1.  The precision
+is the only setting: the tolerance is derived from it,
+10^(-0.15 precision_bits).  A verdict is "holds" when the worst
 |root| * sqrt(Q) deviation from 1 is below the tolerance, "fails" at 10x the
 tolerance or beyond, and lands in the unknown band between (after one
 automatic retry at doubled precision), as it does when the iteration does
@@ -182,14 +185,37 @@ def _float_seed(coeffs):
     return None
 
 
-def _factor_roots(F: Sequence[int], scale, target, precision_bits: int):
-    """Roots scale * u of one primitive int squarefree factor in u: float seed, then polish at the working precision."""
+def _quadratic_roots(b, c):
+    """Both roots of v^2 + b v + c at the working precision, by the quadratic formula that does not cancel."""
+    d = b * b - 4 * c
+    if d < 0:
+        re, im = -b / 2, mp.sqrt(-d) / 2
+        return [mp.mpc(re, im), mp.mpc(re, -im)]
+    big = -(b + mp.sqrt(d)) / 2 if b >= 0 else -(b - mp.sqrt(d)) / 2
+    return [mp.mpc(big), mp.mpc(c / big)]
+
+
+def _monic(F: Sequence[int], scale) -> list:
+    """One primitive int factor in u (lowest coefficient first), made monic in scale * u; highest coefficient first."""
     deg, lead = len(F) - 1, F[-1]
-    coeffs = []  # monic in scale * u
+    coeffs = []
     for i, c in enumerate(F):
         k = math.gcd(c, lead)  # reduce c / lead first: an unreduced quotient may round differently
         coeffs.append(mp.mpf(c // k) / (lead // k) * scale ** (deg - i))
-    coeffs.reverse()
+    return coeffs[::-1]
+
+
+def _factor_roots(F: Sequence[int], scale, target, precision_bits: int):
+    """Roots scale * u of one primitive int squarefree factor in u.
+
+    Degrees 1 and 2 are solved in closed form at the working precision; from
+    degree 3 on, a float seed is polished by Durand-Kerner.
+    """
+    deg, coeffs = len(F) - 1, _monic(F, scale)
+    if deg == 1:
+        return [mp.mpc(-coeffs[1])], mp.mpf(0), True
+    if deg == 2:
+        return _quadratic_roots(coeffs[1], coeffs[2]), mp.mpf(0), True
     init = _float_seed(coeffs)
     if init is None:
         init = [START_RADIUS * mp.expjpi(a) for a in _circle(deg)]

@@ -58,9 +58,9 @@ def test_special_values_q2_a0():
     z = artin_elliptic(2, 0)
     sv = special_values(z, 3)
     # residue route and the N_1/(q-1) route must agree
-    assert sv.zeta1 == 3 == Fraction(2 + 1 - 0, 2 - 1)
+    assert sv.values[0] == 3 == Fraction(2 + 1 - 0, 2 - 1)
     # zeta_hat(2) = Z(1/4) = (1 + 2/16)/((3/4)(1/2)) = 3 by hand
-    assert sv.zeta_hat(2) == 3
+    assert sv.values[1] == 3
     assert sv.vhat(2) == 9
     assert sv.vhat(0) == 1
 
@@ -68,7 +68,7 @@ def test_special_values_q2_a0():
 def test_special_values_vhat_recursion():
     sv = special_values(artin_elliptic(3, -1), 5)
     for n in range(1, 6):
-        assert sv.vhat(n) == sv.vhat(n - 1) * sv.zeta_hat(n)
+        assert sv.vhat(n) == sv.vhat(n - 1) * sv.values[n - 1]
 
 
 def test_composition_weight_pairs():

@@ -86,7 +86,7 @@ def test_trace_of_genus1():
 def test_beta_closed_form_depth_one_is_residue():
     z = artin_elliptic(2, 0)
     sv = special_values(z, 1)
-    assert beta_closed_form(sv, 1, 1) == 3 == sv.zeta1
+    assert beta_closed_form(sv, 1, 1) == 3 == sv.values[0]
 
 
 def test_beta_closed_form_depth_two():

@@ -23,7 +23,7 @@ from zetatower.curves import (
 )
 from zetatower.cli import parse_curve_arg
 from zetatower.derived_engine import DerivationError, derive_step
-from zetatower.exact_arith import Poly, squarefree_factors
+from zetatower.exact_arith import Poly, real_weil_poly, squarefree_factors
 from zetatower.rh_lab import (
     MIN_PRECISION_BITS,
     SweepConfig,
@@ -133,16 +133,65 @@ def _grid_outcomes():
     return [rh_numeric(Poly([1, a1, a2, q * a1, q * q]), q) for q, a1, a2 in _genus2_grid()]
 
 
+def _count_durand_kerner(monkeypatch) -> list:
+    """Record the degree of every factor that rh_lab._durand_kerner is run on."""
+    real, degrees = rh_lab._durand_kerner, []
+
+    def counting(coeffs, *args, **kwargs):
+        degrees.append(len(coeffs) - 1)
+        return real(coeffs, *args, **kwargs)
+
+    monkeypatch.setattr(rh_lab, "_durand_kerner", counting)
+    return degrees
+
+
+def _iterated_verdicts(degrees: list, numerators) -> list:
+    """rh_numeric of each (P, Q), asserting that each one ran Durand-Kerner (counted in ``degrees``)."""
+    verdicts = []
+    for P, Q in numerators:
+        before = len(degrees)
+        verdicts.append(rh_numeric(P, Q))
+        assert len(degrees) > before and min(degrees[before:]) >= 3, (P, Q)
+    return verdicts
+
+
+def _cubic_products():
+    """(1 - aT + 2T^2)(1 - bT + 2T^2)(1 - cT + 2T^2) for a < b < c in [-3, 3]: R = (u - a)(u - b)(u - c), squarefree."""
+    cases = []
+    for a in range(-3, 4):
+        for b in range(a + 1, 4):
+            for c in range(b + 1, 4):
+                cases.append(((a, b, c), Poly([1, -a, 2]) * Poly([1, -b, 2]) * Poly([1, -c, 2])))
+    return cases
+
+
+def _genus3_levels():
+    """(P, Q) of genus-3 levels over F_2 whose R is a squarefree cubic."""
+    cases = []
+    for numerator, paths in (((1, 1, 2, 3, 4, 4, 8), ((), (2,), (3,))), ((1, 0, 6, 0, 12, 0, 8), ((2,), (2, 2)))):
+        tower = curve_tower(CurveSpec(label="g3", q=2, genus=3, numerator=numerator))
+        cases += [(tower.level(steps).P, tower.level(steps).Q) for steps in paths]
+    return cases
+
+
 def test_numeric_matches_exact_real_weil_class(monkeypatch):
     cases = _genus2_grid()
     assert len(cases) == 678
-    seeded = _grid_outcomes()
-    for (q, a1, a2), v in zip(cases, seeded):
+    for (q, a1, a2), v in zip(cases, _grid_outcomes()):
         assert v.holds is _weil_rh_holds(q, a1, a2), (q, a1, a2, v.max_deviation)
         assert v.precision_bits == 256  # no escalation
+    # genus 3, through Durand-Kerner: RH holds iff the three traces lie in [-2 sqrt 2, 2 sqrt 2]
+    degrees = _count_durand_kerner(monkeypatch)
+    products = _cubic_products()
+    numerators = [(P, 2) for _, P in products] + _genus3_levels()
+    seeded = _iterated_verdicts(degrees, numerators)
+    for (traces, _), v in zip(products, seeded):
+        assert v.holds is all(abs(t) <= 2 for t in traces), (traces, v.max_deviation)
+    assert all(v.outcome() != "unknown" and v.precision_bits == 256 for v in seeded)
     # the float stage only picks starting points: the circle start gives the same verdicts
     monkeypatch.setattr(rh_lab, "_float_seed", lambda coeffs: None)
-    assert [v.outcome() for v in _grid_outcomes()] == [v.outcome() for v in seeded]
+    circle = _iterated_verdicts(degrees, numerators)
+    assert [v.outcome() for v in circle] == [v.outcome() for v in seeded]
 
 
 def test_numeric_repeated_on_circle_factor_converges():
@@ -158,13 +207,16 @@ def test_numeric_repeated_off_circle_factor_fails():
 
 
 @pytest.mark.parametrize("e", [600, 1100, 1101])
-def test_numeric_stopping_is_relative_to_root_size(e):
+def test_numeric_stopping_is_relative_to_root_size(e, monkeypatch):
     # the roots have modulus 2^(-e/2), far below an absolute stopping threshold
+    degrees = _count_durand_kerner(monkeypatch)
     Q, h = 2**e, 2 ** (e // 2)
-    on_circle = rh_numeric(Poly([1, 0, Q]) * Poly([1, -h, Q]), Q)
+    # R = u (u - h)(u - k) is a squarefree cubic, so its roots come from Durand-Kerner
+    on_circle, off_circle = _iterated_verdicts(
+        degrees, [(Poly([1, 0, Q]) * Poly([1, -h, Q]) * Poly([1, -k, Q]), Q) for k in (-h, 3 * h)]
+    )
     assert on_circle.holds is True and mp.mpf(on_circle.max_deviation) < mp.mpf("1e-60")
-    # sqrt(Q) T = (3 +- sqrt 5)/2 for even e, sqrt 2 and 1/sqrt 2 for odd e
-    off_circle = rh_numeric(Poly([1, 0, Q]) * Poly([1, -3 * h, Q]), Q)
+    # at 1 - 3hT + QT^2, sqrt(Q) T = (3 +- sqrt 5)/2 for even e, sqrt 2 and 1/sqrt 2 for odd e
     assert off_circle.holds is False and mp.mpf(off_circle.max_deviation) > mp.mpf("0.4")
 
 
@@ -175,13 +227,68 @@ def test_float_seed_gives_up_outside_double_range():
     assert sorted(round(r.imag, 12) for r in roots) == [-1, 1]
 
 
+def _closed_form_factors():
+    """(F, Q): every squarefree factor of R over the genus-2 grid and X2g2 at (2), (3), (2, 2); all of degree <= 2."""
+    numerators = [(Poly([1, a1, a2, q * a1, q * q]), q) for q, a1, a2 in _genus2_grid()]
+    x2g2 = curve_tower(catalog_curve("X2g2").spec())
+    numerators += [(x2g2.level(steps).P, x2g2.level(steps).Q) for steps in ((2,), (3,), (2, 2))]
+    assert len(numerators) == 678 + 3
+    return [(F, Q) for P, Q in numerators for F, _ in squarefree_factors(real_weil_poly(P.view[1], Q, 2))]
+
+
+def test_closed_form_roots_match_durand_kerner():
+    factors = _closed_form_factors()
+    assert {len(F) - 1 for F, _ in factors} == {1, 2}
+    bits = 256
+    with mp.workprec(2 * bits + 64):
+        target = mp.mpf(2) ** (-(bits + 16))
+        for F, Q in factors:
+            scale = 1 / mp.sqrt(mp.mpf(Q))
+            closed, residual, converged = rh_lab._factor_roots(F, scale, target, bits)
+            assert residual == 0 and converged is True and len(closed) == len(F) - 1
+            coeffs = rh_lab._monic(F, scale)
+            init = rh_lab._float_seed(coeffs)
+            if init is None:
+                init = [rh_lab.START_RADIUS * mp.expjpi(a) for a in rh_lab._circle(len(F) - 1)]
+            iterated, _, ok = rh_lab._durand_kerner(coeffs, [mp.mpc(r) for r in init], target, max_iter=4000)
+            assert ok, (F, Q)
+            for r in closed:
+                assert min(abs(r - s) for s in iterated) < target, (F, Q, r)
+
+
+@pytest.mark.parametrize(
+    "F, Q, exact",
+    [
+        # (10^30 u - 1)(u - 10^30): -b and sqrt(b^2 - 4c) agree to 60 digits, so their difference loses them
+        ([10**30, -(10**60 + 1), 10**30], 1, lambda: [mp.mpf(10) ** 30, mp.mpf(10) ** -30]),
+        # u^2 - 4Q: v = +-2, both ends of [-2, 2]
+        ([-12, 0, 1], 3, lambda: [mp.mpf(2), mp.mpf(-2)]),
+        # u^2 - 2u + 5 = (u - 1)^2 + 4: a complex pair
+        ([5, -2, 1], 1, lambda: [mp.mpc(1, 2), mp.mpc(1, -2)]),
+        # b = 0 with a real and with a complex pair
+        ([-2, 0, 1], 1, lambda: [mp.sqrt(2), -mp.sqrt(2)]),
+        ([4, 0, 1], 1, lambda: [mp.mpc(0, 2), mp.mpc(0, -2)]),
+        # degree 1: 3u + 7
+        ([7, 3], 1, lambda: [mp.mpf(-7) / 3]),
+    ],
+)
+def test_closed_form_roots_are_exact_to_the_working_precision(F, Q, exact):
+    bits = 256
+    with mp.workprec(2 * bits + 64):
+        roots, residual, converged = rh_lab._factor_roots(F, 1 / mp.sqrt(mp.mpf(Q)), mp.mpf(2) ** -(bits + 16), bits)
+        assert residual == 0 and converged is True and len(roots) == len(F) - 1
+        for r, x in zip(sorted(roots, key=lambda z: (-z.real, -z.imag)), exact()):
+            assert abs(r - x) <= abs(x) * mp.mpf(2) ** -(mp.mp.prec - 8), (F, r, x)
+
+
 def _whole_p_roots(ints, Q: int, precision_bits: int):
     """The roots of P = c * ints, each repeated by its multiplicity, from P's own squarefree factors.
 
-    The parity reference for the reduced route: each factor is iterated by
+    The parity reference for the reduced route: each factor is solved by
     ``rh_lab._factor_roots`` in x = sqrt(Q) T, where the roots RH predicts lie
-    on |x| = 1, at the same working precision; as (roots, residual,
-    converged), like ``rh_lab._real_weil_roots``.
+    on |x| = 1, at the same working precision (in closed form up to degree 2,
+    by Durand-Kerner from degree 3); as (roots, residual, converged), like
+    ``rh_lab._real_weil_roots``.
     """
     with mp.workprec(2 * precision_bits + 64):
         sqrt_q = mp.sqrt(mp.mpf(Q))
@@ -257,7 +364,7 @@ def test_a_double_root_on_the_circle_is_a_simple_root_of_R(bits, monkeypatch):
     v = rh_numeric(Poly([1, 0, -2]) ** 2, 2, precision_bits=bits)
     assert v.holds is True and v.precision_bits == bits, v.max_deviation
     assert len(v.deviations) == 4
-    # the roots are found to just above the convergence target, far inside the tolerance
+    # R's factor is solved in closed form, so the roots are far inside the convergence target, let alone the tolerance
     assert mp.mpf(v.max_deviation) < mp.mpf(2) ** -(bits + 16) * mp.mpf("1.01"), v.max_deviation
 
 

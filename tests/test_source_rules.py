@@ -119,25 +119,47 @@ def _named(nodes) -> set:
     return {getattr(n, "id", None) or getattr(n, "attr", None) for node in nodes for n in ast.walk(node)} - {None}
 
 
-def _unreached(sources: dict, entry: str) -> list:
-    """The top-level defs, as "module.name", that a walk from entry never names.
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-    sources maps a module name to its text.  A def is reached when the entry,
-    a reached def or a module-level statement names it; names are matched
-    across modules, so the walk can only over-reach.
+
+def _own(node) -> list:
+    """What a def names when it is reached: a class's decorators, bases and statements, not its methods."""
+    if isinstance(node, ast.ClassDef):
+        statements = [n for n in node.body if not isinstance(n, FUNCTIONS)]
+        return [*node.decorator_list, *node.bases, *node.keywords, *statements]
+    return [node]
+
+
+def _unreached(sources: dict, entry: str) -> list:
+    """The top-level defs ("module.name") and methods ("module.Class.name") that a walk from entry never names.
+
+    sources maps a module name to its text.  A top-level def is reached when
+    the entry, a reached def or a module-level statement names it; a method
+    (a property too) when its class is reached and its name is read, and a
+    dunder method with its class.  Names are matched across modules, so the
+    walk can only over-reach.
     """
     defs, named = {}, set()
     for module, source in sources.items():
         for node in ast.parse(source, filename=module).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
                 defs[f"{module}.{node.name}"] = node
+                if isinstance(node, ast.ClassDef):
+                    defs |= {f"{module}.{node.name}.{n.name}": n for n in node.body if isinstance(n, FUNCTIONS)}
             else:
                 named |= _named([node])
+
+    def live(key: str) -> bool:
+        owner, _, name = key.rpartition(".")
+        if owner not in defs:  # a top-level def
+            return name in named
+        return owner in reached and (name in named or name.startswith("__") and name.endswith("__"))
+
     reached, frontier = set(), {entry}
     while frontier:
         reached |= frontier
-        named |= _named(defs[key] for key in frontier)
-        frontier = {key for key in defs if key.rpartition(".")[2] in named} - reached
+        named |= _named(n for key in frontier for n in _own(defs[key]))
+        frontier = {key for key in defs if live(key)} - reached
     return sorted(defs.keys() - reached)
 
 
@@ -145,9 +167,10 @@ def test_src_holds_what_the_commands_reach():
     # a def that no command reaches is test or script code; it lives in tests/ or scripts/
     sample = {
         "cli": "from m import helper\ndef main():\n    return helper()\ndef dead():\n    pass\n",
-        "m": "TABLE = {'k': Row}\nclass Row:\n    pass\ndef helper():\n    return m.leaf()\ndef leaf():\n    pass\n"
-        "def planted():\n    return leaf()\n",
+        "m": "TABLE = {'k': Row}\nclass Row:\n    def __init__(self):\n        pass\n"
+        "    def cell(self):\n        return leaf()\n    def unread(self):\n        pass\n"
+        "def helper():\n    return TABLE['k']().cell()\ndef leaf():\n    pass\ndef planted():\n    return leaf()\n",
     }
-    assert _unreached(sample, "cli.main") == ["cli.dead", "m.planted"]
+    assert _unreached(sample, "cli.main") == ["cli.dead", "m.Row.unread", "m.planted"]
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert _unreached(sources, "cli.main") == sorted(REACH_ALLOWLIST)

@@ -6,10 +6,11 @@ curve X2g2, the time of ``derive_step(base, n)`` at n = 10, 20, 40, 60, then
 the time of each step of X2g2 along the tuple (10, 10, 10, 5), whose last
 level has Q = 2^5000.  Then the shallow regime a default elliptic sweep runs:
 over the 30 bases of the built-in elliptic grid (q = 2..5) and X2g2, the total
-time of ``derive_step(base, n)`` for n = 1..5, of ``validate_zeta_level`` on
-those 155 levels, and of ``special_values(base, n)`` for n = 1..5.  Last the
-RH verdict: ``rh_verdict_for_level`` summed over the 98 RH-admissible integer
-genus-2 numerators 1 + a1 T + a2 T^2 + q a1 T^3 + q^2 T^4 over q = 2, 3 at the
+time of ``derive_step(base, n)`` for n = 1..5, of ``validate_zeta_level`` and
+of ``extract_invariants`` on those 155 levels, and of
+``special_values(base, n)`` for n = 1..5.  Last the RH verdict:
+``rh_verdict_for_level`` summed over the 98 RH-admissible integer genus-2
+numerators 1 + a1 T + a2 T^2 + q a1 T^3 + q^2 T^4 over q = 2, 3 at the
 steps (), (2), (3), (2, 2), alone on X2g2 at (10, 10, 10) and at
 (10, 10, 10, 5), and alone on the genus-3 numerator 1 + T + 2T^2 + 3T^3 +
 4T^4 + 4T^5 + 8T^6 over F_2 at (10, 10, 10), next to the squarefree split
@@ -26,6 +27,7 @@ import time
 from zetatower.curves import CurveSpec, artin_elliptic, artin_zeta, catalog_curve, validate_zeta_level
 from zetatower.derived_engine import derive_step, special_values
 from zetatower.exact_arith import real_weil_poly, squarefree_factors
+from zetatower.invariants import extract_invariants
 from zetatower.rh_lab import builtin_elliptic_grid, curve_tower, rh_verdict_for_level
 
 DEPTHS = (10, 20, 40, 60)
@@ -76,6 +78,7 @@ def main() -> int:
     steps_s = best_of_3(lambda: [derive_step(z, n) for z in shallow for n in SHALLOW])
     print(f"{label}: derive_step total {steps_s:.3f} s", flush=True)
     print(f"{label}: validate_zeta_level total {best_of_3(lambda: list(map(validate_zeta_level, levels))):.3f} s")
+    print(f"{label}: extract_invariants total {best_of_3(lambda: list(map(extract_invariants, levels))):.3f} s")
     values_s = best_of_3(lambda: [special_values(z, n) for z in shallow for n in SHALLOW])
     print(f"{label}: special_values total {values_s:.3f} s", flush=True)
 

@@ -10,9 +10,9 @@ analytic data can be cross-checked against actual counting.
 Every level of the derived tower has the same shape over its own Q, the int
 q^(prod of its steps), so a ``ZetaLevel`` is its steps, Q, genus and
 numerator P, nothing more.  Every value and residue reads the integer view
-of P (content times coprime ints) that the ``Poly`` itself carries.  Its
+of P (content times coprime ints), which is what the ``Poly`` is.  Its
 functional equation is the coefficient symmetry, its residue at T = 1 is
-P(1)/(Q-1), and validation is exact coefficient arithmetic on P.
+P(1)/(Q-1), and validation is exact integer arithmetic on the view's ints.
 
 Point counting supports plane models y^2 + a3*y = f(x) with coefficients in
 the prime field and a single smooth point at infinity; that covers the whole
@@ -430,35 +430,39 @@ class CheckResult:
 def validate_zeta_level(z: ZetaLevel) -> list:
     """Structural checks every well-formed level must pass; reports, never raises.
 
-    All of them are exact arithmetic on the coefficients A_i of P.
+    All of them are exact integer arithmetic on the view (c, ints) of P: the
+    content c > 0 is common to every coefficient, so each identity on the
+    A_i = c * ints[i] holds exactly when it holds on the ints.
     """
     P, Q, g = z.P, z.Q, z.genus
+    ints = P.view[1]
     results = []
 
     # Z(1/(QT)) = Z(T) holds exactly when A_{2g-i} = Q^(g-i) A_i and deg P <= 2g
-    fe = P.degree <= 2 * g and is_self_inversive(P, Q, g)
+    fe = P.degree <= 2 * g and is_self_inversive(ints + (0,) * (2 * g + 1 - len(ints)), Q, g)
     results.append(CheckResult("functional_equation", fe, "zeta(1/(QT)) = zeta(T)"))
 
     # Z has a simple pole at T = 1 (resp. 1/Q) unless P vanishes there.  The
-    # functional equation forces Res_{T=1} = -Q * Res_{T=1/Q}.  The detail is
-    # built only on failure: a valid level's residues can have more digits
+    # functional equation forces Res_{T=1} = -Q * Res_{T=1/Q}, which with
+    # H(w) = w^d P(1/w) / c (d = deg P) reads H(1) = H(Q) Q^(g-d).  The detail
+    # is built only on failure: a valid level's residues can have more digits
     # than Python converts to a decimal string.
-    zeros = [w for w in (1, Q) if horner(P.view[1], 1, w) == 0]  # P(1/w) = 0
+    h1, hq = sum(ints), horner(ints, 1, Q)
+    zeros = [w for w, h in ((1, h1), (Q, hq)) if h == 0]  # P(1/w) = 0
     if zeros:
         detail = f"residue computation failed: not a pole: {', '.join(rat_str(Fraction(1, w)) for w in zeros)}"
         results.append(CheckResult("residue_antisymmetry", False, detail))
     else:
-        res1 = z.residue()
-        res_q = z.residue_inv_q()
-        ok = res1 == -Q * res_q
-        detail = "" if ok else f"Res(1)={rat_str(res1)}, Res(1/Q)={rat_str(res_q)}"
+        e = g + 1 - len(ints)  # g - d
+        ok = h1 * Q ** max(-e, 0) == hq * Q ** max(e, 0)
+        detail = "" if ok else f"Res(1)={rat_str(z.residue())}, Res(1/Q)={rat_str(z.residue_inv_q())}"
         results.append(CheckResult("residue_antisymmetry", ok, detail))
 
     results.append(CheckResult("numerator_degree", P.degree == 2 * g, f"numerator degree {P.degree}"))
 
     if not z.steps:
         # P(1) = c * sum(ints) with c > 0
-        results.append(CheckResult("base_residue_positive", sum(P.view[1]) > 0, "Res_{T=1} > 0 at the base"))
+        results.append(CheckResult("base_residue_positive", h1 > 0, "Res_{T=1} > 0 at the base"))
     return results
 
 

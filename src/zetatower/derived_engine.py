@@ -1,9 +1,9 @@
 """The inductive derivation step of the zeta tower, at polynomial cost in n.
 
-A level is its numerator (``curves.ZetaLevel`` holds steps, Q, genus and P);
-every value, residue and special value of the previous zeta below is read
-off its P, by one integer Horner pass over ``P.view``, the rational content
-times coprime ints that each ``Poly`` builds once.
+A level is its numerator (``curves.ZetaLevel`` holds steps, Q, genus and P),
+and a numerator is its integer view ``P.view``, a rational content times
+coprime ints; every value, residue and special value of the previous zeta
+below is one integer Horner pass over those ints.
 
 Given a level with prime power Q, complete zeta Z(T) = P(T)/((1-T)(1-QT)T^(g-1))
 and special values, the next level for index n is the finite double sum
@@ -38,18 +38,20 @@ middle factor is Z(Q^(n-a+e)).  ``derive_step`` computes each F and middle
 value once and reads it for the certificate and for the nodes alike.
 
 All of it runs on Python ints, a level's Q = q^(prod of its steps) among
-them.  Inside ``derive_step`` a value is an int pair (N, D) that
-stands for N/D and is never reduced: each pole 1/(1 - Q^k), each F(m, s),
-each middle value Z(Q^k) (``ZetaLevel.value_pair``, for k < 0 too), each
-table entry, the two residues of the previous level as they are read
-(``exact_arith.as_pair``), and the 2g+1 node values that go to
-``exact_arith.interpolate``.  A sum of products of pairs puts the products
-over the lcm of their denominators (``exact_arith.over_lcm``) and adds ints.
-Values are reduced in three places only: the special values, which
-``special_values`` returns as Fractions; the rows of the table, each of which
-``composition_sums`` returns as ints over one denominator, divided by their
-gcd; and the interpolated coefficients of the new numerator.  A residue sum
-of the certificate is tested for zero unreduced.
+them, with the powers Q^k computed once per step.  Inside ``derive_step`` a
+value is an int pair (N, D) that stands for N/D and is never reduced: each
+pole 1/(1 - Q^k), each F(m, s), each middle value Z(Q^k)
+(``ZetaLevel.value_pair``, for k < 0 too), each table entry, the two
+residues of the previous level as they are read (``exact_arith.as_pair``),
+and the 2g+1 node values that go to ``exact_arith.interpolate``.  A sum of
+products of pairs puts the products over the lcm of their denominators
+(``exact_arith.over_lcm``) and adds ints.  Values are reduced in three
+places only: the special values, which ``special_values`` returns as
+Fractions; the rows of the table, each of which ``composition_sums`` returns
+as ints over one denominator, divided by their gcd; and the interpolated
+coefficients, which become the new numerator's view by one content gcd, with
+no Fraction per coefficient.  A residue sum of the certificate is tested for
+zero unreduced, and the new level is validated on its view's ints.
 
 The new numerator P_n = Z_n(T) (1-T)(1-Q^n T) T^(g-1) has degree at most 2g.
 It is evaluated exactly at the 2g+1 nodes T = Q^j, j = 1..2g+1, and recovered
@@ -76,8 +78,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
-from math import comb, gcd, prod
+from math import comb, gcd
 from typing import Iterator, Sequence, Union
 
 from zetatower.curves import CurveSpec, ZetaLevel, artin_zeta, validate_zeta_level
@@ -176,25 +177,35 @@ def derive_step(z: ZetaLevel, n: int) -> ZetaLevel:
     steps = z.steps + (n,)
     rows = composition_sums(special_values(z, n - 1), n - 1) if n > 1 else (([0], 1),)
 
-    def lcm_sum(products) -> tuple:  # (N, L): N / L is the sum of the products of pairs
-        scaled, L = over_lcm((prod(n for n, _ in fs), prod(d for _, d in fs)) for fs in products)
+    K = n + 2 * g + 1  # the largest |k| of a Q^k that a pole, a middle value or a node reads
+    Qk = [1]  # Qk[k] = Q^k
+    for _ in range(K):
+        Qk.append(Qk[-1] * Q)
+    poles = {k: (1, 1 - Qk[k]) for k in range(1, K + 1)}  # poles[k] = 1 / (1 - Q^k), k != 0
+    poles.update({-k: (Qk[k], Qk[k] - 1) for k in range(1, K + 1)})
+
+    def lcm_sum(products) -> tuple:  # (N, L): N / L is the sum of the products of triples of pairs
+        scaled, L = over_lcm((x[0] * y[0] * w[0], x[1] * y[1] * w[1]) for x, y, w in products)
         return sum(scaled), L
 
-    @cache
-    def pole(k: int) -> tuple:  # 1 / (1 - Q^k), k != 0
-        return (1, 1 - Q**k) if k > 0 else (Q**-k, Q**-k - 1)
+    side = {}
 
-    @cache
     def F(m: int, s: int) -> tuple:  # row m over its D, the poles over their lcm
-        if not m:
-            return 1, 1
-        nums, D = rows[m]
-        scaled, L = over_lcm((nums[p] * pole(p + s)[0], pole(p + s)[1]) for p in range(1, m + 1))
-        return sum(scaled), D * L
+        if (m, s) not in side:
+            if m:
+                nums, D = rows[m]
+                scaled, L = over_lcm((nums[p] * poles[p + s][0], poles[p + s][1]) for p in range(1, m + 1))
+                side[m, s] = sum(scaled), D * L
+            else:
+                side[m, s] = 1, 1
+        return side[m, s]
 
-    @cache
+    middle = {}
+
     def mid(k: int) -> tuple:  # Z(Q^k)
-        return z.value_pair(Q**k, 1) if k >= 0 else z.value_pair(1, Q**-k)
+        if k not in middle:
+            middle[k] = z.value_pair(Qk[k], 1) if k >= 0 else z.value_pair(1, Qk[-k])
+        return middle[k]
 
     def right(a: int, e: int) -> tuple:  # R_a(Q^e)
         return F(n - a, a - n - e)
@@ -225,10 +236,10 @@ def derive_step(z: ZetaLevel, n: int) -> ZetaLevel:
             f"do not cancel for e in {uncancelled}"
         )
     prefactor = Q ** (comb(n, 2) * (g - 1))
-    xs = [Q**j for j in range(1, 2 * g + 2)]
+    xs = Qk[1 : 2 * g + 2]
     sums = [lcm_sum((right(a, j), mid(n - a + j), left(a, j)) for a in range(1, n + 1)) for j in range(1, 2 * g + 2)]
-    ys = [(prefactor * (1 - t) * (1 - Q**n * t) * t ** (g - 1) * N, L) for t, (N, L) in zip(xs, sums)]
-    level = ZetaLevel(steps=steps, Q=Q**n, genus=g, P=interpolate(xs, ys))
+    ys = [(prefactor * (1 - t) * (1 - Qk[n] * t) * t ** (g - 1) * N, L) for t, (N, L) in zip(xs, sums)]
+    level = ZetaLevel(steps=steps, Q=Qk[n], genus=g, P=interpolate(xs, ys))
     failed = [c for c in validate_zeta_level(level) if not c.passed]
     if failed:
         raise DerivationError(

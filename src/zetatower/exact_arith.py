@@ -1,18 +1,18 @@
 """Exact arithmetic substrate: big rationals, dense polynomials, truncated series.
 
-Every scalar a caller sees is a ``fractions.Fraction`` (aliased ``BigRat``),
-except a level's Q, an int prime power that the callers pass in.
-Inside, sums and interpolation run on Python ints over the lcm of their
+The work runs on Python ints: sums and interpolation over the lcm of their
 denominators (``over_lcm``), reduced once per output.  Nothing touches a float.
-A polynomial is a dense tuple of coefficients, index ``i`` holding the
-coefficient of ``T**i``, with no trailing zeros (the zero polynomial is the
-empty tuple), so structural equality is mathematical equality.  Each ``Poly``
-also keeps, from construction on, its integer view: a rational content times
-coprime ints (``content_primitive``), which every evaluation reads by one
-integer ``horner`` pass.  ``Poly`` has no division: ``pseudo_divide``,
-``poly_gcd`` and ``squarefree_factors`` work on int coefficient lists, such
-as a view's ints, and form no rational.  A truncated power series is a plain
-coefficient list.
+A ``Poly`` is its integer view: a content c > 0 times coprime, trimmed ints,
+index ``i`` holding the coefficient of ``T**i`` (``content_primitive``; the
+zero polynomial is (1, ())).  That form is unique, so equality and hashing
+read it, and every evaluation is one integer ``horner`` pass over it.
+Fractions appear only at the edges: a coefficient that a caller reads
+(``P[i]``, c * ints[i]), the ``coeffs`` tuple, formed on its first read, and
+the rationals that callers pass in and get back, such as a value ``P(t)``.
+A level's Q is an int prime power that the callers pass in.  ``Poly`` has no
+division: ``pseudo_divide``, ``poly_gcd`` and ``squarefree_factors`` work on
+int coefficient lists, such as a view's ints, and form no rational.  A
+truncated power series is a plain coefficient list.
 
 All values are immutable after construction and all operations are pure, so
 everything here is safe to share freely across threads; the one exception is
@@ -56,12 +56,18 @@ def over_lcm(pairs: Iterable[tuple]) -> tuple:
     return [n * (L // d) for n, d in pairs], L
 
 
-def content_primitive(coeffs: Sequence[Fraction]) -> tuple:
-    """(c, ints): coeffs[i] = c * ints[i] with c > 0 rational and the ints coprime; (1, ()) when all are zero."""
-    L = lcm(*[c.denominator for c in coeffs])
-    scaled = [c.numerator * (L // c.denominator) for c in coeffs]
-    g = gcd(*scaled)
-    return (Fraction(g, L), tuple(x // g for x in scaled)) if g else (Fraction(1), ())
+def _trim(xs: list) -> list:
+    """xs without its trailing zeros, in place."""
+    while xs and not xs[-1]:
+        xs.pop()
+    return xs
+
+
+def content_primitive(nums: Sequence[int], den: int = 1) -> tuple:
+    """(c, ints) with nums[i] / den = c * ints[i], den > 0: c > 0, the ints coprime and trimmed; (1, ()) for zero."""
+    nums = _trim(list(nums))
+    g = gcd(*nums)
+    return (Fraction(g, den), tuple(x // g for x in nums)) if g else (Fraction(1), ())
 
 
 def horner(ints: Sequence[int], u: int, w: int) -> int:
@@ -97,49 +103,72 @@ def unlimited_int_digits():
 
 
 class Poly:
-    """Dense univariate polynomial over the rationals.
+    """Dense univariate polynomial over the rationals, identified by its integer view.
 
-    ``view`` is (c, ints) from ``content_primitive``, built with the coefficients; ==, hash and repr ignore it.
+    ``view`` is (c, ints): the coefficient of T**i is c * ints[i], with c > 0
+    rational and the ints coprime and trimmed, (1, ()) for zero.  That form is
+    unique, so ==, hash and pickling read it.  ``P[i]`` is c * ints[i]; the
+    tuple of Fraction coefficients ``coeffs`` is formed on its first read and kept.
     """
 
-    __slots__ = ("coeffs", "view")
+    __slots__ = ("view", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [as_rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "view", content_primitive(cs))
+        L = lcm(*[c.denominator for c in cs])
+        view = content_primitive([c.numerator * (L // c.denominator) for c in cs], L)
+        object.__setattr__(self, "view", view)
+        object.__setattr__(self, "_coeffs", tuple(cs[: len(view[1])]))
+
+    @classmethod
+    def from_ints(cls, nums: Sequence[int], den: int = 1) -> "Poly":
+        """The polynomial with coefficients nums[i] / den, den > 0: one gcd, and no Fraction per coefficient."""
+        return cls._from_view(content_primitive(nums, den))
+
+    @classmethod
+    def _from_view(cls, view: tuple) -> "Poly":
+        self = object.__new__(cls)
+        object.__setattr__(self, "view", view)
+        object.__setattr__(self, "_coeffs", None)
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Poly is immutable")
 
     def __reduce__(self):
-        """Pickle and copy by the coefficients alone, so the view is rebuilt and no slot is set."""
-        return Poly, (self.coeffs,)
+        """Pickle and copy by the view alone, so no slot is set through __setattr__."""
+        return Poly._from_view, (self.view,)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The Fraction coefficients, lowest first, with no trailing zero; () for zero."""
+        if self._coeffs is None:
+            c, ints = self.view
+            object.__setattr__(self, "_coeffs", tuple(c * x for x in ints))
+        return self._coeffs
 
     # -- structure ----------------------------------------------------------
 
     @property
     def degree(self) -> "int | float":
         """Degree, with -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.view[1]) - 1 if self.view[1] else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.view[1]
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.view[1])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.view == other.view
         if isinstance(other, (int, Fraction)):
             return self == Poly([other])
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash(self.view)
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -158,8 +187,9 @@ class Poly:
 
     def __getitem__(self, i: int) -> Fraction:
         """Coefficient of T**i (zero beyond the stored degree)."""
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        c, ints = self.view
+        if 0 <= i < len(ints):
+            return c * ints[i]
         return Fraction(0)
 
     def __iter__(self):
@@ -243,7 +273,8 @@ def interpolate(xs: Sequence[int], ys: Sequence[tuple]) -> Poly:
 
     The nodes are distinct ints.  With M = prod (T - x_i) the weights
     N_i / (D_i M'(x_i)) go over one lcm, each M / (T - x_i) is a synthetic
-    division, and each coefficient is reduced once.
+    division, and the int coefficients over that lcm become the polynomial's
+    view with one content gcd (``Poly.from_ints``).
     """
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
@@ -257,7 +288,7 @@ def interpolate(xs: Sequence[int], ys: Sequence[tuple]) -> Poly:
         for k in range(len(xs), 0, -1):
             acc = acc * x + master[k]
             coeffs[k - 1] += w * acc
-    return Poly(Fraction(c, L) for c in coeffs)
+    return Poly.from_ints(coeffs, L)
 
 
 def is_self_inversive(P: "Poly | Sequence", Q: Scalar, g: int) -> bool:
@@ -285,13 +316,6 @@ def real_weil_poly(P: "Poly | Sequence", Q: "int | Fraction", g: int) -> list:
             out[i] += P[g - k] * c
         s_prev, s = s, [a - Q * b for a, b in zip([0] + s, s_prev + [0, 0])]
     return _trim(out)
-
-
-def _trim(xs: list) -> list:
-    """xs without its trailing zeros, in place."""
-    while xs and not xs[-1]:
-        xs.pop()
-    return xs
 
 
 def _primitive(a: Sequence[int]) -> tuple:

@@ -6,11 +6,12 @@ A level's numerator P (degree 2g, constant term alpha(0)) decomposes as
 
 where beta is the residue at T = 1 and S is palindromic of degree 2(g-1) with
 lower coefficients alpha(0)..alpha(g-1).  Extraction inverts that by exact
-division, so any deviation from the required shape fails loudly instead of
-being least-squares'd away; a reconstruction mismatch raises
-ReconstructionError, which ``python -O`` keeps.  An ``InvariantSet`` holds
-just the alphas and beta: P, Q and the genus are read off the ``ZetaLevel``,
-so only callers that need the alphas extract.  The same beta is also given
+division on the ints of P's view, and forms the alphas only as the view's
+content times those ints, so any deviation from the required shape fails
+loudly instead of being least-squares'd away; a reconstruction mismatch
+raises ReconstructionError, which ``python -O`` keeps.  An ``InvariantSet``
+holds just the alphas and beta: P, Q and the genus are read off the
+``ZetaLevel``, so only callers that need the alphas extract.  The same beta is also given
 by a closed sum over integer compositions of special values of the previous
 level, q^(C(n,2)(g-1)) * sum_p E[n][p] with the last-part table E of
 ``derived_engine.composition_sums``, whose row n is the int row (nums, D)
@@ -25,8 +26,9 @@ against prod_{l=1..n} (Q^l T - 1).  Grouped by last part p, with W_p the
 positive-denominator table entry, it is sum_p W_p * prod_{l != p} (Q^l T - 1):
 each cofactor is an exact integer division of the clearing product by
 (Q^p T - 1), the W_p are the ints nums[p] of the table's row n over its one
-denominator D, and each coefficient is reduced once.  An ``InterlacingPoly``
-holds just n, the previous (int) Q and that polynomial.
+denominator D, and the int coefficients over D become the polynomial's view
+with one content gcd.  An ``InterlacingPoly`` holds just n, the previous
+(int) Q and that polynomial.
 All composition weights are positive, so at T = Q^-kappa only the
 compositions ending in kappa survive and the sign is forced to (-1)^(kappa+1):
 the sign vector alternates and pins one real root in each interval
@@ -41,7 +43,7 @@ from math import comb
 
 from zetatower.curves import CheckResult, ZetaLevel
 from zetatower.derived_engine import SpecialValues, composition_sums
-from zetatower.exact_arith import BigRat, Poly, horner, is_self_inversive, rat_str
+from zetatower.exact_arith import BigRat, Poly, as_pair, as_rat, horner, is_self_inversive, over_lcm, rat_str
 
 
 class ReconstructionError(RuntimeError):
@@ -60,31 +62,37 @@ class InvariantSet:
 
 
 def reconstruct_numerator(alphas, beta, Q: int, genus: int) -> Poly:
-    """Expand the (alphas, beta) decomposition back into P."""
+    """Expand the (alphas, beta) decomposition back into P, in ints over the lcm of their denominators."""
     g = genus
-    S = [Fraction(0)] * (2 * g - 1)
+    scaled, L = over_lcm(as_pair(as_rat(x)) for x in (*alphas[:g], beta))
+    S = [0] * (2 * g - 1)
     for ell in range(g - 1):
-        S[ell] += Fraction(alphas[ell])
-        S[2 * (g - 1) - ell] += Q ** (g - 1 - ell) * Fraction(alphas[ell])
-    S[g - 1] += Fraction(alphas[g - 1])
-    P = [Fraction(0)] * (2 * g + 1)
+        S[ell] += scaled[ell]
+        S[2 * (g - 1) - ell] += Q ** (g - 1 - ell) * scaled[ell]
+    S[g - 1] += scaled[g - 1]
+    P = [0] * (2 * g + 1)
     for k, s in enumerate(S):  # S * (1 - (Q+1) T + Q T^2)
         P[k] += s
         P[k + 1] -= (Q + 1) * s
         P[k + 2] += Q * s
-    P[g] += (Q - 1) * Fraction(beta)
-    return Poly(P)
+    P[g] += (Q - 1) * scaled[g]
+    return Poly.from_ints(P, L)
 
 
 def extract_invariants(z: ZetaLevel) -> InvariantSet:
-    """Read (alphas, beta) off a level by residue plus exact division, on the coefficient list."""
+    """Read (alphas, beta) off a level by residue plus exact division, on the ints of P's view.
+
+    With P = c * ints, R = P - (Q-1) beta T^g is c times the ints with sum(ints)
+    taken off the middle one, and the division by 1 - (Q+1)T + QT^2, whose
+    constant term is 1, stays in the ints; only the alphas c * S_l are formed.
+    """
     g, Q = z.genus, z.Q
     P = z.P
     if P.degree != 2 * g:
         raise ValueError(f"numerator degree {P.degree}, expected {2 * g}")
-    beta = z.residue()
-    R = list(P.coeffs)
-    R[g] -= (Q - 1) * beta
+    c, ints = P.view
+    R = list(ints)
+    R[g] -= sum(ints)  # (Q-1) beta / c
     # R / (1 - (Q+1) T + Q T^2) from the constant term up; S = R / that exactly iff its last two terms vanish
     S = []
     for k, r in enumerate(R):
@@ -98,8 +106,9 @@ def extract_invariants(z: ZetaLevel) -> InvariantSet:
     del S[-2:]
     if not is_self_inversive(S, Q, g - 1):
         raise ValueError("interior part is not palindromic")
-    alphas = tuple(S[:g])
-    if reconstruct_numerator(alphas, beta, Q, g) != P:
+    alphas = tuple(c * s for s in S[:g])
+    beta = z.residue()
+    if reconstruct_numerator(alphas, beta, Q, g).view != P.view:
         raise ReconstructionError(f"invariants of level {z.steps} do not reconstruct its numerator")
     return InvariantSet(alphas=alphas, beta=beta)
 
@@ -158,7 +167,7 @@ def interlacing_poly(sv: SpecialValues, n: int) -> InterlacingPoly:
         for k in range(n):
             quotient = Q**p * quotient - clearing[k]
             coeffs[k] += w * quotient
-    return InterlacingPoly(n=n, Q_prev=Q, poly=Poly(Fraction(c, D) for c in coeffs))
+    return InterlacingPoly(n=n, Q_prev=Q, poly=Poly.from_ints(coeffs, D))
 
 
 def interlacing_signs(ip: InterlacingPoly) -> list:

@@ -64,15 +64,15 @@ def ratio_bounds(r: Fraction, Q: int, n: int) -> tuple:
     return r > 1, r <= 1 or Q**n * (r - 1) ** 2 < (r + 1) ** 2
 
 
-def ratio_bounds_check(betas: Sequence[Fraction], Q: int) -> list:
-    """Per-step bound checks 1 < beta(n)/beta(n-1) < (Q^(n/2)+1)/(Q^(n/2)-1), by ``ratio_bounds``.
+def ratio_bounds_check(betas: Sequence[Fraction], Q: int, start: int = 1) -> list:
+    """Per-step bound checks 1 < beta(n)/beta(n-1) < (Q^(n/2)+1)/(Q^(n/2)-1), by ``ratio_bounds``, for n >= start.
 
     Entry n = 1 is reported but the bounds genuinely start at n = 2 (the base
     ratio N_1/(Q-1) may drop below 1 for admissible traces); callers asserting
     the theorem should look at n >= 2.
     """
     out = []
-    for n in range(1, len(betas)):
+    for n in range(start, len(betas)):
         r = Fraction(betas[n]) / Fraction(betas[n - 1])
         lower, upper = ratio_bounds(r, Q, n)
         ok = lower and upper

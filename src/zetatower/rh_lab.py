@@ -434,13 +434,20 @@ def curve_tower(spec: CurveSpec, precision_bits: int = DEFAULT_PRECISION_BITS) -
         ip = interlacing_poly(step_values(steps), steps[-1])
         return interlacing_sign_check(ip), tuple(interlacing_signs(ip))
 
+    recursions = {}  # prefix -> (betas, bounds): bounds[k - 2] checks beta(k) / beta(k-1)
+
     @cache
     def ratio_bounds(steps: tuple) -> tuple:
-        prev, n = level(steps[:-1]), steps[-1]
-        betas = elliptic_beta_recursion(prev.trace(), prev.Q, max(n, 2))
+        prefix, n = steps[:-1], steps[-1]
+        prev, depth = level(prefix), max(n, 2)  # bounds start at n = 2
+        betas, bounds = recursions.get(prefix, ((), ()))
+        if len(betas) <= depth:  # the recursion runs again only for a deeper n; each bound is checked once
+            betas = elliptic_beta_recursion(prev.trace(), prev.Q, depth)
+            bounds = (*bounds, *ratio_bounds_check(betas, prev.Q, start=len(bounds) + 2))
+            recursions[prefix] = betas, bounds
         # the recursion's betas are the tower's: the residue of (prefix, n) is alpha_0(prefix)^n beta(n)
         link = CheckResult("ratio_bounds[residue]", level(steps).residue() == prev.P[0] ** n * betas[n])
-        return (link, *ratio_bounds_check(betas, prev.Q)[1:])  # bounds start at n = 2
+        return (link, *bounds[: depth - 1])
 
     return Tower(level, invariants, rh, step_values, beta_route, miracle, interlacing, ratio_bounds)
 

@@ -6,7 +6,7 @@ import pickle
 import time
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -342,14 +342,30 @@ def test_replace_and_normalize_rebuild_the_view(z, factor):
         assert normal.residue() == z.residue() / z.P[0]
 
 
-@given(_levels())
-def test_equality_hash_and_numerator_key_ignore_the_view(z):
-    P = Poly(z.P.coeffs)
-    object.__setattr__(P, "view", (Fraction(7), (1,)))
-    other = replace(z, P=P)
-    assert other == z and hash(other) == hash(z) and repr(other) == repr(z)
-    assert other.numerator_key() == z.numerator_key()
-    assert "view" not in repr(z)
+@given(
+    st.lists(rationals(max_abs=50, max_den=12), max_size=7),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=1, max_value=30),
+)
+def test_a_poly_is_its_view_whichever_way_it_is_built(fractions, zeros, extra):
+    # zeros pads trailing zero coefficients; extra puts the ints over a multiple of the lcm
+    # of the denominators, so the int-built Poly starts from a non-unit content
+    fractions = fractions + [Fraction(0)] * zeros
+    den = extra * lcm(*(f.denominator for f in fractions))
+    from_fractions, from_ints = Poly(fractions), Poly.from_ints([int(f * den) for f in fractions], den)
+    assert from_ints == from_fractions and hash(from_ints) == hash(from_fractions)
+    assert from_ints.view == from_fractions.view
+    assert [from_ints[i] for i in range(9)] == [from_fractions[i] for i in range(9)]
+    keys = [ZetaLevel(steps=(), Q=2, genus=3, P=P).numerator_key() for P in (from_ints, from_fractions)]
+    assert keys[0] == keys[1] and hash(keys[0]) == hash(keys[1])
+    assert repr(from_ints) == repr(from_fractions) and from_ints.coeffs == from_fractions.coeffs
+    while fractions and not fractions[-1]:
+        fractions.pop()
+    assert from_fractions.coeffs == tuple(fractions)
+    for P in (from_fractions, from_ints):
+        for twin in (pickle.loads(pickle.dumps(P)), copy.copy(P), copy.deepcopy(P)):
+            assert twin == P and hash(twin) == hash(P) and twin.view == P.view
+            assert twin.coeffs == P.coeffs and repr(twin) == repr(P)
 
 
 def test_a_derived_level_pickles_and_copies():

@@ -799,10 +799,8 @@ def _count_calls(monkeypatch, names, plant=None):
 
 def test_run_curve_checks_each_level_and_step_once(monkeypatch):
     per_level = ("extract_invariants", "rh_verdict_for_level")
-    per_step = (
-        "special_values", "beta_closed_form", "counting_miracle_check", "interlacing_poly", "elliptic_beta_recursion"
-    )
-    calls = _count_calls(monkeypatch, per_level + per_step)
+    per_step = ("special_values", "beta_closed_form", "counting_miracle_check", "interlacing_poly")
+    calls = _count_calls(monkeypatch, per_level + per_step + ("elliptic_beta_recursion",))
     spec = CurveSpec(label="e", q=3, genus=1, trace=1)
     cells = run_curve(spec, SweepConfig(curves=(spec,), tuples=GRID_TUPLES))
     for cell in cells:
@@ -817,6 +815,33 @@ def test_run_curve_checks_each_level_and_step_once(monkeypatch):
     assert sorted(z.steps + (n,) for z, n in calls["special_values"]) == levels[1:]
     assert sorted(derived.steps for _, derived, _ in calls["counting_miracle_check"]) == levels[1:]
     assert {name: len(calls[name]) for name in per_step} == dict.fromkeys(per_step, 8)
+    # the ratio bounds run the recursion once per prefix, and again only when a deeper n is read:
+    # () over Q = 3 at n = 1 (to depth 2), 3 and 4, (2,) over 3^2 at n = 2 and 3, (3,) and (2, 2) once
+    depths = [(Q, n_max) for _, Q, n_max in calls["elliptic_beta_recursion"]]
+    assert sorted(depths) == [(3, 2), (3, 3), (3, 4), (9, 2), (9, 3), (27, 2), (81, 2)]
+
+
+def test_a_sweep_forms_no_fraction_coefficients_of_a_derived_level(monkeypatch):
+    # a derived numerator is read through its integer view: its tuple of Fraction coefficients is never formed
+    read, derived = [], []
+    real_coeffs, real_derive = Poly.coeffs, rh_lab.derive_step
+
+    def deriving(z, n):
+        derived.append(real_derive(z, n))
+        return derived[-1]
+
+    def coeffs(P):
+        read.append(P)
+        return real_coeffs.fget(P)
+
+    monkeypatch.setattr(rh_lab, "derive_step", deriving)
+    monkeypatch.setattr(Poly, "coeffs", property(coeffs))
+    curves = (*builtin_elliptic_grid((2, 3)), catalog_curve("X2g2").spec())
+    report = sweep(SweepConfig(curves=curves, tuples=((1,), (2,), (2, 2)), checks=rh_lab.ALL_CHECKS))
+    assert report["summary"]["errors"] == 0 and not report["summary"]["failed"]
+    assert {z.steps for z in derived} >= {(1,), (2,), (2, 2), (3,), (2, 3)}
+    assert not {id(z.P) for z in derived} & {id(P) for P in read}
+    assert all(z.P._coeffs is None for z in derived)  # nor formed when the level was built
 
 
 def test_a_level_of_index_one_gets_its_prefix_results():

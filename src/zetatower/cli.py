@@ -260,7 +260,7 @@ def cmd_sweep(args) -> int:
     if args.curves:
         curves = tuple(load_curves(args.curves))
     elif args.grid == "builtin-elliptic":
-        qs = tuple(int(q) for q in args.q.split(","))
+        qs = tuple(_int_field(args.q, "--q", q) for q in args.q.split(","))
         curves = tuple(builtin_elliptic_grid(qs))
     elif args.grid == "catalog":
         curves = tuple(CATALOG[label].spec() for label in sorted(CATALOG))

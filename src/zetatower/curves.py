@@ -285,7 +285,7 @@ class CurveSpec:
             if len(coeffs) != 2 * self.genus + 1 or coeffs[0] == 0 or coeffs[-1] == 0:
                 raise ValueError("numerator must have degree exactly 2g with nonzero ends")
             coeffs = tuple(c / coeffs[0] for c in coeffs)  # force A_0 = 1
-            if not is_self_inversive(Poly(coeffs), self.q, self.genus):
+            if not is_self_inversive(coeffs, self.q, self.genus):
                 raise ValueError("numerator violates the functional-equation symmetry")
             object.__setattr__(self, "numerator", coeffs)
 
@@ -366,7 +366,8 @@ class ZetaLevel:
     steps is the tuple of derivation indices applied so far (empty for the
     base), Q = q**prod(steps) is an int, and P is the numerator in this
     level's own variable.  Every value and residue is one integer Horner pass
-    over ``P.view`` (content times coprime ints), reduced once.
+    over ``P.view`` (content times coprime ints): a residue is reduced once,
+    a value is the unreduced int pair of ``value_pair``.
     """
 
     steps: tuple
@@ -408,10 +409,6 @@ class ZetaLevel:
         e = g + 2 - len(ints)  # w^(g+1) over the w^d of P(u/w)
         num = c.numerator * horner(ints, u, w) * w ** max(e, 0)
         return num, c.denominator * w ** max(-e, 0) * (w - u) * (w - self.Q * u) * u ** (g - 1)
-
-    def value(self, t: Fraction) -> Fraction:
-        """Z(t) at a point t that is not a pole: not 1 or 1/Q, and not 0 when g > 1."""
-        return Fraction(*self.value_pair(t.numerator, t.denominator))
 
     def trace(self) -> Fraction:
         """For genus 1: the A with P = alpha(0) * (1 - A*T + Q*T^2)."""

@@ -46,12 +46,13 @@ residues of the previous level as they are read (``exact_arith.as_pair``),
 and the 2g+1 node values that go to ``exact_arith.interpolate``.  A sum of
 products of pairs puts the products over the lcm of their denominators
 (``exact_arith.over_lcm``) and adds ints.  Values are reduced in three
-places only: the special values, which ``special_values`` returns as
-Fractions; the rows of the table, each of which ``composition_sums`` returns
-as ints over one denominator, divided by their gcd; and the interpolated
-coefficients, which become the new numerator's view by one content gcd, with
-no Fraction per coefficient.  A residue sum of the certificate is tested for
-zero unreduced, and the new level is validated on its view's ints.
+places only: the products vhat(N) of the special values, which
+``special_values`` returns as int pairs, one gcd per product; the rows of the
+table, each of which ``composition_sums`` returns as ints over one
+denominator, divided by their gcd; and the interpolated coefficients, which
+become the new numerator's view by one content gcd.  A residue sum of the
+certificate is tested for zero unreduced, and the new level is validated on
+its view's ints.
 
 The new numerator P_n = Z_n(T) (1-T)(1-Q^n T) T^(g-1) has degree at most 2g.
 It is evaluated exactly at the 2g+1 nodes T = Q^j, j = 1..2g+1, and recovered
@@ -77,7 +78,6 @@ validated like any other.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import comb, gcd
 from typing import Iterator, Sequence, Union
 
@@ -107,33 +107,31 @@ def compositions(total: int) -> Iterator[tuple]:
 
 @dataclass(frozen=True)
 class SpecialValues:
-    """Special values of one level: zeta_hat(k) for k = 1..depth and their products.
+    """The products of the special values of one level, as reduced int pairs.
 
-    zeta_hat(1) is the residue at T = 1; zeta_hat(k) for k >= 2 is the exact
-    value at T = Q^-k (never a pole, the only poles being T = 1 and T = 1/Q).
-    vhat(N) = prod_{k<=N} zeta_hat(k), with vhat(0) = 1.
+    The special values are zeta_hat(1), the residue at T = 1, and for k >= 2
+    zeta_hat(k), the exact value at T = Q^-k (never a pole, the only poles
+    being T = 1 and T = 1/Q).  vhats[N] = (num, den) stands for
+    vhat(N) = prod_{k<=N} zeta_hat(k), with den > 0, gcd(num, den) = 1 and
+    vhats[0] = (1, 1); zeta_hat(k) itself is vhat(k) / vhat(k-1).
     """
 
     Q: int
-    values: tuple  # values[k-1] = zeta_hat(k)
-    vhats: tuple  # vhats[N] = vhat(N), length depth+1
-
-    @property
-    def depth(self) -> int:
-        return len(self.values)
-
-    def vhat(self, n: int) -> Fraction:
-        return self.vhats[n]
+    vhats: tuple  # vhats[N] = vhat(N) as (num, den), N = 0..depth
 
 
 def special_values(z: ZetaLevel, n_max: int) -> SpecialValues:
+    """vhat(0..n_max) of z: each value is an int pair with a positive denominator, each product one gcd."""
     if n_max < 1:
         raise ValueError("need depth >= 1")
-    values = [z.residue()] + [z.value(Fraction(1, z.Q**k)) for k in range(2, n_max + 1)]
-    vhats = [Fraction(1)]
-    for v in values:
-        vhats.append(vhats[-1] * v)
-    return SpecialValues(Q=z.Q, values=tuple(values), vhats=tuple(vhats))
+    vhats = [(1, 1), as_pair(z.residue())]
+    for k in range(2, n_max + 1):
+        N, D = z.value_pair(1, z.Q**k)  # Z(Q^-k); D > 0, as Q^k > Q
+        num, den = vhats[-1]
+        num, den = num * N, den * D
+        c = gcd(num, den)
+        vhats.append((num // c, den // c))
+    return SpecialValues(Q=z.Q, vhats=tuple(vhats))
 
 
 def composition_sums(sv: SpecialValues, m_max: int, positive: bool = False) -> tuple:
@@ -149,8 +147,8 @@ def composition_sums(sv: SpecialValues, m_max: int, positive: bool = False) -> t
     the compositions of m with first part p.  With positive=True every pair
     denominator is Q^(r+p) - 1 instead, the interlacing convention.
     """
-    if sv.depth < m_max:
-        raise ValueError(f"special values of depth {sv.depth} < {m_max}")
+    if len(sv.vhats) <= m_max:
+        raise ValueError(f"special values of depth {len(sv.vhats) - 1} < {m_max}")
     Q = sv.Q
     sign = 1 if positive else -1  # 1 / (1 - Q^s) = -1 / (Q^s - 1)
     pair = [None] + [Q**s - 1 for s in range(1, m_max + 1)]
@@ -160,9 +158,9 @@ def composition_sums(sv: SpecialValues, m_max: int, positive: bool = False) -> t
         for p in range(1, m):
             nums, D = rows[m - p]
             scaled, L = over_lcm((x, pair[r + p]) for r, x in enumerate(nums[1:], 1))
-            v = sv.vhat(p)
-            entries.append((sign * v.numerator * sum(scaled), v.denominator * D * L))
-        entries.append(as_pair(sv.vhat(m)))
+            v_num, v_den = sv.vhats[p]
+            entries.append((sign * v_num * sum(scaled), v_den * D * L))
+        entries.append(sv.vhats[m])
         nums, D = over_lcm(entries)
         c = gcd(D, *nums)
         rows.append(([x // c for x in nums], D // c))

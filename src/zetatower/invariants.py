@@ -179,14 +179,13 @@ def interlacing_signs(ip: InterlacingPoly) -> list:
     return signs
 
 
-def interlacing_sign_check(ip: InterlacingPoly) -> CheckResult:
-    """Exact signs at T = Q^-kappa, kappa = 1..n, must alternate starting +.
+def interlacing_sign_check(ip: InterlacingPoly, signs: list) -> CheckResult:
+    """The signs ``interlacing_signs(ip)`` at T = Q^-kappa, kappa = 1..n, must alternate starting +.
 
     The alternation forces one real root in each interval
     (Q^-(kappa+1), Q^-kappa) for kappa = 1..n-1; a zero value at a sample
     point is reported as degenerate rather than passed.
     """
-    signs = interlacing_signs(ip)
     if 0 in signs:
         return CheckResult("interlacing", False, f"root at sample point; signs {signs}")
     ok = all(s == (-1) ** (kappa + 1) for kappa, s in enumerate(signs, start=1))

@@ -432,7 +432,8 @@ def curve_tower(spec: CurveSpec, precision_bits: int = DEFAULT_PRECISION_BITS) -
     @cache
     def interlacing(steps: tuple) -> tuple:
         ip = interlacing_poly(step_values(steps), steps[-1])
-        return interlacing_sign_check(ip), tuple(interlacing_signs(ip))
+        signs = interlacing_signs(ip)
+        return interlacing_sign_check(ip, signs), tuple(signs)
 
     recursions = {}  # prefix -> (betas, bounds): bounds[k - 2] checks beta(k) / beta(k-1)
 

@@ -267,7 +267,7 @@ def composition_weight(comp, sv) -> Fraction:
     """prod v_{k_i} / prod_j (1 - Q^(k_j + k_{j+1})) for one composition."""
     w = Fraction(1)
     for part in comp:
-        w *= sv.vhat(part)
+        w *= Fraction(*sv.vhats[part])
     for left, right in zip(comp, comp[1:]):
         w /= 1 - sv.Q ** (left + right)
     return w
@@ -277,7 +277,7 @@ def positive_weight(comp, sv) -> Fraction:
     """Composition weight with the pair denominators taken positively."""
     w = Fraction(1)
     for part in comp:
-        w *= sv.vhat(part)
+        w *= Fraction(*sv.vhats[part])
     for left, right in zip(comp, comp[1:]):
         w /= sv.Q ** (left + right) - 1
     return w

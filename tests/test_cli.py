@@ -291,6 +291,11 @@ def test_sweep_rejects_a_huge_non_prime_power_q_at_once(capsys):
     assert "q must be a prime power" in capsys.readouterr().err
 
 
+def test_sweep_q_that_is_not_an_integer_is_usage_error_naming_the_flag(capsys):
+    assert run_cli(["sweep", "--tuples", "1", "--q", "2,x"]) == 2
+    assert capsys.readouterr().err == "error: --q='x' in '2,x' is not an integer\n"
+
+
 def test_sweep_over_the_catalog(capsys):
     assert run_cli(["sweep", "--grid", "catalog", "--tuples", "1", "--checks", "rh,beta_routes"]) == 0
     cells = json.loads(capsys.readouterr().out)["cells"]

@@ -29,8 +29,8 @@ from zetatower.curves import (
     prime_power_split,
     validate_zeta_level,
 )
-from zetatower.derived_engine import derive_step, normalize_level
-from zetatower.exact_arith import Poly
+from zetatower.derived_engine import derive_step, normalize_level, special_values
+from zetatower.exact_arith import Poly, as_pair
 
 
 def _passed(results):
@@ -314,7 +314,23 @@ def test_view_matches_the_fraction_formulas(z, k, t):
     assert z.residue_inv_q() == -_at(P, Fraction(1, Q)) * Q ** (g - 1) / (Q - 1)
     poles = {Fraction(1), Fraction(1, Q)} | ({Fraction(0)} if g > 1 else set())
     for x in {Q**k, Fraction(1, Q**k), t} - poles:
-        assert z.value(x) == _at(P, x) / ((1 - x) * (1 - Q * x) * x ** (g - 1))
+        assert Fraction(*z.value_pair(x.numerator, x.denominator)) == _at(P, x) / ((1 - x) * (1 - Q * x) * x ** (g - 1))
+
+
+@given(_levels(), st.integers(min_value=1, max_value=6))
+def test_special_values_are_the_reduced_fraction_products(z, n):
+    P, Q, g = z.P, z.Q, z.genus
+    values = [_at(P, 1) / (Q - 1)]  # the residue at T = 1
+    for k in range(2, n + 1):
+        t = Fraction(1, Q**k)
+        values.append(_at(P, t) / ((1 - t) * (1 - Q * t) * t ** (g - 1)))
+    vhat, expected = Fraction(1), [(1, 1)]
+    for v in values:
+        vhat *= v
+        expected.append(as_pair(vhat))  # reduced, positive denominator
+    sv = special_values(z, n)
+    assert sv.Q == Q and sv.vhats == tuple(expected)
+    assert all(type(x) is int for pair in sv.vhats for x in pair)
 
 
 @given(_levels())

@@ -23,7 +23,7 @@ from zetatower.derived_engine import (
     special_values,
 )
 from ratfunc_oracle import RatFunc, composition_weight, rational_divmod, residue_simple_pole, to_ratfunc
-from zetatower.exact_arith import Poly
+from zetatower.exact_arith import Poly, as_pair
 
 
 # -- compositions --------------------------------------------------------------
@@ -58,17 +58,18 @@ def test_special_values_q2_a0():
     z = artin_elliptic(2, 0)
     sv = special_values(z, 3)
     # residue route and the N_1/(q-1) route must agree
-    assert sv.values[0] == 3 == Fraction(2 + 1 - 0, 2 - 1)
+    assert sv.vhats[1] == (3, 1) == as_pair(Fraction(2 + 1 - 0, 2 - 1))
     # zeta_hat(2) = Z(1/4) = (1 + 2/16)/((3/4)(1/2)) = 3 by hand
-    assert sv.values[1] == 3
-    assert sv.vhat(2) == 9
-    assert sv.vhat(0) == 1
+    assert sv.vhats[2] == (9, 1)
+    assert sv.vhats[0] == (1, 1)
 
 
 def test_special_values_vhat_recursion():
-    sv = special_values(artin_elliptic(3, -1), 5)
-    for n in range(1, 6):
-        assert sv.vhat(n) == sv.vhat(n - 1) * sv.values[n - 1]
+    z = artin_elliptic(3, -1)
+    sv = special_values(z, 5)
+    assert sv.vhats[1] == as_pair(z.residue())
+    for n in range(2, 6):
+        assert Fraction(*sv.vhats[n]) == Fraction(*sv.vhats[n - 1]) * Fraction(*z.value_pair(1, 3**n))
 
 
 def test_composition_weight_pairs():
@@ -224,14 +225,16 @@ def test_corrupted_composition_sum_is_caught(monkeypatch, z):
 def test_corrupted_special_value_is_caught(monkeypatch, k):
     real = derived_engine.special_values
 
-    def corrupted(z, n_max):
+    def corrupted(z, n_max):  # zeta_hat(k) + 1/3, the products from it on made from the wrong value
         sv = real(z, n_max)
-        values = list(sv.values)
+        vhats = [Fraction(*v) for v in sv.vhats]
+        values = [b / a for a, b in zip(vhats, vhats[1:])]
         values[k - 1] += Fraction(1, 3)
-        vhats = [Fraction(1)]
+        wrong = [(1, 1)]
         for v in values:
-            vhats.append(vhats[-1] * v)
-        return SpecialValues(Q=sv.Q, values=tuple(values), vhats=tuple(vhats))
+            wrong.append(as_pair(Fraction(*wrong[-1]) * v))
+        assert wrong[k] != sv.vhats[k]
+        return SpecialValues(Q=sv.Q, vhats=tuple(wrong))
 
     monkeypatch.setattr(derived_engine, "special_values", corrupted)
     with pytest.raises(DerivationError, match="do not cancel"):
@@ -274,7 +277,10 @@ def test_wrong_residue_of_the_previous_level_is_caught(monkeypatch, z, name):
 @pytest.mark.parametrize("z", _BASES, ids=["E3a1", "X2g2"])
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_wrong_interior_value_of_the_previous_level_is_caught(monkeypatch, z, k):
-    _plant(monkeypatch, "value", lambda self, v, t: v + Fraction(1, 3) if t == Fraction(1, self.Q**k) else v)
+    def wrong(self, v, u, w):  # Z(Q^-k) + 1/3, as the pair (3N + D, 3D)
+        return (3 * v[0] + v[1], 3 * v[1]) if (u, w) == (1, self.Q**k) else v
+
+    _plant(monkeypatch, "value_pair", wrong)
     with pytest.raises(DerivationError, match="do not cancel"):
         derive_step(z, 5)
 

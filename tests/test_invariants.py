@@ -86,7 +86,7 @@ def test_trace_of_genus1():
 def test_beta_closed_form_depth_one_is_residue():
     z = artin_elliptic(2, 0)
     sv = special_values(z, 1)
-    assert beta_closed_form(sv, 1, 1) == 3 == sv.values[0]
+    assert beta_closed_form(sv, 1, 1) == 3 == Fraction(*sv.vhats[1])
 
 
 def test_beta_closed_form_depth_two():
@@ -154,7 +154,7 @@ def test_interlacing_n1_constant():
     sv = special_values(artin_elliptic(2, 0), 1)
     ip = interlacing_poly(sv, 1)
     assert ip.poly == Poly([3])
-    assert interlacing_sign_check(ip).passed
+    assert interlacing_sign_check(ip, interlacing_signs(ip)).passed
 
 
 def test_interlacing_n2_shape_and_signs():
@@ -176,7 +176,7 @@ def test_interlacing_alternation_deeper():
         ip = interlacing_poly(sv, n)
         assert ip.poly.degree == n - 1
         assert interlacing_signs(ip) == [(-1) ** (k + 1) for k in range(1, n + 1)]
-        assert interlacing_sign_check(ip).passed
+        assert interlacing_sign_check(ip, interlacing_signs(ip)).passed
         assert (-1) ** (n - 1) * ip.poly[0] == _tail_sum(sv, n)
 
 

@@ -106,6 +106,14 @@ def test_cli_reads_levels_only_from_the_tower():
     assert names & DERIVATIONS == set()
 
 
+def test_the_tower_step_names_no_fraction():
+    # the step, its table and its special values run on int pairs; a Fraction there
+    # would be one gcd per operation
+    assert "Fraction" in _names("import fractions\nfractions.Fraction(1)", "sample")
+    path = PACKAGE / "derived_engine.py"
+    assert "Fraction" not in _names(path.read_text(encoding="utf-8"), str(path))
+
+
 # top-level defs that no command reaches, each kept for the reader named
 REACH_ALLOWLIST = {
     "derived_engine.compositions": "perfbench/tracer.py counts what it yields",

@@ -247,6 +247,9 @@ def count_points_bruteforce(equation: PlaneModel, q: int, k: int = 1) -> int:
 # --------------------------------------------------------------------------
 
 
+CURVE_KEYS = ("label", "q", "genus", "trace", "point_counts", "numerator")  # of a curves-file entry
+
+
 @dataclass(frozen=True)
 class CurveSpec:
     """Input data for a base-level zeta: exactly one source must be given."""
@@ -275,8 +278,7 @@ class CurveSpec:
                 raise ValueError(f"Hasse bound violated: {self.trace}^2 > 4*{self.q}")
         if self.point_counts is not None:
             object.__setattr__(self, "point_counts", _point_counts(self.point_counts))
-            if len(self.point_counts) < self.genus:
-                raise ValueError(f"need at least g = {self.genus} point counts")
+            artin_from_point_counts(self.q, self.genus, self.point_counts)  # refuses counts that no curve has
         if self.numerator is not None:
             try:
                 coeffs = tuple(as_rat(c) for c in self.numerator)
@@ -301,12 +303,15 @@ class CurveSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CurveSpec":
-        """Build from a parsed JSON object; a field of the wrong type raises ValueError.
+        """Build from a parsed JSON object; a field of the wrong type, or a key not in CURVE_KEYS, raises ValueError.
 
         A null trace, point_counts or numerator counts as absent.
         """
         if not isinstance(d, dict):
             raise ValueError(f"a curve entry must be a JSON object, got {d!r}")
+        unknown = [k for k in d if k not in CURVE_KEYS]
+        if unknown:
+            raise ValueError(f"curve entry {d!r} has unknown key {unknown[0]!r}; expected {', '.join(CURVE_KEYS)}")
         missing = [k for k in ("label", "q", "genus") if k not in d]
         if missing:
             raise ValueError(f"curve entry {d!r} lacks {', '.join(missing)}")
@@ -383,9 +388,21 @@ class ZetaLevel:
         return self.P, self.Q, self.genus
 
     def residue(self) -> Fraction:
-        """Res_{T=1} Z = P(1)/(Q-1), which is beta."""
-        c, ints = self.P.view
-        return Fraction(c.numerator * sum(ints), c.denominator * (self.Q - 1))
+        """Res_{T=1} Z = P(1)/(Q-1), which is beta; formed on the first call and kept.
+
+        The kept value is no field: equality, hashing, ``dataclasses.replace``
+        and pickling read the fields alone.
+        """
+        res = self.__dict__.get("_residue")
+        if res is None:
+            c, ints = self.P.view
+            res = Fraction(c.numerator * sum(ints), c.denominator * (self.Q - 1))
+            object.__setattr__(self, "_residue", res)
+        return res
+
+    def __reduce__(self):
+        """Pickle and copy by the fields, so the kept residue stays behind."""
+        return ZetaLevel, (self.steps, self.Q, self.genus, self.P)
 
     def residue_inv_q(self) -> Fraction:
         """Res_{T=1/Q} Z = -P(1/Q) Q^(g-1)/(Q-1).
@@ -484,12 +501,18 @@ def artin_from_point_counts(q: int, g: int, counts: Sequence[int]) -> ZetaLevel:
     A_0..A_g come from the truncation of exp(sum N_k T^k / k) * (1-T)(1-qT);
     the upper half follows from A_{2g-i} = q^(g-i) A_i.  Extra counts beyond
     the g needed are cross-checked against the result and rejected on mismatch.
+    Counts no curve has are refused, naming the first bad N_k: a negative one,
+    then (once P(1), the class number, is known to be positive) one outside
+    Weil's bound (q^k + 1 - N_k)^2 <= 4 g^2 q^k, in exact ints.
     """
     counts = _point_counts(counts)
     if g < 1:
         raise ValueError("genus must be >= 1")
     if len(counts) < g:
         raise ValueError(f"need at least g = {g} point counts, got {len(counts)}")
+    for k, n_k in enumerate(counts, start=1):
+        if n_k < 0:
+            raise ValueError(f"point count N_{k} = {n_k} is negative; no curve has it")
     zser = series_exp([0] + [Fraction(counts[k - 1], k) for k in range(1, g + 1)])
     lower = Poly(zser) * Poly([1, -1]) * Poly([1, -q])
     coeffs = [lower[i] for i in range(g + 1)]
@@ -502,7 +525,14 @@ def artin_from_point_counts(q: int, g: int, counts: Sequence[int]) -> ZetaLevel:
     for k, (n_k, implied) in enumerate(zip(counts, implied_counts), start=1):
         if implied != n_k:
             raise ValueError(f"point count N_{k} = {n_k} inconsistent with the zeta numerator ({implied})")
-    return _base_level(P, q, g)
+    level = _base_level(P, q, g)
+    for k, n_k in enumerate(counts, start=1):
+        if (q**k + 1 - n_k) ** 2 > 4 * g * g * q**k:
+            raise ValueError(
+                f"point count N_{k} = {n_k} violates Weil's bound |q^k + 1 - N_k| <= 2g q^(k/2) "
+                f"at q = {q}, g = {g}; no curve has it"
+            )
+    return level
 
 
 def point_counts_from_numerator(P: Poly, Q: int, k_max: int) -> tuple:

@@ -18,9 +18,11 @@ hardware floats, which only picks the starting points, then polished at the
 working precision.  If the float stage overflows, meets a zero denominator
 or does not settle, the polish starts on the circle |v| = 1 + 1/8 instead,
 with a deterministic scattered restart if that stalls.  Each root u gives
-the two roots (u +- sqrt(u^2 - 4Q)) / 2Q of Q T^2 - u T + 1.  The precision
-is the only setting: the tolerance is derived from it,
-10^(-0.15 precision_bits).  A verdict is "holds" when the worst
+the two roots (u +- w) / 2Q of Q T^2 - u T + 1, w = sqrt(u^2 - 4Q); for a
+real u with w purely imaginary the second is the conjugate of the first, and
+the pair has one deviation.  The precision is the only setting: the
+tolerance is derived from it, 10^(-0.15 precision_bits), and for the default
+precision formed once, at import.  A verdict is "holds" when the worst
 |root| * sqrt(Q) deviation from 1 is below the tolerance, "fails" at 10x the
 tolerance or beyond, and lands in the unknown band between (after one
 automatic retry at doubled precision), as it does when the iteration does
@@ -231,19 +233,26 @@ def _factor_roots(F: Sequence[int], scale, target, precision_bits: int):
 
 
 def _real_weil_roots(ints: Sequence[int], Q: int, g: int, precision_bits: int):
-    """The 2g roots of a self-inversive P = c * ints over Q, each repeated by its multiplicity, from the g of its R."""
+    """The 2g roots of a self-inversive P = c * ints over Q, each repeated by its multiplicity, from the g of its R.
+
+    A root u of R gives the two roots (u +- w) / 2Q of Q T^2 - u T + 1, with
+    w = sqrt(u^2 - 4Q).  When u is real and w purely imaginary, the two share
+    their real part and differ only in the sign of the imaginary one, so the
+    second is formed as the conjugate of the first, bit for bit the same number.
+    """
     wp = 2 * precision_bits + 64
     with mp.workprec(wp):
         q = mp.mpf(Q)
-        sqrt_q = mp.sqrt(q)
-        target = mp.mpf(2) ** (-(precision_bits + 16))
+        sqrt_q, two_q, four_q = mp.sqrt(q), 2 * q, 4 * q
+        scale, target = 1 / sqrt_q, mp.ldexp(1, -(precision_bits + 16))
         roots, residual, converged = [], mp.mpf(0), True
         for F, mult in squarefree_factors(real_weil_poly(ints, Q, g)):
-            vs, res, ok = _factor_roots(F, 1 / sqrt_q, target, precision_bits)
+            vs, res, ok = _factor_roots(F, scale, target, precision_bits)
             for v in vs:
                 u = v * sqrt_q
-                w = mp.sqrt(u * u - 4 * q)
-                roots += [(u + w) / (2 * q), (u - w) / (2 * q)] * mult
+                w = mp.sqrt(u * u - four_q)
+                r = (u + w) / two_q
+                roots += [r, mp.conj(r) if u.imag == 0 and w.real == 0 else (u - w) / two_q] * mult
             residual, converged = max(residual, res), converged and ok
         return roots, residual, converged
 
@@ -258,6 +267,37 @@ def check_numeric_settings(precision_bits: int) -> None:
         raise ValueError(f"precision must be at least {MIN_PRECISION_BITS} bits, got {precision_bits}")
 
 
+def _tolerance(precision_bits: int) -> tuple:
+    """(tol, its 6-digit string, UNKNOWN_BAND_FACTOR * tol) at the working precision, with tol = 10^(-0.15 precision_bits)."""
+    with mp.workprec(2 * precision_bits + 64):
+        tol = mp.mpf(10) ** (-(mp.mpf(precision_bits) * 3 / 20))
+        return tol, mp.nstr(tol, 6), UNKNOWN_BAND_FACTOR * tol
+
+
+# formed once, at import; any other precision, a retry's included, forms its own per verdict
+_DEFAULT_TOLERANCE = _tolerance(DEFAULT_PRECISION_BITS)
+
+
+def _sorted_deviations(roots, sqrt_q) -> tuple:
+    """(the sorted | |r| sqrt(Q) - 1 | over ``roots``, their 6-digit strings).
+
+    A root that repeats the one before it, or is its conjugate, has its
+    modulus bit for bit, so it takes that root's deviation and string: one
+    per conjugate pair and per repeat.
+    """
+    devs, prev = [], None
+    for r in roots:
+        if prev is None or not (r is prev or r == mp.conj(prev)):
+            dev = abs(abs(r) * sqrt_q - 1)
+        devs.append(dev)
+        prev = r
+    devs.sort()
+    texts = []
+    for i, d in enumerate(devs):
+        texts.append(texts[-1] if i and d is devs[i - 1] else mp.nstr(d, 6))
+    return devs, texts
+
+
 def rh_numeric(P: Poly, Q: int, precision_bits: int = DEFAULT_PRECISION_BITS, _escalated: bool = False) -> RHVerdict:
     """Numeric root-modulus verdict for a degree-2g numerator P over an integer Q, from the g roots of its R.
 
@@ -269,10 +309,9 @@ def rh_numeric(P: Poly, Q: int, precision_bits: int = DEFAULT_PRECISION_BITS, _e
     if deg == float("-inf") or deg < 2 or deg % 2 != 0:
         raise ValueError(f"numerator degree must be even and >= 2, got {deg}")
     g, ints = int(deg) // 2, P.view[1]
+    tol, tolerance, band = _DEFAULT_TOLERANCE if precision_bits == DEFAULT_PRECISION_BITS else _tolerance(precision_bits)
 
     with mp.workprec(2 * precision_bits + 64):
-        tol = mp.mpf(10) ** (-(mp.mpf(precision_bits) * 3 / 20))
-        tolerance = mp.nstr(tol, 6)
         if not is_self_inversive(ints, Q, g):
             return RHVerdict(
                 method="numeric",
@@ -282,14 +321,13 @@ def rh_numeric(P: Poly, Q: int, precision_bits: int = DEFAULT_PRECISION_BITS, _e
                 detail="not self-inversive",
             )
         roots, residual, converged = _real_weil_roots(ints, Q, g, precision_bits)
-        sqrt_q = mp.sqrt(mp.mpf(Q))
-        devs = sorted(abs(abs(r) * sqrt_q - 1) for r in roots)
+        devs, deviations = _sorted_deviations(roots, mp.sqrt(mp.mpf(Q)))
 
         if not converged:
             holds, detail = None, f"no convergence; residual {mp.nstr(residual, 6)}"
         elif devs[-1] < tol:
             holds, detail = True, ""
-        elif not devs[-1] < UNKNOWN_BAND_FACTOR * tol:  # a NaN deviation fails too
+        elif not devs[-1] < band:  # a NaN deviation fails too
             holds, detail = False, "off-circle root"
         elif not _escalated:
             return rh_numeric(P, Q, precision_bits * 2, _escalated=True)
@@ -300,8 +338,8 @@ def rh_numeric(P: Poly, Q: int, precision_bits: int = DEFAULT_PRECISION_BITS, _e
             holds=holds,
             precision_bits=precision_bits,
             tolerance=tolerance,
-            max_deviation=mp.nstr(devs[-1], 6),
-            deviations=tuple(mp.nstr(d, 6) for d in devs),
+            max_deviation=deviations[-1],
+            deviations=tuple(deviations),
             detail=detail,
         )
 

@@ -421,6 +421,37 @@ def test_point_counts_with_zero_class_number_are_usage_error(capsys):
     assert "class number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "curve, message",
+    [
+        # the trace q + 1 - N_1 = -6 is the one elliptic:q=2,a=-6 refuses by the Hasse bound
+        ("counts:q=2,g=1,N=9", "point count N_1 = 9 violates Weil's bound"),
+        ("counts:q=2,g=2,N=-100;5", "point count N_1 = -100 is negative"),
+        ("counts:q=2,g=2,N=3;-1", "point count N_2 = -1 is negative"),
+        # N_1 = 3 is fine; N_2 = 30 is 25 past q^2 + 1 = 5, and 2g q = 8
+        ("counts:q=2,g=2,N=3;30", "point count N_2 = 30 violates Weil's bound"),
+    ],
+)
+def test_point_counts_no_curve_has_are_usage_error(curve, message, capsys):
+    assert run_cli(["rh-check", "--curve", curve, "--tuple", "1"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_point_counts_on_weils_bound_are_accepted():
+    # N_1 = q + 1 +- 2g sqrt(q) at q = 4, g = 1 (traces -+4) sits on the bound
+    for n1 in (1, 9):
+        assert run_cli(["rh-check", "--curve", f"counts:q=4,g=1,N={n1}", "--tuple", "1"]) == 0
+
+
+def test_curve_file_with_an_unknown_key_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"label": "x", "q": 2, "genus": 2, "numerater": [1, 0, 0, 0, 4], "point_counts": [3, 5]}))
+    assert run_cli(["derive", "--curve", str(bad), "--tuple", "1"]) == 2
+    assert "unknown key 'numerater'" in capsys.readouterr().err
+    assert run_cli(["sweep", "--curves", str(bad), "--tuples", "1"]) == 2
+    assert "unknown key 'numerater'" in capsys.readouterr().err
+
+
 def test_jobs_zero_is_usage_error(capsys):
     assert run_cli(["sweep", "--grid", "builtin-elliptic", "--q", "2", "--tuples", "2", "--jobs", "0"]) == 2
     assert "--jobs" in capsys.readouterr().err
@@ -668,7 +699,7 @@ _SOURCES = st.one_of(
     ),
 )
 _CURVE_OBJECTS = st.one_of(
-    st.dictionaries(st.sampled_from(["label", "q", "genus", "trace", "point_counts", "numerator"]), _JSON_VALUES),
+    st.dictionaries(st.sampled_from(["label", "q", "genus", "trace", "point_counts", "numerator", "numerater"]), _JSON_VALUES),
     st.builds(
         lambda head, source: {**head, **source},
         st.fixed_dictionaries(

@@ -392,6 +392,51 @@ def test_a_derived_level_pickles_and_copies():
         assert twin.numerator_key() == z.numerator_key()
 
 
+def test_a_level_keeps_its_residue_outside_its_fields():
+    z = derive_step(artin_zeta(catalog_curve("X2g2").spec()), 3)
+    fresh = replace(z)
+    assert "_residue" not in vars(fresh)
+    beta = z.residue()
+    assert z.residue() is beta and vars(z)["_residue"] is beta  # formed once, then read back
+    # equality, hashing, replace and pickling read the fields alone
+    assert z == fresh and hash(z) == hash(fresh) and repr(z) == repr(fresh)
+    for twin in (pickle.loads(pickle.dumps(z)), copy.copy(z), copy.deepcopy(z), replace(z)):
+        assert twin == z and "_residue" not in vars(twin)
+        assert twin.residue() == beta
+
+
+def test_every_catalog_curve_has_counts_some_curve_can_have():
+    for label in CATALOG:
+        spec = catalog_curve(label).spec()
+        assert artin_zeta(spec).P(1) >= 1, label
+    assert CurveSpec(label="X2g2", q=2, genus=2, point_counts=(3, 5)).point_counts == (3, 5)
+
+
+@pytest.mark.parametrize(
+    "q, g, counts, message",
+    [
+        (2, 1, (9,), "N_1 = 9 violates Weil's bound"),
+        (2, 2, (-100, 5), "N_1 = -100 is negative"),
+        (3, 2, (4, -2), "N_2 = -2 is negative"),
+        (2, 2, (3, 30), "N_2 = 30 violates Weil's bound"),
+        (2, 1, (3, 10), "inconsistent"),  # an extra count that disagrees with N_1 is refused, as before
+    ],
+)
+def test_a_spec_refuses_point_counts_no_curve_has(q, g, counts, message):
+    with pytest.raises(ValueError, match=message):
+        CurveSpec(label="x", q=q, genus=g, point_counts=counts)
+
+
+def test_weils_bound_is_an_exact_int_comparison():
+    # at q = 4, g = 1, N_1 = 1 and 9 put the trace at -+2 sqrt 4, on the bound; one further is past it
+    for n1 in (1, 9):
+        assert CurveSpec(label="x", q=4, genus=1, point_counts=(n1,)).point_counts == (n1,)
+    # one further: N_1 = 0 gives P(1) = 0, which the class number check names first
+    for n1, message in ((0, "not a class number"), (10, "N_1 = 10 violates Weil's bound")):
+        with pytest.raises(ValueError, match=message):
+            CurveSpec(label="x", q=4, genus=1, point_counts=(n1,))
+
+
 def test_genus0_rejected():
     with pytest.raises(ValueError, match="genus 0"):
         CurveSpec(label="bad", q=2, genus=0, trace=0)

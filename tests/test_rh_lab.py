@@ -23,8 +23,9 @@ from zetatower.curves import (
 )
 from zetatower.cli import parse_curve_arg
 from zetatower.derived_engine import DerivationError, derive_step
-from zetatower.exact_arith import Poly, real_weil_poly, squarefree_factors
+from zetatower.exact_arith import Poly, is_self_inversive, real_weil_poly, squarefree_factors
 from zetatower.rh_lab import (
+    DEFAULT_PRECISION_BITS,
     MIN_PRECISION_BITS,
     SweepConfig,
     builtin_elliptic_grid,
@@ -376,6 +377,90 @@ def test_an_asymmetric_numerator_fails_with_no_root_sought(monkeypatch):
     assert v.method == "numeric" and v.max_deviation is None and v.precision_bits == 256
 
 
+# -- one root, one deviation and one string per conjugate pair -----------------------
+
+
+def _two_root_verdict(P: Poly, Q: int, bits: int = 256, escalated: bool = False) -> rh_lab.RHVerdict:
+    """The numeric verdict with every step done separately, as the reference for ``rh_numeric``.
+
+    The tolerance is formed afresh, both T roots (u +- w) / 2Q of every root
+    u of R by the formula, and one deviation and one string for each root.
+    """
+    g, ints = int(P.degree) // 2, P.view[1]
+    with mp.workprec(2 * bits + 64):
+        tol = mp.mpf(10) ** (-(mp.mpf(bits) * 3 / 20))
+        fields = {"method": "numeric", "precision_bits": bits, "tolerance": mp.nstr(tol, 6)}
+        if not is_self_inversive(ints, Q, g):
+            return rh_lab.RHVerdict(holds=False, detail="not self-inversive", **fields)
+        q = mp.mpf(Q)
+        sqrt_q = mp.sqrt(q)
+        target = mp.mpf(2) ** (-(bits + 16))
+        roots, residual, converged = [], mp.mpf(0), True
+        for F, mult in squarefree_factors(real_weil_poly(ints, Q, g)):
+            vs, res, ok = rh_lab._factor_roots(F, 1 / sqrt_q, target, bits)
+            for v in vs:
+                u = v * sqrt_q
+                w = mp.sqrt(u * u - 4 * q)
+                roots += [(u + w) / (2 * q), (u - w) / (2 * q)] * mult
+            residual, converged = max(residual, res), converged and ok
+        devs = sorted(abs(abs(r) * mp.sqrt(mp.mpf(Q)) - 1) for r in roots)
+        if not converged:
+            holds, detail = None, f"no convergence; residual {mp.nstr(residual, 6)}"
+        elif devs[-1] < tol:
+            holds, detail = True, ""
+        elif not devs[-1] < 10 * tol:
+            holds, detail = False, "off-circle root"
+        elif not escalated:
+            return _two_root_verdict(P, Q, 2 * bits, escalated=True)
+        else:
+            holds, detail = None, "deviation inside the escalation band after retry"
+        deviations = tuple(mp.nstr(d, 6) for d in devs)
+        return rh_lab.RHVerdict(holds=holds, max_deviation=deviations[-1], deviations=deviations, detail=detail, **fields)
+
+
+def _has_real_w(P: Poly, Q: int) -> bool:
+    """Whether some root u of R is real with u^2 > 4Q, so that w = sqrt(u^2 - 4Q) is real and nonzero."""
+    with mp.workprec(256):
+        sqrt_q = mp.sqrt(mp.mpf(Q))
+        for F, _ in squarefree_factors(real_weil_poly(P.view[1], Q, int(P.degree) // 2)):
+            vs, _, _ = rh_lab._factor_roots(F, 1 / sqrt_q, mp.mpf(2) ** -200, 128)
+            if any(abs(v.imag) < mp.mpf(2) ** -100 and abs(v.real) > 2 + mp.mpf(2) ** -100 for v in vs):
+                return True
+    return False
+
+
+# (1 - 3T)(1 - 2T/3)(1 + 2T^2) at Q = 2: R = (u - 11/3) u, and u = 11/3 > 2 sqrt 2 gives a real w
+_REAL_W_CONTROL = (Poly([1, -3]) * Poly([1, Fraction(-2, 3)]) * Poly([1, 0, 2]), 2)
+
+
+def test_every_verdict_field_equals_the_two_root_reference():
+    cases = [(Poly([1, a1, a2, q * a1, q * q]), q) for q, a1, a2 in _genus2_grid()]
+    cases += [(P, 2) for _, P in _cubic_products()] + _genus3_levels()
+    cases += [(Poly([1, 0, -2]) ** 2, 2), _REAL_W_CONTROL]  # w = 0 at u = +-2 sqrt 2; a real w
+    assert len(cases) == 678 + 35 + 5 + 2
+    assert _has_real_w(*_REAL_W_CONTROL)
+    assert sum(_has_real_w(P, Q) for P, Q in cases[:678]) > 100  # off-circle grid numerators have real w too
+    for P, Q in cases:
+        # a dataclass compares every field: outcome, deviations and their maximum, tolerance, precision, detail
+        assert rh_numeric(P, Q) == _two_root_verdict(P, Q), (P, Q)
+    for bits in (MIN_PRECISION_BITS, 100):  # precisions whose tolerance is formed per verdict
+        for P, Q in cases[::50] + cases[-2:]:
+            assert rh_numeric(P, Q, precision_bits=bits) == _two_root_verdict(P, Q, bits), (P, Q, bits)
+
+
+def test_each_root_of_R_gives_its_own_pair_of_T_roots():
+    # (r1, r2) of one u solve Q T^2 - u T + 1, so Q r1 r2 = 1: a conjugate taken for a pair with real w, or
+    # for a purely imaginary u (R = u^2 + 1 below, whose w is imaginary too), would break it
+    cases = [(Poly([1, a1, a2, q * a1, q * q]), q) for q, a1, a2 in _genus2_grid()[::7]]
+    cases += [_REAL_W_CONTROL, (Poly([1, 0, 5, 0, 4]), 2), (Poly([1, 0, -2]) ** 2, 2)]
+    for P, Q in cases:
+        roots, _, _ = rh_lab._real_weil_roots(P.view[1], Q, 2, 256)
+        with mp.workprec(576):
+            for r1, r2 in zip(roots[::2], roots[1::2]):
+                assert abs(Q * r1 * r2 - 1) < mp.mpf(10) ** -100, (P, Q, r1, r2)
+                assert abs(sum(c * r1**i for i, c in enumerate(P.view[1]))) < mp.mpf(10) ** -100, (P, Q, r1)
+
+
 # -- the verdict's branches --------------------------------------------------------
 
 
@@ -398,6 +483,11 @@ def _plant_band_roots(monkeypatch, at_bits=None):
 _G2_P = Poly([1, 1, 3, 2, 4])  # 1 + T + 3T^2 + 2T^3 + 4T^4 over F_2: RH holds
 
 
+def _tolerance_string(bits: int) -> str:
+    with mp.workprec(2 * bits + 64):
+        return mp.nstr(mp.mpf(10) ** (-(mp.mpf(bits) * 3 / 20)), 6)
+
+
 def test_a_deviation_in_the_band_twice_is_unknown(monkeypatch):
     calls = _plant_band_roots(monkeypatch)
     v = rh_numeric(_G2_P, 2, precision_bits=MIN_PRECISION_BITS)
@@ -413,6 +503,17 @@ def test_a_deviation_in_the_band_once_holds_after_the_retry(monkeypatch):
     assert calls == [256, 512]
     assert v.holds is True and v.precision_bits == 512 and v.detail == ""
     assert mp.mpf(v.max_deviation) < mp.mpf(v.tolerance)
+
+
+@pytest.mark.parametrize("bits", [MIN_PRECISION_BITS, DEFAULT_PRECISION_BITS])
+def test_the_retry_reports_the_tolerance_of_the_doubled_precision(bits, monkeypatch):
+    # the first precision's tolerance string would pass both tests above
+    _plant_band_roots(monkeypatch, at_bits=bits)
+    held = rh_numeric(_G2_P, 2, precision_bits=bits)
+    _plant_band_roots(monkeypatch)
+    unknown = rh_numeric(_G2_P, 2, precision_bits=bits)
+    assert (held.holds, unknown.holds) == (True, None)
+    assert held.tolerance == unknown.tolerance == _tolerance_string(2 * bits) != _tolerance_string(bits)
 
 
 def test_a_factor_that_does_not_converge_is_unknown(monkeypatch):

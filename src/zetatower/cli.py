@@ -6,10 +6,10 @@ built-in catalog (``catalog:E2a0``), or from a JSON file matching the curve
 schema.  derive, invariants and rh-check read the levels along --tuple, in
 prefix order, from the curve's lazy tower (``rh_lab.curve_tower``), as sweep
 does; --normalize only presents that unnormalized tower.  Every rational in emitted JSON is an exact string;
-numeric RH deviations are decimal strings at the stated precision.
---precision-bits is the numeric RH verdict's only setting: its tolerance is
-derived from the precision.  The one environment override is
-ZETATOWER_PRODUCT_CAP.  Identical inputs produce byte-identical output files.
+numeric RH deviations are decimal strings at the stated precision.  The
+numeric RH verdict has no setting: its precision and tolerance are fixed.
+The one environment override is ZETATOWER_PRODUCT_CAP.  Identical inputs
+produce byte-identical output files.
 
 Exit codes: 0 ok, 1 check failed or an RH verdict unknown, 2 usage error,
 3 internal error.
@@ -36,11 +36,9 @@ from zetatower.exact_arith import rat_str, unlimited_int_digits
 from zetatower.invariants import InvariantSet
 from zetatower.rh_lab import (
     ALL_CHECKS,
-    DEFAULT_PRECISION_BITS,
     DEFAULT_PRODUCT_CAP,
     SweepConfig,
     builtin_elliptic_grid,
-    check_numeric_settings,
     curve_tower,
     report_to_json,
     sweep,
@@ -147,11 +145,11 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def _tower(args, **rh_settings):
+def _tower(args):
     """The curve, its lazy tower, and the paths to the levels of --tuple in prefix order."""
     spec = parse_curve_arg(args.curve)
     steps = parse_tuple_arg(args.tuple, _product_cap(), args.allow_large)
-    return spec, curve_tower(spec, **rh_settings), [steps[:i] for i in range(len(steps) + 1)]
+    return spec, curve_tower(spec), [steps[:i] for i in range(len(steps) + 1)]
 
 
 def cmd_derive(args) -> int:
@@ -230,8 +228,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_rh_check(args) -> int:
-    check_numeric_settings(args.precision_bits)  # before any level is derived
-    spec, tower, paths = _tower(args, precision_bits=args.precision_bits)
+    spec, tower, paths = _tower(args)
     verdicts = []
     for path in paths:
         v = tower.rh(path)
@@ -266,14 +263,8 @@ def cmd_sweep(args) -> int:
         curves = tuple(CATALOG[label].spec() for label in sorted(CATALOG))
     else:
         raise UsageError(f"unknown grid {args.grid!r} and no --curves file given")
-    checks = ALL_CHECKS if args.checks == "all" else tuple(args.checks.split(","))  # sweep() checks them and the precision
-    config = SweepConfig(
-        curves=curves,
-        tuples=tuples,
-        checks=checks,
-        precision_bits=args.precision_bits,
-        product_cap=cap if not args.allow_large else 10**9,
-    )
+    checks = ALL_CHECKS if args.checks == "all" else tuple(args.checks.split(","))  # sweep() checks them
+    config = SweepConfig(curves=curves, tuples=tuples, checks=checks, product_cap=cap if not args.allow_large else 10**9)
     report = sweep(config, jobs=args.jobs)
     _write_output(report_to_json(report), args.output)
     print(
@@ -313,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rh-check", help="Riemann-hypothesis verdicts per level")
     add_common(p, normalize=False)  # scaling P changes no verdict
-    p.add_argument("--precision-bits", type=int, default=DEFAULT_PRECISION_BITS)
     p.set_defaults(func=cmd_rh_check)
 
     p = sub.add_parser("sweep", help="run a check battery over a curve x tuple grid")
@@ -323,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tuples", required=True, help="semicolon-separated tuples, e.g. '2;3;2,2'")
     p.add_argument("--checks", default="all", help="all or comma-separated subset of " + ",".join(ALL_CHECKS))
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--precision-bits", type=int, default=DEFAULT_PRECISION_BITS)
     p.add_argument("--allow-large", action="store_true")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_sweep)

@@ -355,7 +355,10 @@ def _point_counts(counts) -> tuple:
 
 def load_curves(path) -> list:
     """Read one curve object or a list of them from a JSON file; any other JSON value raises ValueError."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"curves file {path} nests its JSON too deeply") from None
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list):

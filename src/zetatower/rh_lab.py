@@ -20,13 +20,13 @@ or does not settle, the polish starts on the circle |v| = 1 + 1/8 instead,
 with a deterministic scattered restart if that stalls.  Each root u gives
 the two roots (u +- w) / 2Q of Q T^2 - u T + 1, w = sqrt(u^2 - 4Q); for a
 real u with w purely imaginary the second is the conjugate of the first, and
-the pair has one deviation.  The precision is the only setting: the
-tolerance is derived from it, 10^(-0.15 precision_bits), and for the default
-precision formed once, at import.  A verdict is "holds" when the worst
-|root| * sqrt(Q) deviation from 1 is below the tolerance, "fails" at 10x the
-tolerance or beyond, and lands in the unknown band between (after one
-automatic retry at doubled precision), as it does when the iteration does
-not converge.
+the pair has one deviation.  The verdict has no setting: it runs at
+DEFAULT_PRECISION_BITS, with the tolerance 10^(-0.15 precision_bits) formed
+once, at import.  A verdict is "holds" when the worst |root| * sqrt(Q)
+deviation from 1 is below the tolerance, "fails" at 10x the tolerance or
+beyond, and lands in the unknown band between (after one automatic retry at
+doubled precision, whose tolerance is formed then), as it does when the
+iteration does not converge.
 
 Sweeps run a configurable battery of checks over a curve x tuple grid and
 emit a deterministic JSON-able report: no timestamps, fixed ordering, exact
@@ -79,7 +79,6 @@ from zetatower.mult_struct import elliptic_beta_recursion, ratio_bounds_check
 
 DEFAULT_PRECISION_BITS = 256
 DEFAULT_PRODUCT_CAP = 64  # largest step product a sweep or the CLI accepts by default
-MIN_PRECISION_BITS = 32
 UNKNOWN_BAND_FACTOR = 10
 # Durand-Kerner starts on |v| = 1 + 1/8, across the conjectured locus [-2, 2] of v = u / sqrt(Q)
 START_RADIUS = 1.125
@@ -257,16 +256,6 @@ def _real_weil_roots(ints: Sequence[int], Q: int, g: int, precision_bits: int):
         return roots, residual, converged
 
 
-def check_numeric_settings(precision_bits: int) -> None:
-    """Reject a precision under which a root off the circle could pass.
-
-    The tolerance is 10^(-0.15 precision_bits): at precision_bits = 0 it would
-    be 1, and a root at deviation 0.41 from the circle would pass.
-    """
-    if precision_bits < MIN_PRECISION_BITS:
-        raise ValueError(f"precision must be at least {MIN_PRECISION_BITS} bits, got {precision_bits}")
-
-
 def _tolerance(precision_bits: int) -> tuple:
     """(tol, its 6-digit string, UNKNOWN_BAND_FACTOR * tol) at the working precision, with tol = 10^(-0.15 precision_bits)."""
     with mp.workprec(2 * precision_bits + 64):
@@ -274,7 +263,7 @@ def _tolerance(precision_bits: int) -> tuple:
         return tol, mp.nstr(tol, 6), UNKNOWN_BAND_FACTOR * tol
 
 
-# formed once, at import; any other precision, a retry's included, forms its own per verdict
+# formed once, at import; a retry forms its own
 _DEFAULT_TOLERANCE = _tolerance(DEFAULT_PRECISION_BITS)
 
 
@@ -298,18 +287,18 @@ def _sorted_deviations(roots, sqrt_q) -> tuple:
     return devs, texts
 
 
-def rh_numeric(P: Poly, Q: int, precision_bits: int = DEFAULT_PRECISION_BITS, _escalated: bool = False) -> RHVerdict:
+def rh_numeric(P: Poly, Q: int, _escalated: bool = False) -> RHVerdict:
     """Numeric root-modulus verdict for a degree-2g numerator P over an integer Q, from the g roots of its R.
 
-    A P that is not self-inversive fails with no root sought.  The tolerance
-    is derived from the precision, 10^(-0.15 precision_bits).
+    A P that is not self-inversive fails with no root sought.  The verdict
+    runs at DEFAULT_PRECISION_BITS, its one retry (``_escalated``) at twice that.
     """
-    check_numeric_settings(precision_bits)
     deg = P.degree
     if deg == float("-inf") or deg < 2 or deg % 2 != 0:
         raise ValueError(f"numerator degree must be even and >= 2, got {deg}")
     g, ints = int(deg) // 2, P.view[1]
-    tol, tolerance, band = _DEFAULT_TOLERANCE if precision_bits == DEFAULT_PRECISION_BITS else _tolerance(precision_bits)
+    precision_bits = 2 * DEFAULT_PRECISION_BITS if _escalated else DEFAULT_PRECISION_BITS
+    tol, tolerance, band = _tolerance(precision_bits) if _escalated else _DEFAULT_TOLERANCE
 
     with mp.workprec(2 * precision_bits + 64):
         if not is_self_inversive(ints, Q, g):
@@ -330,7 +319,7 @@ def rh_numeric(P: Poly, Q: int, precision_bits: int = DEFAULT_PRECISION_BITS, _e
         elif not devs[-1] < band:  # a NaN deviation fails too
             holds, detail = False, "off-circle root"
         elif not _escalated:
-            return rh_numeric(P, Q, precision_bits * 2, _escalated=True)
+            return rh_numeric(P, Q, _escalated=True)
         else:
             holds, detail = None, "deviation inside the escalation band after retry"
         return RHVerdict(
@@ -344,11 +333,11 @@ def rh_numeric(P: Poly, Q: int, precision_bits: int = DEFAULT_PRECISION_BITS, _e
         )
 
 
-def rh_verdict_for_level(level: ZetaLevel, precision_bits: int = DEFAULT_PRECISION_BITS) -> RHVerdict:
+def rh_verdict_for_level(level: ZetaLevel) -> RHVerdict:
     """Exact criterion when genus 1, numeric otherwise."""
     if level.genus == 1:
         return rh_exact_genus1(level)
-    return rh_numeric(level.P, level.Q, precision_bits=precision_bits)
+    return rh_numeric(level.P, level.Q)
 
 
 # --------------------------------------------------------------------------
@@ -363,7 +352,6 @@ class SweepConfig:
     curves: tuple  # CurveSpec
     tuples: tuple  # tuple[int, ...]
     checks: tuple = ALL_CHECKS
-    precision_bits: int = DEFAULT_PRECISION_BITS
     product_cap: int = DEFAULT_PRODUCT_CAP
 
     def to_dict(self) -> dict:
@@ -371,8 +359,9 @@ class SweepConfig:
             "curves": [c.to_dict() for c in self.curves],
             "tuples": [list(t) for t in self.tuples],
             "checks": list(self.checks),
-            "precision_bits": self.precision_bits,
-            "series_order": 12,  # not a setting; the pinned config_hash payload keeps it until the benchmark changes
+            # neither is a setting; the pinned config_hash payload keeps both until the benchmark changes
+            "precision_bits": DEFAULT_PRECISION_BITS,
+            "series_order": 12,
             "product_cap": self.product_cap,
         }
 
@@ -415,7 +404,7 @@ class Tower(NamedTuple):
     ratio_bounds: Callable[[tuple], tuple]  # the residue link, then bound checks from n = 2 on; genus 1 only
 
 
-def curve_tower(spec: CurveSpec, precision_bits: int = DEFAULT_PRECISION_BITS) -> Tower:
+def curve_tower(spec: CurveSpec) -> Tower:
     """A lazy tower over one curve: each entry is computed the first time it is read.
 
     A level is derived, one step at a time, from the longest prefix already
@@ -450,7 +439,7 @@ def curve_tower(spec: CurveSpec, precision_bits: int = DEFAULT_PRECISION_BITS) -
         return read
 
     invariants = by_numerator(lambda z: extract_invariants(z))
-    rh = by_numerator(lambda z: rh_verdict_for_level(z, precision_bits))
+    rh = by_numerator(lambda z: rh_verdict_for_level(z))
 
     @cache
     def step_values(steps: tuple) -> SpecialValues:
@@ -569,7 +558,7 @@ def run_curve(spec: CurveSpec, config: SweepConfig) -> list:
     first reach it.  The tower lives for this call only, so every sweep does
     all of its own work.
     """
-    tower = curve_tower(spec, config.precision_bits)
+    tower = curve_tower(spec)
     # the report strings of deep levels pass 4300 digits; lifted here, a --jobs worker lifts it too
     with unlimited_int_digits():
         return [run_cell(spec, tuple(steps), config, tower) for steps in config.tuples]
@@ -580,7 +569,11 @@ def sweep(config: SweepConfig, jobs: int = 1) -> dict:
     unknown = set(config.checks) - set(ALL_CHECKS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}; available: {ALL_CHECKS}")
-    check_numeric_settings(config.precision_bits)
+    labels = set()
+    for spec in config.curves:  # a repeated label would report its cells twice
+        if spec.label in labels:
+            raise ValueError(f"curve label {spec.label!r} is repeated; each curve of a sweep needs its own label")
+        labels.add(spec.label)
     for steps in config.tuples:
         if not steps or min(steps) < 1:
             raise ValueError(f"tuple {steps} must be a nonempty list of positive integers")
@@ -591,7 +584,7 @@ def sweep(config: SweepConfig, jobs: int = 1) -> dict:
     if jobs > 1 and len(config.curves) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(config.curves))) as pool:  # each worker starts at once
             per_curve = list(pool.map(run_curve, config.curves, [config] * len(config.curves)))
     else:
         per_curve = [run_curve(spec, config) for spec in config.curves]

@@ -192,7 +192,7 @@ def test_criterion_09_rh_genus1(grid):
             for z in levels[1:]:
                 exact = rh_exact_genus1(z)
                 assert exact.holds is True, (curve, z.steps)
-                numeric = rh_numeric(z.P, z.Q, precision_bits=256)
+                numeric = rh_numeric(z.P, z.Q)
                 assert numeric.holds is exact.holds is True, (curve, z.steps)
                 assert mp.mpf(numeric.max_deviation) < DEV_BOUND, (curve, z.steps)
                 count += 1
@@ -202,7 +202,7 @@ def test_criterion_09_rh_genus1(grid):
 def test_criterion_10_rh_genus2_tuples(genus2):
     for steps in ((2,), (2, 2)):
         z = genus2["towers"][steps][-1]
-        v = rh_numeric(z.P, z.Q, precision_bits=256)
+        v = rh_numeric(z.P, z.Q)
         assert v.holds is True, steps
         assert mp.mpf(v.max_deviation) < DEV_BOUND, (steps, v.max_deviation)
     _report(10, "derived RH, genus 2, tuples (2) and (2,2)", "(256-bit numeric)")

@@ -309,11 +309,37 @@ def test_sweep_exits_1_on_an_unknown_verdict(monkeypatch, capsys):
     from zetatower import rh_lab
 
     unknown = rh_lab.RHVerdict(method="numeric", holds=None, detail="planted")
-    monkeypatch.setattr(rh_lab, "rh_verdict_for_level", lambda level, precision_bits: unknown)
+    monkeypatch.setattr(rh_lab, "rh_verdict_for_level", lambda level: unknown)
     assert run_cli(["sweep", "--q", "2", "--tuples", "1", "--checks", "rh"]) == 1  # as rh-check does
     summary = json.loads(capsys.readouterr().out)["summary"]
     assert summary["per_check"]["rh"] == {"pass": 0, "fail": 0, "unknown": 5, "skipped": 0}
     assert summary["failed"] is False and summary["errors"] == 0
+
+
+def test_a_deeply_nested_curves_file_is_usage_error(tmp_path, capsys):
+    # json.loads gives up on the nesting with a RecursionError, which once read as an internal error
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    for args in (["rh-check", "--curve", str(path), "--tuple", "1"], ["sweep", "--curves", str(path), "--tuples", "1"]):
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert f"curves file {path} nests its JSON too deeply" in err and "internal error" not in err
+
+
+def test_a_repeated_curve_label_is_usage_error(monkeypatch, tmp_path, capsys):
+    # each (curve, tuple) cell of a repeated label was derived and reported twice
+    from zetatower import rh_lab
+
+    def fail(*args):
+        raise AssertionError("derived a level of a refused sweep")
+
+    monkeypatch.setattr(rh_lab, "artin_zeta", fail)
+    path = tmp_path / "curves.json"
+    spec = {"label": "twice", "q": 2, "genus": 1, "trace": 0}
+    path.write_text(json.dumps([{**spec, "label": "once"}, spec, {**spec, "trace": 1}]))
+    for source, label in ((["--q", "3,2,2"], "elliptic_q2_a-2"), (["--curves", str(path)], "twice")):
+        assert run_cli(["sweep", *source, "--tuples", "1", "--checks", "rh"]) == 2
+        assert f"error: curve label {label!r} is repeated" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("top", ["3", "null", "true", '"x"'])
@@ -460,17 +486,21 @@ def test_jobs_zero_is_usage_error(capsys):
 @pytest.mark.parametrize(
     "args",
     [
-        ["rh-check", "--curve", "catalog:X2g2", "--tuple", "1", "--precision-bits", "0"],
+        ["rh-check", "--curve", "catalog:X2g2", "--tuple", "1", "--precision-bits", "512"],
         ["rh-check", "--curve", "elliptic:q=2,a=0", "--tuple", "1", "--precision-bits", "31"],
-        ["sweep", "--grid", "builtin-elliptic", "--q", "2", "--tuples", "1", "--precision-bits", "0"],
-        ["rh-check", "--curve", "catalog:X2g2", "--tuple", "1", "--precision-bits", "31"],
-        ["rh-check", "--curve", "elliptic:q=2,a=0", "--tuple", "1", "--precision-bits", "-1"],
-        ["sweep", "--grid", "catalog", "--tuples", "1", "--checks", "rh", "--precision-bits", "31"],
+        ["sweep", "--grid", "builtin-elliptic", "--q", "2", "--tuples", "1", "--precision-bits", "512"],
+        ["rh-check", "--curve", "catalog:X2g2", "--tuple", "1", "--precision-bits", "256"],
+        ["rh-check", "--curve", "elliptic:q=2,a=0", "--tuple", "1", "--precision-bits", "0"],
+        ["sweep", "--grid", "catalog", "--tuples", "1", "--checks", "rh", "--precision-bits", "256"],
         ["sweep", "--grid", "builtin-elliptic", "--q", "2", "--tuples", "1", "--precision-bits", "-1"],
     ],
 )
-def test_bad_numeric_settings_are_usage_errors(args, tmp_path):
-    assert run_cli(args + ["--output", str(tmp_path / "out.json")]) == 2
+def test_bad_numeric_settings_are_usage_errors(args, tmp_path, capsys):
+    # the numeric verdict has no precision setting, so no value, the default 256 included, can loosen its tolerance
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args + ["--output", str(tmp_path / "out.json")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --precision-bits" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
 
 
@@ -481,16 +511,15 @@ def _off_circle_g2(tmp_path):
     return ["rh-check", "--curve", str(path), "--tuple", "1"]
 
 
-@pytest.mark.parametrize("bits", [32, 64, 256])
-def test_no_precision_passes_a_root_off_the_circle(bits, tmp_path, capsys):
-    assert run_cli(_off_circle_g2(tmp_path) + ["--precision-bits", str(bits)]) == 1
+def test_no_precision_passes_a_root_off_the_circle(tmp_path, capsys):
+    assert run_cli(_off_circle_g2(tmp_path)) == 1
     verdicts = json.loads(capsys.readouterr().out)["verdicts"]
-    assert [(v["holds"], v["precision_bits"]) for v in verdicts] == [(False, bits)] * 2
+    assert [(v["holds"], v["precision_bits"]) for v in verdicts] == [(False, 256)] * 2
     assert all(0.41 < float(v["max_deviation"]) < 0.42 for v in verdicts)
 
 
 def test_the_tolerance_is_no_option(tmp_path, capsys):
-    # the tolerance is derived from the precision; a looser one passed the roots above
+    # the tolerance is fixed with the precision; a looser one passed the roots above
     with pytest.raises(SystemExit) as exc:
         run_cli(_off_circle_g2(tmp_path) + ["--tolerance", "0.5"])
     assert exc.value.code == 2
@@ -507,7 +536,7 @@ def test_the_precision_is_no_environment_setting(value, monkeypatch, capsys):
 
 @pytest.mark.parametrize("value", ["128", "abc", "0"])
 def test_the_precision_variable_leaves_a_sweep_unchanged(value, monkeypatch, capsys):
-    # the config hash covers the precision, so the whole report pins it
+    # the config hash covers the fixed precision, so the whole report pins it
     args = ["sweep", "--grid", "catalog", "--tuples", "1", "--checks", "rh"]
     assert run_cli(args) == 0
     unset = capsys.readouterr().out
@@ -600,7 +629,7 @@ def test_rh_check_has_no_normalize_option(capsys):
     assert "--normalize" in capsys.readouterr().err
 
 
-def test_rh_check_checks_the_precision_before_deriving(monkeypatch, capsys):
+def _refuse_derivation(monkeypatch):
     from zetatower import derived_engine, rh_lab
 
     def fail(*args):
@@ -608,21 +637,23 @@ def test_rh_check_checks_the_precision_before_deriving(monkeypatch, capsys):
 
     for module in (rh_lab, derived_engine):  # the tower's step, and any other route to one
         monkeypatch.setattr(module, "derive_step", fail)
-    args = ["rh-check", "--curve", "catalog:X2g2", "--tuple", "10,10,10", "--allow-large", "--precision-bits", "8"]
-    assert run_cli(args) == 2
-    assert "precision must be at least 32 bits, got 8" in capsys.readouterr().err
+
+
+def test_rh_check_checks_the_precision_before_deriving(monkeypatch, capsys):
+    _refuse_derivation(monkeypatch)
+    args = ["rh-check", "--curve", "catalog:X2g2", "--tuple", "10,10,10", "--allow-large", "--precision-bits", "512"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args)
+    assert exc.value.code == 2
+    assert "--precision-bits" in capsys.readouterr().err
 
 
 def test_sweep_checks_the_precision_before_deriving(monkeypatch, capsys):
-    from zetatower import derived_engine, rh_lab
-
-    def fail(*args):
-        raise AssertionError("derived a level before checking the precision")
-
-    for module in (rh_lab, derived_engine):
-        monkeypatch.setattr(module, "derive_step", fail)
-    assert run_cli(["sweep", "--grid", "catalog", "--tuples", "1;2", "--precision-bits", "8"]) == 2
-    assert "precision must be at least 32 bits, got 8" in capsys.readouterr().err
+    _refuse_derivation(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sweep", "--grid", "catalog", "--tuples", "1;2", "--precision-bits", "512"])
+    assert exc.value.code == 2
+    assert "--precision-bits" in capsys.readouterr().err
 
 
 def test_derive_a_thousand_steps_of_index_one(tmp_path):

@@ -26,7 +26,6 @@ from zetatower.derived_engine import DerivationError, derive_step
 from zetatower.exact_arith import Poly, is_self_inversive, real_weil_poly, squarefree_factors
 from zetatower.rh_lab import (
     DEFAULT_PRECISION_BITS,
-    MIN_PRECISION_BITS,
     SweepConfig,
     builtin_elliptic_grid,
     curve_tower,
@@ -85,7 +84,7 @@ def test_numeric_matches_exact_on_subgrid():
 def test_numeric_genus2_product():
     # (1 + 2T^2)(1 - 2T + 2T^2): all reciprocal roots on |T| = 2^(-1/2)
     P = Poly([1, 0, 2]) * Poly([1, -2, 2])
-    v = rh_numeric(P, 2, precision_bits=256)
+    v = rh_numeric(P, 2)
     assert v.holds
     assert mp.mpf(v.max_deviation) < mp.mpf("1e-30")
 
@@ -359,14 +358,13 @@ def test_reduced_route_matches_the_full_numerator(monkeypatch):
     assert sum(v.holds is True for v in reduced) == sum(_weil_rh_holds(*case) for case in _genus2_grid()) + 7
 
 
-@pytest.mark.parametrize("bits", [MIN_PRECISION_BITS, 256])
-def test_a_double_root_on_the_circle_is_a_simple_root_of_R(bits, monkeypatch):
+def test_a_double_root_on_the_circle_is_a_simple_root_of_R():
     # (1 - 2T^2)^2 at Q = 2: R = u^2 - 8 has simple roots at u = +-2 sqrt Q, each a double root T = +-1/sqrt 2
-    v = rh_numeric(Poly([1, 0, -2]) ** 2, 2, precision_bits=bits)
-    assert v.holds is True and v.precision_bits == bits, v.max_deviation
+    v = rh_numeric(Poly([1, 0, -2]) ** 2, 2)
+    assert v.holds is True and v.precision_bits == DEFAULT_PRECISION_BITS, v.max_deviation
     assert len(v.deviations) == 4
     # R's factor is solved in closed form, so the roots are far inside the convergence target, let alone the tolerance
-    assert mp.mpf(v.max_deviation) < mp.mpf(2) ** -(bits + 16) * mp.mpf("1.01"), v.max_deviation
+    assert mp.mpf(v.max_deviation) < mp.mpf(2) ** -(DEFAULT_PRECISION_BITS + 16) * mp.mpf("1.01"), v.max_deviation
 
 
 def test_an_asymmetric_numerator_fails_with_no_root_sought(monkeypatch):
@@ -443,9 +441,8 @@ def test_every_verdict_field_equals_the_two_root_reference():
     for P, Q in cases:
         # a dataclass compares every field: outcome, deviations and their maximum, tolerance, precision, detail
         assert rh_numeric(P, Q) == _two_root_verdict(P, Q), (P, Q)
-    for bits in (MIN_PRECISION_BITS, 100):  # precisions whose tolerance is formed per verdict
-        for P, Q in cases[::50] + cases[-2:]:
-            assert rh_numeric(P, Q, precision_bits=bits) == _two_root_verdict(P, Q, bits), (P, Q, bits)
+    for P, Q in cases[::50] + cases[-2:]:  # the retry, whose tolerance is formed per verdict
+        assert rh_numeric(P, Q, _escalated=True) == _two_root_verdict(P, Q, 512, escalated=True), (P, Q)
 
 
 def test_each_root_of_R_gives_its_own_pair_of_T_roots():
@@ -490,30 +487,29 @@ def _tolerance_string(bits: int) -> str:
 
 def test_a_deviation_in_the_band_twice_is_unknown(monkeypatch):
     calls = _plant_band_roots(monkeypatch)
-    v = rh_numeric(_G2_P, 2, precision_bits=MIN_PRECISION_BITS)
-    assert calls == [MIN_PRECISION_BITS, 2 * MIN_PRECISION_BITS]
-    assert v.holds is None and v.outcome() == "unknown" and v.precision_bits == 2 * MIN_PRECISION_BITS
+    v = rh_numeric(_G2_P, 2)
+    assert calls == [256, 512]
+    assert v.holds is None and v.outcome() == "unknown" and v.precision_bits == 512
     assert v.detail == "deviation inside the escalation band after retry"
     assert len(v.deviations) == 4
 
 
 def test_a_deviation_in_the_band_once_holds_after_the_retry(monkeypatch):
     calls = _plant_band_roots(monkeypatch, at_bits=256)
-    v = rh_numeric(_G2_P, 2, precision_bits=256)
+    v = rh_numeric(_G2_P, 2)
     assert calls == [256, 512]
     assert v.holds is True and v.precision_bits == 512 and v.detail == ""
     assert mp.mpf(v.max_deviation) < mp.mpf(v.tolerance)
 
 
-@pytest.mark.parametrize("bits", [MIN_PRECISION_BITS, DEFAULT_PRECISION_BITS])
-def test_the_retry_reports_the_tolerance_of_the_doubled_precision(bits, monkeypatch):
+def test_the_retry_reports_the_tolerance_of_the_doubled_precision(monkeypatch):
     # the first precision's tolerance string would pass both tests above
-    _plant_band_roots(monkeypatch, at_bits=bits)
-    held = rh_numeric(_G2_P, 2, precision_bits=bits)
+    _plant_band_roots(monkeypatch, at_bits=256)
+    held = rh_numeric(_G2_P, 2)
     _plant_band_roots(monkeypatch)
-    unknown = rh_numeric(_G2_P, 2, precision_bits=bits)
+    unknown = rh_numeric(_G2_P, 2)
     assert (held.holds, unknown.holds) == (True, None)
-    assert held.tolerance == unknown.tolerance == _tolerance_string(2 * bits) != _tolerance_string(bits)
+    assert held.tolerance == unknown.tolerance == _tolerance_string(512) != _tolerance_string(256)
 
 
 def test_a_factor_that_does_not_converge_is_unknown(monkeypatch):
@@ -635,6 +631,32 @@ def test_run_cell_extracts_invariants_once_per_level(monkeypatch):
     assert calls == {"extract_invariants": 3, "special_values": 2}
 
 
+def test_jobs_starts_no_more_workers_than_curves(monkeypatch):
+    # a pool starts all of its workers at the first submit, however few curves there are to spread
+    import concurrent.futures
+
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = SweepConfig(curves=tuple(builtin_elliptic_grid((2,)))[:3], tuples=((2,),), checks=("rh",))
+    serial = report_to_json(sweep(cfg))
+    assert [report_to_json(sweep(cfg, jobs=jobs)) for jobs in (2, 3, 1000)] == [serial] * 3
+    assert workers == [2, 3, 3]
+
+
 def test_sweep_parallel_matches_serial():
     cfg = SweepConfig(curves=tuple(builtin_elliptic_grid((2,))), tuples=((2,), (3,)))
     assert report_to_json(sweep(cfg, jobs=1)) == report_to_json(sweep(cfg, jobs=2))
@@ -653,19 +675,6 @@ def test_sweep_rejects_unknown_checks():
         sweep(SweepConfig(curves=(spec,), tuples=((2,),), checks=("rhh", "positivty")))
     with pytest.raises(ValueError, match="unknown checks"):
         sweep(SweepConfig(curves=(), tuples=((2,),), checks=("rh", "nope")))
-
-
-def test_sweep_checks_the_precision_up_front(monkeypatch):
-    # below the floor every cell once ran and recorded the same error, while positivity counted as passed
-    def fail(*args):
-        raise AssertionError("derived a level before checking the precision")
-
-    monkeypatch.setattr(rh_lab, "derive_step", fail)
-    cfg = SweepConfig(
-        curves=(catalog_curve("X2g2").spec(),), tuples=((1,), (2,)), checks=("rh", "positivity"), precision_bits=8
-    )
-    with pytest.raises(ValueError, match="precision must be at least 32 bits, got 8"):
-        sweep(cfg)
 
 
 def test_sweep_records_cell_errors():
@@ -797,17 +806,6 @@ def test_every_level_has_an_int_q_and_no_float_leaks_in(tmp_path):
                 assert type(sv.Q) is int and all(type(x) is int for pair in sv.vhats for x in pair), (source, steps)
                 signs = tower.interlacing(steps)[1]
                 assert signs and all(type(s) is int and s in (-1, 0, 1) for s in signs), (source, steps)
-
-
-# -- numeric settings ------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("bits", [0, MIN_PRECISION_BITS - 1])
-def test_precision_below_floor_rejected(bits):
-    # at precision 0 the default tolerance is 10^0 = 1, wide enough to pass the root T = 1 at deviation 0.41
-    with pytest.raises(ValueError, match="precision"):
-        rh_numeric(Poly([1, -3, 2]), 2, precision_bits=bits)
-    assert rh_numeric(Poly([1, -3, 2]), 2, precision_bits=MIN_PRECISION_BITS).holds is False
 
 
 GRID_TUPLES = ((1,), (2,), (3,), (4,), (2, 2), (2, 3), (3, 2), (2, 2, 2))

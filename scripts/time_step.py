@@ -13,8 +13,8 @@ of ``extract_invariants`` on those 155 levels, and of
 numerators 1 + a1 T + a2 T^2 + q a1 T^3 + q^2 T^4 over q = 2, 3 at the
 steps (), (2), (3), (2, 2), alone on X2g2 at (10, 10, 10) and at
 (10, 10, 10, 5), and alone on the genus-3 numerator 1 + T + 2T^2 + 3T^3 +
-4T^4 + 4T^5 + 8T^6 over F_2 at (10, 10, 10), next to the squarefree split
-of that level's real Weil polynomial R.  Each figure is the best of three
+4T^4 + 4T^5 + 8T^6 over F_2 at (10, 10, 10), whose verdict is the exact
+Sturm count (``rh_sturm``).  Each figure is the best of three
 runs on the same input; the inputs of the tuple's steps, the levels to
 validate and the levels to judge are derived once, outside the timer.
 
@@ -26,7 +26,6 @@ import time
 
 from zetatower.curves import CurveSpec, artin_elliptic, artin_zeta, catalog_curve, validate_zeta_level
 from zetatower.derived_engine import derive_step, special_values
-from zetatower.exact_arith import real_weil_poly, squarefree_factors
 from zetatower.invariants import extract_invariants
 from zetatower.rh_lab import builtin_elliptic_grid, curve_tower, rh_verdict_for_level
 
@@ -97,10 +96,9 @@ def main() -> int:
         verdict_s = best_of_3(lambda: rh_verdict_for_level(z))
         print(f"X2g2 {steps} (Q has {z.Q.bit_length()} bits): rh_verdict_for_level {verdict_s:.3f} s", flush=True)
     z = curve_tower(CurveSpec(label="g3", q=2, genus=3, numerator=GENUS3)).level(TUPLE[:-1])
-    R = real_weil_poly(z.P.view[1], z.Q, z.genus)  # ints, as the verdict splits it
-    split_s = best_of_3(lambda: squarefree_factors(R))
     verdict_s = best_of_3(lambda: rh_verdict_for_level(z))
-    print(f"genus 3 {z.steps}: squarefree_factors(R) {split_s:.3f} s, rh_verdict_for_level {verdict_s:.3f} s")
+    method = rh_verdict_for_level(z).method
+    print(f"genus 3 {z.steps} (Q has {z.Q.bit_length()} bits): rh_verdict_for_level ({method}) {verdict_s:.3f} s")
     return 0
 
 

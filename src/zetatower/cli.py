@@ -5,11 +5,12 @@ inline spec (``elliptic:q=2,a=0`` or ``counts:q=2,g=2,N=3;5``), from the
 built-in catalog (``catalog:E2a0``), or from a JSON file matching the curve
 schema.  derive, invariants and rh-check read the levels along --tuple, in
 prefix order, from the curve's lazy tower (``rh_lab.curve_tower``), as sweep
-does; --normalize only presents that unnormalized tower.  Every rational in emitted JSON is an exact string;
-numeric RH deviations are decimal strings at the stated precision.  The
-numeric RH verdict has no setting: its precision and tolerance are fixed.
-The one environment override is ZETATOWER_PRODUCT_CAP.  Identical inputs
-produce byte-identical output files.
+does; --normalize only presents that unnormalized tower.  Every rational in
+emitted JSON is an exact string.  RH verdicts are exact at genus 1
+("exact_g1") and from genus 3 on ("exact_sturm"); the genus-2 verdict is
+numeric, and its deviations are decimal strings at its fixed precision and
+tolerance, which no option sets.  The one environment override is
+ZETATOWER_PRODUCT_CAP.  Identical inputs produce byte-identical output files.
 
 Exit codes: 0 ok, 1 check failed or an RH verdict unknown, 2 usage error,
 3 internal error.
@@ -18,6 +19,8 @@ Exit codes: 0 ok, 1 check failed or an RH verdict unknown, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -207,21 +210,13 @@ def cmd_invariants(args) -> int:
             }
         )
     if args.format == "csv":
-        lines = ["curve,tuple,Q,alphas,beta,positivity"]
+        text = io.StringIO()
+        rows = csv.writer(text, lineterminator="\n")  # quotes a label holding a comma, a quote or a newline
+        rows.writerow(["curve", "tuple", "Q", "alphas", "beta", "positivity"])
         for rep in reports:
-            lines.append(
-                ",".join(
-                    [
-                        rep["curve"],
-                        ";".join(str(n) for n in rep["tuple"]),
-                        rep["Q"],
-                        ";".join(rep["alphas"]),
-                        rep["beta"],
-                        str(int(rep["positivity"])),
-                    ]
-                )
-            )
-        _write_output("\n".join(lines) + "\n", args.output)
+            steps, alphas = ";".join(str(n) for n in rep["tuple"]), ";".join(rep["alphas"])
+            rows.writerow([rep["curve"], steps, rep["Q"], alphas, rep["beta"], int(rep["positivity"])])
+        _write_output(text.getvalue(), args.output)
     else:
         _write_output(json.dumps(reports, sort_keys=True, indent=2) + "\n", args.output)
     return 0 if all(rep["positivity"] for rep in reports) else 1

@@ -359,6 +359,8 @@ def load_curves(path) -> list:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except RecursionError:
         raise ValueError(f"curves file {path} nests its JSON too deeply") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"curves file {path} does not parse as UTF-8 JSON: {exc}") from None
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list):

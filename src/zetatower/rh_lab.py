@@ -2,31 +2,27 @@
 
 Genus 1 is decided exactly: with P = alpha(0) (1 - A T + Q T^2), all roots lie
 on |T| = Q^(-1/2) iff A^2 <= 4Q, a single rational comparison (the boundary
-A^2 = 4Q is a repeated on-circle root and carries its own flag).  Higher genus
-falls back to arbitrary-precision numerics on the degree-g R with
-P(T) = T^g R(QT + 1/T) (``real_weil_poly``); the functional equation makes
-every level's P self-inversive, and any other P fails.  R is split exactly
-into primitive integer squarefree factors (Yun's algorithm), so a repeated
-root is a simple root of its factor, counted by its multiplicity.  Each
-factor is solved in v = u / sqrt(Q), where RH puts its roots in [-2, 2].  A
-factor of degree 1 or 2 (every factor at genus 2) is solved in closed form at
-the working precision, by the quadratic formula that does not cancel.  From
-degree 3 on, all roots of a factor come at once from simultaneous
-Weierstrass/Durand-Kerner iteration, so the convergence target and the stall
-floor are relative to the size of the roots whatever the size of Q: first in
-hardware floats, which only picks the starting points, then polished at the
-working precision.  If the float stage overflows, meets a zero denominator
-or does not settle, the polish starts on the circle |v| = 1 + 1/8 instead,
-with a deterministic scattered restart if that stalls.  Each root u gives
-the two roots (u +- w) / 2Q of Q T^2 - u T + 1, w = sqrt(u^2 - 4Q); for a
-real u with w purely imaginary the second is the conjugate of the first, and
-the pair has one deviation.  The verdict has no setting: it runs at
-DEFAULT_PRECISION_BITS, with the tolerance 10^(-0.15 precision_bits) formed
-once, at import.  A verdict is "holds" when the worst |root| * sqrt(Q)
-deviation from 1 is below the tolerance, "fails" at 10x the tolerance or
-beyond, and lands in the unknown band between (after one automatic retry at
-doubled precision, whose tolerance is formed then), as it does when the
-iteration does not converge.
+A^2 = 4Q is a repeated on-circle root and carries its own flag).  Every
+higher genus goes through the degree-g R with P(T) = T^g R(QT + 1/T)
+(``real_weil_poly``, Kedlaya's criterion): RH holds iff every root of R is
+real and lies in [-2 sqrt Q, 2 sqrt Q].  The functional equation makes every
+level's P self-inversive, and any other P fails with no root sought.
+
+From genus 3 on the verdict is exact (``rh_sturm``): the roots u^2 of
+G(w) = R(u) R(-u) must lie in [0, 4Q], and a Sturm chain on the squarefree
+part of G counts them in integers, with no float and no setting.  Genus 2
+stays numeric (``rh_numeric``) until the benchmark's pinned reports change
+with it: R is split exactly into primitive integer squarefree factors
+(Yun's algorithm), each of degree 1 or 2, solved in closed form in
+v = u / sqrt(Q) at the working precision, by the quadratic formula that does
+not cancel.  Each root u gives the two roots (u +- w) / 2Q of
+Q T^2 - u T + 1, w = sqrt(u^2 - 4Q); for a real u with w purely imaginary
+the second is the conjugate of the first, and the pair has one deviation.
+The numeric verdict runs at DEFAULT_PRECISION_BITS, with the tolerance
+10^(-0.15 precision_bits) formed once, at import.  It is "holds" when the
+worst |root| * sqrt(Q) deviation from 1 is below the tolerance, "fails" at
+10x the tolerance or beyond, and lands in the unknown band between (after
+one automatic retry at doubled precision, whose tolerance is formed then).
 
 Sweeps run a configurable battery of checks over a curve x tuple grid and
 emit a deterministic JSON-able report: no timestamps, fixed ordering, exact
@@ -45,12 +41,12 @@ cells, over worker processes.
 
 from __future__ import annotations
 
-import cmath
 import hashlib
 import json
 import math
 from dataclasses import dataclass
 from functools import cache
+from itertools import zip_longest
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import mpmath as mp
@@ -60,7 +56,10 @@ from zetatower.derived_engine import SpecialValues, derive_step, special_values
 from zetatower.exact_arith import (
     BigRat,
     Poly,
+    content_primitive,
+    horner,
     is_self_inversive,
+    pseudo_divide,
     rat_str,
     real_weil_poly,
     squarefree_factors,
@@ -80,17 +79,12 @@ from zetatower.mult_struct import elliptic_beta_recursion, ratio_bounds_check
 DEFAULT_PRECISION_BITS = 256
 DEFAULT_PRODUCT_CAP = 64  # largest step product a sweep or the CLI accepts by default
 UNKNOWN_BAND_FACTOR = 10
-# Durand-Kerner starts on |v| = 1 + 1/8, across the conjectured locus [-2, 2] of v = u / sqrt(Q)
-START_RADIUS = 1.125
-# the float stage only picks starting points for the polish at full precision
-FLOAT_SEED_ITER = 100
-FLOAT_SEED_TARGET = 2.0**-40
 
 
 @dataclass(frozen=True)
 class RHVerdict:
-    method: str  # "exact_g1" | "numeric"
-    holds: Optional[bool]  # None = unknown
+    method: str  # "exact_g1" (genus 1) | "numeric" (genus 2) | "exact_sturm" (genus >= 3)
+    holds: Optional[bool]  # None = unknown, numeric only
     boundary: bool = False
     discriminant: Optional[BigRat] = None
     max_deviation: Optional[str] = None  # decimal string, numeric only
@@ -116,74 +110,68 @@ def rh_exact_genus1(level: ZetaLevel) -> RHVerdict:
     return RHVerdict(method="exact_g1", holds=disc <= 0, boundary=disc == 0, discriminant=disc, detail=detail)
 
 
-def _dk_sweep(coeffs, roots, zero_den):
-    """One Weierstrass/Durand-Kerner sweep over ``roots`` in place; returns the largest correction.
+def _square(a: Sequence[int]) -> list:
+    """The coefficients of a(x)^2, lowest first."""
+    out = [0] * (2 * len(a) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(a):
+            out[i + j] += x * y
+    return out
 
-    Works on builtin complex floats and on mpmath numbers alike.  A vanishing
-    denominator is replaced by ``zero_den``; 0 lets ZeroDivisionError through.
+
+def _sturm_chain(G: Sequence[int]) -> list:
+    """Sturm's chain of the int polynomial G, lowest coefficient first: G, G', then each remainder negated.
+
+    One primitive remainder sequence through ``pseudo_divide``: m a = q b + r
+    with m = lead(b)^k, so the remainder of a by b is r / m, and the next
+    entry is -r when m > 0, r when m < 0, over its positive content
+    (``content_primitive``).  Every entry is a positive multiple of the
+    classical one, so the sign changes are the same.  The chain ends at
+    gcd(G, G'), a nonconstant entry when G has a repeated root.
     """
-    worst = 0
-    for i, x in enumerate(roots):
-        val = coeffs[0]
-        for c in coeffs[1:]:
-            val = val * x + c
-        den = 1
-        for j, y in enumerate(roots):
-            if j != i:
-                den *= x - y
-        if den == 0:
-            den = zero_den
-        delta = val / den
-        roots[i] = x - delta
-        worst = max(worst, abs(delta))
-    return worst
+    chain = [G, content_primitive([i * c for i, c in enumerate(G)][1:])[1]]
+    while len(chain[-1]) > 1:
+        _, r, m = pseudo_divide(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(content_primitive([-x for x in r] if m > 0 else r)[1])
+    return chain
 
 
-def _durand_kerner(coeffs, initials, target, max_iter):
-    """Simultaneous root iteration; returns (roots, final residual, converged)."""
-    roots = list(initials)
-    residual = mp.mpf("inf")
-    stagnant = 0
-    tiny = mp.mpc(mp.mpf(2) ** (-mp.mp.prec), 0)
-    for _ in range(max_iter):
-        worst = _dk_sweep(coeffs, roots, tiny)
-        if worst < target:
-            return roots, worst, True
-        if worst >= residual * mp.mpf("0.999"):
-            stagnant += 1
-            # a cluster of nearly equal roots stalls the correction near its attainable floor
-            if stagnant >= 8:
-                return roots, worst, worst < mp.mpf(2) ** (-mp.mp.prec // 4)
-        else:
-            stagnant = 0
-        residual = worst
-    return roots, residual, False
+def _sign_changes(chain: list, w: int) -> int:
+    """The sign changes along the chain at the int point w, zeros dropped."""
+    values = [v for v in (horner(p, w, 1) for p in chain) if v]
+    return sum((a < 0) != (b < 0) for a, b in zip(values, values[1:]))
 
 
-def _circle(deg: int):
-    """The angles of the starting points on |v| = START_RADIUS, as multiples of pi."""
-    return [2 * mp.mpf(i) / deg + mp.mpf(1) / (2 * deg + 1) for i in range(deg)]
+def rh_sturm(P: Poly, Q: int) -> RHVerdict:
+    """Exact verdict for a degree-2g numerator P over an integer Q, by a Sturm count on the squares of R's roots.
 
-
-def _float_seed(coeffs):
-    """Roots of a monic real polynomial (highest coefficient first) in hardware floats, or None.
-
-    Durand-Kerner on builtin complex numbers from the same circle as the
-    polishing stage.  None when a coefficient overflows a double, the constant
-    term underflows to 0, a denominator vanishes, or the corrections do not
-    fall below FLOAT_SEED_TARGET within FLOAT_SEED_ITER sweeps.
+    With R(u) = E(u^2) + u O(u^2) from ``real_weil_poly``, G(w) = E(w)^2 -
+    w O(w)^2 = R(u) R(-u) has the roots u_i^2, so RH holds iff every distinct
+    root of G lies in [0, 4Q].  A factor w^k (u = 0) is in range and is
+    stripped; a G with a repeated root is divided by the end of its chain,
+    gcd(G, G'), and counted again.  Then V(0) - V(4Q) counts its roots in
+    (0, 4Q].  A P that is not self-inversive fails with no chain run.
     """
-    cs = [float(c) for c in coeffs]
-    if not all(math.isfinite(c) for c in cs) or cs[-1] == 0:
-        return None
-    roots = [START_RADIUS * cmath.exp(1j * math.pi * float(a)) for a in _circle(len(cs) - 1)]
-    try:
-        for _ in range(FLOAT_SEED_ITER):
-            if _dk_sweep(cs, roots, 0) < FLOAT_SEED_TARGET:
-                return roots if all(cmath.isfinite(r) for r in roots) else None
-    except ZeroDivisionError:
-        pass
-    return None
+    deg = P.degree
+    if deg == float("-inf") or deg < 2 or deg % 2 != 0:
+        raise ValueError(f"numerator degree must be even and >= 2, got {deg}")
+    g, ints = int(deg) // 2, P.view[1]
+    if not is_self_inversive(ints, Q, g):
+        return RHVerdict(method="exact_sturm", holds=False, detail="not self-inversive")
+    R = real_weil_poly(ints, Q, g)
+    E, O = R[0::2], R[1::2]
+    G = [x - y for x, y in zip_longest(_square(E), [0, *_square(O)], fillvalue=0)]
+    boundary = horner(G, 4 * Q, 1) == 0  # u = +-2 sqrt Q: a double T root on the circle
+    G = G[next(i for i, c in enumerate(G) if c) :]
+    chain = _sturm_chain(G)
+    if len(chain[-1]) > 1:
+        G = content_primitive(pseudo_divide(G, chain[-1])[0])[1]
+        chain = _sturm_chain(G)
+    distinct, inside = len(G) - 1, _sign_changes(chain, 0) - _sign_changes(chain, 4 * Q)
+    detail = "" if inside == distinct else f"{distinct - inside} of {distinct} distinct roots u^2 lie off [0, 4Q]"
+    return RHVerdict(method="exact_sturm", holds=inside == distinct, boundary=boundary, detail=detail)
 
 
 def _quadratic_roots(b, c):
@@ -206,54 +194,32 @@ def _monic(F: Sequence[int], scale) -> list:
     return coeffs[::-1]
 
 
-def _factor_roots(F: Sequence[int], scale, target, precision_bits: int):
-    """Roots scale * u of one primitive int squarefree factor in u.
+def _factor_roots(F: Sequence[int], scale) -> list:
+    """Roots scale * u of one primitive int factor of degree 1 or 2 in u, in closed form at the working precision."""
+    coeffs = _monic(F, scale)
+    return [mp.mpc(-coeffs[1])] if len(F) == 2 else _quadratic_roots(coeffs[1], coeffs[2])
 
-    Degrees 1 and 2 are solved in closed form at the working precision; from
-    degree 3 on, a float seed is polished by Durand-Kerner.
+
+def _real_weil_roots(ints: Sequence[int], Q: int, sqrt_q) -> list:
+    """The 4 roots of a self-inversive genus-2 P = c * ints over Q, by multiplicity, from the 2 of its R.
+
+    Runs at the working precision, with ``sqrt_q`` = sqrt(Q) formed there.
+    Each factor of R is solved in v = u / sqrt(Q).  A root u of R gives the
+    two roots (u +- w) / 2Q of Q T^2 - u T + 1, with w = sqrt(u^2 - 4Q).  When
+    u is real and w purely imaginary, the two share their real part and
+    differ only in the sign of the imaginary one, so the second is formed as
+    the conjugate of the first, bit for bit the same number.
     """
-    deg, coeffs = len(F) - 1, _monic(F, scale)
-    if deg == 1:
-        return [mp.mpc(-coeffs[1])], mp.mpf(0), True
-    if deg == 2:
-        return _quadratic_roots(coeffs[1], coeffs[2]), mp.mpf(0), True
-    init = _float_seed(coeffs)
-    if init is None:
-        init = [START_RADIUS * mp.expjpi(a) for a in _circle(deg)]
-    roots, residual, ok = _durand_kerner(coeffs, [mp.mpc(r) for r in init], target, max_iter=4000)
-    if not ok:
-        # deterministic scattered fallback: spread moduli geometrically
-        init = [
-            START_RADIUS * mp.mpf(2) ** ((i % 5) - 2) * mp.expjpi(2 * mp.mpf(i) / deg + mp.mpf(1) / 7)
-            for i in range(deg)
-        ]
-        roots, residual, ok = _durand_kerner(coeffs, init, target, max_iter=4000)
-    return roots, residual, ok or residual < mp.mpf(2) ** (-(precision_bits // 2))
-
-
-def _real_weil_roots(ints: Sequence[int], Q: int, g: int, precision_bits: int):
-    """The 2g roots of a self-inversive P = c * ints over Q, each repeated by its multiplicity, from the g of its R.
-
-    A root u of R gives the two roots (u +- w) / 2Q of Q T^2 - u T + 1, with
-    w = sqrt(u^2 - 4Q).  When u is real and w purely imaginary, the two share
-    their real part and differ only in the sign of the imaginary one, so the
-    second is formed as the conjugate of the first, bit for bit the same number.
-    """
-    wp = 2 * precision_bits + 64
-    with mp.workprec(wp):
-        q = mp.mpf(Q)
-        sqrt_q, two_q, four_q = mp.sqrt(q), 2 * q, 4 * q
-        scale, target = 1 / sqrt_q, mp.ldexp(1, -(precision_bits + 16))
-        roots, residual, converged = [], mp.mpf(0), True
-        for F, mult in squarefree_factors(real_weil_poly(ints, Q, g)):
-            vs, res, ok = _factor_roots(F, scale, target, precision_bits)
-            for v in vs:
-                u = v * sqrt_q
-                w = mp.sqrt(u * u - four_q)
-                r = (u + w) / two_q
-                roots += [r, mp.conj(r) if u.imag == 0 and w.real == 0 else (u - w) / two_q] * mult
-            residual, converged = max(residual, res), converged and ok
-        return roots, residual, converged
+    q = mp.mpf(Q)
+    two_q, four_q, scale = 2 * q, 4 * q, 1 / sqrt_q
+    roots = []
+    for F, mult in squarefree_factors(real_weil_poly(ints, Q, 2)):
+        for v in _factor_roots(F, scale):
+            u = v * sqrt_q
+            w = mp.sqrt(u * u - four_q)
+            r = (u + w) / two_q
+            roots += [r, mp.conj(r) if u.imag == 0 and w.real == 0 else (u - w) / two_q] * mult
+    return roots
 
 
 def _tolerance(precision_bits: int) -> tuple:
@@ -288,33 +254,25 @@ def _sorted_deviations(roots, sqrt_q) -> tuple:
 
 
 def rh_numeric(P: Poly, Q: int, _escalated: bool = False) -> RHVerdict:
-    """Numeric root-modulus verdict for a degree-2g numerator P over an integer Q, from the g roots of its R.
+    """Numeric root-modulus verdict for a genus-2 (degree-4) numerator P over an integer Q, from the 2 roots of its R.
 
     A P that is not self-inversive fails with no root sought.  The verdict
     runs at DEFAULT_PRECISION_BITS, its one retry (``_escalated``) at twice that.
     """
-    deg = P.degree
-    if deg == float("-inf") or deg < 2 or deg % 2 != 0:
-        raise ValueError(f"numerator degree must be even and >= 2, got {deg}")
-    g, ints = int(deg) // 2, P.view[1]
+    if P.degree != 4:
+        raise ValueError(f"the numeric verdict takes a genus-2 numerator of degree 4, got degree {P.degree}")
+    ints = P.view[1]
     precision_bits = 2 * DEFAULT_PRECISION_BITS if _escalated else DEFAULT_PRECISION_BITS
     tol, tolerance, band = _tolerance(precision_bits) if _escalated else _DEFAULT_TOLERANCE
 
+    fields = {"method": "numeric", "precision_bits": precision_bits, "tolerance": tolerance}
     with mp.workprec(2 * precision_bits + 64):
-        if not is_self_inversive(ints, Q, g):
-            return RHVerdict(
-                method="numeric",
-                holds=False,
-                precision_bits=precision_bits,
-                tolerance=tolerance,
-                detail="not self-inversive",
-            )
-        roots, residual, converged = _real_weil_roots(ints, Q, g, precision_bits)
-        devs, deviations = _sorted_deviations(roots, mp.sqrt(mp.mpf(Q)))
+        if not is_self_inversive(ints, Q, 2):
+            return RHVerdict(holds=False, detail="not self-inversive", **fields)
+        sqrt_q = mp.sqrt(mp.mpf(Q))
+        devs, deviations = _sorted_deviations(_real_weil_roots(ints, Q, sqrt_q), sqrt_q)
 
-        if not converged:
-            holds, detail = None, f"no convergence; residual {mp.nstr(residual, 6)}"
-        elif devs[-1] < tol:
+        if devs[-1] < tol:
             holds, detail = True, ""
         elif not devs[-1] < band:  # a NaN deviation fails too
             holds, detail = False, "off-circle root"
@@ -323,21 +281,17 @@ def rh_numeric(P: Poly, Q: int, _escalated: bool = False) -> RHVerdict:
         else:
             holds, detail = None, "deviation inside the escalation band after retry"
         return RHVerdict(
-            method="numeric",
-            holds=holds,
-            precision_bits=precision_bits,
-            tolerance=tolerance,
-            max_deviation=deviations[-1],
-            deviations=tuple(deviations),
-            detail=detail,
+            holds=holds, max_deviation=deviations[-1], deviations=tuple(deviations), detail=detail, **fields
         )
 
 
 def rh_verdict_for_level(level: ZetaLevel) -> RHVerdict:
-    """Exact criterion when genus 1, numeric otherwise."""
+    """The exact criterion at genus 1, the numeric verdict at genus 2, the Sturm count from genus 3 on."""
     if level.genus == 1:
         return rh_exact_genus1(level)
-    return rh_numeric(level.P, level.Q)
+    if level.genus == 2:
+        return rh_numeric(level.P, level.Q)
+    return rh_sturm(level.P, level.Q)
 
 
 # --------------------------------------------------------------------------

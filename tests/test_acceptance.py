@@ -3,7 +3,7 @@
 The grid is elliptic q in {2,3,4,5} with every Hasse-admissible integer trace,
 tuples (1),(2),(3),(4),(2,2),(2,3),(3,2),(2,2,2), plus the genus-2 curve
 y^2 + y = x^5 over F_2 built from brute-force counts.  Everything is exact
-rational arithmetic except the numeric RH route, which finds roots with
+rational arithmetic except the genus-2 RH route, which finds roots with
 mpmath and compares their deviations with a tolerance derived from the
 precision.
 
@@ -45,7 +45,7 @@ from zetatower.invariants import (
     interlacing_signs,
 )
 from zetatower.mult_struct import elliptic_beta_recursion, ratio_bounds_check, residue_series_exp
-from zetatower.rh_lab import rh_exact_genus1, rh_numeric
+from zetatower.rh_lab import rh_exact_genus1, rh_numeric, rh_sturm
 
 ELLIPTIC_QS = (2, 3, 4, 5)
 GRID_TUPLES = ((1,), (2,), (3,), (4,), (2, 2), (2, 3), (3, 2), (2, 2, 2))
@@ -192,11 +192,11 @@ def test_criterion_09_rh_genus1(grid):
             for z in levels[1:]:
                 exact = rh_exact_genus1(z)
                 assert exact.holds is True, (curve, z.steps)
-                numeric = rh_numeric(z.P, z.Q)
-                assert numeric.holds is exact.holds is True, (curve, z.steps)
-                assert mp.mpf(numeric.max_deviation) < DEV_BOUND, (curve, z.steps)
+                sturm = rh_sturm(z.P, z.Q)
+                assert sturm.holds is exact.holds is True, (curve, z.steps)
+                assert sturm.boundary is exact.boundary, (curve, z.steps)
                 count += 1
-    _report(9, "derived RH, genus 1", f"({count} levels, exact + 256-bit numeric)")
+    _report(9, "derived RH, genus 1", f"({count} levels, discriminant + Sturm count)")
 
 
 def test_criterion_10_rh_genus2_tuples(genus2):

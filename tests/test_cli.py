@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -214,6 +216,12 @@ OUTPUT_DIGESTS = {
         "cb31401e36fd12f92bfadce38cac49149398a741d59e6f27585c6a4711a2598f",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
+    # g3.json is G3_CURVE, a genus-3 numerator over F_2: every verdict is the exact Sturm count
+    "rh-check --curve g3.json --tuple 2,3": (
+        0,
+        "17a8047c41991951e0ac81eb5fffb0bc451d322a0cb4dcb743e1e96757bc40c1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
     # recorded while the catalog command still counted the points itself
     "catalog": (
         0,
@@ -227,8 +235,13 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+G3_CURVE = {"label": "g3", "q": 2, "genus": 3, "numerator": [1, 1, 2, 3, 4, 4, 8]}
+
+
 @pytest.mark.parametrize("command", sorted(OUTPUT_DIGESTS))
-def test_command_output_bytes_are_unchanged(command, capsys):
+def test_command_output_bytes_are_unchanged(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # where the curve files that a command names are written
+    (tmp_path / "g3.json").write_text(json.dumps(G3_CURVE), encoding="utf-8")
     code = run_cli(command.split())
     out, err = capsys.readouterr()
     assert (code, _sha256(out), _sha256(err)) == OUTPUT_DIGESTS[command]
@@ -324,6 +337,31 @@ def test_a_deeply_nested_curves_file_is_usage_error(tmp_path, capsys):
         assert run_cli(args) == 2
         err = capsys.readouterr().err
         assert f"curves file {path} nests its JSON too deeply" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [(b'[{"label": ', "Expecting value: line 1 column 12"), (b'{"label": "\xff"}', "can't decode byte 0xff")],
+)
+def test_a_curves_file_that_is_not_utf8_json_is_named(content, reason, tmp_path, capsys):
+    # the decoder's message alone named neither the file nor that it was the curves file
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    for args in (["rh-check", "--curve", str(path), "--tuple", "1"], ["sweep", "--curves", str(path), "--tuples", "1"]):
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: curves file {path} does not parse as UTF-8 JSON: ") and reason in err, err
+
+
+def test_a_csv_label_with_a_comma_a_quote_and_a_newline_reads_back(tmp_path, capsys):
+    label = 'a,b "c"\nd'
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"label": label, "q": 2, "genus": 1, "trace": 1}), encoding="utf-8")
+    assert run_cli(["invariants", "--curve", str(path), "--tuple", "2,1", "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["curve", "tuple", "Q", "alphas", "beta", "positivity"]
+    assert [row[:2] for row in rows[1:]] == [[label, ""], [label, "2"], [label, "2;1"]]
+    assert all(len(row) == 6 for row in rows)
 
 
 def test_a_repeated_curve_label_is_usage_error(monkeypatch, tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Tests for the RH verdicts and the sweep harness."""
 
+import cmath
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 from math import prod
@@ -32,6 +34,7 @@ from zetatower.rh_lab import (
     report_to_json,
     rh_exact_genus1,
     rh_numeric,
+    rh_sturm,
     rh_verdict_for_level,
     run_cell,
     run_curve,
@@ -68,17 +71,66 @@ def test_exact_rejects_higher_genus():
         rh_exact_genus1(artin_from_point_counts(2, 2, [3, 5]))
 
 
-# -- numeric route ------------------------------------------------------------------
+# -- test-side numeric reference ----------------------------------------------------
+
+
+def _float_seeds(F):
+    """Rough roots of the int polynomial F (lowest first) in builtin complex floats, by Durand-Kerner; None if they do not settle."""
+    deg, lead = len(F) - 1, F[-1]
+    cs = [c / lead for c in reversed(F)]
+    roots = [1.125 * cmath.exp(1j * math.pi * (2 * k + 0.5) / deg) for k in range(deg)]
+    for _ in range(200):
+        worst = 0.0
+        for i, x in enumerate(roots):
+            val = 0j
+            for c in cs:
+                val = val * x + c
+            den = prod(x - y for j, y in enumerate(roots) if j != i)
+            if den == 0:
+                return None
+            roots[i] = x - val / den
+            worst = max(worst, abs(val / den))
+        if worst < 1e-13 * max(1.0, *map(abs, roots)):
+            return roots if all(cmath.isfinite(r) for r in roots) else None
+    return None
+
+
+def _polyroots(F) -> list:
+    """The roots of the int polynomial F (lowest first) at the working precision, by mpmath.polyroots.
+
+    Builtin-float Durand-Kerner only picks the starting points; mpmath raises
+    NoConvergence unless its own iteration settles.
+    """
+    if len(F) == 2:
+        return [mp.mpc(mp.mpf(-F[0]) / F[1])]
+    return mp.polyroots(F[::-1], maxsteps=100, extraprec=20, roots_init=_float_seeds(F), cleanup=False)
+
+
+def _reference_holds(P: Poly, Q: int) -> bool:
+    """RH by mpmath.polyroots on each squarefree factor of R: every root real and in [-2 sqrt Q, 2 sqrt Q], to 10^-12."""
+    g, ints = int(P.degree) // 2, P.view[1]
+    if not is_self_inversive(ints, Q, g):
+        return False
+    with mp.workdps(20):
+        sqrt_q, eps = mp.sqrt(Q), mp.mpf(10) ** -12
+        for F, _ in squarefree_factors(real_weil_poly(ints, Q, g)):
+            for v in (mp.mpc(u) / sqrt_q for u in _polyroots(F)):
+                if abs(v.imag) > eps or abs(v.real) > 2 + eps:
+                    return False
+    return True
+
+
+# -- numeric route (genus 2) ----------------------------------------------------------
 
 
 def test_numeric_matches_exact_on_subgrid():
+    # genus 1: the exact comparison, the test-side numeric reference and the Sturm count agree
     for q in (2, 3):
         for a in hasse_traces(q):
             z = artin_elliptic(q, a)
-            exact = rh_exact_genus1(z)
-            numeric = rh_numeric(z.P, z.Q)
-            assert numeric.holds == exact.holds is True
-            assert mp.mpf(numeric.max_deviation) < mp.mpf("1e-30")
+            assert rh_exact_genus1(z).holds is _reference_holds(z.P, z.Q) is rh_sturm(z.P, z.Q).holds is True
+    planted = Poly([1, -5, 4])  # trace 5 > 2 sqrt 4
+    assert _reference_holds(planted, 4) is rh_sturm(planted, 4).holds is False
 
 
 def test_numeric_genus2_product():
@@ -98,14 +150,16 @@ def test_numeric_planted_off_circle_fails():
 
 
 def test_numeric_boundary_double_root():
-    z = artin_elliptic(4, -4)
-    v = rh_numeric(z.P, z.Q)
+    # (1 - 4T + 4T^2)^2 at Q = 4: R = (u - 4)^2, so T = 1/2 = Q^(-1/2) four times
+    v = rh_numeric(Poly([1, -4, 4]) ** 2, 4)
     assert v.holds and mp.mpf(v.max_deviation) < mp.mpf("1e-30")
 
 
 def test_numeric_requires_even_degree():
-    with pytest.raises(ValueError):
-        rh_numeric(Poly([1, 1, 1, 1]), 2)
+    # the numeric route is genus 2 only: degree 4
+    for P in (Poly([1, 1, 1, 1]), Poly([1, 0, 2]), Poly([1, 0, 6, 0, 12, 0, 8])):
+        with pytest.raises(ValueError, match="degree 4"):
+            rh_numeric(P, 2)
 
 
 def _weil_rh_holds(q, a1, a2):
@@ -129,69 +183,13 @@ def _genus2_grid():
     return cases + [(3, a1, a2) for a1, a2 in sorted(admissible | box)]
 
 
-def _grid_outcomes():
-    return [rh_numeric(Poly([1, a1, a2, q * a1, q * q]), q) for q, a1, a2 in _genus2_grid()]
-
-
-def _count_durand_kerner(monkeypatch) -> list:
-    """Record the degree of every factor that rh_lab._durand_kerner is run on."""
-    real, degrees = rh_lab._durand_kerner, []
-
-    def counting(coeffs, *args, **kwargs):
-        degrees.append(len(coeffs) - 1)
-        return real(coeffs, *args, **kwargs)
-
-    monkeypatch.setattr(rh_lab, "_durand_kerner", counting)
-    return degrees
-
-
-def _iterated_verdicts(degrees: list, numerators) -> list:
-    """rh_numeric of each (P, Q), asserting that each one ran Durand-Kerner (counted in ``degrees``)."""
-    verdicts = []
-    for P, Q in numerators:
-        before = len(degrees)
-        verdicts.append(rh_numeric(P, Q))
-        assert len(degrees) > before and min(degrees[before:]) >= 3, (P, Q)
-    return verdicts
-
-
-def _cubic_products():
-    """(1 - aT + 2T^2)(1 - bT + 2T^2)(1 - cT + 2T^2) for a < b < c in [-3, 3]: R = (u - a)(u - b)(u - c), squarefree."""
-    cases = []
-    for a in range(-3, 4):
-        for b in range(a + 1, 4):
-            for c in range(b + 1, 4):
-                cases.append(((a, b, c), Poly([1, -a, 2]) * Poly([1, -b, 2]) * Poly([1, -c, 2])))
-    return cases
-
-
-def _genus3_levels():
-    """(P, Q) of genus-3 levels over F_2 whose R is a squarefree cubic."""
-    cases = []
-    for numerator, paths in (((1, 1, 2, 3, 4, 4, 8), ((), (2,), (3,))), ((1, 0, 6, 0, 12, 0, 8), ((2,), (2, 2)))):
-        tower = curve_tower(CurveSpec(label="g3", q=2, genus=3, numerator=numerator))
-        cases += [(tower.level(steps).P, tower.level(steps).Q) for steps in paths]
-    return cases
-
-
-def test_numeric_matches_exact_real_weil_class(monkeypatch):
+def test_numeric_matches_exact_real_weil_class():
     cases = _genus2_grid()
     assert len(cases) == 678
-    for (q, a1, a2), v in zip(cases, _grid_outcomes()):
+    for q, a1, a2 in cases:
+        v = rh_numeric(Poly([1, a1, a2, q * a1, q * q]), q)
         assert v.holds is _weil_rh_holds(q, a1, a2), (q, a1, a2, v.max_deviation)
         assert v.precision_bits == 256  # no escalation
-    # genus 3, through Durand-Kerner: RH holds iff the three traces lie in [-2 sqrt 2, 2 sqrt 2]
-    degrees = _count_durand_kerner(monkeypatch)
-    products = _cubic_products()
-    numerators = [(P, 2) for _, P in products] + _genus3_levels()
-    seeded = _iterated_verdicts(degrees, numerators)
-    for (traces, _), v in zip(products, seeded):
-        assert v.holds is all(abs(t) <= 2 for t in traces), (traces, v.max_deviation)
-    assert all(v.outcome() != "unknown" and v.precision_bits == 256 for v in seeded)
-    # the float stage only picks starting points: the circle start gives the same verdicts
-    monkeypatch.setattr(rh_lab, "_float_seed", lambda coeffs: None)
-    circle = _iterated_verdicts(degrees, numerators)
-    assert [v.outcome() for v in circle] == [v.outcome() for v in seeded]
 
 
 def test_numeric_repeated_on_circle_factor_converges():
@@ -206,27 +204,6 @@ def test_numeric_repeated_off_circle_factor_fails():
     assert v.holds is False and len(v.deviations) == 4
 
 
-@pytest.mark.parametrize("e", [600, 1100, 1101])
-def test_numeric_stopping_is_relative_to_root_size(e, monkeypatch):
-    # the roots have modulus 2^(-e/2), far below an absolute stopping threshold
-    degrees = _count_durand_kerner(monkeypatch)
-    Q, h = 2**e, 2 ** (e // 2)
-    # R = u (u - h)(u - k) is a squarefree cubic, so its roots come from Durand-Kerner
-    on_circle, off_circle = _iterated_verdicts(
-        degrees, [(Poly([1, 0, Q]) * Poly([1, -h, Q]) * Poly([1, -k, Q]), Q) for k in (-h, 3 * h)]
-    )
-    assert on_circle.holds is True and mp.mpf(on_circle.max_deviation) < mp.mpf("1e-60")
-    # at 1 - 3hT + QT^2, sqrt(Q) T = (3 +- sqrt 5)/2 for even e, sqrt 2 and 1/sqrt 2 for odd e
-    assert off_circle.holds is False and mp.mpf(off_circle.max_deviation) > mp.mpf("0.4")
-
-
-def test_float_seed_gives_up_outside_double_range():
-    assert rh_lab._float_seed([mp.mpf(1), mp.mpf(0), mp.mpf(10) ** 400]) is None  # overflow
-    assert rh_lab._float_seed([mp.mpf(1), mp.mpf(0), mp.mpf(10) ** -400]) is None  # constant term underflows
-    roots = rh_lab._float_seed([mp.mpf(1), mp.mpf(0), mp.mpf(1)])
-    assert sorted(round(r.imag, 12) for r in roots) == [-1, 1]
-
-
 def _closed_form_factors():
     """(F, Q): every squarefree factor of R over the genus-2 grid and X2g2 at (2), (3), (2, 2); all of degree <= 2."""
     numerators = [(Poly([1, a1, a2, q * a1, q * q]), q) for q, a1, a2 in _genus2_grid()]
@@ -237,21 +214,16 @@ def _closed_form_factors():
 
 
 def test_closed_form_roots_match_durand_kerner():
+    # mpmath.polyroots is a Durand-Kerner iteration
     factors = _closed_form_factors()
     assert {len(F) - 1 for F, _ in factors} == {1, 2}
-    bits = 256
-    with mp.workprec(2 * bits + 64):
-        target = mp.mpf(2) ** (-(bits + 16))
+    with mp.workprec(2 * 256 + 64):
+        target = mp.mpf(2) ** -(256 + 16)
         for F, Q in factors:
-            scale = 1 / mp.sqrt(mp.mpf(Q))
-            closed, residual, converged = rh_lab._factor_roots(F, scale, target, bits)
-            assert residual == 0 and converged is True and len(closed) == len(F) - 1
-            coeffs = rh_lab._monic(F, scale)
-            init = rh_lab._float_seed(coeffs)
-            if init is None:
-                init = [rh_lab.START_RADIUS * mp.expjpi(a) for a in rh_lab._circle(len(F) - 1)]
-            iterated, _, ok = rh_lab._durand_kerner(coeffs, [mp.mpc(r) for r in init], target, max_iter=4000)
-            assert ok, (F, Q)
+            sqrt_q = mp.sqrt(mp.mpf(Q))
+            closed = rh_lab._factor_roots(F, 1 / sqrt_q)
+            assert len(closed) == len(F) - 1
+            iterated = [u / sqrt_q for u in _polyroots(F)]
             for r in closed:
                 assert min(abs(r - s) for s in iterated) < target, (F, Q, r)
 
@@ -273,38 +245,26 @@ def test_closed_form_roots_match_durand_kerner():
     ],
 )
 def test_closed_form_roots_are_exact_to_the_working_precision(F, Q, exact):
-    bits = 256
-    with mp.workprec(2 * bits + 64):
-        roots, residual, converged = rh_lab._factor_roots(F, 1 / mp.sqrt(mp.mpf(Q)), mp.mpf(2) ** -(bits + 16), bits)
-        assert residual == 0 and converged is True and len(roots) == len(F) - 1
+    with mp.workprec(2 * 256 + 64):
+        roots = rh_lab._factor_roots(F, 1 / mp.sqrt(mp.mpf(Q)))
+        assert len(roots) == len(F) - 1
         for r, x in zip(sorted(roots, key=lambda z: (-z.real, -z.imag)), exact()):
             assert abs(r - x) <= abs(x) * mp.mpf(2) ** -(mp.mp.prec - 8), (F, r, x)
 
 
-def _whole_p_roots(ints, Q: int, precision_bits: int):
-    """The roots of P = c * ints, each repeated by its multiplicity, from P's own squarefree factors.
+def _whole_p_roots(ints, Q: int) -> list:
+    """The roots of P = c * ints at the working precision, each repeated by its multiplicity, from P's own squarefree factors.
 
     The parity reference for the reduced route: each factor is solved by
-    ``rh_lab._factor_roots`` in x = sqrt(Q) T, where the roots RH predicts lie
-    on |x| = 1, at the same working precision (in closed form up to degree 2,
-    by Durand-Kerner from degree 3); as (roots, residual, converged), like
-    ``rh_lab._real_weil_roots``.
+    mpmath.polyroots in T, with no real Weil polynomial and no closed form.
     """
-    with mp.workprec(2 * precision_bits + 64):
-        sqrt_q = mp.sqrt(mp.mpf(Q))
-        target = mp.mpf(2) ** (-(precision_bits + 16))
-        roots, residual, converged = [], mp.mpf(0), True
-        for F, mult in squarefree_factors(ints):
-            xs, res, ok = rh_lab._factor_roots(F, sqrt_q, target, precision_bits)
-            roots += [x / sqrt_q for x in xs] * mult
-            residual, converged = max(residual, res), converged and ok
-        return roots, residual, converged
+    return [r for F, mult in squarefree_factors(ints) for r in _polyroots(F) for _ in range(mult)]
 
 
 def root_pairing_defect(P: Poly, Q: int, precision_bits: int = 128):
     """Worst distance from {roots} to its image under r -> 1/(Q * conj(r))."""
     with mp.workprec(2 * precision_bits + 64):
-        roots, _, _ = _whole_p_roots(P.view[1], Q, precision_bits)
+        roots = _whole_p_roots(P.view[1], Q)
         qf = mp.mpf(Q)
         worst = mp.mpf(0)
         for r in roots:
@@ -322,8 +282,13 @@ def test_self_inversive_root_pairing():
 
 
 def _full_route(monkeypatch):
-    """Solve every numerator as the degree-2g P, by the parity reference."""
-    monkeypatch.setattr(rh_lab, "_real_weil_roots", lambda ints, Q, g, bits: _whole_p_roots(ints, Q, bits))
+    """Solve every numerator as the degree-4 P, by the parity reference at 256 bits, far below the verdict's tolerance."""
+
+    def whole_p(ints, Q, sqrt_q):
+        with mp.workprec(256):
+            return _whole_p_roots(ints, Q)
+
+    monkeypatch.setattr(rh_lab, "_real_weil_roots", whole_p)
 
 
 def _refuse(monkeypatch, name):
@@ -334,19 +299,15 @@ def _refuse(monkeypatch, name):
 
 
 def _parity_numerators():
-    """(P, Q): the genus-2 grid, X2g2 at (2), (3), (2, 2), and two genus-3 numerators over F_2 at () and (2)."""
+    """(P, Q): the genus-2 grid and X2g2 at (2), (3), (2, 2)."""
     cases = [(Poly([1, a1, a2, q * a1, q * q]), q) for q, a1, a2 in _genus2_grid()]
     x2g2 = curve_tower(catalog_curve("X2g2").spec())
-    cases += [(x2g2.level(steps).P, x2g2.level(steps).Q) for steps in ((2,), (3,), (2, 2))]
-    for numerator in ((1, 0, 6, 0, 12, 0, 8), (1, 1, 2, 3, 4, 4, 8)):
-        tower = curve_tower(CurveSpec(label="g3", q=2, genus=3, numerator=numerator))
-        cases += [(tower.level(steps).P, tower.level(steps).Q) for steps in ((), (2,))]
-    return cases
+    return cases + [(x2g2.level(steps).P, x2g2.level(steps).Q) for steps in ((2,), (3,), (2, 2))]
 
 
 def test_reduced_route_matches_the_full_numerator(monkeypatch):
     cases = _parity_numerators()
-    assert len(cases) == 678 + 3 + 4
+    assert len(cases) == 678 + 3
     reduced = [rh_numeric(P, Q) for P, Q in cases]
     _full_route(monkeypatch)
     full = [rh_numeric(P, Q) for P, Q in cases]
@@ -355,7 +316,7 @@ def test_reduced_route_matches_the_full_numerator(monkeypatch):
         assert (r.outcome(), r.precision_bits) == (f.outcome(), f.precision_bits), (P, Q, r.max_deviation)
         for a, b in zip(r.deviations, f.deviations):  # sorted; equal to the printed digits, or both below tolerance
             assert abs(mp.mpf(a) - mp.mpf(b)) < mp.mpf(r.tolerance) + mp.mpf(b) * mp.mpf("1e-5"), (P, Q, a, b)
-    assert sum(v.holds is True for v in reduced) == sum(_weil_rh_holds(*case) for case in _genus2_grid()) + 7
+    assert sum(v.holds is True for v in reduced) == sum(_weil_rh_holds(*case) for case in _genus2_grid()) + 3
 
 
 def test_a_double_root_on_the_circle_is_a_simple_root_of_R():
@@ -363,16 +324,20 @@ def test_a_double_root_on_the_circle_is_a_simple_root_of_R():
     v = rh_numeric(Poly([1, 0, -2]) ** 2, 2)
     assert v.holds is True and v.precision_bits == DEFAULT_PRECISION_BITS, v.max_deviation
     assert len(v.deviations) == 4
-    # R's factor is solved in closed form, so the roots are far inside the convergence target, let alone the tolerance
+    # R's factor is solved in closed form, so the roots are far inside 2^-(bits + 16), let alone the tolerance
     assert mp.mpf(v.max_deviation) < mp.mpf(2) ** -(DEFAULT_PRECISION_BITS + 16) * mp.mpf("1.01"), v.max_deviation
 
 
 def test_an_asymmetric_numerator_fails_with_no_root_sought(monkeypatch):
-    # 1 - 2T^2 at Q = 2 is not self-inversive, though both its roots lie on |T| = 2^(-1/2): no level has such a P
+    # 1 - 4T^4 at Q = 2 and 1 - 8T^6 at Q = 2 are not self-inversive, though all their roots lie on
+    # |T| = 2^(-1/2): no level has such a P
     _refuse(monkeypatch, "_real_weil_roots")
-    v = rh_numeric(Poly([1, 0, -2]), 2)
+    _refuse(monkeypatch, "_sturm_chain")
+    v = rh_numeric(Poly([1, 0, 0, 0, -4]), 2)
     assert v.holds is False and v.detail == "not self-inversive" and v.deviations == ()
     assert v.method == "numeric" and v.max_deviation is None and v.precision_bits == 256
+    v = rh_sturm(Poly([1, 0, 0, 0, 0, 0, -8]), 2)
+    assert (v.method, v.holds, v.boundary, v.detail) == ("exact_sturm", False, False, "not self-inversive")
 
 
 # -- one root, one deviation and one string per conjugate pair -----------------------
@@ -392,19 +357,14 @@ def _two_root_verdict(P: Poly, Q: int, bits: int = 256, escalated: bool = False)
             return rh_lab.RHVerdict(holds=False, detail="not self-inversive", **fields)
         q = mp.mpf(Q)
         sqrt_q = mp.sqrt(q)
-        target = mp.mpf(2) ** (-(bits + 16))
-        roots, residual, converged = [], mp.mpf(0), True
+        roots = []
         for F, mult in squarefree_factors(real_weil_poly(ints, Q, g)):
-            vs, res, ok = rh_lab._factor_roots(F, 1 / sqrt_q, target, bits)
-            for v in vs:
+            for v in rh_lab._factor_roots(F, 1 / sqrt_q):
                 u = v * sqrt_q
                 w = mp.sqrt(u * u - 4 * q)
                 roots += [(u + w) / (2 * q), (u - w) / (2 * q)] * mult
-            residual, converged = max(residual, res), converged and ok
         devs = sorted(abs(abs(r) * mp.sqrt(mp.mpf(Q)) - 1) for r in roots)
-        if not converged:
-            holds, detail = None, f"no convergence; residual {mp.nstr(residual, 6)}"
-        elif devs[-1] < tol:
+        if devs[-1] < tol:
             holds, detail = True, ""
         elif not devs[-1] < 10 * tol:
             holds, detail = False, "off-circle root"
@@ -421,7 +381,7 @@ def _has_real_w(P: Poly, Q: int) -> bool:
     with mp.workprec(256):
         sqrt_q = mp.sqrt(mp.mpf(Q))
         for F, _ in squarefree_factors(real_weil_poly(P.view[1], Q, int(P.degree) // 2)):
-            vs, _, _ = rh_lab._factor_roots(F, 1 / sqrt_q, mp.mpf(2) ** -200, 128)
+            vs = rh_lab._factor_roots(F, 1 / sqrt_q)
             if any(abs(v.imag) < mp.mpf(2) ** -100 and abs(v.real) > 2 + mp.mpf(2) ** -100 for v in vs):
                 return True
     return False
@@ -433,9 +393,8 @@ _REAL_W_CONTROL = (Poly([1, -3]) * Poly([1, Fraction(-2, 3)]) * Poly([1, 0, 2]),
 
 def test_every_verdict_field_equals_the_two_root_reference():
     cases = [(Poly([1, a1, a2, q * a1, q * q]), q) for q, a1, a2 in _genus2_grid()]
-    cases += [(P, 2) for _, P in _cubic_products()] + _genus3_levels()
     cases += [(Poly([1, 0, -2]) ** 2, 2), _REAL_W_CONTROL]  # w = 0 at u = +-2 sqrt 2; a real w
-    assert len(cases) == 678 + 35 + 5 + 2
+    assert len(cases) == 678 + 2
     assert _has_real_w(*_REAL_W_CONTROL)
     assert sum(_has_real_w(P, Q) for P, Q in cases[:678]) > 100  # off-circle grid numerators have real w too
     for P, Q in cases:
@@ -451,8 +410,8 @@ def test_each_root_of_R_gives_its_own_pair_of_T_roots():
     cases = [(Poly([1, a1, a2, q * a1, q * q]), q) for q, a1, a2 in _genus2_grid()[::7]]
     cases += [_REAL_W_CONTROL, (Poly([1, 0, 5, 0, 4]), 2), (Poly([1, 0, -2]) ** 2, 2)]
     for P, Q in cases:
-        roots, _, _ = rh_lab._real_weil_roots(P.view[1], Q, 2, 256)
         with mp.workprec(576):
+            roots = rh_lab._real_weil_roots(P.view[1], Q, mp.sqrt(mp.mpf(Q)))
             for r1, r2 in zip(roots[::2], roots[1::2]):
                 assert abs(Q * r1 * r2 - 1) < mp.mpf(10) ** -100, (P, Q, r1, r2)
                 assert abs(sum(c * r1**i for i, c in enumerate(P.view[1]))) < mp.mpf(10) ** -100, (P, Q, r1)
@@ -462,16 +421,16 @@ def test_each_root_of_R_gives_its_own_pair_of_T_roots():
 
 
 def _plant_band_roots(monkeypatch, at_bits=None):
-    """Make _real_weil_roots return 2g roots at deviation 2 * 10^(-0.15 bits), inside the band; only at ``at_bits`` if given."""
+    """Make _real_weil_roots return 4 roots at deviation 2 * 10^(-0.15 bits), inside the band; only at ``at_bits`` if given."""
     real = rh_lab._real_weil_roots
     calls = []
 
-    def planted(P, Q, g, bits):
+    def planted(ints, Q, sqrt_q):
+        bits = (mp.mp.prec - 64) // 2  # the verdict works at 2 * bits + 64
         calls.append(bits)
         if at_bits is not None and bits != at_bits:
-            return real(P, Q, g, bits)
-        deviation = 2 * mp.mpf(10) ** (-mp.mpf(bits) * 3 / 20)
-        return [(1 + deviation) / mp.sqrt(mp.mpf(Q.numerator) / Q.denominator)] * (2 * g), mp.mpf(0), True
+            return real(ints, Q, sqrt_q)
+        return [(1 + 2 * mp.mpf(10) ** (-mp.mpf(bits) * 3 / 20)) / sqrt_q] * 4
 
     monkeypatch.setattr(rh_lab, "_real_weil_roots", planted)
     return calls
@@ -512,22 +471,6 @@ def test_the_retry_reports_the_tolerance_of_the_doubled_precision(monkeypatch):
     assert held.tolerance == unknown.tolerance == _tolerance_string(512) != _tolerance_string(256)
 
 
-def test_a_factor_that_does_not_converge_is_unknown(monkeypatch):
-    real = rh_lab._factor_roots
-    calls = []
-
-    def stalled(F, scale, target, bits):
-        roots, residual, ok = real(F, scale, target, bits)
-        calls.append(F)
-        return roots, residual, ok and len(calls) > 1  # the first factor reports no convergence
-
-    monkeypatch.setattr(rh_lab, "_factor_roots", stalled)
-    v = rh_numeric(_G2_P, 2)
-    assert v.holds is None and v.precision_bits == 256  # no retry at a higher precision
-    assert v.detail.startswith("no convergence; residual ")
-    assert len(v.deviations) == 4 and v.max_deviation is not None
-
-
 def test_an_unknown_level_verdict_reads_unknown_in_its_cell(monkeypatch):
     _plant_band_roots(monkeypatch)
     spec = catalog_curve("X2g2").spec()
@@ -541,6 +484,7 @@ def test_an_unknown_level_verdict_reads_unknown_in_its_cell(monkeypatch):
 def test_verdict_dispatch_by_genus():
     assert rh_verdict_for_level(artin_elliptic(2, 1)).method == "exact_g1"
     assert rh_verdict_for_level(artin_from_point_counts(2, 2, [3, 5])).method == "numeric"
+    assert rh_verdict_for_level(artin_from_point_counts(2, 3, [3, 5, 9])).method == "exact_sturm"
 
 
 def test_numeric_verdict_reads_the_numerator_directly(monkeypatch):
@@ -549,6 +493,7 @@ def test_numeric_verdict_reads_the_numerator_directly(monkeypatch):
 
     monkeypatch.setattr(rh_lab, "extract_invariants", refuse)
     assert rh_verdict_for_level(artin_from_point_counts(2, 2, [3, 5])).holds is True
+    assert rh_verdict_for_level(artin_from_point_counts(2, 3, [3, 5, 9])).holds is True
 
 
 def test_exact_verdict_reads_the_numerator_directly(monkeypatch):
@@ -558,6 +503,128 @@ def test_exact_verdict_reads_the_numerator_directly(monkeypatch):
     monkeypatch.setattr(rh_lab, "extract_invariants", refuse)
     assert rh_verdict_for_level(artin_elliptic(2, 1)).holds is True
     assert rh_verdict_for_level(derive_step(artin_elliptic(2, 0), 2)).discriminant == 1 - 16
+
+
+# -- the exact Sturm route (genus >= 3) ------------------------------------------------
+
+
+def _genus3_grid():
+    """(A_1, A_2, A_3) with |A_1| <= 4, |A_2| <= 6 and even |A_3| <= 10: P = 1 + A_1 T + ... + 8 T^6 over F_2."""
+    return [(a1, a2, a3) for a1 in range(-4, 5) for a2 in range(-6, 7) for a3 in range(-10, 11, 2)]
+
+
+def _genus3_numerator(a1, a2, a3, q=2) -> Poly:
+    return Poly([1, a1, a2, a3, q * a2, q * q * a1, q**3])
+
+
+def test_sturm_matches_the_numeric_reference_on_the_genus3_grid():
+    cases = _genus3_grid()
+    assert len(cases) == 1287
+    verdicts = [rh_sturm(_genus3_numerator(*c), 2) for c in cases]
+    assert {(v.method, v.outcome()) for v in verdicts} == {("exact_sturm", "pass"), ("exact_sturm", "fail")}
+    for c, v in zip(cases, verdicts):
+        assert v.holds is _reference_holds(_genus3_numerator(*c), 2), c
+    assert sum(v.holds for v in verdicts) == 107
+
+
+def _cubic_products():
+    """(1 - aT + 2T^2)(1 - bT + 2T^2)(1 - cT + 2T^2) for a < b < c in [-3, 3]: R = (u - a)(u - b)(u - c), squarefree."""
+    cases = []
+    for a in range(-3, 4):
+        for b in range(a + 1, 4):
+            for c in range(b + 1, 4):
+                cases.append(((a, b, c), Poly([1, -a, 2]) * Poly([1, -b, 2]) * Poly([1, -c, 2])))
+    return cases
+
+
+def _genus3_levels():
+    """(P, Q) of genus-3 levels over F_2 whose R is a squarefree cubic."""
+    cases = []
+    for numerator, paths in (((1, 1, 2, 3, 4, 4, 8), ((), (2,), (3,))), ((1, 0, 6, 0, 12, 0, 8), ((2,), (2, 2)))):
+        tower = curve_tower(CurveSpec(label="g3", q=2, genus=3, numerator=numerator))
+        cases += [(tower.level(steps).P, tower.level(steps).Q) for steps in paths]
+    return cases
+
+
+def test_sturm_matches_the_traces_and_the_reference_on_products_and_levels():
+    # RH holds iff the three traces lie in [-2 sqrt 2, 2 sqrt 2]
+    products = _cubic_products()
+    assert len(products) == 35
+    for traces, P in products:
+        v = rh_sturm(P, 2)
+        assert v.holds is all(abs(t) <= 2 for t in traces) is _reference_holds(P, 2), traces
+    levels = _genus3_levels()
+    for P, Q in levels:
+        assert rh_sturm(P, Q).holds is _reference_holds(P, Q) is True, (P, Q)
+    z = curve_tower(CurveSpec(label="g3", q=2, genus=3, numerator=(1, 1, 2, 3, 4, 4, 8))).level((2,))
+    assert rh_verdict_for_level(z) == rh_sturm(z.P, z.Q)
+
+
+def test_sturm_matches_exact_real_weil_class_at_genus_2():
+    # the genus-2 dispatch stays numeric for now; the Sturm count already agrees on the whole grid
+    cases = _genus2_grid()
+    assert len(cases) == 678
+    for q, a1, a2 in cases:
+        v = rh_sturm(Poly([1, a1, a2, q * a1, q * q]), q)
+        assert v.method == "exact_sturm" and v.holds is _weil_rh_holds(q, a1, a2), (q, a1, a2)
+
+
+def _from_traces(Q: int, *traces) -> Poly:
+    """prod (1 - a T + Q T^2) over the traces: R = prod (u - a)."""
+    return prod((Poly([1, -a, Q]) for a in traces), start=Poly([1]))
+
+
+@pytest.mark.parametrize(
+    "P, Q, holds, boundary",
+    [
+        # a root at w = 0: R = u^2 (u + 1), whose G is not squarefree at w = 0
+        (_from_traces(2, 0, 0, -1), 2, True, False),
+        (_from_traces(2, 0, 0, 3), 2, False, False),  # u = 3 > 2 sqrt 2 next to a double u = 0
+        (_from_traces(2, 0, 0, 0), 2, True, False),  # G = w^3: nothing left after the strip
+        # roots at w = 4Q, u = +-4 = +-2 sqrt 4: double T roots on the circle
+        (_from_traces(4, 4, -4, 1), 4, True, True),
+        (_from_traces(4, 4, 4, -1), 4, True, True),  # a repeated u at the boundary
+        (_from_traces(4, 4, 5, 0), 4, False, True),  # on the boundary, and one root past it
+        # repeated roots inside and outside
+        (_from_traces(2, 1, 1, -2), 2, True, False),
+        (_from_traces(2, 1, -1, 1, -1), 2, True, False),  # genus 4: G = (w - 1)^4
+        (_from_traces(2, 3, 3, 0), 2, False, False),
+        # R = u (u^2 + 1): u^2 = -1 < 0; and u^2 - 2u + 5, whose u^2 are not real
+        (Poly([1, 0, 5, 0, 4]) * Poly([1, 0, 2]), 2, False, False),
+        (Poly([1, -2, 9, -4, 4]) * Poly([1, 0, 2]), 2, False, False),
+    ],
+)
+def test_sturm_boundary_cases(P, Q, holds, boundary):
+    v = rh_sturm(P, Q)
+    assert (v.method, v.holds, v.boundary) == ("exact_sturm", holds, boundary)
+    assert (v.detail == "") is holds
+    assert _reference_holds(P, Q) is holds
+
+
+def test_a_sturm_chain_on_a_repeated_root_ends_in_the_gcd():
+    # G = (w - 1)^2 (w - 2): a chain on G itself ends in w - 1, so the verdict counts G / (w - 1) instead
+    assert rh_lab._sturm_chain([-2, 5, -4, 1])[-1] == (-1, 1)
+    assert rh_lab._sturm_chain([2, -3, 1])[-1] == (1,)  # (w - 1)(w - 2): the chain ends in a constant
+
+
+@pytest.mark.parametrize("e", [600, 1100, 1101])
+def test_exact_verdict_is_independent_of_root_size(e):
+    # the roots have modulus 2^(-e/2); Q = 2^e is past every float exponent, and the count forms no float
+    Q, h = 2**e, 2 ** (e // 2)
+    on_circle, off_circle = (rh_sturm(Poly([1, 0, Q]) * Poly([1, -h, Q]) * Poly([1, -k, Q]), Q) for k in (-h, 3 * h))
+    assert on_circle.holds is True and off_circle.holds is False
+
+
+def test_a_genus3_verdict_needs_no_mpmath(monkeypatch):
+    class NoFloats:
+        def __getattr__(self, name):
+            raise AssertionError(f"mpmath.{name} read")
+
+    monkeypatch.setattr(rh_lab, "mp", NoFloats())
+    tower = curve_tower(CurveSpec(label="g3", q=2, genus=3, numerator=(1, 1, 2, 3, 4, 4, 8)))
+    verdicts = [tower.rh(steps) for steps in ((), (2,), (2, 3))]
+    assert [(v.method, v.holds) for v in verdicts] == [("exact_sturm", True)] * 3
+    assert rh_sturm(_from_traces(2, 0, 0, 3), 2).holds is False
 
 
 # -- sweep harness -------------------------------------------------------------------

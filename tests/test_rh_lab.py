@@ -513,17 +513,14 @@ def _genus3_grid():
     return [(a1, a2, a3) for a1 in range(-4, 5) for a2 in range(-6, 7) for a3 in range(-10, 11, 2)]
 
 
-def _genus3_numerator(a1, a2, a3, q=2) -> Poly:
-    return Poly([1, a1, a2, a3, q * a2, q * q * a1, q**3])
-
-
 def test_sturm_matches_the_numeric_reference_on_the_genus3_grid():
     cases = _genus3_grid()
     assert len(cases) == 1287
-    verdicts = [rh_sturm(_genus3_numerator(*c), 2) for c in cases]
+    numerators = [Poly([1, a1, a2, a3, 2 * a2, 4 * a1, 8]) for a1, a2, a3 in cases]
+    verdicts = [rh_sturm(P, 2) for P in numerators]
     assert {(v.method, v.outcome()) for v in verdicts} == {("exact_sturm", "pass"), ("exact_sturm", "fail")}
-    for c, v in zip(cases, verdicts):
-        assert v.holds is _reference_holds(_genus3_numerator(*c), 2), c
+    for c, P, v in zip(cases, numerators, verdicts):
+        assert v.holds is _reference_holds(P, 2), c
     assert sum(v.holds for v in verdicts) == 107
 
 

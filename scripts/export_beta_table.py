@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Export the elliptic residue table as CSV: (q, a, n, beta, b_n, ratio, bounds).
 
-The beta column comes from the three-term recursion, b_n from the exact series
-exponential; the two must agree row by row, so the file doubles as a quick
-dual-route audit that is easy to diff or plot.  ``lower_ok`` and ``upper_ok``
-say whether the ratio beta(n)/beta(n-1) meets each side of the ratio bounds
+The beta column comes from the three-term recursion, whose int pairs are
+reduced here, b_n from the exact series exponential; the two must agree row
+by row, so the file doubles as a quick dual-route audit that is easy to diff
+or plot.  ``lower_ok`` and ``upper_ok`` say whether the ratio
+beta(n)/beta(n-1) meets each side of the ratio bounds
 1 < r < (q^(n/2)+1)/(q^(n/2)-1).
 
   PYTHONPATH=src python scripts/export_beta_table.py --out reports/elliptic_beta_table.csv --nmax 8
@@ -13,6 +14,7 @@ say whether the ratio beta(n)/beta(n-1) meets each side of the ratio bounds
 import argparse
 import csv
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -35,10 +37,11 @@ def export_elliptic_grid_csv(path, qs: Sequence[int], n_max: int = 8) -> int:
             for a in hasse_traces(q):
                 level = artin_elliptic(q, a)
                 series = residue_series_exp(level, n_max)
-                betas = elliptic_beta_recursion(level.trace(), level.Q, n_max)
+                ints = level.P.view[1]
+                betas = [Fraction(b, D) for b, D in elliptic_beta_recursion(ints[0], ints[1], level.Q, n_max)]
                 for n in range(1, n_max + 1):
                     r = betas[n] / betas[n - 1]
-                    lower, upper = ratio_bounds(r, level.Q, n)
+                    lower, upper = ratio_bounds(r.numerator, r.denominator, level.Q, n)
                     row = [q, a, n, rat_str(betas[n]), rat_str(series[n]), rat_str(r), int(lower), int(upper)]
                     writer.writerow(row)
                     rows += 1

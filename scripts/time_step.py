@@ -14,9 +14,14 @@ numerators 1 + a1 T + a2 T^2 + q a1 T^3 + q^2 T^4 over q = 2, 3 at the
 steps (), (2), (3), (2, 2), alone on X2g2 at (10, 10, 10) and at
 (10, 10, 10, 5), and alone on the genus-3 numerator 1 + T + 2T^2 + 3T^3 +
 4T^4 + 4T^5 + 8T^6 over F_2 at (10, 10, 10), whose verdict is the exact
-Sturm count (``rh_sturm``).  Each figure is the best of three
-runs on the same input; the inputs of the tuple's steps, the levels to
-validate and the levels to judge are derived once, outside the timer.
+Sturm count (``rh_sturm``).  Last the genus-1 check stages of a sweep on
+E3a1 along (10, 10, 10): the tower's ``rh``, ``ratio_bounds``,
+``invariants``, ``miracle`` and ``beta_route`` over its levels and steps,
+each on a fresh tower whose levels (the miracle's (..., 11) among them) and
+special values are read before the timer starts.  Each figure is the best
+of three runs on the same input; the inputs of the tuple's steps, the
+levels to validate and the levels to judge are derived once, outside the
+timer.
 
   PYTHONPATH=src python scripts/time_step.py
 """
@@ -34,6 +39,8 @@ TUPLE = (10, 10, 10, 5)
 SHALLOW = (1, 2, 3, 4, 5)
 POOL_STEPS = ((), (2,), (3,), (2, 2))
 GENUS3 = (1, 1, 2, 3, 4, 4, 8)  # over F_2
+GENUS1_CHECKS = ("rh", "ratio_bounds", "invariants", "miracle", "beta_route")  # Tower fields
+GENUS1_PATH = (10, 10, 10)
 
 
 def best_of_3(run) -> float:
@@ -99,6 +106,21 @@ def main() -> int:
     verdict_s = best_of_3(lambda: rh_verdict_for_level(z))
     method = rh_verdict_for_level(z).method
     print(f"genus 3 {z.steps} (Q has {z.Q.bit_length()} bits): rh_verdict_for_level ({method}) {verdict_s:.3f} s")
+
+    spec = CurveSpec(label="E3a1", q=3, genus=1, trace=1)
+    paths = [GENUS1_PATH[:i] for i in range(len(GENUS1_PATH) + 1)]
+    best = dict.fromkeys(GENUS1_CHECKS, float("inf"))
+    for _ in range(3):
+        tower = curve_tower(spec)  # the tower keeps each result, so each run reads a fresh one
+        for path in paths[1:]:
+            tower.level(path), tower.level(path[:-1] + (path[-1] + 1,)), tower.special_values(path)
+        for name in GENUS1_CHECKS:
+            start = time.perf_counter()
+            for path in paths if name in ("rh", "invariants") else paths[1:]:  # by level, else by step
+                getattr(tower, name)(path)
+            best[name] = min(best[name], time.perf_counter() - start)
+    stages = ", ".join(f"{name} {s:.3f} s" for name, s in best.items())
+    print(f"E3a1 {GENUS1_PATH} genus-1 checks: {stages}; total {sum(best.values()):.3f} s")
     return 0
 
 

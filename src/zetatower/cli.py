@@ -35,8 +35,8 @@ from zetatower.curves import (
     load_curves,
 )
 from zetatower.derived_engine import normalize_level
-from zetatower.exact_arith import rat_str, unlimited_int_digits
-from zetatower.invariants import InvariantSet
+from zetatower.exact_arith import pair_str, rat_str, unlimited_int_digits
+from zetatower.invariants import invariant_values
 from zetatower.rh_lab import (
     ALL_CHECKS,
     DEFAULT_PRODUCT_CAP,
@@ -189,10 +189,10 @@ def cmd_invariants(args) -> int:
     spec, tower, paths = _tower(args)
     reports = []
     for path in paths:
-        inv, gamma_signs = tower.invariants(path), {}
-        if args.normalize:  # extraction is linear in P; a base has A_0 = 1
-            a0 = tower.level(path).P[0]
-            inv = InvariantSet(alphas=tuple(a / a0 for a in inv.alphas), beta=inv.beta / a0)
+        inv, level, gamma_signs = tower.invariants(path), tower.level(path), {}
+        # extraction is linear in P, and a base has A_0 = 1: dividing by A_0 = content * ints[0] leaves 1 / ints[0]
+        scale = Fraction(1, level.P.view[1][0]) if args.normalize else None
+        alphas, beta = invariant_values(inv, level.Q, scale)
         if path:  # the sign vector belongs to the step, not to the numerator
             n, signs = path[-1], list(tower.interlacing(path)[1])
             if args.normalize and n % 2 and tower.level(path[:-1]).P[0] < 0:
@@ -202,10 +202,10 @@ def cmd_invariants(args) -> int:
             {
                 "curve": spec.label,
                 "tuple": list(path),
-                "Q": rat_str(tower.level(path).Q),
-                "alphas": [rat_str(a) for a in inv.alphas],
-                "beta": rat_str(inv.beta),
-                "positivity": inv.positivity(),
+                "Q": rat_str(level.Q),
+                "alphas": [rat_str(a) for a in alphas],
+                "beta": rat_str(beta),
+                "positivity": all(x > 0 for x in (*alphas, beta)),  # --normalize flips every sign where A_0 < 0
                 "gamma_signs": gamma_signs,
             }
         )
@@ -233,7 +233,7 @@ def cmd_rh_check(args) -> int:
                 "method": v.method,
                 "holds": v.holds,
                 "boundary": v.boundary,
-                "discriminant": rat_str(v.discriminant) if v.discriminant is not None else None,
+                "discriminant": pair_str(*v.discriminant) if v.discriminant is not None else None,
                 "max_deviation": v.max_deviation,
                 "precision_bits": v.precision_bits,
                 "tolerance": v.tolerance,

@@ -376,8 +376,9 @@ class ZetaLevel:
     steps is the tuple of derivation indices applied so far (empty for the
     base), Q = q**prod(steps) is an int, and P is the numerator in this
     level's own variable.  Every value and residue is one integer Horner pass
-    over ``P.view`` (content times coprime ints): a residue is reduced once,
-    a value is the unreduced int pair of ``value_pair``.
+    over ``P.view`` (content times coprime ints): a residue is reduced once
+    (``residue``) or kept as the unreduced int pair of ``residue_pair``, and a
+    value is the unreduced int pair of ``value_pair``.
     """
 
     steps: tuple
@@ -400,10 +401,14 @@ class ZetaLevel:
         """
         res = self.__dict__.get("_residue")
         if res is None:
-            c, ints = self.P.view
-            res = Fraction(c.numerator * sum(ints), c.denominator * (self.Q - 1))
+            res = Fraction(*self.residue_pair())
             object.__setattr__(self, "_residue", res)
         return res
+
+    def residue_pair(self) -> tuple:
+        """Res_{T=1} Z as the unreduced int pair (c.numerator * sum(ints), c.denominator * (Q-1)); a check cross-multiplies it."""
+        c, ints = self.P.view
+        return c.numerator * sum(ints), c.denominator * (self.Q - 1)
 
     def __reduce__(self):
         """Pickle and copy by the fields, so the kept residue stays behind."""
@@ -431,12 +436,6 @@ class ZetaLevel:
         e = g + 2 - len(ints)  # w^(g+1) over the w^d of P(u/w)
         num = c.numerator * horner(ints, u, w) * w ** max(e, 0)
         return num, c.denominator * w ** max(-e, 0) * (w - u) * (w - self.Q * u) * u ** (g - 1)
-
-    def trace(self) -> Fraction:
-        """For genus 1: the A with P = alpha(0) * (1 - A*T + Q*T^2)."""
-        if self.genus != 1:
-            raise ValueError("trace only defined for genus 1")
-        return -self.P[1] / self.P[0]
 
 
 @dataclass(frozen=True)

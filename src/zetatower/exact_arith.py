@@ -83,6 +83,11 @@ def rat_str(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+def pair_str(num: int, den: int) -> str:
+    """The reduced string of the int pair num/den, den != 0: ``rat_str`` of that rational, for what a report prints."""
+    return str(Fraction(num, den))
+
+
 @contextmanager
 def unlimited_int_digits():
     """Lift Python's limit on int <-> str digits inside the block, then restore it.

@@ -6,17 +6,21 @@ A level's numerator P (degree 2g, constant term alpha(0)) decomposes as
 
 where beta is the residue at T = 1 and S is palindromic of degree 2(g-1) with
 lower coefficients alpha(0)..alpha(g-1).  Extraction inverts that by exact
-division on the ints of P's view, and forms the alphas only as the view's
-content times those ints, so any deviation from the required shape fails
-loudly instead of being least-squares'd away; a reconstruction mismatch
-raises ReconstructionError, which ``python -O`` keeps.  An ``InvariantSet``
-holds just the alphas and beta: P, Q and the genus are read off the
-``ZetaLevel``, so only callers that need the alphas extract.  The same beta is also given
-by a closed sum over integer compositions of special values of the previous
+division on the ints of P's view, so any deviation from the required shape
+fails loudly instead of being least-squares'd away; a reconstruction
+mismatch, also in those ints, raises ReconstructionError, which
+``python -O`` keeps.  An ``InvariantSet`` holds ints and the view's content:
+the ints of S and P(1) / content, so positivity is a sign test, and the
+alphas and beta are formed (``invariant_values``) only where a report
+prints them.  P, Q and the genus are read off the ``ZetaLevel``, so only
+callers that need the invariants extract.  The same beta is also given by a
+closed sum over integer compositions of special values of the previous
 level, q^(C(n,2)(g-1)) * sum_p E[n][p] with the last-part table E of
 ``derived_engine.composition_sums``, whose row n is the int row (nums, D)
-with E[n][p] = nums[p] / D, so the sum is one Fraction sum(nums) / D; that is
-the dual route the test suite exercises everywhere.
+with E[n][p] = nums[p] / D, so the sum is the int pair
+(q^(C(n,2)(g-1)) sum(nums), D); that is the dual route the test suite
+exercises everywhere, and the sweep compares it with the residue pair by
+cross-multiplication, as the counting miracle compares constant terms.
 
 The interlacing polynomial built here clears the composition sum
 
@@ -40,10 +44,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Optional, Sequence
 
 from zetatower.curves import CheckResult, ZetaLevel
 from zetatower.derived_engine import SpecialValues, composition_sums
-from zetatower.exact_arith import BigRat, Poly, as_pair, as_rat, horner, is_self_inversive, over_lcm, rat_str
+from zetatower.exact_arith import BigRat, Poly, horner, is_self_inversive, pair_str
 
 
 class ReconstructionError(RuntimeError):
@@ -52,47 +57,60 @@ class ReconstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class InvariantSet:
-    """alpha(0)..alpha(g-1) and beta of one level; its P and Q stay on the ZetaLevel."""
+    """One level's invariants on the ints of its view: alpha(l) = content * S[l], beta = content * total / (Q-1).
 
-    alphas: tuple
-    beta: BigRat
+    ``S`` holds S[0]..S[g-1] and ``total`` is P(1) / content, the sum of the
+    view's ints.  P, Q and the genus stay on the ZetaLevel; ``invariant_values``
+    forms the alphas and beta for a report that prints them.
+    """
+
+    content: BigRat
+    S: tuple
+    total: int
 
     def positivity(self) -> bool:
-        return all(a > 0 for a in self.alphas) and self.beta > 0
+        """Every alpha and beta positive: the content and Q - 1 are, so the signs are the ints'."""
+        return all(s > 0 for s in self.S) and self.total > 0
 
 
-def reconstruct_numerator(alphas, beta, Q: int, genus: int) -> Poly:
-    """Expand the (alphas, beta) decomposition back into P, in ints over the lcm of their denominators."""
+def invariant_values(inv: InvariantSet, Q: int, scale: Optional[BigRat] = None) -> tuple:
+    """(alphas, beta) as rationals: the ints of ``inv`` times ``scale``, the content unless given."""
+    scale = inv.content if scale is None else scale
+    return tuple(scale * s for s in inv.S), scale * Fraction(inv.total, Q - 1)
+
+
+def reconstruct_numerator(S: Sequence[int], total: int, Q: int, genus: int) -> list:
+    """The ints of P / content rebuilt from S[0..g-1] and total = P(1) / content: S(T) (1-T)(1-QT) + total T^g."""
     g = genus
-    scaled, L = over_lcm(as_pair(as_rat(x)) for x in (*alphas[:g], beta))
-    S = [0] * (2 * g - 1)
+    full = [0] * (2 * g - 1)
     for ell in range(g - 1):
-        S[ell] += scaled[ell]
-        S[2 * (g - 1) - ell] += Q ** (g - 1 - ell) * scaled[ell]
-    S[g - 1] += scaled[g - 1]
-    P = [0] * (2 * g + 1)
-    for k, s in enumerate(S):  # S * (1 - (Q+1) T + Q T^2)
-        P[k] += s
-        P[k + 1] -= (Q + 1) * s
-        P[k + 2] += Q * s
-    P[g] += (Q - 1) * scaled[g]
-    return Poly.from_ints(P, L)
+        full[ell] += S[ell]
+        full[2 * (g - 1) - ell] += Q ** (g - 1 - ell) * S[ell]
+    full[g - 1] += S[g - 1]
+    ints = [0] * (2 * g + 1)
+    for k, s in enumerate(full):  # S * (1 - (Q+1) T + Q T^2)
+        ints[k] += s
+        ints[k + 1] -= (Q + 1) * s
+        ints[k + 2] += Q * s
+    ints[g] += total
+    return ints
 
 
 def extract_invariants(z: ZetaLevel) -> InvariantSet:
-    """Read (alphas, beta) off a level by residue plus exact division, on the ints of P's view.
+    """Read (S, P(1)) off a level by residue plus exact division, on the ints of P's view.
 
     With P = c * ints, R = P - (Q-1) beta T^g is c times the ints with sum(ints)
     taken off the middle one, and the division by 1 - (Q+1)T + QT^2, whose
-    constant term is 1, stays in the ints; only the alphas c * S_l are formed.
+    constant term is 1, stays in the ints; so does the reconstruction check.
     """
     g, Q = z.genus, z.Q
     P = z.P
     if P.degree != 2 * g:
         raise ValueError(f"numerator degree {P.degree}, expected {2 * g}")
     c, ints = P.view
+    total = sum(ints)  # (Q-1) beta / c
     R = list(ints)
-    R[g] -= sum(ints)  # (Q-1) beta / c
+    R[g] -= total
     # R / (1 - (Q+1) T + Q T^2) from the constant term up; S = R / that exactly iff its last two terms vanish
     S = []
     for k, r in enumerate(R):
@@ -106,37 +124,38 @@ def extract_invariants(z: ZetaLevel) -> InvariantSet:
     del S[-2:]
     if not is_self_inversive(S, Q, g - 1):
         raise ValueError("interior part is not palindromic")
-    alphas = tuple(c * s for s in S[:g])
-    beta = z.residue()
-    if reconstruct_numerator(alphas, beta, Q, g).view != P.view:
+    S = tuple(S[:g])
+    if tuple(reconstruct_numerator(S, total, Q, g)) != ints:
         raise ReconstructionError(f"invariants of level {z.steps} do not reconstruct its numerator")
-    return InvariantSet(alphas=alphas, beta=beta)
+    return InvariantSet(content=c, S=S, total=total)
 
 
-def beta_closed_form(sv: SpecialValues, n: int, genus: int) -> Fraction:
-    """Residue of the next level by the closed composition sum, no derivation."""
+def beta_closed_form(sv: SpecialValues, n: int, genus: int) -> tuple:
+    """Residue of the next level by the closed composition sum, no derivation, as an unreduced int pair (N, D), D > 0."""
     nums, D = composition_sums(sv, n)[n]
-    return sv.Q ** (comb(n, 2) * (genus - 1)) * Fraction(sum(nums), D)
+    return sv.Q ** (comb(n, 2) * (genus - 1)) * sum(nums), D
 
 
 def counting_miracle_check(prev: ZetaLevel, derived: ZetaLevel, following: ZetaLevel) -> CheckResult:
-    """Constant term at step n+1 against q^(n(g-1)) * alpha_prev(0) * beta at step n.
+    """Constant term at step n+1 against q^(n(g-1)) * alpha_prev(0) * beta at step n, cross-multiplied.
 
     ``derived`` and ``following`` are ``prev`` derived by n and by n+1, taken
     from the caller's tower; nothing is derived here.  Their steps must say
-    so, else ValueError.  beta is read off ``derived`` as a residue.
+    so, else ValueError.  beta is read off ``derived`` as a residue pair, and
+    each constant term is its view's content times its first int.
     """
     n = derived.steps[-1] if derived.steps else 0
     if derived.steps != prev.steps + (n,) or following.steps != prev.steps + (n + 1,):
         raise ValueError(f"levels {derived.steps}, {following.steps} are not {prev.steps} derived by n, n+1")
     g = prev.genus
-    alpha0_prev = prev.P[0]
-    beta_n = derived.residue()
-    alpha0_next = following.P[0]
-    expected = prev.Q ** (n * (g - 1)) * alpha0_prev * beta_n
-    ok = alpha0_next == expected
+    (c, ints), (c_next, ints_next) = prev.P.view, following.P.view
+    beta_num, beta_den = derived.residue_pair()
+    got_num, got_den = c_next.numerator * ints_next[0], c_next.denominator
+    expected_num = prev.Q ** (n * (g - 1)) * c.numerator * ints[0] * beta_num
+    expected_den = c.denominator * beta_den
+    ok = got_num * expected_den == expected_num * got_den
     # built only on failure: deep levels have more digits than Python converts to a string
-    detail = "" if ok else f"alpha0(step {n + 1}) = {rat_str(alpha0_next)}, expected {rat_str(expected)}"
+    detail = "" if ok else f"alpha0(step {n + 1}) = {pair_str(got_num, got_den)}, expected {pair_str(expected_num, expected_den)}"
     return CheckResult("counting_miracle", ok, detail)
 
 

@@ -18,7 +18,10 @@ clearing denominators in (1-x)(1-Qx) B(Qx) = B(x) * P(x),
 clearing; a displayed (Q-1) variant is a typo that the exp route would
 immediately contradict.)  For genus 1 under the constant-term-1 convention,
 b_n equals the residue of the n-th derived level, which yields the elliptic
-three-term recursion and the ratio bounds checked here.
+three-term recursion and the ratio bounds checked here.  Both run on ints:
+the recursion reads the level's first two view ints and gives each beta as
+an int pair over a running positive denominator, and each bound is
+cross-multiplied, so no Fraction is formed unless a bound fails.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from zetatower.curves import CheckResult, ZetaLevel, point_counts_from_numerator
-from zetatower.exact_arith import BigRat, rat_str, series_exp
+from zetatower.exact_arith import pair_str, series_exp
 
 
 def residue_series_exp(level: ZetaLevel, k_max: int) -> tuple:
@@ -40,43 +43,61 @@ def residue_series_exp(level: ZetaLevel, k_max: int) -> tuple:
     return tuple(series_exp(log_b))
 
 
-def elliptic_beta_recursion(a: BigRat, Q: int, n_max: int) -> list:
-    """beta(0)..beta(n_max) for a genus-1 level with trace a over Q.
+def elliptic_beta_recursion(A0: int, A1: int, Q: int, n_max: int) -> list:
+    """beta(0)..beta(n_max) of a genus-1 level over Q whose numerator begins A0 + A1 T, as int pairs (b, D), D > 0.
 
-    (Q^n - 1) beta(n) = (Q^n + Q^(n-1) - a) beta(n-1) - (Q^(n-1) - Q) beta(n-2),
-    with beta(0) = 1 and beta(-1) = 0 under the constant-term-1 convention.
+    A0 and A1 are ints in the numerator's ratio, such as the first two ints of
+    its view; the level's trace is a = -A1/A0 and beta(n) is its residue
+    sequence under the constant-term-1 convention:
+
+        (Q^n - 1) beta(n) = (Q^n + Q^(n-1) - a) beta(n-1) - (Q^(n-1) - Q) beta(n-2),
+
+    beta(0) = 1, beta(-1) = 0.  With w = |A0| and u = sign(A0) A1, so that
+    a = -u/w, the running denominator D(n) = D(n-1) w (Q^n - 1) clears every
+    division, and each b(n) is an int:
+
+        b(n) = (w (Q^n + Q^(n-1)) + u) b(n-1) - w^2 (Q^(n-1) - Q)(Q^(n-1) - 1) b(n-2).
     """
-    a = Fraction(a)
-    betas = [Fraction(1)]
-    prev2 = Fraction(0)
+    if not A0:
+        raise ValueError("the trace of a numerator with constant term 0 is undefined")
+    w, u = (A0, A1) if A0 > 0 else (-A0, -A1)
+    betas = [(1, 1)]
+    prev2 = 0
     for n in range(1, n_max + 1):
-        value = ((Q**n + Q ** (n - 1) - a) * betas[-1] - (Q ** (n - 1) - Q) * prev2) / (Q**n - 1)
-        prev2 = betas[-1]
-        betas.append(value)
+        b, D = betas[-1]
+        Qn1 = Q ** (n - 1)
+        value = (w * (Q * Qn1 + Qn1) + u) * b - w * w * (Qn1 - Q) * (Qn1 - 1) * prev2
+        prev2 = b
+        betas.append((value, D * w * (Q * Qn1 - 1)))
     return betas
 
 
-def ratio_bounds(r: Fraction, Q: int, n: int) -> tuple:
-    """(lower, upper): 1 < r, and r < (Q^(n/2)+1)/(Q^(n/2)-1) as Q^n (r-1)^2 < (r+1)^2 when r > 1.
+def ratio_bounds(num: int, den: int, Q: int, n: int) -> tuple:
+    """(lower, upper) for r = num/den, den > 0: 1 < r, and r < (Q^(n/2)+1)/(Q^(n/2)-1).
 
-    For Q > 1 the right side exceeds 1, so every r <= 1 meets the upper bound.
+    Both are cross-multiplied: r > 1 is num > den, and for r > 1 the upper
+    bound is Q^n (num - den)^2 < (num + den)^2.  For Q > 1 the right side
+    exceeds 1, so every r <= 1 meets the upper bound.
     """
-    return r > 1, r <= 1 or Q**n * (r - 1) ** 2 < (r + 1) ** 2
+    return num > den, num <= den or Q**n * (num - den) ** 2 < (num + den) ** 2
 
 
-def ratio_bounds_check(betas: Sequence[Fraction], Q: int, start: int = 1) -> list:
+def ratio_bounds_check(betas: Sequence[tuple], Q: int, start: int = 1) -> list:
     """Per-step bound checks 1 < beta(n)/beta(n-1) < (Q^(n/2)+1)/(Q^(n/2)-1), by ``ratio_bounds``, for n >= start.
 
-    Entry n = 1 is reported but the bounds genuinely start at n = 2 (the base
-    ratio N_1/(Q-1) may drop below 1 for admissible traces); callers asserting
-    the theorem should look at n >= 2.
+    ``betas`` are int pairs (b, D), D > 0, as ``elliptic_beta_recursion``
+    gives them; each ratio is the pair b(n) D(n-1) / (D(n) b(n-1)), with its
+    denominator made positive.  Entry n = 1 is reported but the bounds
+    genuinely start at n = 2 (the base ratio N_1/(Q-1) may drop below 1 for
+    admissible traces); callers asserting the theorem should look at n >= 2.
     """
     out = []
     for n in range(start, len(betas)):
-        r = Fraction(betas[n]) / Fraction(betas[n - 1])
-        lower, upper = ratio_bounds(r, Q, n)
+        (b, D), (b_prev, D_prev) = betas[n], betas[n - 1]
+        num, den = (b * D_prev, D * b_prev) if b_prev > 0 else (-b * D_prev, -D * b_prev)
+        lower, upper = ratio_bounds(num, den, Q, n)
         ok = lower and upper
         # built only on failure: deep ratios have more digits than Python converts to a string
-        detail = "" if ok else f"r = {rat_str(r)}; lower {'ok' if lower else 'FAIL'}, upper {'ok' if upper else 'FAIL'}"
+        detail = "" if ok else f"r = {pair_str(num, den)}; lower {'ok' if lower else 'FAIL'}, upper {'ok' if upper else 'FAIL'}"
         out.append(CheckResult(f"ratio_bounds[n={n}]", ok, detail))
     return out

@@ -1,11 +1,11 @@
 """Riemann-hypothesis verification and the conjecture sweep harness.
 
 Genus 1 is decided exactly: with P = alpha(0) (1 - A T + Q T^2), all roots lie
-on |T| = Q^(-1/2) iff A^2 <= 4Q, a single rational comparison (the boundary
-A^2 = 4Q is a repeated on-circle root and carries its own flag).  Every
-higher genus goes through the degree-g R with P(T) = T^g R(QT + 1/T)
-(``real_weil_poly``, Kedlaya's criterion): RH holds iff every root of R is
-real and lies in [-2 sqrt Q, 2 sqrt Q].  The functional equation makes every
+on |T| = Q^(-1/2) iff A^2 <= 4Q, a single integer comparison on the view's
+ints, A_1^2 <= 4Q A_0^2 (the boundary A^2 = 4Q is a repeated on-circle root
+and carries its own flag).  Every higher genus goes through the degree-g R
+with P(T) = T^g R(QT + 1/T) (``real_weil_poly``, Kedlaya's criterion): RH
+holds iff every root of R is real and lies in [-2 sqrt Q, 2 sqrt Q].  The functional equation makes every
 level's P self-inversive, and any other P fails with no root sought.
 
 From genus 3 on the verdict is exact (``rh_sturm``): the roots u^2 of
@@ -33,10 +33,12 @@ rh-check.
 A level is derived from its prefix's level at most once, each distinct level
 numerator (invariants, RH verdict) is checked at most once per curve, and so
 is each step (special values, the beta routes, the counting miracle,
-interlacing, the ratio bounds).  A step of index 1 gives back its prefix's
-numerator, so a level ``(..., 1)`` reuses its prefix's results.  A cell only
-combines the results of its path, and ``--jobs`` spreads the curves, not the
-cells, over worker processes.
+interlacing, the ratio bounds).  The genus-1 checks read the ints of the
+levels' views and compare by cross-multiplication; a rational is formed only
+for a report string, such as the final level's alphas and beta.  A step of
+index 1 gives back its prefix's numerator, so a level ``(..., 1)`` reuses its
+prefix's results.  A cell only combines the results of its path, and
+``--jobs`` spreads the curves, not the cells, over worker processes.
 """
 
 from __future__ import annotations
@@ -54,11 +56,11 @@ import mpmath as mp
 from zetatower.curves import CheckResult, CurveSpec, ZetaLevel, artin_zeta, hasse_traces, prime_power_split
 from zetatower.derived_engine import SpecialValues, derive_step, special_values
 from zetatower.exact_arith import (
-    BigRat,
     Poly,
     content_primitive,
     horner,
     is_self_inversive,
+    pair_str,
     pseudo_divide,
     rat_str,
     real_weil_poly,
@@ -73,6 +75,7 @@ from zetatower.invariants import (
     interlacing_poly,
     interlacing_sign_check,
     interlacing_signs,
+    invariant_values,
 )
 from zetatower.mult_struct import elliptic_beta_recursion, ratio_bounds_check
 
@@ -86,7 +89,7 @@ class RHVerdict:
     method: str  # "exact_g1" (genus 1) | "numeric" (genus 2) | "exact_sturm" (genus >= 3)
     holds: Optional[bool]  # None = unknown, numeric only
     boundary: bool = False
-    discriminant: Optional[BigRat] = None
+    discriminant: Optional[tuple] = None  # genus 1: A^2 - 4Q as an int pair (N, D), D > 0, unreduced
     max_deviation: Optional[str] = None  # decimal string, numeric only
     deviations: tuple = ()
     precision_bits: Optional[int] = None
@@ -100,14 +103,22 @@ class RHVerdict:
 
 
 def rh_exact_genus1(level: ZetaLevel) -> RHVerdict:
-    """Exact rational decision for a quadratic numerator: A^2 <= 4Q."""
+    """Exact integer decision for a quadratic numerator: A_1^2 <= 4Q A_0^2.
+
+    The view's content is positive, so that holds iff it holds on the view's
+    ints x: x_1^2 <= 4Q x_0^2, with the boundary at equality.  The trace
+    A = -x_1/x_0 has the discriminant A^2 - 4Q = (x_1^2 - 4Q x_0^2) / x_0^2,
+    kept as that int pair; it is reduced only where it is printed.
+    """
     if level.genus != 1:
         raise ValueError("exact criterion only applies to genus 1")
-    a = level.trace()
-    disc = a * a - 4 * level.Q
+    x0, x1 = (level.P.view[1] + (0, 0))[:2]
+    if not x0:
+        raise ValueError("the trace of a numerator with constant term 0 is undefined")
+    disc, square = x1 * x1 - 4 * level.Q * x0 * x0, x0 * x0
     # built only on failure: deep levels have more digits than Python converts to a string
-    detail = "" if disc <= 0 else f"trace {rat_str(a)}, discriminant {rat_str(disc)}"
-    return RHVerdict(method="exact_g1", holds=disc <= 0, boundary=disc == 0, discriminant=disc, detail=detail)
+    detail = "" if disc <= 0 else f"trace {pair_str(-x1, x0)}, discriminant {pair_str(disc, square)}"
+    return RHVerdict(method="exact_g1", holds=disc <= 0, boundary=disc == 0, discriminant=(disc, square), detail=detail)
 
 
 def _square(a: Sequence[int]) -> list:
@@ -402,8 +413,9 @@ def curve_tower(spec: CurveSpec) -> Tower:
     @cache
     def beta_route(steps: tuple) -> CheckResult:
         prev, n = level(steps[:-1]), steps[-1]
-        residue = level(steps).residue()
-        return CheckResult("beta_routes", residue == beta_closed_form(step_values(steps), n, prev.genus))
+        num, den = level(steps).residue_pair()
+        closed_num, closed_den = beta_closed_form(step_values(steps), n, prev.genus)
+        return CheckResult("beta_routes", num * closed_den == closed_num * den)
 
     @cache
     def miracle(steps: tuple) -> CheckResult:
@@ -423,12 +435,15 @@ def curve_tower(spec: CurveSpec) -> Tower:
         prefix, n = steps[:-1], steps[-1]
         prev, depth = level(prefix), max(n, 2)  # bounds start at n = 2
         betas, bounds = recursions.get(prefix, ((), ()))
+        c, ints = prev.P.view
         if len(betas) <= depth:  # the recursion runs again only for a deeper n; each bound is checked once
-            betas = elliptic_beta_recursion(prev.trace(), prev.Q, depth)
+            betas = elliptic_beta_recursion(ints[0], ints[1], prev.Q, depth)
             bounds = (*bounds, *ratio_bounds_check(betas, prev.Q, start=len(bounds) + 2))
             recursions[prefix] = betas, bounds
-        # the recursion's betas are the tower's: the residue of (prefix, n) is alpha_0(prefix)^n beta(n)
-        link = CheckResult("ratio_bounds[residue]", level(steps).residue() == prev.P[0] ** n * betas[n])
+        # the recursion's betas are the tower's: the residue of (prefix, n) is alpha_0(prefix)^n beta(n),
+        # alpha_0 = c * ints[0], cross-multiplied
+        (num, den), (b, D) = level(steps).residue_pair(), betas[n]
+        link = CheckResult("ratio_bounds[residue]", num * c.denominator**n * D == den * (c.numerator * ints[0]) ** n * b)
         return (link, *bounds[: depth - 1])
 
     return Tower(level, invariants, rh, step_values, beta_route, miracle, interlacing, ratio_bounds)
@@ -457,9 +472,9 @@ def run_cell(spec: CurveSpec, steps: tuple, config: SweepConfig, tower: Tower) -
         if "positivity" in config.checks:
             bad = [z.steps for z, i in zip(levels, invs) if not i.positivity()]
             checks["positivity"] = "pass" if not bad else "fail"
-            final = invs[-1]
-            cell["data"]["alphas"] = [rat_str(a) for a in final.alphas]
-            cell["data"]["beta"] = rat_str(final.beta)
+            alphas, beta = invariant_values(invs[-1], levels[-1].Q)
+            cell["data"]["alphas"] = [rat_str(a) for a in alphas]
+            cell["data"]["beta"] = rat_str(beta)
 
         if "rh" in config.checks:
             verdicts = [tower.rh(path) for path in paths]

@@ -24,6 +24,11 @@ coefficients, the parity route for the package's integer ``poly_gcd`` and
 ``residue_series_recursion`` is the second route to the residue series, and
 ``elliptic_beta_series_check`` matches each derived residue of a genus-1
 level against the series coefficient.
+
+``fraction_beta_recursion``, ``fraction_ratio_bounds``, ``fraction_trace``
+and ``fraction_discriminant`` are the genus-1 checks in ``Fraction``s, the
+references for the package's int recursion, cross-multiplied bounds and
+integer RH verdict.
 """
 
 from fractions import Fraction
@@ -351,3 +356,36 @@ def elliptic_beta_series_check(level: ZetaLevel, n_max: int) -> CheckResult:
         not mismatches,
         "exact match to order %d" % n_max if not mismatches else f"mismatches: {mismatches}",
     )
+
+
+def fraction_beta_recursion(a, Q: int, n_max: int) -> list:
+    """beta(0)..beta(n_max) of a genus-1 level of trace a over Q, in Fractions: the reference for the int recursion.
+
+    (Q^n - 1) beta(n) = (Q^n + Q^(n-1) - a) beta(n-1) - (Q^(n-1) - Q) beta(n-2),
+    with beta(0) = 1 and beta(-1) = 0.
+    """
+    a = Fraction(a)
+    betas = [Fraction(1)]
+    prev2 = Fraction(0)
+    for n in range(1, n_max + 1):
+        value = ((Q**n + Q ** (n - 1) - a) * betas[-1] - (Q ** (n - 1) - Q) * prev2) / (Q**n - 1)
+        prev2 = betas[-1]
+        betas.append(value)
+    return betas
+
+
+def fraction_ratio_bounds(r: Fraction, Q: int, n: int) -> tuple:
+    """(lower, upper): 1 < r, and r < (Q^(n/2)+1)/(Q^(n/2)-1) as Q^n (r-1)^2 < (r+1)^2 when r > 1, in Fractions."""
+    return r > 1, r <= 1 or Q**n * (r - 1) ** 2 < (r + 1) ** 2
+
+
+def fraction_trace(level: ZetaLevel) -> Fraction:
+    """The A with P = alpha(0) (1 - A T + Q T^2) of a genus-1 level."""
+    return -level.P[1] / level.P[0]
+
+
+def fraction_discriminant(level: ZetaLevel) -> Fraction:
+    """A^2 - 4Q of a genus-1 level, from its Fraction trace: RH holds iff it is at most 0."""
+    a = fraction_trace(level)
+    return a * a - 4 * level.Q
+

@@ -43,6 +43,7 @@ from zetatower.invariants import (
     extract_invariants,
     interlacing_poly,
     interlacing_signs,
+    invariant_values,
 )
 from zetatower.mult_struct import elliptic_beta_recursion, ratio_bounds_check, residue_series_exp
 from zetatower.rh_lab import rh_exact_genus1, rh_numeric, rh_sturm
@@ -106,7 +107,7 @@ def test_criterion_03_beta_dual_route(grid):
         for steps, levels in towers.items():
             for prev, nxt, n in zip(levels, levels[1:], steps):
                 sv = special_values(prev, n)
-                assert residue_simple_pole(to_ratfunc(nxt), 1) == beta_closed_form(sv, n, prev.genus)
+                assert residue_simple_pole(to_ratfunc(nxt), 1) == Fraction(*beta_closed_form(sv, n, prev.genus))
                 count += 1
     _report(3, "beta dual route", f"({count} steps, exact)")
 
@@ -148,10 +149,11 @@ def test_criterion_06_elliptic_triangle():
         for a in hasse_traces(q):
             base = artin_elliptic(q, a)
             series = residue_series_exp(base, 6)
-            recursion = elliptic_beta_recursion(a, q, 6)
+            recursion = elliptic_beta_recursion(1, -a, q, 6)
             for n in range(1, 7):
-                extracted = extract_invariants(derive_step(base, n)).beta
-                assert extracted == recursion[n] == series[n], (q, a, n)
+                level = derive_step(base, n)
+                extracted = invariant_values(extract_invariants(level), level.Q)[1]
+                assert extracted == Fraction(*recursion[n]) == series[n], (q, a, n)
                 count += 1
     _report(6, "elliptic beta triangle", f"({count} values, n <= 6, exact)")
 
@@ -162,7 +164,7 @@ def test_criterion_07_ratio_bounds():
     count = 0
     for q in ELLIPTIC_QS:
         for a in hasse_traces(q):
-            betas = elliptic_beta_recursion(a, q, 8)
+            betas = elliptic_beta_recursion(1, -a, q, 8)
             checks = ratio_bounds_check(betas, q)
             for chk in checks[1:]:
                 assert chk.passed, (q, a, chk.detail)
@@ -216,12 +218,13 @@ def test_criterion_11_positivity_scan(grid, genus2, tmp_path_factory):
             for z in levels:
                 inv = extract_invariants(z)
                 assert inv.positivity(), (curve, z.steps)
+                alphas, beta = invariant_values(inv, z.Q)
                 records.append(
                     {
                         "curve": curve,
                         "tuple": list(z.steps),
-                        "alphas": [str(x) for x in inv.alphas],
-                        "beta": str(inv.beta),
+                        "alphas": [str(x) for x in alphas],
+                        "beta": str(beta),
                         "positivity": True,
                     }
                 )

@@ -604,11 +604,12 @@ def test_rh_check_decides_each_numerator_once(monkeypatch, capsys):
 def _invariant_records(label, levels):
     """The invariants records of ``levels``, a tower's levels in prefix order, from first principles."""
     from zetatower.derived_engine import special_values
-    from zetatower.invariants import extract_invariants, interlacing_poly, interlacing_signs
+    from zetatower.invariants import extract_invariants, interlacing_poly, interlacing_signs, invariant_values
 
     records = []
     for prev, z in zip([None] + levels, levels):
         inv = extract_invariants(z)
+        alphas, beta = invariant_values(inv, z.Q)
         signs = {}
         if prev is not None:
             n = z.steps[-1]
@@ -618,8 +619,8 @@ def _invariant_records(label, levels):
                 "curve": label,
                 "tuple": list(z.steps),
                 "Q": rat_str(z.Q),
-                "alphas": [rat_str(a) for a in inv.alphas],
-                "beta": rat_str(inv.beta),
+                "alphas": [rat_str(a) for a in alphas],
+                "beta": rat_str(beta),
                 "positivity": inv.positivity(),
                 "gamma_signs": signs,
             }

@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 
 import zetatower.invariants as invariants_module
-from ratfunc_oracle import interlacing_tail, positive_weight, residue_simple_pole, to_ratfunc
-from zetatower.curves import artin_elliptic, artin_from_point_counts, hasse_traces
+from ratfunc_oracle import fraction_trace, interlacing_tail, positive_weight, residue_simple_pole, to_ratfunc
+from zetatower.curves import CurveSpec, artin_elliptic, artin_from_point_counts, hasse_traces
 from zetatower.derived_engine import compositions, derive_step, derive_tower, special_values
 from zetatower.exact_arith import Poly, rat_str
+from zetatower.rh_lab import curve_tower
 from zetatower.invariants import (
     beta_closed_form,
     counting_miracle_check,
@@ -21,6 +22,7 @@ from zetatower.invariants import (
     interlacing_poly,
     interlacing_sign_check,
     interlacing_signs,
+    invariant_values,
     reconstruct_numerator,
 )
 
@@ -31,36 +33,34 @@ from zetatower.invariants import (
 def test_extract_artin_elliptic():
     z = artin_elliptic(2, 0)
     inv = extract_invariants(z)
-    assert inv.alphas == (1,)
-    assert inv.beta == 3
+    assert (inv.content, inv.S, inv.total) == (1, (1,), 3)
+    assert invariant_values(inv, z.Q) == ((1,), 3)
     assert z.P.coeffs == (1, 0, 2)
 
 
 def test_extract_q3_a3():
     inv = extract_invariants(artin_elliptic(3, 3))
-    assert inv.beta == Fraction(1, 2)
-    assert inv.alphas == (1,)
+    assert invariant_values(inv, 3) == ((1,), Fraction(1, 2))
 
 
 def test_extract_genus2():
     z = artin_from_point_counts(2, 2, [3, 5])
     inv = extract_invariants(z)
-    assert inv.alphas == (1, 3)
-    assert inv.beta == 5
+    assert invariant_values(inv, z.Q) == ((1, 3), 5)
     assert z.P == Poly([1, 0, 0, 0, 4])
 
 
 def test_normalized_level_has_alpha0_one():
     levels = derive_tower(artin_elliptic(2, 0), (2, 2), normalize=True)
     for z in levels:
-        assert extract_invariants(z).alphas[0] == 1
+        assert invariant_values(extract_invariants(z), z.Q)[0][0] == 1
 
 
 def test_reconstruction_round_trip_small():
     for q, a in [(2, 0), (3, 3), (5, -4)]:
         z = artin_elliptic(q, a)
         inv = extract_invariants(z)
-        assert reconstruct_numerator(inv.alphas, inv.beta, z.Q, 1) == z.P
+        assert Poly.from_ints(reconstruct_numerator(inv.S, inv.total, z.Q, 1)) * inv.content == z.P
 
 
 def test_reconstruction_exercises_all_coefficient_ranges():
@@ -69,7 +69,7 @@ def test_reconstruction_exercises_all_coefficient_ranges():
     for q, counts in [(2, (3, 9, 9)), (2, (4, 8, 10)), (3, (5, 11, 29))]:
         z = artin_from_point_counts(q, 3, counts)
         inv = extract_invariants(z)
-        P = reconstruct_numerator(inv.alphas, inv.beta, z.Q, 3)
+        P = Poly.from_ints(reconstruct_numerator(inv.S, inv.total, z.Q, 3)) * inv.content
         assert P == z.P
         assert P.degree == 6
         for i in range(7):
@@ -77,7 +77,7 @@ def test_reconstruction_exercises_all_coefficient_ranges():
 
 
 def test_trace_of_genus1():
-    assert derive_step(artin_elliptic(2, 0), 2).trace() == -1  # (Q+1) - (Q-1) * beta2/beta1 = 5 - 3*2
+    assert fraction_trace(derive_step(artin_elliptic(2, 0), 2)) == -1  # (Q+1) - (Q-1) * beta2/beta1 = 5 - 3*2
 
 
 # -- beta closed form ------------------------------------------------------------
@@ -86,14 +86,16 @@ def test_trace_of_genus1():
 def test_beta_closed_form_depth_one_is_residue():
     z = artin_elliptic(2, 0)
     sv = special_values(z, 1)
-    assert beta_closed_form(sv, 1, 1) == 3 == Fraction(*sv.vhats[1])
+    assert Fraction(*beta_closed_form(sv, 1, 1)) == 3 == Fraction(*sv.vhats[1])
 
 
 def test_beta_closed_form_depth_two():
     z = artin_elliptic(2, 0)
     sv = special_values(z, 2)
     # v2 + v1^2/(1 - Q^2) = 9 + 9/(1-4) = 6
-    assert beta_closed_form(sv, 2, 1) == 6
+    num, den = beta_closed_form(sv, 2, 1)
+    assert type(num) is int and type(den) is int and den > 0
+    assert Fraction(num, den) == 6
 
 
 def test_beta_dual_route_small_grid():
@@ -104,7 +106,7 @@ def test_beta_dual_route_small_grid():
                 levels = [base] + derive_tower(base, steps)
                 for prev, nxt, n in zip(levels, levels[1:], steps):
                     sv = special_values(prev, n)
-                    assert residue_simple_pole(to_ratfunc(nxt), 1) == beta_closed_form(sv, n, prev.genus)
+                    assert residue_simple_pole(to_ratfunc(nxt), 1) == Fraction(*beta_closed_form(sv, n, prev.genus))
 
 
 def test_beta_closed_form_needs_depth():
@@ -205,8 +207,9 @@ def test_invariant_report_schema():
     inv = extract_invariants(z2)
     assert list(z2.steps) == [2]
     assert rat_str(z2.Q) == "4"
-    assert [rat_str(a) for a in inv.alphas] == ["3"]
-    assert rat_str(inv.beta) == "6"
+    alphas, beta = invariant_values(inv, z2.Q)
+    assert [rat_str(a) for a in alphas] == ["3"]
+    assert rat_str(beta) == "6"
     assert inv.positivity() is True
     assert interlacing_signs(interlacing_poly(special_values(z, 2), 2)) == [1, -1]
 
@@ -225,12 +228,46 @@ def test_miracle_accepts_the_derived_level():
         counting_miracle_check(z, z, following)
 
 
+def _fraction_miracle(prev, derived, following):
+    """(passed, failure detail) of the counting miracle in Fractions: the parent form of the check."""
+    n = derived.steps[-1]
+    expected = prev.Q ** (n * (prev.genus - 1)) * prev.P[0] * derived.residue()
+    return following.P[0] == expected, f"alpha0(step {n + 1}) = {rat_str(following.P[0])}, expected {rat_str(expected)}"
+
+
+def test_miracle_matches_its_fraction_form():
+    # the numerator 1 + T/2 + 2T^2 over F_2 has content 1/2, so its levels' contents have denominators;
+    # each following level is taken as derived and scaled off by 2, -1/3 and 1 + 1/A_0
+    specs = [
+        CurveSpec(label="h", q=2, genus=1, numerator=(1, "1/2", 2)),
+        CurveSpec(label="e", q=3, genus=1, trace=-2),
+        CurveSpec(label="g2", q=2, genus=2, point_counts=(3, 5)),
+        CurveSpec(label="g2h", q=3, genus=2, numerator=(1, "1/3", "5/2", 1, 9)),
+    ]
+    failed = 0
+    for spec in specs:
+        tower = curve_tower(spec)
+        for prefix in ((), (2,)):
+            prev = tower.level(prefix)
+            for n in (1, 2, 3):
+                derived, following = tower.level(prefix + (n,)), tower.level(prefix + (n + 1,))
+                a0 = following.P[0]
+                for scale in (1, 2, Fraction(-1, 3), 1 + 1 / a0):
+                    shifted = replace(following, P=following.P * scale)
+                    check = counting_miracle_check(prev, derived, shifted)
+                    passed, detail = _fraction_miracle(prev, derived, shifted)
+                    assert check.passed == passed, (spec.label, prefix, n, scale)
+                    assert check.detail == ("" if passed else detail)
+                    failed += not passed
+    assert failed == 3 * 2 * 3 * len(specs)
+
+
 def test_reconstruction_check_survives_python_O():
     # an assert would be stripped under -O; the explicit raise must still fire
     code = (
         "import zetatower.invariants as inv\n"
         "from zetatower.curves import artin_elliptic\n"
-        "inv.reconstruct_numerator = lambda *args: inv.Poly([7])\n"
+        "inv.reconstruct_numerator = lambda *args: [7]\n"
         "try:\n"
         "    inv.extract_invariants(artin_elliptic(2, 0))\n"
         "except inv.ReconstructionError:\n"

@@ -20,9 +20,20 @@ from zetatower.curves import (
 from zetatower.derived_engine import derive_step, normalize_level
 from zetatower.exact_arith import Poly
 from zetatower.mult_struct import elliptic_beta_recursion, ratio_bounds, ratio_bounds_check, residue_series_exp
-from ratfunc_oracle import elliptic_beta_series_check, residue_series_recursion
+from ratfunc_oracle import (
+    elliptic_beta_series_check,
+    fraction_beta_recursion,
+    fraction_ratio_bounds,
+    fraction_trace,
+    residue_series_recursion,
+)
 
 EXPORT = Path(__file__).resolve().parents[1] / "scripts" / "export_beta_table.py"
+
+
+def _fractions(betas):
+    """The recursion's int pairs (b, D) as the rationals b / D."""
+    return [Fraction(b, D) for b, D in betas]
 
 
 def _export_script():
@@ -49,7 +60,7 @@ def test_power_sums_derived_level():
     z2n = normalize_level(derive_step(artin_elliptic(2, 0), 2))
     N = _counts(z2n, 1)
     # k = 1 Newton identity: N_1 = Q + 1 - trace, trace = -A_1
-    assert N[0] == z2n.Q + 1 - z2n.trace() == 6
+    assert N[0] == z2n.Q + 1 - fraction_trace(z2n) == 6
 
 
 def test_power_sums_requires_normalization():
@@ -96,23 +107,56 @@ def test_series_rejects_q_one():
 
 
 def test_elliptic_recursion_q2_a0():
-    betas = elliptic_beta_recursion(0, 2, 2)
-    assert betas == [1, 3, 6]
+    betas = elliptic_beta_recursion(1, 0, 2, 2)
+    assert _fractions(betas) == [1, 3, 6]
 
 
 def test_elliptic_recursion_first_step_is_n1_over_qm1():
     for q in (2, 3, 4, 5):
         for a in hasse_traces(q):
-            betas = elliptic_beta_recursion(a, q, 1)
-            assert betas[1] == Fraction(q + 1 - a, q - 1)
+            betas = elliptic_beta_recursion(1, -a, q, 1)
+            assert Fraction(*betas[1]) == Fraction(q + 1 - a, q - 1)
 
 
 def test_elliptic_recursion_second_step_drops_lag_term():
     # at n = 2 the beta(n-2) coefficient Q^(n-1) - Q vanishes identically
     q = 7
     for a in (-2, 0, 5):
-        betas = elliptic_beta_recursion(a, q, 2)
+        betas = _fractions(elliptic_beta_recursion(1, -a, q, 2))
         assert betas[2] == Fraction(q**2 + q - a, q**2 - 1) * betas[1]
+
+
+def _recursion_matches_the_fraction_route(A0, A1, Q, n_max):
+    betas = elliptic_beta_recursion(A0, A1, Q, n_max)
+    assert all(type(b) is int and type(D) is int and D > 0 for b, D in betas)
+    return _fractions(betas) == fraction_beta_recursion(Fraction(-A1, A0), Q, n_max)
+
+
+def test_int_recursion_matches_the_fraction_recursion_on_the_export_grid():
+    for q in (2, 3, 4, 5):
+        for a in hasse_traces(q):
+            assert _recursion_matches_the_fraction_route(1, -a, q, 8), (q, a)
+
+
+def test_int_recursion_matches_the_fraction_recursion_on_derived_prefixes():
+    # the prefixes' numerators begin A_0 + A_1 T with A_0 != 1; the recursion reads the first two view ints,
+    # which a positive content divides out, and a negated pair, which has the same trace
+    prefixes = [derive_step(artin_elliptic(q, a), n) for q, a in ((2, -2), (3, 1), (5, 4)) for n in (2, 3)]
+    prefixes.append(derive_step(prefixes[0], 2))
+    assert all(z.P[0] != 1 for z in prefixes)
+    for z in prefixes:
+        x0, x1 = z.P.view[1][:2]
+        assert Fraction(-x1, x0) == fraction_trace(z)
+        for A0, A1 in ((x0, x1), (-x0, -x1), (3 * x0, 3 * x1)):
+            assert _recursion_matches_the_fraction_route(A0, A1, z.Q, 8), (z.steps, A0, A1)
+    # traces whose reduced denominator is not 1, over each sign of A_0
+    for A0, A1, Q in ((2, 5, 4), (-2, 5, 4), (3, -1, 2), (-5, 7, 3), (4, -3, 9)):
+        assert _recursion_matches_the_fraction_route(A0, A1, Q, 8), (A0, A1, Q)
+
+
+def test_int_recursion_refuses_a_zero_constant_term():
+    with pytest.raises(ValueError, match="constant term 0"):
+        elliptic_beta_recursion(0, 1, 2, 3)
 
 
 def test_beta_equals_series_check():
@@ -135,21 +179,21 @@ def test_beta_equals_series_rejects_genus2():
 
 
 def test_ratio_bounds_q2_a0_first_steps():
-    betas = elliptic_beta_recursion(0, 2, 2)
+    betas = elliptic_beta_recursion(1, 0, 2, 2)
     checks = ratio_bounds_check(betas, 2)
     # r_1 = 3: 2*(3-1)^2 = 8 < 16 = (3+1)^2; r_2 = 2: 4*1 = 4 < 9
     assert checks[0].passed and checks[1].passed
 
 
 def test_ratio_bounds_negative_control():
-    checks = ratio_bounds_check([Fraction(1), Fraction(1)], 2)
+    checks = ratio_bounds_check([(1, 1), (1, 1)], 2)
     assert not checks[0].passed  # r = 1 fails the strict lower bound
 
 
 def test_ratio_bounds_start_at_second_step_on_boundary_traces():
     # at the Hasse boundary the first ratio genuinely escapes the bounds,
     # while every later ratio satisfies them strictly
-    betas = elliptic_beta_recursion(4, 4, 8)
+    betas = elliptic_beta_recursion(1, -4, 4, 8)
     checks = ratio_bounds_check(betas, 4)
     assert not checks[0].passed
     assert all(c.passed for c in checks[1:])
@@ -158,8 +202,38 @@ def test_ratio_bounds_start_at_second_step_on_boundary_traces():
 def test_ratio_bounds_interior_grid():
     for q in (2, 3):
         for a in hasse_traces(q):
-            betas = elliptic_beta_recursion(a, q, 8)
+            betas = elliptic_beta_recursion(1, -a, q, 8)
             assert all(c.passed for c in ratio_bounds_check(betas, q)[1:])
+
+
+def test_ratio_bounds_match_the_fraction_bounds():
+    # every r = num/den with den > 0 on a grid that holds the equality points of both bounds,
+    # such as r = 1 and r = 3 at Q = 2, n = 2, where 4 (3-1)^2 = (3+1)^2
+    for Q in (2, 3, 4, 5):
+        for n in (1, 2, 3, 4):
+            for den in range(1, 9):
+                for num in range(-12, 41):
+                    expected = fraction_ratio_bounds(Fraction(num, den), Q, n)
+                    assert ratio_bounds(num, den, Q, n) == expected, (num, den, Q, n)
+
+
+def test_ratio_bounds_check_matches_the_fraction_bounds():
+    # pairs over denominators of either sign of beta(n-1), the equality ratio 3 at Q = 2, n = 2 among them
+    pairs = [(1, 1), (3, 1), (9, 1), (-6, 5), (7, 3), (-14, 2), (5, 7), (-1, 2), (22, 4)]
+    for Q in (2, 3, 5):
+        for i in range(len(pairs) - 2):
+            betas = pairs[i : i + 3]
+            checks = ratio_bounds_check(betas, Q)
+            for n, check in enumerate(checks, start=1):
+                r = Fraction(*betas[n]) / Fraction(*betas[n - 1])
+                lower, upper = fraction_ratio_bounds(r, Q, n)
+                assert check.passed == (lower and upper), (Q, betas, n)
+                if not check.passed:
+                    flags = f"lower {'ok' if lower else 'FAIL'}, upper {'ok' if upper else 'FAIL'}"
+                    assert check.detail == f"r = {r}; {flags}"
+    assert not ratio_bounds_check([(1, 1), (3, 1), (9, 1)], 2)[1].passed  # r = 3 meets the upper bound's equality
+    with pytest.raises(ZeroDivisionError):
+        ratio_bounds_check([(1, 1), (0, 1), (1, 1)], 2)
 
 
 # -- csv export ----------------------------------------------------------------------------
@@ -167,14 +241,14 @@ def test_ratio_bounds_interior_grid():
 
 def test_ratio_upper_bound_holds_below_one():
     # (3^(1/2)+1)/(3^(1/2)-1) > 1 > 1/2: only the lower bound fails at q = 3, a = 3, n = 1
-    betas = elliptic_beta_recursion(3, 3, 1)
-    assert betas[1] == Fraction(1, 2)
+    betas = elliptic_beta_recursion(1, -3, 3, 1)
+    assert Fraction(*betas[1]) == Fraction(1, 2)
     check = ratio_bounds_check(betas, 3)[0]
     assert not check.passed and check.detail == "r = 1/2; lower FAIL, upper ok"
-    assert ratio_bounds(Fraction(1), 3, 1) == (False, True)
-    assert ratio_bounds(Fraction(-5), 4, 3) == (False, True)
+    assert ratio_bounds(1, 1, 3, 1) == (False, True)
+    assert ratio_bounds(-5, 1, 4, 3) == (False, True)
     # r = 3 at Q = 2, n = 2: 4 (3-1)^2 = 16 is not below (3+1)^2 = 16
-    assert ratio_bounds(Fraction(3), 2, 2) == (True, False)
+    assert ratio_bounds(3, 1, 2, 2) == (True, False)
 
 
 # -- csv export ----------------------------------------------------------------------------

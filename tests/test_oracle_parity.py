@@ -24,7 +24,7 @@ from ratfunc_oracle import (
 from zetatower.curves import artin_elliptic, artin_from_point_counts, hasse_traces
 from zetatower.derived_engine import composition_sums, compositions, derive_step, derive_tower, special_values
 from zetatower.exact_arith import Poly
-from zetatower.invariants import extract_invariants, interlacing_poly
+from zetatower.invariants import extract_invariants, interlacing_poly, invariant_values
 
 N_MAX = 8
 BASES = [(q, a) for q in (2, 3, 4, 5) for a in hasse_traces(q)] + ["X2g2"]
@@ -95,9 +95,26 @@ def _extraction_levels():
 def test_extraction_matches_poly_division():
     levels = _extraction_levels()
     assert {z.genus for z in levels} == {1, 2, 3}
+    signs = set()
     for z in levels:
-        inv = extract_invariants(z)
-        assert (inv.alphas, inv.beta) == oracle_invariants(z), z
+        for w in [z, *_sign_variants(z)]:
+            inv = extract_invariants(w)
+            alphas, beta = oracle_invariants(w)
+            assert invariant_values(inv, w.Q) == (alphas, beta), w
+            assert inv.positivity() == all(x > 0 for x in (*alphas, beta)), w
+            signs.add((min(alphas) > 0, min(alphas) == 0, beta > 0))
+    assert signs == {(True, False, True), (False, False, False), (True, False, False), (False, True, True)}
+
+
+def _sign_variants(z):
+    """z negated (every sign flips, the content stays positive), with beta negated and the alphas kept,
+    and, from genus 2 on, with alpha(g-1) = 0 and the rest kept."""
+    g, Q, P = z.genus, z.Q, z.P
+    variants = [P * -1, P - Poly([0] * g + [2 * (Q - 1) * z.residue()])]
+    if g > 1:
+        middle = oracle_invariants(z)[0][g - 1]
+        variants.append(P - Poly([0] * (g - 1) + [middle]) * Poly([1, -1]) * Poly([1, -Q]))
+    return [replace(z, P=v) for v in variants]
 
 
 def _misshapen(z):

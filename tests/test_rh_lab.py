@@ -15,17 +15,20 @@ import zetatower.derived_engine as engine
 import zetatower.invariants as invariants
 import zetatower.mult_struct as mult_struct
 from zetatower import rh_lab
+from ratfunc_oracle import fraction_beta_recursion, fraction_discriminant, fraction_trace
 from zetatower.curves import (
     CurveSpec,
     ZetaLevel,
     artin_elliptic,
     artin_from_point_counts,
+    artin_zeta,
     catalog_curve,
     hasse_traces,
 )
 from zetatower.cli import parse_curve_arg
 from zetatower.derived_engine import DerivationError, derive_step
-from zetatower.exact_arith import Poly, is_self_inversive, real_weil_poly, squarefree_factors
+from zetatower.exact_arith import Poly, is_self_inversive, rat_str, real_weil_poly, squarefree_factors
+from zetatower.invariants import beta_closed_form
 from zetatower.rh_lab import (
     DEFAULT_PRECISION_BITS,
     SweepConfig,
@@ -52,7 +55,7 @@ def test_exact_holds_trace_zero():
 
 def test_exact_holds_derived_level():
     v = rh_exact_genus1(derive_step(artin_elliptic(2, 0), 2))
-    assert v.holds and v.discriminant == 1 - 16
+    assert v.holds and v.discriminant[1] > 0 and Fraction(*v.discriminant) == 1 - 16
 
 
 def test_exact_fails_synthetic():
@@ -64,6 +67,79 @@ def test_exact_fails_synthetic():
 def test_exact_boundary_flag():
     v = rh_exact_genus1(artin_elliptic(4, 4))
     assert v.holds and v.boundary
+
+
+def _genus1_verdict_levels():
+    """The boundary bases (q, a) = (4, +-4), the failing base 1 + 3T + 2T^2 over F_2, their levels at steps 2 and 3,
+    and every x0 + x1 T + Q x0 T^2 with |x0| <= 3, |x1| <= 12, Q = 2..5, over contents 1 and 3/7."""
+    failing = artin_zeta(CurveSpec(label="f", q=2, genus=1, numerator=(1, 3, 2)))
+    bases = [artin_elliptic(4, 4), artin_elliptic(4, -4), failing]
+    levels = bases + [derive_step(z, n) for z in bases for n in (2, 3)]
+    for Q in (2, 3, 4, 5):
+        for x0 in (-3, -2, -1, 1, 2, 3):
+            for x1 in range(-12, 13):
+                for c in (1, Fraction(3, 7)):
+                    levels.append(ZetaLevel(steps=(), Q=Q, genus=1, P=Poly([c * x0, c * x1, c * Q * x0])))
+    return levels
+
+
+def test_exact_genus1_matches_the_fraction_discriminant():
+    # |x0| > 1 tells x1^2 <= 4Q x0^2 apart from x1^2 <= 4Q, and the boundary bases sit on disc = 0, where < and <= differ
+    levels = _genus1_verdict_levels()
+    assert [rh_exact_genus1(z).outcome() for z in levels[:3]] == ["pass", "pass", "fail"]
+    assert rh_exact_genus1(levels[0]).boundary and rh_exact_genus1(levels[1]).boundary
+    outcomes = set()
+    for z in levels:
+        v, disc = rh_exact_genus1(z), fraction_discriminant(z)
+        assert (v.holds, v.boundary) == (disc <= 0, disc == 0), z.P
+        assert v.discriminant[1] > 0 and Fraction(*v.discriminant) == disc, z.P
+        detail = "" if disc <= 0 else f"trace {rat_str(fraction_trace(z))}, discriminant {rat_str(disc)}"
+        assert v.detail == detail, z.P
+        outcomes.add((v.holds, v.boundary, z.P.view[1][0] in (-1, 1)))
+    # on the boundary x1 = +-2 sqrt(Q) x0, and the view's ints are coprime, so x0 = +-1 there
+    assert outcomes == {(True, True, True), (True, False, True), (True, False, False), (False, False, True), (False, False, False)}
+
+
+def _fraction_step_checks(tower, steps):
+    """(beta route, residue link) of the step ``steps`` in Fractions: the parent form of the tower's checks."""
+    prev, z, n = tower.level(steps[:-1]), tower.level(steps), steps[-1]
+    closed = Fraction(*beta_closed_form(tower.special_values(steps), n, prev.genus))
+    beta = fraction_beta_recursion(fraction_trace(prev), prev.Q, n)[n]
+    return z.residue() == closed, z.residue() == prev.P[0] ** n * beta
+
+
+@pytest.mark.parametrize("plant", [None, "scaled"])
+def test_genus1_step_checks_match_their_fraction_forms(monkeypatch, plant):
+    # towers of rational content (1 + T/2 + 2T^2 over F_2), of a failing RH base and of a Hasse boundary base;
+    # planted, each derived level is n times itself, which the two checks see differently
+    if plant:
+        real = rh_lab.derive_step
+
+        def scaled(z, n):
+            level = real(z, n)
+            return ZetaLevel(steps=level.steps, Q=level.Q, genus=1, P=level.P * n)
+
+        monkeypatch.setattr(rh_lab, "derive_step", scaled)
+    specs = [
+        CurveSpec(label="h", q=2, genus=1, numerator=(1, "1/2", 2)),
+        CurveSpec(label="f", q=2, genus=1, numerator=(1, 3, 2)),
+        CurveSpec(label="b", q=4, genus=1, trace=-4),
+        CurveSpec(label="e", q=3, genus=1, trace=1),
+    ]
+    seen = set()
+    for spec in specs:
+        tower = curve_tower(spec)
+        for steps in ((1,), (2,), (3,), (2, 2), (3, 2), (2, 1, 3)):
+            route, link = _fraction_step_checks(tower, steps)
+            assert tower.beta_route(steps).passed == route, (spec.label, steps)
+            assert tower.ratio_bounds(steps)[0].passed == link, (spec.label, steps)
+            seen |= {route, link}
+    assert seen == ({True, False} if plant else {True})
+
+
+def test_exact_refuses_a_zero_constant_term():
+    with pytest.raises(ValueError, match="constant term 0"):
+        rh_exact_genus1(ZetaLevel(steps=(), Q=2, genus=1, P=Poly([0, 1])))
 
 
 def test_exact_rejects_higher_genus():
@@ -502,7 +578,7 @@ def test_exact_verdict_reads_the_numerator_directly(monkeypatch):
 
     monkeypatch.setattr(rh_lab, "extract_invariants", refuse)
     assert rh_verdict_for_level(artin_elliptic(2, 1)).holds is True
-    assert rh_verdict_for_level(derive_step(artin_elliptic(2, 0), 2)).discriminant == 1 - 16
+    assert Fraction(*rh_verdict_for_level(derive_step(artin_elliptic(2, 0), 2)).discriminant) == 1 - 16
 
 
 # -- the exact Sturm route (genus >= 3) ------------------------------------------------
@@ -691,7 +767,7 @@ def test_run_cell_extracts_invariants_once_per_level(monkeypatch):
     cell = run_cell(spec, (2, 3), SweepConfig(curves=(spec,), tuples=((2, 3),)), _levels_of(spec))
     assert set(cell["checks"].values()) == {"pass"}
     # three levels, shared by positivity and interlacing (the RH verdict and
-    # ratio_bounds read the trace off the level); one set of special values per step
+    # ratio_bounds read the view's ints off the level); one set of special values per step
     assert calls == {"extract_invariants": 3, "special_values": 2}
 
 
@@ -769,9 +845,9 @@ def test_ratio_bounds_read_the_tower_they_report_on(monkeypatch):
     assert len(cells) == 36 and all(cell["checks"] == {"ratio_bounds": "pass"} for cell in cells)
     real = rh_lab.elliptic_beta_recursion
 
-    def doubled(a, Q, n_max):
-        betas = real(a, Q, n_max)
-        return betas[:1] + [2 * b for b in betas[1:]]
+    def doubled(A0, A1, Q, n_max):
+        betas = real(A0, A1, Q, n_max)
+        return betas[:1] + [(2 * b, D) for b, D in betas[1:]]
 
     monkeypatch.setattr(rh_lab, "elliptic_beta_recursion", doubled)
     cells = sweep(config)["cells"]
@@ -862,9 +938,12 @@ def test_every_level_has_an_int_q_and_no_float_leaks_in(tmp_path):
             assert type(z.Q) is int and z.Q == spec.q ** prod(steps), (source, steps)
             assert exact(z.residue()) and exact(z.residue_inv_q()), (source, steps)
             invs = tower.invariants(steps)
-            assert all(map(exact, invs.alphas)) and exact(invs.beta), (source, steps)
+            assert type(invs.total) is int and all(type(s) is int for s in invs.S), (source, steps)
+            alphas, beta = invariants.invariant_values(invs, z.Q)
+            assert all(map(exact, alphas)) and exact(beta), (source, steps)
             if z.genus == 1:
-                assert all(map(exact, mult_struct.elliptic_beta_recursion(z.trace(), z.Q, 4))), (source, steps)
+                betas = mult_struct.elliptic_beta_recursion(*z.P.view[1][:2], z.Q, 4)
+                assert all(type(x) is int for pair in betas for x in pair), (source, steps)
             if steps:
                 sv = tower.special_values(steps)
                 assert type(sv.Q) is int and all(type(x) is int for pair in sv.vhats for x in pair), (source, steps)
@@ -980,7 +1059,7 @@ def test_run_curve_checks_each_level_and_step_once(monkeypatch):
     assert {name: len(calls[name]) for name in per_step} == dict.fromkeys(per_step, 8)
     # the ratio bounds run the recursion once per prefix, and again only when a deeper n is read:
     # () over Q = 3 at n = 1 (to depth 2), 3 and 4, (2,) over 3^2 at n = 2 and 3, (3,) and (2, 2) once
-    depths = [(Q, n_max) for _, Q, n_max in calls["elliptic_beta_recursion"]]
+    depths = [(Q, n_max) for _, _, Q, n_max in calls["elliptic_beta_recursion"]]
     assert sorted(depths) == [(3, 2), (3, 3), (3, 4), (9, 2), (9, 3), (27, 2), (81, 2)]
 
 
@@ -1043,7 +1122,7 @@ def test_a_failure_planted_at_the_base_is_shared_by_the_index_one_cells(monkeypa
         if args[0].steps == ():
             if name == "rh_verdict_for_level":
                 return rh_lab.RHVerdict(method="exact_g1", holds=False, detail="planted")
-            return invariants.InvariantSet(alphas=(Fraction(-1),), beta=Fraction(-7))
+            return invariants.InvariantSet(content=Fraction(1), S=(-1,), total=-14)  # beta = -14 / (3 - 1)
 
     names = ("extract_invariants", "rh_verdict_for_level")
     calls = _count_calls(monkeypatch, names, plant)

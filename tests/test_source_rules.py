@@ -114,6 +114,70 @@ def test_the_tower_step_names_no_fraction():
     assert "Fraction" not in _names(path.read_text(encoding="utf-8"), str(path))
 
 
+# what forms a Fraction when read: the class and its alias, a coercion, a residue, the coefficient tuple, a
+# rational's string (a report string of int pairs goes through exact_arith.pair_str), and a coefficient P[i]
+FRACTION_NAMES = {"Fraction", "BigRat", "as_rat", "rat_str", "residue", "residue_inv_q", "coeffs"}
+
+# the functions the sweep's checks run on a level's view ints; "f.g" is g defined in f, a class stands for its methods
+CHECK_BODIES = {
+    "rh_lab.py": ("rh_exact_genus1", "curve_tower.ratio_bounds", "curve_tower.beta_route"),
+    "invariants.py": (
+        "InvariantSet",
+        "reconstruct_numerator",
+        "extract_invariants",
+        "beta_closed_form",
+        "counting_miracle_check",
+    ),
+    "mult_struct.py": ("elliptic_beta_recursion", "ratio_bounds", "ratio_bounds_check"),
+}
+
+
+def _fraction_reads(source: str, filename: str, path: str) -> set:
+    """What the def at ``path`` ("f", "f.g" nested, or a class for its methods) reads of FRACTION_NAMES, and "P[]".
+
+    KeyError when there is no such def, so a renamed function cannot slip out of the rule.
+    """
+    nodes = ast.parse(source, filename=filename).body
+    for name in path.split("."):
+        node = {n.name: n for n in nodes if isinstance(n, (*FUNCTIONS, ast.ClassDef))}[name]
+        nodes = node.body
+    bodies = [n for n in node.body if isinstance(n, FUNCTIONS)] if isinstance(node, ast.ClassDef) else [node]
+    found = set()
+    for body in bodies:
+        found |= {body_name for body_name in _named([body]) if body_name in FRACTION_NAMES}
+        for n in ast.walk(body):
+            if isinstance(n, ast.Subscript) and "P" in (getattr(n.value, "id", None), getattr(n.value, "attr", None)):
+                found.add("P[]")
+    return found
+
+
+def test_the_sweeps_checks_name_no_fraction():
+    # the genus-1 checks compare a level's view ints by cross-multiplication; a Fraction there
+    # would be one gcd per operation, as in the step
+    sample = (
+        "def outer(z):\n"
+        "    def inner(w):\n"
+        "        return w.P[1] * z.residue()\n"
+        "    return inner(z) + Fraction(1)\n"
+        "class C:\n"
+        "    x = Fraction(1)\n"
+        "    def m(self, P):\n"
+        "        return P[0] + rat_str(self.coeffs)\n"
+    )
+    assert _fraction_reads(sample, "sample", "outer.inner") == {"P[]", "residue"}
+    assert _fraction_reads(sample, "sample", "outer") == {"P[]", "residue", "Fraction"}
+    assert _fraction_reads(sample, "sample", "C") == {"P[]", "rat_str", "coeffs"}
+    found = {}
+    for module, paths in CHECK_BODIES.items():
+        path = PACKAGE / module
+        source = path.read_text(encoding="utf-8")
+        for name in paths:
+            reads = _fraction_reads(source, str(path), name)
+            if reads:
+                found[f"{module}:{name}"] = sorted(reads)
+    assert found == {}
+
+
 # top-level defs that no command reaches, each kept for the reader named
 REACH_ALLOWLIST = {
     "derived_engine.compositions": "perfbench/tracer.py counts what it yields",

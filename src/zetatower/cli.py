@@ -8,8 +8,8 @@ prefix order, from the curve's lazy tower (``rh_lab.curve_tower``), as sweep
 does; --normalize only presents that unnormalized tower.  Every rational in
 emitted JSON is an exact string.  RH verdicts are exact at genus 1
 ("exact_g1") and from genus 3 on ("exact_sturm"); the genus-2 verdict is
-numeric, and its deviations are decimal strings at its fixed precision and
-tolerance, which no option sets.  The one environment override is
+numeric, and its largest deviation is a decimal string at its fixed precision
+and tolerance, which no option sets.  The one environment override is
 ZETATOWER_PRODUCT_CAP.  Identical inputs produce byte-identical output files.
 
 Exit codes: 0 ok, 1 check failed or an RH verdict unknown, 2 usage error,
@@ -178,7 +178,7 @@ def cmd_derive(args) -> int:
         )
         print(
             f"level {list(z.steps)}: Q = {rat_str(z.Q)}, numerator degree {int(P.degree)}, "
-            f"beta = {rat_str(z.residue())}",
+            f"beta = {pair_str(*z.residue_pair())}",
             file=sys.stderr,
         )
     _write_output(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.output)

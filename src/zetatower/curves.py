@@ -37,6 +37,7 @@ from zetatower.exact_arith import (
     horner,
     is_self_inversive,
     newton_power_sums,
+    pair_str,
     rat_str,
     series_exp,
 )
@@ -289,6 +290,7 @@ class CurveSpec:
             coeffs = tuple(c / coeffs[0] for c in coeffs)  # force A_0 = 1
             if not is_self_inversive(coeffs, self.q, self.genus):
                 raise ValueError("numerator violates the functional-equation symmetry")
+            _base_level(Poly(coeffs), self.q, self.genus)  # refuses a P(1) that is no class number
             object.__setattr__(self, "numerator", coeffs)
 
     def to_dict(self) -> dict:
@@ -376,9 +378,8 @@ class ZetaLevel:
     steps is the tuple of derivation indices applied so far (empty for the
     base), Q = q**prod(steps) is an int, and P is the numerator in this
     level's own variable.  Every value and residue is one integer Horner pass
-    over ``P.view`` (content times coprime ints): a residue is reduced once
-    (``residue``) or kept as the unreduced int pair of ``residue_pair``, and a
-    value is the unreduced int pair of ``value_pair``.
+    over ``P.view`` (content times coprime ints), kept as an unreduced int
+    pair: ``residue_pair``, ``residue_inv_q_pair`` and ``value_pair``.
     """
 
     steps: tuple
@@ -393,29 +394,13 @@ class ZetaLevel:
         """
         return self.P, self.Q, self.genus
 
-    def residue(self) -> Fraction:
-        """Res_{T=1} Z = P(1)/(Q-1), which is beta; formed on the first call and kept.
-
-        The kept value is no field: equality, hashing, ``dataclasses.replace``
-        and pickling read the fields alone.
-        """
-        res = self.__dict__.get("_residue")
-        if res is None:
-            res = Fraction(*self.residue_pair())
-            object.__setattr__(self, "_residue", res)
-        return res
-
     def residue_pair(self) -> tuple:
         """Res_{T=1} Z as the unreduced int pair (c.numerator * sum(ints), c.denominator * (Q-1)); a check cross-multiplies it."""
         c, ints = self.P.view
         return c.numerator * sum(ints), c.denominator * (self.Q - 1)
 
-    def __reduce__(self):
-        """Pickle and copy by the fields, so the kept residue stays behind."""
-        return ZetaLevel, (self.steps, self.Q, self.genus, self.P)
-
-    def residue_inv_q(self) -> Fraction:
-        """Res_{T=1/Q} Z = -P(1/Q) Q^(g-1)/(Q-1).
+    def residue_inv_q_pair(self) -> tuple:
+        """Res_{T=1/Q} Z = -P(1/Q) Q^(g-1)/(Q-1) as an unreduced int pair with a positive denominator.
 
         P(1/Q) = c H / Q^d (H the Horner sum, d = deg P), so the residue is
         -c H Q^(g-1-d) / (Q-1), the power of Q on the side where it is nonnegative.
@@ -423,7 +408,7 @@ class ZetaLevel:
         c, ints = self.P.view
         Q = self.Q
         e = self.genus - len(ints)  # g-1-d
-        return Fraction(-c.numerator * horner(ints, 1, Q) * Q ** max(e, 0), c.denominator * Q ** max(-e, 0) * (Q - 1))
+        return -c.numerator * horner(ints, 1, Q) * Q ** max(e, 0), c.denominator * Q ** max(-e, 0) * (Q - 1)
 
     def value_pair(self, u: int, w: int) -> tuple:
         """Z(u/w) as an unreduced pair (N, D) of ints, N/D = Z(u/w); w != 0.
@@ -473,7 +458,7 @@ def validate_zeta_level(z: ZetaLevel) -> list:
     else:
         e = g + 1 - len(ints)  # g - d
         ok = h1 * Q ** max(-e, 0) == hq * Q ** max(e, 0)
-        detail = "" if ok else f"Res(1)={rat_str(z.residue())}, Res(1/Q)={rat_str(z.residue_inv_q())}"
+        detail = "" if ok else f"Res(1)={pair_str(*z.residue_pair())}, Res(1/Q)={pair_str(*z.residue_inv_q_pair())}"
         results.append(CheckResult("residue_antisymmetry", ok, detail))
 
     results.append(CheckResult("numerator_degree", P.degree == 2 * g, f"numerator degree {P.degree}"))

@@ -42,15 +42,15 @@ them, with the powers Q^k computed once per step.  Inside ``derive_step`` a
 value is an int pair (N, D) that stands for N/D and is never reduced: each
 pole 1/(1 - Q^k), each F(m, s), each middle value Z(Q^k)
 (``ZetaLevel.value_pair``, for k < 0 too), each table entry, the two
-residues of the previous level as they are read (``exact_arith.as_pair``),
-and the 2g+1 node values that go to ``exact_arith.interpolate``.  A sum of
-products of pairs puts the products over the lcm of their denominators
-(``exact_arith.over_lcm``) and adds ints.  Values are reduced in three
-places only: the products vhat(N) of the special values, which
-``special_values`` returns as int pairs, one gcd per product; the rows of the
-table, each of which ``composition_sums`` returns as ints over one
-denominator, divided by their gcd; and the interpolated coefficients, which
-become the new numerator's view by one content gcd.  A residue sum of the
+residues of the previous level (``ZetaLevel.residue_pair`` and
+``residue_inv_q_pair``), and the 2g+1 node values that go to
+``exact_arith.interpolate``.  A sum of products of pairs puts the products
+over the lcm of their denominators (``exact_arith.over_lcm``) and adds ints.
+Values are reduced in three places only: the products vhat(N) of the special
+values, which ``special_values`` returns as int pairs, one gcd per product;
+the rows of the table, each of which ``composition_sums`` returns as ints
+over one denominator, divided by their gcd; and the interpolated
+coefficients, which become the new numerator's view by one content gcd.  A residue sum of the
 certificate is tested for zero unreduced, and the new level is validated on
 its view's ints.
 
@@ -82,7 +82,7 @@ from math import comb, gcd
 from typing import Iterator, Sequence, Union
 
 from zetatower.curves import CurveSpec, ZetaLevel, artin_zeta, validate_zeta_level
-from zetatower.exact_arith import as_pair, interpolate, over_lcm
+from zetatower.exact_arith import interpolate, over_lcm
 
 
 class DerivationError(RuntimeError):
@@ -124,9 +124,9 @@ def special_values(z: ZetaLevel, n_max: int) -> SpecialValues:
     """vhat(0..n_max) of z: each value is an int pair with a positive denominator, each product one gcd."""
     if n_max < 1:
         raise ValueError("need depth >= 1")
-    vhats = [(1, 1), as_pair(z.residue())]
-    for k in range(2, n_max + 1):
-        N, D = z.value_pair(1, z.Q**k)  # Z(Q^-k); D > 0, as Q^k > Q
+    vhats = [(1, 1)]
+    for k in range(1, n_max + 1):
+        N, D = z.residue_pair() if k == 1 else z.value_pair(1, z.Q**k)  # Res_{T=1} Z, then Z(Q^-k); D > 0
         num, den = vhats[-1]
         num, den = num * N, den * D
         c = gcd(num, den)
@@ -215,7 +215,8 @@ def derive_step(z: ZetaLevel, n: int) -> ZetaLevel:
     # a <= n-1+e, in Z(Q^(n-a) T) at u = 1 (residues[0]) for a = n+e and at
     # u = 1/Q (residues[1]) for a = n+e+1, and in the left sum for a >= n+e+2.
     # The sum is scaled by Q^-e, which drops Q^e from the side sums and leaves Q on Res(1/Q).
-    residues = (as_pair(z.residue()), as_pair(z.residue_inv_q() * Q))
+    res_inv_q = z.residue_inv_q_pair()
+    residues = (z.residue_pair(), (res_inv_q[0] * Q, res_inv_q[1]))
     uncancelled = []
     for e in range(1 - n, 0):
         terms = []

@@ -10,9 +10,9 @@ Fractions appear only at the edges: a coefficient that a caller reads
 (``P[i]``, c * ints[i]), the ``coeffs`` tuple, formed on its first read, and
 the rationals that callers pass in and get back, such as a value ``P(t)``.
 A level's Q is an int prime power that the callers pass in.  ``Poly`` has no
-division: ``pseudo_divide``, ``poly_gcd`` and ``squarefree_factors`` work on
-int coefficient lists, such as a view's ints, and form no rational.  A
-truncated power series is a plain coefficient list.
+division: ``pseudo_divide`` and ``poly_gcd`` work on int coefficient lists,
+such as a view's ints, and form no rational.  A truncated power series is a
+plain coefficient list.
 
 All values are immutable after construction and all operations are pure, so
 everything here is safe to share freely across threads; the one exception is
@@ -24,7 +24,6 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import zip_longest
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence, Union
 
@@ -42,11 +41,6 @@ def as_rat(x: Scalar) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
-
-
-def as_pair(x: Fraction) -> tuple:
-    """x as the int pair (numerator, denominator)."""
-    return x.numerator, x.denominator
 
 
 def over_lcm(pairs: Iterable[tuple]) -> tuple:
@@ -323,13 +317,6 @@ def real_weil_poly(P: "Poly | Sequence", Q: "int | Fraction", g: int) -> list:
     return _trim(out)
 
 
-def _primitive(a: Sequence[int]) -> tuple:
-    """The ints a over their gcd, with a positive lead; () for zero."""
-    a = _trim(list(a))
-    g = -gcd(*a) if a and a[-1] < 0 else gcd(*a)
-    return tuple(x // g for x in a)
-
-
 def pseudo_divide(a: Sequence[int], b: Sequence[int]) -> tuple:
     """(q, r, m) over the ints with m a = q b + r, deg r < deg b, m = lead(b)^k; b has no trailing zero.
 
@@ -359,51 +346,18 @@ def poly_gcd(a: Sequence[int], b: Sequence[int]) -> tuple:
     The primitive remainder sequence (Basu, Pollack and Roy, Algorithms in
     Real Algebraic Geometry, ch. 8): no rational is formed.
     """
+
+    def _primitive(a: Sequence[int]) -> tuple:  # the ints over their gcd, with a positive lead; () for zero
+        a = _trim(list(a))
+        g = -gcd(*a) if a and a[-1] < 0 else gcd(*a)
+        return tuple(x // g for x in a)
+
     a, b = _primitive(a), _primitive(b)
     if not a and not b:
         raise ValueError("gcd undefined for two zero polynomials")
     while b:
         a, b = b, _primitive(pseudo_divide(a, b)[1])
     return a
-
-
-def squarefree_factors(ints: Sequence[int]) -> list:
-    """Yun's squarefree decomposition of an int polynomial, lowest first: [(F, m)] with ints = c * prod F^m, c an int.
-
-    The F are primitive int tuples with a positive lead, squarefree, pairwise
-    coprime and of positive degree (D. Y. Y. Yun, On square-free
-    decomposition algorithms, SYMSAC 1976).  Each gcd is primitive, so each
-    quotient is exact; a repeated root becomes a simple root of one factor.
-    The polynomial must have positive degree.
-    """
-
-    def quotient(a, b) -> list:
-        q, r, m = pseudo_divide(a, b)
-        if r or m != 1:
-            raise ArithmeticError("inexact polynomial quotient over the integers")
-        return q
-
-    def derivative(a) -> list:
-        return [i * c for i, c in enumerate(a)][1:]
-
-    def minus(a, b) -> list:
-        return _trim([x - y for x, y in zip_longest(a, b, fillvalue=0)])
-
-    dP = derivative(ints)
-    common = poly_gcd(ints, dP)
-    if len(common) == 1:
-        return [(_primitive(ints), 1)]
-    b = quotient(ints, common)
-    d = minus(quotient(dP, common), derivative(b))
-    out, m = [], 1
-    while len(b) > 1:
-        a = poly_gcd(b, d)
-        b = quotient(b, a)
-        d = minus(quotient(d, a), derivative(b))
-        if len(a) > 1:
-            out.append((a, m))
-        m += 1
-    return out
 
 
 def series_exp(g: Sequence[Scalar]) -> list:

@@ -12,8 +12,8 @@ From genus 3 on the verdict is exact (``rh_sturm``): the roots u^2 of
 G(w) = R(u) R(-u) must lie in [0, 4Q], and a Sturm chain on the squarefree
 part of G counts them in integers, with no float and no setting.  Genus 2
 stays numeric (``rh_numeric``) until the benchmark's pinned reports change
-with it: R is split exactly into primitive integer squarefree factors
-(Yun's algorithm), each of degree 1 or 2, solved in closed form in
+with it: R = c0 + c1 u + c2 u^2 is one quadratic, with the double root
+-c1 / (2 c2) when c1^2 = 4 c0 c2, and otherwise solved in closed form in
 v = u / sqrt(Q) at the working precision, by the quadratic formula that does
 not cancel.  Each root u gives the two roots (u +- w) / 2Q of
 Q T^2 - u T + 1, w = sqrt(u^2 - 4Q); for a real u with w purely imaginary
@@ -64,7 +64,6 @@ from zetatower.exact_arith import (
     pseudo_divide,
     rat_str,
     real_weil_poly,
-    squarefree_factors,
     unlimited_int_digits,
 )
 from zetatower.invariants import (
@@ -91,7 +90,6 @@ class RHVerdict:
     boundary: bool = False
     discriminant: Optional[tuple] = None  # genus 1: A^2 - 4Q as an int pair (N, D), D > 0, unreduced
     max_deviation: Optional[str] = None  # decimal string, numeric only
-    deviations: tuple = ()
     precision_bits: Optional[int] = None
     tolerance: Optional[str] = None
     detail: str = ""
@@ -196,7 +194,7 @@ def _quadratic_roots(b, c):
 
 
 def _monic(F: Sequence[int], scale) -> list:
-    """One primitive int factor in u (lowest coefficient first), made monic in scale * u; highest coefficient first."""
+    """An int polynomial F in u (lowest coefficient first), made monic in scale * u; highest coefficient first."""
     deg, lead = len(F) - 1, F[-1]
     coeffs = []
     for i, c in enumerate(F):
@@ -205,31 +203,30 @@ def _monic(F: Sequence[int], scale) -> list:
     return coeffs[::-1]
 
 
-def _factor_roots(F: Sequence[int], scale) -> list:
-    """Roots scale * u of one primitive int factor of degree 1 or 2 in u, in closed form at the working precision."""
-    coeffs = _monic(F, scale)
-    return [mp.mpc(-coeffs[1])] if len(F) == 2 else _quadratic_roots(coeffs[1], coeffs[2])
-
-
 def _real_weil_roots(ints: Sequence[int], Q: int, sqrt_q) -> list:
     """The 4 roots of a self-inversive genus-2 P = c * ints over Q, by multiplicity, from the 2 of its R.
 
     Runs at the working precision, with ``sqrt_q`` = sqrt(Q) formed there.
-    Each factor of R is solved in v = u / sqrt(Q).  A root u of R gives the
-    two roots (u +- w) / 2Q of Q T^2 - u T + 1, with w = sqrt(u^2 - 4Q).  When
-    u is real and w purely imaginary, the two share their real part and
-    differ only in the sign of the imaginary one, so the second is formed as
-    the conjugate of the first, bit for bit the same number.
+    R = c0 + c1 u + c2 u^2 is solved in v = u / sqrt(Q): its double root
+    -c1 / (2 c2) when c1^2 = 4 c0 c2, else by ``_quadratic_roots``.  A root u
+    gives the roots (u +- w) / 2Q of Q T^2 - u T + 1, w = sqrt(u^2 - 4Q); for
+    a real u with w purely imaginary the second is formed as the conjugate of
+    the first, bit for bit the same number.
     """
     q = mp.mpf(Q)
     two_q, four_q, scale = 2 * q, 4 * q, 1 / sqrt_q
+    c0, c1, c2 = real_weil_poly(ints, Q, 2)  # c2 = ints[0], nonzero at degree 4
+    if c1 * c1 == 4 * c0 * c2:
+        vs, mult = [mp.mpc(-_monic((c1, 2 * c2), scale)[1])], 2
+    else:
+        monic = _monic((c0, c1, c2), scale)
+        vs, mult = _quadratic_roots(monic[1], monic[2]), 1
     roots = []
-    for F, mult in squarefree_factors(real_weil_poly(ints, Q, 2)):
-        for v in _factor_roots(F, scale):
-            u = v * sqrt_q
-            w = mp.sqrt(u * u - four_q)
-            r = (u + w) / two_q
-            roots += [r, mp.conj(r) if u.imag == 0 and w.real == 0 else (u - w) / two_q] * mult
+    for v in vs:
+        u = v * sqrt_q
+        w = mp.sqrt(u * u - four_q)
+        r = (u + w) / two_q
+        roots += [r, mp.conj(r) if u.imag == 0 and w.real == 0 else (u - w) / two_q] * mult
     return roots
 
 
@@ -244,24 +241,17 @@ def _tolerance(precision_bits: int) -> tuple:
 _DEFAULT_TOLERANCE = _tolerance(DEFAULT_PRECISION_BITS)
 
 
-def _sorted_deviations(roots, sqrt_q) -> tuple:
-    """(the sorted | |r| sqrt(Q) - 1 | over ``roots``, their 6-digit strings).
+def _max_deviation(roots, sqrt_q):
+    """The largest | |r| sqrt(Q) - 1 | over ``roots``, one per conjugate pair and per repeat.
 
-    A root that repeats the one before it, or is its conjugate, has its
-    modulus bit for bit, so it takes that root's deviation and string: one
-    per conjugate pair and per repeat.
+    A root that repeats the one before it, or is its conjugate, has its modulus bit for bit.
     """
     devs, prev = [], None
     for r in roots:
         if prev is None or not (r is prev or r == mp.conj(prev)):
-            dev = abs(abs(r) * sqrt_q - 1)
-        devs.append(dev)
+            devs.append(abs(abs(r) * sqrt_q - 1))
         prev = r
-    devs.sort()
-    texts = []
-    for i, d in enumerate(devs):
-        texts.append(texts[-1] if i and d is devs[i - 1] else mp.nstr(d, 6))
-    return devs, texts
+    return max(devs)
 
 
 def rh_numeric(P: Poly, Q: int, _escalated: bool = False) -> RHVerdict:
@@ -281,19 +271,17 @@ def rh_numeric(P: Poly, Q: int, _escalated: bool = False) -> RHVerdict:
         if not is_self_inversive(ints, Q, 2):
             return RHVerdict(holds=False, detail="not self-inversive", **fields)
         sqrt_q = mp.sqrt(mp.mpf(Q))
-        devs, deviations = _sorted_deviations(_real_weil_roots(ints, Q, sqrt_q), sqrt_q)
+        dev = _max_deviation(_real_weil_roots(ints, Q, sqrt_q), sqrt_q)
 
-        if devs[-1] < tol:
+        if dev < tol:
             holds, detail = True, ""
-        elif not devs[-1] < band:  # a NaN deviation fails too
+        elif not dev < band:  # a NaN deviation fails too
             holds, detail = False, "off-circle root"
         elif not _escalated:
             return rh_numeric(P, Q, _escalated=True)
         else:
             holds, detail = None, "deviation inside the escalation band after retry"
-        return RHVerdict(
-            holds=holds, max_deviation=deviations[-1], deviations=tuple(deviations), detail=detail, **fields
-        )
+        return RHVerdict(holds=holds, max_deviation=mp.nstr(dev, 6), detail=detail, **fields)
 
 
 def rh_verdict_for_level(level: ZetaLevel) -> RHVerdict:

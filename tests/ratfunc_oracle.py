@@ -18,8 +18,8 @@ coefficient list.
 
 ``derivative``, ``rational_divmod``, ``rational_gcd`` and
 ``rational_squarefree_factors`` are Euclid and Yun's split over ``Fraction``
-coefficients, the parity route for the package's integer ``poly_gcd`` and
-``squarefree_factors``.
+coefficients, the parity route for the package's integer ``poly_gcd`` and for
+the closed split of a genus-2 R in ``rh_lab._real_weil_roots``.
 
 ``residue_series_recursion`` is the second route to the residue series, and
 ``elliptic_beta_series_check`` matches each derived residue of a genus-1
@@ -313,7 +313,7 @@ def oracle_invariants(z) -> tuple:
     g, P = z.genus, z.P
     if P.degree != 2 * g:
         raise ValueError(f"numerator degree {P.degree}, expected {2 * g}")
-    beta = z.residue()
+    beta = Fraction(*z.residue_pair())
     S, rem = rational_divmod(P - (z.Q - 1) * beta * Poly([0, 1]) ** g, Poly([1, -1]) * Poly([1, -z.Q]))
     if not rem.is_zero():
         raise ValueError("level violates the numerator decomposition shape")
@@ -348,7 +348,7 @@ def elliptic_beta_series_check(level: ZetaLevel, n_max: int) -> CheckResult:
     series = residue_series_exp(level, n_max)
     mismatches = []
     for n in range(0, n_max + 1):
-        beta_n = derive_step(level, n).residue() if n else Fraction(1)
+        beta_n = Fraction(*derive_step(level, n).residue_pair()) if n else Fraction(1)
         if beta_n != series[n]:
             mismatches.append((n, beta_n, series[n]))
     return CheckResult(

@@ -485,6 +485,28 @@ def test_point_counts_with_zero_class_number_are_usage_error(capsys):
     assert "class number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("numerator", [[1, -3, 2], [-1, 3, -2], [1, -5, 2]])
+def test_a_numerator_with_no_class_number_is_refused_before_the_sweep(numerator, monkeypatch, tmp_path, capsys):
+    # P(1) = 0, also after dividing by A_0 = -1, and P(1) = -2: the spec is refused where it is built, with
+    # the message rh-check gives, and the sweep writes no report of errored cells
+    from zetatower import rh_lab
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"label": "bad", "q": 2, "genus": 1, "numerator": numerator}))
+    def fail(*args):
+        raise AssertionError("built a level of a refused curve")
+
+    _refuse_derivation(monkeypatch)
+    monkeypatch.setattr(rh_lab, "artin_zeta", fail)
+    out = tmp_path / "out.json"
+    assert run_cli(["sweep", "--curves", str(bad), "--tuples", "1;2", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "P(1) = " in err and "class number" in err and "internal error" not in err
+    assert not out.exists()
+    assert run_cli(["rh-check", "--curve", str(bad), "--tuple", "1"]) == 2
+    assert capsys.readouterr().err == err
+
+
 @pytest.mark.parametrize(
     "curve, message",
     [

@@ -30,7 +30,7 @@ from zetatower.curves import (
     validate_zeta_level,
 )
 from zetatower.derived_engine import derive_step, normalize_level, special_values
-from zetatower.exact_arith import Poly, as_pair
+from zetatower.exact_arith import Poly
 
 
 def _passed(results):
@@ -225,7 +225,7 @@ def test_validate_catches_tampered_numerator():
 
 def test_validate_residue_relation():
     z = artin_elliptic(2, 0)
-    assert residue_simple_pole(to_ratfunc(z), 1) == 3 == z.residue()
+    assert residue_simple_pole(to_ratfunc(z), 1) == 3 == Fraction(*z.residue_pair())
     assert residue_simple_pole(to_ratfunc(z), Fraction(1, 2)) == Fraction(-3, 2)
     status = _passed(validate_zeta_level(z))
     assert status["residue_antisymmetry"]
@@ -310,8 +310,10 @@ def _levels(draw):
 def test_view_matches_the_fraction_formulas(z, k, t):
     P, Q, g = z.P, z.Q, z.genus
     assert _view_matches(z)
-    assert z.residue() == _at(P, 1) / (Q - 1)
-    assert z.residue_inv_q() == -_at(P, Fraction(1, Q)) * Q ** (g - 1) / (Q - 1)
+    (N, D), (M, E) = z.residue_pair(), z.residue_inv_q_pair()
+    assert D > 0 and E > 0 and all(type(x) is int for x in (N, D, M, E))
+    assert Fraction(N, D) == _at(P, 1) / (Q - 1)
+    assert Fraction(M, E) == -_at(P, Fraction(1, Q)) * Q ** (g - 1) / (Q - 1)
     poles = {Fraction(1), Fraction(1, Q)} | ({Fraction(0)} if g > 1 else set())
     for x in {Q**k, Fraction(1, Q**k), t} - poles:
         assert Fraction(*z.value_pair(x.numerator, x.denominator)) == _at(P, x) / ((1 - x) * (1 - Q * x) * x ** (g - 1))
@@ -327,7 +329,7 @@ def test_special_values_are_the_reduced_fraction_products(z, n):
     vhat, expected = Fraction(1), [(1, 1)]
     for v in values:
         vhat *= v
-        expected.append(as_pair(vhat))  # reduced, positive denominator
+        expected.append((vhat.numerator, vhat.denominator))  # reduced, positive denominator
     sv = special_values(z, n)
     assert sv.Q == Q and sv.vhats == tuple(expected)
     assert all(type(x) is int for pair in sv.vhats for x in pair)
@@ -342,7 +344,7 @@ def test_view_detects_a_zero_of_P_at_either_pole(z):
         assert not residues.passed
         assert residues.detail == f"residue computation failed: not a pole: {', '.join(map(str, zeros))}"
     else:
-        assert residues.passed == (z.residue() == -z.Q * z.residue_inv_q())
+        assert residues.passed == (Fraction(*z.residue_pair()) == -z.Q * Fraction(*z.residue_inv_q_pair()))
     if not z.steps:
         assert checks["base_residue_positive"].passed == (_at(z.P, 1) > 0)
 
@@ -351,11 +353,11 @@ def test_view_detects_a_zero_of_P_at_either_pole(z):
 def test_replace_and_normalize_rebuild_the_view(z, factor):
     scaled = replace(z, P=z.P * factor)
     assert _view_matches(scaled)
-    assert scaled.residue() == factor * z.residue()
+    assert Fraction(*scaled.residue_pair()) == factor * Fraction(*z.residue_pair())
     if z.P[0]:
         normal = normalize_level(z)
         assert _view_matches(normal) and normal.P[0] == 1
-        assert normal.residue() == z.residue() / z.P[0]
+        assert Fraction(*normal.residue_pair()) == Fraction(*z.residue_pair()) / z.P[0]
 
 
 @given(
@@ -385,24 +387,14 @@ def test_a_poly_is_its_view_whichever_way_it_is_built(fractions, zeros, extra):
 
 
 def test_a_derived_level_pickles_and_copies():
-    # a level sent to a worker process comes back equal, with its view rebuilt
+    # a level sent to a worker process comes back equal, with its view rebuilt; a level holds its fields alone
     z = derive_step(derive_step(artin_zeta(catalog_curve("X2g2").spec()), 2), 3)
-    for twin in (pickle.loads(pickle.dumps(z)), copy.copy(z), copy.deepcopy(z)):
-        assert twin == z and twin.P.view == z.P.view
-        assert twin.numerator_key() == z.numerator_key()
-
-
-def test_a_level_keeps_its_residue_outside_its_fields():
-    z = derive_step(artin_zeta(catalog_curve("X2g2").spec()), 3)
-    fresh = replace(z)
-    assert "_residue" not in vars(fresh)
-    beta = z.residue()
-    assert z.residue() is beta and vars(z)["_residue"] is beta  # formed once, then read back
-    # equality, hashing, replace and pickling read the fields alone
-    assert z == fresh and hash(z) == hash(fresh) and repr(z) == repr(fresh)
+    z.residue_pair(), z.residue_inv_q_pair()  # reading a residue keeps nothing on the level
+    assert vars(z).keys() == {"steps", "Q", "genus", "P"}
     for twin in (pickle.loads(pickle.dumps(z)), copy.copy(z), copy.deepcopy(z), replace(z)):
-        assert twin == z and "_residue" not in vars(twin)
-        assert twin.residue() == beta
+        assert twin == z and twin.P.view == z.P.view and hash(twin) == hash(z) and repr(twin) == repr(z)
+        assert twin.numerator_key() == z.numerator_key()
+        assert twin.residue_pair() == z.residue_pair() and vars(twin).keys() == vars(z).keys()
 
 
 def test_every_catalog_curve_has_counts_some_curve_can_have():
@@ -496,6 +488,14 @@ def test_numerator_source_checks_symmetry():
         CurveSpec(label="bad2", q=2, genus=2, numerator=("1", "1", "0", "0", "4"))
     spec = CurveSpec(label="scaled", q=2, genus=1, numerator=("3", "0", "6"))
     assert spec.numerator == (1, 0, 2)  # normalized to constant term 1
+
+
+def test_numerator_source_refuses_a_p1_that_is_no_class_number():
+    # P(1) is read after the division by A_0: -1 + 3T - 2T^2 is 1 - 3T + 2T^2, with P(1) = 0
+    for numerator in ((1, -3, 2), (-1, 3, -2), (1, -5, 2), (1, -4, 2, -8, 4)):
+        with pytest.raises(ValueError, match=r"P\(1\) = -?\d+ is not a class number"):
+            CurveSpec(label="bad", q=2, genus=len(numerator) // 2, numerator=numerator)
+    assert CurveSpec(label="neg", q=2, genus=1, numerator=(-1, 0, -2)).numerator == (1, 0, 2)
 
 
 # -- catalog -------------------------------------------------------------------

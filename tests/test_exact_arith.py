@@ -4,7 +4,6 @@ import copy
 import pickle
 from fractions import Fraction
 from itertools import islice
-from math import gcd
 
 import pytest
 from hypothesis import assume, given
@@ -31,7 +30,6 @@ from zetatower.exact_arith import (
     poly_gcd,
     pseudo_divide,
     real_weil_poly,
-    squarefree_factors,
     rat_str,
     series_exp,
 )
@@ -107,12 +105,14 @@ def _monic(F) -> Poly:
 
 
 def test_squarefree_factors_by_multiplicity():
-    # 3 (T^2 + 1) (T + 2)^2 (T - 1)^3
+    # the oracle's split, the reference for the closed split of a genus-2 R: 3 (T^2 + 1) (T + 2)^2 (T - 1)^3
     P = 3 * Poly([1, 0, 1]) * Poly([2, 1]) ** 2 * Poly([-1, 1]) ** 3
-    assert squarefree_factors(P.view[1]) == [((1, 0, 1), 1), ((2, 1), 2), ((-1, 1), 3)]
-    # each factor is primitive with a positive lead, whatever the content and sign of the input
-    assert squarefree_factors((2, -4, 4)) == squarefree_factors((-2, 4, -4)) == [((1, -2, 2), 1)]
-    assert squarefree_factors((0, 0, -6)) == [((0, 1), 2)]
+    assert rational_squarefree_factors(P) == [(Poly([1, 0, 1]), 1), (Poly([2, 1]), 2), (Poly([-1, 1]), 3)]
+    # each factor is monic, so its view's ints are primitive with a positive lead, whatever the content and sign
+    half = [(Poly([Fraction(1, 2), -1, 1]), 1)]
+    assert rational_squarefree_factors(Poly([2, -4, 4])) == rational_squarefree_factors(Poly([-2, 4, -4])) == half
+    assert half[0][0].view[1] == (1, -2, 2)
+    assert rational_squarefree_factors(Poly([0, 0, -6])) == [(Poly([0, 1]), 2)]
 
 
 def test_gcd_both_zero_rejected():
@@ -336,12 +336,12 @@ def test_poly_pickles_and_copies_with_its_view(P):
 def test_squarefree_factors_rebuild_the_polynomial(a, b, c):
     P = Poly(a) * Poly(b) ** 2 * Poly(c) ** 3
     assume(P.degree > 0)
-    factors = squarefree_factors(P.view[1])
+    factors = rational_squarefree_factors(P)
     rebuilt = Poly([P.coeffs[-1]])
     for F, m in factors:
-        assert len(F) > 1 and F[-1] > 0 and gcd(*F) == 1
-        assert poly_gcd(F, derivative(Poly(F)).view[1]) == (1,)
-        rebuilt = rebuilt * _monic(F) ** m
+        assert F.degree > 0 and F.coeffs[-1] == 1
+        assert rational_gcd(F, derivative(F)) == ONE
+        rebuilt = rebuilt * F**m
     assert rebuilt == P
     assert len({m for _, m in factors}) == len(factors)
 
@@ -362,7 +362,6 @@ def test_integer_gcd_and_split_match_the_rational_route(factors, c, extra):
     for a, b in ((P, derivative(P)), (P, shared)):
         g = poly_gcd(a.view[1], b.view[1])
         assert g[-1] > 0 and _monic(g) == rational_gcd(a, b)
-    assert [(_monic(F), m) for F, m in squarefree_factors(P.view[1])] == rational_squarefree_factors(P)
 
 
 # -- integer sums, evaluation and interpolation -----------------------------------

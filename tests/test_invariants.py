@@ -231,7 +231,7 @@ def test_miracle_accepts_the_derived_level():
 def _fraction_miracle(prev, derived, following):
     """(passed, failure detail) of the counting miracle in Fractions: the parent form of the check."""
     n = derived.steps[-1]
-    expected = prev.Q ** (n * (prev.genus - 1)) * prev.P[0] * derived.residue()
+    expected = prev.Q ** (n * (prev.genus - 1)) * prev.P[0] * Fraction(*derived.residue_pair())
     return following.P[0] == expected, f"alpha0(step {n + 1}) = {rat_str(following.P[0])}, expected {rat_str(expected)}"
 
 

@@ -110,7 +110,7 @@ def _sign_variants(z):
     """z negated (every sign flips, the content stays positive), with beta negated and the alphas kept,
     and, from genus 2 on, with alpha(g-1) = 0 and the rest kept."""
     g, Q, P = z.genus, z.Q, z.P
-    variants = [P * -1, P - Poly([0] * g + [2 * (Q - 1) * z.residue()])]
+    variants = [P * -1, P - Poly([0] * g + [2 * (Q - 1) * Fraction(*z.residue_pair())])]
     if g > 1:
         middle = oracle_invariants(z)[0][g - 1]
         variants.append(P - Poly([0] * (g - 1) + [middle]) * Poly([1, -1]) * Poly([1, -Q]))

@@ -129,6 +129,7 @@ CHECK_BODIES = {
         "counting_miracle_check",
     ),
     "mult_struct.py": ("elliptic_beta_recursion", "ratio_bounds", "ratio_bounds_check"),
+    "derived_engine.py": ("special_values", "composition_sums", "derive_step"),
 }
 
 
@@ -182,6 +183,7 @@ def test_the_sweeps_checks_name_no_fraction():
 REACH_ALLOWLIST = {
     "derived_engine.compositions": "perfbench/tracer.py counts what it yields",
     "derived_engine.derive_tower": "perfbench/tracer.py times it",
+    "exact_arith.poly_gcd": "perfbench/tracer.py times it",
     "mult_struct.residue_series_exp": "scripts/export_beta_table.py",
 }
 
@@ -246,3 +248,39 @@ def test_src_holds_what_the_commands_reach():
     assert _unreached(sample, "cli.main") == ["cli.dead", "m.Row.unread", "m.planted"]
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert _unreached(sources, "cli.main") == sorted(REACH_ALLOWLIST)
+
+
+def _unused_imports(source: str, filename: str) -> list:
+    """The names a module imports and never reads, ``from __future__ import annotations`` aside.
+
+    A name counts as read where it is a variable, also inside a string annotation.
+    """
+    tree = ast.parse(source, filename=filename)
+    imported, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            imported |= {(alias.asname or alias.name).partition(".")[0]: node.lineno for alias in node.names}
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, (ast.arg, ast.FunctionDef, ast.AnnAssign)):
+            note = getattr(node, "annotation", None) or getattr(node, "returns", None)
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                read |= {n.id for n in ast.walk(ast.parse(note.value, mode="eval")) if isinstance(n, ast.Name)}
+    return sorted(f"{name}:{line}" for name, line in imported.items() if name not in read)
+
+
+def test_src_imports_only_what_it_reads():
+    # an import nothing reads is a dependency that nothing needs; __init__.py imports to re-export
+    sample = (
+        "from __future__ import annotations\n"
+        "import os.path\nimport mpmath as mp\nfrom itertools import zip_longest\nfrom typing import Sequence\n"
+        "def f(x: 'Sequence') -> int:\n    return mp.mpf(x)\n"
+    )
+    assert _unused_imports(sample, "sample") == ["os:2", "zip_longest:4"]
+    found = [
+        f"{path.name}:{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for name in _unused_imports(path.read_text(encoding="utf-8"), str(path))
+    ]
+    assert found == []

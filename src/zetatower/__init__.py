@@ -12,7 +12,7 @@ from zetatower.curves import (
     validate_zeta_level,
 )
 from zetatower.derived_engine import SpecialValues, derive_step, normalize_level, special_values
-from zetatower.exact_arith import BigRat, Poly, as_rat, rat_str
+from zetatower.exact_arith import Poly, as_rat, rat_str
 from zetatower.invariants import (
     InvariantSet,
     beta_closed_form,

@@ -492,7 +492,8 @@ def artin_from_point_counts(q: int, g: int, counts: Sequence[int]) -> ZetaLevel:
     the g needed are cross-checked against the result and rejected on mismatch.
     Counts no curve has are refused, naming the first bad N_k: a negative one,
     then (once P(1), the class number, is known to be positive) one outside
-    Weil's bound (q^k + 1 - N_k)^2 <= 4 g^2 q^k, in exact ints.
+    Weil's bound (q^k + 1 - N_k)^2 <= 4 g^2 q^k, in exact ints.  Last, a
+    curve's P has integer coefficients, so the first non-integer A_i is named.
     """
     counts = _point_counts(counts)
     if g < 1:
@@ -503,8 +504,12 @@ def artin_from_point_counts(q: int, g: int, counts: Sequence[int]) -> ZetaLevel:
         if n_k < 0:
             raise ValueError(f"point count N_{k} = {n_k} is negative; no curve has it")
     zser = series_exp([0] + [Fraction(counts[k - 1], k) for k in range(1, g + 1)])
-    lower = Poly(zser) * Poly([1, -1]) * Poly([1, -q])
-    coeffs = [lower[i] for i in range(g + 1)]
+    coeffs = [Fraction(0)] * (g + 3)
+    for k, s in enumerate(zser):  # zser * (1 - (q+1) T + q T^2), truncated at T^g below
+        coeffs[k] += s
+        coeffs[k + 1] -= (q + 1) * s
+        coeffs[k + 2] += q * s
+    del coeffs[g + 1 :]
     for i in range(g - 1, -1, -1):
         coeffs.append(q ** (g - i) * coeffs[i])
     P = Poly(coeffs)
@@ -521,6 +526,9 @@ def artin_from_point_counts(q: int, g: int, counts: Sequence[int]) -> ZetaLevel:
                 f"point count N_{k} = {n_k} violates Weil's bound |q^k + 1 - N_k| <= 2g q^(k/2) "
                 f"at q = {q}, g = {g}; no curve has it"
             )
+    for i, a in enumerate(coeffs):
+        if a.denominator != 1:
+            raise ValueError(f"A_{i} = {rat_str(a)} is not an integer, so no curve has these point counts")
     return level
 
 
@@ -532,7 +540,7 @@ def point_counts_from_numerator(P: Poly, Q: int, k_max: int) -> tuple:
     """
     if P[0] != 1:
         raise ValueError("power sums need the numerator normalized to constant term 1")
-    psums = newton_power_sums([(-1) ** i * c for i, c in enumerate(P.coeffs)][1:], k_max)
+    psums = newton_power_sums([(-1) ** i * P[i] for i in range(1, P.degree + 1)], k_max)
     return tuple(Q**k + 1 - psums[k - 1] for k in range(1, k_max + 1))
 
 

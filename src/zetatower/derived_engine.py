@@ -82,7 +82,7 @@ from math import comb, gcd
 from typing import Iterator, Sequence, Union
 
 from zetatower.curves import CurveSpec, ZetaLevel, artin_zeta, validate_zeta_level
-from zetatower.exact_arith import interpolate, over_lcm
+from zetatower.exact_arith import Poly, interpolate, over_lcm
 
 
 class DerivationError(RuntimeError):
@@ -249,11 +249,12 @@ def derive_step(z: ZetaLevel, n: int) -> ZetaLevel:
 
 
 def normalize_level(z: ZetaLevel) -> ZetaLevel:
-    """Divide the numerator by its constant coefficient."""
-    alpha0 = z.P[0]
-    if alpha0 == 0:
+    """Divide the numerator by its constant coefficient: c * ints over c * ints[0] is the ints over ints[0]."""
+    ints = z.P.view[1]
+    if not ints or not ints[0]:
         raise ValueError("cannot normalize: numerator constant term is zero")
-    return replace(z, P=z.P * (1 / alpha0))
+    sign = 1 if ints[0] > 0 else -1
+    return replace(z, P=Poly.from_ints([sign * x for x in ints], abs(ints[0])))
 
 
 def derive_tower(

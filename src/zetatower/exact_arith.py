@@ -7,12 +7,12 @@ index ``i`` holding the coefficient of ``T**i`` (``content_primitive``; the
 zero polynomial is (1, ())).  That form is unique, so equality and hashing
 read it, and every evaluation is one integer ``horner`` pass over it.
 Fractions appear only at the edges: a coefficient that a caller reads
-(``P[i]``, c * ints[i]), the ``coeffs`` tuple, formed on its first read, and
-the rationals that callers pass in and get back, such as a value ``P(t)``.
+(``P[i]``, c * ints[i]) and the rationals that callers pass in and get back,
+such as a value ``P(t)``.
 A level's Q is an int prime power that the callers pass in.  ``Poly`` has no
-division: ``pseudo_divide`` and ``poly_gcd`` work on int coefficient lists,
-such as a view's ints, and form no rational.  A truncated power series is a
-plain coefficient list.
+ring operations and no division: ``pseudo_divide`` and ``poly_gcd`` work on
+int coefficient lists, such as a view's ints, and form no rational.  A
+truncated power series is a plain coefficient list.
 
 All values are immutable after construction and all operations are pure, so
 everything here is safe to share freely across threads; the one exception is
@@ -26,8 +26,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence, Union
-
-BigRat = Fraction
 
 Scalar = Union[int, str, Fraction]
 
@@ -106,18 +104,16 @@ class Poly:
 
     ``view`` is (c, ints): the coefficient of T**i is c * ints[i], with c > 0
     rational and the ints coprime and trimmed, (1, ()) for zero.  That form is
-    unique, so ==, hash and pickling read it.  ``P[i]`` is c * ints[i]; the
-    tuple of Fraction coefficients ``coeffs`` is formed on its first read and kept.
+    unique, so ==, hash and pickling read it.  ``P[i]`` is c * ints[i].  A
+    ``Poly`` is not a ring: the work runs on the view's ints.
     """
 
-    __slots__ = ("view", "_coeffs")
+    __slots__ = ("view",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [as_rat(c) for c in coeffs]
         L = lcm(*[c.denominator for c in cs])
-        view = content_primitive([c.numerator * (L // c.denominator) for c in cs], L)
-        object.__setattr__(self, "view", view)
-        object.__setattr__(self, "_coeffs", tuple(cs[: len(view[1])]))
+        object.__setattr__(self, "view", content_primitive([c.numerator * (L // c.denominator) for c in cs], L))
 
     @classmethod
     def from_ints(cls, nums: Sequence[int], den: int = 1) -> "Poly":
@@ -128,7 +124,6 @@ class Poly:
     def _from_view(cls, view: tuple) -> "Poly":
         self = object.__new__(cls)
         object.__setattr__(self, "view", view)
-        object.__setattr__(self, "_coeffs", None)
         return self
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
@@ -139,22 +134,9 @@ class Poly:
         return Poly._from_view, (self.view,)
 
     @property
-    def coeffs(self) -> tuple:
-        """The Fraction coefficients, lowest first, with no trailing zero; () for zero."""
-        if self._coeffs is None:
-            c, ints = self.view
-            object.__setattr__(self, "_coeffs", tuple(c * x for x in ints))
-        return self._coeffs
-
-    # -- structure ----------------------------------------------------------
-
-    @property
     def degree(self) -> "int | float":
         """Degree, with -inf for the zero polynomial."""
         return len(self.view[1]) - 1 if self.view[1] else NEG_INF
-
-    def is_zero(self) -> bool:
-        return not self.view[1]
 
     def __bool__(self) -> bool:
         return bool(self.view[1])
@@ -170,19 +152,9 @@ class Poly:
         return hash(self.view)
 
     def __repr__(self) -> str:
-        if self.is_zero():
-            return "Poly(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(f"{c}")
-            elif i == 1:
-                terms.append(f"{c}*T")
-            else:
-                terms.append(f"{c}*T^{i}")
-        return "Poly(" + " + ".join(terms) + ")"
+        c, ints = self.view
+        terms = [f"{c * x}" + ("" if i == 0 else "*T" if i == 1 else f"*T^{i}") for i, x in enumerate(ints) if x]
+        return "Poly(" + (" + ".join(terms) or "0") + ")"
 
     def __getitem__(self, i: int) -> Fraction:
         """Coefficient of T**i (zero beyond the stored degree)."""
@@ -191,61 +163,7 @@ class Poly:
             return c * ints[i]
         return Fraction(0)
 
-    def __iter__(self):
-        """The stored coefficients, lowest first: iteration through __getitem__ would never stop."""
-        return iter(self.coeffs)
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: "Poly") -> "Poly":
-        other = _as_poly(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other) -> "Poly":
-        return _as_poly(other) - self
-
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
-        other = _as_poly(other)
-        if self.is_zero() or other.is_zero():
-            return ZERO
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out, base = ONE, self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    # -- analysis ------------------------------------------------------------
+    __iter__ = None  # iteration through __getitem__ would never stop
 
     def __call__(self, t: Scalar) -> Fraction:
         """P(u/w) = c sum ints_i u^i w^(d-i) / w^d, one integer Horner pass over the view."""
@@ -253,18 +171,6 @@ class Poly:
         c, ints = self.view
         num = c.numerator * horner(ints, t.numerator, t.denominator)
         return Fraction(num, c.denominator * t.denominator ** max(len(ints) - 1, 0))
-
-
-def _as_poly(x) -> Poly:
-    if isinstance(x, Poly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Poly([x])
-    raise TypeError(f"cannot interpret {x!r} as a polynomial")
-
-
-ZERO = Poly()
-ONE = Poly([1])
 
 
 def interpolate(xs: Sequence[int], ys: Sequence[tuple]) -> Poly:

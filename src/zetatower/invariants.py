@@ -48,7 +48,7 @@ from typing import Optional, Sequence
 
 from zetatower.curves import CheckResult, ZetaLevel
 from zetatower.derived_engine import SpecialValues, composition_sums
-from zetatower.exact_arith import BigRat, Poly, horner, is_self_inversive, pair_str
+from zetatower.exact_arith import Poly, horner, is_self_inversive, pair_str
 
 
 class ReconstructionError(RuntimeError):
@@ -64,7 +64,7 @@ class InvariantSet:
     forms the alphas and beta for a report that prints them.
     """
 
-    content: BigRat
+    content: Fraction
     S: tuple
     total: int
 
@@ -73,7 +73,7 @@ class InvariantSet:
         return all(s > 0 for s in self.S) and self.total > 0
 
 
-def invariant_values(inv: InvariantSet, Q: int, scale: Optional[BigRat] = None) -> tuple:
+def invariant_values(inv: InvariantSet, Q: int, scale: Optional[Fraction] = None) -> tuple:
     """(alphas, beta) as rationals: the ints of ``inv`` times ``scale``, the content unless given."""
     scale = inv.content if scale is None else scale
     return tuple(scale * s for s in inv.S), scale * Fraction(inv.total, Q - 1)

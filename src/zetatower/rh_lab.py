@@ -531,9 +531,13 @@ def sweep(config: SweepConfig, jobs: int = 1) -> dict:
         if spec.label in labels:
             raise ValueError(f"curve label {spec.label!r} is repeated; each curve of a sweep needs its own label")
         labels.add(spec.label)
-    for steps in config.tuples:
+    seen = set()
+    for steps in config.tuples:  # a repeated tuple would report its cells twice, too
         if not steps or min(steps) < 1:
             raise ValueError(f"tuple {steps} must be a nonempty list of positive integers")
+        if tuple(steps) in seen:
+            raise ValueError(f"tuple {steps} is repeated; each tuple of a sweep is run once")
+        seen.add(tuple(steps))
         if math.prod(steps) > config.product_cap:
             raise ValueError(
                 f"tuple {steps} exceeds the step-product cap {config.product_cap}; raise the cap explicitly"

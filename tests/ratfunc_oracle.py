@@ -1,5 +1,12 @@
 """Rational functions and the second routes to what the package computes, for tests only.
 
+The package ``Poly`` is only its integer view, with no arithmetic.
+``RingPoly`` is the test-only subclass that adds the polynomial ring over
+``Fraction`` coefficients (+, -, *, ** and the cached ``coeffs`` tuple);
+``ring(P)`` lifts a package ``Poly`` by its view, and ``ZERO`` and ``ONE``
+are its constants.  A test that multiplies a level's P, or reads its
+coefficients as a tuple, goes through ``ring``.
+
 The package stores a level as its numerator P; ``to_ratfunc`` rebuilds the
 complete zeta P / ((1-T)(1-QT)T^(g-1)) as a canonical ``RatFunc``, so the
 tests can check the functional equation, the reduced denominator and the
@@ -36,8 +43,101 @@ from math import comb
 
 from zetatower.curves import CheckResult, ZetaLevel
 from zetatower.derived_engine import compositions, derive_step, special_values
-from zetatower.exact_arith import ONE, ZERO, Poly, as_rat, is_self_inversive
+from zetatower.exact_arith import Poly, as_rat, is_self_inversive
 from zetatower.mult_struct import residue_series_exp
+
+
+class RingPoly(Poly):
+    """The package ``Poly`` with the ring operations over ``Fraction`` coefficients, for tests only.
+
+    ``coeffs`` is the tuple of Fraction coefficients, lowest first, with no
+    trailing zero; it is formed on its first read (or kept from the rationals
+    the polynomial was built from) and reused by every operation.
+    """
+
+    __slots__ = ("_coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [as_rat(c) for c in coeffs]
+        super().__init__(cs)
+        object.__setattr__(self, "_coeffs", tuple(cs[: len(self.view[1])]))
+
+    @property
+    def coeffs(self) -> tuple:
+        try:
+            return self._coeffs
+        except AttributeError:  # built from a view
+            c, ints = self.view
+            object.__setattr__(self, "_coeffs", tuple(c * x for x in ints))
+            return self._coeffs
+
+    def is_zero(self) -> bool:
+        return not self.view[1]
+
+    def __iter__(self):
+        return iter(self.coeffs)
+
+    def __add__(self, other) -> "RingPoly":
+        a, b = self.coeffs, ring(other).coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return RingPoly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "RingPoly":
+        return RingPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other) -> "RingPoly":
+        return self + (-ring(other))
+
+    def __rsub__(self, other) -> "RingPoly":
+        return ring(other) - self
+
+    def __mul__(self, other) -> "RingPoly":
+        if isinstance(other, (int, Fraction)):
+            return RingPoly([c * other for c in self.coeffs])
+        other = ring(other)
+        if self.is_zero() or other.is_zero():
+            return ZERO
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return RingPoly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "RingPoly":
+        if n < 0:
+            raise ValueError("negative polynomial power")
+        out, base = ONE, self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+
+def ring(p) -> RingPoly:
+    """p as a ``RingPoly``: a package ``Poly`` lifted by its view, a scalar as a constant."""
+    if isinstance(p, RingPoly):
+        return p
+    if isinstance(p, Poly):
+        return RingPoly._from_view(p.view)
+    if isinstance(p, (int, Fraction)):
+        return RingPoly([p])
+    raise TypeError(f"cannot interpret {p!r} as a polynomial")
+
+
+ZERO = RingPoly()
+ONE = RingPoly([1])
 
 
 class PoleError(ArithmeticError):
@@ -50,19 +150,16 @@ class PoleError(ArithmeticError):
 
 def _scaled_coeffs(p: Poly, c: Fraction) -> list:
     """The coefficients of p(c*T)."""
-    return [coeff * c**i for i, coeff in enumerate(p.coeffs)]
+    return [coeff * c**i for i, coeff in enumerate(ring(p).coeffs)]
 
 
-def _as_poly(x) -> Poly:
-    return x if isinstance(x, Poly) else Poly([x])
-
-
-def derivative(p: Poly) -> Poly:
-    return Poly([i * c for i, c in enumerate(p.coeffs)][1:])
+def derivative(p: Poly) -> RingPoly:
+    return RingPoly([i * c for i, c in enumerate(ring(p).coeffs)][1:])
 
 
 def rational_divmod(a: Poly, b: Poly) -> tuple:
     """(quotient, remainder) of a by b, long division over the rationals."""
+    a, b = ring(a), ring(b)
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(a.coeffs)
@@ -80,18 +177,20 @@ def rational_divmod(a: Poly, b: Poly) -> tuple:
         for i, c in enumerate(b.coeffs):
             rem[shift + i] -= f * c
         rem.pop()
-    return Poly(quo), Poly(rem)
+    return RingPoly(quo), RingPoly(rem)
 
 
-def monic(p: Poly) -> Poly:
+def monic(p: Poly) -> RingPoly:
+    p = ring(p)
     if p.is_zero():
         raise ValueError("zero polynomial has no monic form")
     lead = p.coeffs[-1]
-    return Poly([c / lead for c in p.coeffs])
+    return RingPoly([c / lead for c in p.coeffs])
 
 
-def rational_gcd(a: Poly, b: Poly) -> Poly:
+def rational_gcd(a: Poly, b: Poly) -> RingPoly:
     """Monic greatest common divisor over the rationals."""
+    a, b = ring(a), ring(b)
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd undefined for two zero polynomials")
     while not b.is_zero():
@@ -129,7 +228,7 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num=ZERO, den=ONE):
-        num, den = _as_poly(num), _as_poly(den)
+        num, den = ring(num), ring(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
@@ -190,7 +289,7 @@ class RatFunc:
         c = as_rat(c)
         if c == 0:
             raise ValueError("variable scale must be nonzero")
-        return RatFunc(Poly(_scaled_coeffs(self.num, c)), Poly(_scaled_coeffs(self.den, c)))
+        return RatFunc(RingPoly(_scaled_coeffs(self.num, c)), RingPoly(_scaled_coeffs(self.den, c)))
 
     def subst_reciprocal(self, c) -> "RatFunc":
         """f(c/T) for nonzero c, as a rational function of T."""
@@ -198,11 +297,11 @@ class RatFunc:
         if c == 0:
             raise ValueError("substitution constant must be nonzero")
         # T**deg * p(c/T) reverses the coefficients of p(c*T)
-        num = Poly(_scaled_coeffs(self.num, c)[::-1])
-        den = Poly(_scaled_coeffs(self.den, c)[::-1])
+        num = RingPoly(_scaled_coeffs(self.num, c)[::-1])
+        den = RingPoly(_scaled_coeffs(self.den, c)[::-1])
         dn = len(self.num.coeffs) - 1 if self.num.coeffs else 0
         dd = len(self.den.coeffs) - 1
-        T = Poly([0, 1])
+        T = RingPoly([0, 1])
         if dd >= dn:
             num = num * T ** (dd - dn)
         else:
@@ -227,7 +326,7 @@ def residue_simple_pole(f: RatFunc, t0) -> Fraction:
 
 def standard_denominator(Q, genus: int) -> Poly:
     """(1-T)(1-QT)T^(g-1)."""
-    return Poly([1, -1]) * Poly([1, -Q]) * Poly([0, 1]) ** (genus - 1)
+    return RingPoly([1, -1]) * RingPoly([1, -Q]) * RingPoly([0, 1]) ** (genus - 1)
 
 
 def to_ratfunc(level) -> RatFunc:
@@ -248,7 +347,7 @@ def oracle_zeta(z, n: int) -> RatFunc:
         else:
             right = RatFunc(0)
             for comp in compositions(n - a):
-                boundary = RatFunc(Poly([0, 1]), Poly([-(qp ** (a + comp[-1] - n)), 1]))
+                boundary = RatFunc(RingPoly([0, 1]), RingPoly([-(qp ** (a + comp[-1] - n)), 1]))
                 right = right + composition_weight(comp, sv) * boundary
 
         if a - 1 == 0:
@@ -256,7 +355,7 @@ def oracle_zeta(z, n: int) -> RatFunc:
         else:
             left = RatFunc(0)
             for comp in compositions(a - 1):
-                boundary = RatFunc(1, Poly([1, -(qp ** (n - a + 1 + comp[0]))]))
+                boundary = RatFunc(1, RingPoly([1, -(qp ** (n - a + 1 + comp[0]))]))
                 left = left + composition_weight(comp, sv) * boundary
 
         total = total + right * mid * left
@@ -292,15 +391,15 @@ def interlacing_tail(sv, n: int) -> RatFunc:
     """The uncleared sum over compositions k of n of w+(k) / (Q^(k_last) T - 1), one simple pole per last part."""
     tail = RatFunc(0)
     for comp in compositions(n):
-        tail = tail + positive_weight(comp, sv) * RatFunc(1, Poly([-1, sv.Q ** comp[-1]]))
+        tail = tail + positive_weight(comp, sv) * RatFunc(1, RingPoly([-1, sv.Q ** comp[-1]]))
     return tail
 
 
 def oracle_interlacing_poly(sv, n: int) -> Poly:
     """The interlacing tail of n cleared by prod_l (Q^l T - 1)."""
-    clearing = Poly([1])
+    clearing = RingPoly([1])
     for ell in range(1, n + 1):
-        clearing = clearing * Poly([-1, sv.Q**ell])
+        clearing = clearing * RingPoly([-1, sv.Q**ell])
     return (interlacing_tail(sv, n) * RatFunc(clearing)).to_poly()
 
 
@@ -310,11 +409,11 @@ def oracle_invariants(z) -> tuple:
     Raises ValueError, with the messages of ``extract_invariants``, when P
     does not have the decomposition's shape.
     """
-    g, P = z.genus, z.P
+    g, P = z.genus, ring(z.P)
     if P.degree != 2 * g:
         raise ValueError(f"numerator degree {P.degree}, expected {2 * g}")
     beta = Fraction(*z.residue_pair())
-    S, rem = rational_divmod(P - (z.Q - 1) * beta * Poly([0, 1]) ** g, Poly([1, -1]) * Poly([1, -z.Q]))
+    S, rem = rational_divmod(P - (z.Q - 1) * beta * RingPoly([0, 1]) ** g, RingPoly([1, -1]) * RingPoly([1, -z.Q]))
     if not rem.is_zero():
         raise ValueError("level violates the numerator decomposition shape")
     if not is_self_inversive(S, z.Q, g - 1):

@@ -30,9 +30,11 @@ from zetatower.derived_engine import (
     special_values,
 )
 from ratfunc_oracle import (
+    RingPoly,
     rational_divmod,
     residue_series_recursion,
     residue_simple_pole,
+    ring,
     standard_denominator,
     to_ratfunc,
 )
@@ -235,13 +237,13 @@ def test_criterion_11_positivity_scan(grid, genus2, tmp_path_factory):
 
 def test_criterion_12_negative_controls():
     # planted off-circle roots in a self-inversive numerator, so the root finder is what fails it
-    planted = Poly([1, -3]) * Poly([1, Fraction(-2, 3)]) * Poly([1, 0, 2])
+    planted = RingPoly([1, -3]) * RingPoly([1, Fraction(-2, 3)]) * RingPoly([1, 0, 2])
     v = rh_numeric(planted, 2)
     assert v.holds is False
 
     # tampered numerator breaks the functional-equation check
     zg = artin_from_point_counts(2, 2, [3, 5])
-    tampered = ZetaLevel(steps=(), Q=zg.Q, genus=2, P=zg.P + Poly([0, 1]))
+    tampered = ZetaLevel(steps=(), Q=zg.Q, genus=2, P=ring(zg.P) + Poly([0, 1]))
     status = {r.name: r.passed for r in validate_zeta_level(tampered)}
     assert status["functional_equation"] is False
 

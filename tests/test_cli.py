@@ -380,6 +380,21 @@ def test_a_repeated_curve_label_is_usage_error(monkeypatch, tmp_path, capsys):
         assert f"error: curve label {label!r} is repeated" in capsys.readouterr().err
 
 
+def test_a_repeated_tuple_is_usage_error(monkeypatch, tmp_path, capsys):
+    # each cell of a repeated tuple was derived and reported twice, and counted twice in the summary
+    from zetatower import rh_lab
+
+    def fail(*args):
+        raise AssertionError("derived a level of a refused sweep")
+
+    monkeypatch.setattr(rh_lab, "artin_zeta", fail)
+    out = tmp_path / "out.json"
+    for tuples, named in (("2;2;1,2", "(2,)"), ("1,2;3;1,2", "(1, 2)")):
+        assert run_cli(["sweep", "--q", "2", "--tuples", tuples, "--output", str(out)]) == 2
+        assert f"error: tuple {named} is repeated" in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("top", ["3", "null", "true", '"x"'])
 def test_curves_file_of_neither_object_nor_list_is_usage_error(top, tmp_path, capsys):
     path = tmp_path / "curves.json"
@@ -521,6 +536,20 @@ def test_a_numerator_with_no_class_number_is_refused_before_the_sweep(numerator,
 def test_point_counts_no_curve_has_are_usage_error(curve, message, capsys):
     assert run_cli(["rh-check", "--curve", curve, "--tuple", "1"]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_point_counts_with_a_non_integer_coefficient_are_usage_error(tmp_path, capsys):
+    # N = 3;4 over F_2 at genus 2 give P = 1 - T^2/2 + 4T^4: inside Weil's bound and P(1) = 9/2 > 0,
+    # but a curve's P has integer coefficients
+    message = "A_2 = -1/2 is not an integer"
+    for command in ("derive", "invariants", "rh-check"):
+        assert run_cli([command, "--curve", "counts:q=2,g=2,N=3;4", "--tuple", "1"]) == 2
+        assert message in capsys.readouterr().err
+    path, out = tmp_path / "curves.json", tmp_path / "out.json"
+    path.write_text(json.dumps([{"label": "half", "q": 2, "genus": 2, "point_counts": [3, 4]}]))
+    assert run_cli(["sweep", "--curves", str(path), "--tuples", "1;2", "--output", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_point_counts_on_weils_bound_are_accepted():
@@ -729,7 +758,7 @@ def test_derive_a_thousand_steps_of_index_one(tmp_path):
 def test_math_layer_bug_exits_3(monkeypatch, capsys):
     import zetatower.invariants as invariants
 
-    monkeypatch.setattr(invariants, "reconstruct_numerator", lambda *args: invariants.Poly([7]))
+    monkeypatch.setattr(invariants, "reconstruct_numerator", lambda *args: [7])
     assert run_cli(["invariants", "--curve", "elliptic:q=2,a=0", "--tuple", "2"]) == 3
     assert "ReconstructionError" in capsys.readouterr().err
 

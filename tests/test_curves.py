@@ -6,14 +6,14 @@ import pickle
 import time
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 from conftest import rationals
-from ratfunc_oracle import RatFunc, residue_simple_pole, standard_denominator, to_ratfunc
+from ratfunc_oracle import RatFunc, RingPoly, residue_simple_pole, ring, standard_denominator, to_ratfunc
 from zetatower.curves import (
     CATALOG,
     CurveSpec,
@@ -30,7 +30,7 @@ from zetatower.curves import (
     validate_zeta_level,
 )
 from zetatower.derived_engine import derive_step, normalize_level, special_values
-from zetatower.exact_arith import Poly
+from zetatower.exact_arith import Poly, series_exp
 
 
 def _passed(results):
@@ -140,7 +140,7 @@ def test_hasse_traces_match_counting_up():
 def test_artin_elliptic_trace_zero():
     z = artin_elliptic(2, 0)
     assert z.P == Poly([1, 0, 2])
-    assert to_ratfunc(z) == RatFunc(Poly([1, 0, 2]), Poly([1, -1]) * Poly([1, -2]))
+    assert to_ratfunc(z) == RatFunc(Poly([1, 0, 2]), RingPoly([1, -1]) * RingPoly([1, -2]))
 
 
 def test_artin_elliptic_q3_a3():
@@ -161,8 +161,8 @@ def test_artin_from_counts_matches_trace_form():
 
 def _exp_series_oracle(log_coeffs, order):
     """Brute-force exp: sum of powers over factorials, independent of series_exp."""
-    g = Poly([0] + list(log_coeffs))
-    acc, term, fact = Poly([1]), Poly([1]), 1
+    g = RingPoly([0] + list(log_coeffs))
+    acc, term, fact = RingPoly([1]), RingPoly([1]), 1
     for j in range(1, order + 1):
         term = term * g
         fact *= j
@@ -174,7 +174,7 @@ def test_artin_from_counts_genus2_against_series_oracle():
     z = artin_from_point_counts(2, 2, [3, 5])
     P = z.P
     expanded = _exp_series_oracle([3, Fraction(5, 2)], 2)
-    lower = Poly(expanded[:3]) * Poly([1, -3, 2])
+    lower = RingPoly(expanded[:3]) * RingPoly([1, -3, 2])
     assert [P[i] for i in range(3)] == [lower[i] for i in range(3)]
     # reflection gives the upper half
     assert P[3] == 2 * P[1] and P[4] == 4 * P[0]
@@ -186,6 +186,38 @@ def test_artin_from_counts_rejects_inconsistent_extras():
         artin_from_point_counts(2, 1, [3, 10])
     # the true N_2 = 9 is accepted
     artin_from_point_counts(2, 1, [3, 9])
+
+
+@st.composite
+def _counts(draw):
+    """(q, g, counts): N_k within one past Weil's bound |q^k + 1 - N_k| <= 2g q^(k/2), so some are negative."""
+    q, g = draw(st.sampled_from([2, 3, 4, 5])), draw(st.integers(min_value=1, max_value=3))
+    counts = []
+    for k in range(1, g + 1):
+        reach = isqrt(4 * g * g * q**k) + 1
+        counts.append(q**k + 1 + draw(st.integers(min_value=-reach, max_value=reach)))
+    return q, g, counts
+
+
+@given(_counts())
+def test_point_counts_give_the_ring_product(case):
+    # the truncated product on a plain list is the oracle's ring product of the exp series and (1-T)(1-qT);
+    # counts are refused exactly when they are negative, break Weil's bound, or give P(1) <= 0 or a non-integer A_i
+    q, g, counts = case
+    series = series_exp([0] + [Fraction(n, k) for k, n in enumerate(counts, start=1)])
+    lower = RingPoly(series) * RingPoly([1, -1]) * RingPoly([1, -q])
+    half = [lower[i] for i in range(g + 1)]
+    P = RingPoly(half + [q ** (g - i) * half[i] for i in range(g - 1, -1, -1)])
+    weil = all(n >= 0 and (q**k + 1 - n) ** 2 <= 4 * g * g * q**k for k, n in enumerate(counts, start=1))
+    fractional = [i for i, a in enumerate(half) if a.denominator != 1]
+    if weil and P(1) > 0 and not fractional:
+        z = artin_from_point_counts(q, g, counts)
+        assert z.P.view == P.view and pickle.dumps(z.P) == pickle.dumps(P)
+        return
+    with pytest.raises(ValueError) as refused:
+        artin_from_point_counts(q, g, counts)
+    if weil and P(1) > 0:
+        assert str(refused.value).startswith(f"A_{fractional[0]} = {half[fractional[0]]} is not an integer")
 
 
 def test_numerator_endpoints():
@@ -218,7 +250,7 @@ def test_validate_catches_tampered_numerator():
     assert not _passed(validate_zeta_level(tampered))["functional_equation"]
     # genus 2: tampering A_1 breaks A_3 = q A_1
     zg = artin_from_point_counts(2, 2, [3, 5])
-    bad = zg.P + Poly([0, 1])
+    bad = ring(zg.P) + Poly([0, 1])
     tampered2 = ZetaLevel(steps=(), Q=zg.Q, genus=2, P=bad)
     assert not _passed(validate_zeta_level(tampered2))["functional_equation"]
 
@@ -286,30 +318,34 @@ def test_coefficient_checks_match_the_ratfunc_route(q, g, coeffs, symmetric, bas
 
 def _at(P, t):
     """P(t) as a sum of Fraction powers, the formula the integer view replaces."""
-    return sum((c * t**i for i, c in enumerate(P.coeffs)), Fraction(0))
+    return sum((c * t**i for i, c in enumerate(ring(P).coeffs)), Fraction(0))
 
 
-def _view_matches(z):
-    c, ints = z.P.view
-    return c > 0 and gcd(*ints) in (0, 1) and tuple(c * x for x in ints) == z.P.coeffs
+def _view_matches(P, coeffs):
+    """Whether P's view is a positive content times coprime ints that give the Fraction coefficients coeffs."""
+    c, ints = P.view
+    return c > 0 and gcd(*ints) in (0, 1) and tuple(c * x for x in ints) == tuple(coeffs)
 
 
 @st.composite
 def _levels(draw):
-    """Genus 1..3, rational P, integer Q; now and then P is shifted to vanish at 1 or at 1/Q."""
+    """Genus 1..3, rational P, integer Q; now and then P is shifted to vanish at 1 or at 1/Q.
+
+    P is the oracle's ``RingPoly``, so its ``coeffs`` are the Fractions it was built from.
+    """
     g = draw(st.integers(min_value=1, max_value=3))
     Q = draw(st.integers(min_value=2, max_value=64))
-    P = Poly(draw(st.lists(rationals(max_abs=50, max_den=12), min_size=2 * g + 1, max_size=2 * g + 1)))
+    P = RingPoly(draw(st.lists(rationals(max_abs=50, max_den=12), min_size=2 * g + 1, max_size=2 * g + 1)))
     root = draw(st.sampled_from([None, Fraction(1), Fraction(1, Q)]))
     if root is not None:
-        P = P - Poly([_at(P, root)])
+        P = P - RingPoly([_at(P, root)])
     return ZetaLevel(steps=draw(st.sampled_from([(), (2,)])), Q=Q, genus=g, P=P)
 
 
 @given(_levels(), st.integers(min_value=1, max_value=4), rationals(max_abs=9, max_den=9))
 def test_view_matches_the_fraction_formulas(z, k, t):
     P, Q, g = z.P, z.Q, z.genus
-    assert _view_matches(z)
+    assert _view_matches(P, P.coeffs)
     (N, D), (M, E) = z.residue_pair(), z.residue_inv_q_pair()
     assert D > 0 and E > 0 and all(type(x) is int for x in (N, D, M, E))
     assert Fraction(N, D) == _at(P, 1) / (Q - 1)
@@ -352,11 +388,11 @@ def test_view_detects_a_zero_of_P_at_either_pole(z):
 @given(_levels(), rationals(max_abs=9, max_den=9).filter(bool))
 def test_replace_and_normalize_rebuild_the_view(z, factor):
     scaled = replace(z, P=z.P * factor)
-    assert _view_matches(scaled)
+    assert _view_matches(scaled.P, [factor * c for c in z.P.coeffs])
     assert Fraction(*scaled.residue_pair()) == factor * Fraction(*z.residue_pair())
     if z.P[0]:
         normal = normalize_level(z)
-        assert _view_matches(normal) and normal.P[0] == 1
+        assert _view_matches(normal.P, [c / z.P[0] for c in z.P.coeffs]) and normal.P[0] == 1
         assert Fraction(*normal.residue_pair()) == Fraction(*z.residue_pair()) / z.P[0]
 
 
@@ -376,14 +412,14 @@ def test_a_poly_is_its_view_whichever_way_it_is_built(fractions, zeros, extra):
     assert [from_ints[i] for i in range(9)] == [from_fractions[i] for i in range(9)]
     keys = [ZetaLevel(steps=(), Q=2, genus=3, P=P).numerator_key() for P in (from_ints, from_fractions)]
     assert keys[0] == keys[1] and hash(keys[0]) == hash(keys[1])
-    assert repr(from_ints) == repr(from_fractions) and from_ints.coeffs == from_fractions.coeffs
+    assert repr(from_ints) == repr(from_fractions) and ring(from_ints).coeffs == ring(from_fractions).coeffs
     while fractions and not fractions[-1]:
         fractions.pop()
-    assert from_fractions.coeffs == tuple(fractions)
+    assert ring(from_fractions).coeffs == tuple(fractions)
     for P in (from_fractions, from_ints):
         for twin in (pickle.loads(pickle.dumps(P)), copy.copy(P), copy.deepcopy(P)):
             assert twin == P and hash(twin) == hash(P) and twin.view == P.view
-            assert twin.coeffs == P.coeffs and repr(twin) == repr(P)
+            assert ring(twin).coeffs == ring(P).coeffs and repr(twin) == repr(P)
 
 
 def test_a_derived_level_pickles_and_copies():
@@ -412,6 +448,7 @@ def test_every_catalog_curve_has_counts_some_curve_can_have():
         (3, 2, (4, -2), "N_2 = -2 is negative"),
         (2, 2, (3, 30), "N_2 = 30 violates Weil's bound"),
         (2, 1, (3, 10), "inconsistent"),  # an extra count that disagrees with N_1 is refused, as before
+        (2, 2, (3, 4), "A_2 = -1/2 is not an integer"),  # P = 1 - T^2/2 + 4T^4, inside Weil's bound, P(1) = 9/2
     ],
 )
 def test_a_spec_refuses_point_counts_no_curve_has(q, g, counts, message):

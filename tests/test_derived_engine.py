@@ -1,5 +1,7 @@
 """Tests for the tower derivation step and its structural guarantees."""
 
+import pickle
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,7 +24,16 @@ from zetatower.derived_engine import (
     normalize_level,
     special_values,
 )
-from ratfunc_oracle import RatFunc, composition_weight, rational_divmod, residue_simple_pole, to_ratfunc
+from ratfunc_oracle import (
+    ONE,
+    RatFunc,
+    RingPoly,
+    composition_weight,
+    rational_divmod,
+    residue_simple_pole,
+    ring,
+    to_ratfunc,
+)
 from zetatower.exact_arith import Poly
 
 
@@ -103,7 +114,7 @@ def test_derive_step_twice():
     z = artin_elliptic(2, 0)
     z22 = derive_step(derive_step(z, 2), 2)
     assert z22.Q == 16
-    rem = rational_divmod(Poly([1, -1]) * Poly([1, -16]), to_ratfunc(z22).den)[1]
+    rem = rational_divmod(RingPoly([1, -1]) * RingPoly([1, -16]), to_ratfunc(z22).den)[1]
     assert rem.is_zero()
     assert all(r.passed for r in validate_zeta_level(z22))
 
@@ -122,8 +133,6 @@ def test_derive_tower_two_three():
 
 
 def test_derivation_guard_trips_on_malformed_input():
-    from zetatower.exact_arith import ONE
-
     # the zeta 1/(1-T) at Q = 2: its P = 1-2T has degree 1 and no pole at T = 1/2
     garbage = ZetaLevel(steps=(), Q=2, genus=1, P=Poly([1, -2]))
     assert to_ratfunc(garbage) == RatFunc(ONE, Poly([1, -1]))
@@ -159,7 +168,7 @@ def test_genus2_derivation_validates():
 def test_constant_scaling_covariance(c, n):
     # scaling the input zeta by c scales the derived zeta by c**n
     z = artin_elliptic(2, 0)
-    scaled = ZetaLevel(steps=(), Q=z.Q, genus=1, P=z.P * c)
+    scaled = ZetaLevel(steps=(), Q=z.Q, genus=1, P=ring(z.P) * c)
     assert to_ratfunc(scaled) == to_ratfunc(z) * c
     derived = derive_step(z, n)
     derived_scaled = derive_step(scaled, n)
@@ -174,6 +183,32 @@ def test_normalize_level_records_constant():
     z2n = normalize_level(z2)
     assert z2n.P[0] == 1
     assert to_ratfunc(z2n) * 3 == to_ratfunc(z2)
+
+
+_NORMALIZE_LEVELS = [
+    artin_elliptic(3, 1),
+    derive_step(artin_elliptic(2, 0), 2),
+    derive_step(artin_from_point_counts(2, 2, [3, 5]), 3),
+]
+
+
+@pytest.mark.parametrize("scale", [1, -1, Fraction(-3, 7), Fraction(5, 2), -(2**70)])
+@pytest.mark.parametrize("z", _NORMALIZE_LEVELS, ids=["E3a1", "E2a0-2", "X2g2-3"])
+def test_normalize_level_matches_the_ring_division(z, scale):
+    # A_0 = 1 at E3a1 unscaled, negative and rational A_0 from the scales; the view ints over A_0's
+    # int are the oracle's Fraction product P * (1 / A_0), to the pickled byte
+    z = replace(z, P=ring(z.P) * scale)
+    expected = ring(z.P) * (1 / z.P[0])
+    normalized = normalize_level(z)
+    assert normalized.P.view == expected.view and normalized.P[0] == 1
+    assert pickle.dumps(normalized.P) == pickle.dumps(expected)
+    assert pickle.dumps(normalized) == pickle.dumps(replace(z, P=Poly._from_view(expected.view)))
+
+
+def test_normalize_level_refuses_a_zero_constant_term():
+    for P in (Poly(), Poly([0, 1, 2])):
+        with pytest.raises(ValueError, match="constant term is zero"):
+            normalize_level(ZetaLevel(steps=(), Q=2, genus=1, P=P))
 
 
 def test_normalized_tower_matches_post_hoc_normalization():

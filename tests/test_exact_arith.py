@@ -11,17 +11,18 @@ import hypothesis.strategies as st
 
 from conftest import coeff_lists, rationals
 from ratfunc_oracle import (
+    ONE,
+    ZERO,
     PoleError,
     RatFunc,
+    RingPoly,
     derivative,
     rational_gcd,
     rational_squarefree_factors,
     residue_simple_pole,
 )
 from zetatower.exact_arith import (
-    ONE,
     Poly,
-    ZERO,
     as_rat,
     interpolate,
     is_self_inversive,
@@ -39,34 +40,37 @@ from zetatower.exact_arith import (
 
 
 def test_poly_difference_of_squares():
-    assert Poly([1, 1]) * Poly([1, -1]) == Poly([1, 0, -1])
+    assert RingPoly([1, 1]) * RingPoly([1, -1]) == Poly([1, 0, -1])
 
 
 def test_poly_additive_identity():
-    p = Poly([3, Fraction(1, 2), 7])
+    p = RingPoly([3, Fraction(1, 2), 7])
     assert p + ZERO == p
 
 
 def test_poly_multiplicative_identity():
-    p = Poly([1, 0, 2])
+    p = RingPoly([1, 0, 2])
     assert p * ONE == p
 
 
 def test_poly_trailing_zeros_stripped():
     assert Poly([1, 2, 0, 0]) == Poly([1, 2])
-    assert Poly([0, 0]).is_zero()
+    assert not Poly([0, 0]) and RingPoly([0, 0]).is_zero()
     assert Poly([0]).degree == float("-inf")
 
 
 def test_iterating_a_poly_stops_at_its_degree():
     # islice first: an iteration that runs on past the degree must fail here, not hang
-    P = Poly([1, 2])
+    P = RingPoly([1, 2])
     assert list(islice(iter(P), 10)) == [1, 2]
     assert list(islice(iter(ZERO), 10)) == []
-    assert list(P) == [1, 2] and Poly(P) == P
+    assert list(P) == [1, 2] and RingPoly(P) == P
     assert 2 in P and 3 not in P
     with pytest.raises(TypeError):
         poly_gcd(P, P)  # the int API refuses rational coefficients instead of reading zeros forever
+    # the package Poly refuses iteration, which __getitem__ alone would never end; iter() itself cannot hang
+    with pytest.raises(TypeError):
+        iter(Poly([1, 2]))
 
 
 def test_poly_divmod_exact():
@@ -94,8 +98,8 @@ def test_gcd_with_unit():
 
 def test_gcd_shared_linear_factor():
     # (1-T)(1-2T) and (1-2T)T share (1-2T); the primitive gcd with a positive lead is 2T - 1
-    a = (Poly([1, -1]) * Poly([1, -2])).view[1]
-    b = (Poly([1, -2]) * Poly([0, 1])).view[1]
+    a = (RingPoly([1, -1]) * RingPoly([1, -2])).view[1]
+    b = (RingPoly([1, -2]) * RingPoly([0, 1])).view[1]
     assert poly_gcd(a, b) == (-1, 2)
 
 
@@ -106,7 +110,7 @@ def _monic(F) -> Poly:
 
 def test_squarefree_factors_by_multiplicity():
     # the oracle's split, the reference for the closed split of a genus-2 R: 3 (T^2 + 1) (T + 2)^2 (T - 1)^3
-    P = 3 * Poly([1, 0, 1]) * Poly([2, 1]) ** 2 * Poly([-1, 1]) ** 3
+    P = 3 * RingPoly([1, 0, 1]) * RingPoly([2, 1]) ** 2 * RingPoly([-1, 1]) ** 3
     assert rational_squarefree_factors(P) == [(Poly([1, 0, 1]), 1), (Poly([2, 1]), 2), (Poly([-1, 1]), 3)]
     # each factor is monic, so its view's ints are primitive with a positive lead, whatever the content and sign
     half = [(Poly([Fraction(1, 2), -1, 1]), 1)]
@@ -135,8 +139,8 @@ def test_ratfunc_zero_canonical():
 
 
 def test_ratfunc_constant_factor_removed():
-    num = Poly([1, -1]) * Poly([1, -2]) * 7
-    den = Poly([1, -1]) * 7
+    num = RingPoly([1, -1]) * RingPoly([1, -2]) * 7
+    den = RingPoly([1, -1]) * 7
     assert RatFunc(num, den) == RatFunc(Poly([1, -2]))
 
 
@@ -183,7 +187,7 @@ def test_eval_after_cancellation():
 
 def test_residue_examples():
     assert residue_simple_pole(RatFunc(ONE, Poly([1, -1])), 1) == -1
-    f = RatFunc(Poly([0, 1]), Poly([1, -1]) * Poly([1, -2]))  # (q-1)T/((1-T)(1-qT)), q=2
+    f = RatFunc(Poly([0, 1]), RingPoly([1, -1]) * RingPoly([1, -2]))  # (q-1)T/((1-T)(1-qT)), q=2
     assert residue_simple_pole(f, 1) == 1
     assert residue_simple_pole(RatFunc(Poly([0, 1]), Poly([1, 0, -1])), 1) == Fraction(-1, 2)
 
@@ -192,7 +196,7 @@ def test_residue_error_cases():
     f = RatFunc(ONE, Poly([1, -1]))
     with pytest.raises(ValueError, match="not a pole"):
         residue_simple_pole(f, 2)
-    g = RatFunc(ONE, Poly([1, -1]) * Poly([1, -1]))
+    g = RatFunc(ONE, RingPoly([1, -1]) * RingPoly([1, -1]))
     with pytest.raises(ValueError, match="not simple"):
         residue_simple_pole(g, 1)
 
@@ -251,7 +255,7 @@ def test_series_exp_homomorphism(a, b):
     k = 12
     g = [0] + list(a) + [0] * (k - len(a))
     h = [0] + list(b) + [0] * (k - len(b))
-    product = Poly(series_exp(g)) * Poly(series_exp(h))
+    product = RingPoly(series_exp(g)) * RingPoly(series_exp(h))
     assert series_exp([x + y for x, y in zip(g, h)]) == [product[i] for i in range(k + 1)]
 
 
@@ -259,10 +263,10 @@ def test_series_exp_homomorphism(a, b):
 def test_residue_matches_coefficient_extraction(pc, qc, t0):
     # f = p / ((T - t0) q) with q(t0) != 0, p(t0) != 0: residue is p(t0)/q(t0),
     # which is exactly ((T - t0) * f)(t0) after the division cancels the pole.
-    p, q = Poly(pc), Poly(qc)
+    p, q = RingPoly(pc), RingPoly(qc)
     assume(not p.is_zero() and not q.is_zero())
     assume(p(t0) != 0 and q(t0) != 0)
-    f = RatFunc(p, Poly([-t0, 1]) * q)
+    f = RatFunc(p, RingPoly([-t0, 1]) * q)
     cancelled = RatFunc(Poly([-t0, 1])) * f
     assert residue_simple_pole(f, t0) == cancelled(t0) == p(t0) / q(t0)
 
@@ -271,9 +275,9 @@ def test_residue_matches_coefficient_extraction(pc, qc, t0):
 def test_newton_power_sums_against_brute_force(roots, k_max):
     # elementary symmetric values from the roots, then compare against direct sums
     e = [Fraction(0)] * len(roots)
-    prod = Poly([1])
+    prod = ONE
     for r in roots:
-        prod = prod * Poly([-r, 1])
+        prod = prod * RingPoly([-r, 1])
     n = len(roots)
     elem = [(-1) ** i * prod[n - i] / prod[n] for i in range(1, n + 1)]
     psums = newton_power_sums(elem, k_max)
@@ -283,9 +287,9 @@ def test_newton_power_sums_against_brute_force(roots, k_max):
 
 def test_self_inversive_examples():
     assert is_self_inversive(Poly([1, -1, 2]), 2, 1)
-    assert is_self_inversive(Poly([1, 0, 2]) * Poly([1, -2, 2]), 2, 2)
+    assert is_self_inversive(RingPoly([1, 0, 2]) * RingPoly([1, -2, 2]), 2, 2)
     assert is_self_inversive(Poly([1, -3, 2]), 2, 1)  # (1-T)(1-2T): roots 1 and 1/2 pair up
-    assert not is_self_inversive(Poly([1, -3]) ** 2 * Poly([1, 0, 2]), 2, 2)
+    assert not is_self_inversive(RingPoly([1, -3]) ** 2 * RingPoly([1, 0, 2]), 2, 2)
     assert not is_self_inversive(Poly([1, -1, 3]), 2, 1)
     assert is_self_inversive(Poly([5]), 7, 0)  # an interior part of a genus-1 level
 
@@ -305,18 +309,18 @@ def test_real_weil_poly_is_the_substitution(case, t):
     P, Q, g = case
     assert is_self_inversive(P, Q, g) and P.degree == 2 * g
     R = Poly(real_weil_poly(P, Q, g))
-    assert R.degree == g and R.coeffs[-1] == P[0]
+    assert R.degree == g and R[g] == P[0]
     assert P(t) == t**g * R(Q * t + 1 / t)
     # R is linear in P: the primitive ints of the view give R over the content
     c, ints = P.view
-    assert Poly(real_weil_poly(ints, Q, g)) * c == R
+    assert RingPoly(real_weil_poly(ints, Q, g)) * c == R
 
 
 def test_real_weil_poly_examples():
     # y^2 + y = x^5 over F_2: P = 1 + 4T^4, R = u^2 - 4
     assert real_weil_poly(Poly([1, 0, 0, 0, 4]), 2, 2) == [-4, 0, 1]
     # (1 - 2T^2)^2: R = u^2 - 8 has the simple roots +-2 sqrt 2 where P has its double roots
-    assert real_weil_poly(Poly([1, 0, -2]) ** 2, 2, 2) == [-8, 0, 1]
+    assert real_weil_poly(RingPoly([1, 0, -2]) ** 2, 2, 2) == [-8, 0, 1]
     # genus 1: A_0 (1 - A T + Q T^2) gives A_0 (u - A)
     assert real_weil_poly(Poly([3, -6, 15]), 5, 1) == [-6, 3]
     # (1 + 2T^2)^3: R = u^3, a triple root at the centre of [-2 sqrt 2, 2 sqrt 2]
@@ -326,7 +330,7 @@ def test_real_weil_poly_examples():
     assert R == [0, 0, 0, 1] and all(type(c) is int for c in R)
 
 
-@pytest.mark.parametrize("P", [ZERO, ONE, Poly([1, 2]), Poly([Fraction(-3, 4), 0, 2**300])])
+@pytest.mark.parametrize("P", [Poly(), Poly([1]), Poly([1, 2]), Poly([Fraction(-3, 4), 0, 2**300])])
 def test_poly_pickles_and_copies_with_its_view(P):
     for twin in (pickle.loads(pickle.dumps(P)), copy.copy(P), copy.deepcopy(P)):
         assert type(twin) is Poly and twin == P and twin.view == P.view
@@ -334,10 +338,10 @@ def test_poly_pickles_and_copies_with_its_view(P):
 
 @given(coeff_lists(max_size=3), coeff_lists(max_size=3), coeff_lists(max_size=3))
 def test_squarefree_factors_rebuild_the_polynomial(a, b, c):
-    P = Poly(a) * Poly(b) ** 2 * Poly(c) ** 3
+    P = RingPoly(a) * RingPoly(b) ** 2 * RingPoly(c) ** 3
     assume(P.degree > 0)
     factors = rational_squarefree_factors(P)
-    rebuilt = Poly([P.coeffs[-1]])
+    rebuilt = RingPoly([P.coeffs[-1]])
     for F, m in factors:
         assert F.degree > 0 and F.coeffs[-1] == 1
         assert rational_gcd(F, derivative(F)) == ONE
@@ -354,11 +358,11 @@ def _factor_products():
 
 @given(*_factor_products(), coeff_lists(max_size=3))
 def test_integer_gcd_and_split_match_the_rational_route(factors, c, extra):
-    P, shared = Poly([c]), Poly(extra) if any(extra) else ONE
+    P, shared = RingPoly([c]), RingPoly(extra) if any(extra) else ONE
     for i, (cs, m) in enumerate(factors):
-        P = P * Poly(cs) ** m
+        P = P * RingPoly(cs) ** m
         if i % 2 == 0:
-            shared = shared * Poly(cs) ** (m % 2 + 1)
+            shared = shared * RingPoly(cs) ** (m % 2 + 1)
     for a, b in ((P, derivative(P)), (P, shared)):
         g = poly_gcd(a.view[1], b.view[1])
         assert g[-1] > 0 and _monic(g) == rational_gcd(a, b)
@@ -383,7 +387,7 @@ def test_poly_evaluation_matches_fraction_horner(coeffs, t):
 def test_poly_evaluation_matches_the_fraction_power_sum(coeffs, t):
     P = Poly(coeffs)
     c, ints = P.view
-    assert c > 0 and tuple(c * x for x in ints) == P.coeffs
+    assert c > 0 and tuple(c * x for x in ints) == RingPoly(coeffs).coeffs
     assert P(t) == sum((a * t**i for i, a in enumerate(coeffs)), Fraction(0))
 
 

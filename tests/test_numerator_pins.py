@@ -11,6 +11,7 @@ import hashlib
 
 import pytest
 
+from ratfunc_oracle import ring
 from zetatower.curves import artin_elliptic, artin_from_point_counts, hasse_traces
 from zetatower.derived_engine import derive_step, derive_tower, normalize_level, special_values
 from zetatower.invariants import interlacing_poly
@@ -41,7 +42,7 @@ def _tower_digest(key, normalize: bool) -> str:
             nxt = derive_step(first, m)
             levels.append(normalize_level(nxt) if normalize else nxt)
         for z in levels:
-            h.update(_line(z.steps, z.Q, *z.P.coeffs))
+            h.update(_line(z.steps, z.Q, *ring(z.P).coeffs))
     return h.hexdigest()
 
 
@@ -49,7 +50,7 @@ def _interlacing_digest(key) -> str:
     h = hashlib.sha256()
     sv = special_values(_base(key), N_MAX)
     for n in range(1, N_MAX + 1):
-        h.update(_line(n, *interlacing_poly(sv, n).poly.coeffs))
+        h.update(_line(n, *ring(interlacing_poly(sv, n).poly).coeffs))
     return h.hexdigest()
 
 

@@ -15,11 +15,13 @@ from math import gcd
 import pytest
 
 from ratfunc_oracle import (
+    RingPoly,
     composition_weight,
     oracle_interlacing_poly,
     oracle_invariants,
     oracle_numerator,
     positive_weight,
+    ring,
 )
 from zetatower.curves import artin_elliptic, artin_from_point_counts, hasse_traces
 from zetatower.derived_engine import composition_sums, compositions, derive_step, derive_tower, special_values
@@ -109,21 +111,21 @@ def test_extraction_matches_poly_division():
 def _sign_variants(z):
     """z negated (every sign flips, the content stays positive), with beta negated and the alphas kept,
     and, from genus 2 on, with alpha(g-1) = 0 and the rest kept."""
-    g, Q, P = z.genus, z.Q, z.P
+    g, Q, P = z.genus, z.Q, ring(z.P)
     variants = [P * -1, P - Poly([0] * g + [2 * (Q - 1) * Fraction(*z.residue_pair())])]
     if g > 1:
         middle = oracle_invariants(z)[0][g - 1]
-        variants.append(P - Poly([0] * (g - 1) + [middle]) * Poly([1, -1]) * Poly([1, -Q]))
+        variants.append(P - RingPoly([0] * (g - 1) + [middle]) * RingPoly([1, -1]) * RingPoly([1, -Q]))
     return [replace(z, P=v) for v in variants]
 
 
 def _misshapen(z):
     """z with P of the wrong degree, with no exact quotient and, from genus 2 on, with a quotient that is not palindromic."""
-    g, Q, P = z.genus, z.Q, z.P.coeffs
+    g, Q, P = z.genus, z.Q, ring(z.P).coeffs
     shapes = [P[:-1], P[:-1] + (P[-1] + 1,)]
     if g > 1:
-        S = Poly([1] + [0] * (2 * g - 3) + [Q ** (g - 1) + 1])  # S_{2g-2} != Q^(g-1) S_0
-        shapes.append((S * Poly([1, -(Q + 1), Q]) + Poly([0] * g + [5])).coeffs)
+        S = RingPoly([1] + [0] * (2 * g - 3) + [Q ** (g - 1) + 1])  # S_{2g-2} != Q^(g-1) S_0
+        shapes.append((S * RingPoly([1, -(Q + 1), Q]) + RingPoly([0] * g + [5])).coeffs)
     return [replace(z, P=Poly(cs)) for cs in shapes]
 
 

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "zetatower"
 
 
@@ -76,6 +78,22 @@ def test_a_level_is_its_numerator():
 
     assert [f.name for f in fields(ZetaLevel)] == ["steps", "Q", "genus", "P"]
     assert "__post_init__" not in vars(ZetaLevel)
+
+
+# the Fraction polynomial ring, which lives in tests/ratfunc_oracle.py as RingPoly
+RING_NAMES = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__", "__pow__", "coeffs", "is_zero")
+
+
+def test_the_package_poly_is_its_view_not_a_ring():
+    # a level is its numerator's integer view; a Poly is no iterable either, since __getitem__
+    # reads zeros past the degree, so an iteration through it would never end
+    from zetatower import exact_arith
+    from zetatower.exact_arith import Poly
+
+    assert [name for name in RING_NAMES if hasattr(Poly, name)] == []
+    assert [name for name in ("ZERO", "ONE", "BigRat", "_as_poly") if hasattr(exact_arith, name)] == []
+    with pytest.raises(TypeError):
+        iter(Poly([1, 2]))
 
 
 DERIVATIONS = {"derive_step", "derive_tower", "special_values", "interlacing_poly"}

@@ -9,8 +9,10 @@ does; --normalize only presents that unnormalized tower.  Every rational in
 emitted JSON is an exact string.  RH verdicts are exact at genus 1
 ("exact_g1") and from genus 3 on ("exact_sturm"); the genus-2 verdict is
 numeric, and its largest deviation is a decimal string at its fixed precision
-and tolerance, which no option sets.  The one environment override is
-ZETATOWER_PRODUCT_CAP.  Identical inputs produce byte-identical output files.
+and tolerance, which no option sets.  A tuple's step product may not pass
+DEFAULT_PRODUCT_CAP unless --allow-large is given; no environment variable
+changes that cap or any other setting.  Identical inputs produce
+byte-identical output files.
 
 Exit codes: 0 ok, 1 check failed or an RH verdict unknown, 2 usage error,
 3 internal error.
@@ -23,7 +25,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -46,8 +47,6 @@ from zetatower.rh_lab import (
     report_to_json,
     sweep,
 )
-
-ENV_PRODUCT_CAP = "ZETATOWER_PRODUCT_CAP"
 
 
 class UsageError(ValueError):
@@ -101,27 +100,16 @@ def parse_curve_arg(text: str) -> CurveSpec:
     return curves[0]
 
 
-def parse_tuple_arg(text: str, cap: int, allow_large: bool) -> tuple:
+def parse_tuple_arg(text: str, allow_large: bool) -> tuple:
     try:
         steps = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise UsageError(f"malformed tuple {text!r}; expected comma-separated integers") from None
     if not steps or any(n < 1 for n in steps):
         raise UsageError("tuple entries must be positive integers")
-    if (product := math.prod(steps)) > cap and not allow_large:
-        raise UsageError(f"step product {product} exceeds cap {cap}; pass --allow-large to override")
+    if (product := math.prod(steps)) > DEFAULT_PRODUCT_CAP and not allow_large:
+        raise UsageError(f"step product {product} exceeds cap {DEFAULT_PRODUCT_CAP}; pass --allow-large to override")
     return steps
-
-
-def _product_cap() -> int:
-    """The largest step product a tuple may have without --allow-large: the environment, else the default."""
-    text = os.environ.get(ENV_PRODUCT_CAP, str(DEFAULT_PRODUCT_CAP))
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise UsageError(f"{ENV_PRODUCT_CAP}={text!r} is not an integer of at least 1")
 
 
 def _write_output(text: str, output):
@@ -151,7 +139,7 @@ def cmd_catalog(args) -> int:
 def _tower(args):
     """The curve, its lazy tower, and the paths to the levels of --tuple in prefix order."""
     spec = parse_curve_arg(args.curve)
-    steps = parse_tuple_arg(args.tuple, _product_cap(), args.allow_large)
+    steps = parse_tuple_arg(args.tuple, args.allow_large)
     return spec, curve_tower(spec), [steps[:i] for i in range(len(steps) + 1)]
 
 
@@ -247,8 +235,7 @@ def cmd_rh_check(args) -> int:
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    cap = _product_cap()
-    tuples = tuple(parse_tuple_arg(part, cap, args.allow_large) for part in args.tuples.split(";"))
+    tuples = tuple(parse_tuple_arg(part, args.allow_large) for part in args.tuples.split(";"))
     if args.curves:
         curves = tuple(load_curves(args.curves))
     elif args.grid == "builtin-elliptic":
@@ -259,7 +246,8 @@ def cmd_sweep(args) -> int:
     else:
         raise UsageError(f"unknown grid {args.grid!r} and no --curves file given")
     checks = ALL_CHECKS if args.checks == "all" else tuple(args.checks.split(","))  # sweep() checks them
-    config = SweepConfig(curves=curves, tuples=tuples, checks=checks, product_cap=cap if not args.allow_large else 10**9)
+    cap = DEFAULT_PRODUCT_CAP if not args.allow_large else 10**9
+    config = SweepConfig(curves=curves, tuples=tuples, checks=checks, product_cap=cap)
     report = sweep(config, jobs=args.jobs)
     _write_output(report_to_json(report), args.output)
     print(

@@ -3,9 +3,12 @@
 The complete zeta of a curve is P(T) / ((1-T)(1-qT)T^(g-1)) with deg P = 2g,
 P(0) = 1 and the coefficient symmetry A_{2g-i} = q^(g-i) A_i.  This module
 builds that object from three kinds of input (an elliptic trace, the first g
-point counts, or the numerator coefficients themselves), validates it, and
-provides a small brute-force point counter for the catalog curves so the
-analytic data can be cross-checked against actual counting.
+point counts, or the numerator coefficients themselves), validates it with
+``validate_zeta_level`` like every level, and provides a small brute-force
+point counter for the catalog curves so the analytic data can be
+cross-checked against actual counting.  Point counts become P, and P becomes
+point counts, by one integer Newton recurrence each way, with
+p_k = q^k + 1 - N_k the power sums of the reciprocal roots.
 
 Every level of the derived tower has the same shape over its own Q, the int
 q^(prod of its steps), so a ``ZetaLevel`` is its steps, Q, genus and
@@ -18,7 +21,8 @@ Point counting supports plane models y^2 + a3*y = f(x) with coefficients in
 the prime field and a single smooth point at infinity; that covers the whole
 catalog (char-2 Weierstrass forms, odd-characteristic y^2 = cubic, and the
 genus-2 quintic over F_2).  Counting works in GF(p^d) built from a
-deterministically chosen irreducible modulus.
+deterministically chosen irreducible modulus; one reduction mod (modulus, p),
+``_reduce``, serves the field product and the modulus search.
 """
 
 from __future__ import annotations
@@ -31,16 +35,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from zetatower.exact_arith import (
-    Poly,
-    as_rat,
-    horner,
-    is_self_inversive,
-    newton_power_sums,
-    pair_str,
-    rat_str,
-    series_exp,
-)
+from zetatower.exact_arith import Poly, as_rat, horner, is_self_inversive, pair_str, rat_str
 
 BRUTE_FORCE_FIELD_CAP = 2**20
 
@@ -110,57 +105,28 @@ def hasse_traces(q: int) -> list:
 # --------------------------------------------------------------------------
 
 
-def _poly_mod_mul(a: tuple, b: tuple, modulus: tuple, p: int) -> tuple:
-    d = len(modulus) - 1
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    # reduce by the monic modulus
+def _reduce(a: Sequence[int], monic: tuple, p: int) -> tuple:
+    """The d = deg(monic) coefficients of a mod (monic, p), each in range(p); len(a) >= d."""
+    d = len(monic) - 1
+    out = [x % p for x in a]
     for i in range(len(out) - 1, d - 1, -1):
         c = out[i]
         if c:
-            for j in range(d + 1):
-                out[i - d + j] = (out[i - d + j] - c * modulus[j]) % p
+            for j in range(d):
+                out[i - d + j] = (out[i - d + j] - c * monic[j]) % p
     return tuple(out[:d])
 
 
-def _is_irreducible(poly: tuple, p: int) -> bool:
-    d = len(poly) - 1
-    # no roots in GF(p)
-    for x in range(p):
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            return False
-    # no monic factor of degree 2..d//2 (trial division)
-    for deg in range(2, d // 2 + 1):
-        for tail in itertools.product(range(p), repeat=deg):
-            divisor = tuple(tail) + (1,)
-            rem = list(poly)
-            while len(rem) > deg:
-                c = rem[-1]
-                if c:
-                    shift = len(rem) - deg - 1
-                    for j, dc in enumerate(divisor):
-                        rem[shift + j] = (rem[shift + j] - c * dc) % p
-                rem.pop()
-            if not any(rem):
-                return False
-    return True
-
-
 def _find_irreducible(p: int, d: int) -> tuple:
-    """First monic irreducible of degree d over GF(p), in lexicographic order."""
-    if d == 1:
-        return (0, 1)
+    """First monic irreducible of degree d over GF(p), in lexicographic order.
+
+    A candidate is irreducible when no monic polynomial of degree 1..d//2
+    divides it, i.e. leaves a zero ``_reduce`` remainder (so at d = 1, T itself).
+    """
+    divisors = [tail + (1,) for k in range(1, d // 2 + 1) for tail in itertools.product(range(p), repeat=k)]
     for tail in itertools.product(range(p), repeat=d):
-        candidate = tuple(tail) + (1,)
-        if candidate[0] == 0:
-            continue  # divisible by x
-        if _is_irreducible(candidate, p):
+        candidate = tail + (1,)
+        if all(any(_reduce(candidate, divisor, p)) for divisor in divisors):
             return candidate
     raise RuntimeError(f"no irreducible of degree {d} over GF({p})")  # pragma: no cover
 
@@ -184,7 +150,12 @@ class GF:
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
     def mul(self, a: tuple, b: tuple) -> tuple:
-        return _poly_mod_mul(a, b, self.modulus, self.p)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _reduce(out, self.modulus, self.p)
 
     def embed_int(self, n: int) -> tuple:
         return (n % self.p,) + (0,) * (self.d - 1)
@@ -253,7 +224,16 @@ CURVE_KEYS = ("label", "q", "genus", "trace", "point_counts", "numerator")  # of
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """Input data for a base-level zeta: exactly one source must be given."""
+    """Input data for a base-level zeta: exactly one source must be given.
+
+    Building a spec checks types and shapes, divides a numerator by its A_0,
+    and builds the base level once (``artin_zeta``), so a spec whose level
+    fails ``validate_zeta_level`` or whose point counts no curve has is
+    refused.  The numerator source takes Weil-polynomial input, not only
+    curves: any self-inversive rational polynomial with P(1) > 0 is accepted,
+    rational coefficients and numerators that fail RH included, since the
+    rational-content towers and the RH controls are built from them.
+    """
 
     label: str
     q: int
@@ -275,11 +255,8 @@ class CurveSpec:
             _integer(self.trace, "trace")
             if self.genus != 1:
                 raise ValueError("a trace only describes a genus-1 curve")
-            if self.trace * self.trace > 4 * self.q:
-                raise ValueError(f"Hasse bound violated: {self.trace}^2 > 4*{self.q}")
         if self.point_counts is not None:
             object.__setattr__(self, "point_counts", _point_counts(self.point_counts))
-            artin_from_point_counts(self.q, self.genus, self.point_counts)  # refuses counts that no curve has
         if self.numerator is not None:
             try:
                 coeffs = tuple(as_rat(c) for c in self.numerator)
@@ -287,11 +264,8 @@ class CurveSpec:
                 raise ValueError(f"numerator {list(self.numerator)} has a zero denominator") from None
             if len(coeffs) != 2 * self.genus + 1 or coeffs[0] == 0 or coeffs[-1] == 0:
                 raise ValueError("numerator must have degree exactly 2g with nonzero ends")
-            coeffs = tuple(c / coeffs[0] for c in coeffs)  # force A_0 = 1
-            if not is_self_inversive(coeffs, self.q, self.genus):
-                raise ValueError("numerator violates the functional-equation symmetry")
-            _base_level(Poly(coeffs), self.q, self.genus)  # refuses a P(1) that is no class number
-            object.__setattr__(self, "numerator", coeffs)
+            object.__setattr__(self, "numerator", tuple(c / coeffs[0] for c in coeffs))  # force A_0 = 1
+        artin_zeta(self)  # refuses a base level that fails validation, or counts that no curve has
 
     def to_dict(self) -> dict:
         out = {"label": self.label, "q": self.q, "genus": self.genus}
@@ -443,7 +417,7 @@ def validate_zeta_level(z: ZetaLevel) -> list:
 
     # Z(1/(QT)) = Z(T) holds exactly when A_{2g-i} = Q^(g-i) A_i and deg P <= 2g
     fe = P.degree <= 2 * g and is_self_inversive(ints + (0,) * (2 * g + 1 - len(ints)), Q, g)
-    results.append(CheckResult("functional_equation", fe, "zeta(1/(QT)) = zeta(T)"))
+    results.append(CheckResult("functional_equation", fe, "numerator violates the functional-equation symmetry"))
 
     # Z has a simple pole at T = 1 (resp. 1/Q) unless P vanishes there.  The
     # functional equation forces Res_{T=1} = -Q * Res_{T=1/Q}, which with
@@ -464,16 +438,20 @@ def validate_zeta_level(z: ZetaLevel) -> list:
     results.append(CheckResult("numerator_degree", P.degree == 2 * g, f"numerator degree {P.degree}"))
 
     if not z.steps:
-        # P(1) = c * sum(ints) with c > 0
-        results.append(CheckResult("base_residue_positive", h1 > 0, "Res_{T=1} > 0 at the base"))
+        # P(1) = c * sum(ints) with c > 0 is the class number
+        c = P.view[0]
+        detail = "" if h1 > 0 else f"P(1) = {pair_str(c.numerator * h1, c.denominator)} is not a class number (at least 1)"
+        results.append(CheckResult("base_residue_positive", h1 > 0, detail))
     return results
 
 
 def _base_level(P: Poly, q: int, g: int) -> ZetaLevel:
-    """The base level of numerator P; rejects P(1) <= 0, since P(1) is the class number."""
-    if P(1) <= 0:
-        raise ValueError(f"P(1) = {rat_str(P(1))} is not a class number (at least 1); no curve has this zeta")
-    return ZetaLevel(steps=(), Q=q, genus=g, P=P)
+    """The base level of numerator P; ValueError joining the details of every ``validate_zeta_level`` check it fails."""
+    level = ZetaLevel(steps=(), Q=q, genus=g, P=P)
+    failed = [c.detail for c in validate_zeta_level(level) if not c.passed]
+    if failed:
+        raise ValueError(f"{'; '.join(failed)}; no curve has this zeta")
+    return level
 
 
 def artin_elliptic(q: int, a: int) -> ZetaLevel:
@@ -487,13 +465,15 @@ def artin_elliptic(q: int, a: int) -> ZetaLevel:
 def artin_from_point_counts(q: int, g: int, counts: Sequence[int]) -> ZetaLevel:
     """Complete zeta from the first g point counts N_1..N_g.
 
-    A_0..A_g come from the truncation of exp(sum N_k T^k / k) * (1-T)(1-qT);
-    the upper half follows from A_{2g-i} = q^(g-i) A_i.  Extra counts beyond
+    With p_k = q^k + 1 - N_k, Newton's identities k A_k = -sum_{j<=k} p_j A_{k-j}
+    give A_0..A_g; on the ints a_k = g! A_k each division by k is exact.  The
+    upper half follows from A_{2g-i} = q^(g-i) A_i.  Extra counts beyond
     the g needed are cross-checked against the result and rejected on mismatch.
     Counts no curve has are refused, naming the first bad N_k: a negative one,
-    then (once P(1), the class number, is known to be positive) one outside
-    Weil's bound (q^k + 1 - N_k)^2 <= 4 g^2 q^k, in exact ints.  Last, a
-    curve's P has integer coefficients, so the first non-integer A_i is named.
+    then (once the level passes ``validate_zeta_level``, so P(1), the class
+    number, is positive) one outside Weil's bound (q^k + 1 - N_k)^2 <= 4 g^2 q^k,
+    in exact ints.  Last, a curve's P has integer coefficients, so the first
+    non-integer A_i is named.
     """
     counts = _point_counts(counts)
     if g < 1:
@@ -503,16 +483,12 @@ def artin_from_point_counts(q: int, g: int, counts: Sequence[int]) -> ZetaLevel:
     for k, n_k in enumerate(counts, start=1):
         if n_k < 0:
             raise ValueError(f"point count N_{k} = {n_k} is negative; no curve has it")
-    zser = series_exp([0] + [Fraction(counts[k - 1], k) for k in range(1, g + 1)])
-    coeffs = [Fraction(0)] * (g + 3)
-    for k, s in enumerate(zser):  # zser * (1 - (q+1) T + q T^2), truncated at T^g below
-        coeffs[k] += s
-        coeffs[k + 1] -= (q + 1) * s
-        coeffs[k + 2] += q * s
-    del coeffs[g + 1 :]
-    for i in range(g - 1, -1, -1):
-        coeffs.append(q ** (g - i) * coeffs[i])
-    P = Poly(coeffs)
+    p = [q**k + 1 - n_k for k, n_k in enumerate(counts[:g], start=1)]
+    a = [math.factorial(g)]
+    for k in range(1, g + 1):
+        a.append(-sum(p[j - 1] * a[k - j] for j in range(1, k + 1)) // k)
+    a += [q ** (g - i) * a[i] for i in range(g - 1, -1, -1)]
+    P = Poly.from_ints(a, a[0])
 
     # Any extra supplied counts must agree with the counts the numerator implies.
     implied_counts = point_counts_from_numerator(P, q, len(counts))
@@ -526,22 +502,27 @@ def artin_from_point_counts(q: int, g: int, counts: Sequence[int]) -> ZetaLevel:
                 f"point count N_{k} = {n_k} violates Weil's bound |q^k + 1 - N_k| <= 2g q^(k/2) "
                 f"at q = {q}, g = {g}; no curve has it"
             )
-    for i, a in enumerate(coeffs):
-        if a.denominator != 1:
-            raise ValueError(f"A_{i} = {rat_str(a)} is not an integer, so no curve has these point counts")
+    for i, a_i in enumerate(a[: g + 1]):
+        if a_i % a[0]:
+            raise ValueError(f"A_{i} = {pair_str(a_i, a[0])} is not an integer, so no curve has these point counts")
     return level
 
 
 def point_counts_from_numerator(P: Poly, Q: int, k_max: int) -> tuple:
     """N_1..N_K implied by a constant-term-1 numerator over Q: N_k = Q^k + 1 - p_k.
 
-    p_k is the k-th power sum of the reciprocal roots, from the coefficients
-    by Newton's identities; no root extraction.
+    p_k is the k-th power sum of the reciprocal roots, by Newton's identities
+    on the view's ints x (A_i = x_i / x_0): s_k = p_k x_0^k is the int
+    -(k x_k x_0^(k-1) + sum_{j<k} s_j x_{k-j} x_0^(k-1-j)); no root extraction.
     """
     if P[0] != 1:
         raise ValueError("power sums need the numerator normalized to constant term 1")
-    psums = newton_power_sums([(-1) ** i * P[i] for i in range(1, P.degree + 1)], k_max)
-    return tuple(Q**k + 1 - psums[k - 1] for k in range(1, k_max + 1))
+    x = P.view[1] + (0,) * k_max
+    x0 = [x[0] ** i for i in range(k_max + 1)]  # powers of x_0
+    s = [0]  # s_0 is unused
+    for k in range(1, k_max + 1):
+        s.append(-(k * x[k] * x0[k - 1] + sum(s[j] * x[k - j] * x0[k - 1 - j] for j in range(1, k))))
+    return tuple(Q**k + 1 - Fraction(s[k], x0[k]) for k in range(1, k_max + 1))
 
 
 def artin_zeta(spec: CurveSpec) -> ZetaLevel:

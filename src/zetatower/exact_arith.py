@@ -7,8 +7,7 @@ index ``i`` holding the coefficient of ``T**i`` (``content_primitive``; the
 zero polynomial is (1, ())).  That form is unique, so equality and hashing
 read it, and every evaluation is one integer ``horner`` pass over it.
 Fractions appear only at the edges: a coefficient that a caller reads
-(``P[i]``, c * ints[i]) and the rationals that callers pass in and get back,
-such as a value ``P(t)``.
+(``P[i]``, c * ints[i]) and the rationals that callers pass in and get back.
 A level's Q is an int prime power that the callers pass in.  ``Poly`` has no
 ring operations and no division: ``pseudo_divide`` and ``poly_gcd`` work on
 int coefficient lists, such as a view's ints, and form no rational.  A
@@ -165,13 +164,6 @@ class Poly:
 
     __iter__ = None  # iteration through __getitem__ would never stop
 
-    def __call__(self, t: Scalar) -> Fraction:
-        """P(u/w) = c sum ints_i u^i w^(d-i) / w^d, one integer Horner pass over the view."""
-        t = as_rat(t)
-        c, ints = self.view
-        num = c.numerator * horner(ints, t.numerator, t.denominator)
-        return Fraction(num, c.denominator * t.denominator ** max(len(ints) - 1, 0))
-
 
 def interpolate(xs: Sequence[int], ys: Sequence[tuple]) -> Poly:
     """The unique polynomial of degree < len(xs) through the points (xs[i], N_i/D_i), ys[i] = (N_i, D_i).
@@ -279,24 +271,3 @@ def series_exp(g: Sequence[Scalar]) -> list:
     for n in range(1, len(g)):
         e.append(sum(j * g[j] * e[n - j] for j in range(1, n + 1)) / n)
     return e
-
-
-def newton_power_sums(elem: Sequence[Fraction], k_max: int) -> list:
-    """Power sums p_1..p_K from elementary symmetric values e_1..e_m.
-
-    Newton's identities; no root extraction.  elem[i-1] holds e_i, values
-    beyond the given list are zero.
-    """
-    e = [as_rat(c) for c in elem]
-    m = len(e)
-
-    def ei(i: int) -> Fraction:
-        return e[i - 1] if 1 <= i <= m else Fraction(0)
-
-    p: list = []
-    for k in range(1, k_max + 1):
-        acc = (-1) ** (k - 1) * k * ei(k)
-        for i in range(1, k):
-            acc += (-1) ** (i - 1) * ei(i) * p[k - i - 1]
-        p.append(acc)
-    return p

@@ -1,8 +1,8 @@
 """The residue-generating series and the elliptic recursions.
 
 N_k = Q^k + 1 - p_k, where p_k is the k-th power sum of the reciprocal roots
-of the (constant-term-1) numerator, obtained from its coefficients by
-Newton's identities (``curves.point_counts_from_numerator``); no root
+of the (constant-term-1) numerator, obtained from its view's ints by one
+integer Newton recurrence (``curves.point_counts_from_numerator``); no root
 extraction anywhere.  The generating series
 
     B(x) = exp( sum_m  N_m / (Q^m - 1) * x^m / m )

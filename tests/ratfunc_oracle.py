@@ -2,10 +2,13 @@
 
 The package ``Poly`` is only its integer view, with no arithmetic.
 ``RingPoly`` is the test-only subclass that adds the polynomial ring over
-``Fraction`` coefficients (+, -, *, ** and the cached ``coeffs`` tuple);
+``Fraction`` coefficients (+, -, *, **, evaluation and the cached ``coeffs``
+tuple);
 ``ring(P)`` lifts a package ``Poly`` by its view, and ``ZERO`` and ``ONE``
-are its constants.  A test that multiplies a level's P, or reads its
-coefficients as a tuple, goes through ``ring``.
+are its constants.  A test that multiplies a level's P, evaluates it, or
+reads its coefficients as a tuple, goes through ``ring``.
+``newton_power_sums`` is Newton's identities over ``Fraction``s, the
+reference for the integer recurrence of ``curves.point_counts_from_numerator``.
 
 The package stores a level as its numerator P; ``to_ratfunc`` rebuilds the
 complete zeta P / ((1-T)(1-QT)T^(g-1)) as a canonical ``RatFunc``, so the
@@ -77,6 +80,13 @@ class RingPoly(Poly):
     def __iter__(self):
         return iter(self.coeffs)
 
+    def __call__(self, t) -> Fraction:
+        """P(t) by Horner over the Fraction coefficients."""
+        t, acc = as_rat(t), Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * t + c
+        return acc
+
     def __add__(self, other) -> "RingPoly":
         a, b = self.coeffs, ring(other).coeffs
         if len(a) < len(b):
@@ -138,6 +148,28 @@ def ring(p) -> RingPoly:
 
 ZERO = RingPoly()
 ONE = RingPoly([1])
+
+
+def newton_power_sums(elem, k_max: int) -> list:
+    """Power sums p_1..p_K from elementary symmetric values e_1..e_m, in Fractions.
+
+    Newton's identities; no root extraction.  elem[i-1] holds e_i, values
+    beyond the given list are zero.  The reference for the integer recurrence
+    of ``curves.point_counts_from_numerator``.
+    """
+    e = [as_rat(c) for c in elem]
+    m = len(e)
+
+    def ei(i: int) -> Fraction:
+        return e[i - 1] if 1 <= i <= m else Fraction(0)
+
+    p: list = []
+    for k in range(1, k_max + 1):
+        acc = (-1) ** (k - 1) * k * ei(k)
+        for i in range(1, k):
+            acc += (-1) ** (i - 1) * ei(i) * p[k - i - 1]
+        p.append(acc)
+    return p
 
 
 class PoleError(ArithmeticError):

@@ -1,6 +1,7 @@
 """Tests for base-level zeta construction, validation, and point counting."""
 
 import copy
+import itertools
 import json
 import pickle
 import time
@@ -13,7 +14,16 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from conftest import rationals
-from ratfunc_oracle import RatFunc, RingPoly, residue_simple_pole, ring, standard_denominator, to_ratfunc
+from ratfunc_oracle import (
+    RatFunc,
+    RingPoly,
+    newton_power_sums,
+    residue_simple_pole,
+    ring,
+    standard_denominator,
+    to_ratfunc,
+)
+from zetatower import curves
 from zetatower.curves import (
     CATALOG,
     CurveSpec,
@@ -26,6 +36,7 @@ from zetatower.curves import (
     count_points_bruteforce,
     hasse_traces,
     load_curves,
+    point_counts_from_numerator,
     prime_power_split,
     validate_zeta_level,
 )
@@ -63,6 +74,38 @@ def test_count_over_prime_power_base():
 def test_count_enumeration_cap():
     with pytest.raises(ValueError, match="enumeration bound"):
         count_points_bruteforce(CATALOG["E2a0"].model, 2, 25)
+
+
+def _irreducible_by_trial_division(poly: tuple, p: int) -> bool:
+    """No root in GF(p) and no monic factor of degree 2..d//2, by long division."""
+    if any(sum(c * x**i for i, c in enumerate(poly)) % p == 0 for x in range(p)):
+        return False
+    for deg in range(2, (len(poly) - 1) // 2 + 1):
+        for tail in itertools.product(range(p), repeat=deg):
+            divisor, rem = tail + (1,), list(poly)
+            while len(rem) > deg:
+                c, shift = rem.pop(), len(rem) - deg
+                for j, dc in enumerate(divisor[:-1]):
+                    rem[shift + j] = (rem[shift + j] - c * dc) % p
+            if not any(rem):
+                return False
+    return True
+
+
+def _trial_division_modulus(p: int, d: int) -> tuple:
+    """The first monic irreducible of degree d over GF(p) by a root test and trial division, the search's reference."""
+    if d == 1:
+        return (0, 1)
+    candidates = (tail + (1,) for tail in itertools.product(range(p), repeat=d) if tail[0])
+    return next(poly for poly in candidates if _irreducible_by_trial_division(poly, p))
+
+
+def test_the_field_modulus_is_the_trial_division_one():
+    # every field with p <= 13 and p^d <= 2^12: the modulus fixes the field's element tuples, so every count
+    fields = [(p, d) for p in (2, 3, 5, 7, 11, 13) for d in range(1, 13) if p**d <= 2**12]
+    assert len(fields) == 34
+    for p, d in fields:
+        assert curves._find_irreducible(p, d) == _trial_division_modulus(p, d), (p, d)
 
 
 def test_count_rejects_unknown_equation():
@@ -436,7 +479,7 @@ def test_a_derived_level_pickles_and_copies():
 def test_every_catalog_curve_has_counts_some_curve_can_have():
     for label in CATALOG:
         spec = catalog_curve(label).spec()
-        assert artin_zeta(spec).P(1) >= 1, label
+        assert ring(artin_zeta(spec).P)(1) >= 1, label
     assert CurveSpec(label="X2g2", q=2, genus=2, point_counts=(3, 5)).point_counts == (3, 5)
 
 
@@ -533,6 +576,83 @@ def test_numerator_source_refuses_a_p1_that_is_no_class_number():
         with pytest.raises(ValueError, match=r"P\(1\) = -?\d+ is not a class number"):
             CurveSpec(label="bad", q=2, genus=len(numerator) // 2, numerator=numerator)
     assert CurveSpec(label="neg", q=2, genus=1, numerator=(-1, 0, -2)).numerator == (1, 0, 2)
+
+
+def _spy_on_validation(monkeypatch) -> list:
+    """The levels curves.validate_zeta_level is called on, each with the names of the checks it failed."""
+    seen, validate = [], curves.validate_zeta_level
+
+    def spy(z):
+        results = validate(z)
+        seen.append((z.steps, [r.name for r in results if not r.passed]))
+        return results
+
+    monkeypatch.setattr(curves, "validate_zeta_level", spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"trace": -1}, {"point_counts": (3, 5), "genus": 2}, {"numerator": ("1", "1/2", "2")}],
+)
+def test_every_base_level_is_validated_like_every_level(fields, monkeypatch):
+    seen = _spy_on_validation(monkeypatch)
+    spec = CurveSpec(**{"label": "x", "q": 2, "genus": 1, **fields})
+    assert seen == [((), [])]
+    artin_zeta(spec)
+    assert seen == [((), [])] * 2
+
+
+@pytest.mark.parametrize(
+    "fields, failed, message",
+    [
+        ({"numerator": (1, 0, 3)}, ["functional_equation", "residue_antisymmetry"], "symmetry"),
+        ({"numerator": (-1, 3, -2)}, ["residue_antisymmetry", "base_residue_positive"], r"P\(1\) = 0 is not a class number"),
+        ({"q": 4, "point_counts": (0,)}, ["residue_antisymmetry", "base_residue_positive"], r"P\(1\) = 0 is not a class number"),
+    ],
+)
+def test_each_source_is_refused_through_the_validator(fields, failed, message, monkeypatch):
+    seen = _spy_on_validation(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        CurveSpec(**{"label": "x", "q": 2, "genus": 1, **fields})
+    assert seen == [((), failed)]
+
+
+@st.composite
+def _rational_numerators(draw):
+    """(P, Q): constant term 1 and rational A_1..A_d, d <= 6, so the view's x_0 is mostly above 1."""
+    Q = draw(st.sampled_from([2, 3, 4, 5, 9]))
+    return Poly([1] + draw(st.lists(rationals(max_abs=20, max_den=12), min_size=1, max_size=6))), Q
+
+
+def _fraction_counts(P, Q, k_max):
+    """N_1..N_K by Newton's identities over Fractions, the reference for the integer recurrence."""
+    psums = newton_power_sums([(-1) ** i * P[i] for i in range(1, P.degree + 1)], k_max)
+    return tuple(Q**k + 1 - psums[k - 1] for k in range(1, k_max + 1))
+
+
+@given(_rational_numerators(), st.integers(min_value=1, max_value=9))
+def test_point_counts_of_a_rational_numerator_match_the_fraction_recurrence(case, k_max):
+    P, Q = case
+    counts = point_counts_from_numerator(P, Q, k_max)
+    assert counts == _fraction_counts(P, Q, k_max)
+    assert all(isinstance(n, Fraction) for n in counts)
+
+
+def test_point_counts_of_derived_levels_match_the_fraction_recurrence():
+    bases = [artin_elliptic(2, 0), artin_elliptic(3, -3), artin_zeta(catalog_curve("X2g2").spec())]
+    bases.append(artin_zeta(CurveSpec(label="h", q=2, genus=1, numerator=("1", "1/2", "2"))))
+    for base in bases:
+        for n in (2, 3, 5):
+            z = normalize_level(derive_step(base, n))
+            assert point_counts_from_numerator(z.P, z.Q, 6) == _fraction_counts(z.P, z.Q, 6), (base.P, n)
+
+
+def test_point_counts_of_the_catalog_match_brute_force():
+    for label, c in CATALOG.items():
+        ks = range(1, c.genus + 3)
+        counts = tuple(count_points_bruteforce(c.model, c.q, k) for k in ks)
+        assert point_counts_from_numerator(artin_zeta(c.spec()).P, c.q, len(ks)) == counts, label
 
 
 # -- catalog -------------------------------------------------------------------

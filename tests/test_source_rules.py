@@ -81,19 +81,33 @@ def test_a_level_is_its_numerator():
 
 
 # the Fraction polynomial ring, which lives in tests/ratfunc_oracle.py as RingPoly
-RING_NAMES = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__", "__pow__", "coeffs", "is_zero")
+RING_NAMES = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__", "__pow__", "__call__", "coeffs", "is_zero"
+)
 
 
 def test_the_package_poly_is_its_view_not_a_ring():
     # a level is its numerator's integer view; a Poly is no iterable either, since __getitem__
-    # reads zeros past the degree, so an iteration through it would never end
+    # reads zeros past the degree, so an iteration through it would never end.  The names are
+    # looked up on an instance, since every class has a __call__ (its constructor)
     from zetatower import exact_arith
     from zetatower.exact_arith import Poly
 
-    assert [name for name in RING_NAMES if hasattr(Poly, name)] == []
+    assert [name for name in RING_NAMES if hasattr(Poly([1, 2]), name)] == []
     assert [name for name in ("ZERO", "ONE", "BigRat", "_as_poly") if hasattr(exact_arith, name)] == []
     with pytest.raises(TypeError):
         iter(Poly([1, 2]))
+
+
+def test_a_base_level_has_one_route_per_job():
+    # curves.py turns counts into P and P into counts by one integer Newton recurrence, and reduces
+    # mod p through one _reduce; the Fraction forms live in tests/ratfunc_oracle.py
+    from zetatower import curves, exact_arith
+
+    assert [name for name in ("newton_power_sums",) if hasattr(exact_arith, name)] == []
+    assert [name for name in ("_is_irreducible", "_poly_mod_mul") if hasattr(curves, name)] == []
+    path = PACKAGE / "curves.py"
+    assert "series_exp" not in _names(path.read_text(encoding="utf-8"), str(path))
 
 
 DERIVATIONS = {"derive_step", "derive_tower", "special_values", "interlacing_poly"}
@@ -202,6 +216,7 @@ REACH_ALLOWLIST = {
     "derived_engine.compositions": "perfbench/tracer.py counts what it yields",
     "derived_engine.derive_tower": "perfbench/tracer.py times it",
     "exact_arith.poly_gcd": "perfbench/tracer.py times it",
+    "exact_arith.series_exp": "scripts/export_beta_table.py, through mult_struct.residue_series_exp",
     "mult_struct.residue_series_exp": "scripts/export_beta_table.py",
 }
 

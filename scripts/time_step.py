@@ -10,7 +10,8 @@ time of ``derive_step(base, n)`` for n = 1..5, of ``validate_zeta_level`` and
 of ``extract_invariants`` on those 155 levels, and of
 ``special_values(base, n)`` for n = 1..5.  Last the RH verdict:
 ``rh_verdict_for_level`` summed over the 98 RH-admissible integer genus-2
-numerators 1 + a1 T + a2 T^2 + q a1 T^3 + q^2 T^4 over q = 2, 3 at the
+numerators 1 + a1 T + a2 T^2 + q a1 T^3 + q^2 T^4 over q = 2, 3 (the box
+|a1| <= 4q, |a2| <= 6q, kept by the package's exact ``rh_sturm``) at the
 steps (), (2), (3), (2, 2), alone on X2g2 at (10, 10, 10) and at
 (10, 10, 10, 5), and alone on the genus-3 numerator 1 + T + 2T^2 + 3T^3 +
 4T^4 + 4T^5 + 8T^6 over F_2 at (10, 10, 10), whose verdict is the exact
@@ -29,10 +30,11 @@ timer.
 import sys
 import time
 
-from zetatower.curves import CurveSpec, artin_elliptic, artin_zeta, catalog_curve, validate_zeta_level
+from zetatower.curves import CurveSpec, artin_elliptic, catalog_curve, validate_zeta_level
 from zetatower.derived_engine import derive_step, special_values
+from zetatower.exact_arith import Poly
 from zetatower.invariants import extract_invariants
-from zetatower.rh_lab import builtin_elliptic_grid, curve_tower, rh_verdict_for_level
+from zetatower.rh_lab import builtin_elliptic_grid, curve_tower, rh_sturm, rh_verdict_for_level
 
 DEPTHS = (10, 20, 40, 60)
 TUPLE = (10, 10, 10, 5)
@@ -53,22 +55,13 @@ def best_of_3(run) -> float:
 
 
 def genus2_pool(q: int) -> list:
-    """Every integer (a1, a2) whose numerator satisfies RH over q, by the exact test on its R(u).
-
-    R(u) = u^2 + a1 u + a2 - 2q must have both roots real and in
-    [-2 sqrt q, 2 sqrt q]; with m = a2 + 2q that reads m >= 0 and m^2 >= 4q a1^2.
-    """
-    pool = []
-    for a1 in range(-4 * q, 4 * q + 1):
-        for a2 in range(-6 * q, 6 * q + 1):
-            m = a2 + 2 * q
-            if a1 * a1 >= 4 * (a2 - 2 * q) and a1 * a1 <= 16 * q and m >= 0 and m * m >= 4 * q * a1 * a1:
-                pool.append((a1, a2))
-    return pool
+    """Every integer (a1, a2) with |a1| <= 4q, |a2| <= 6q whose numerator satisfies RH over q, by ``rh_sturm``."""
+    box = [(a1, a2) for a1 in range(-4 * q, 4 * q + 1) for a2 in range(-6 * q, 6 * q + 1)]
+    return [(a1, a2) for a1, a2 in box if rh_sturm(Poly([1, a1, a2, q * a1, q * q]), q).holds]
 
 
 def main() -> int:
-    bases = {"E3a1": artin_elliptic(3, 1), "X2g2": artin_zeta(catalog_curve("X2g2").spec())}
+    bases = {"E3a1": artin_elliptic(3, 1), "X2g2": catalog_curve("X2g2").spec().level}
     for name, z in bases.items():
         for n in DEPTHS:
             print(f"{name} (genus {z.genus}) derive_step n={n}: {best_of_3(lambda: derive_step(z, n)):.3f} s", flush=True)
@@ -78,7 +71,7 @@ def main() -> int:
         print(f"X2g2 step {z.steps + (n,)} (new Q has {bits} bits): {best_of_3(lambda: derive_step(z, n)):.3f} s", flush=True)
         z = derive_step(z, n)
 
-    shallow = [artin_zeta(spec) for spec in builtin_elliptic_grid()] + [bases["X2g2"]]
+    shallow = [spec.level for spec in builtin_elliptic_grid()] + [bases["X2g2"]]
     levels = [derive_step(z, n) for z in shallow for n in SHALLOW]
     label = f"{len(shallow)} bases, n = {SHALLOW[0]}..{SHALLOW[-1]}"
     steps_s = best_of_3(lambda: [derive_step(z, n) for z in shallow for n in SHALLOW])

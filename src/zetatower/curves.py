@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -137,10 +137,8 @@ class GF:
     def __init__(self, p: int, d: int):
         self.p = p
         self.d = d
-        self.order = p**d
         self.modulus = _find_irreducible(p, d)
         self.zero = (0,) * d
-        self.one = (1,) + (0,) * (d - 1)
 
     def elements(self):
         for tup in itertools.product(range(self.p), repeat=self.d):
@@ -226,12 +224,16 @@ CURVE_KEYS = ("label", "q", "genus", "trace", "point_counts", "numerator")  # of
 class CurveSpec:
     """Input data for a base-level zeta: exactly one source must be given.
 
-    Building a spec checks types and shapes, divides a numerator by its A_0,
-    and builds the base level once (``artin_zeta``), so a spec whose level
-    fails ``validate_zeta_level`` or whose point counts no curve has is
-    refused.  The numerator source takes Weil-polynomial input, not only
-    curves: any self-inversive rational polynomial with P(1) > 0 is accepted,
-    rational coefficients and numerators that fail RH included, since the
+    Building a spec is the one check of its fields, from any source: a str
+    label, int q, genus and trace, and a list or tuple of int point counts or
+    of int, "p/q" string or Fraction numerator coefficients (never a bool),
+    or ValueError.  It divides a numerator by its A_0 and builds the base
+    level once (``artin_zeta``) as ``level``, which no comparison, hash, repr
+    or ``to_dict`` reads, so a spec whose level fails ``validate_zeta_level``
+    or whose point counts no curve has is refused.
+    The numerator source takes Weil-polynomial input, not only curves: any
+    self-inversive rational polynomial with P(1) > 0 is accepted, rational
+    coefficients and numerators that fail RH included, since the
     rational-content towers and the RH controls are built from them.
     """
 
@@ -241,22 +243,31 @@ class CurveSpec:
     trace: Optional[int] = None
     point_counts: Optional[tuple] = None
     numerator: Optional[tuple] = None
+    level: ZetaLevel = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise ValueError(f"label must be a string, got {self.label!r}")
         _integer(self.q, "q")
         _integer(self.genus, "genus")
+        if self.trace is not None:
+            _integer(self.trace, "trace")
+        if self.point_counts is not None:
+            object.__setattr__(self, "point_counts", _point_counts(self.point_counts))
+        if self.numerator is not None:
+            if not isinstance(self.numerator, (list, tuple)):
+                raise ValueError(f'numerator must be a list of integers or "p/q" strings, got {self.numerator!r}')
+            for i, c in enumerate(self.numerator):
+                if not (_is_int(c) or isinstance(c, (str, Fraction))):
+                    raise ValueError(f'numerator coefficient A_{i} must be an int, "p/q" string or Fraction, got {c!r}')
         prime_power_split(self.q)
         if self.genus < 1:
             raise ValueError("genus 0 is rejected; the tower formulas need g >= 1")
         sources = [s is not None for s in (self.trace, self.point_counts, self.numerator)]
         if sum(sources) != 1:
             raise ValueError("exactly one of trace / point_counts / numerator must be given")
-        if self.trace is not None:
-            _integer(self.trace, "trace")
-            if self.genus != 1:
-                raise ValueError("a trace only describes a genus-1 curve")
-        if self.point_counts is not None:
-            object.__setattr__(self, "point_counts", _point_counts(self.point_counts))
+        if self.trace is not None and self.genus != 1:
+            raise ValueError("a trace only describes a genus-1 curve")
         if self.numerator is not None:
             try:
                 coeffs = tuple(as_rat(c) for c in self.numerator)
@@ -265,7 +276,7 @@ class CurveSpec:
             if len(coeffs) != 2 * self.genus + 1 or coeffs[0] == 0 or coeffs[-1] == 0:
                 raise ValueError("numerator must have degree exactly 2g with nonzero ends")
             object.__setattr__(self, "numerator", tuple(c / coeffs[0] for c in coeffs))  # force A_0 = 1
-        artin_zeta(self)  # refuses a base level that fails validation, or counts that no curve has
+        object.__setattr__(self, "level", artin_zeta(self))  # refuses an invalid level, or counts no curve has
 
     def to_dict(self) -> dict:
         out = {"label": self.label, "q": self.q, "genus": self.genus}
@@ -279,9 +290,9 @@ class CurveSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CurveSpec":
-        """Build from a parsed JSON object; a field of the wrong type, or a key not in CURVE_KEYS, raises ValueError.
+        """Build from a parsed JSON object; ValueError unless it is an object of CURVE_KEYS with label, q and genus.
 
-        A null trace, point_counts or numerator counts as absent.
+        Its fields are checked by ``CurveSpec`` itself; a null trace, point_counts or numerator counts as absent.
         """
         if not isinstance(d, dict):
             raise ValueError(f"a curve entry must be a JSON object, got {d!r}")
@@ -291,25 +302,7 @@ class CurveSpec:
         missing = [k for k in ("label", "q", "genus") if k not in d]
         if missing:
             raise ValueError(f"curve entry {d!r} lacks {', '.join(missing)}")
-        if not isinstance(d["label"], str) or not (_is_int(d["q"]) and _is_int(d["genus"])):
-            raise ValueError(f"curve entry {d!r} needs a string label and integer q and genus")
-        trace, counts, numerator = d.get("trace"), d.get("point_counts"), d.get("numerator")
-        if trace is not None and not _is_int(trace):
-            raise ValueError(f"trace must be an integer, got {trace!r}")
-        if counts is not None and not (isinstance(counts, list) and all(_is_int(n) for n in counts)):
-            raise ValueError(f"point_counts must be a list of integers, got {counts!r}")
-        if numerator is not None and not (
-            isinstance(numerator, list) and all(_is_int(c) or isinstance(c, str) for c in numerator)
-        ):
-            raise ValueError(f'numerator must be a list of integers or "p/q" strings, got {numerator!r}')
-        return cls(
-            label=d["label"],
-            q=d["q"],
-            genus=d["genus"],
-            trace=trace,
-            point_counts=None if counts is None else tuple(counts),
-            numerator=None if numerator is None else tuple(numerator),
-        )
+        return cls(**d)
 
 
 def _is_int(x) -> bool:
@@ -325,7 +318,9 @@ def _integer(x, name: str) -> int:
 
 
 def _point_counts(counts) -> tuple:
-    """The point counts N_1, N_2, ... as a tuple of ints; ValueError naming the first that is not one."""
+    """N_1, N_2, ... from a list or tuple of ints, as a tuple; ValueError naming the first that is not one."""
+    if not isinstance(counts, (list, tuple)):
+        raise ValueError(f"point_counts must be a list of integers, got {counts!r}")
     return tuple(_integer(n, f"point count N_{k}") for k, n in enumerate(counts, start=1))
 
 

@@ -81,7 +81,7 @@ from dataclasses import dataclass, replace
 from math import comb, gcd
 from typing import Iterator, Sequence, Union
 
-from zetatower.curves import CurveSpec, ZetaLevel, artin_zeta, validate_zeta_level
+from zetatower.curves import CurveSpec, ZetaLevel, validate_zeta_level
 from zetatower.exact_arith import Poly, interpolate, over_lcm
 
 
@@ -257,26 +257,14 @@ def normalize_level(z: ZetaLevel) -> ZetaLevel:
     return replace(z, P=Poly.from_ints([sign * x for x in ints], abs(ints[0])))
 
 
-def derive_tower(
-    base: Union[CurveSpec, ZetaLevel], steps: Sequence[int], normalize: bool = False
-) -> list:
-    """Iterate derive_step along ``steps``; returns the derived levels in order.
-
-    With normalize=True every level (including the base) is divided by its
-    constant numerator coefficient before deriving further.
-    """
+def derive_tower(base: Union[CurveSpec, ZetaLevel], steps: Sequence[int]) -> list:
+    """Iterate derive_step along ``steps`` from a level or a spec's ``level``; returns the derived levels in order."""
     steps = tuple(int(n) for n in steps)
     if not steps:
         raise ValueError("derivation tuple must be nonempty")
     if any(n < 1 for n in steps):
         raise ValueError("derivation tuple entries must be >= 1")
-    cur = artin_zeta(base) if isinstance(base, CurveSpec) else base
-    if normalize:
-        cur = normalize_level(cur)
-    levels = []
+    levels = [base.level if isinstance(base, CurveSpec) else base]
     for n in steps:
-        cur = derive_step(cur, n)
-        if normalize:
-            cur = normalize_level(cur)
-        levels.append(cur)
-    return levels
+        levels.append(derive_step(levels[-1], n))
+    return levels[1:]

@@ -53,7 +53,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import mpmath as mp
 
-from zetatower.curves import CheckResult, CurveSpec, ZetaLevel, artin_zeta, hasse_traces, prime_power_split
+from zetatower.curves import CheckResult, CurveSpec, ZetaLevel, hasse_traces, prime_power_split
 from zetatower.derived_engine import SpecialValues, derive_step, special_values
 from zetatower.exact_arith import (
     Poly,
@@ -361,20 +361,20 @@ def curve_tower(spec: CurveSpec) -> Tower:
     """A lazy tower over one curve: each entry is computed the first time it is read.
 
     A level is derived, one step at a time, from the longest prefix already
-    stored (the base comes from the curve), so the depth of a path costs no
-    recursion.  The memos are local to this tower, and one that raises stores
-    nothing: it is tried again, and raises again, every time it is read.
-    Callees are looked up by name at call time, so a patched module global
-    is the one that runs.
+    stored, so the depth of a path costs no recursion; the base is the
+    spec's ``level``, built once, with the spec.  The memos are local to this
+    tower, and one that raises stores nothing: it is tried again, and raises
+    again, every time it is read.  Callees are looked up by name at call
+    time, so a patched module global is the one that runs.
     """
-    levels = {}
+    levels = {(): spec.level}
 
     def level(steps: tuple) -> ZetaLevel:
         i = len(steps)
-        while i >= 0 and steps[:i] not in levels:
+        while steps[:i] not in levels:
             i -= 1
-        for j in range(i + 1, len(steps) + 1):  # i = -1: not even the base is stored
-            levels[steps[:j]] = derive_step(levels[steps[: j - 1]], steps[j - 1]) if j else artin_zeta(spec)
+        for j in range(i + 1, len(steps) + 1):
+            levels[steps[:j]] = derive_step(levels[steps[: j - 1]], steps[j - 1])
         return levels[steps]
 
     def by_numerator(stage: Callable[[ZetaLevel], object]) -> Callable[[tuple], object]:

@@ -22,6 +22,9 @@ it loops over every integer composition (2^(n-1) of them) and adds canonical
 reduction, instead of being certified by residues.  Its cost is exponential
 in n; keep n <= 8.
 
+``normalized_tower`` is ``derive_tower`` with every level, the base
+included, divided by its constant coefficient before the next step.
+
 ``oracle_invariants`` reads (alphas, beta) off a level by ``Poly`` division,
 the reference for ``invariants.extract_invariants``, which divides on the
 coefficient list.
@@ -45,7 +48,7 @@ from fractions import Fraction
 from math import comb
 
 from zetatower.curves import CheckResult, ZetaLevel
-from zetatower.derived_engine import compositions, derive_step, special_values
+from zetatower.derived_engine import compositions, derive_step, normalize_level, special_values
 from zetatower.exact_arith import Poly, as_rat, is_self_inversive
 from zetatower.mult_struct import residue_series_exp
 
@@ -433,6 +436,15 @@ def oracle_interlacing_poly(sv, n: int) -> Poly:
     for ell in range(1, n + 1):
         clearing = clearing * RingPoly([-1, sv.Q**ell])
     return (interlacing_tail(sv, n) * RatFunc(clearing)).to_poly()
+
+
+def normalized_tower(base: ZetaLevel, steps) -> list:
+    """The levels of ``derive_tower(base, steps)``, each step taken from the normalized previous level and normalized."""
+    cur, levels = normalize_level(base), []
+    for n in steps:
+        cur = normalize_level(derive_step(cur, n))
+        levels.append(cur)
+    return levels
 
 
 def oracle_invariants(z) -> tuple:

@@ -16,8 +16,10 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from ratfunc_oracle import normalized_tower
 from zetatower.cli import UsageError, main, parse_curve_arg
-from zetatower.curves import CATALOG, artin_zeta, catalog_curve, load_curves
+from zetatower import curves
+from zetatower.curves import CATALOG, CurveSpec, artin_zeta, catalog_curve, load_curves
 from zetatower.derived_engine import derive_tower
 from zetatower.exact_arith import as_rat, rat_str
 
@@ -369,28 +371,19 @@ def test_a_csv_label_with_a_comma_a_quote_and_a_newline_reads_back(tmp_path, cap
 
 def test_a_repeated_curve_label_is_usage_error(monkeypatch, tmp_path, capsys):
     # each (curve, tuple) cell of a repeated label was derived and reported twice
-    from zetatower import rh_lab
-
-    def fail(*args):
-        raise AssertionError("derived a level of a refused sweep")
-
-    monkeypatch.setattr(rh_lab, "artin_zeta", fail)
-    path = tmp_path / "curves.json"
+    _refuse_derivation(monkeypatch)
+    path, out = tmp_path / "curves.json", tmp_path / "out.json"
     spec = {"label": "twice", "q": 2, "genus": 1, "trace": 0}
     path.write_text(json.dumps([{**spec, "label": "once"}, spec, {**spec, "trace": 1}]))
     for source, label in ((["--q", "3,2,2"], "elliptic_q2_a-2"), (["--curves", str(path)], "twice")):
-        assert run_cli(["sweep", *source, "--tuples", "1", "--checks", "rh"]) == 2
+        assert run_cli(["sweep", *source, "--tuples", "1", "--checks", "rh", "--output", str(out)]) == 2
         assert f"error: curve label {label!r} is repeated" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_a_repeated_tuple_is_usage_error(monkeypatch, tmp_path, capsys):
     # each cell of a repeated tuple was derived and reported twice, and counted twice in the summary
-    from zetatower import rh_lab
-
-    def fail(*args):
-        raise AssertionError("derived a level of a refused sweep")
-
-    monkeypatch.setattr(rh_lab, "artin_zeta", fail)
+    _refuse_derivation(monkeypatch)
     out = tmp_path / "out.json"
     for tuples, named in (("2;2;1,2", "(2,)"), ("1,2;3;1,2", "(1, 2)")):
         assert run_cli(["sweep", "--q", "2", "--tuples", tuples, "--output", str(out)]) == 2
@@ -480,6 +473,60 @@ def test_curve_file_with_mistyped_fields_is_usage_error(fields, tmp_path, capsys
     assert "internal error" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"label": 5, "trace": 0}, "label must be a string, got 5"),
+        ({"point_counts": 5}, "point_counts must be a list of integers, got 5"),
+        ({"point_counts": "35"}, "point_counts must be a list of integers, got '35'"),
+        ({"numerator": (1.0, 0, 2)}, 'numerator coefficient A_0 must be an int, "p/q" string or Fraction, got 1.0'),
+        ({"numerator": (True, 0, 2)}, 'numerator coefficient A_0 must be an int, "p/q" string or Fraction, got True'),
+    ],
+)
+def test_a_malformed_field_is_refused_alike_from_every_source(fields, message, tmp_path, capsys):
+    # CurveSpec accepted the label 5 and the coefficient True, and raised TypeError on 5 and 1.0,
+    # where a curves file refused all four by a ValueError of its own; "35" passed as counts 3 and 5
+    entry = {"label": "x", "q": 2, "genus": 1, **fields}
+    with pytest.raises(ValueError) as direct:
+        CurveSpec(**entry)
+    path, out = tmp_path / "curves.json", tmp_path / "out.json"
+    path.write_text(json.dumps(entry))
+    with pytest.raises(ValueError) as from_file:
+        load_curves(path)
+    assert str(direct.value) == str(from_file.value) == message
+    assert run_cli(["sweep", "--curves", str(path), "--tuples", "1", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "internal error" not in err
+    assert not out.exists()
+
+
+def test_each_curve_builds_its_base_level_once(monkeypatch, tmp_path, capsys):
+    # the spec built and validated its base level, dropped it, and the tower built it again
+    built, real = [], curves.artin_zeta
+
+    def spy(spec):
+        built.append(spec.label)
+        return real(spec)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("zetatower")]:
+        if getattr(module, "artin_zeta", None) is real:  # every namespace a caller may look it up in
+            monkeypatch.setattr(module, "artin_zeta", spy)
+    path = tmp_path / "curves.json"
+    entries = [
+        {"label": "e", "q": 2, "genus": 1, "trace": 1},
+        {"label": "c", "q": 2, "genus": 2, "point_counts": [3, 5]},
+        {"label": "n", "q": 3, "genus": 1, "numerator": ["1", "1/2", "3"]},
+    ]
+    path.write_text(json.dumps(entries))
+    assert run_cli(["sweep", "--curves", str(path), "--tuples", "1;2,1", "--output", str(tmp_path / "out.json")]) == 0
+    assert built == ["e", "c", "n"]
+    for command in ("derive", "rh-check"):
+        built.clear()
+        assert run_cli([command, "--curve", "counts:q=2,g=2,N=3;5", "--tuple", "2,1"]) == 0
+        assert built == ["counts_q2_g2"]
+    capsys.readouterr()
+
+
 def test_point_counts_with_zero_class_number_are_usage_error(capsys):
     # N_1 = 0 over F_2 gives P(1) = 0; P(1) is the class number, at least 1
     assert run_cli(["derive", "--curve", "counts:q=2,g=1,N=0", "--tuple", "1"]) == 2
@@ -490,15 +537,9 @@ def test_point_counts_with_zero_class_number_are_usage_error(capsys):
 def test_a_numerator_with_no_class_number_is_refused_before_the_sweep(numerator, monkeypatch, tmp_path, capsys):
     # P(1) = 0, also after dividing by A_0 = -1, and P(1) = -2: the spec is refused where it is built, with
     # the message rh-check gives, and the sweep writes no report of errored cells
-    from zetatower import rh_lab
-
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"label": "bad", "q": 2, "genus": 1, "numerator": numerator}))
-    def fail(*args):
-        raise AssertionError("built a level of a refused curve")
-
     _refuse_derivation(monkeypatch)
-    monkeypatch.setattr(rh_lab, "artin_zeta", fail)
     out = tmp_path / "out.json"
     assert run_cli(["sweep", "--curves", str(bad), "--tuples", "1;2", "--output", str(out)]) == 2
     err = capsys.readouterr().err
@@ -692,7 +733,7 @@ def test_invariants_normalize_matches_a_tower_of_normalized_levels(tmp_path, cap
     assert run_cli(["invariants", "--curve", str(path), "--tuple", "2,3,1", "--normalize"]) == 1
     reports = json.loads(capsys.readouterr().out)
     base = artin_zeta(load_curves(path)[0])
-    levels = [base] + derive_tower(base, (2, 3, 1), normalize=True)
+    levels = [base] + normalized_tower(base, (2, 3, 1))
     assert derive_tower(base, (2, 3))[-1].P[0] < 0
     assert reports == _invariant_records("neg", levels)
 
@@ -709,7 +750,7 @@ def _refuse_derivation(monkeypatch):
     from zetatower import derived_engine, rh_lab
 
     def fail(*args):
-        raise AssertionError("derived a level before checking the precision")
+        raise AssertionError("derived a level of refused input")
 
     for module in (rh_lab, derived_engine):  # the tower's step, and any other route to one
         monkeypatch.setattr(module, "derive_step", fail)

@@ -5,7 +5,7 @@ import itertools
 import json
 import pickle
 import time
-from dataclasses import replace
+from dataclasses import fields as dataclass_fields, replace
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -559,6 +559,17 @@ def test_curve_json_round_trip(tmp_path):
     assert loaded == specs
     for spec in loaded:
         assert all(r.passed for r in validate_zeta_level(artin_zeta(spec)))
+
+
+def test_a_spec_keeps_its_base_level_outside_its_identity():
+    # the level is the one artin_zeta built; no comparison, hash, repr or to_dict reads it, and it pickles along
+    spec = CurveSpec(label="c", q=2, genus=2, point_counts=[3, 5])
+    assert spec.level == artin_from_point_counts(2, 2, (3, 5))
+    assert [f.name for f in dataclass_fields(CurveSpec) if f.init] == list(curves.CURVE_KEYS)
+    assert "level" not in repr(spec) and spec.to_dict() == {"label": "c", "q": 2, "genus": 2, "point_counts": [3, 5]}
+    clone = pickle.loads(pickle.dumps(spec))
+    assert clone == spec and hash(clone) == hash(spec) and clone.level == spec.level
+    assert replace(spec, label="d").level == spec.level
 
 
 def test_numerator_source_checks_symmetry():

@@ -29,6 +29,7 @@ from ratfunc_oracle import (
     RatFunc,
     RingPoly,
     composition_weight,
+    normalized_tower,
     rational_divmod,
     residue_simple_pole,
     ring,
@@ -212,11 +213,11 @@ def test_normalize_level_refuses_a_zero_constant_term():
 
 
 def test_normalized_tower_matches_post_hoc_normalization():
-    # by the scaling covariance, normalize-as-you-go equals normalizing each
-    # unnormalized level by its own constant term
+    # by the scaling covariance, normalize-as-you-go (the oracle's normalized_tower) equals
+    # normalizing each unnormalized level by its own constant term
     base = artin_elliptic(3, 1)
-    norm = derive_tower(base, (2, 2), normalize=True)
-    plain = derive_tower(base, (2, 2), normalize=False)
+    norm = normalized_tower(base, (2, 2))
+    plain = derive_tower(base, (2, 2))
     for zn, zp in zip(norm, plain):
         assert to_ratfunc(zn) == to_ratfunc(normalize_level(zp))
 

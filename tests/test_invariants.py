@@ -14,6 +14,7 @@ from ratfunc_oracle import (
     RingPoly,
     fraction_trace,
     interlacing_tail,
+    normalized_tower,
     positive_weight,
     residue_simple_pole,
     ring,
@@ -59,7 +60,7 @@ def test_extract_genus2():
 
 
 def test_normalized_level_has_alpha0_one():
-    levels = derive_tower(artin_elliptic(2, 0), (2, 2), normalize=True)
+    levels = normalized_tower(artin_elliptic(2, 0), (2, 2))
     for z in levels:
         assert invariant_values(extract_invariants(z), z.Q)[0][0] == 1
 

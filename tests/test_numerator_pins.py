@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from ratfunc_oracle import ring
+from ratfunc_oracle import normalized_tower, ring
 from zetatower.curves import artin_elliptic, artin_from_point_counts, hasse_traces
 from zetatower.derived_engine import derive_step, derive_tower, normalize_level, special_values
 from zetatower.invariants import interlacing_poly
@@ -36,7 +36,7 @@ def _tower_digest(key, normalize: bool) -> str:
     """sha256 over (steps, Q, P) of every step n = 1..N_MAX and its second steps."""
     h = hashlib.sha256()
     for n in range(1, N_MAX + 1):
-        first = derive_tower(_base(key), (n,), normalize=normalize)[0]
+        first = (normalized_tower if normalize else derive_tower)(_base(key), (n,))[0]
         levels = [first]
         for m in SECOND_STEPS:
             nxt = derive_step(first, m)

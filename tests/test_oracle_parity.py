@@ -17,6 +17,7 @@ import pytest
 from ratfunc_oracle import (
     RingPoly,
     composition_weight,
+    normalized_tower,
     oracle_interlacing_poly,
     oracle_invariants,
     oracle_numerator,
@@ -90,7 +91,7 @@ def _extraction_levels():
     bases += [artin_from_point_counts(2, 3, (3, 9, 9)), artin_from_point_counts(3, 3, (5, 11, 29))]
     levels = []
     for z in bases:
-        levels += [z] + derive_tower(z, (2, 3)) + derive_tower(z, (3, 1), normalize=True)
+        levels += [z] + derive_tower(z, (2, 3)) + normalized_tower(z, (3, 1))
     return levels
 
 

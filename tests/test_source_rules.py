@@ -110,6 +110,18 @@ def test_a_base_level_has_one_route_per_job():
     assert "series_exp" not in _names(path.read_text(encoding="utf-8"), str(path))
 
 
+def test_only_a_spec_builds_its_base_level():
+    # the spec keeps the level artin_zeta built; a second call would build and validate it again
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(fn, ast.FunctionDef):
+                called = [node.func for node in ast.walk(fn) if isinstance(node, ast.Call)]
+                if any("artin_zeta" in (getattr(f, "id", None), getattr(f, "attr", None)) for f in called):
+                    callers.append(f"{path.name}:{fn.name}")
+    assert callers == ["curves.py:__post_init__"]
+
+
 DERIVATIONS = {"derive_step", "derive_tower", "special_values", "interlacing_poly"}
 
 

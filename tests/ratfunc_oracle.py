@@ -17,10 +17,12 @@ residues symbolically, independently of the coefficient arithmetic in
 ``curves.validate_zeta_level``.
 
 ``oracle_zeta`` is the direct transcription of the double-composition sum:
-it loops over every integer composition (2^(n-1) of them) and adds canonical
-``RatFunc``s, so the pole cancellation happens symbolically, by gcd
-reduction, instead of being certified by residues.  Its cost is exponential
-in n; keep n <= 8.
+it loops over every integer composition (2^(n-1) of them) and forms each
+weight on its own, with no recurrence.  The weights that share a boundary
+pole are added first (``weights_by_part``), and the side sums add one
+canonical ``RatFunc`` per distinct pole, so the pole cancellation happens
+symbolically, by gcd reduction, instead of being certified by residues.  Its
+cost is exponential in n; keep n <= 8.
 
 ``normalized_tower`` is ``derive_tower`` with every level, the base
 included, divided by its constant coefficient before the next step.
@@ -370,7 +372,12 @@ def to_ratfunc(level) -> RatFunc:
 
 
 def oracle_zeta(z, n: int) -> RatFunc:
-    """The complete zeta of z derived by n, summed as rational functions."""
+    """The complete zeta of z derived by n, summed as rational functions.
+
+    Each composition's weight is formed on its own; the weights that share a
+    boundary pole (by last part for R_a, by first part for L_a) are added
+    first, so each side sum is one ``RatFunc`` per distinct pole.
+    """
     g, qp = z.genus, Fraction(z.Q)  # a boundary factor reads a negative power
     sv = special_values(z, n) if n > 1 else None
     total = RatFunc(0)
@@ -381,17 +388,15 @@ def oracle_zeta(z, n: int) -> RatFunc:
             right = RatFunc(1)
         else:
             right = RatFunc(0)
-            for comp in compositions(n - a):
-                boundary = RatFunc(RingPoly([0, 1]), RingPoly([-(qp ** (a + comp[-1] - n)), 1]))
-                right = right + composition_weight(comp, sv) * boundary
+            for p, w in weights_by_part(n - a, -1, composition_weight, sv).items():
+                right = right + w * RatFunc(RingPoly([0, 1]), RingPoly([-(qp ** (a + p - n)), 1]))
 
         if a - 1 == 0:
             left = RatFunc(1)
         else:
             left = RatFunc(0)
-            for comp in compositions(a - 1):
-                boundary = RatFunc(1, RingPoly([1, -(qp ** (n - a + 1 + comp[0]))]))
-                left = left + composition_weight(comp, sv) * boundary
+            for p, w in weights_by_part(a - 1, 0, composition_weight, sv).items():
+                left = left + w * RatFunc(1, RingPoly([1, -(qp ** (n - a + 1 + p))]))
 
         total = total + right * mid * left
     return qp ** (comb(n, 2) * (g - 1)) * total
@@ -412,6 +417,14 @@ def composition_weight(comp, sv) -> Fraction:
     return w
 
 
+def weights_by_part(m: int, index: int, weight, sv) -> dict:
+    """{p: the sum of weight(k, sv) over the compositions k of m with k[index] = p}, each weight formed on its own."""
+    sums = {}
+    for comp in compositions(m):
+        sums[comp[index]] = sums.get(comp[index], 0) + weight(comp, sv)
+    return sums
+
+
 def positive_weight(comp, sv) -> Fraction:
     """Composition weight with the pair denominators taken positively."""
     w = Fraction(1)
@@ -425,8 +438,8 @@ def positive_weight(comp, sv) -> Fraction:
 def interlacing_tail(sv, n: int) -> RatFunc:
     """The uncleared sum over compositions k of n of w+(k) / (Q^(k_last) T - 1), one simple pole per last part."""
     tail = RatFunc(0)
-    for comp in compositions(n):
-        tail = tail + positive_weight(comp, sv) * RatFunc(1, RingPoly([-1, sv.Q ** comp[-1]]))
+    for p, w in weights_by_part(n, -1, positive_weight, sv).items():
+        tail = tail + w * RatFunc(1, RingPoly([-1, sv.Q**p]))
     return tail
 
 

@@ -25,6 +25,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -54,10 +55,10 @@ class UsageError(ValueError):
 
 
 def _int_field(text: str, key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise UsageError(f"{key}={value!r} in {text!r} is not an integer") from None
+    """value as an int when it is ASCII digits after an optional sign; int() also reads spaces, "_" and other digits."""
+    if not re.fullmatch(r"[+-]?[0-9]+", value):
+        raise UsageError(f"{key}={value!r} in {text!r} is not an integer")
+    return int(value)
 
 
 def _spec_fields(text: str, prefix: str, keys: tuple) -> dict:
@@ -101,10 +102,10 @@ def parse_curve_arg(text: str) -> CurveSpec:
 
 
 def parse_tuple_arg(text: str, allow_large: bool) -> tuple:
-    try:
-        steps = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise UsageError(f"malformed tuple {text!r}; expected comma-separated integers") from None
+    """The steps of a comma-separated tuple, each a run of ASCII digits, with a product within the cap."""
+    if not all(re.fullmatch("[0-9]+", part) for part in text.split(",")):
+        raise UsageError(f"malformed tuple {text!r}; expected comma-separated integers")
+    steps = tuple(int(part) for part in text.split(","))
     if not steps or any(n < 1 for n in steps):
         raise UsageError("tuple entries must be positive integers")
     if (product := math.prod(steps)) > DEFAULT_PRODUCT_CAP and not allow_large:

@@ -35,7 +35,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from zetatower.exact_arith import Poly, as_rat, horner, is_self_inversive, pair_str, rat_str
+from zetatower.exact_arith import RAT_STRING, Poly, as_rat, horner, is_self_inversive, pair_str, rat_str
 
 BRUTE_FORCE_FIELD_CAP = 2**20
 
@@ -258,7 +258,7 @@ class CurveSpec:
             if not isinstance(self.numerator, (list, tuple)):
                 raise ValueError(f'numerator must be a list of integers or "p/q" strings, got {self.numerator!r}')
             for i, c in enumerate(self.numerator):
-                if not (_is_int(c) or isinstance(c, (str, Fraction))):
+                if not (_is_int(c) or isinstance(c, Fraction) or isinstance(c, str) and RAT_STRING.fullmatch(c)):
                     raise ValueError(f'numerator coefficient A_{i} must be an int, "p/q" string or Fraction, got {c!r}')
         prime_power_split(self.q)
         if self.genus < 1:

@@ -28,61 +28,55 @@ of m with last part p, by the recurrence
 in O(n^3) operations.  Reversing a composition keeps its weight, so
 the same table gives the first-part sums L_a needs.
 
-The step sum is only ever evaluated at powers of Q.  At T = Q^e the
-boundary factors become 1/(1 - Q^(p+s)), so both side sums are values of
+The step first certifies that the poles at the interior points T = Q^e,
+e = 1-n..-1, cancel.  Within one a-term the poles are simple and distinct
+(R_a has them at e = a-n+1..0, Z(Q^(n-a) T) at a-n and a-n-1, L_a at
+-n..a-n-2), so cancellation means that the n residues at each interior point
+sum to exactly zero.  There R_a(Q^e) = F(n-a, a-n-e), L_a(Q^e) =
+F(a-1, n-a+1+e) and the middle factor is Z(Q^(n-a+e)), with
 
     F(m, s) = sum over p = 1..m of  E[m][p] / (1 - Q^(p+s)),    F(0, s) = 1,
 
-namely R_a(Q^e) = F(n-a, a-n-e) and L_a(Q^e) = F(a-1, n-a+1+e), and the
-middle factor is Z(Q^(n-a+e)).  ``derive_step`` computes each F and middle
-value once and reads it for the certificate and for the nodes alike.
+so the certificate reads only the poles 1/(1 - Q^k), 1 <= k < n, the middle
+values Z(Q^k), |k| < n, the residues of Z at 1 and 1/Q and the table.  A
+wrong table entry, special value, residue or value of Z makes some residue
+sum nonzero and raises DerivationError.
 
-All of it runs on Python ints, a level's Q = q^(prod of its steps) among
-them, with the powers Q^k computed once per step.  Inside ``derive_step`` a
-value is an int pair (N, D) that stands for N/D and is never reduced: each
-pole 1/(1 - Q^k), each F(m, s), each middle value Z(Q^k)
-(``ZetaLevel.value_pair``, for k < 0 too), each table entry, the two
-residues of the previous level (``ZetaLevel.residue_pair`` and
-``residue_inv_q_pair``), and the 2g+1 node values that go to
-``exact_arith.interpolate``.  A sum of products of pairs puts the products
-over the lcm of their denominators (``exact_arith.over_lcm``) and adds ints.
-Values are reduced in three places only: the products vhat(N) of the special
-values, which ``special_values`` returns as int pairs, one gcd per product;
-the rows of the table, each of which ``composition_sums`` returns as ints
-over one denominator, divided by their gcd; and the interpolated
-coefficients, which become the new numerator's view by one content gcd.  A residue sum of the
-certificate is tested for zero unreduced, and the new level is validated on
-its view's ints.
+Then P_n = Q^(C(n,2)(g-1)) (1-T)(1-Q^n T) T^(g-1) S(T), S the sum over a, is
+read off its first 2g+1 Taylor coefficients at T = 0, where every factor is
+a series with int coefficients (u = Q^(n-a), c * ints the previous view):
 
-The new numerator P_n = Z_n(T) (1-T)(1-Q^n T) T^(g-1) has degree at most 2g.
-It is evaluated exactly at the 2g+1 nodes T = Q^j, j = 1..2g+1, and recovered
-by interpolation.  Every pole of an a-term sits at T = 0 or at Q^e
-with -n <= e <= 0, so no factor has a pole at a node.
+    T/(T - Q^-r) = -sum_{k>=1} Q^(rk) T^k,    1/(1 - Q^s T) = sum_{k>=0} Q^(sk) T^k,
+    T^(g-1) Z(uT) = c u^-(g-1) sum_k z_k u^k T^k,  z_k = sum_{i<=k} ints[i] (Q^(k-i+1) - 1)/(Q - 1).
 
-Interpolation alone would fit a polynomial through any values, so before it
-the step certifies that the poles at the interior points T = Q^e,
-e = 1-n..-1, really cancel.  Within one a-term every pole is simple and the
-poles are distinct: R_a has them at e = a-n+1..0, Z(Q^(n-a) T) at a-n and
-a-n-1, L_a at -n..a-n-2.  So each a-term has exactly one simple pole at each
-interior point, and cancellation means that the n scalar residues there sum
-to exactly zero.  The residues of Z at 1 and 1/Q come from the previous
-numerator P, the composition sums from the special values, so a wrong table
-entry, special value, residue or value of Z makes some sum nonzero and raises
-DerivationError.  The poles at T = 1 and T = Q^-n are cleared by the
-denominator, the one at 0 has order at most g-1, and every term grows at most
-like T^(g-1), so a certified sum times that denominator is a polynomial of
-degree at most 2g and the interpolation is exact.  The level is then
-validated like any other.
+This is exact.  After the certificate, the poles at T = 1 and T = Q^-n are
+cleared by the denominator, the one at 0 has order at most g-1, and every
+term grows at most like T^(g-1), so the cleared sum is a polynomial of degree
+at most 2g.  Every factor is analytic at 0: the right sums have their poles
+at Q^e, e <= 0, the left sums at Q^-s, s >= 1, and T^(g-1) clears Z's pole
+of order g-1.  So the Taylor coefficients are the polynomial's coefficients.
+At T = 0 only the a = n term survives, so A_0 of P_n is
+Q^(C(n,2)(g-1)) A_0(prev) sum_p E[n-1][p], the closed row sum; A_2g collects
+every term, and validation ties it to A_0 by A_2g = Q^(ng) A_0.
+
+All of it runs on Python ints.  In the certificate a value is an unreduced
+int pair (N, D), and a sum of products of pairs goes over the lcm of the
+denominators (``exact_arith.over_lcm``).  ``side_series`` gives the two side
+sums that read one table row; each a-term is two truncated products over
+D_(n-a) D_(a-1) u^(g-1), and the n terms go over one lcm.  Only special-value
+products, table rows and P_n (``Poly.from_ints``) are reduced, one gcd each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from math import comb, gcd
+from operator import mul
 from typing import Iterator, Sequence, Union
 
 from zetatower.curves import CurveSpec, ZetaLevel, validate_zeta_level
-from zetatower.exact_arith import Poly, interpolate, over_lcm
+from zetatower.exact_arith import Poly, horner, over_lcm
 
 
 class DerivationError(RuntimeError):
@@ -167,6 +161,29 @@ def composition_sums(sv: SpecialValues, m_max: int, positive: bool = False) -> t
     return tuple(rows)
 
 
+def side_series(row: tuple, n: int, powers: Sequence[int]) -> tuple:
+    """(right, left, D): the Taylor coefficients at T = 0, to T^K, of the side sums of step n that read row m.
+
+    powers[k] = Q^k, k = 0..K.  ``right`` is R_a for a = n-m and ``left`` is
+    L_a for a = m+1, both ints over the row's D; the empty row m = 0 gives 1.
+    """
+    nums, D = row
+    m = len(nums) - 1
+    if not m:
+        unit = [1] + [0] * (len(powers) - 1)
+        return unit, unit, 1
+    right, left = [0], [sum(nums)]
+    for x in powers[1:]:
+        right.append(-horner(nums[1:], 1, x))  # sum_p nums[p] x^(m-p)
+        left.append(horner(nums, x, 1) * x ** (n - m))  # sum_p nums[p] x^(n-m+p)
+    return right, left, D
+
+
+def _truncated_product(x: list, y: list) -> list:
+    """The first len(x) Taylor coefficients of the product of two series of that length."""
+    return [sum(map(mul, x[: k + 1], y[k::-1])) for k in range(len(x))]
+
+
 def derive_step(z: ZetaLevel, n: int) -> ZetaLevel:
     """Produce the next tower level; exact, certified, validated, and pure."""
     if n < 1:
@@ -175,12 +192,11 @@ def derive_step(z: ZetaLevel, n: int) -> ZetaLevel:
     steps = z.steps + (n,)
     rows = composition_sums(special_values(z, n - 1), n - 1) if n > 1 else (([0], 1),)
 
-    K = n + 2 * g + 1  # the largest |k| of a Q^k that a pole, a middle value or a node reads
+    K = 2 * g  # the series run to T^K; the certificate reads Q^k for k < n
     Qk = [1]  # Qk[k] = Q^k
-    for _ in range(K):
+    for _ in range(max(n, K)):
         Qk.append(Qk[-1] * Q)
-    poles = {k: (1, 1 - Qk[k]) for k in range(1, K + 1)}  # poles[k] = 1 / (1 - Q^k), k != 0
-    poles.update({-k: (Qk[k], Qk[k] - 1) for k in range(1, K + 1)})
+    poles = {k: (1, 1 - Qk[k]) for k in range(1, n)}  # poles[k] = 1 / (1 - Q^k)
 
     def lcm_sum(products) -> tuple:  # (N, L): N / L is the sum of the products of triples of pairs
         scaled, L = over_lcm((x[0] * y[0] * w[0], x[1] * y[1] * w[1]) for x, y, w in products)
@@ -234,11 +250,23 @@ def derive_step(z: ZetaLevel, n: int) -> ZetaLevel:
             f"derivation inconsistency at steps {steps}: residues at T = Q^e "
             f"do not cancel for e in {uncancelled}"
         )
-    prefactor = Q ** (comb(n, 2) * (g - 1))
-    xs = Qk[1 : 2 * g + 2]
-    sums = [lcm_sum((right(a, j), mid(n - a + j), left(a, j)) for a in range(1, n + 1)) for j in range(1, 2 * g + 2)]
-    ys = [(prefactor * (1 - t) * (1 - Qk[n] * t) * t ** (g - 1) * N, L) for t, (N, L) in zip(xs, sums)]
-    level = ZetaLevel(steps=steps, Q=Qk[n], genus=g, P=interpolate(xs, ys))
+
+    # T^(g-1) Z(uT) = content u^-(g-1) sum_k z_k u^k T^k, z_k = sum_i ints[i] h[k-i], h[j] = (Q^(j+1) - 1)/(Q - 1)
+    content, ints = z.P.view
+    h = list(accumulate(Qk[: K + 1]))
+    zs = [sum(x * h[k - i] for i, x in enumerate(ints[: k + 1])) for k in range(K + 1)]
+    sides = [side_series(row, n, Qk[: K + 1]) for row in rows]
+    series, dens = [], []
+    for a in range(1, n + 1):
+        (right_a, _, D_right), (_, left_a, D_left), u = sides[n - a], sides[a - 1], Qk[n - a]
+        middle_a = [x * u**k for k, x in enumerate(zs)]
+        series.append(_truncated_product(_truncated_product(right_a, middle_a), left_a))
+        dens.append(D_right * D_left * u ** (g - 1))
+    scales, L = over_lcm((1, d) for d in dens)
+    total = [sum(s * t[k] for s, t in zip(scales, series)) for k in range(K + 1)]
+    Qn, f = Qk[n], Q ** (comb(n, 2) * (g - 1)) * content.numerator
+    cleared = [x - (1 + Qn) * x1 + Qn * x2 for x, x1, x2 in zip(total, [0] + total, [0, 0] + total)]
+    level = ZetaLevel(steps=steps, Q=Qn, genus=g, P=Poly.from_ints([f * x for x in cleared], content.denominator * L))
     failed = [c for c in validate_zeta_level(level) if not c.passed]
     if failed:
         raise DerivationError(

@@ -1,7 +1,7 @@
 """Exact arithmetic substrate: big rationals, dense polynomials, truncated series.
 
-The work runs on Python ints: sums and interpolation over the lcm of their
-denominators (``over_lcm``), reduced once per output.  Nothing touches a float.
+The work runs on Python ints: sums over the lcm of their denominators
+(``over_lcm``), reduced once per output.  Nothing touches a float.
 A ``Poly`` is its integer view: a content c > 0 times coprime, trimmed ints,
 index ``i`` holding the coefficient of ``T**i`` (``content_primitive``; the
 zero polynomial is (1, ())).  That form is unique, so equality and hashing
@@ -20,23 +20,32 @@ everything here is safe to share freely across threads; the one exception is
 
 from __future__ import annotations
 
+import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, str, Fraction]
 
 NEG_INF = float("-inf")
 
+# the strings as_rat reads: ASCII digits, an optional sign and denominator, no space, "_", point or exponent
+RAT_STRING = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
 
 def as_rat(x: Scalar) -> Fraction:
-    """Coerce ints, ``"p/q"`` strings and Fractions to an exact rational."""
+    """Coerce ints, ``"p/q"`` strings matching ``RAT_STRING`` (else ValueError) and Fractions to an exact rational.
+
+    ``Fraction`` alone reads exponents too: a 12-byte "1e10000000" is a ten-million-digit int.
+    """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, int) or isinstance(x, str) and RAT_STRING.fullmatch(x):
         return Fraction(x)
+    if isinstance(x, str):
+        raise ValueError(f'{x!r} is not an integer or "p/q" string')
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -163,29 +172,6 @@ class Poly:
         return Fraction(0)
 
     __iter__ = None  # iteration through __getitem__ would never stop
-
-
-def interpolate(xs: Sequence[int], ys: Sequence[tuple]) -> Poly:
-    """The unique polynomial of degree < len(xs) through the points (xs[i], N_i/D_i), ys[i] = (N_i, D_i).
-
-    The nodes are distinct ints.  With M = prod (T - x_i) the weights
-    N_i / (D_i M'(x_i)) go over one lcm, each M / (T - x_i) is a synthetic
-    division, and the int coefficients over that lcm become the polynomial's
-    view with one content gcd (``Poly.from_ints``).
-    """
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation nodes must be distinct")
-    master = [1]  # prod (T - x_i), lowest coefficient first
-    for x in xs:
-        master = [a - x * b for a, b in zip([0] + master, master + [0])]
-    weights, L = over_lcm((N, D * prod(x - v for v in xs if v != x)) for x, (N, D) in zip(xs, ys))
-    coeffs = [0] * len(xs)
-    for x, w in zip(xs, weights):  # w * M / (T - x) by synthetic division
-        acc = 0
-        for k in range(len(xs), 0, -1):
-            acc = acc * x + master[k]
-            coeffs[k - 1] += w * acc
-    return Poly.from_ints(coeffs, L)
 
 
 def is_self_inversive(P: "Poly | Sequence", Q: Scalar, g: int) -> bool:

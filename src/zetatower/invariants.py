@@ -143,6 +143,11 @@ def counting_miracle_check(prev: ZetaLevel, derived: ZetaLevel, following: ZetaL
     from the caller's tower; nothing is derived here.  Their steps must say
     so, else ValueError.  beta is read off ``derived`` as a residue pair, and
     each constant term is its view's content times its first int.
+
+    The step reads alpha(0) off T = 0, where only its a = n term survives, so
+    the left side is q^(n(g-1)) alpha_prev(0) times ``beta_closed_form`` as the
+    step computes it: the routes beta_routes compares.  The full sum meets the
+    closed value in validation's A_2g = Q_n^g A_0, which every a-term reaches.
     """
     n = derived.steps[-1] if derived.steps else 0
     if derived.steps != prev.steps + (n,) or following.steps != prev.steps + (n + 1,):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from math import prod
 from pathlib import Path
 
@@ -498,6 +499,51 @@ def test_a_malformed_field_is_refused_alike_from_every_source(fields, message, t
     err = capsys.readouterr().err
     assert message in err and "internal error" not in err
     assert not out.exists()
+
+
+# Fraction and int() read more than the documented forms: decimals, exponents, surrounding space, "_" and non-ASCII
+# digits; "1e10000000" is 12 bytes that Fraction expands to a ten-million-digit int
+_OFF_GRAMMAR = ["0.5", "1e3", " 1", "1_0", "\u0663", "1e10000000"]
+
+
+@pytest.mark.parametrize("coefficient", _OFF_GRAMMAR)
+def test_a_numerator_string_off_the_grammar_exits_2(coefficient, tmp_path, capsys):
+    path, out = tmp_path / "curve.json", tmp_path / "out.json"
+    path.write_text(json.dumps({"label": "x", "q": 3, "genus": 1, "numerator": ["1", coefficient, "3"]}))
+    message = f'numerator coefficient A_1 must be an int, "p/q" string or Fraction, got {coefficient!r}'
+    for command in (["rh-check", "--curve", str(path), "--tuple", "2"], ["derive", "--curve", str(path), "--tuple", "2"],
+                    ["sweep", "--curves", str(path), "--tuples", "2"]):
+        start = time.perf_counter()
+        assert run_cli(command + ["--output", str(out)]) == 2
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert message in err and "internal error" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["1", "-1", "+1", "1/2", "-3/4", "+5/6", "007/010"])
+def test_every_numerator_string_in_the_grammar_is_read(text):
+    assert CurveSpec(label="x", q=5, genus=1, numerator=["1", text, "5"]).numerator[1] == Fraction(text)
+
+
+@pytest.mark.parametrize("step", ["1_0", " 2", "2 ", "\u0663", "+2", "-1", "2.0", ""])
+def test_a_tuple_entry_off_the_digit_rule_exits_2(step, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    for command in (["rh-check", "--curve", "elliptic:q=2,a=0", "--tuple", f"1,{step}"],
+                    ["derive", "--curve", "elliptic:q=2,a=0", "--tuple", f"1,{step}"],
+                    ["sweep", "--q", "2", "--tuples", f"1;1,{step}"]):
+        assert run_cli(command + ["--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "malformed tuple" in err and "internal error" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("curve", ["elliptic:q=\u0662,a=0", "elliptic:q= 2,a=0", "counts:q=2,g=1,N=\u0663", "counts:q=2,g=1,N=0_3"])
+def test_a_curve_field_off_the_digit_rule_is_usage_error(curve, capsys):
+    # int() read each of them as a valid curve over F_2
+    with pytest.raises(UsageError, match="is not an integer"):
+        parse_curve_arg(curve)
+    assert run_cli(["derive", "--curve", curve, "--tuple", "1"]) == 2
 
 
 def test_each_curve_builds_its_base_level_once(monkeypatch, tmp_path, capsys):

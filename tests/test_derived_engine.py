@@ -324,16 +324,26 @@ def test_wrong_interior_value_of_the_previous_level_is_caught(monkeypatch, z, k)
 
 
 @pytest.mark.parametrize("z", _BASES, ids=["E3a1", "X2g2"])
-def test_wrong_value_at_a_node_is_caught_by_validation(monkeypatch, z):
-    # the certificate is over by the time the nodes T = Q^j are interpolated
-    real = derived_engine.interpolate
-    for j in range(1, 2 * z.genus + 2):
-        with monkeypatch.context() as mp:
+def test_wrong_taylor_coefficient_of_a_term_is_caught_by_validation(monkeypatch, z):
+    # the certificate is over by the time the Taylor coefficients at T = 0 are read; one coefficient
+    # + 1 in the right sum of the term a = n-m (row m >= 1) or in the left sum of a = m+1 (row m <= n-2).
+    # R_a starts at T^1 for a < n, so the left sum's T^(2g) reaches no coefficient of P_n
+    real = derived_engine.side_series
+    n = 5
+    for side, rows, orders in ((0, range(1, n), 2 * z.genus + 1), (1, range(n - 1), 2 * z.genus)):
+        for m in rows:
+            for k in range(orders):
+                with monkeypatch.context() as mp:
 
-            def wrong(xs, ys, j=j):  # N/D + 1/3 at node j
-                return real(xs, [(3 * N + D, 3 * D) if i == j else (N, D) for i, (N, D) in enumerate(ys, 1)])
+                    def wrong(row, n, powers, side=side, m=m, k=k):
+                        series = list(real(row, n, powers))
+                        if len(row[0]) - 1 == m:
+                            coeffs = series[side]
+                            series[side] = coeffs[:k] + [coeffs[k] + series[2]] + coeffs[k + 1 :]
+                        return tuple(series)
 
-            mp.setattr(derived_engine, "interpolate", wrong)
-            with pytest.raises(DerivationError, match="functional_equation") as caught:
-                derive_step(z, 5)
-            assert "do not cancel" not in str(caught.value)
+                    mp.setattr(derived_engine, "side_series", wrong)
+                    with pytest.raises(DerivationError, match="functional_equation") as caught:
+                        derive_step(z, n)
+                    assert "do not cancel" not in str(caught.value)
+    assert derive_step(z, n).steps == (n,)  # the real series pass

@@ -27,7 +27,6 @@ from zetatower.exact_arith import (
     Poly,
     as_rat,
     horner,
-    interpolate,
     is_self_inversive,
     over_lcm,
     poly_gcd,
@@ -370,7 +369,7 @@ def test_integer_gcd_and_split_match_the_rational_route(factors, c, extra):
         assert g[-1] > 0 and _monic(g) == rational_gcd(a, b)
 
 
-# -- integer sums, evaluation and interpolation -----------------------------------
+# -- integer sums and evaluation -----------------------------------------------
 
 
 def _horner(coeffs, t):
@@ -404,35 +403,3 @@ def test_over_lcm_puts_the_fractions_over_the_lcm():
     assert L == 12 and scaled == [3, -2, 60]
     assert Fraction(sum(scaled), L) == Fraction(1, 4) - Fraction(1, 6) + 5
     assert over_lcm([]) == ([], 1)
-
-
-def _pair(x: Fraction) -> tuple:
-    return x.numerator, x.denominator
-
-
-@given(coeff_lists(max_size=6), st.lists(st.integers(-40, 40), min_size=6, max_size=9, unique=True))
-def test_interpolate_round_trip_at_integer_nodes(coeffs, nodes):
-    P = Poly(coeffs)
-    assert interpolate(nodes, [_pair(ring(P)(x)) for x in nodes]) == P
-
-
-@given(st.lists(st.fractions(max_denominator=2**64), min_size=1, max_size=6), st.booleans())
-def test_interpolate_round_trip_at_huge_powers(coeffs, negate):
-    # nodes Q^j with Q = 2^500, the shape of the tower step's nodes at a deep level
-    Q = -(2**500) if negate else 2**500
-    P = Poly(coeffs)
-    nodes = [Q**j for j in range(1, len(coeffs) + 1)]
-    assert interpolate(nodes, [_pair(ring(P)(x)) for x in nodes]) == P
-
-
-def test_interpolate_examples():
-    assert interpolate([1, 2, 3], [(1, 1), (4, 1), (9, 1)]) == Poly([0, 0, 1])
-    # values as unreduced pairs, a denominator negative: 1, 2 and 9/2 at T = 0, 1, -1
-    assert interpolate([0, 1, -1], [(2, 2), (-6, -3), (18, 4)]) == Poly([1, Fraction(-5, 4), Fraction(9, 4)])
-    assert interpolate([], []) == ZERO
-
-
-@pytest.mark.parametrize("xs", [[1, 1], [2, 3, 2], [-2**500, 2**500, -2**500]])
-def test_interpolate_rejects_duplicate_nodes(xs):
-    with pytest.raises(ValueError, match="distinct"):
-        interpolate(xs, [(y, 1) for y in range(len(xs))])

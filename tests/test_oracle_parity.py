@@ -2,7 +2,8 @@
 
 ``ratfunc_oracle`` sums every composition as a rational function and lets gcd
 reduction cancel the interior poles; the engine evaluates composition sums by
-dynamic programming, certifies the cancellation by residues and interpolates.
+dynamic programming, certifies the cancellation by residues and reads the new
+numerator off Taylor coefficients at T = 0.
 The two must produce identical numerators and interlacing polynomials.
 Invariant extraction on the coefficient list must agree with ``Poly``
 division, on valid levels and in what it refuses.
@@ -24,26 +25,33 @@ from ratfunc_oracle import (
     positive_weight,
     ring,
 )
-from zetatower.curves import artin_elliptic, artin_from_point_counts, hasse_traces
+from zetatower.curves import CurveSpec, artin_elliptic, artin_from_point_counts, hasse_traces
 from zetatower.derived_engine import composition_sums, compositions, derive_step, derive_tower, special_values
 from zetatower.exact_arith import Poly
 from zetatower.invariants import extract_invariants, interlacing_poly, invariant_values
 
 N_MAX = 8
 BASES = [(q, a) for q in (2, 3, 4, 5) for a in hasse_traces(q)] + ["X2g2"]
+# genus 3 carries T^(g-1) and u^(g-1) past g - 1 = 1 in the step's series; derived to n = 1..GENUS3_N_MAX
+GENUS3 = ["X2g3", "W2g3"]
+GENUS3_N_MAX = 5
 
 
 def _base(key):
     if key == "X2g2":
         return artin_from_point_counts(2, 2, [3, 5])
+    if key == "X2g3":
+        return artin_from_point_counts(2, 3, [3, 5, 9])
+    if key == "W2g3":
+        return CurveSpec(label=key, q=2, genus=3, numerator=[1, 1, 2, 3, 4, 4, 8]).level
     q, a = key
     return artin_elliptic(q, a)
 
 
-@pytest.mark.parametrize("key", BASES, ids=str)
+@pytest.mark.parametrize("key", BASES + GENUS3, ids=str)
 def test_step_numerators_match_oracle(key):
     z = _base(key)
-    for n in range(1, N_MAX + 1):
+    for n in range(1, (GENUS3_N_MAX if key in GENUS3 else N_MAX) + 1):
         assert derive_step(z, n).P == oracle_numerator(z, n), n
 
 

@@ -2,9 +2,11 @@
 """Export the elliptic residue table as CSV: (q, a, n, beta, b_n, ratio, bounds).
 
 The beta column comes from the three-term recursion, whose int pairs are
-reduced here, b_n from the exact series exponential; the two must agree row
-by row, so the file doubles as a quick dual-route audit that is easy to diff
-or plot.  ``lower_ok`` and ``upper_ok`` say whether the ratio
+reduced here, b_n from the tower: the reduced residue of
+``derive_step(level, n)``, the identity that the sweep's
+``ratio_bounds[residue]`` link checks.  The two must agree row by row, so the
+file doubles as a quick audit of the recursion against the tower that is easy
+to diff or plot.  ``lower_ok`` and ``upper_ok`` say whether the ratio
 beta(n)/beta(n-1) meets each side of the ratio bounds
 1 < r < (q^(n/2)+1)/(q^(n/2)-1).
 
@@ -19,8 +21,9 @@ from pathlib import Path
 from typing import Sequence
 
 from zetatower.curves import artin_elliptic, hasse_traces
-from zetatower.exact_arith import rat_str
-from zetatower.mult_struct import elliptic_beta_recursion, ratio_bounds, residue_series_exp
+from zetatower.derived_engine import derive_step
+from zetatower.exact_arith import pair_str, rat_str
+from zetatower.mult_struct import elliptic_beta_recursion, ratio_bounds
 
 
 def export_elliptic_grid_csv(path, qs: Sequence[int], n_max: int = 8) -> int:
@@ -36,13 +39,13 @@ def export_elliptic_grid_csv(path, qs: Sequence[int], n_max: int = 8) -> int:
         for q in qs:
             for a in hasse_traces(q):
                 level = artin_elliptic(q, a)
-                series = residue_series_exp(level, n_max)
                 ints = level.P.view[1]
                 betas = [Fraction(b, D) for b, D in elliptic_beta_recursion(ints[0], ints[1], level.Q, n_max)]
                 for n in range(1, n_max + 1):
                     r = betas[n] / betas[n - 1]
                     lower, upper = ratio_bounds(r.numerator, r.denominator, level.Q, n)
-                    row = [q, a, n, rat_str(betas[n]), rat_str(series[n]), rat_str(r), int(lower), int(upper)]
+                    b_n = pair_str(*derive_step(level, n).residue_pair())
+                    row = [q, a, n, rat_str(betas[n]), b_n, rat_str(r), int(lower), int(upper)]
                     writer.writerow(row)
                     rows += 1
     return rows

@@ -54,11 +54,15 @@ class UsageError(ValueError):
     pass
 
 
-def _int_field(text: str, key: str, value: str) -> int:
+def _ascii_int(value: str, name: str) -> int:
     """value as an int when it is ASCII digits after an optional sign; int() also reads spaces, "_" and other digits."""
     if not re.fullmatch(r"[+-]?[0-9]+", value):
-        raise UsageError(f"{key}={value!r} in {text!r} is not an integer")
+        raise UsageError(f"{name} is not an integer")
     return int(value)
+
+
+def _int_field(text: str, key: str, value: str) -> int:
+    return _ascii_int(value, f"{key}={value!r} in {text!r}")
 
 
 def _spec_fields(text: str, prefix: str, keys: tuple) -> dict:
@@ -234,8 +238,9 @@ def cmd_rh_check(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    jobs = _ascii_int(args.jobs, f"--jobs {args.jobs!r}")
+    if jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {jobs}")
     tuples = tuple(parse_tuple_arg(part, args.allow_large) for part in args.tuples.split(";"))
     if args.curves:
         curves = tuple(load_curves(args.curves))
@@ -249,7 +254,7 @@ def cmd_sweep(args) -> int:
     checks = ALL_CHECKS if args.checks == "all" else tuple(args.checks.split(","))  # sweep() checks them
     cap = DEFAULT_PRODUCT_CAP if not args.allow_large else 10**9
     config = SweepConfig(curves=curves, tuples=tuples, checks=checks, product_cap=cap)
-    report = sweep(config, jobs=args.jobs)
+    report = sweep(config, jobs=jobs)
     _write_output(report_to_json(report), args.output)
     print(
         "sweep: {cells} cells, failed={failed}".format(
@@ -296,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curves", default=None, help="JSON file with a list of curves")
     p.add_argument("--tuples", required=True, help="semicolon-separated tuples, e.g. '2;3;2,2'")
     p.add_argument("--checks", default="all", help="all or comma-separated subset of " + ",".join(ALL_CHECKS))
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", default="1")
     p.add_argument("--allow-large", action="store_true")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_sweep)

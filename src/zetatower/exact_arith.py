@@ -1,4 +1,4 @@
-"""Exact arithmetic substrate: big rationals, dense polynomials, truncated series.
+"""Exact arithmetic substrate: big rationals and dense polynomials.
 
 The work runs on Python ints: sums over the lcm of their denominators
 (``over_lcm``), reduced once per output.  Nothing touches a float.
@@ -10,8 +10,7 @@ Fractions appear only at the edges: a coefficient that a caller reads
 (``P[i]``, c * ints[i]) and the rationals that callers pass in and get back.
 A level's Q is an int prime power that the callers pass in.  ``Poly`` has no
 ring operations and no division: ``pseudo_divide`` and ``poly_gcd`` work on
-int coefficient lists, such as a view's ints, and form no rational.  A
-truncated power series is a plain coefficient list.
+int coefficient lists, such as a view's ints, and form no rational.
 
 All values are immutable after construction and all operations are pure, so
 everything here is safe to share freely across threads; the one exception is
@@ -243,17 +242,3 @@ def poly_gcd(a: Sequence[int], b: Sequence[int]) -> tuple:
         a, b = b, _primitive(pseudo_divide(a, b)[1])
     return a
 
-
-def series_exp(g: Sequence[Scalar]) -> list:
-    """exp of a truncated series with zero constant term, to the same order.
-
-    ``g[i]`` is the coefficient of T**i.  Uses the derivative recursion
-    exp(g)' = g' * exp(g), so every coefficient is an exact rational.
-    """
-    g = [as_rat(c) for c in g]
-    if not g or g[0] != 0:
-        raise ValueError("series_exp requires a zero constant term")
-    e = [Fraction(1)]
-    for n in range(1, len(g)):
-        e.append(sum(j * g[j] * e[n - j] for j in range(1, n + 1)) / n)
-    return e

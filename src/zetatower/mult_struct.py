@@ -1,46 +1,21 @@
-"""The residue-generating series and the elliptic recursions.
+"""The elliptic residue recursion and the ratio bounds.
 
-N_k = Q^k + 1 - p_k, where p_k is the k-th power sum of the reciprocal roots
-of the (constant-term-1) numerator, obtained from its view's ints by one
-integer Newton recurrence (``curves.point_counts_from_numerator``); no root
-extraction anywhere.  The generating series
-
-    B(x) = exp( sum_m  N_m / (Q^m - 1) * x^m / m )
-
-is computed here by the exact series exponential; the second route, in
-``tests/ratfunc_oracle.py``, is the three-term recursion obtained from
-clearing denominators in (1-x)(1-Qx) B(Qx) = B(x) * P(x),
-
-    (Q^k - 1) b_k = (Q+1) Q^(k-1) b_{k-1} - Q^(k-1) b_{k-2}
-                    + sum_{l=1..min(k,2g)} A_l b_{k-l},      b_0 = 1.
-
-(The recursion's middle coefficient is (Q+1), matching the denominator
-clearing; a displayed (Q-1) variant is a typo that the exp route would
-immediately contradict.)  For genus 1 under the constant-term-1 convention,
-b_n equals the residue of the n-th derived level, which yields the elliptic
-three-term recursion and the ratio bounds checked here.  Both run on ints:
-the recursion reads the level's first two view ints and gives each beta as
-an int pair over a running positive denominator, and each bound is
-cross-multiplied, so no Fraction is formed unless a bound fails.
+For genus 1 under the constant-term-1 convention, the residue beta(n) of the
+n-th derived level obeys a three-term recursion in the level's trace, and
+the ratios beta(n)/beta(n-1) obey the ratio bounds; both are checked here.
+Both run on ints: the recursion reads the level's first two view ints and
+gives each beta as an int pair over a running positive denominator, and each
+bound is cross-multiplied, so no rational is formed unless a bound fails.
+The residue-generating series behind the recursion, and its exp route, live
+in ``tests/ratfunc_oracle.py``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
-from zetatower.curves import CheckResult, ZetaLevel, point_counts_from_numerator
-from zetatower.exact_arith import pair_str, series_exp
-
-
-def residue_series_exp(level: ZetaLevel, k_max: int) -> tuple:
-    """b_0..b_K of B(x) by the exp route, from the counts N_1..N_K the constant-term-1 numerator implies."""
-    Q = level.Q
-    if Q == 1:
-        raise ValueError("Q = 1 makes the series undefined")
-    N = point_counts_from_numerator(level.P, Q, k_max)
-    log_b = [Fraction(0)] + [N[m - 1] / ((Q**m - 1) * m) for m in range(1, k_max + 1)]
-    return tuple(series_exp(log_b))
+from zetatower.curves import CheckResult
+from zetatower.exact_arith import pair_str
 
 
 def elliptic_beta_recursion(A0: int, A1: int, Q: int, n_max: int) -> list:

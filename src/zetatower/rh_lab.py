@@ -526,6 +526,9 @@ def sweep(config: SweepConfig, jobs: int = 1) -> dict:
     unknown = set(config.checks) - set(ALL_CHECKS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}; available: {ALL_CHECKS}")
+    repeated = [name for i, name in enumerate(config.checks) if name in config.checks[:i]]
+    if repeated:  # the work is the same, but the report's config_hash is not
+        raise ValueError(f"check {repeated[0]!r} is repeated; each check of a sweep is run once")
     labels = set()
     for spec in config.curves:  # a repeated label would report its cells twice
         if spec.label in labels:

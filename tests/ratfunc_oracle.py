@@ -36,9 +36,25 @@ coefficient list.
 coefficients, the parity route for the package's integer ``poly_gcd`` and for
 the closed split of a genus-2 R in ``rh_lab._real_weil_roots``.
 
-``residue_series_recursion`` is the second route to the residue series, and
-``elliptic_beta_series_check`` matches each derived residue of a genus-1
-level against the series coefficient.
+The residue-generating series of a level is
+
+    B(x) = exp( sum_m  N_m / (Q^m - 1) * x^m / m ),
+
+N_m = Q^m + 1 - p_m the counts that its constant-term-1 numerator implies
+(``curves.point_counts_from_numerator``).  ``residue_series_exp`` takes it
+by the exact series exponential ``series_exp``; ``residue_series_recursion``
+is the second route, the three-term recursion obtained from clearing
+denominators in (1-x)(1-Qx) B(Qx) = B(x) * P(x),
+
+    (Q^k - 1) b_k = (Q+1) Q^(k-1) b_{k-1} - Q^(k-1) b_{k-2}
+                    + sum_{l=1..min(k,2g)} A_l b_{k-l},      b_0 = 1.
+
+(The middle coefficient is (Q+1), matching the denominator clearing; a
+displayed (Q-1) variant is a typo that the exp route would immediately
+contradict.)  For genus 1, b_n is the residue of the n-th derived level:
+``elliptic_beta_series_check`` matches each derived residue against the
+series coefficient, a third route beside the tower and the package's
+elliptic recursion.
 
 ``fraction_beta_recursion``, ``fraction_ratio_bounds``, ``fraction_trace``
 and ``fraction_discriminant`` are the genus-1 checks in ``Fraction``s, the
@@ -49,10 +65,9 @@ integer RH verdict.
 from fractions import Fraction
 from math import comb
 
-from zetatower.curves import CheckResult, ZetaLevel
+from zetatower.curves import CheckResult, ZetaLevel, point_counts_from_numerator
 from zetatower.derived_engine import compositions, derive_step, normalize_level, special_values
 from zetatower.exact_arith import Poly, as_rat, is_self_inversive
-from zetatower.mult_struct import residue_series_exp
 
 
 class RingPoly(Poly):
@@ -476,6 +491,31 @@ def oracle_invariants(z) -> tuple:
     if not is_self_inversive(S, z.Q, g - 1):
         raise ValueError("interior part is not palindromic")
     return tuple(S[ell] for ell in range(g)), beta
+
+
+def series_exp(g) -> list:
+    """exp of a truncated series with zero constant term, to the same order.
+
+    ``g[i]`` is the coefficient of T**i.  Uses the derivative recursion
+    exp(g)' = g' * exp(g), so every coefficient is an exact rational.
+    """
+    g = [as_rat(c) for c in g]
+    if not g or g[0] != 0:
+        raise ValueError("series_exp requires a zero constant term")
+    e = [Fraction(1)]
+    for n in range(1, len(g)):
+        e.append(sum(j * g[j] * e[n - j] for j in range(1, n + 1)) / n)
+    return e
+
+
+def residue_series_exp(level: ZetaLevel, k_max: int) -> tuple:
+    """b_0..b_K of B(x) by the exp route, from the counts N_1..N_K the constant-term-1 numerator implies."""
+    Q = level.Q
+    if Q == 1:
+        raise ValueError("Q = 1 makes the series undefined")
+    N = point_counts_from_numerator(level.P, Q, k_max)
+    log_b = [Fraction(0)] + [N[m - 1] / ((Q**m - 1) * m) for m in range(1, k_max + 1)]
+    return tuple(series_exp(log_b))
 
 
 def residue_series_recursion(level: ZetaLevel, k_max: int) -> tuple:

@@ -32,6 +32,7 @@ from zetatower.derived_engine import (
 from ratfunc_oracle import (
     RingPoly,
     rational_divmod,
+    residue_series_exp,
     residue_series_recursion,
     residue_simple_pole,
     ring,
@@ -47,7 +48,7 @@ from zetatower.invariants import (
     interlacing_signs,
     invariant_values,
 )
-from zetatower.mult_struct import elliptic_beta_recursion, ratio_bounds_check, residue_series_exp
+from zetatower.mult_struct import elliptic_beta_recursion, ratio_bounds_check
 from zetatower.rh_lab import rh_exact_genus1, rh_numeric, rh_sturm
 
 ELLIPTIC_QS = (2, 3, 4, 5)

@@ -642,7 +642,37 @@ def test_curve_file_with_an_unknown_key_is_usage_error(tmp_path, capsys):
 
 def test_jobs_zero_is_usage_error(capsys):
     assert run_cli(["sweep", "--grid", "builtin-elliptic", "--q", "2", "--tuples", "2", "--jobs", "0"]) == 2
-    assert "--jobs" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --jobs must be at least 1, got 0\n"
+    assert run_cli(["sweep", "--q", "2", "--tuples", "2", "--jobs", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --jobs must be at least 1, got -1\n"
+
+
+@pytest.mark.parametrize("jobs", ["0_1", " 2", "2 ", "\u0662", "1.0", "", "x"])
+def test_jobs_that_is_not_ascii_digits_is_usage_error(jobs, monkeypatch, tmp_path, capsys):
+    # int() reads "_", spaces and non-ASCII digits; --jobs follows the rule of every other integer the CLI reads
+    _refuse_derivation(monkeypatch)
+    out = tmp_path / "out.json"
+    args = ["sweep", "--q", "2", "--tuples", "1", "--checks", "rh", "--jobs", jobs, "--output", str(out)]
+    assert run_cli(args) == 2
+    assert capsys.readouterr().err == f"error: --jobs {jobs!r} is not an integer\n"
+    assert not out.exists()
+
+
+def test_jobs_with_a_sign_reads_as_before(tmp_path, capsys):
+    outs = [tmp_path / "one.json", tmp_path / "plus.json"]
+    for jobs, out in zip(("1", "+1"), outs):
+        assert run_cli(["sweep", "--q", "2", "--tuples", "1", "--checks", "rh", "--jobs", jobs, "--output", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_a_repeated_check_is_usage_error(monkeypatch, tmp_path, capsys):
+    # the work of --checks rh,rh is that of --checks rh, but its config_hash was not
+    _refuse_derivation(monkeypatch)
+    out = tmp_path / "out.json"
+    for checks in ("rh,rh", "rh,miracle,rh"):
+        assert run_cli(["sweep", "--q", "2", "--tuples", "1", "--checks", checks, "--output", str(out)]) == 2
+        assert "error: check 'rh' is repeated" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from ratfunc_oracle import (
     newton_power_sums,
     residue_simple_pole,
     ring,
+    series_exp,
     standard_denominator,
     to_ratfunc,
 )
@@ -41,7 +42,7 @@ from zetatower.curves import (
     validate_zeta_level,
 )
 from zetatower.derived_engine import derive_step, normalize_level, special_values
-from zetatower.exact_arith import Poly, series_exp
+from zetatower.exact_arith import Poly
 
 
 def _passed(results):

@@ -22,6 +22,7 @@ from ratfunc_oracle import (
     rational_squarefree_factors,
     residue_simple_pole,
     ring,
+    series_exp,
 )
 from zetatower.exact_arith import (
     Poly,
@@ -33,7 +34,6 @@ from zetatower.exact_arith import (
     pseudo_divide,
     real_weil_poly,
     rat_str,
-    series_exp,
 )
 
 

@@ -19,12 +19,13 @@ from zetatower.curves import (
 )
 from zetatower.derived_engine import derive_step, normalize_level
 from zetatower.exact_arith import Poly
-from zetatower.mult_struct import elliptic_beta_recursion, ratio_bounds, ratio_bounds_check, residue_series_exp
+from zetatower.mult_struct import elliptic_beta_recursion, ratio_bounds, ratio_bounds_check
 from ratfunc_oracle import (
     elliptic_beta_series_check,
     fraction_beta_recursion,
     fraction_ratio_bounds,
     fraction_trace,
+    residue_series_exp,
     residue_series_recursion,
 )
 
@@ -268,7 +269,7 @@ def test_csv_export_deterministic(tmp_path):
 
 
 def test_csv_export_routes_agree_on_every_row(tmp_path):
-    # the recursion's beta and the series' b_n, row by row over q = 2..5 and n <= 8
+    # the recursion's beta and the tower's residue b_n, row by row over q = 2..5 and n <= 8
     path = tmp_path / "grid.csv"
     rows = _export_script().export_elliptic_grid_csv(path, (2, 3, 4, 5), n_max=8)
     with open(path, newline="") as fh:

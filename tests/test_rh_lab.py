@@ -2,11 +2,13 @@
 
 import cmath
 import hashlib
+import importlib.util
 import json
 import math
 import sys
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -785,6 +787,19 @@ def test_a_genus3_verdict_needs_no_mpmath(monkeypatch):
     assert rh_sturm(_from_traces(2, 0, 0, 3), 2).holds is False
 
 
+def test_the_timing_script_pools_the_rh_admissible_genus2_numerators():
+    # loaded by path, without running main(): a src/ name the script imports that goes away fails here
+    path = Path(__file__).resolve().parents[1] / "scripts" / "time_step.py"
+    spec = importlib.util.spec_from_file_location("time_step", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    for q, size in ((2, 35), (3, 63)):
+        box = [(a1, a2) for a1 in range(-4 * q, 4 * q + 1) for a2 in range(-6 * q, 6 * q + 1)]
+        pool = script.genus2_pool(q)
+        assert len(pool) == size
+        assert pool == [(a1, a2) for a1, a2 in box if _weil_rh_holds(q, a1, a2)]
+
+
 # -- sweep harness -------------------------------------------------------------------
 
 
@@ -900,6 +915,14 @@ def test_sweep_rejects_unknown_checks():
         sweep(SweepConfig(curves=(spec,), tuples=((2,),), checks=("rhh", "positivty")))
     with pytest.raises(ValueError, match="unknown checks"):
         sweep(SweepConfig(curves=(), tuples=((2,),), checks=("rh", "nope")))
+
+
+def test_sweep_rejects_a_repeated_check():
+    # a repeated check would run the same work under another config_hash
+    spec = CurveSpec(label="e", q=2, genus=1, trace=0)
+    for checks in (("rh", "rh"), ("miracle", "rh", "positivity", "rh", "miracle")):
+        with pytest.raises(ValueError, match="check 'rh' is repeated; each check of a sweep is run once"):
+            sweep(SweepConfig(curves=(spec,), tuples=((2,),), checks=checks))
 
 
 def test_sweep_records_cell_errors():

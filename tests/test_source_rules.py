@@ -158,6 +158,13 @@ def test_the_tower_step_names_no_fraction():
     assert "Fraction" not in _names(path.read_text(encoding="utf-8"), str(path))
 
 
+def test_the_elliptic_checks_name_no_fraction():
+    # the elliptic recursion and the ratio bounds run on int pairs; the Fraction routes
+    # to them, the exp series among them, live in tests/ratfunc_oracle.py
+    path = PACKAGE / "mult_struct.py"
+    assert "Fraction" not in _names(path.read_text(encoding="utf-8"), str(path))
+
+
 # what forms a Fraction when read: the class and its alias, a coercion, a residue, the coefficient tuple, a
 # rational's string (a report string of int pairs goes through exact_arith.pair_str), and a coefficient P[i]
 FRACTION_NAMES = {"Fraction", "BigRat", "as_rat", "rat_str", "residue", "residue_inv_q", "coeffs"}
@@ -228,8 +235,6 @@ REACH_ALLOWLIST = {
     "derived_engine.compositions": "perfbench/tracer.py counts what it yields",
     "derived_engine.derive_tower": "perfbench/tracer.py times it",
     "exact_arith.poly_gcd": "perfbench/tracer.py times it",
-    "exact_arith.series_exp": "scripts/export_beta_table.py, through mult_struct.residue_series_exp",
-    "mult_struct.residue_series_exp": "scripts/export_beta_table.py",
 }
 
 

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Export the elliptic residue table as CSV: (q, a, n, beta, b_n, ratio, bounds).
 
-The beta column comes from the three-term recursion, whose int pairs are
-reduced here, b_n from the tower: the reduced residue of
-``derive_step(level, n)``, the identity that the sweep's
-``ratio_bounds[residue]`` link checks.  The two must agree row by row, so the
-file doubles as a quick audit of the recursion against the tower that is easy
-to diff or plot.  ``lower_ok`` and ``upper_ok`` say whether the ratio
+The beta column comes from the three-term recursion, as its ints b(n) over
+the closed denominators D(n) = |A0|^n prod_{k=1..n} (Q^k - 1), reduced here;
+b_n comes from the tower: the reduced residue of ``derive_step(level, n)``,
+the identity that the sweep's ``ratio_bounds[residue]`` link checks.  The two
+must agree row by row, so the file doubles as a quick audit of the recursion
+against the tower that is easy to diff or plot.  ``lower_ok`` and ``upper_ok`` say whether the ratio
 beta(n)/beta(n-1) meets each side of the ratio bounds
 1 < r < (q^(n/2)+1)/(q^(n/2)-1).
 
@@ -15,6 +15,7 @@ beta(n)/beta(n-1) meets each side of the ratio bounds
 
 import argparse
 import csv
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -40,7 +41,10 @@ def export_elliptic_grid_csv(path, qs: Sequence[int], n_max: int = 8) -> int:
             for a in hasse_traces(q):
                 level = artin_elliptic(q, a)
                 ints = level.P.view[1]
-                betas = [Fraction(b, D) for b, D in elliptic_beta_recursion(ints[0], ints[1], level.Q, n_max)]
+                bs = elliptic_beta_recursion(ints[0], ints[1], level.Q, n_max)
+                # beta(n) = b(n) / D(n), D(n) = |A0|^n prod_{k=1..n} (Q^k - 1)
+                D = [abs(ints[0]) ** n * math.prod(level.Q**k - 1 for k in range(1, n + 1)) for n in range(n_max + 1)]
+                betas = [Fraction(b, d) for b, d in zip(bs, D)]
                 for n in range(1, n_max + 1):
                     r = betas[n] / betas[n - 1]
                     lower, upper = ratio_bounds(r.numerator, r.denominator, level.Q, n)

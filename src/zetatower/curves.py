@@ -73,25 +73,45 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _may_be_power(q: int, e: int) -> bool:
+    """False only if q is no e-th power: for up to four primes l = k e + 1 not dividing q, an e-th power has q^k = 1 mod l."""
+    l, seen = 1, 0
+    while seen < 4:
+        l += e * (1 + e % 2)  # l odd
+        if _is_prime(l) and q % l:
+            if pow(q, (l - 1) // e, l) != 1:
+                return False
+            seen += 1
+    return True
+
+
 def prime_power_split(q: int) -> tuple:
     """(p, d) with q = p**d, or raise if q is not a prime power.
 
-    d is the largest exponent for which q has an exact integer d-th root p,
-    found by Newton's method on integers, and p must be prime (``_is_prime``),
-    so a prime q of 61 bits splits in milliseconds.  A p at or above
-    MILLER_RABIN_BOUND raises ValueError at once, since its primality is not decided.
+    Exact roots of prime exponent e are taken by Newton's method on integers
+    while one exists, from e = 2 up; a root of a number with no e'-th root,
+    e' < e, has none either, so p ends with none and d is the largest
+    exponent.  Only an e that passes the residue filter ``_may_be_power``
+    costs a root.  p must be prime (``_is_prime``), so a prime q of 61 bits
+    splits in milliseconds.  A p at or above MILLER_RABIN_BOUND raises
+    ValueError, since its primality is not decided.
     """
     if q < 2:
         raise ValueError(f"q must be a prime power >= 2, got {q}")
-    for d in range(q.bit_length(), 0, -1):
-        p = 1 << -(-q.bit_length() // d)  # at least q^(1/d); Newton descends to its floor
-        while (s := ((d - 1) * p + q // p ** (d - 1)) // d) < p:
-            p = s
-        if p**d == q:
-            if _is_prime(p):
-                return p, d
-            break
-    raise ValueError(f"q must be a prime power, got {q}")
+    p, d, e = q, 1, 2
+    while e < p.bit_length():  # p = r^e with r >= 2 needs 2^e <= p
+        if _is_prime(e) and _may_be_power(p, e):
+            r = 1 << -(-p.bit_length() // e)  # at least p^(1/e); Newton descends to its floor
+            while (s := ((e - 1) * r + p // r ** (e - 1)) // e) < r:
+                r = s
+            if r**e == p:
+                p, d = r, d * e
+                continue
+        e += 1
+    if _is_prime(p):
+        return p, d
+    shown = q if q.bit_length() <= 256 else f"a {q.bit_length()}-bit number"  # a long int has no decimal string
+    raise ValueError(f"q must be a prime power, got {shown}")
 
 
 def hasse_traces(q: int) -> list:

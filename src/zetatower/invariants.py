@@ -31,8 +31,7 @@ positive-denominator table entry, it is sum_p W_p * prod_{l != p} (Q^l T - 1):
 each cofactor is an exact integer division of the clearing product by
 (Q^p T - 1), the W_p are the ints nums[p] of the table's row n over its one
 denominator D, and the int coefficients over D become the polynomial's view
-with one content gcd.  An ``InterlacingPoly`` holds just n, the previous
-(int) Q and that polynomial.
+with one content gcd.
 All composition weights are positive, so at T = Q^-kappa only the
 compositions ending in kappa survive and the sign is forced to (-1)^(kappa+1):
 the sign vector alternates and pins one real root in each interval
@@ -169,17 +168,8 @@ def counting_miracle_check(prev: ZetaLevel, derived: ZetaLevel, following: ZetaL
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InterlacingPoly:
-    """Cleared composition sum whose sign alternation certifies root interlacing."""
-
-    n: int
-    Q_prev: int
-    poly: Poly  # sum_p W_p * prod_{l != p} (Q^l T - 1), W_p the positive-weight sum over last part p
-
-
-def interlacing_poly(sv: SpecialValues, n: int) -> InterlacingPoly:
-    """Build the cleared composition polynomial of degree n-1."""
+def interlacing_poly(sv: SpecialValues, n: int) -> Poly:
+    """The cleared composition polynomial of step n, of degree n-1: sum_p W_p * prod_{l != p} (Q^l T - 1)."""
     Q = sv.Q
     nums, D = composition_sums(sv, n, positive=True)[n]  # W_p = nums[p] / D
     clearing = [1]  # prod_{l=1..n} (Q^l T - 1), lowest coefficient first
@@ -191,20 +181,17 @@ def interlacing_poly(sv: SpecialValues, n: int) -> InterlacingPoly:
         for k in range(n):
             quotient = Q**p * quotient - clearing[k]
             coeffs[k] += w * quotient
-    return InterlacingPoly(n=n, Q_prev=Q, poly=Poly.from_ints(coeffs, D))
+    return Poly.from_ints(coeffs, D)
 
 
-def interlacing_signs(ip: InterlacingPoly) -> list:
-    """Exact signs at T = Q^-kappa, kappa = 1..n: the view's content is positive, so the Horner sums' signs."""
-    signs = []
-    for kappa in range(1, ip.n + 1):
-        h = horner(ip.poly.view[1], 1, ip.Q_prev**kappa)
-        signs.append((h > 0) - (h < 0))
-    return signs
+def interlacing_signs(poly: Poly, Q: int, n: int) -> list:
+    """Exact signs of ``poly`` at T = Q^-kappa, kappa = 1..n: the view's content is positive, so the Horner sums' signs."""
+    hs = (horner(poly.view[1], 1, Q**kappa) for kappa in range(1, n + 1))
+    return [(h > 0) - (h < 0) for h in hs]
 
 
-def interlacing_sign_check(ip: InterlacingPoly, signs: list) -> CheckResult:
-    """The signs ``interlacing_signs(ip)`` at T = Q^-kappa, kappa = 1..n, must alternate starting +.
+def interlacing_sign_check(poly: Poly, n: int, signs: list) -> CheckResult:
+    """The signs ``interlacing_signs`` gives for the step n polynomial must alternate starting +.
 
     The alternation forces one real root in each interval
     (Q^-(kappa+1), Q^-kappa) for kappa = 1..n-1; a zero value at a sample
@@ -213,9 +200,5 @@ def interlacing_sign_check(ip: InterlacingPoly, signs: list) -> CheckResult:
     if 0 in signs:
         return CheckResult("interlacing", False, f"root at sample point; signs {signs}")
     ok = all(s == (-1) ** (kappa + 1) for kappa, s in enumerate(signs, start=1))
-    degree_ok = ip.poly.degree == ip.n - 1 if ip.n > 1 else ip.poly.degree <= 0
-    return CheckResult(
-        "interlacing",
-        ok and degree_ok,
-        f"signs at Q^-kappa: {signs}; degree {ip.poly.degree}",
-    )
+    degree_ok = poly.degree == n - 1 if n > 1 else poly.degree <= 0
+    return CheckResult("interlacing", ok and degree_ok, f"signs at Q^-kappa: {signs}; degree {poly.degree}")

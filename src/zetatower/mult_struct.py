@@ -4,8 +4,9 @@ For genus 1 under the constant-term-1 convention, the residue beta(n) of the
 n-th derived level obeys a three-term recursion in the level's trace, and
 the ratios beta(n)/beta(n-1) obey the ratio bounds; both are checked here.
 Both run on ints: the recursion reads the level's first two view ints and
-gives each beta as an int pair over a running positive denominator, and each
-bound is cross-multiplied, so no rational is formed unless a bound fails.
+gives each beta(n) as an int over the closed denominator |A0|^n prod (Q^k - 1),
+and each bound is cross-multiplied on what the denominators leave once they
+cancel, so no rational is formed unless a bound fails.
 The residue-generating series behind the recursion, and its exp route, live
 in ``tests/ratfunc_oracle.py``.
 """
@@ -19,7 +20,7 @@ from zetatower.exact_arith import pair_str
 
 
 def elliptic_beta_recursion(A0: int, A1: int, Q: int, n_max: int) -> list:
-    """beta(0)..beta(n_max) of a genus-1 level over Q whose numerator begins A0 + A1 T, as int pairs (b, D), D > 0.
+    """The ints b(0)..b(n_max) of a genus-1 level over Q whose numerator begins A0 + A1 T.
 
     A0 and A1 are ints in the numerator's ratio, such as the first two ints of
     its view; the level's trace is a = -A1/A0 and beta(n) is its residue
@@ -28,23 +29,20 @@ def elliptic_beta_recursion(A0: int, A1: int, Q: int, n_max: int) -> list:
         (Q^n - 1) beta(n) = (Q^n + Q^(n-1) - a) beta(n-1) - (Q^(n-1) - Q) beta(n-2),
 
     beta(0) = 1, beta(-1) = 0.  With w = |A0| and u = sign(A0) A1, so that
-    a = -u/w, the running denominator D(n) = D(n-1) w (Q^n - 1) clears every
-    division, and each b(n) is an int:
+    a = -u/w, beta(n) = b(n) / (|A0|^n prod_{k=1..n} (Q^k - 1)) with ints
 
         b(n) = (w (Q^n + Q^(n-1)) + u) b(n-1) - w^2 (Q^(n-1) - Q)(Q^(n-1) - 1) b(n-2).
     """
     if not A0:
         raise ValueError("the trace of a numerator with constant term 0 is undefined")
     w, u = (A0, A1) if A0 > 0 else (-A0, -A1)
-    betas = [(1, 1)]
-    prev2 = 0
+    bs, prev2 = [1], 0
     for n in range(1, n_max + 1):
-        b, D = betas[-1]
         Qn1 = Q ** (n - 1)
-        value = (w * (Q * Qn1 + Qn1) + u) * b - w * w * (Qn1 - Q) * (Qn1 - 1) * prev2
-        prev2 = b
-        betas.append((value, D * w * (Q * Qn1 - 1)))
-    return betas
+        value = (w * (Q * Qn1 + Qn1) + u) * bs[-1] - w * w * (Qn1 - Q) * (Qn1 - 1) * prev2
+        prev2 = bs[-1]
+        bs.append(value)
+    return bs
 
 
 def ratio_bounds(num: int, den: int, Q: int, n: int) -> tuple:
@@ -57,19 +55,19 @@ def ratio_bounds(num: int, den: int, Q: int, n: int) -> tuple:
     return num > den, num <= den or Q**n * (num - den) ** 2 < (num + den) ** 2
 
 
-def ratio_bounds_check(betas: Sequence[tuple], Q: int, start: int = 1) -> list:
-    """Per-step bound checks 1 < beta(n)/beta(n-1) < (Q^(n/2)+1)/(Q^(n/2)-1), by ``ratio_bounds``, for n >= start.
+def ratio_bounds_check(bs: Sequence[int], w: int, Q: int) -> list:
+    """Per-step bound checks 1 < beta(n)/beta(n-1) < (Q^(n/2)+1)/(Q^(n/2)-1), by ``ratio_bounds``, for n >= 2.
 
-    ``betas`` are int pairs (b, D), D > 0, as ``elliptic_beta_recursion``
-    gives them; each ratio is the pair b(n) D(n-1) / (D(n) b(n-1)), with its
-    denominator made positive.  Entry n = 1 is reported but the bounds
-    genuinely start at n = 2 (the base ratio N_1/(Q-1) may drop below 1 for
-    admissible traces); callers asserting the theorem should look at n >= 2.
+    ``bs`` are the ints b(n) of ``elliptic_beta_recursion`` and w = |A0|, so
+    each ratio is the pair b(n) / (w (Q^n - 1) b(n-1)), its denominator made
+    positive.  The bounds start at n = 2: the base ratio N_1/(Q-1) may drop
+    below 1 for admissible traces, and ``ratio_bounds`` reads it alone.
     """
     out = []
-    for n in range(start, len(betas)):
-        (b, D), (b_prev, D_prev) = betas[n], betas[n - 1]
-        num, den = (b * D_prev, D * b_prev) if b_prev > 0 else (-b * D_prev, -D * b_prev)
+    for n in range(2, len(bs)):
+        num, den = bs[n], w * (Q**n - 1) * bs[n - 1]
+        if bs[n - 1] <= 0:
+            num, den = -num, -den
         lower, upper = ratio_bounds(num, den, Q, n)
         ok = lower and upper
         # built only on failure: deep ratios have more digits than Python converts to a string

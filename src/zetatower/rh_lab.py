@@ -412,27 +412,24 @@ def curve_tower(spec: CurveSpec) -> Tower:
 
     @cache
     def interlacing(steps: tuple) -> tuple:
-        ip = interlacing_poly(step_values(steps), steps[-1])
-        signs = interlacing_signs(ip)
-        return interlacing_sign_check(ip, signs), tuple(signs)
-
-    recursions = {}  # prefix -> (betas, bounds): bounds[k - 2] checks beta(k) / beta(k-1)
+        sv, n = step_values(steps), steps[-1]
+        poly = interlacing_poly(sv, n)
+        signs = interlacing_signs(poly, sv.Q, n)
+        return interlacing_sign_check(poly, n, signs), tuple(signs)
 
     @cache
     def ratio_bounds(steps: tuple) -> tuple:
         prefix, n = steps[:-1], steps[-1]
-        prev, depth = level(prefix), max(n, 2)  # bounds start at n = 2
-        betas, bounds = recursions.get(prefix, ((), ()))
+        prev = level(prefix)
         c, ints = prev.P.view
-        if len(betas) <= depth:  # the recursion runs again only for a deeper n; each bound is checked once
-            betas = elliptic_beta_recursion(ints[0], ints[1], prev.Q, depth)
-            bounds = (*bounds, *ratio_bounds_check(betas, prev.Q, start=len(bounds) + 2))
-            recursions[prefix] = betas, bounds
+        w, Q = abs(ints[0]), prev.Q
+        bs = elliptic_beta_recursion(ints[0], ints[1], Q, max(n, 2))  # bounds start at n = 2
+        D = w**n * math.prod(Q**k - 1 for k in range(1, n + 1))  # beta(n) = bs[n] / D
         # the recursion's betas are the tower's: the residue of (prefix, n) is alpha_0(prefix)^n beta(n),
         # alpha_0 = c * ints[0], cross-multiplied
-        (num, den), (b, D) = level(steps).residue_pair(), betas[n]
-        link = CheckResult("ratio_bounds[residue]", num * c.denominator**n * D == den * (c.numerator * ints[0]) ** n * b)
-        return (link, *bounds[: depth - 1])
+        num, den = level(steps).residue_pair()
+        link = CheckResult("ratio_bounds[residue]", num * c.denominator**n * D == den * (c.numerator * ints[0]) ** n * bs[n])
+        return (link, *ratio_bounds_check(bs, w, Q))
 
     return Tower(level, invariants, rh, step_values, beta_route, miracle, interlacing, ratio_bounds)
 

@@ -12,6 +12,7 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 
 import json
 from fractions import Fraction
+from math import prod
 
 import mpmath as mp
 import pytest
@@ -31,6 +32,7 @@ from zetatower.derived_engine import (
 )
 from ratfunc_oracle import (
     RingPoly,
+    fraction_beta_recursion,
     rational_divmod,
     residue_series_exp,
     residue_series_recursion,
@@ -153,10 +155,12 @@ def test_criterion_06_elliptic_triangle():
             base = artin_elliptic(q, a)
             series = residue_series_exp(base, 6)
             recursion = elliptic_beta_recursion(1, -a, q, 6)
+            reference = fraction_beta_recursion(a, q, 6)
             for n in range(1, 7):
                 level = derive_step(base, n)
                 extracted = invariant_values(extract_invariants(level), level.Q)[1]
-                assert extracted == Fraction(*recursion[n]) == series[n], (q, a, n)
+                beta = Fraction(recursion[n], prod(q**k - 1 for k in range(1, n + 1)))  # |A0| = 1
+                assert extracted == beta == reference[n] == series[n], (q, a, n)
                 count += 1
     _report(6, "elliptic beta triangle", f"({count} values, n <= 6, exact)")
 
@@ -167,9 +171,9 @@ def test_criterion_07_ratio_bounds():
     count = 0
     for q in ELLIPTIC_QS:
         for a in hasse_traces(q):
-            betas = elliptic_beta_recursion(1, -a, q, 8)
-            checks = ratio_bounds_check(betas, q)
-            for chk in checks[1:]:
+            checks = ratio_bounds_check(elliptic_beta_recursion(1, -a, q, 8), 1, q)
+            assert len(checks) == 7, (q, a)
+            for chk in checks:
                 assert chk.passed, (q, a, chk.detail)
                 count += 1
     _report(7, "ratio bounds", f"({count} ratios, n in 2..8, exact squared form)")
@@ -181,11 +185,11 @@ def test_criterion_08_interlacing_signs():
         for a in hasse_traces(q):
             sv = special_values(artin_elliptic(q, a), 5)
             for n in range(1, 6):
-                ip = interlacing_poly(sv, n)
-                signs = interlacing_signs(ip)
+                poly = interlacing_poly(sv, n)
+                signs = interlacing_signs(poly, sv.Q, n)
                 assert signs == [(-1) ** (k + 1) for k in range(1, n + 1)], (q, a, n, signs)
                 if n > 1:
-                    assert ip.poly.degree == n - 1
+                    assert poly.degree == n - 1
                 count += 1
     _report(8, "interlacing sign vectors", f"({count} polynomials, n <= 5, exact)")
 

@@ -767,7 +767,7 @@ def _invariant_records(label, levels):
         signs = {}
         if prev is not None:
             n = z.steps[-1]
-            signs[str(n)] = interlacing_signs(interlacing_poly(special_values(prev, n), n))
+            signs[str(n)] = interlacing_signs(interlacing_poly(special_values(prev, n), n), prev.Q, n)
         records.append(
             {
                 "curve": label,

@@ -148,6 +148,28 @@ def test_prime_power_split_refuses_a_prime_above_the_miller_rabin_bound():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("k", [3000, 6000])
+def test_prime_power_split_refuses_a_huge_non_prime_power_quickly(k):
+    # one Newton root per exponent took 10 s at 10^3000 + 1 and 101 s at 10^6000 + 1;
+    # the residue filter leaves q itself, whose primality is not decided
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="MILLER_RABIN_BOUND"):
+        prime_power_split(10**k + 1)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "p, d",
+    [(2, 20011), (3, 5000), (2**61 - 1, 3), (101, 7), (2, 2**4 * 3**2), (7, 2 * 3 * 5 * 7)],
+)
+def test_prime_power_split_takes_the_largest_exponent(p, d):
+    # roots of prime exponent are taken in turn, the same exponent again where it applies;
+    # a refusal names a q past Python's 4300 decimal digits by its bit length
+    assert prime_power_split(p**d) == (p, d)
+    with pytest.raises(ValueError, match="q must be a prime power, got (a [0-9]+-bit number|[0-9]+)$"):
+        prime_power_split(6**d)
+
+
 def test_prime_power_split_matches_trial_division():
     def by_trial_division(q):
         p = next(f for f in range(2, q + 1) if q % f == 0)

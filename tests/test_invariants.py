@@ -163,19 +163,19 @@ def _tail_sum(sv, n):
 
 def test_interlacing_n1_constant():
     sv = special_values(artin_elliptic(2, 0), 1)
-    ip = interlacing_poly(sv, 1)
-    assert ip.poly == Poly([3])
-    assert interlacing_sign_check(ip, interlacing_signs(ip)).passed
+    poly = interlacing_poly(sv, 1)
+    assert poly == Poly([3])
+    assert interlacing_sign_check(poly, 1, interlacing_signs(poly, sv.Q, 1)).passed
 
 
 def test_interlacing_n2_shape_and_signs():
     sv = special_values(artin_elliptic(2, 0), 2)
-    ip = interlacing_poly(sv, 2)
+    poly = interlacing_poly(sv, 2)
     # v2*(QT-1) + v1^2/(Q^2-1)*(Q^2 T-1) = 9(2T-1) + 3(4T-1) = 30T - 12
-    assert ip.poly == Poly([-12, 30])
-    assert ip.poly.degree == 1
-    assert interlacing_signs(ip) == [1, -1]
-    assert -ip.poly[0] == _tail_sum(sv, 2)
+    assert poly == Poly([-12, 30])
+    assert poly.degree == 1
+    assert interlacing_signs(poly, sv.Q, 2) == [1, -1]
+    assert -poly[0] == _tail_sum(sv, 2)
     # the single root 2/5 lies inside (Q^-2, Q^-1) = (1/4, 1/2)
     root = Fraction(12, 30)
     assert Fraction(1, 4) < root < Fraction(1, 2)
@@ -184,21 +184,20 @@ def test_interlacing_n2_shape_and_signs():
 def test_interlacing_alternation_deeper():
     sv = special_values(artin_elliptic(2, 0), 5)
     for n in (3, 4, 5):
-        ip = interlacing_poly(sv, n)
-        assert ip.poly.degree == n - 1
-        assert interlacing_signs(ip) == [(-1) ** (k + 1) for k in range(1, n + 1)]
-        assert interlacing_sign_check(ip, interlacing_signs(ip)).passed
-        assert (-1) ** (n - 1) * ip.poly[0] == _tail_sum(sv, n)
+        poly = interlacing_poly(sv, n)
+        assert poly.degree == n - 1
+        assert interlacing_signs(poly, sv.Q, n) == [(-1) ** (k + 1) for k in range(1, n + 1)]
+        assert interlacing_sign_check(poly, n, interlacing_signs(poly, sv.Q, n)).passed
+        assert (-1) ** (n - 1) * poly[0] == _tail_sum(sv, n)
 
 
 def test_interlacing_defining_identity():
     # gamma equals the tail sum times the clearing product, as rational functions
     sv = special_values(artin_elliptic(3, -2), 4)
-    ip = interlacing_poly(sv, 4)
     clearing = RingPoly([1])
     for ell in range(1, 5):
         clearing = clearing * RingPoly([-1, Fraction(3) ** ell])
-    assert (interlacing_tail(sv, 4) * clearing).to_poly() == ip.poly
+    assert (interlacing_tail(sv, 4) * clearing).to_poly() == interlacing_poly(sv, 4)
 
 
 # -- reports -----------------------------------------------------------------------
@@ -220,7 +219,7 @@ def test_invariant_report_schema():
     assert [rat_str(a) for a in alphas] == ["3"]
     assert rat_str(beta) == "6"
     assert inv.positivity() is True
-    assert interlacing_signs(interlacing_poly(special_values(z, 2), 2)) == [1, -1]
+    assert interlacing_signs(interlacing_poly(special_values(z, 2), 2), z.Q, 2) == [1, -1]
 
 
 def test_miracle_accepts_the_derived_level():

@@ -3,6 +3,7 @@
 import csv
 import importlib.util
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -32,9 +33,14 @@ from ratfunc_oracle import (
 EXPORT = Path(__file__).resolve().parents[1] / "scripts" / "export_beta_table.py"
 
 
-def _fractions(betas):
-    """The recursion's int pairs (b, D) as the rationals b / D."""
-    return [Fraction(b, D) for b, D in betas]
+def _D(A0, Q, n):
+    """The closed denominator |A0|^n prod_{k=1..n} (Q^k - 1) of beta(n)."""
+    return abs(A0) ** n * prod(Q**k - 1 for k in range(1, n + 1))
+
+
+def _betas(bs, A0, Q):
+    """The recursion's ints b(n) as the rationals beta(n) = b(n) / D(n)."""
+    return [Fraction(b, _D(A0, Q, n)) for n, b in enumerate(bs)]
 
 
 def _export_script():
@@ -108,35 +114,37 @@ def test_series_rejects_q_one():
 
 
 def test_elliptic_recursion_q2_a0():
-    betas = elliptic_beta_recursion(1, 0, 2, 2)
-    assert _fractions(betas) == [1, 3, 6]
+    bs = elliptic_beta_recursion(1, 0, 2, 2)
+    assert bs == [1, 3, 18] and _betas(bs, 1, 2) == [1, 3, 6]
 
 
 def test_elliptic_recursion_first_step_is_n1_over_qm1():
     for q in (2, 3, 4, 5):
         for a in hasse_traces(q):
-            betas = elliptic_beta_recursion(1, -a, q, 1)
-            assert Fraction(*betas[1]) == Fraction(q + 1 - a, q - 1)
+            betas = _betas(elliptic_beta_recursion(1, -a, q, 1), 1, q)
+            assert betas[1] == Fraction(q + 1 - a, q - 1)
 
 
 def test_elliptic_recursion_second_step_drops_lag_term():
     # at n = 2 the beta(n-2) coefficient Q^(n-1) - Q vanishes identically
     q = 7
     for a in (-2, 0, 5):
-        betas = _fractions(elliptic_beta_recursion(1, -a, q, 2))
+        betas = _betas(elliptic_beta_recursion(1, -a, q, 2), 1, q)
         assert betas[2] == Fraction(q**2 + q - a, q**2 - 1) * betas[1]
 
 
 def _recursion_matches_the_fraction_route(A0, A1, Q, n_max):
-    betas = elliptic_beta_recursion(A0, A1, Q, n_max)
-    assert all(type(b) is int and type(D) is int and D > 0 for b, D in betas)
-    return _fractions(betas) == fraction_beta_recursion(Fraction(-A1, A0), Q, n_max)
+    bs = elliptic_beta_recursion(A0, A1, Q, n_max)
+    assert len(bs) == n_max + 1 and all(type(b) is int for b in bs)
+    return _betas(bs, A0, Q) == fraction_beta_recursion(Fraction(-A1, A0), Q, n_max)
 
 
 def test_int_recursion_matches_the_fraction_recursion_on_the_export_grid():
+    # every Hasse trace at q = 2..5 and n <= 8, from A0 = 1 and from the pair scaled by -2, which keeps the trace
     for q in (2, 3, 4, 5):
         for a in hasse_traces(q):
             assert _recursion_matches_the_fraction_route(1, -a, q, 8), (q, a)
+            assert _recursion_matches_the_fraction_route(-2, 2 * a, q, 8), (q, a)
 
 
 def test_int_recursion_matches_the_fraction_recursion_on_derived_prefixes():
@@ -148,7 +156,7 @@ def test_int_recursion_matches_the_fraction_recursion_on_derived_prefixes():
     for z in prefixes:
         x0, x1 = z.P.view[1][:2]
         assert Fraction(-x1, x0) == fraction_trace(z)
-        for A0, A1 in ((x0, x1), (-x0, -x1), (3 * x0, 3 * x1)):
+        for A0, A1 in ((x0, x1), (-x0, -x1), (3 * x0, 3 * x1), (-3 * x0, -3 * x1)):
             assert _recursion_matches_the_fraction_route(A0, A1, z.Q, 8), (z.steps, A0, A1)
     # traces whose reduced denominator is not 1, over each sign of A_0
     for A0, A1, Q in ((2, 5, 4), (-2, 5, 4), (3, -1, 2), (-5, 7, 3), (4, -3, 9)):
@@ -179,32 +187,41 @@ def test_beta_equals_series_rejects_genus2():
 # -- ratio bounds -----------------------------------------------------------------------
 
 
+def _first_ratio(A0, A1, Q):
+    """beta(1) / beta(0) as an int pair with a positive denominator, as the CSV's n = 1 rows read it."""
+    r = _betas(elliptic_beta_recursion(A0, A1, Q, 1), A0, Q)[1]
+    return r.numerator, r.denominator
+
+
 def test_ratio_bounds_q2_a0_first_steps():
-    betas = elliptic_beta_recursion(1, 0, 2, 2)
-    checks = ratio_bounds_check(betas, 2)
+    bs = elliptic_beta_recursion(1, 0, 2, 2)
+    checks = ratio_bounds_check(bs, 1, 2)
     # r_1 = 3: 2*(3-1)^2 = 8 < 16 = (3+1)^2; r_2 = 2: 4*1 = 4 < 9
-    assert checks[0].passed and checks[1].passed
+    assert _first_ratio(1, 0, 2) == (3, 1) and ratio_bounds(3, 1, 2, 1) == (True, True)
+    assert [c.name for c in checks] == ["ratio_bounds[n=2]"] and checks[0].passed
 
 
 def test_ratio_bounds_negative_control():
-    checks = ratio_bounds_check([(1, 1), (1, 1)], 2)
-    assert not checks[0].passed  # r = 1 fails the strict lower bound
+    assert ratio_bounds(1, 1, 2, 1) == (False, True)  # r = 1 fails the strict lower bound
+    checks = ratio_bounds_check([1, 1, 3], 1, 2)  # r_2 = 3 / (1 (2^2 - 1) 1) = 1
+    assert not checks[0].passed and checks[0].detail == "r = 1; lower FAIL, upper ok"
 
 
 def test_ratio_bounds_start_at_second_step_on_boundary_traces():
     # at the Hasse boundary the first ratio genuinely escapes the bounds,
     # while every later ratio satisfies them strictly
-    betas = elliptic_beta_recursion(1, -4, 4, 8)
-    checks = ratio_bounds_check(betas, 4)
-    assert not checks[0].passed
-    assert all(c.passed for c in checks[1:])
+    num, den = _first_ratio(1, -4, 4)
+    assert not all(ratio_bounds(num, den, 4, 1))
+    checks = ratio_bounds_check(elliptic_beta_recursion(1, -4, 4, 8), 1, 4)
+    assert [c.name for c in checks] == [f"ratio_bounds[n={n}]" for n in range(2, 9)]
+    assert all(c.passed for c in checks)
 
 
 def test_ratio_bounds_interior_grid():
     for q in (2, 3):
         for a in hasse_traces(q):
-            betas = elliptic_beta_recursion(1, -a, q, 8)
-            assert all(c.passed for c in ratio_bounds_check(betas, q)[1:])
+            bs = elliptic_beta_recursion(1, -a, q, 8)
+            assert all(c.passed for c in ratio_bounds_check(bs, 1, q))
 
 
 def test_ratio_bounds_match_the_fraction_bounds():
@@ -219,22 +236,24 @@ def test_ratio_bounds_match_the_fraction_bounds():
 
 
 def test_ratio_bounds_check_matches_the_fraction_bounds():
-    # pairs over denominators of either sign of beta(n-1), the equality ratio 3 at Q = 2, n = 2 among them
-    pairs = [(1, 1), (3, 1), (9, 1), (-6, 5), (7, 3), (-14, 2), (5, 7), (-1, 2), (22, 4)]
-    for Q in (2, 3, 5):
-        for i in range(len(pairs) - 2):
-            betas = pairs[i : i + 3]
-            checks = ratio_bounds_check(betas, Q)
-            for n, check in enumerate(checks, start=1):
-                r = Fraction(*betas[n]) / Fraction(*betas[n - 1])
+    # ints b(n) whose b(n-1) takes either sign, read with the closed denominators of |A0| = w,
+    # the equality ratio 3 at Q = 2, n = 2 among them
+    bs = [1, 3, 9, -6, 7, -14, 5, -1, 22]
+    for w in (1, 2, 3):
+        for Q in (2, 3, 5):
+            checks = ratio_bounds_check(bs, w, Q)
+            assert [c.name for c in checks] == [f"ratio_bounds[n={n}]" for n in range(2, len(bs))]
+            betas = _betas(bs, w, Q)
+            for n, check in enumerate(checks, start=2):
+                r = betas[n] / betas[n - 1]
                 lower, upper = fraction_ratio_bounds(r, Q, n)
-                assert check.passed == (lower and upper), (Q, betas, n)
+                assert check.passed == (lower and upper), (w, Q, n)
                 if not check.passed:
                     flags = f"lower {'ok' if lower else 'FAIL'}, upper {'ok' if upper else 'FAIL'}"
                     assert check.detail == f"r = {r}; {flags}"
-    assert not ratio_bounds_check([(1, 1), (3, 1), (9, 1)], 2)[1].passed  # r = 3 meets the upper bound's equality
+    assert not ratio_bounds_check([1, 1, 9], 1, 2)[0].passed  # r = 9 / (2^2 - 1) = 3 meets the upper bound's equality
     with pytest.raises(ZeroDivisionError):
-        ratio_bounds_check([(1, 1), (0, 1), (1, 1)], 2)
+        ratio_bounds_check([1, 0, 1], 1, 2)
 
 
 # -- csv export ----------------------------------------------------------------------------
@@ -242,9 +261,9 @@ def test_ratio_bounds_check_matches_the_fraction_bounds():
 
 def test_ratio_upper_bound_holds_below_one():
     # (3^(1/2)+1)/(3^(1/2)-1) > 1 > 1/2: only the lower bound fails at q = 3, a = 3, n = 1
-    betas = elliptic_beta_recursion(1, -3, 3, 1)
-    assert Fraction(*betas[1]) == Fraction(1, 2)
-    check = ratio_bounds_check(betas, 3)[0]
+    assert _first_ratio(1, -3, 3) == (1, 2) and ratio_bounds(1, 2, 3, 1) == (False, True)
+    # and at n = 2 over Q = 3: r = 4 / (3^2 - 1) = 1/2
+    check = ratio_bounds_check([1, 1, 4], 1, 3)[0]
     assert not check.passed and check.detail == "r = 1/2; lower FAIL, upper ok"
     assert ratio_bounds(1, 1, 3, 1) == (False, True)
     assert ratio_bounds(-5, 1, 4, 3) == (False, True)

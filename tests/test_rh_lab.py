@@ -946,7 +946,7 @@ def test_run_cell_genus2():
 
 
 def test_ratio_bounds_read_the_tower_they_report_on(monkeypatch):
-    # doubling every beta(n >= 1) of the recursion leaves each bounded ratio, from n = 2 on, as it was
+    # doubling every b(n >= 1) of the recursion leaves each bounded ratio, from n = 2 on, as it was
     curves = tuple(builtin_elliptic_grid((2, 3)))
     config = SweepConfig(curves=curves, tuples=((2,), (3,), (2, 2)), checks=("ratio_bounds",))
     cells = sweep(config)["cells"]
@@ -954,8 +954,8 @@ def test_ratio_bounds_read_the_tower_they_report_on(monkeypatch):
     real = rh_lab.elliptic_beta_recursion
 
     def doubled(A0, A1, Q, n_max):
-        betas = real(A0, A1, Q, n_max)
-        return betas[:1] + [(2 * b, D) for b, D in betas[1:]]
+        bs = real(A0, A1, Q, n_max)
+        return bs[:1] + [2 * b for b in bs[1:]]
 
     monkeypatch.setattr(rh_lab, "elliptic_beta_recursion", doubled)
     cells = sweep(config)["cells"]
@@ -1050,8 +1050,8 @@ def test_every_level_has_an_int_q_and_no_float_leaks_in(tmp_path):
             alphas, beta = invariants.invariant_values(invs, z.Q)
             assert all(map(exact, alphas)) and exact(beta), (source, steps)
             if z.genus == 1:
-                betas = mult_struct.elliptic_beta_recursion(*z.P.view[1][:2], z.Q, 4)
-                assert all(type(x) is int for pair in betas for x in pair), (source, steps)
+                bs = mult_struct.elliptic_beta_recursion(*z.P.view[1][:2], z.Q, 4)
+                assert len(bs) == 5 and all(type(b) is int for b in bs), (source, steps)
             if steps:
                 sv = tower.special_values(steps)
                 assert type(sv.Q) is int and all(type(x) is int for pair in sv.vhats for x in pair), (source, steps)
@@ -1165,10 +1165,10 @@ def test_run_curve_checks_each_level_and_step_once(monkeypatch):
     assert sorted(z.steps + (n,) for z, n in calls["special_values"]) == levels[1:]
     assert sorted(derived.steps for _, derived, _ in calls["counting_miracle_check"]) == levels[1:]
     assert {name: len(calls[name]) for name in per_step} == dict.fromkeys(per_step, 8)
-    # the ratio bounds run the recursion once per prefix, and again only when a deeper n is read:
-    # () over Q = 3 at n = 1 (to depth 2), 3 and 4, (2,) over 3^2 at n = 2 and 3, (3,) and (2, 2) once
+    # the ratio bounds run the recursion once per step, to depth max(n, 2), since the bounds start at n = 2:
+    # () over Q = 3 at n = 1, 2, 3 and 4, (2,) over 3^2 at n = 2 and 3, (3,) and (2, 2) at n = 2
     depths = [(Q, n_max) for _, _, Q, n_max in calls["elliptic_beta_recursion"]]
-    assert sorted(depths) == [(3, 2), (3, 3), (3, 4), (9, 2), (9, 3), (27, 2), (81, 2)]
+    assert sorted(depths) == [(3, 2), (3, 2), (3, 3), (3, 4), (9, 2), (9, 3), (27, 2), (81, 2)]
 
 
 def test_a_level_of_index_one_gets_its_prefix_results():

@@ -17,12 +17,12 @@ steps (), (2), (3), (2, 2), alone on X2g2 at (10, 10, 10) and at
 4T^4 + 4T^5 + 8T^6 over F_2 at (10, 10, 10), whose verdict is the exact
 Sturm count (``rh_sturm``).  Last the genus-1 check stages of a sweep on
 E3a1 along (10, 10, 10): the tower's ``rh``, ``ratio_bounds``,
-``invariants``, ``miracle`` and ``beta_route`` over its levels and steps,
-each on a fresh tower whose levels (the miracle's (..., 11) among them) and
-special values are read before the timer starts.  Each figure is the best
-of three runs on the same input; the inputs of the tuple's steps, the
-levels to validate and the levels to judge are derived once, outside the
-timer.
+``invariants``, ``miracle``, ``beta_route`` and ``interlacing`` over its
+levels and steps, each on a fresh tower whose levels (the miracle's
+(..., 11) among them) and special values are read before the timer starts.
+Each figure is the best of three runs on the same input; the inputs of the
+tuple's steps, the levels to validate and the levels to judge are derived
+once, outside the timer.
 
   PYTHONPATH=src python scripts/time_step.py
 """
@@ -41,7 +41,7 @@ TUPLE = (10, 10, 10, 5)
 SHALLOW = (1, 2, 3, 4, 5)
 POOL_STEPS = ((), (2,), (3,), (2, 2))
 GENUS3 = (1, 1, 2, 3, 4, 4, 8)  # over F_2
-GENUS1_CHECKS = ("rh", "ratio_bounds", "invariants", "miracle", "beta_route")  # Tower fields
+GENUS1_CHECKS = ("rh", "ratio_bounds", "invariants", "miracle", "beta_route", "interlacing")  # Tower fields
 GENUS1_PATH = (10, 10, 10)
 
 

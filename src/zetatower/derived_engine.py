@@ -26,7 +26,11 @@ of m with last part p, by the recurrence
     E[m][m] = v_m,    E[m][p] = v_p * sum_r E[m-p][r] / (1 - Q^(r+p)),
 
 in O(n^3) operations.  Reversing a composition keeps its weight, so
-the same table gives the first-part sums L_a needs.
+the same table gives the first-part sums L_a needs.  The inner sum runs over
+the pair denominators Q^(p+1) - 1, ..., Q^m - 1, which depend on Q alone:
+``pair_plan`` gives every such run its lcm and cofactors once, and
+``SpecialValues`` carries the plan of its depth, so the inner sum is one dot
+product over the run's lcm.
 
 The step first certifies that the poles at the interior points T = Q^e,
 e = 1-n..-1, cancel.  Within one a-term the poles are simple and distinct
@@ -37,10 +41,20 @@ F(a-1, n-a+1+e) and the middle factor is Z(Q^(n-a+e)), with
 
     F(m, s) = sum over p = 1..m of  E[m][p] / (1 - Q^(p+s)),    F(0, s) = 1,
 
-so the certificate reads only the poles 1/(1 - Q^k), 1 <= k < n, the middle
-values Z(Q^k), |k| < n, the residues of Z at 1 and 1/Q and the table.  A
+so the certificate reads only the poles 1/(1 - Q^k) = -1/(Q^k - 1),
+1 <= k < n, through the plan the table read, the middle values Z(Q^k),
+|k| < n, the residues of Z at 1 and 1/Q and the table.  From n = 3 on, one
 wrong table entry, special value, residue or value of Z makes some residue
-sum nonzero and raises DerivationError.
+sum nonzero and raises DerivationError (the tests plant each at n = 5).  What
+it cannot see: at n = 2 the one residue sum is F(1, 0) (Res_1 + Q Res_(1/Q)),
+zero by the functional equation whatever E[1][1] is; rows that are wrong but
+consistent with the recurrence, such as E[4][1] off and row 5 rebuilt from it
+on E2a0 (q = 2, trace 0) at n = 6; and a wrong pole or plan entry that the
+table and the certificate read alike, such as a wrong Q^3 - 1, or, at even
+n, a wrong plan[s][n/2].  Those are left to validation.  On the Hasse bases
+with q <= 5 and X2g2 at n <= 8 it caught each wrong Q^3 - 1 and plan[s][n/2]
+tried but one: on E2a0 at n = 6 a wrong plan[1][3], like the rebuilt rows,
+gives a P unlike the oracle's that passes both.
 
 Then P_n = Q^(C(n,2)(g-1)) (1-T)(1-Q^n T) T^(g-1) S(T), S the sum over a, is
 read off its first 2g+1 Taylor coefficients at T = 0, where every factor is
@@ -60,16 +74,18 @@ Q^(C(n,2)(g-1)) A_0(prev) sum_p E[n-1][p], the closed row sum; A_2g collects
 every term, and validation ties it to A_0 by A_2g = Q^(ng) A_0.
 
 All of it runs on Python ints.  In the certificate a value is an unreduced
-int pair (N, D), and a sum of products of pairs goes over the lcm of the
-denominators (``exact_arith.over_lcm``).  ``side_series`` gives the two side
-sums that read one table row; each a-term is two truncated products over
-D_(n-a) D_(a-1) u^(g-1), and the n terms go over one lcm.  Only special-value
+int pair (N, D); F(m, s) is row m's nums dotted with the cofactors of
+plan[s][m], over D times its lcm, and each residue sum of products of pairs
+goes over the lcm of the denominators (``exact_arith.over_lcm``).
+``side_series`` gives the two side sums that read one table row; each a-term
+is two truncated products over D_(n-a) D_(a-1) u^(g-1), and the n terms go
+over one lcm.  Only special-value
 products, table rows and P_n (``Poly.from_ints``) are reduced, one gcd each.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from math import comb, gcd
 from operator import mul
@@ -99,19 +115,52 @@ def compositions(total: int) -> Iterator[tuple]:
             yield (first,) + rest
 
 
+def pair_plan(Q: int, depth: int) -> list:
+    """The runs of pair denominators Q^(s+r) - 1, r = 1..j, over their lcm: plan[s][j] = (L, cof), s < depth, j <= depth - s.
+
+    L = lcm(Q^(s+r) - 1, r = 1..j) and cof[r-1] = L // (Q^(s+r) - 1), so a
+    sum of x_r / (Q^(s+r) - 1) is sum(map(mul, xs, cof)) / L; plan[s][0] is
+    (1, []), and depth 0 gives the empty plan.  Row s runs one lcm along r:
+    where it grows by f, the cofactors so far are multiplied by f, and the new
+    one is the old L over its gcd with the new denominator; no division by L.
+    """
+    plan = []
+    for s in range(depth):
+        row, L, cof, power = [(1, [])], 1, [], Q**s
+        for _ in range(depth - s):
+            power *= Q
+            g = gcd(L, power - 1)
+            f = (power - 1) // g  # lcm(L, Q^(s+r) - 1) = L * f
+            cof = [c * f for c in cof]
+            cof.append(L // g)
+            L *= f
+            row.append((L, cof))
+        plan.append(row)
+    return plan
+
+
 @dataclass(frozen=True)
 class SpecialValues:
-    """The products of the special values of one level, as reduced int pairs.
+    """The products of the special values of one level, as reduced int pairs, and the pair plan of their depth.
 
     The special values are zeta_hat(1), the residue at T = 1, and for k >= 2
     zeta_hat(k), the exact value at T = Q^-k (never a pole, the only poles
     being T = 1 and T = 1/Q).  vhats[N] = (num, den) stands for
     vhat(N) = prod_{k<=N} zeta_hat(k), with den > 0, gcd(num, den) = 1 and
     vhats[0] = (1, 1); zeta_hat(k) itself is vhat(k) / vhat(k-1).
+    ``plan`` is ``pair_plan(Q, depth)``, depth = len(vhats) - 1: the lcm and
+    cofactors of every run of pair denominators Q^k - 1, k <= depth, that the
+    composition table and the step's certificate read.  It depends on Q
+    alone, is built with the values and lives as long as they do; it takes
+    no part in equality or the repr.
     """
 
     Q: int
     vhats: tuple  # vhats[N] = vhat(N) as (num, den), N = 0..depth
+    plan: list = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "plan", pair_plan(self.Q, len(self.vhats) - 1))
 
 
 def special_values(z: ZetaLevel, n_max: int) -> SpecialValues:
@@ -133,7 +182,10 @@ def composition_sums(sv: SpecialValues, m_max: int, positive: bool = False) -> t
 
     Built by the recurrence E[m][m] = vhat(m),
     E[m][p] = vhat(p) * sum_r E[m-p][r] / (1 - Q^(r+p)) in O(m_max^3) integer
-    operations.  Row m, for m = 0..m_max, is the int row (nums, D) with
+    operations.  The inner sum runs over the pair denominators
+    Q^(p+1) - 1, ..., Q^m - 1, so it is the row m-p nums dotted with the
+    cofactors of ``sv.plan[p][m-p]``, over its lcm: no lcm or division per
+    term.  Row m, for m = 0..m_max, is the int row (nums, D) with
     E[m][p] = nums[p] / D, D > 0 and gcd(D, *nums) = 1: its unreduced entries
     go over one lcm and the row is divided by one gcd, which keeps D from
     compounding down the rows.  nums[0] = 0, and row 0 is ([0], 1): it holds
@@ -143,17 +195,15 @@ def composition_sums(sv: SpecialValues, m_max: int, positive: bool = False) -> t
     """
     if len(sv.vhats) <= m_max:
         raise ValueError(f"special values of depth {len(sv.vhats) - 1} < {m_max}")
-    Q = sv.Q
     sign = 1 if positive else -1  # 1 / (1 - Q^s) = -1 / (Q^s - 1)
-    pair = [None] + [Q**s - 1 for s in range(1, m_max + 1)]
     rows = [([0], 1)]
     for m in range(1, m_max + 1):
         entries = [(0, 1)]
         for p in range(1, m):
             nums, D = rows[m - p]
-            scaled, L = over_lcm((x, pair[r + p]) for r, x in enumerate(nums[1:], 1))
+            L, cof = sv.plan[p][m - p]
             v_num, v_den = sv.vhats[p]
-            entries.append((sign * v_num * sum(scaled), v_den * D * L))
+            entries.append((sign * v_num * sum(map(mul, nums[1:], cof)), v_den * D * L))
         entries.append(sv.vhats[m])
         nums, D = over_lcm(entries)
         c = gcd(D, *nums)
@@ -190,13 +240,13 @@ def derive_step(z: ZetaLevel, n: int) -> ZetaLevel:
         raise ValueError("derivation index must be >= 1")
     Q, g = z.Q, z.genus
     steps = z.steps + (n,)
-    rows = composition_sums(special_values(z, n - 1), n - 1) if n > 1 else (([0], 1),)
+    sv = special_values(z, n - 1) if n > 1 else SpecialValues(Q=Q, vhats=((1, 1),))  # depth 0: the empty table
+    rows = composition_sums(sv, n - 1)
 
     K = 2 * g  # the series run to T^K; the certificate reads Q^k for k < n
     Qk = [1]  # Qk[k] = Q^k
     for _ in range(max(n, K)):
         Qk.append(Qk[-1] * Q)
-    poles = {k: (1, 1 - Qk[k]) for k in range(1, n)}  # poles[k] = 1 / (1 - Q^k)
 
     def lcm_sum(products) -> tuple:  # (N, L): N / L is the sum of the products of triples of pairs
         scaled, L = over_lcm((x[0] * y[0] * w[0], x[1] * y[1] * w[1]) for x, y, w in products)
@@ -204,12 +254,12 @@ def derive_step(z: ZetaLevel, n: int) -> ZetaLevel:
 
     side = {}
 
-    def F(m: int, s: int) -> tuple:  # row m over its D, the poles over their lcm
+    def F(m: int, s: int) -> tuple:  # row m over its D; 1/(1 - Q^(p+s)) = -1/(Q^(p+s) - 1) over the plan's lcm
         if (m, s) not in side:
             if m:
                 nums, D = rows[m]
-                scaled, L = over_lcm((nums[p] * poles[p + s][0], poles[p + s][1]) for p in range(1, m + 1))
-                side[m, s] = sum(scaled), D * L
+                L, cof = sv.plan[s][m]
+                side[m, s] = -sum(map(mul, nums[1:], cof)), D * L
             else:
                 side[m, s] = 1, 1
         return side[m, s]

@@ -1,5 +1,6 @@
 """Tests for the tower derivation step and its structural guarantees."""
 
+import math
 import pickle
 from dataclasses import replace
 from fractions import Fraction
@@ -22,6 +23,7 @@ from zetatower.derived_engine import (
     derive_step,
     derive_tower,
     normalize_level,
+    pair_plan,
     special_values,
 )
 from ratfunc_oracle import (
@@ -83,6 +85,30 @@ def test_special_values_vhat_recursion():
     assert sv.vhats[1] == (beta.numerator, beta.denominator)  # reduced, positive denominator
     for n in range(2, 6):
         assert Fraction(*sv.vhats[n]) == Fraction(*sv.vhats[n - 1]) * Fraction(*z.value_pair(1, 3**n))
+
+
+@pytest.mark.parametrize("Q", [2, 3, 4, 5, 9, 2**10, 3**10])
+def test_pair_plan_matches_its_definition(Q):
+    depth = 12
+    plan = pair_plan(Q, depth)
+    assert len(plan) == depth
+    for s, row in enumerate(plan):
+        assert len(row) == depth - s + 1
+        for j, (L, cof) in enumerate(row):  # every s + j <= depth; j = 0 is the empty run
+            pairs = [Q ** (s + r) - 1 for r in range(1, j + 1)]
+            assert L == math.lcm(*pairs)
+            assert len(cof) == j and all(c * d == L for c, d in zip(cof, pairs))
+    assert pair_plan(Q, 0) == []
+
+
+def test_special_values_carry_the_plan_of_their_depth():
+    z = artin_elliptic(3, 1)
+    sv = special_values(z, 5)
+    assert sv.plan == pair_plan(3, 5)
+    # a derived field: rebuilt from Q and the values, outside equality and the repr
+    again = SpecialValues(Q=sv.Q, vhats=sv.vhats)
+    assert again == sv and again.plan == sv.plan and "plan" not in repr(sv)
+    assert SpecialValues(Q=3, vhats=((1, 1),)).plan == []
 
 
 def test_composition_weight_pairs():
@@ -256,6 +282,43 @@ def test_corrupted_composition_sum_is_caught(monkeypatch, z):
                 with pytest.raises(DerivationError, match="do not cancel"):
                     derive_step(z, n)
     assert derive_step(z, n).steps == (n,)  # the real table passes
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("z", [artin_elliptic(3, 1), artin_from_point_counts(2, 2, [3, 5])], ids=["E3a1", "X2g2"])
+def test_corrupted_pair_plan_is_caught(monkeypatch, z, n):
+    # L + 1, or the first or the last cofactor + 1, of one plan entry at a time; the table and the
+    # certificate read the one plan.  Row 0 is read only by the certificate's F(m, 0), which meets
+    # only residue-pair terms, so a wrong entry there may leave the level as it is.  At even n the
+    # certificate cannot see a wrong plan[s][n/2], which the table and the certificate read alike;
+    # validation catches it here
+    true = derive_step(z, n)
+    real = derived_engine.pair_plan
+    for s in range(n - 1):
+        for j in range(1, n - s):
+            for kind in ("L", "first", "last"):
+
+                def corrupted(Q, depth, s=s, j=j, kind=kind):
+                    plan = real(Q, depth)
+                    L, cof = plan[s][j][0], list(plan[s][j][1])
+                    if kind == "L":
+                        L += 1
+                    else:
+                        cof[0 if kind == "first" else -1] += 1
+                    plan[s][j] = (L, cof)
+                    return plan
+
+                with monkeypatch.context() as mp:
+                    mp.setattr(derived_engine, "pair_plan", corrupted)
+                    if s:
+                        with pytest.raises(DerivationError, match="functional_equation" if 2 * j == n else "do not cancel"):
+                            derive_step(z, n)
+                    else:
+                        try:
+                            assert derive_step(z, n) == true, (s, j, kind)
+                        except DerivationError as caught:
+                            assert "do not cancel" in str(caught)
+    assert derive_step(z, n) == true  # the real plan passes
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -70,8 +70,8 @@ def test_oracle_parity_at_a_derived_level():
 
 @pytest.mark.parametrize(
     "z",
-    [artin_elliptic(2, 1), artin_elliptic(3, -2), artin_from_point_counts(2, 2, [3, 5])],
-    ids=["E2a1", "E3am2", "X2g2"],
+    [artin_elliptic(2, 0), artin_elliptic(2, 1), artin_elliptic(3, -2), artin_from_point_counts(2, 2, [3, 5])],
+    ids=["E2a0", "E2a1", "E3am2", "X2g2"],
 )
 def test_composition_sums_match_brute_force(z):
     m_max = 10

@@ -4,7 +4,11 @@
 Prints, for the elliptic curve E3a1 (q = 3, trace 1) and the genus-2 catalog
 curve X2g2, the time of ``derive_step(base, n)`` at n = 10, 20, 40, 60, then
 the time of each step of X2g2 along the tuple (10, 10, 10, 5), whose last
-level has Q = 2^5000.  Then the shallow regime a default elliptic sweep runs:
+level has Q = 2^5000.  Then the single steps (1), ..., (24) from E3a1 and
+from X2g2 as a sweep of those tuples runs them: on a fresh
+``curve_tower(spec, tuples)`` per run, each step's level and its
+``beta_route``, all 24 steps reading the base's one set of special values.
+Then the shallow regime a default elliptic sweep runs:
 over the 30 bases of the built-in elliptic grid (q = 2..5) and X2g2, the total
 time of ``derive_step(base, n)`` for n = 1..5, of ``validate_zeta_level`` and
 of ``extract_invariants`` on those 155 levels, and of
@@ -43,6 +47,7 @@ POOL_STEPS = ((), (2,), (3,), (2, 2))
 GENUS3 = (1, 1, 2, 3, 4, 4, 8)  # over F_2
 GENUS1_CHECKS = ("rh", "ratio_bounds", "invariants", "miracle", "beta_route", "interlacing")  # Tower fields
 GENUS1_PATH = (10, 10, 10)
+SINGLE_STEPS = tuple((n,) for n in range(1, 25))
 
 
 def best_of_3(run) -> float:
@@ -70,6 +75,15 @@ def main() -> int:
         bits = (z.Q**n).bit_length()
         print(f"X2g2 step {z.steps + (n,)} (new Q has {bits} bits): {best_of_3(lambda: derive_step(z, n)):.3f} s", flush=True)
         z = derive_step(z, n)
+    for name, spec in (("E3a1", CurveSpec(label="E3a1", q=3, genus=1, trace=1)), ("X2g2", catalog_curve("X2g2").spec())):
+
+        def single_steps():
+            tower = curve_tower(spec, SINGLE_STEPS)  # the tower keeps each result, so each run builds a fresh one
+            for steps in SINGLE_STEPS:
+                tower.level(steps), tower.beta_route(steps)
+
+        label = f"{name} steps ({SINGLE_STEPS[0][0]})..({SINGLE_STEPS[-1][0]})"
+        print(f"{label} through one tower, level and beta_route: {best_of_3(single_steps):.3f} s", flush=True)
 
     shallow = [spec.level for spec in builtin_elliptic_grid()] + [bases["X2g2"]]
     levels = [derive_step(z, n) for z in shallow for n in SHALLOW]
@@ -104,7 +118,7 @@ def main() -> int:
     paths = [GENUS1_PATH[:i] for i in range(len(GENUS1_PATH) + 1)]
     best = dict.fromkeys(GENUS1_CHECKS, float("inf"))
     for _ in range(3):
-        tower = curve_tower(spec)  # the tower keeps each result, so each run reads a fresh one
+        tower = curve_tower(spec, (GENUS1_PATH,))  # the tower keeps each result, so each run reads a fresh one
         for path in paths[1:]:
             tower.level(path), tower.level(path[:-1] + (path[-1] + 1,)), tower.special_values(path)
         for name in GENUS1_CHECKS:

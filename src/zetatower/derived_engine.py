@@ -30,7 +30,11 @@ the same table gives the first-part sums L_a needs.  The inner sum runs over
 the pair denominators Q^(p+1) - 1, ..., Q^m - 1, which depend on Q alone:
 ``pair_plan`` gives every such run its lcm and cofactors once, and
 ``SpecialValues`` carries the plan of its depth, so the inner sum is one dot
-product over the run's lcm.
+product over the run's lcm.  The table reads vhat(1..n-1) and plan entries
+with indices below n only, so ``derive_step(z, n, sv)`` takes the special
+values of z at any depth >= n-1: a tower reads one set per prefix level for
+all of that prefix's steps, and without ``sv`` the step computes its own to
+depth n-1.
 
 The step first certifies that the poles at the interior points T = Q^e,
 e = 1-n..-1, cancel.  Within one a-term the poles are simple and distinct
@@ -74,9 +78,13 @@ Q^(C(n,2)(g-1)) A_0(prev) sum_p E[n-1][p], the closed row sum; A_2g collects
 every term, and validation ties it to A_0 by A_2g = Q^(ng) A_0.
 
 All of it runs on Python ints.  In the certificate a value is an unreduced
-int pair (N, D); F(m, s) is row m's nums dotted with the cofactors of
-plan[s][m], over D times its lcm, and each residue sum of products of pairs
-goes over the lcm of the denominators (``exact_arith.over_lcm``).
+int pair.  F(m, s) keeps row m's nums dotted with the cofactors of
+plan[s][m] over the plan's lcm, with the row's D_m factored out, so every
+a-term at an interior point is N_a / (D_(n-a) D_(a-1) Y_a), with Y_a from the
+plan's lcms, Z(Q^k) or the residues.  The step forms
+Lambda = lcm_a(D_(n-a) D_(a-1)) and sigma_a = Lambda / (D_(n-a) D_(a-1))
+once; at each point, with M the lcm of the Y_a, the residue sum scaled by
+Lambda M > 0 is the int sum_a sigma_a N_a (M // Y_a), tested for zero.
 ``side_series`` gives the two side sums that read one table row; each a-term
 is two truncated products over D_(n-a) D_(a-1) u^(g-1), and the n terms go
 over one lcm.  Only special-value
@@ -87,9 +95,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
-from math import comb, gcd
+from math import comb, gcd, lcm
 from operator import mul
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from zetatower.curves import CurveSpec, ZetaLevel, validate_zeta_level
 from zetatower.exact_arith import Poly, horner, over_lcm
@@ -164,9 +172,12 @@ class SpecialValues:
 
 
 def special_values(z: ZetaLevel, n_max: int) -> SpecialValues:
-    """vhat(0..n_max) of z: each value is an int pair with a positive denominator, each product one gcd."""
-    if n_max < 1:
-        raise ValueError("need depth >= 1")
+    """vhat(0..n_max) of z: each value is an int pair with a positive denominator, each product one gcd.
+
+    Depth 0 is vhats ((1, 1),) and the empty plan, what a step of index 1 reads.
+    """
+    if n_max < 0:
+        raise ValueError(f"need depth >= 0, got {n_max}")
     vhats = [(1, 1)]
     for k in range(1, n_max + 1):
         N, D = z.residue_pair() if k == 1 else z.value_pair(1, z.Q**k)  # Res_{T=1} Z, then Z(Q^-k); D > 0
@@ -234,13 +245,21 @@ def _truncated_product(x: list, y: list) -> list:
     return [sum(map(mul, x[: k + 1], y[k::-1])) for k in range(len(x))]
 
 
-def derive_step(z: ZetaLevel, n: int) -> ZetaLevel:
-    """Produce the next tower level; exact, certified, validated, and pure."""
+def derive_step(z: ZetaLevel, n: int, sv: Optional[SpecialValues] = None) -> ZetaLevel:
+    """Produce the next tower level; exact, certified, validated, and pure.
+
+    ``sv`` is special values of z at any depth >= n-1, such as a tower's set
+    for the prefix; when omitted they are computed to depth n-1.  Values of
+    another Q, or shallower than n-1, raise ValueError.
+    """
     if n < 1:
         raise ValueError("derivation index must be >= 1")
     Q, g = z.Q, z.genus
     steps = z.steps + (n,)
-    sv = special_values(z, n - 1) if n > 1 else SpecialValues(Q=Q, vhats=((1, 1),))  # depth 0: the empty table
+    if sv is None:
+        sv = special_values(z, n - 1)
+    elif sv.Q != Q or len(sv.vhats) < n:
+        raise ValueError(f"special values of Q = {sv.Q}, depth {len(sv.vhats) - 1} do not serve step {n} over Q = {Q}")
     rows = composition_sums(sv, n - 1)
 
     K = 2 * g  # the series run to T^K; the certificate reads Q^k for k < n
@@ -248,18 +267,13 @@ def derive_step(z: ZetaLevel, n: int) -> ZetaLevel:
     for _ in range(max(n, K)):
         Qk.append(Qk[-1] * Q)
 
-    def lcm_sum(products) -> tuple:  # (N, L): N / L is the sum of the products of triples of pairs
-        scaled, L = over_lcm((x[0] * y[0] * w[0], x[1] * y[1] * w[1]) for x, y, w in products)
-        return sum(scaled), L
-
     side = {}
 
-    def F(m: int, s: int) -> tuple:  # row m over its D; 1/(1 - Q^(p+s)) = -1/(Q^(p+s) - 1) over the plan's lcm
+    def F(m: int, s: int) -> tuple:  # (N, L): row m's sum is N / (D_m L), 1/(1 - Q^(p+s)) = -1/(Q^(p+s) - 1)
         if (m, s) not in side:
             if m:
-                nums, D = rows[m]
                 L, cof = sv.plan[s][m]
-                side[m, s] = -sum(map(mul, nums[1:], cof)), D * L
+                side[m, s] = -sum(map(mul, rows[m][0][1:], cof)), L
             else:
                 side[m, s] = 1, 1
         return side[m, s]
@@ -271,29 +285,32 @@ def derive_step(z: ZetaLevel, n: int) -> ZetaLevel:
             middle[k] = z.value_pair(Qk[k], 1) if k >= 0 else z.value_pair(1, Qk[-k])
         return middle[k]
 
-    def right(a: int, e: int) -> tuple:  # R_a(Q^e)
-        return F(n - a, a - n - e)
+    # The a-term's denominator is D_(n-a) D_(a-1) Y_a, Y_a from the plan, Z(Q^k) or the residues: each
+    # residue sum is scaled by Lambda = lcm_a(D_(n-a) D_(a-1)), once per step, and by the lcm of its Y_a;
+    # sigma[a-1] = Lambda / (D_(n-a) D_(a-1)).
+    sigma, _ = over_lcm((1, rows[n - a][1] * rows[a - 1][1]) for a in range(1, n + 1))
 
-    def left(a: int, e: int) -> tuple:  # L_a(Q^e)
-        return F(a - 1, n - a + 1 + e)
-
-    # Each a-term has exactly one simple pole at T = Q^e: in the right sum for
-    # a <= n-1+e, in Z(Q^(n-a) T) at u = 1 (residues[0]) for a = n+e and at
-    # u = 1/Q (residues[1]) for a = n+e+1, and in the left sum for a >= n+e+2.
+    # Each a-term has exactly one simple pole at T = Q^e: in the right sum R_a(Q^e) = F(n-a, a-n-e) for
+    # a <= n-1+e, in Z(Q^(n-a) T) at u = 1 (residues[0]) for a = n+e and at u = 1/Q (residues[1]) for
+    # a = n+e+1, and in the left sum L_a(Q^e) = F(a-1, n-a+1+e) for a >= n+e+2.
     # The sum is scaled by Q^-e, which drops Q^e from the side sums and leaves Q on Res(1/Q).
     res_inv_q = z.residue_inv_q_pair()
     residues = (z.residue_pair(), (res_inv_q[0] * Q, res_inv_q[1]))
     uncancelled = []
     for e in range(1 - n, 0):
-        terms = []
+        terms = []  # (N_a, Y_a): the a-term is N_a / (D_(n-a) D_(a-1) Y_a)
         for a in range(1, n + 1):
             if a <= n - 1 + e:
-                terms.append(((rows[n - a][0][n - a + e], rows[n - a][1]), mid(n - a + e), left(a, e)))
+                (x, w), (y, L) = mid(n - a + e), F(a - 1, n - a + 1 + e)
+                terms.append((rows[n - a][0][n - a + e] * x * y, w * L))
             elif a <= n + e + 1:
-                terms.append((residues[a - n - e], right(a, e), left(a, e)))
+                (x, w), (y, L), (t, L2) = residues[a - n - e], F(n - a, a - n - e), F(a - 1, n - a + 1 + e)
+                terms.append((x * y * t, w * L * L2))
             else:
-                terms.append(((-rows[a - 1][0][a - 1 - n - e], rows[a - 1][1]), right(a, e), mid(n - a + e)))
-        if lcm_sum(terms)[0]:
+                (y, L), (x, w) = F(n - a, a - n - e), mid(n - a + e)
+                terms.append((-rows[a - 1][0][a - 1 - n - e] * y * x, L * w))
+        M = lcm(*(Y for _, Y in terms))
+        if sum(s * N * (M // Y) for s, (N, Y) in zip(sigma, terms)):
             uncancelled.append(e)
     if uncancelled:
         raise DerivationError(

@@ -172,14 +172,15 @@ def interlacing_poly(sv: SpecialValues, n: int) -> Poly:
     """The cleared composition polynomial of step n, of degree n-1: sum_p W_p * prod_{l != p} (Q^l T - 1)."""
     Q = sv.Q
     nums, D = composition_sums(sv, n, positive=True)[n]  # W_p = nums[p] / D
+    powers = [Q**ell for ell in range(n + 1)]  # each Q^l once, for its factor and its quotient
     clearing = [1]  # prod_{l=1..n} (Q^l T - 1), lowest coefficient first
-    for ell in range(1, n + 1):
-        clearing = [Q**ell * a - b for a, b in zip([0] + clearing, clearing + [0])]
+    for power in powers[1:]:
+        clearing = [power * a - b for a, b in zip([0] + clearing, clearing + [0])]
     coeffs = [0] * n
     for p, w in enumerate(nums[1:], start=1):  # w * clearing / (Q^p T - 1), from the constant term up
-        quotient = 0
+        quotient, power = 0, powers[p]
         for k in range(n):
-            quotient = Q**p * quotient - clearing[k]
+            quotient = power * quotient - clearing[k]
             coeffs[k] += w * quotient
     return Poly.from_ints(coeffs, D)
 

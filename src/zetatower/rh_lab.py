@@ -32,13 +32,16 @@ and the CLI use: sweeps read it, and so do the CLI's derive, invariants and
 rh-check.
 A level is derived from its prefix's level at most once, each distinct level
 numerator (invariants, RH verdict) is checked at most once per curve, and so
-is each step (special values, the beta routes, the counting miracle,
-interlacing, the ratio bounds).  The genus-1 checks read the ints of the
-levels' views and compare by cross-multiplication; a rational is formed only
-for a report string, such as the final level's alphas and beta.  A step of
-index 1 gives back its prefix's numerator, so a level ``(..., 1)`` reuses its
-prefix's results.  A cell only combines the results of its path, and
-``--jobs`` spreads the curves, not the cells, over worker processes.
+is each step (the beta routes, the counting miracle, interlacing, the ratio
+bounds).  Each prefix level has one set of special values, to the largest
+step the curve's tuples take from it: the derivations of its steps, the
+miracle's n+1 among them, and its steps' beta routes and interlacing read
+it.  The genus-1 checks read the ints of the levels' views and compare by
+cross-multiplication; a rational is formed only for a report string, such
+as the final level's alphas and beta.  A step of index 1 gives back its
+prefix's numerator, so a level ``(..., 1)`` reuses its prefix's results.  A
+cell only combines the results of its path, and ``--jobs`` spreads the
+curves, not the cells, over worker processes.
 """
 
 from __future__ import annotations
@@ -341,9 +344,11 @@ class Tower(NamedTuple):
     Every field maps a tuple of steps to a result: ``level``, ``invariants``
     and ``rh`` belong to the level the steps reach; the others to the last
     step (prefix, n), the one that derives that level from its prefix.
-    ``level`` and the step fields are kept per tuple of steps, ``invariants``
-    and ``rh`` per ``ZetaLevel.numerator_key`` ``(P, Q, genus)``: levels with
-    one numerator, such as ``(..., 1)`` and its prefix, share one result,
+    ``level`` and the step fields are kept per tuple of steps, but
+    ``special_values`` per prefix: the prefix level's one set, of depth at
+    least n.  ``invariants`` and ``rh`` are kept per
+    ``ZetaLevel.numerator_key`` ``(P, Q, genus)``: levels with one
+    numerator, such as ``(..., 1)`` and its prefix, share one result,
     computed on the first of them that is read.
     """
 
@@ -357,24 +362,42 @@ class Tower(NamedTuple):
     ratio_bounds: Callable[[tuple], tuple]  # the residue link, then bound checks from n = 2 on; genus 1 only
 
 
-def curve_tower(spec: CurveSpec) -> Tower:
+def curve_tower(spec: CurveSpec, tuples: Sequence[Sequence[int]] = ()) -> Tower:
     """A lazy tower over one curve: each entry is computed the first time it is read.
 
     A level is derived, one step at a time, from the longest prefix already
     stored, so the depth of a path costs no recursion; the base is the
-    spec's ``level``, built once, with the spec.  The memos are local to this
+    spec's ``level``, built once, with the spec.  Each prefix level has one
+    set of special values, of depth d, the largest step ``tuples`` take from
+    it: its steps' derivations (the miracle's n+1 among them), beta routes
+    and interlacing all read that set.  A read deeper than the set computes
+    a deeper one, which the prefix keeps.  The memos are local to this
     tower, and one that raises stores nothing: it is tried again, and raises
     again, every time it is read.  Callees are looked up by name at call
     time, so a patched module global is the one that runs.
     """
     levels = {(): spec.level}
+    planned = {}  # prefix -> the largest step the tuples take from it
+    for steps in tuples:
+        for i, n in enumerate(steps):
+            prefix = tuple(steps[:i])
+            planned[prefix] = max(planned.get(prefix, 0), n)
+    values = {}
+
+    def prefix_values(prefix: tuple, depth: int) -> SpecialValues:
+        """The prefix level's special values, to depth >= ``depth``."""
+        sv = values.get(prefix)
+        if sv is None or len(sv.vhats) <= depth:
+            sv = values[prefix] = special_values(level(prefix), max(depth, planned.get(prefix, 0)))
+        return sv
 
     def level(steps: tuple) -> ZetaLevel:
         i = len(steps)
         while steps[:i] not in levels:
             i -= 1
         for j in range(i + 1, len(steps) + 1):
-            levels[steps[:j]] = derive_step(levels[steps[: j - 1]], steps[j - 1])
+            prefix, n = steps[: j - 1], steps[j - 1]
+            levels[steps[:j]] = derive_step(levels[prefix], n, prefix_values(prefix, n - 1))
         return levels[steps]
 
     def by_numerator(stage: Callable[[ZetaLevel], object]) -> Callable[[tuple], object]:
@@ -394,9 +417,8 @@ def curve_tower(spec: CurveSpec) -> Tower:
     invariants = by_numerator(lambda z: extract_invariants(z))
     rh = by_numerator(lambda z: rh_verdict_for_level(z))
 
-    @cache
     def step_values(steps: tuple) -> SpecialValues:
-        return special_values(level(steps[:-1]), steps[-1])
+        return prefix_values(steps[:-1], steps[-1])
 
     @cache
     def beta_route(steps: tuple) -> CheckResult:
@@ -512,7 +534,7 @@ def run_curve(spec: CurveSpec, config: SweepConfig) -> list:
     first reach it.  The tower lives for this call only, so every sweep does
     all of its own work.
     """
-    tower = curve_tower(spec)
+    tower = curve_tower(spec, config.tuples)
     # the report strings of deep levels pass 4300 digits; lifted here, a --jobs worker lifts it too
     with unlimited_int_digits():
         return [run_cell(spec, tuple(steps), config, tower) for steps in config.tuples]

@@ -13,6 +13,7 @@ from zetatower.curves import (
     ZetaLevel,
     artin_elliptic,
     artin_from_point_counts,
+    hasse_traces,
     validate_zeta_level,
 )
 from zetatower import derived_engine
@@ -111,6 +112,15 @@ def test_special_values_carry_the_plan_of_their_depth():
     assert SpecialValues(Q=3, vhats=((1, 1),)).plan == []
 
 
+def test_special_values_of_depth_zero_are_the_empty_table():
+    for z in (artin_elliptic(3, 1), artin_from_point_counts(2, 2, [3, 5])):
+        sv = special_values(z, 0)
+        assert sv.Q == z.Q and sv.vhats == ((1, 1),) and sv.plan == []
+        assert sv == SpecialValues(Q=z.Q, vhats=((1, 1),))
+        with pytest.raises(ValueError, match="need depth >= 0"):
+            special_values(z, -1)
+
+
 def test_composition_weight_pairs():
     sv = special_values(artin_elliptic(2, 0), 3)
     assert composition_weight((2,), sv) == 9
@@ -127,6 +137,28 @@ def test_derive_step_index_one_is_identity():
     assert to_ratfunc(z1) == to_ratfunc(z)
     assert z1.steps == (1,)
     assert z1.Q == 2
+
+
+def test_derive_step_reads_special_values_of_any_depth_it_needs():
+    bases = [artin_elliptic(q, a) for q in (2, 3, 4, 5) for a in hasse_traces(q)]
+    bases.append(artin_from_point_counts(2, 2, [3, 5]))  # X2g2
+    assert len(bases) == 31
+    for z in bases:
+        for n in range(1, 9):
+            level = derive_step(z, n)
+            for depth in range(n - 1, n + 3):
+                assert derive_step(z, n, special_values(z, depth)) == level, (z.P, n, depth)
+
+
+def test_derive_step_refuses_foreign_or_shallow_special_values():
+    z = artin_elliptic(3, 1)
+    with pytest.raises(ValueError, match="do not serve step 4"):
+        derive_step(z, 4, special_values(z, 2))  # depth 2 < n - 1
+    with pytest.raises(ValueError, match="do not serve step 4"):
+        derive_step(z, 4, special_values(artin_elliptic(2, 1), 5))  # another Q
+    with pytest.raises(ValueError, match="do not serve step 1"):
+        derive_step(z, 1, SpecialValues(Q=2, vhats=((1, 1),)))
+    assert derive_step(z, 4, special_values(z, 3)) == derive_step(z, 4)
 
 
 def test_derive_step_two_golden():

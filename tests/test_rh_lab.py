@@ -125,8 +125,8 @@ def test_genus1_step_checks_match_their_fraction_forms(monkeypatch, plant):
     if plant:
         real = rh_lab.derive_step
 
-        def scaled(z, n):
-            level = real(z, n)
+        def scaled(z, n, sv=None):
+            level = real(z, n, sv)
             return ZetaLevel(steps=level.steps, Q=level.Q, genus=1, P=ring(level.P) * n)
 
         monkeypatch.setattr(rh_lab, "derive_step", scaled)
@@ -867,8 +867,10 @@ def test_run_cell_extracts_invariants_once_per_level(monkeypatch):
     cell = run_cell(spec, (2, 3), SweepConfig(curves=(spec,), tuples=((2, 3),)), _levels_of(spec))
     assert set(cell["checks"].values()) == {"pass"}
     # three levels, shared by positivity and interlacing (the RH verdict and
-    # ratio_bounds read the view's ints off the level); one set of special values per step
-    assert calls == {"extract_invariants": 3, "special_values": 2}
+    # ratio_bounds read the view's ints off the level); a tower built without
+    # the tuples plans no depth, so each prefix's values are read to n - 1 to
+    # derive its step, then to n for the step's checks, which its miracle step n + 1 reuses
+    assert calls == {"extract_invariants": 3, "special_values": 4}
 
 
 def test_jobs_starts_no_more_workers_than_curves(monkeypatch):
@@ -1021,8 +1023,8 @@ def test_level_checks_read_the_levels_they_report_on(monkeypatch, check, plant):
     assert len(cells) == 36 and all(cell["checks"] == {check: "pass"} for cell in cells)
     real = rh_lab.derive_step
 
-    def planted(z, n):
-        level = real(z, n)
+    def planted(z, n, sv=None):
+        level = real(z, n, sv)
         return ZetaLevel(steps=level.steps, Q=level.Q, genus=level.genus, P=plant(level))
 
     monkeypatch.setattr(rh_lab, "derive_step", planted)
@@ -1067,11 +1069,11 @@ def _count_derivations(monkeypatch, fail_at=None):
     calls = []
     real = engine.derive_step
 
-    def counting(z, n):
+    def counting(z, n, sv=None):
         calls.append(z.steps + (n,))
         if calls[-1] == fail_at:
             raise DerivationError(f"planted at {fail_at}")
-        return real(z, n)
+        return real(z, n, sv)
 
     for module in (engine, invariants, mult_struct, rh_lab):
         monkeypatch.setattr(module, "derive_step", counting, raising=False)
@@ -1149,8 +1151,8 @@ def _count_calls(monkeypatch, names, plant=None):
 
 def test_run_curve_checks_each_level_and_step_once(monkeypatch):
     per_level = ("extract_invariants", "rh_verdict_for_level")
-    per_step = ("special_values", "beta_closed_form", "counting_miracle_check", "interlacing_poly")
-    calls = _count_calls(monkeypatch, per_level + per_step + ("elliptic_beta_recursion",))
+    per_step = ("beta_closed_form", "counting_miracle_check", "interlacing_poly")
+    calls = _count_calls(monkeypatch, per_level + per_step + ("special_values", "elliptic_beta_recursion"))
     spec = CurveSpec(label="e", q=3, genus=1, trace=1)
     cells = run_curve(spec, SweepConfig(curves=(spec,), tuples=GRID_TUPLES))
     for cell in cells:
@@ -1162,7 +1164,9 @@ def test_run_curve_checks_each_level_and_step_once(monkeypatch):
     levels = [(), (1,), (2,), (2, 2), (2, 2, 2), (2, 3), (3,), (3, 2), (4,)]
     for name in per_level:
         assert sorted(args[0].steps for args in calls[name]) == [s for s in levels if s != (1,)], name
-    assert sorted(z.steps + (n,) for z, n in calls["special_values"]) == levels[1:]
+    # one set of special values per prefix, to the largest step the tuples take from it, read by
+    # the prefix's derivations (the miracle's n + 1 among them), beta routes and interlacing
+    assert sorted((z.steps, n) for z, n in calls["special_values"]) == [((), 4), ((2,), 3), ((2, 2), 2), ((3,), 2)]
     assert sorted(derived.steps for _, derived, _ in calls["counting_miracle_check"]) == levels[1:]
     assert {name: len(calls[name]) for name in per_step} == dict.fromkeys(per_step, 8)
     # the ratio bounds run the recursion once per step, to depth max(n, 2), since the bounds start at n = 2:

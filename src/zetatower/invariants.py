@@ -22,20 +22,24 @@ with E[n][p] = nums[p] / D, so the sum is the int pair
 exercises everywhere, and the sweep compares it with the residue pair by
 cross-multiplication, as the counting miracle compares constant terms.
 
-The interlacing polynomial built here clears the composition sum
+Interlacing is the statement that the cleared composition polynomial
 
-    sum over (k) of n:  [prod v_{k_i} / prod_j (Q^(k_j+k_{j+1}) - 1)] / (Q^(k_last) T - 1)
+    sum over (k) of n:  [prod v_{k_i} / prod_j (Q^(k_j+k_{j+1}) - 1)] * prod_{l != k_last} (Q^l T - 1)
 
-against prod_{l=1..n} (Q^l T - 1).  Grouped by last part p, with W_p the
-positive-denominator table entry, it is sum_p W_p * prod_{l != p} (Q^l T - 1):
-each cofactor is an exact integer division of the clearing product by
-(Q^p T - 1), the W_p are the ints nums[p] of the table's row n over its one
-denominator D, and the int coefficients over D become the polynomial's view
-with one content gcd.
-All composition weights are positive, so at T = Q^-kappa only the
-compositions ending in kappa survive and the sign is forced to (-1)^(kappa+1):
-the sign vector alternates and pins one real root in each interval
-(Q^-(kappa+1), Q^-kappa), kappa = 1..n-1; each sign is an integer Horner sum's.
+has one real root in each interval (Q^-(kappa+1), Q^-kappa), kappa = 1..n-1.
+Grouped by last part p it is sum_p W_p * prod_{l != p} (Q^l T - 1), with W_p
+the entry of row n of the positive-denominator table.  At T = Q^-kappa every
+term but p = kappa vanishes, and the kappa - 1 factors l < kappa of the one
+left are negative, so its sign there is sign(W_kappa) * (-1)^(kappa+1): the
+signs alternate starting + exactly when W_1..W_n are all positive, and the
+check reads them off that row, with no polynomial.  Each W_kappa is positive
+whenever vhat(1..n) are (every pair denominator Q^s - 1 is), and the sweep
+checks a step only from a prefix whose invariants are positive.  That makes
+beta and, by the decomposition above with S's coefficients positive, every
+Z(Q^-k), k >= 2, positive, and so every vhat.  There the check can fail
+only through a fault in the positive table.  ``interlacing_poly``
+builds the polynomial itself for the per-layer trace and the numerator
+pins, which read it by name; no command calls it.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from typing import Optional, Sequence
 
 from zetatower.curves import CheckResult, ZetaLevel
 from zetatower.derived_engine import SpecialValues, composition_sums
-from zetatower.exact_arith import Poly, horner, is_self_inversive, pair_str
+from zetatower.exact_arith import Poly, is_self_inversive, pair_str
 
 
 class ReconstructionError(RuntimeError):
@@ -164,8 +168,21 @@ def counting_miracle_check(prev: ZetaLevel, derived: ZetaLevel, following: ZetaL
 
 
 # --------------------------------------------------------------------------
-# Interlacing polynomial
+# Interlacing
 # --------------------------------------------------------------------------
+
+
+def interlacing_sign_check(sv: SpecialValues, n: int) -> tuple:
+    """(check, signs) of step n: the signs sign(W_kappa) * (-1)^(kappa+1) at T = Q^-kappa, kappa = 1..n.
+
+    They alternate starting + iff row n of the positive table is positive,
+    which forces one real root in each interval (Q^-(kappa+1), Q^-kappa);
+    a zero at a sample point is reported as degenerate rather than passed.
+    """
+    nums, _ = composition_sums(sv, n, positive=True)[n]  # W_p = nums[p] / D, D > 0
+    signs = tuple((-1) ** (kappa + 1) * ((w > 0) - (w < 0)) for kappa, w in enumerate(nums[1:], start=1))
+    detail = f"root at sample point; signs {list(signs)}" if 0 in signs else f"signs at Q^-kappa: {list(signs)}"
+    return CheckResult("interlacing", all(w > 0 for w in nums[1:]), detail), signs
 
 
 def interlacing_poly(sv: SpecialValues, n: int) -> Poly:
@@ -183,23 +200,3 @@ def interlacing_poly(sv: SpecialValues, n: int) -> Poly:
             quotient = power * quotient - clearing[k]
             coeffs[k] += w * quotient
     return Poly.from_ints(coeffs, D)
-
-
-def interlacing_signs(poly: Poly, Q: int, n: int) -> list:
-    """Exact signs of ``poly`` at T = Q^-kappa, kappa = 1..n: the view's content is positive, so the Horner sums' signs."""
-    hs = (horner(poly.view[1], 1, Q**kappa) for kappa in range(1, n + 1))
-    return [(h > 0) - (h < 0) for h in hs]
-
-
-def interlacing_sign_check(poly: Poly, n: int, signs: list) -> CheckResult:
-    """The signs ``interlacing_signs`` gives for the step n polynomial must alternate starting +.
-
-    The alternation forces one real root in each interval
-    (Q^-(kappa+1), Q^-kappa) for kappa = 1..n-1; a zero value at a sample
-    point is reported as degenerate rather than passed.
-    """
-    if 0 in signs:
-        return CheckResult("interlacing", False, f"root at sample point; signs {signs}")
-    ok = all(s == (-1) ** (kappa + 1) for kappa, s in enumerate(signs, start=1))
-    degree_ok = poly.degree == n - 1 if n > 1 else poly.degree <= 0
-    return CheckResult("interlacing", ok and degree_ok, f"signs at Q^-kappa: {signs}; degree {poly.degree}")

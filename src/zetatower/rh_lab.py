@@ -74,9 +74,7 @@ from zetatower.invariants import (
     beta_closed_form,
     counting_miracle_check,
     extract_invariants,
-    interlacing_poly,
     interlacing_sign_check,
-    interlacing_signs,
     invariant_values,
 )
 from zetatower.mult_struct import elliptic_beta_recursion, ratio_bounds_check
@@ -370,14 +368,16 @@ def curve_tower(spec: CurveSpec, tuples: Sequence[Sequence[int]] = ()) -> Tower:
     spec's ``level``, built once, with the spec.  Each prefix level has one
     set of special values, of depth d, the largest step ``tuples`` take from
     it: its steps' derivations (the miracle's n+1 among them), beta routes
-    and interlacing all read that set.  A read deeper than the set computes
-    a deeper one, which the prefix keeps.  The memos are local to this
-    tower, and one that raises stores nothing: it is tried again, and raises
-    again, every time it is read.  Callees are looked up by name at call
-    time, so a patched module global is the one that runs.
+    and interlacing all read that set.  A step derived from a prefix first
+    raises d to the step, so a tower built without tuples reads the set its
+    checks will read.  A read deeper than the set computes a deeper one,
+    which the prefix keeps.  The memos are local to this tower, and one that
+    raises stores nothing: it is tried again, and raises again, every time
+    it is read.  Callees are looked up by name at call time, so a patched
+    module global is the one that runs.
     """
     levels = {(): spec.level}
-    planned = {}  # prefix -> the largest step the tuples take from it
+    planned = {}  # prefix -> the largest step the tuples take, or a derivation took, from it
     for steps in tuples:
         for i, n in enumerate(steps):
             prefix = tuple(steps[:i])
@@ -397,6 +397,7 @@ def curve_tower(spec: CurveSpec, tuples: Sequence[Sequence[int]] = ()) -> Tower:
             i -= 1
         for j in range(i + 1, len(steps) + 1):
             prefix, n = steps[: j - 1], steps[j - 1]
+            planned[prefix] = max(planned.get(prefix, 0), n)  # the step's checks read depth n
             levels[steps[:j]] = derive_step(levels[prefix], n, prefix_values(prefix, n - 1))
         return levels[steps]
 
@@ -434,10 +435,7 @@ def curve_tower(spec: CurveSpec, tuples: Sequence[Sequence[int]] = ()) -> Tower:
 
     @cache
     def interlacing(steps: tuple) -> tuple:
-        sv, n = step_values(steps), steps[-1]
-        poly = interlacing_poly(sv, n)
-        signs = interlacing_signs(poly, sv.Q, n)
-        return interlacing_sign_check(poly, n, signs), tuple(signs)
+        return interlacing_sign_check(step_values(steps), steps[-1])
 
     @cache
     def ratio_bounds(steps: tuple) -> tuple:

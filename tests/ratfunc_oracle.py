@@ -24,6 +24,10 @@ canonical ``RatFunc`` per distinct pole, so the pole cancellation happens
 symbolically, by gcd reduction, instead of being certified by residues.  Its
 cost is exponential in n; keep n <= 8.
 
+``interlacing_signs`` is the polynomial route to the interlacing signs: the
+exact signs of a cleared interlacing polynomial at T = Q^-kappa, each an
+integer Horner sum, where the package reads them off one table row.
+
 ``normalized_tower`` is ``derive_tower`` with every level, the base
 included, divided by its constant coefficient before the next step.
 
@@ -67,7 +71,7 @@ from math import comb
 
 from zetatower.curves import CheckResult, ZetaLevel, point_counts_from_numerator
 from zetatower.derived_engine import compositions, derive_step, normalize_level, special_values
-from zetatower.exact_arith import Poly, as_rat, is_self_inversive
+from zetatower.exact_arith import Poly, as_rat, horner, is_self_inversive
 
 
 class RingPoly(Poly):
@@ -464,6 +468,12 @@ def oracle_interlacing_poly(sv, n: int) -> Poly:
     for ell in range(1, n + 1):
         clearing = clearing * RingPoly([-1, sv.Q**ell])
     return (interlacing_tail(sv, n) * RatFunc(clearing)).to_poly()
+
+
+def interlacing_signs(poly: Poly, Q: int, n: int) -> list:
+    """Exact signs of ``poly`` at T = Q^-kappa, kappa = 1..n: the view's content is positive, so the Horner sums' signs."""
+    hs = (horner(poly.view[1], 1, Q**kappa) for kappa in range(1, n + 1))
+    return [(h > 0) - (h < 0) for h in hs]
 
 
 def normalized_tower(base: ZetaLevel, steps) -> list:

@@ -33,6 +33,7 @@ from zetatower.derived_engine import (
 from ratfunc_oracle import (
     RingPoly,
     fraction_beta_recursion,
+    interlacing_signs,
     rational_divmod,
     residue_series_exp,
     residue_series_recursion,
@@ -47,7 +48,6 @@ from zetatower.invariants import (
     counting_miracle_check,
     extract_invariants,
     interlacing_poly,
-    interlacing_signs,
     invariant_values,
 )
 from zetatower.mult_struct import elliptic_beta_recursion, ratio_bounds_check

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from ratfunc_oracle import normalized_tower
+from ratfunc_oracle import interlacing_signs, normalized_tower
 from zetatower.cli import UsageError, main, parse_curve_arg
 from zetatower import curves
 from zetatower.curves import CATALOG, CurveSpec, artin_zeta, catalog_curve, load_curves
@@ -758,7 +758,7 @@ def test_rh_check_decides_each_numerator_once(monkeypatch, capsys):
 def _invariant_records(label, levels):
     """The invariants records of ``levels``, a tower's levels in prefix order, from first principles."""
     from zetatower.derived_engine import special_values
-    from zetatower.invariants import extract_invariants, interlacing_poly, interlacing_signs, invariant_values
+    from zetatower.invariants import extract_invariants, interlacing_poly, invariant_values
 
     records = []
     for prev, z in zip([None] + levels, levels):
@@ -799,6 +799,18 @@ def test_invariants_extracts_each_numerator_once(monkeypatch, capsys):
     # the same records as one extraction per level, the sign vector of each step included
     spec = catalog_curve("X2g2").spec()
     assert reports == _invariant_records("X2g2", [artin_zeta(spec)] + derive_tower(spec, (1, 1, 2)))
+
+
+def test_invariants_builds_no_interlacing_polynomial(interlacing_poly_calls, capsys):
+    # each step's sign vector is read off one row of the positive table
+    for extra in ([], ["--normalize"]):
+        assert run_cli(["invariants", "--curve", "elliptic:q=3,a=1", "--tuple", "2,3", *extra]) == 0
+        assert json.loads(capsys.readouterr().out)[-1]["gamma_signs"] == {"3": [1, -1, 1]}
+    assert interlacing_poly_calls == []
+    from zetatower import invariants, special_values
+
+    invariants.interlacing_poly(special_values(CurveSpec(label="e", q=3, genus=1, trace=1).level, 1), 1)
+    assert len(interlacing_poly_calls) == 1  # the fixture sees a call the package makes
 
 
 def test_invariants_normalize_matches_a_tower_of_normalized_levels(tmp_path, capsys):

@@ -13,6 +13,7 @@ import zetatower.invariants as invariants_module
 from ratfunc_oracle import (
     RingPoly,
     fraction_trace,
+    interlacing_signs,
     interlacing_tail,
     normalized_tower,
     positive_weight,
@@ -20,8 +21,8 @@ from ratfunc_oracle import (
     ring,
     to_ratfunc,
 )
-from zetatower.curves import CurveSpec, artin_elliptic, artin_from_point_counts, hasse_traces
-from zetatower.derived_engine import compositions, derive_step, derive_tower, special_values
+from zetatower.curves import CurveSpec, artin_elliptic, artin_from_point_counts, catalog_curve, hasse_traces
+from zetatower.derived_engine import SpecialValues, compositions, derive_step, derive_tower, special_values
 from zetatower.exact_arith import Poly, rat_str
 from zetatower.rh_lab import curve_tower
 from zetatower.invariants import (
@@ -30,7 +31,6 @@ from zetatower.invariants import (
     extract_invariants,
     interlacing_poly,
     interlacing_sign_check,
-    interlacing_signs,
     invariant_values,
     reconstruct_numerator,
 )
@@ -165,7 +165,8 @@ def test_interlacing_n1_constant():
     sv = special_values(artin_elliptic(2, 0), 1)
     poly = interlacing_poly(sv, 1)
     assert poly == Poly([3])
-    assert interlacing_sign_check(poly, 1, interlacing_signs(poly, sv.Q, 1)).passed
+    check, signs = interlacing_sign_check(sv, 1)
+    assert check.passed and signs == (1,) == tuple(interlacing_signs(poly, sv.Q, 1))
 
 
 def test_interlacing_n2_shape_and_signs():
@@ -187,7 +188,8 @@ def test_interlacing_alternation_deeper():
         poly = interlacing_poly(sv, n)
         assert poly.degree == n - 1
         assert interlacing_signs(poly, sv.Q, n) == [(-1) ** (k + 1) for k in range(1, n + 1)]
-        assert interlacing_sign_check(poly, n, interlacing_signs(poly, sv.Q, n)).passed
+        check, signs = interlacing_sign_check(sv, n)
+        assert check.passed and list(signs) == interlacing_signs(poly, sv.Q, n)
         assert (-1) ** (n - 1) * poly[0] == _tail_sum(sv, n)
 
 
@@ -198,6 +200,63 @@ def test_interlacing_defining_identity():
     for ell in range(1, 5):
         clearing = clearing * RingPoly([-1, Fraction(3) ** ell])
     assert (interlacing_tail(sv, 4) * clearing).to_poly() == interlacing_poly(sv, 4)
+
+
+def _sign_route_bases():
+    """The Hasse grid q <= 5, X2g2, and every genus-2 (1, a1, a2, q a1, q^2), |a1| <= 8, |a2| <= 12, over F_2 and F_3."""
+    specs = [CurveSpec(label=f"e_q{q}_a{a}", q=q, genus=1, trace=a) for q in (2, 3, 4, 5) for a in hasse_traces(q)]
+    specs.append(catalog_curve("X2g2").spec())
+    for q in (2, 3):
+        for a1 in range(-8, 9):
+            for a2 in range(-12, 13):
+                try:
+                    specs.append(CurveSpec(label=f"g2_q{q}_{a1}_{a2}", q=q, genus=2, numerator=[1, a1, a2, q * a1, q * q]))
+                except ValueError:  # P(1) is no class number, or vanishes
+                    pass
+    return specs
+
+
+def _polynomial_route(sv, n):
+    """(passed, signs) by the cleared polynomial: its Horner signs at Q^-kappa alternate from +, and its degree is n - 1."""
+    poly = interlacing_poly(sv, n)
+    signs = interlacing_signs(poly, sv.Q, n)
+    alternating = all(s == (-1) ** (kappa + 1) for kappa, s in enumerate(signs, start=1))
+    return alternating and poly.degree == n - 1, signs
+
+
+def test_interlacing_signs_are_the_polynomials_horner_signs():
+    # the check reads sign(W_kappa) (-1)^(kappa+1) off row n; the second route evaluates the polynomial
+    specs = _sign_route_bases()
+    assert len(specs) == 553
+    cases = 0
+    for spec in specs:
+        for prefix in ((), (2,)):
+            z = derive_step(spec.level, 2) if prefix else spec.level
+            sv = special_values(z, 7)
+            for n in range(1, 8):
+                check, signs = interlacing_sign_check(sv, n)
+                assert (check.passed, list(signs)) == _polynomial_route(sv, n), (spec.label, prefix, n)
+                cases += 1
+    assert cases == 7742
+
+
+def test_interlacing_routes_agree_on_every_sign_flip_of_the_special_values():
+    # zeta_hat(k) = vhat(k) / vhat(k-1), so flipping zeta_hat(k) flips vhat(j) for every j >= k
+    cases = failed = 0
+    for z in (artin_elliptic(2, 1), artin_elliptic(3, -2), catalog_curve("X2g2").spec().level):
+        sv = special_values(z, 6)
+        for flips in range(64):
+            vhats, sign = [sv.vhats[0]], 1
+            for k, (num, den) in enumerate(sv.vhats[1:], start=1):
+                sign = -sign if flips >> (k - 1) & 1 else sign
+                vhats.append((sign * num, den))
+            planted = SpecialValues(Q=sv.Q, vhats=tuple(vhats))
+            for n in range(1, 7):
+                check, signs = interlacing_sign_check(planted, n)
+                assert (check.passed, list(signs)) == _polynomial_route(planted, n), (z.Q, flips, n)
+                cases += 1
+                failed += not check.passed
+    assert (cases, failed) == (1152, 832)
 
 
 # -- reports -----------------------------------------------------------------------

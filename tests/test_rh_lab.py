@@ -868,9 +868,9 @@ def test_run_cell_extracts_invariants_once_per_level(monkeypatch):
     assert set(cell["checks"].values()) == {"pass"}
     # three levels, shared by positivity and interlacing (the RH verdict and
     # ratio_bounds read the view's ints off the level); a tower built without
-    # the tuples plans no depth, so each prefix's values are read to n - 1 to
-    # derive its step, then to n for the step's checks, which its miracle step n + 1 reuses
-    assert calls == {"extract_invariants": 3, "special_values": 4}
+    # the tuples plans each prefix's depth when it derives a step, so one set
+    # of depth n serves the step, its checks and its miracle step n + 1
+    assert calls == {"extract_invariants": 3, "special_values": 2}
 
 
 def test_jobs_starts_no_more_workers_than_curves(monkeypatch):
@@ -1149,9 +1149,9 @@ def _count_calls(monkeypatch, names, plant=None):
     return calls
 
 
-def test_run_curve_checks_each_level_and_step_once(monkeypatch):
+def test_run_curve_checks_each_level_and_step_once(monkeypatch, interlacing_poly_calls):
     per_level = ("extract_invariants", "rh_verdict_for_level")
-    per_step = ("beta_closed_form", "counting_miracle_check", "interlacing_poly")
+    per_step = ("beta_closed_form", "counting_miracle_check", "interlacing_sign_check")
     calls = _count_calls(monkeypatch, per_level + per_step + ("special_values", "elliptic_beta_recursion"))
     spec = CurveSpec(label="e", q=3, genus=1, trace=1)
     cells = run_curve(spec, SweepConfig(curves=(spec,), tuples=GRID_TUPLES))
@@ -1169,6 +1169,8 @@ def test_run_curve_checks_each_level_and_step_once(monkeypatch):
     assert sorted((z.steps, n) for z, n in calls["special_values"]) == [((), 4), ((2,), 3), ((2, 2), 2), ((3,), 2)]
     assert sorted(derived.steps for _, derived, _ in calls["counting_miracle_check"]) == levels[1:]
     assert {name: len(calls[name]) for name in per_step} == dict.fromkeys(per_step, 8)
+    # interlacing reads the signs off one table row per step and builds no polynomial
+    assert interlacing_poly_calls == []
     # the ratio bounds run the recursion once per step, to depth max(n, 2), since the bounds start at n = 2:
     # () over Q = 3 at n = 1, 2, 3 and 4, (2,) over 3^2 at n = 2 and 3, (3,) and (2, 2) at n = 2
     depths = [(Q, n_max) for _, _, Q, n_max in calls["elliptic_beta_recursion"]]

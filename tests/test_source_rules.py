@@ -171,13 +171,14 @@ FRACTION_NAMES = {"Fraction", "BigRat", "as_rat", "rat_str", "residue", "residue
 
 # the functions the sweep's checks run on a level's view ints; "f.g" is g defined in f, a class stands for its methods
 CHECK_BODIES = {
-    "rh_lab.py": ("rh_exact_genus1", "curve_tower.ratio_bounds", "curve_tower.beta_route"),
+    "rh_lab.py": ("rh_exact_genus1", "curve_tower.ratio_bounds", "curve_tower.beta_route", "curve_tower.interlacing"),
     "invariants.py": (
         "InvariantSet",
         "reconstruct_numerator",
         "extract_invariants",
         "beta_closed_form",
         "counting_miracle_check",
+        "interlacing_sign_check",
     ),
     "mult_struct.py": ("elliptic_beta_recursion", "ratio_bounds", "ratio_bounds_check"),
     "derived_engine.py": ("special_values", "composition_sums", "derive_step"),
@@ -235,6 +236,7 @@ REACH_ALLOWLIST = {
     "derived_engine.compositions": "perfbench/tracer.py counts what it yields",
     "derived_engine.derive_tower": "perfbench/tracer.py times it",
     "exact_arith.poly_gcd": "perfbench/tracer.py times it",
+    "invariants.interlacing_poly": "perfbench/tracer.py times it; tests/test_numerator_pins.py pins it",
 }
 
 

@@ -111,8 +111,9 @@ class Poly:
 
     ``view`` is (c, ints): the coefficient of T**i is c * ints[i], with c > 0
     rational and the ints coprime and trimmed, (1, ()) for zero.  That form is
-    unique, so ==, hash and pickling read it.  ``P[i]`` is c * ints[i].  A
-    ``Poly`` is not a ring: the work runs on the view's ints.
+    unique, so ==, hash and pickling read it, and a Poly equals only a Poly.
+    ``P[i]`` is c * ints[i].  A ``Poly`` is not a ring: the work runs on the
+    view's ints.
     """
 
     __slots__ = ("view",)
@@ -149,11 +150,7 @@ class Poly:
         return bool(self.view[1])
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            return self.view == other.view
-        if isinstance(other, (int, Fraction)):
-            return self == Poly([other])
-        return NotImplemented
+        return self.view == other.view if isinstance(other, Poly) else NotImplemented
 
     def __hash__(self) -> int:
         return hash(self.view)

@@ -19,8 +19,8 @@ level, q^(C(n,2)(g-1)) * sum_p E[n][p] with the last-part table E of
 ``derived_engine.composition_sums``, whose row n is the int row (nums, D)
 with E[n][p] = nums[p] / D, so the sum is the int pair
 (q^(C(n,2)(g-1)) sum(nums), D); that is the dual route the test suite
-exercises everywhere, and the sweep compares it with the residue pair by
-cross-multiplication, as the counting miracle compares constant terms.
+exercises everywhere, and ``beta_routes_check`` compares it with the residue
+pair by cross-multiplication, as the counting miracle compares constant terms.
 
 Interlacing is the statement that the cleared composition polynomial
 
@@ -137,6 +137,13 @@ def beta_closed_form(sv: SpecialValues, n: int, genus: int) -> tuple:
     """Residue of the next level by the closed composition sum, no derivation, as an unreduced int pair (N, D), D > 0."""
     nums, D = composition_sums(sv, n)[n]
     return sv.Q ** (comb(n, 2) * (genus - 1)) * sum(nums), D
+
+
+def beta_routes_check(derived: ZetaLevel, sv: SpecialValues) -> CheckResult:
+    """The residue of the level (..., n) against ``beta_closed_form``, cross-multiplied; ``sv`` of depth >= n."""
+    num, den = derived.residue_pair()
+    closed_num, closed_den = beta_closed_form(sv, derived.steps[-1], derived.genus)
+    return CheckResult("beta_routes", num * closed_den == closed_num * den)
 
 
 def counting_miracle_check(prev: ZetaLevel, derived: ZetaLevel, following: ZetaLevel) -> CheckResult:

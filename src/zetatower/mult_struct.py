@@ -13,9 +13,10 @@ in ``tests/ratfunc_oracle.py``.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
-from zetatower.curves import CheckResult
+from zetatower.curves import CheckResult, ZetaLevel
 from zetatower.exact_arith import pair_str
 
 
@@ -74,3 +75,17 @@ def ratio_bounds_check(bs: Sequence[int], w: int, Q: int) -> list:
         detail = "" if ok else f"r = {pair_str(num, den)}; lower {'ok' if lower else 'FAIL'}, upper {'ok' if upper else 'FAIL'}"
         out.append(CheckResult(f"ratio_bounds[n={n}]", ok, detail))
     return out
+
+
+def step_ratio_checks(prev: ZetaLevel, derived: ZetaLevel) -> tuple:
+    """Residue link alpha_0(prev)^n beta(n) of the step prev -> derived, then the bounds; ValueError unless one genus-1 step."""
+    n = derived.steps[-1] if derived.steps else 0
+    if prev.genus != 1 or derived.steps != prev.steps + (n,):
+        raise ValueError(f"level {derived.steps} is not the genus-1 level {prev.steps} derived by n")
+    c, ints = prev.P.view
+    w, Q = abs(ints[0]), prev.Q
+    bs = elliptic_beta_recursion(ints[0], ints[1], Q, max(n, 2))  # the bounds start at n = 2
+    D = w**n * math.prod(Q**k - 1 for k in range(1, n + 1))  # beta(n) = bs[n] / D, alpha_0(prev) = c * ints[0]
+    num, den = derived.residue_pair()
+    link = CheckResult("ratio_bounds[residue]", num * c.denominator**n * D == den * (c.numerator * ints[0]) ** n * bs[n])
+    return (link, *ratio_bounds_check(bs, w, Q))

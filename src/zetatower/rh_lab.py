@@ -33,12 +33,13 @@ rh-check.
 A level is derived from its prefix's level at most once, each distinct level
 numerator (invariants, RH verdict) is checked at most once per curve, and so
 is each step (the beta routes, the counting miracle, interlacing, the ratio
-bounds).  Each prefix level has one set of special values, to the largest
-step the curve's tuples take from it: the derivations of its steps, the
-miracle's n+1 among them, and its steps' beta routes and interlacing read
-it.  The genus-1 checks read the ints of the levels' views and compare by
-cross-multiplication; a rational is formed only for a report string, such
-as the final level's alphas and beta.  A step of index 1 gives back its
+bounds), by one call into ``invariants`` or ``mult_struct``: the tower only
+memoises.  Each prefix level has one set of special values, to the largest
+step the curve's tuples take from it, which its steps' derivations (the
+miracle's n+1 among them), beta routes and interlacing read.  The genus-1
+checks compare the ints of the levels' views by cross-multiplication; a
+rational is formed only for a report string, such as the final level's
+alphas and beta.  A step of index 1 gives back its
 prefix's numerator, so a level ``(..., 1)`` reuses its prefix's results.  A
 cell only combines the results of its path, and ``--jobs`` spreads the
 curves, not the cells, over worker processes.
@@ -71,13 +72,13 @@ from zetatower.exact_arith import (
 )
 from zetatower.invariants import (
     InvariantSet,
-    beta_closed_form,
+    beta_routes_check,
     counting_miracle_check,
     extract_invariants,
     interlacing_sign_check,
     invariant_values,
 )
-from zetatower.mult_struct import elliptic_beta_recursion, ratio_bounds_check
+from zetatower.mult_struct import step_ratio_checks
 
 DEFAULT_PRECISION_BITS = 256
 DEFAULT_PRODUCT_CAP = 64  # largest step product a sweep or the CLI accepts by default
@@ -342,18 +343,16 @@ class Tower(NamedTuple):
     Every field maps a tuple of steps to a result: ``level``, ``invariants``
     and ``rh`` belong to the level the steps reach; the others to the last
     step (prefix, n), the one that derives that level from its prefix.
-    ``level`` and the step fields are kept per tuple of steps, but
-    ``special_values`` per prefix: the prefix level's one set, of depth at
-    least n.  ``invariants`` and ``rh`` are kept per
-    ``ZetaLevel.numerator_key`` ``(P, Q, genus)``: levels with one
-    numerator, such as ``(..., 1)`` and its prefix, share one result,
-    computed on the first of them that is read.
+    ``level`` and the step fields are kept per tuple of steps, and each step
+    field is one call into ``invariants`` or ``mult_struct``.  ``invariants``
+    and ``rh`` are kept per ``ZetaLevel.numerator_key`` ``(P, Q, genus)``:
+    levels with one numerator, such as ``(..., 1)`` and its prefix, share one
+    result, computed on the first of them that is read.
     """
 
     level: Callable[[tuple], ZetaLevel]
     invariants: Callable[[tuple], InvariantSet]
     rh: Callable[[tuple], RHVerdict]
-    special_values: Callable[[tuple], SpecialValues]
     beta_route: Callable[[tuple], CheckResult]
     miracle: Callable[[tuple], CheckResult]
     interlacing: Callable[[tuple], tuple]  # (sign check, signs)
@@ -418,15 +417,9 @@ def curve_tower(spec: CurveSpec, tuples: Sequence[Sequence[int]] = ()) -> Tower:
     invariants = by_numerator(lambda z: extract_invariants(z))
     rh = by_numerator(lambda z: rh_verdict_for_level(z))
 
-    def step_values(steps: tuple) -> SpecialValues:
-        return prefix_values(steps[:-1], steps[-1])
-
     @cache
     def beta_route(steps: tuple) -> CheckResult:
-        prev, n = level(steps[:-1]), steps[-1]
-        num, den = level(steps).residue_pair()
-        closed_num, closed_den = beta_closed_form(step_values(steps), n, prev.genus)
-        return CheckResult("beta_routes", num * closed_den == closed_num * den)
+        return beta_routes_check(level(steps), prefix_values(steps[:-1], steps[-1]))
 
     @cache
     def miracle(steps: tuple) -> CheckResult:
@@ -435,23 +428,13 @@ def curve_tower(spec: CurveSpec, tuples: Sequence[Sequence[int]] = ()) -> Tower:
 
     @cache
     def interlacing(steps: tuple) -> tuple:
-        return interlacing_sign_check(step_values(steps), steps[-1])
+        return interlacing_sign_check(prefix_values(steps[:-1], steps[-1]), steps[-1])
 
     @cache
     def ratio_bounds(steps: tuple) -> tuple:
-        prefix, n = steps[:-1], steps[-1]
-        prev = level(prefix)
-        c, ints = prev.P.view
-        w, Q = abs(ints[0]), prev.Q
-        bs = elliptic_beta_recursion(ints[0], ints[1], Q, max(n, 2))  # bounds start at n = 2
-        D = w**n * math.prod(Q**k - 1 for k in range(1, n + 1))  # beta(n) = bs[n] / D
-        # the recursion's betas are the tower's: the residue of (prefix, n) is alpha_0(prefix)^n beta(n),
-        # alpha_0 = c * ints[0], cross-multiplied
-        num, den = level(steps).residue_pair()
-        link = CheckResult("ratio_bounds[residue]", num * c.denominator**n * D == den * (c.numerator * ints[0]) ** n * bs[n])
-        return (link, *ratio_bounds_check(bs, w, Q))
+        return step_ratio_checks(level(steps[:-1]), level(steps))
 
-    return Tower(level, invariants, rh, step_values, beta_route, miracle, interlacing, ratio_bounds)
+    return Tower(level, invariants, rh, beta_route, miracle, interlacing, ratio_bounds)
 
 
 def run_cell(spec: CurveSpec, steps: tuple, config: SweepConfig, tower: Tower) -> dict:
@@ -470,9 +453,6 @@ def run_cell(spec: CurveSpec, steps: tuple, config: SweepConfig, tower: Tower) -
 
         if {"positivity", "interlacing"} & set(config.checks):
             invs = [tower.invariants(path) for path in paths]
-        if {"beta_routes", "interlacing"} & set(config.checks):
-            for path in paths[1:]:  # before any check, like the invariants: a failure here is the cell's error
-                tower.special_values(path)
 
         if "positivity" in config.checks:
             bad = [z.steps for z, i in zip(levels, invs) if not i.positivity()]

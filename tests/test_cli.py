@@ -456,6 +456,30 @@ def test_curve_file_without_required_keys_is_usage_error(tmp_path, capsys):
     assert "lacks label, genus" in capsys.readouterr().err
 
 
+_ELLIPTIC = {"label": "e", "q": 2, "genus": 1, "trace": 0}
+
+
+@pytest.mark.parametrize(
+    "command, curves, message",
+    [
+        (["derive", "--curve"], [_ELLIPTIC, {**_ELLIPTIC, "label": "f"}], "expected exactly one curve in {path}, found 2"),
+        (["sweep", "--grid", "nosuch"], None, "unknown grid 'nosuch' and no --curves file given"),
+        (["sweep", "--curves"], [{**_ELLIPTIC, "genus": 2}], "a trace only describes a genus-1 curve"),
+        (["sweep", "--curves"], [1], "a curve entry must be a JSON object, got 1"),
+    ],
+    ids=["two-curves-for-one", "unknown-grid", "trace-of-genus-2", "entry-not-an-object"],
+)
+def test_a_refused_curve_source_exits_2_naming_why(command, curves, message, tmp_path, capsys):
+    path = tmp_path / "curves.json"
+    if curves is not None:
+        path.write_text(json.dumps(curves))
+        command = command + [str(path)]
+    tuple_flag = "--tuple" if command[0] == "derive" else "--tuples"
+    assert run_cli(command + [tuple_flag, "1", "--output", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize(
     "fields",
     [

@@ -60,6 +60,16 @@ def test_poly_trailing_zeros_stripped():
     assert Poly([0]).degree == float("-inf")
 
 
+def test_a_poly_equals_only_a_poly():
+    # Poly([1]) == 1 held while its hash differed from 1's, so a set and a list disagreed on membership
+    one = Poly([1])
+    assert one == Poly([Fraction(1)]) and one in {Poly([1])}
+    for scalar in (1, Fraction(1), 0):
+        assert one != scalar and scalar != one
+    assert Poly([]) != 0
+    assert (one in {1}) == (one in [1]) is False
+
+
 def test_iterating_a_poly_stops_at_its_degree():
     # islice first: an iteration that runs on past the degree must fail here, not hang
     P = RingPoly([1, 2])

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -22,11 +24,22 @@ from ratfunc_oracle import (
     to_ratfunc,
 )
 from zetatower.curves import CurveSpec, artin_elliptic, artin_from_point_counts, catalog_curve, hasse_traces
-from zetatower.derived_engine import SpecialValues, compositions, derive_step, derive_tower, special_values
-from zetatower.exact_arith import Poly, rat_str
+from zetatower import derived_engine
+from zetatower.derived_engine import (
+    DerivationError,
+    SpecialValues,
+    composition_sums,
+    compositions,
+    derive_step,
+    derive_tower,
+    special_values,
+)
+from zetatower.exact_arith import Poly, over_lcm, rat_str
+from zetatower.mult_struct import step_ratio_checks
 from zetatower.rh_lab import curve_tower
 from zetatower.invariants import (
     beta_closed_form,
+    beta_routes_check,
     counting_miracle_check,
     extract_invariants,
     interlacing_poly,
@@ -122,6 +135,72 @@ def test_beta_closed_form_needs_depth():
     sv = special_values(artin_elliptic(2, 0), 1)
     with pytest.raises(ValueError, match="depth"):
         beta_closed_form(sv, 2, 1)
+
+
+def _table_with_one_cofactor_off(at):
+    """The recurrence of ``derived_engine.composition_sums``, with cofactor 0 of E[m][p]'s inner sum + 1, at = (m, p).
+
+    Every later row is built by the recurrence from the planted one, so the
+    table stays consistent with itself; at=None gives the real table.
+    """
+
+    def table(sv, m_max, positive=False):
+        if len(sv.vhats) <= m_max:
+            raise ValueError(f"special values of depth {len(sv.vhats) - 1} < {m_max}")
+        sign = 1 if positive else -1
+        rows = [([0], 1)]
+        for m in range(1, m_max + 1):
+            entries = [(0, 1)]
+            for p in range(1, m):
+                nums, D = rows[m - p]
+                L, cof = sv.plan[p][m - p]
+                if (m, p) == at:
+                    cof = [cof[0] + 1, *cof[1:]]
+                v_num, v_den = sv.vhats[p]
+                entries.append((sign * v_num * sum(map(mul, nums[1:], cof)), v_den * D * L))
+            entries.append(sv.vhats[m])
+            nums, D = over_lcm(entries)
+            c = gcd(D, *nums)
+            rows.append(([x // c for x in nums], D // c))
+        return tuple(rows)
+
+    return table
+
+
+def test_a_planted_table_row_is_seen_by_some_step_check(monkeypatch):
+    # the detectability matrix of one error class: a recurrence-consistent table error, planted in the table
+    # that the step, its certificate and the closed beta route read alike, and the step checks that see it
+    bases = {"E2a0": artin_elliptic(2, 0), "E3a1": artin_elliptic(3, 1), "X2g2": catalog_curve("X2g2").spec().level}
+    for z in bases.values():
+        sv = special_values(z, 8)
+        for positive in (False, True):
+            assert _table_with_one_cofactor_off(None)(sv, 8, positive) == composition_sums(sv, 8, positive)
+    caught, escapes = [], {}
+    for name, z in bases.items():
+        for n in (5, 6, 7):
+            clean, sv = derive_step(z, n), special_values(z, n + 1)
+            for at in sorted({(3, 1), (4, 1), (4, 2), (n - 1, 1)}):
+                with monkeypatch.context() as m:
+                    table = _table_with_one_cofactor_off(at)
+                    m.setattr(derived_engine, "composition_sums", table)
+                    m.setattr(invariants_module, "composition_sums", table)
+                    try:
+                        derived = derive_step(z, n)
+                    except DerivationError:
+                        caught.append((name, n, at))
+                        continue
+                    with pytest.raises(DerivationError):
+                        derive_step(z, n + 1, sv)  # the miracle's step n + 1 reads the planted table too
+                    escapes[name, n, at] = {
+                        "P": derived.P == clean.P,
+                        "beta_routes": beta_routes_check(derived, sv).passed,
+                        "ratio link": step_ratio_checks(z, derived)[0].passed if z.genus == 1 else None,
+                    }
+    # the step's certificate or its validation refuses all but one; the one wrong P that passes both
+    # agrees with the closed beta route, which reads the same table, and only the elliptic
+    # recursion, which reads no table, and the miracle's step n + 1 refuse it
+    assert len(caught) + len(escapes) == 33 and len(caught) == 32
+    assert escapes == {("E2a0", 6, (4, 1)): {"P": False, "beta_routes": True, "ratio link": False}}
 
 
 # -- counting miracle ---------------------------------------------------------------

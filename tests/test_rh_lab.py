@@ -112,7 +112,7 @@ def test_exact_genus1_matches_the_fraction_discriminant():
 def _fraction_step_checks(tower, steps):
     """(beta route, residue link) of the step ``steps`` in Fractions: the parent form of the tower's checks."""
     prev, z, n = tower.level(steps[:-1]), tower.level(steps), steps[-1]
-    closed = Fraction(*beta_closed_form(tower.special_values(steps), n, prev.genus))
+    closed = Fraction(*beta_closed_form(engine.special_values(prev, n), n, prev.genus))
     beta = fraction_beta_recursion(fraction_trace(prev), prev.Q, n)[n]
     beta_n = Fraction(*z.residue_pair())
     return beta_n == closed, beta_n == prev.P[0] ** n * beta
@@ -953,15 +953,30 @@ def test_ratio_bounds_read_the_tower_they_report_on(monkeypatch):
     config = SweepConfig(curves=curves, tuples=((2,), (3,), (2, 2)), checks=("ratio_bounds",))
     cells = sweep(config)["cells"]
     assert len(cells) == 36 and all(cell["checks"] == {"ratio_bounds": "pass"} for cell in cells)
-    real = rh_lab.elliptic_beta_recursion
+    real = mult_struct.elliptic_beta_recursion
 
     def doubled(A0, A1, Q, n_max):
         bs = real(A0, A1, Q, n_max)
         return bs[:1] + [2 * b for b in bs[1:]]
 
-    monkeypatch.setattr(rh_lab, "elliptic_beta_recursion", doubled)
+    monkeypatch.setattr(mult_struct, "elliptic_beta_recursion", doubled)
     cells = sweep(config)["cells"]
     assert len(cells) == 36 and all(cell["checks"] == {"ratio_bounds": "fail"} for cell in cells)
+
+
+def test_ratio_bounds_refuse_a_step_off_genus_one():
+    # the elliptic recursion run on a genus-2 numerator gave a failing residue link beside passing bounds
+    tower = curve_tower(catalog_curve("X2g2").spec())
+    with pytest.raises(ValueError, match=r"level \(2,\) is not the genus-1 level \(\) derived by n"):
+        tower.ratio_bounds((2,))
+    tower = curve_tower(CurveSpec(label="e", q=3, genus=1, trace=1))
+    for prev, derived in (((), (2, 2)), ((2,), (2,)), ((2,), (3,))):  # not prev derived by n
+        with pytest.raises(ValueError, match="is not the genus-1 level"):
+            mult_struct.step_ratio_checks(tower.level(prev), tower.level(derived))
+    for steps, bounds in (((1,), [2]), ((3,), [2, 3]), ((2, 2), [2])):
+        results = tower.ratio_bounds(steps)
+        assert [r.name for r in results] == ["ratio_bounds[residue]"] + [f"ratio_bounds[n={n}]" for n in bounds]
+        assert all(r.passed and r.detail == "" for r in results), steps
 
 
 def _plant_in_the_checked_row(monkeypatch, in_positive_row, edit):
@@ -1055,7 +1070,7 @@ def test_every_level_has_an_int_q_and_no_float_leaks_in(tmp_path):
                 bs = mult_struct.elliptic_beta_recursion(*z.P.view[1][:2], z.Q, 4)
                 assert len(bs) == 5 and all(type(b) is int for b in bs), (source, steps)
             if steps:
-                sv = tower.special_values(steps)
+                sv = engine.special_values(tower.level(steps[:-1]), steps[-1])
                 assert type(sv.Q) is int and all(type(x) is int for pair in sv.vhats for x in pair), (source, steps)
                 signs = tower.interlacing(steps)[1]
                 assert signs and all(type(s) is int and s in (-1, 0, 1) for s in signs), (source, steps)
@@ -1131,28 +1146,33 @@ def test_sweep_counts_the_errored_cells(monkeypatch, tmp_path):
     assert calls.count((2, 2)) == 4  # two cells in each sweep
 
 
-def _count_calls(monkeypatch, names, plant=None):
-    """Record the arguments of every call of ``names`` in rh_lab.
+def _count_calls(monkeypatch, names, plant=None, module=rh_lab):
+    """Record the arguments of every call of ``names`` in ``module``, rh_lab unless given.
 
     ``plant(name, args)`` may raise, or return a result that replaces the real one.
     """
     calls = {name: [] for name in names}
     for name in names:
-        real = getattr(rh_lab, name)
+        real = getattr(module, name)
 
         def counting(*args, _real=real, _name=name):
             calls[_name].append(args)
             planted = plant(_name, args) if plant else None
             return _real(*args) if planted is None else planted
 
-        monkeypatch.setattr(rh_lab, name, counting)
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 
 def test_run_curve_checks_each_level_and_step_once(monkeypatch, interlacing_poly_calls):
     per_level = ("extract_invariants", "rh_verdict_for_level")
     per_step = ("beta_closed_form", "counting_miracle_check", "interlacing_sign_check")
-    calls = _count_calls(monkeypatch, per_level + per_step + ("special_values", "elliptic_beta_recursion"))
+    calls = {
+        **_count_calls(monkeypatch, per_level + per_step[1:] + ("special_values",)),
+        # the beta routes and the ratio bounds call these inside the modules that own the checks
+        **_count_calls(monkeypatch, per_step[:1], module=invariants),
+        **_count_calls(monkeypatch, ("elliptic_beta_recursion",), module=mult_struct),
+    }
     spec = CurveSpec(label="e", q=3, genus=1, trace=1)
     cells = run_curve(spec, SweepConfig(curves=(spec,), tuples=GRID_TUPLES))
     for cell in cells:

@@ -177,10 +177,11 @@ CHECK_BODIES = {
         "reconstruct_numerator",
         "extract_invariants",
         "beta_closed_form",
+        "beta_routes_check",
         "counting_miracle_check",
         "interlacing_sign_check",
     ),
-    "mult_struct.py": ("elliptic_beta_recursion", "ratio_bounds", "ratio_bounds_check"),
+    "mult_struct.py": ("elliptic_beta_recursion", "ratio_bounds", "ratio_bounds_check", "step_ratio_checks"),
     "derived_engine.py": ("special_values", "composition_sums", "derive_step"),
 }
 

@@ -24,7 +24,12 @@ E3a1 along (10, 10, 10): the tower's ``rh``, ``ratio_bounds``,
 ``invariants``, ``miracle``, ``beta_route`` and ``interlacing`` over its
 levels and steps, each on a fresh tower whose levels (the miracle's
 (..., 11) among them) are read before the timer starts; deriving them builds
-the one set of special values each step's checks read.
+the one set of special values each step's checks read, and the signed table
+rows kept on it, so ``beta_route`` there reads rows already built and
+``interlacing`` builds the positive table.  So that the closed formula's
+own cost stays visible, the last line times ``beta_closed_form`` at n = 10
+on a fresh set of special values of E3a1's level (10, 10), which builds the
+signed table to row 10.
 Each figure is the best of three runs on the same input; the inputs of the
 tuple's steps, the levels to validate and the levels to judge are derived
 once, outside the timer.
@@ -38,7 +43,7 @@ import time
 from zetatower.curves import CurveSpec, artin_elliptic, catalog_curve, validate_zeta_level
 from zetatower.derived_engine import derive_step, special_values
 from zetatower.exact_arith import Poly
-from zetatower.invariants import extract_invariants
+from zetatower.invariants import beta_closed_form, extract_invariants
 from zetatower.rh_lab import builtin_elliptic_grid, curve_tower, rh_sturm, rh_verdict_for_level
 
 DEPTHS = (10, 20, 40, 60)
@@ -129,6 +134,10 @@ def main() -> int:
             best[name] = min(best[name], time.perf_counter() - start)
     stages = ", ".join(f"{name} {s:.3f} s" for name, s in best.items())
     print(f"E3a1 {GENUS1_PATH} genus-1 checks: {stages}; total {sum(best.values()):.3f} s")
+    z, n = tower.level(GENUS1_PATH[:-1]), GENUS1_PATH[-1]
+    fresh = iter([special_values(z, n) for _ in range(3)])  # a set keeps its rows, so each run reads its own
+    closed_s = best_of_3(lambda: beta_closed_form(next(fresh), n, z.genus))
+    print(f"E3a1 {z.steps} beta_closed_form n={n} on fresh special values: {closed_s:.3f} s")
     return 0
 
 

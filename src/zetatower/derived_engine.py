@@ -30,11 +30,13 @@ the same table gives the first-part sums L_a needs.  The inner sum runs over
 the pair denominators Q^(p+1) - 1, ..., Q^m - 1, which depend on Q alone:
 ``pair_plan`` gives every such run its lcm and cofactors once, and
 ``SpecialValues`` carries the plan of its depth, so the inner sum is one dot
-product over the run's lcm.  The table reads vhat(1..n-1) and plan entries
-with indices below n only, so ``derive_step(z, n, sv)`` takes the special
-values of z at any depth >= n-1: a tower reads one set per prefix level for
-all of that prefix's steps, and without ``sv`` the step computes its own to
-depth n-1.
+product over the run's lcm.  It also keeps the table's rows of both signs as
+they are built, so on one set each row is built once: every reader of the
+set shares the rows it is given, and none may mutate them.  The table reads
+vhat(1..n-1) and plan entries with indices below n only, so
+``derive_step(z, n, sv)`` takes the special values of z at any depth >= n-1:
+a tower reads one set per prefix level for all of that prefix's steps, and
+without ``sv`` the step computes its own to depth n-1.
 
 The step first certifies that the poles at the interior points T = Q^e,
 e = 1-n..-1, cancel.  Within one a-term the poles are simple and distinct
@@ -149,7 +151,7 @@ def pair_plan(Q: int, depth: int) -> list:
 
 @dataclass(frozen=True)
 class SpecialValues:
-    """The products of the special values of one level, as reduced int pairs, and the pair plan of their depth.
+    """The products of the special values of one level, as reduced int pairs, their pair plan and their table rows.
 
     The special values are zeta_hat(1), the residue at T = 1, and for k >= 2
     zeta_hat(k), the exact value at T = Q^-k (never a pole, the only poles
@@ -159,16 +161,21 @@ class SpecialValues:
     ``plan`` is ``pair_plan(Q, depth)``, depth = len(vhats) - 1: the lcm and
     cofactors of every run of pair denominators Q^k - 1, k <= depth, that the
     composition table and the step's certificate read.  It depends on Q
-    alone, is built with the values and lives as long as they do; it takes
-    no part in equality or the repr.
+    alone, is built with the values and lives as long as they do.
+    ``tables[positive]`` holds the rows of ``composition_sums`` built so far,
+    from row 0, for each sign: each row is built once, the first time it is
+    read, and every later read shares it.  Neither takes part in equality or
+    the repr.
     """
 
     Q: int
     vhats: tuple  # vhats[N] = vhat(N) as (num, den), N = 0..depth
     plan: list = field(init=False, compare=False, repr=False)
+    tables: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "plan", pair_plan(self.Q, len(self.vhats) - 1))
+        object.__setattr__(self, "tables", {False: [([0], 1)], True: [([0], 1)]})
 
 
 def special_values(z: ZetaLevel, n_max: int) -> SpecialValues:
@@ -203,12 +210,16 @@ def composition_sums(sv: SpecialValues, m_max: int, positive: bool = False) -> t
     no composition.  Reversal keeps the weight, so E[m][p] is also the sum over
     the compositions of m with first part p.  With positive=True every pair
     denominator is Q^(r+p) - 1 instead, the interlacing convention.
+
+    The rows are ``sv.tables[positive]``: only those past the ones already
+    built are built and kept, so every reader of ``sv`` shares each row, and
+    no reader may mutate one.
     """
     if len(sv.vhats) <= m_max:
         raise ValueError(f"special values of depth {len(sv.vhats) - 1} < {m_max}")
     sign = 1 if positive else -1  # 1 / (1 - Q^s) = -1 / (Q^s - 1)
-    rows = [([0], 1)]
-    for m in range(1, m_max + 1):
+    rows = sv.tables[positive]
+    for m in range(len(rows), m_max + 1):
         entries = [(0, 1)]
         for p in range(1, m):
             nums, D = rows[m - p]
@@ -219,7 +230,7 @@ def composition_sums(sv: SpecialValues, m_max: int, positive: bool = False) -> t
         nums, D = over_lcm(entries)
         c = gcd(D, *nums)
         rows.append(([x // c for x in nums], D // c))
-    return tuple(rows)
+    return tuple(rows[: m_max + 1])
 
 
 def side_series(row: tuple, n: int, powers: Sequence[int]) -> tuple:

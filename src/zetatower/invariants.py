@@ -21,6 +21,12 @@ with E[n][p] = nums[p] / D, so the sum is the int pair
 (q^(C(n,2)(g-1)) sum(nums), D); that is the dual route the test suite
 exercises everywhere, and ``beta_routes_check`` compares it with the residue
 pair by cross-multiplication, as the counting miracle compares constant terms.
+The rows are those kept on the special values, shared with the derivations
+that read the same set and built once; a table built afresh would give the
+same rows bit for bit, since both routes call one pure function on one set.
+The routes differ in what they read: the derived level's residue rests on
+rows <= n-1, through the step's certificate and Taylor read, and the closed
+sum on row n.  A second route that reads no table is still open.
 
 Interlacing is the statement that the cleared composition polynomial
 

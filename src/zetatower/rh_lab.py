@@ -36,13 +36,14 @@ is each step (the beta routes, the counting miracle, interlacing, the ratio
 bounds), by one call into ``invariants`` or ``mult_struct``: the tower only
 memoises.  Each prefix level has one set of special values, to the largest
 step the curve's tuples take from it, which its steps' derivations (the
-miracle's n+1 among them), beta routes and interlacing read.  The genus-1
-checks compare the ints of the levels' views by cross-multiplication; a
-rational is formed only for a report string, such as the final level's
-alphas and beta.  A step of index 1 gives back its
-prefix's numerator, so a level ``(..., 1)`` reuses its prefix's results.  A
-cell only combines the results of its path, and ``--jobs`` spreads the
-curves, not the cells, over worker processes.
+miracle's n+1 among them), beta routes and interlacing read, and with it
+the rows of its composition-sum tables, each built once and shared.  The
+genus-1 checks compare the ints of the levels' views by cross-multiplication;
+a rational is formed only for a report string, such as the final level's
+alphas and beta.  A step of index 1 gives back its prefix's numerator, so a
+level ``(..., 1)`` reuses its prefix's results.  A cell only combines the
+results of its path, and ``--jobs`` spreads the curves, not the cells, over
+worker processes.
 """
 
 from __future__ import annotations
@@ -367,10 +368,11 @@ def curve_tower(spec: CurveSpec, tuples: Sequence[Sequence[int]] = ()) -> Tower:
     spec's ``level``, built once, with the spec.  Each prefix level has one
     set of special values, of depth d, the largest step ``tuples`` take from
     it: its steps' derivations (the miracle's n+1 among them), beta routes
-    and interlacing all read that set.  A step derived from a prefix first
-    raises d to the step, so a tower built without tuples reads the set its
-    checks will read.  A read deeper than the set computes a deeper one,
-    which the prefix keeps.  The memos are local to this tower, and one that
+    and interlacing all read that set, and share the table rows it keeps.
+    A step derived from a prefix first raises d to the step, so a tower
+    built without tuples reads the set its checks will read.  A read deeper
+    than the set computes a deeper one, which the prefix keeps, and whose
+    rows are built afresh.  The memos are local to this tower, and one that
     raises stores nothing: it is tried again, and raises again, every time
     it is read.  Callees are looked up by name at call time, so a patched
     module global is the one that runs.

@@ -20,6 +20,7 @@ from zetatower import derived_engine
 from zetatower.derived_engine import (
     DerivationError,
     SpecialValues,
+    composition_sums,
     compositions,
     derive_step,
     derive_tower,
@@ -106,9 +107,13 @@ def test_special_values_carry_the_plan_of_their_depth():
     z = artin_elliptic(3, 1)
     sv = special_values(z, 5)
     assert sv.plan == pair_plan(3, 5)
-    # a derived field: rebuilt from Q and the values, outside equality and the repr
+    # derived fields: rebuilt from Q and the values, outside equality and the repr
     again = SpecialValues(Q=sv.Q, vhats=sv.vhats)
-    assert again == sv and again.plan == sv.plan and "plan" not in repr(sv)
+    composition_sums(sv, 5), composition_sums(sv, 3, positive=True)
+    assert [len(sv.tables[positive]) for positive in (False, True)] == [6, 4]
+    assert [len(again.tables[positive]) for positive in (False, True)] == [1, 1]
+    assert again == sv and hash(again) == hash(sv) and again.plan == sv.plan
+    assert repr(again) == repr(sv) and "plan" not in repr(sv) and "tables" not in repr(sv)
     assert SpecialValues(Q=3, vhats=((1, 1),)).plan == []
 
 
@@ -148,6 +153,22 @@ def test_derive_step_reads_special_values_of_any_depth_it_needs():
             level = derive_step(z, n)
             for depth in range(n - 1, n + 3):
                 assert derive_step(z, n, special_values(z, depth)) == level, (z.P, n, depth)
+
+
+def test_kept_table_rows_equal_a_fresh_build():
+    # one set of special values read at depths in a mixed order builds each row once and keeps it;
+    # every read equals the table built afresh on equal values
+    bases = [artin_elliptic(q, a) for q in (2, 3, 4, 5) for a in hasse_traces(q)]
+    bases.append(artin_from_point_counts(2, 2, [3, 5]))  # X2g2
+    for z in bases:
+        sv = special_values(z, 8)
+        for positive in (False, True):
+            for m_max in (3, 7, 5, 8, 1):
+                rows = composition_sums(sv, m_max, positive)
+                assert rows == composition_sums(SpecialValues(Q=sv.Q, vhats=sv.vhats), m_max, positive), (z.P, m_max)
+                assert len(rows) == m_max + 1
+            assert len(sv.tables[positive]) == 9
+        assert sv.tables[False] != sv.tables[True]
 
 
 def test_derive_step_refuses_foreign_or_shallow_special_values():
@@ -314,6 +335,19 @@ def test_corrupted_composition_sum_is_caught(monkeypatch, z):
                 with pytest.raises(DerivationError, match="do not cancel"):
                     derive_step(z, n)
     assert derive_step(z, n).steps == (n,)  # the real table passes
+
+
+@pytest.mark.parametrize("z", [artin_elliptic(3, 1), artin_from_point_counts(2, 2, [3, 5])], ids=["E3a1", "X2g2"])
+def test_a_patched_table_leaves_the_kept_rows_real(monkeypatch, z):
+    # the patch reads the kept rows and edits a copy: an unpatched read of the same values gets the real rows
+    n, sv = 5, special_values(z, 5)
+    with monkeypatch.context() as mp:
+        _corrupt_table(mp, 3, 1)
+        with pytest.raises(DerivationError, match="do not cancel"):
+            derive_step(z, n, sv)
+    fresh = SpecialValues(Q=sv.Q, vhats=sv.vhats)
+    assert composition_sums(sv, n) == composition_sums(fresh, n)
+    assert derive_step(z, n, sv) == derive_step(z, n)
 
 
 @pytest.mark.parametrize("n", [5, 6])

@@ -1197,6 +1197,45 @@ def test_run_curve_checks_each_level_and_step_once(monkeypatch, interlacing_poly
     assert sorted(depths) == [(3, 2), (3, 2), (3, 3), (3, 4), (9, 2), (9, 3), (27, 2), (81, 2)]
 
 
+def test_run_curve_builds_each_table_row_once(monkeypatch):
+    # a prefix's derivations (the miracle's n + 1 among them), beta routes and interlacing share the rows
+    # kept on its one set of special values: each row of each sign is built, appended, once
+    built, kept = [], {}
+    real = rh_lab.special_values
+
+    class CountingRows(list):
+        def __init__(self, rows, key):
+            super().__init__(rows)
+            self.key = key
+
+        def append(self, row):
+            built.append(self.key + (len(self),))
+            super().append(row)
+
+    def counting(z, n_max):
+        sv = kept[z.steps] = real(z, n_max)
+        for positive in (False, True):
+            sv.tables[positive] = CountingRows(sv.tables[positive], (z.steps, positive))
+        return sv
+
+    monkeypatch.setattr(rh_lab, "special_values", counting)
+    spec = CurveSpec(label="e", q=3, genus=1, trace=1)
+    cells = run_curve(spec, SweepConfig(curves=(spec,), tuples=GRID_TUPLES))
+    for cell in cells:
+        assert "error" not in cell
+        assert set(cell["checks"].values()) <= {"pass", "skipped"}
+    # () serves the steps 1..4 and the miracle's 5, (2,) the steps 2, 3 and the miracle's 4, and (2, 2)
+    # and (3,) the step 2 and the miracle's 3; the signed rows reach the largest step's beta route and the
+    # positive rows its interlacing: 22 rows, where building each of the 28 tables afresh built 60
+    depth = {(): 4, (2,): 3, (2, 2): 2, (3,): 2}
+    assert sorted(built) == sorted((p, s, m) for p, d in depth.items() for s in (False, True) for m in range(1, d + 1))
+    # no reader mutated a shared row
+    for sv in kept.values():
+        for positive, rows in sv.tables.items():
+            fresh = engine.SpecialValues(Q=sv.Q, vhats=sv.vhats)
+            assert tuple(rows) == engine.composition_sums(fresh, len(rows) - 1, positive)
+
+
 def test_a_level_of_index_one_gets_its_prefix_results():
     for spec in (CurveSpec(label="e", q=3, genus=1, trace=1), catalog_curve("X2g2").spec()):
         tower = curve_tower(spec)

@@ -6,13 +6,14 @@ curve X2g2, the time of ``derive_step(base, n)`` at n = 10, 20, 40, 60, then
 the time of each step of X2g2 along the tuple (10, 10, 10, 5), whose last
 level has Q = 2^5000.  Then the single steps (1), ..., (24) from E3a1 and
 from X2g2 as a sweep of those tuples runs them: on a fresh
-``curve_tower(spec, tuples)`` per run, each step's level and its
-``beta_route``, all 24 steps reading the base's one set of special values.
+``curve_tower(spec)`` per run, each step's level and its ``beta_route``,
+all 24 steps reading the base's one set of special values, which grows as
+each step reads it.
 Then the shallow regime a default elliptic sweep runs:
 over the 30 bases of the built-in elliptic grid (q = 2..5) and X2g2, the total
 time of ``derive_step(base, n)`` for n = 1..5, of ``validate_zeta_level`` and
-of ``extract_invariants`` on those 155 levels, and of
-``special_values(base, n)`` for n = 1..5.  Last the RH verdict:
+of ``extract_invariants`` on those 155 levels, and of growing a fresh
+``special_values(base)`` to depth n for n = 1..5.  Last the RH verdict:
 ``rh_verdict_for_level`` summed over the 98 RH-admissible integer genus-2
 numerators 1 + a1 T + a2 T^2 + q a1 T^3 + q^2 T^4 over q = 2, 3 (the box
 |a1| <= 4q, |a2| <= 6q, kept by the package's exact ``rh_sturm``) at the
@@ -84,7 +85,7 @@ def main() -> int:
     for name, spec in (("E3a1", CurveSpec(label="E3a1", q=3, genus=1, trace=1)), ("X2g2", catalog_curve("X2g2").spec())):
 
         def single_steps():
-            tower = curve_tower(spec, SINGLE_STEPS)  # the tower keeps each result, so each run builds a fresh one
+            tower = curve_tower(spec)  # the tower keeps each result, so each run builds a fresh one
             for steps in SINGLE_STEPS:
                 tower.level(steps), tower.beta_route(steps)
 
@@ -98,7 +99,7 @@ def main() -> int:
     print(f"{label}: derive_step total {steps_s:.3f} s", flush=True)
     print(f"{label}: validate_zeta_level total {best_of_3(lambda: list(map(validate_zeta_level, levels))):.3f} s")
     print(f"{label}: extract_invariants total {best_of_3(lambda: list(map(extract_invariants, levels))):.3f} s")
-    values_s = best_of_3(lambda: [special_values(z, n) for z in shallow for n in SHALLOW])
+    values_s = best_of_3(lambda: [special_values(z).grow(n) for z in shallow for n in SHALLOW])
     print(f"{label}: special_values total {values_s:.3f} s", flush=True)
 
     specs = [
@@ -124,7 +125,7 @@ def main() -> int:
     paths = [GENUS1_PATH[:i] for i in range(len(GENUS1_PATH) + 1)]
     best = dict.fromkeys(GENUS1_CHECKS, float("inf"))
     for _ in range(3):
-        tower = curve_tower(spec, (GENUS1_PATH,))  # the tower keeps each result, so each run reads a fresh one
+        tower = curve_tower(spec)  # the tower keeps each result, so each run reads a fresh one
         for path in paths[1:]:
             tower.level(path), tower.level(path[:-1] + (path[-1] + 1,))  # builds each prefix's special values too
         for name in GENUS1_CHECKS:
@@ -135,7 +136,7 @@ def main() -> int:
     stages = ", ".join(f"{name} {s:.3f} s" for name, s in best.items())
     print(f"E3a1 {GENUS1_PATH} genus-1 checks: {stages}; total {sum(best.values()):.3f} s")
     z, n = tower.level(GENUS1_PATH[:-1]), GENUS1_PATH[-1]
-    fresh = iter([special_values(z, n) for _ in range(3)])  # a set keeps its rows, so each run reads its own
+    fresh = iter([special_values(z) for _ in range(3)])  # a set keeps its values and rows, so each run reads its own
     closed_s = best_of_3(lambda: beta_closed_form(next(fresh), n, z.genus))
     print(f"E3a1 {z.steps} beta_closed_form n={n} on fresh special values: {closed_s:.3f} s")
     return 0

@@ -28,15 +28,15 @@ of m with last part p, by the recurrence
 in O(n^3) operations.  Reversing a composition keeps its weight, so
 the same table gives the first-part sums L_a needs.  The inner sum runs over
 the pair denominators Q^(p+1) - 1, ..., Q^m - 1, which depend on Q alone:
-``pair_plan`` gives every such run its lcm and cofactors once, and
-``SpecialValues`` carries the plan of its depth, so the inner sum is one dot
-product over the run's lcm.  It also keeps the table's rows of both signs as
-they are built, so on one set each row is built once: every reader of the
-set shares the rows it is given, and none may mutate them.  The table reads
-vhat(1..n-1) and plan entries with indices below n only, so
-``derive_step(z, n, sv)`` takes the special values of z at any depth >= n-1:
-a tower reads one set per prefix level for all of that prefix's steps, and
-without ``sv`` the step computes its own to depth n-1.
+``pair_plan`` gives every such run its lcm and cofactors once, so the inner
+sum is one dot product over the run's lcm.  ``SpecialValues`` belongs to one
+level and grows as far as it is read: the values, the plan and the table's
+rows of both signs are each built once, when a reader first reaches them,
+and every later reader of the set shares them; none may mutate them.  Step
+n reads vhat(1..n-1), plan entries with indices below n and rows <= n-1, so
+``derive_step(z, n, sv)`` takes the special values of z, grown or not: a
+tower reads one set per prefix level for all of that prefix's steps, and
+without ``sv`` the step makes its own.
 
 The step first certifies that the poles at the interior points T = Q^e,
 e = 1-n..-1, cancel.  Within one a-term the poles are simple and distinct
@@ -58,9 +58,11 @@ consistent with the recurrence, such as E[4][1] off and row 5 rebuilt from it
 on E2a0 (q = 2, trace 0) at n = 6; and a wrong pole or plan entry that the
 table and the certificate read alike, such as a wrong Q^3 - 1, or, at even
 n, a wrong plan[s][n/2].  Those are left to validation.  On the Hasse bases
-with q <= 5 and X2g2 at n <= 8 it caught each wrong Q^3 - 1 and plan[s][n/2]
-tried but one: on E2a0 at n = 6 a wrong plan[1][3], like the rebuilt rows,
-gives a P unlike the oracle's that passes both.
+with q <= 5 and X2g2 at n <= 8 it catches each wrong Q^3 - 1 and plan[s][n/2]
+but one: on E2a0 at n = 6 a wrong plan[1][3], like the rebuilt rows, gives
+a P unlike the oracle's that passes both.  A wrong E[1][1] at n = 2 scales
+P, which passes both on every one of those bases; the sweep's beta routes
+and counting miracle see it (the tests pin that matrix).
 
 Then P_n = Q^(C(n,2)(g-1)) (1-T)(1-Q^n T) T^(g-1) S(T), S the sum over a, is
 read off its first 2g+1 Taylor coefficients at T = 0, where every factor is
@@ -95,7 +97,7 @@ products, table rows and P_n (``Poly.from_ints``) are reduced, one gcd each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from itertools import accumulate
 from math import comb, gcd, lcm
 from operator import mul
@@ -125,7 +127,7 @@ def compositions(total: int) -> Iterator[tuple]:
             yield (first,) + rest
 
 
-def pair_plan(Q: int, depth: int) -> list:
+def pair_plan(Q: int, depth: int, plan: Optional[list] = None) -> list:
     """The runs of pair denominators Q^(s+r) - 1, r = 1..j, over their lcm: plan[s][j] = (L, cof), s < depth, j <= depth - s.
 
     L = lcm(Q^(s+r) - 1, r = 1..j) and cof[r-1] = L // (Q^(s+r) - 1), so a
@@ -133,11 +135,14 @@ def pair_plan(Q: int, depth: int) -> list:
     (1, []), and depth 0 gives the empty plan.  Row s runs one lcm along r:
     where it grows by f, the cofactors so far are multiplied by f, and the new
     one is the old L over its gcd with the new denominator; no division by L.
+    Given ``plan``, the plan of a smaller depth, each row's run goes on from
+    its last entry, new rows start, and that plan is returned, extended.
     """
-    plan = []
-    for s in range(depth):
-        row, L, cof, power = [(1, [])], 1, [], Q**s
-        for _ in range(depth - s):
+    plan = [] if plan is None else plan
+    plan += [[(1, [])] for _ in range(len(plan), depth)]
+    for s, row in enumerate(plan):
+        (L, cof), power = row[-1], Q ** (s + len(row) - 1)
+        for _ in range(depth - s + 1 - len(row)):
             power *= Q
             g = gcd(L, power - 1)
             f = (power - 1) // g  # lcm(L, Q^(s+r) - 1) = L * f
@@ -145,11 +150,9 @@ def pair_plan(Q: int, depth: int) -> list:
             cof.append(L // g)
             L *= f
             row.append((L, cof))
-        plan.append(row)
     return plan
 
 
-@dataclass(frozen=True)
 class SpecialValues:
     """The products of the special values of one level, as reduced int pairs, their pair plan and their table rows.
 
@@ -160,39 +163,38 @@ class SpecialValues:
     vhats[0] = (1, 1); zeta_hat(k) itself is vhat(k) / vhat(k-1).
     ``plan`` is ``pair_plan(Q, depth)``, depth = len(vhats) - 1: the lcm and
     cofactors of every run of pair denominators Q^k - 1, k <= depth, that the
-    composition table and the step's certificate read.  It depends on Q
-    alone, is built with the values and lives as long as they do.
-    ``tables[positive]`` holds the rows of ``composition_sums`` built so far,
-    from row 0, for each sign: each row is built once, the first time it is
-    read, and every later read shares it.  Neither takes part in equality or
-    the repr.
+    composition table and the step's certificate read.  ``grow(depth)``
+    extends both in place, the values from ``level``; a set built from given
+    values, with no level, refuses to grow past them.  ``tables[positive]``
+    holds the rows of ``composition_sums`` built so far, from row 0, for each
+    sign: each row is built once, the first time it is read, and every later
+    read shares it.
     """
 
-    Q: int
-    vhats: tuple  # vhats[N] = vhat(N) as (num, den), N = 0..depth
-    plan: list = field(init=False, compare=False, repr=False)
-    tables: dict = field(init=False, compare=False, repr=False)
+    def __init__(self, Q: int, vhats: Sequence[tuple] = ((1, 1),), level: Optional[ZetaLevel] = None):
+        self.Q, self.vhats, self.level = Q, list(vhats), level
+        self.plan = pair_plan(Q, len(self.vhats) - 1)
+        self.tables = {False: [([0], 1)], True: [([0], 1)]}
 
-    def __post_init__(self):
-        object.__setattr__(self, "plan", pair_plan(self.Q, len(self.vhats) - 1))
-        object.__setattr__(self, "tables", {False: [([0], 1)], True: [([0], 1)]})
+    def grow(self, depth: int) -> None:
+        """Extend vhats and the plan to ``depth``, each new product one gcd; ValueError if there is no level to grow from."""
+        vhats, z = self.vhats, self.level
+        if len(vhats) > depth:
+            return
+        if z is None:
+            raise ValueError(f"special values of depth {len(vhats) - 1} < {depth}")
+        for k in range(len(vhats), depth + 1):
+            N, D = z.residue_pair() if k == 1 else z.value_pair(1, z.Q**k)  # Res_{T=1} Z, then Z(Q^-k); D > 0
+            num, den = vhats[-1]
+            num, den = num * N, den * D
+            c = gcd(num, den)
+            vhats.append((num // c, den // c))
+        pair_plan(self.Q, depth, self.plan)
 
 
-def special_values(z: ZetaLevel, n_max: int) -> SpecialValues:
-    """vhat(0..n_max) of z: each value is an int pair with a positive denominator, each product one gcd.
-
-    Depth 0 is vhats ((1, 1),) and the empty plan, what a step of index 1 reads.
-    """
-    if n_max < 0:
-        raise ValueError(f"need depth >= 0, got {n_max}")
-    vhats = [(1, 1)]
-    for k in range(1, n_max + 1):
-        N, D = z.residue_pair() if k == 1 else z.value_pair(1, z.Q**k)  # Res_{T=1} Z, then Z(Q^-k); D > 0
-        num, den = vhats[-1]
-        num, den = num * N, den * D
-        c = gcd(num, den)
-        vhats.append((num // c, den // c))
-    return SpecialValues(Q=z.Q, vhats=tuple(vhats))
+def special_values(z: ZetaLevel) -> SpecialValues:
+    """The special values of z, none computed yet: each reader grows them as far as it reads."""
+    return SpecialValues(z.Q, level=z)
 
 
 def composition_sums(sv: SpecialValues, m_max: int, positive: bool = False) -> tuple:
@@ -211,12 +213,11 @@ def composition_sums(sv: SpecialValues, m_max: int, positive: bool = False) -> t
     the compositions of m with first part p.  With positive=True every pair
     denominator is Q^(r+p) - 1 instead, the interlacing convention.
 
-    The rows are ``sv.tables[positive]``: only those past the ones already
-    built are built and kept, so every reader of ``sv`` shares each row, and
-    no reader may mutate one.
+    The rows are ``sv.tables[positive]``: ``sv`` first grows to m_max, then
+    only the rows past the ones already built are built and kept, so every
+    reader of ``sv`` shares each row, and no reader may mutate one.
     """
-    if len(sv.vhats) <= m_max:
-        raise ValueError(f"special values of depth {len(sv.vhats) - 1} < {m_max}")
+    sv.grow(m_max)
     sign = 1 if positive else -1  # 1 / (1 - Q^s) = -1 / (Q^s - 1)
     rows = sv.tables[positive]
     for m in range(len(rows), m_max + 1):
@@ -259,18 +260,19 @@ def _truncated_product(x: list, y: list) -> list:
 def derive_step(z: ZetaLevel, n: int, sv: Optional[SpecialValues] = None) -> ZetaLevel:
     """Produce the next tower level; exact, certified, validated, and pure.
 
-    ``sv`` is special values of z at any depth >= n-1, such as a tower's set
-    for the prefix; when omitted they are computed to depth n-1.  Values of
-    another Q, or shallower than n-1, raise ValueError.
+    ``sv`` is the special values of z, such as a tower's set for the prefix,
+    which the step grows to depth n-1; when omitted the step makes its own.
+    A set of another level or another Q raises ValueError, and so does a set
+    with no level whose given values stop short of n-1.
     """
     if n < 1:
         raise ValueError("derivation index must be >= 1")
     Q, g = z.Q, z.genus
     steps = z.steps + (n,)
     if sv is None:
-        sv = special_values(z, n - 1)
-    elif sv.Q != Q or len(sv.vhats) < n:
-        raise ValueError(f"special values of Q = {sv.Q}, depth {len(sv.vhats) - 1} do not serve step {n} over Q = {Q}")
+        sv = special_values(z)
+    elif sv.Q != Q or (sv.level is not None and sv.level != z):
+        raise ValueError(f"special values of another level do not serve step {n} of the level {z.steps}")
     rows = composition_sums(sv, n - 1)
 
     K = 2 * g  # the series run to T^K; the certificate reads Q^k for k < n

@@ -146,9 +146,16 @@ def beta_closed_form(sv: SpecialValues, n: int, genus: int) -> tuple:
 
 
 def beta_routes_check(derived: ZetaLevel, sv: SpecialValues) -> CheckResult:
-    """The residue of the level (..., n) against ``beta_closed_form``, cross-multiplied; ``sv`` of depth >= n."""
+    """The residue of the level (..., n) against ``beta_closed_form``, cross-multiplied.
+
+    ``derived`` must be ``sv.level`` derived by n, else ValueError: the pair
+    of another step would read a foreign row n and give a false "fail".
+    """
+    n = derived.steps[-1] if derived.steps else 0
+    if sv.level is None or derived.steps != sv.level.steps + (n,):
+        raise ValueError(f"level {derived.steps} is not the level of these special values derived by n")
     num, den = derived.residue_pair()
-    closed_num, closed_den = beta_closed_form(sv, derived.steps[-1], derived.genus)
+    closed_num, closed_den = beta_closed_form(sv, n, derived.genus)
     return CheckResult("beta_routes", num * closed_den == closed_num * den)
 
 

@@ -34,9 +34,9 @@ A level is derived from its prefix's level at most once, each distinct level
 numerator (invariants, RH verdict) is checked at most once per curve, and so
 is each step (the beta routes, the counting miracle, interlacing, the ratio
 bounds), by one call into ``invariants`` or ``mult_struct``: the tower only
-memoises.  Each prefix level has one set of special values, to the largest
-step the curve's tuples take from it, which its steps' derivations (the
-miracle's n+1 among them), beta routes and interlacing read, and with it
+memoises.  Each prefix level has one set of special values, which its
+steps' derivations (the miracle's n+1 among them), beta routes and
+interlacing read in any order and grow as far as each reads, and with it
 the rows of its composition-sum tables, each built once and shared.  The
 genus-1 checks compare the ints of the levels' views by cross-multiplication;
 a rational is formed only for a report string, such as the final level's
@@ -360,37 +360,27 @@ class Tower(NamedTuple):
     ratio_bounds: Callable[[tuple], tuple]  # the residue link, then bound checks from n = 2 on; genus 1 only
 
 
-def curve_tower(spec: CurveSpec, tuples: Sequence[Sequence[int]] = ()) -> Tower:
+def curve_tower(spec: CurveSpec) -> Tower:
     """A lazy tower over one curve: each entry is computed the first time it is read.
 
     A level is derived, one step at a time, from the longest prefix already
     stored, so the depth of a path costs no recursion; the base is the
     spec's ``level``, built once, with the spec.  Each prefix level has one
-    set of special values, of depth d, the largest step ``tuples`` take from
-    it: its steps' derivations (the miracle's n+1 among them), beta routes
-    and interlacing all read that set, and share the table rows it keeps.
-    A step derived from a prefix first raises d to the step, so a tower
-    built without tuples reads the set its checks will read.  A read deeper
-    than the set computes a deeper one, which the prefix keeps, and whose
-    rows are built afresh.  The memos are local to this tower, and one that
-    raises stores nothing: it is tried again, and raises again, every time
-    it is read.  Callees are looked up by name at call time, so a patched
-    module global is the one that runs.
+    set of special values, made the first time a step from it is read: its
+    steps' derivations (the miracle's n+1 among them), beta routes and
+    interlacing all read that set, in whatever order, and each grows it and
+    the table rows it keeps as far as it reads, so no value or row is built
+    twice.  The memos are local to this tower, and one that raises stores
+    nothing: it is tried again, and raises again, every time it is read.
+    Callees are looked up by name at call time, so a patched module global
+    is the one that runs.
     """
     levels = {(): spec.level}
-    planned = {}  # prefix -> the largest step the tuples take, or a derivation took, from it
-    for steps in tuples:
-        for i, n in enumerate(steps):
-            prefix = tuple(steps[:i])
-            planned[prefix] = max(planned.get(prefix, 0), n)
-    values = {}
 
-    def prefix_values(prefix: tuple, depth: int) -> SpecialValues:
-        """The prefix level's special values, to depth >= ``depth``."""
-        sv = values.get(prefix)
-        if sv is None or len(sv.vhats) <= depth:
-            sv = values[prefix] = special_values(level(prefix), max(depth, planned.get(prefix, 0)))
-        return sv
+    @cache
+    def prefix_values(prefix: tuple) -> SpecialValues:
+        """The prefix level's one set of special values."""
+        return special_values(level(prefix))
 
     def level(steps: tuple) -> ZetaLevel:
         i = len(steps)
@@ -398,8 +388,7 @@ def curve_tower(spec: CurveSpec, tuples: Sequence[Sequence[int]] = ()) -> Tower:
             i -= 1
         for j in range(i + 1, len(steps) + 1):
             prefix, n = steps[: j - 1], steps[j - 1]
-            planned[prefix] = max(planned.get(prefix, 0), n)  # the step's checks read depth n
-            levels[steps[:j]] = derive_step(levels[prefix], n, prefix_values(prefix, n - 1))
+            levels[steps[:j]] = derive_step(levels[prefix], n, prefix_values(prefix))
         return levels[steps]
 
     def by_numerator(stage: Callable[[ZetaLevel], object]) -> Callable[[tuple], object]:
@@ -421,7 +410,7 @@ def curve_tower(spec: CurveSpec, tuples: Sequence[Sequence[int]] = ()) -> Tower:
 
     @cache
     def beta_route(steps: tuple) -> CheckResult:
-        return beta_routes_check(level(steps), prefix_values(steps[:-1], steps[-1]))
+        return beta_routes_check(level(steps), prefix_values(steps[:-1]))
 
     @cache
     def miracle(steps: tuple) -> CheckResult:
@@ -430,7 +419,7 @@ def curve_tower(spec: CurveSpec, tuples: Sequence[Sequence[int]] = ()) -> Tower:
 
     @cache
     def interlacing(steps: tuple) -> tuple:
-        return interlacing_sign_check(prefix_values(steps[:-1], steps[-1]), steps[-1])
+        return interlacing_sign_check(prefix_values(steps[:-1]), steps[-1])
 
     @cache
     def ratio_bounds(steps: tuple) -> tuple:
@@ -511,10 +500,11 @@ def run_curve(spec: CurveSpec, config: SweepConfig) -> list:
 
     Each level is derived, and each distinct level numerator and each step
     checked, at most once per curve, in the order a cell-by-cell run would
-    first reach it.  The tower lives for this call only, so every sweep does
-    all of its own work.
+    first reach it; each prefix's special values grow as far as its cells
+    read them.  The tower lives for this call only, so every sweep does all
+    of its own work.
     """
-    tower = curve_tower(spec, config.tuples)
+    tower = curve_tower(spec)
     # the report strings of deep levels pass 4300 digits; lifted here, a --jobs worker lifts it too
     with unlimited_int_digits():
         return [run_cell(spec, tuple(steps), config, tower) for steps in config.tuples]

@@ -398,7 +398,7 @@ def oracle_zeta(z, n: int) -> RatFunc:
     first, so each side sum is one ``RatFunc`` per distinct pole.
     """
     g, qp = z.genus, Fraction(z.Q)  # a boundary factor reads a negative power
-    sv = special_values(z, n) if n > 1 else None
+    sv = special_values(z)
     total = RatFunc(0)
     for a in range(1, n + 1):
         mid = to_ratfunc(z).scale_var(qp ** (n - a))
@@ -429,6 +429,7 @@ def oracle_numerator(z, n: int) -> Poly:
 def composition_weight(comp, sv) -> Fraction:
     """prod v_{k_i} / prod_j (1 - Q^(k_j + k_{j+1})) for one composition."""
     w = Fraction(1)
+    sv.grow(max(comp, default=0))  # the set grows as far as it is read
     for part in comp:
         w *= Fraction(*sv.vhats[part])
     for left, right in zip(comp, comp[1:]):
@@ -447,6 +448,7 @@ def weights_by_part(m: int, index: int, weight, sv) -> dict:
 def positive_weight(comp, sv) -> Fraction:
     """Composition weight with the pair denominators taken positively."""
     w = Fraction(1)
+    sv.grow(max(comp, default=0))  # the set grows as far as it is read
     for part in comp:
         w *= Fraction(*sv.vhats[part])
     for left, right in zip(comp, comp[1:]):

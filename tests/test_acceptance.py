@@ -111,7 +111,7 @@ def test_criterion_03_beta_dual_route(grid):
     for towers in grid.values():
         for steps, levels in towers.items():
             for prev, nxt, n in zip(levels, levels[1:], steps):
-                sv = special_values(prev, n)
+                sv = special_values(prev)
                 assert residue_simple_pole(to_ratfunc(nxt), 1) == Fraction(*beta_closed_form(sv, n, prev.genus))
                 count += 1
     _report(3, "beta dual route", f"({count} steps, exact)")
@@ -183,7 +183,7 @@ def test_criterion_08_interlacing_signs():
     count = 0
     for q in ELLIPTIC_QS:
         for a in hasse_traces(q):
-            sv = special_values(artin_elliptic(q, a), 5)
+            sv = special_values(artin_elliptic(q, a))
             for n in range(1, 6):
                 poly = interlacing_poly(sv, n)
                 signs = interlacing_signs(poly, sv.Q, n)

@@ -791,7 +791,7 @@ def _invariant_records(label, levels):
         signs = {}
         if prev is not None:
             n = z.steps[-1]
-            signs[str(n)] = interlacing_signs(interlacing_poly(special_values(prev, n), n), prev.Q, n)
+            signs[str(n)] = interlacing_signs(interlacing_poly(special_values(prev), n), prev.Q, n)
         records.append(
             {
                 "curve": label,
@@ -833,7 +833,7 @@ def test_invariants_builds_no_interlacing_polynomial(interlacing_poly_calls, cap
     assert interlacing_poly_calls == []
     from zetatower import invariants, special_values
 
-    invariants.interlacing_poly(special_values(CurveSpec(label="e", q=3, genus=1, trace=1).level, 1), 1)
+    invariants.interlacing_poly(special_values(CurveSpec(label="e", q=3, genus=1, trace=1).level), 1)
     assert len(interlacing_poly_calls) == 1  # the fixture sees a call the package makes
 
 

@@ -432,8 +432,10 @@ def test_special_values_are_the_reduced_fraction_products(z, n):
     for v in values:
         vhat *= v
         expected.append((vhat.numerator, vhat.denominator))  # reduced, positive denominator
-    sv = special_values(z, n)
-    assert sv.Q == Q and sv.vhats == tuple(expected)
+    sv = special_values(z)
+    assert sv.vhats == [(1, 1)]  # nothing is computed before it is read
+    sv.grow(n)
+    assert sv.Q == Q and sv.level is z and sv.vhats == expected
     assert all(type(x) is int for pair in sv.vhats for x in pair)
 
 

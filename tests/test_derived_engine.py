@@ -72,7 +72,8 @@ def test_compositions_count_and_sums(n):
 
 def test_special_values_q2_a0():
     z = artin_elliptic(2, 0)
-    sv = special_values(z, 3)
+    sv = special_values(z)
+    sv.grow(3)
     # residue route and the N_1/(q-1) route must agree
     assert sv.vhats[1] == (3, 1) and Fraction(*sv.vhats[1]) == Fraction(2 + 1 - 0, 2 - 1)
     # zeta_hat(2) = Z(1/4) = (1 + 2/16)/((3/4)(1/2)) = 3 by hand
@@ -82,7 +83,8 @@ def test_special_values_q2_a0():
 
 def test_special_values_vhat_recursion():
     z = artin_elliptic(3, -1)
-    sv = special_values(z, 5)
+    sv = special_values(z)
+    sv.grow(5)
     beta = Fraction(*z.residue_pair())
     assert sv.vhats[1] == (beta.numerator, beta.denominator)  # reduced, positive denominator
     for n in range(2, 6):
@@ -101,33 +103,38 @@ def test_pair_plan_matches_its_definition(Q):
             assert L == math.lcm(*pairs)
             assert len(cof) == j and all(c * d == L for c, d in zip(cof, pairs))
     assert pair_plan(Q, 0) == []
+    # extended in place, depth by depth, the plan is the one built at once
+    grown = []
+    for d in (0, 3, 4, 9, depth):
+        assert pair_plan(Q, d, grown) is grown
+        assert grown == pair_plan(Q, d)
 
 
 def test_special_values_carry_the_plan_of_their_depth():
     z = artin_elliptic(3, 1)
-    sv = special_values(z, 5)
-    assert sv.plan == pair_plan(3, 5)
-    # derived fields: rebuilt from Q and the values, outside equality and the repr
+    sv = special_values(z)
+    for depth in (2, 5, 3):  # a set grows in place and never shrinks
+        sv.grow(depth)
+    assert len(sv.vhats) == 6 and sv.plan == pair_plan(3, 5)
+    # a set of given values, with no level, builds their plan and no rows
     again = SpecialValues(Q=sv.Q, vhats=sv.vhats)
     composition_sums(sv, 5), composition_sums(sv, 3, positive=True)
     assert [len(sv.tables[positive]) for positive in (False, True)] == [6, 4]
     assert [len(again.tables[positive]) for positive in (False, True)] == [1, 1]
-    assert again == sv and hash(again) == hash(sv) and again.plan == sv.plan
-    assert repr(again) == repr(sv) and "plan" not in repr(sv) and "tables" not in repr(sv)
-    assert SpecialValues(Q=3, vhats=((1, 1),)).plan == []
+    assert again.level is None and again.vhats == sv.vhats and again.plan == sv.plan
+    assert SpecialValues(Q=3).plan == []
 
 
 def test_special_values_of_depth_zero_are_the_empty_table():
     for z in (artin_elliptic(3, 1), artin_from_point_counts(2, 2, [3, 5])):
-        sv = special_values(z, 0)
-        assert sv.Q == z.Q and sv.vhats == ((1, 1),) and sv.plan == []
-        assert sv == SpecialValues(Q=z.Q, vhats=((1, 1),))
-        with pytest.raises(ValueError, match="need depth >= 0"):
-            special_values(z, -1)
+        sv = special_values(z)
+        assert sv.Q == z.Q and sv.level is z and sv.vhats == [(1, 1)] and sv.plan == []
+        assert composition_sums(sv, 0) == (([0], 1),)  # what a step of index 1 reads
+        assert sv.vhats == [(1, 1)] and sv.plan == [] and SpecialValues(Q=z.Q).vhats == sv.vhats  # row 0 grows nothing
 
 
 def test_composition_weight_pairs():
-    sv = special_values(artin_elliptic(2, 0), 3)
+    sv = special_values(artin_elliptic(2, 0))
     assert composition_weight((2,), sv) == 9
     assert composition_weight((1, 1), sv) == Fraction(9, 1 - 4)
     assert composition_weight((1, 1, 1), sv) == Fraction(27, (1 - 4) * (1 - 4))
@@ -145,14 +152,18 @@ def test_derive_step_index_one_is_identity():
 
 
 def test_derive_step_reads_special_values_of_any_depth_it_needs():
+    # a set already grown past n - 1 is read as it is, and a shallower one is grown to n - 1
     bases = [artin_elliptic(q, a) for q in (2, 3, 4, 5) for a in hasse_traces(q)]
     bases.append(artin_from_point_counts(2, 2, [3, 5]))  # X2g2
     assert len(bases) == 31
     for z in bases:
         for n in range(1, 9):
             level = derive_step(z, n)
-            for depth in range(n - 1, n + 3):
-                assert derive_step(z, n, special_values(z, depth)) == level, (z.P, n, depth)
+            for depth in range(n - 2, n + 3):
+                sv = special_values(z)
+                sv.grow(depth)
+                assert derive_step(z, n, sv) == level, (z.P, n, depth)
+                assert len(sv.vhats) == max(depth, n - 1) + 1
 
 
 def test_kept_table_rows_equal_a_fresh_build():
@@ -161,11 +172,11 @@ def test_kept_table_rows_equal_a_fresh_build():
     bases = [artin_elliptic(q, a) for q in (2, 3, 4, 5) for a in hasse_traces(q)]
     bases.append(artin_from_point_counts(2, 2, [3, 5]))  # X2g2
     for z in bases:
-        sv = special_values(z, 8)
+        sv = special_values(z)
         for positive in (False, True):
             for m_max in (3, 7, 5, 8, 1):
                 rows = composition_sums(sv, m_max, positive)
-                assert rows == composition_sums(SpecialValues(Q=sv.Q, vhats=sv.vhats), m_max, positive), (z.P, m_max)
+                assert rows == composition_sums(special_values(z), m_max, positive), (z.P, m_max)
                 assert len(rows) == m_max + 1
             assert len(sv.tables[positive]) == 9
         assert sv.tables[False] != sv.tables[True]
@@ -173,13 +184,30 @@ def test_kept_table_rows_equal_a_fresh_build():
 
 def test_derive_step_refuses_foreign_or_shallow_special_values():
     z = artin_elliptic(3, 1)
+    shallow = special_values(z)
+    shallow.grow(2)
+    with pytest.raises(ValueError, match="depth 2 < 3"):
+        derive_step(z, 4, SpecialValues(Q=z.Q, vhats=shallow.vhats))  # given values with no level, depth 2 < n - 1
     with pytest.raises(ValueError, match="do not serve step 4"):
-        derive_step(z, 4, special_values(z, 2))  # depth 2 < n - 1
-    with pytest.raises(ValueError, match="do not serve step 4"):
-        derive_step(z, 4, special_values(artin_elliptic(2, 1), 5))  # another Q
+        derive_step(z, 4, special_values(artin_elliptic(2, 1)))  # another Q
     with pytest.raises(ValueError, match="do not serve step 1"):
-        derive_step(z, 1, SpecialValues(Q=2, vhats=((1, 1),)))
-    assert derive_step(z, 4, special_values(z, 3)) == derive_step(z, 4)
+        derive_step(z, 1, SpecialValues(Q=2))
+    assert derive_step(z, 4, shallow) == derive_step(z, 4)  # its own level's set grows to n - 1
+    assert len(shallow.vhats) == 4
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_derive_step_refuses_the_special_values_of_another_level_over_the_same_q(n):
+    # E3a1 and E3a-2 share Q = 3; read with the other's values, the step would return 2 times the
+    # right P at n = 2, which validation cannot see, and raise DerivationError at n = 3 and 5
+    z, other = artin_elliptic(3, 1), artin_elliptic(3, -2)
+    with pytest.raises(ValueError, match=f"another level do not serve step {n}"):
+        derive_step(z, n, special_values(other))
+    if n == 2:  # the same values given with no level are read as they are: P comes out scaled by 2
+        values = special_values(other)
+        values.grow(1)
+        assert derive_step(z, 2, SpecialValues(Q=3, vhats=values.vhats)).P == Poly([3, 3, 27])
+        assert derive_step(z, 2).P == Poly([Fraction(3, 2), Fraction(3, 2), Fraction(27, 2)])
 
 
 def test_derive_step_two_golden():
@@ -340,13 +368,12 @@ def test_corrupted_composition_sum_is_caught(monkeypatch, z):
 @pytest.mark.parametrize("z", [artin_elliptic(3, 1), artin_from_point_counts(2, 2, [3, 5])], ids=["E3a1", "X2g2"])
 def test_a_patched_table_leaves_the_kept_rows_real(monkeypatch, z):
     # the patch reads the kept rows and edits a copy: an unpatched read of the same values gets the real rows
-    n, sv = 5, special_values(z, 5)
+    n, sv = 5, special_values(z)
     with monkeypatch.context() as mp:
         _corrupt_table(mp, 3, 1)
         with pytest.raises(DerivationError, match="do not cancel"):
             derive_step(z, n, sv)
-    fresh = SpecialValues(Q=sv.Q, vhats=sv.vhats)
-    assert composition_sums(sv, n) == composition_sums(fresh, n)
+    assert composition_sums(sv, n) == composition_sums(special_values(z), n)
     assert derive_step(z, n, sv) == derive_step(z, n)
 
 
@@ -364,14 +391,15 @@ def test_corrupted_pair_plan_is_caught(monkeypatch, z, n):
         for j in range(1, n - s):
             for kind in ("L", "first", "last"):
 
-                def corrupted(Q, depth, s=s, j=j, kind=kind):
-                    plan = real(Q, depth)
-                    L, cof = plan[s][j][0], list(plan[s][j][1])
-                    if kind == "L":
-                        L += 1
-                    else:
-                        cof[0 if kind == "first" else -1] += 1
-                    plan[s][j] = (L, cof)
+                def corrupted(Q, depth, plan=None, s=s, j=j, kind=kind):
+                    plan = real(Q, depth, plan)
+                    if s + j <= depth:  # the entry exists: the step grows its set once, to n - 1
+                        L, cof = plan[s][j][0], list(plan[s][j][1])
+                        if kind == "L":
+                            L += 1
+                        else:
+                            cof[0 if kind == "first" else -1] += 1
+                        plan[s][j] = (L, cof)
                     return plan
 
                 with monkeypatch.context() as mp:
@@ -391,8 +419,9 @@ def test_corrupted_pair_plan_is_caught(monkeypatch, z, n):
 def test_corrupted_special_value_is_caught(monkeypatch, k):
     real = derived_engine.special_values
 
-    def corrupted(z, n_max):  # zeta_hat(k) + 1/3, the products from it on made from the wrong value
-        sv = real(z, n_max)
+    def corrupted(z):  # zeta_hat(k) + 1/3, the products from it on made from the wrong value, given with no level
+        sv = real(z)
+        sv.grow(4)  # what step 5 reads
         vhats = [Fraction(*v) for v in sv.vhats]
         values = [b / a for a, b in zip(vhats, vhats[1:])]
         values[k - 1] += Fraction(1, 3)
@@ -401,7 +430,7 @@ def test_corrupted_special_value_is_caught(monkeypatch, k):
             x = Fraction(*wrong[-1]) * v
             wrong.append((x.numerator, x.denominator))
         assert wrong[k] != sv.vhats[k]
-        return SpecialValues(Q=sv.Q, vhats=tuple(wrong))
+        return SpecialValues(Q=sv.Q, vhats=wrong)
 
     monkeypatch.setattr(derived_engine, "special_values", corrupted)
     with pytest.raises(DerivationError, match="do not cancel"):

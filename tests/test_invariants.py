@@ -5,7 +5,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from pathlib import Path
 
@@ -32,6 +32,7 @@ from zetatower.derived_engine import (
     compositions,
     derive_step,
     derive_tower,
+    pair_plan,
     special_values,
 )
 from zetatower.exact_arith import Poly, over_lcm, rat_str
@@ -107,13 +108,13 @@ def test_trace_of_genus1():
 
 def test_beta_closed_form_depth_one_is_residue():
     z = artin_elliptic(2, 0)
-    sv = special_values(z, 1)
+    sv = special_values(z)
     assert Fraction(*beta_closed_form(sv, 1, 1)) == 3 == Fraction(*sv.vhats[1])
 
 
 def test_beta_closed_form_depth_two():
     z = artin_elliptic(2, 0)
-    sv = special_values(z, 2)
+    sv = special_values(z)
     # v2 + v1^2/(1 - Q^2) = 9 + 9/(1-4) = 6
     num, den = beta_closed_form(sv, 2, 1)
     assert type(num) is int and type(den) is int and den > 0
@@ -127,26 +128,40 @@ def test_beta_dual_route_small_grid():
             for steps in [(2,), (3,), (2, 2)]:
                 levels = [base] + derive_tower(base, steps)
                 for prev, nxt, n in zip(levels, levels[1:], steps):
-                    sv = special_values(prev, n)
+                    sv = special_values(prev)
                     assert residue_simple_pole(to_ratfunc(nxt), 1) == Fraction(*beta_closed_form(sv, n, prev.genus))
 
 
 def test_beta_closed_form_needs_depth():
-    sv = special_values(artin_elliptic(2, 0), 1)
-    with pytest.raises(ValueError, match="depth"):
-        beta_closed_form(sv, 2, 1)
+    # a set grows from its level as far as it is read; given values with no level stop where they end
+    sv = special_values(artin_elliptic(2, 0))
+    sv.grow(1)
+    with pytest.raises(ValueError, match="depth 1 < 2"):
+        beta_closed_form(SpecialValues(Q=sv.Q, vhats=sv.vhats), 2, 1)
+    assert Fraction(*beta_closed_form(sv, 2, 1)) == 6 and len(sv.vhats) == 3
 
 
-def _table_with_one_cofactor_off(at):
+def test_beta_routes_check_refuses_a_pair_that_is_not_one_step():
+    # the check reads the set's row n for the level (..., n); any other pair would give a false "fail"
+    z = artin_elliptic(3, 1)
+    derived, sv = derive_step(z, 3), special_values(z)
+    assert beta_routes_check(derived, sv).passed
+    given = SpecialValues(Q=sv.Q, vhats=sv.vhats)  # the same values, with no level
+    for level, values in ((derived, special_values(derive_step(z, 2))), (z, sv), (derived, given)):
+        with pytest.raises(ValueError, match="derived by n"):
+            beta_routes_check(level, values)
+
+
+def _table_with_one_cofactor_off(at, first_entry_off=False):
     """The recurrence of ``derived_engine.composition_sums``, with cofactor 0 of E[m][p]'s inner sum + 1, at = (m, p).
 
-    Every later row is built by the recurrence from the planted one, so the
-    table stays consistent with itself; at=None gives the real table.
+    With ``first_entry_off``, E[1][1] + 1 instead.  Every later row is built
+    by the recurrence from the planted one, so the table stays consistent
+    with itself; at=None alone gives the real table.
     """
 
     def table(sv, m_max, positive=False):
-        if len(sv.vhats) <= m_max:
-            raise ValueError(f"special values of depth {len(sv.vhats) - 1} < {m_max}")
+        sv.grow(m_max)
         sign = 1 if positive else -1
         rows = [([0], 1)]
         for m in range(1, m_max + 1):
@@ -160,6 +175,8 @@ def _table_with_one_cofactor_off(at):
                 entries.append((sign * v_num * sum(map(mul, nums[1:], cof)), v_den * D * L))
             entries.append(sv.vhats[m])
             nums, D = over_lcm(entries)
+            if m == 1 and first_entry_off:
+                nums = [0, nums[1] + D]
             c = gcd(D, *nums)
             rows.append(([x // c for x in nums], D // c))
         return tuple(rows)
@@ -172,13 +189,13 @@ def test_a_planted_table_row_is_seen_by_some_step_check(monkeypatch):
     # that the step, its certificate and the closed beta route read alike, and the step checks that see it
     bases = {"E2a0": artin_elliptic(2, 0), "E3a1": artin_elliptic(3, 1), "X2g2": catalog_curve("X2g2").spec().level}
     for z in bases.values():
-        sv = special_values(z, 8)
+        sv = special_values(z)
         for positive in (False, True):
             assert _table_with_one_cofactor_off(None)(sv, 8, positive) == composition_sums(sv, 8, positive)
     caught, escapes = [], {}
     for name, z in bases.items():
         for n in (5, 6, 7):
-            clean, sv = derive_step(z, n), special_values(z, n + 1)
+            clean, sv = derive_step(z, n), special_values(z)
             for at in sorted({(3, 1), (4, 1), (4, 2), (n - 1, 1)}):
                 with monkeypatch.context() as m:
                     table = _table_with_one_cofactor_off(at)
@@ -201,6 +218,81 @@ def test_a_planted_table_row_is_seen_by_some_step_check(monkeypatch):
     # recursion, which reads no table, and the miracle's step n + 1 refuse it
     assert len(caught) + len(escapes) == 33 and len(caught) == 32
     assert escapes == {("E2a0", 6, (4, 1)): {"P": False, "beta_routes": True, "ratio link": False}}
+
+
+def _plan_with_one_error(error):
+    """``pair_plan`` by its definition, lcm and cofactors per run, with one error the table and the certificate read alike.
+
+    ("entry", s, j) adds 1 to cofactor 0 of plan[s][j]; ("pole", k) reads the
+    pair denominator Q^k - 1 as Q^k in every run.  Each call rebuilds the plan
+    it is given in place, as far as ``depth``, so a set that grows stays
+    consistent with itself.
+    """
+
+    def plan(Q, depth, plan=None):
+        plan = [] if plan is None else plan
+        plan[:] = []
+        for s in range(depth):
+            row = []
+            for j in range(depth - s + 1):
+                pairs = [Q ** (s + r) - (0 if error == ("pole", s + r) else 1) for r in range(1, j + 1)]
+                L = lcm(*pairs)
+                cof = [L // d for d in pairs]
+                if error == ("entry", s, j):
+                    cof[0] += 1
+                row.append((L, cof))
+            plan.append(row)
+        return plan
+
+    return plan
+
+
+def test_planted_plan_pole_and_first_entry_errors_are_seen_by_some_check(monkeypatch):
+    # the detectability matrix of three more error classes that the table and the certificate read alike, on
+    # the Hasse bases with q <= 5 and X2g2: cofactor 0 of plan[s][n/2] + 1 at n = 4, 6, 8 (the plan entries
+    # the certificate cannot see), the pole Q^3 - 1 read as Q^3 at n = 4..8, and E[1][1] + 1 at n = 2, where
+    # the certificate's one residue sum is zero whatever E[1][1] is.  Each case reads one planted set, as a
+    # tower does for its prefix: the step, the closed beta route and the miracle's step n + 1
+    bases = {f"E{q}a{a}": artin_elliptic(q, a) for q in (2, 3, 4, 5) for a in hasse_traces(q)}
+    bases["X2g2"] = catalog_curve("X2g2").spec().level
+    cases = [(name, n, ("entry", s, n // 2)) for name in bases for n in (4, 6, 8) for s in range(1, n // 2)]
+    cases += [(name, n, ("pole", 3)) for name in bases for n in range(4, 9)]
+    cases += [(name, 2, ("first entry",)) for name in bases]
+    assert all(_plan_with_one_error(None)(z.Q, 8) == pair_plan(z.Q, 8) for z in bases.values())
+    caught, escapes = {"certificate": 0, "validation": 0}, {}
+    for name, n, error in cases:
+        z = bases[name]
+        clean = derive_step(z, n)
+        with monkeypatch.context() as m:
+            if error == ("first entry",):
+                table = _table_with_one_cofactor_off(None, first_entry_off=True)
+                m.setattr(derived_engine, "composition_sums", table)
+                m.setattr(invariants_module, "composition_sums", table)
+            else:
+                m.setattr(derived_engine, "pair_plan", _plan_with_one_error(error))
+            sv = special_values(z)
+            try:
+                derived = derive_step(z, n, sv)
+            except DerivationError as raised:
+                caught["certificate" if "do not cancel" in str(raised) else "validation"] += 1
+                continue
+            assert derived.P != clean.P, (name, n, error)
+            try:
+                miracle = counting_miracle_check(z, derived, derive_step(z, n + 1, sv)).passed
+            except DerivationError:  # a sweep cell that reads the miracle records the error
+                miracle = False
+            checks = {
+                "beta_routes": beta_routes_check(derived, sv).passed,
+                "miracle": miracle,
+                "ratio link": step_ratio_checks(z, derived)[0].passed if z.genus == 1 else True,
+            }
+            escapes[name, n, error] = {check for check, passed in checks.items() if not passed}
+    # validation refuses every wrong plan entry and pole but one; E[1][1] scales the step's P, which the
+    # certificate and validation cannot see, and the closed beta route, which reads row 2, sees it
+    assert len(cases) == 372 and caught == {"certificate": 0, "validation": 340}
+    first_entry = {(name, 2, ("first entry",)): {"beta_routes", "miracle", "ratio link"} for name in bases}
+    first_entry["X2g2", 2, ("first entry",)] = {"beta_routes", "miracle"}
+    assert escapes == {("E2a0", 6, ("entry", 1, 3)): {"miracle", "ratio link"}, **first_entry}
 
 
 # -- counting miracle ---------------------------------------------------------------
@@ -241,7 +333,7 @@ def _tail_sum(sv, n):
 
 
 def test_interlacing_n1_constant():
-    sv = special_values(artin_elliptic(2, 0), 1)
+    sv = special_values(artin_elliptic(2, 0))
     poly = interlacing_poly(sv, 1)
     assert poly == Poly([3])
     check, signs = interlacing_sign_check(sv, 1)
@@ -249,7 +341,7 @@ def test_interlacing_n1_constant():
 
 
 def test_interlacing_n2_shape_and_signs():
-    sv = special_values(artin_elliptic(2, 0), 2)
+    sv = special_values(artin_elliptic(2, 0))
     poly = interlacing_poly(sv, 2)
     # v2*(QT-1) + v1^2/(Q^2-1)*(Q^2 T-1) = 9(2T-1) + 3(4T-1) = 30T - 12
     assert poly == Poly([-12, 30])
@@ -262,7 +354,7 @@ def test_interlacing_n2_shape_and_signs():
 
 
 def test_interlacing_alternation_deeper():
-    sv = special_values(artin_elliptic(2, 0), 5)
+    sv = special_values(artin_elliptic(2, 0))
     for n in (3, 4, 5):
         poly = interlacing_poly(sv, n)
         assert poly.degree == n - 1
@@ -274,7 +366,7 @@ def test_interlacing_alternation_deeper():
 
 def test_interlacing_defining_identity():
     # gamma equals the tail sum times the clearing product, as rational functions
-    sv = special_values(artin_elliptic(3, -2), 4)
+    sv = special_values(artin_elliptic(3, -2))
     clearing = RingPoly([1])
     for ell in range(1, 5):
         clearing = clearing * RingPoly([-1, Fraction(3) ** ell])
@@ -311,7 +403,7 @@ def test_interlacing_signs_are_the_polynomials_horner_signs():
     for spec in specs:
         for prefix in ((), (2,)):
             z = derive_step(spec.level, 2) if prefix else spec.level
-            sv = special_values(z, 7)
+            sv = special_values(z)
             for n in range(1, 8):
                 check, signs = interlacing_sign_check(sv, n)
                 assert (check.passed, list(signs)) == _polynomial_route(sv, n), (spec.label, prefix, n)
@@ -323,13 +415,14 @@ def test_interlacing_routes_agree_on_every_sign_flip_of_the_special_values():
     # zeta_hat(k) = vhat(k) / vhat(k-1), so flipping zeta_hat(k) flips vhat(j) for every j >= k
     cases = failed = 0
     for z in (artin_elliptic(2, 1), artin_elliptic(3, -2), catalog_curve("X2g2").spec().level):
-        sv = special_values(z, 6)
+        sv = special_values(z)
+        sv.grow(6)
         for flips in range(64):
             vhats, sign = [sv.vhats[0]], 1
             for k, (num, den) in enumerate(sv.vhats[1:], start=1):
                 sign = -sign if flips >> (k - 1) & 1 else sign
                 vhats.append((sign * num, den))
-            planted = SpecialValues(Q=sv.Q, vhats=tuple(vhats))
+            planted = SpecialValues(Q=sv.Q, vhats=vhats)
             for n in range(1, 7):
                 check, signs = interlacing_sign_check(planted, n)
                 assert (check.passed, list(signs)) == _polynomial_route(planted, n), (z.Q, flips, n)
@@ -357,7 +450,7 @@ def test_invariant_report_schema():
     assert [rat_str(a) for a in alphas] == ["3"]
     assert rat_str(beta) == "6"
     assert inv.positivity() is True
-    assert interlacing_signs(interlacing_poly(special_values(z, 2), 2), z.Q, 2) == [1, -1]
+    assert interlacing_signs(interlacing_poly(special_values(z), 2), z.Q, 2) == [1, -1]
 
 
 def test_miracle_accepts_the_derived_level():

@@ -48,7 +48,7 @@ def _tower_digest(key, normalize: bool) -> str:
 
 def _interlacing_digest(key) -> str:
     h = hashlib.sha256()
-    sv = special_values(_base(key), N_MAX)
+    sv = special_values(_base(key))
     for n in range(1, N_MAX + 1):
         h.update(_line(n, *ring(interlacing_poly(sv, n)).coeffs))
     return h.hexdigest()

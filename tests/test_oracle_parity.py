@@ -57,7 +57,7 @@ def test_step_numerators_match_oracle(key):
 
 @pytest.mark.parametrize("key", BASES, ids=str)
 def test_interlacing_matches_oracle(key):
-    sv = special_values(_base(key), N_MAX)
+    sv = special_values(_base(key))
     for n in range(1, N_MAX + 1):
         assert interlacing_poly(sv, n) == oracle_interlacing_poly(sv, n), n
 
@@ -75,7 +75,7 @@ def test_oracle_parity_at_a_derived_level():
 )
 def test_composition_sums_match_brute_force(z):
     m_max = 10
-    sv = special_values(z, m_max)
+    sv = special_values(z)
     rows = composition_sums(sv, m_max)
     positive = composition_sums(sv, m_max, positive=True)
     assert rows[0] == positive[0] == ([0], 1)

@@ -112,7 +112,7 @@ def test_exact_genus1_matches_the_fraction_discriminant():
 def _fraction_step_checks(tower, steps):
     """(beta route, residue link) of the step ``steps`` in Fractions: the parent form of the tower's checks."""
     prev, z, n = tower.level(steps[:-1]), tower.level(steps), steps[-1]
-    closed = Fraction(*beta_closed_form(engine.special_values(prev, n), n, prev.genus))
+    closed = Fraction(*beta_closed_form(engine.special_values(prev), n, prev.genus))
     beta = fraction_beta_recursion(fraction_trace(prev), prev.Q, n)[n]
     beta_n = Fraction(*z.residue_pair())
     return beta_n == closed, beta_n == prev.P[0] ** n * beta
@@ -867,9 +867,9 @@ def test_run_cell_extracts_invariants_once_per_level(monkeypatch):
     cell = run_cell(spec, (2, 3), SweepConfig(curves=(spec,), tuples=((2, 3),)), _levels_of(spec))
     assert set(cell["checks"].values()) == {"pass"}
     # three levels, shared by positivity and interlacing (the RH verdict and
-    # ratio_bounds read the view's ints off the level); a tower built without
-    # the tuples plans each prefix's depth when it derives a step, so one set
-    # of depth n serves the step, its checks and its miracle step n + 1
+    # ratio_bounds read the view's ints off the level); one set of special
+    # values per prefix, grown as far as it is read, serves the step, its
+    # checks and its miracle step n + 1
     assert calls == {"extract_invariants": 3, "special_values": 2}
 
 
@@ -1070,7 +1070,8 @@ def test_every_level_has_an_int_q_and_no_float_leaks_in(tmp_path):
                 bs = mult_struct.elliptic_beta_recursion(*z.P.view[1][:2], z.Q, 4)
                 assert len(bs) == 5 and all(type(b) is int for b in bs), (source, steps)
             if steps:
-                sv = engine.special_values(tower.level(steps[:-1]), steps[-1])
+                sv = engine.special_values(tower.level(steps[:-1]))
+                sv.grow(steps[-1])
                 assert type(sv.Q) is int and all(type(x) is int for pair in sv.vhats for x in pair), (source, steps)
                 signs = tower.interlacing(steps)[1]
                 assert signs and all(type(s) is int and s in (-1, 0, 1) for s in signs), (source, steps)
@@ -1184,9 +1185,9 @@ def test_run_curve_checks_each_level_and_step_once(monkeypatch, interlacing_poly
     levels = [(), (1,), (2,), (2, 2), (2, 2, 2), (2, 3), (3,), (3, 2), (4,)]
     for name in per_level:
         assert sorted(args[0].steps for args in calls[name]) == [s for s in levels if s != (1,)], name
-    # one set of special values per prefix, to the largest step the tuples take from it, read by
-    # the prefix's derivations (the miracle's n + 1 among them), beta routes and interlacing
-    assert sorted((z.steps, n) for z, n in calls["special_values"]) == [((), 4), ((2,), 3), ((2, 2), 2), ((3,), 2)]
+    # one set of special values per prefix, read by the prefix's derivations (the miracle's n + 1
+    # among them), beta routes and interlacing, each growing it as far as it reads
+    assert sorted(z.steps for z, in calls["special_values"]) == [(), (2,), (2, 2), (3,)]
     assert sorted(derived.steps for _, derived, _ in calls["counting_miracle_check"]) == levels[1:]
     assert {name: len(calls[name]) for name in per_step} == dict.fromkeys(per_step, 8)
     # interlacing reads the signs off one table row per step and builds no polynomial
@@ -1197,43 +1198,88 @@ def test_run_curve_checks_each_level_and_step_once(monkeypatch, interlacing_poly
     assert sorted(depths) == [(3, 2), (3, 2), (3, 3), (3, 4), (9, 2), (9, 3), (27, 2), (81, 2)]
 
 
-def test_run_curve_builds_each_table_row_once(monkeypatch):
-    # a prefix's derivations (the miracle's n + 1 among them), beta routes and interlacing share the rows
-    # kept on its one set of special values: each row of each sign is built, appended, once
+def _count_builds(monkeypatch):
+    """(built, kept): every special value and table row the package's towers compute, and their sets by prefix.
+
+    built holds (prefix, "vhat", k) for each product vhat(k) and (prefix, positive, m) for each table row,
+    one entry per time it is appended to its set.
+    """
     built, kept = [], {}
     real = rh_lab.special_values
 
-    class CountingRows(list):
-        def __init__(self, rows, key):
-            super().__init__(rows)
+    class Counting(list):
+        def __init__(self, items, key):
+            super().__init__(items)
             self.key = key
 
-        def append(self, row):
+        def append(self, item):
             built.append(self.key + (len(self),))
-            super().append(row)
+            super().append(item)
 
-    def counting(z, n_max):
-        sv = kept[z.steps] = real(z, n_max)
+    def counting(z):
+        assert z.steps not in kept, f"a second set of special values for {z.steps}"
+        sv = kept[z.steps] = real(z)
+        sv.vhats = Counting(sv.vhats, (z.steps, "vhat"))
         for positive in (False, True):
-            sv.tables[positive] = CountingRows(sv.tables[positive], (z.steps, positive))
+            sv.tables[positive] = Counting(sv.tables[positive], (z.steps, positive))
         return sv
 
     monkeypatch.setattr(rh_lab, "special_values", counting)
+    return built, kept
+
+
+# () serves the steps 1..4 and the miracle's 5, (2,) the steps 2, 3 and the miracle's 4, and (2, 2) and (3,)
+# the step 2 and the miracle's 3: each set grows to the largest step read from it, and so do the signed rows
+# (its beta route) and the positive rows (its interlacing)
+GRID_DEPTHS = {(): 4, (2,): 3, (2, 2): 2, (3,): 2}
+
+
+def _assert_built_once(built, kept):
+    """Each value and row of GRID_DEPTHS built once, and every set equal to a fresh one grown as far."""
+    rows = sorted((p, s, m) for p, d in GRID_DEPTHS.items() for s in (False, True) for m in range(1, d + 1))
+    values = sorted((p, "vhat", k) for p, d in GRID_DEPTHS.items() for k in range(1, d + 1))
+    assert len(rows) == 22  # building each of the 28 tables afresh built 60
+    assert sorted(built, key=repr) == sorted(rows + values, key=repr)
+    assert kept.keys() == GRID_DEPTHS.keys()
+    for prefix, sv in kept.items():  # no reader mutated a shared row
+        fresh = engine.special_values(sv.level)
+        for positive, table in sv.tables.items():
+            assert tuple(table) == engine.composition_sums(fresh, GRID_DEPTHS[prefix], positive)
+        assert sv.vhats == fresh.vhats and sv.plan == fresh.plan == engine.pair_plan(sv.Q, GRID_DEPTHS[prefix])
+
+
+def test_run_curve_builds_each_table_row_once(monkeypatch):
+    # a prefix's derivations (the miracle's n + 1 among them), beta routes and interlacing share the values
+    # and rows kept on its one set of special values: each is built, appended, once
+    built, kept = _count_builds(monkeypatch)
     spec = CurveSpec(label="e", q=3, genus=1, trace=1)
     cells = run_curve(spec, SweepConfig(curves=(spec,), tuples=GRID_TUPLES))
     for cell in cells:
         assert "error" not in cell
         assert set(cell["checks"].values()) <= {"pass", "skipped"}
-    # () serves the steps 1..4 and the miracle's 5, (2,) the steps 2, 3 and the miracle's 4, and (2, 2)
-    # and (3,) the step 2 and the miracle's 3; the signed rows reach the largest step's beta route and the
-    # positive rows its interlacing: 22 rows, where building each of the 28 tables afresh built 60
-    depth = {(): 4, (2,): 3, (2, 2): 2, (3,): 2}
-    assert sorted(built) == sorted((p, s, m) for p, d in depth.items() for s in (False, True) for m in range(1, d + 1))
-    # no reader mutated a shared row
-    for sv in kept.values():
-        for positive, rows in sv.tables.items():
-            fresh = engine.SpecialValues(Q=sv.Q, vhats=sv.vhats)
-            assert tuple(rows) == engine.composition_sums(fresh, len(rows) - 1, positive)
+    _assert_built_once(built, kept)
+
+
+@pytest.mark.parametrize("descending", [True, False], ids=["descending", "ascending"])
+def test_a_tower_read_in_any_order_builds_each_value_and_row_once(monkeypatch, descending):
+    # the step checks before their level, the miracle's n + 1 first: whatever the order, a set grows as far
+    # as each reader reads, so it holds what run_curve's does, each value and row built once
+    built, kept = _count_builds(monkeypatch)
+    tower = curve_tower(CurveSpec(label="e", q=3, genus=1, trace=1))
+    reads = [
+        lambda steps: tower.level(steps[:-1] + (steps[-1] + 1,)),
+        tower.interlacing,
+        tower.beta_route,
+        tower.miracle,
+        tower.ratio_bounds,
+        tower.level,
+    ]
+    for steps in sorted(GRID_TUPLES, reverse=descending):
+        for read in reads if descending else reads[::-1]:
+            read(steps)
+    for steps in GRID_TUPLES:
+        assert tower.interlacing(steps)[0].passed and tower.beta_route(steps).passed and tower.miracle(steps).passed
+    _assert_built_once(built, kept)
 
 
 def test_a_level_of_index_one_gets_its_prefix_results():

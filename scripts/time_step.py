@@ -137,7 +137,7 @@ def main() -> int:
     print(f"E3a1 {GENUS1_PATH} genus-1 checks: {stages}; total {sum(best.values()):.3f} s")
     z, n = tower.level(GENUS1_PATH[:-1]), GENUS1_PATH[-1]
     fresh = iter([special_values(z) for _ in range(3)])  # a set keeps its values and rows, so each run reads its own
-    closed_s = best_of_3(lambda: beta_closed_form(next(fresh), n, z.genus))
+    closed_s = best_of_3(lambda: beta_closed_form(next(fresh), n))
     print(f"E3a1 {z.steps} beta_closed_form n={n} on fresh special values: {closed_s:.3f} s")
     return 0
 

@@ -29,14 +29,15 @@ in O(n^3) operations.  Reversing a composition keeps its weight, so
 the same table gives the first-part sums L_a needs.  The inner sum runs over
 the pair denominators Q^(p+1) - 1, ..., Q^m - 1, which depend on Q alone:
 ``pair_plan`` gives every such run its lcm and cofactors once, so the inner
-sum is one dot product over the run's lcm.  ``SpecialValues`` belongs to one
-level and grows as far as it is read: the values, the plan and the table's
-rows of both signs are each built once, when a reader first reaches them,
-and every later reader of the set shares them; none may mutate them.  Step
-n reads vhat(1..n-1), plan entries with indices below n and rows <= n-1, so
-``derive_step(z, n, sv)`` takes the special values of z, grown or not: a
-tower reads one set per prefix level for all of that prefix's steps, and
-without ``sv`` the step makes its own.
+sum is one dot product over the run's lcm.  ``SpecialValues`` is built from
+one level and grows as far as it is read: the values, the plan, the table's
+rows of both signs and the levels derived from it are each built once, when
+a reader first reaches them, and every later reader of the set shares them;
+none may mutate them.  Step n reads vhat(1..n-1), plan entries with indices
+below n and rows <= n-1, so ``derive_step(z, n, sv)`` takes the special
+values of z, grown or not, and without ``sv`` makes its own.  ``sv.step(n)``
+is that step on the set, kept: a step check reads (set, n), and the level,
+its step and the rows it compares all come from the one set.
 
 The step first certifies that the poles at the interior points T = Q^e,
 e = 1-n..-1, cancel.  Within one a-term the poles are simple and distinct
@@ -154,7 +155,7 @@ def pair_plan(Q: int, depth: int, plan: Optional[list] = None) -> list:
 
 
 class SpecialValues:
-    """The products of the special values of one level, as reduced int pairs, their pair plan and their table rows.
+    """The products of the special values of one level, as reduced int pairs, their pair plan, table rows and steps.
 
     The special values are zeta_hat(1), the residue at T = 1, and for k >= 2
     zeta_hat(k), the exact value at T = Q^-k (never a pole, the only poles
@@ -164,25 +165,22 @@ class SpecialValues:
     ``plan`` is ``pair_plan(Q, depth)``, depth = len(vhats) - 1: the lcm and
     cofactors of every run of pair denominators Q^k - 1, k <= depth, that the
     composition table and the step's certificate read.  ``grow(depth)``
-    extends both in place, the values from ``level``; a set built from given
-    values, with no level, refuses to grow past them.  ``tables[positive]``
-    holds the rows of ``composition_sums`` built so far, from row 0, for each
-    sign: each row is built once, the first time it is read, and every later
+    extends both in place from ``level``, going on from what the set holds.
+    ``tables[positive]`` holds the rows of ``composition_sums`` built so far,
+    from row 0, for each sign, and ``derived[n]`` the level ``step(n)``
+    derived: each is built once, the first time it is read, and every later
     read shares it.
     """
 
-    def __init__(self, Q: int, vhats: Sequence[tuple] = ((1, 1),), level: Optional[ZetaLevel] = None):
-        self.Q, self.vhats, self.level = Q, list(vhats), level
-        self.plan = pair_plan(Q, len(self.vhats) - 1)
-        self.tables = {False: [([0], 1)], True: [([0], 1)]}
+    def __init__(self, level: ZetaLevel):
+        self.level, self.Q, self.vhats, self.plan = level, level.Q, [(1, 1)], []
+        self.tables, self.derived = {False: [([0], 1)], True: [([0], 1)]}, {}
 
     def grow(self, depth: int) -> None:
-        """Extend vhats and the plan to ``depth``, each new product one gcd; ValueError if there is no level to grow from."""
+        """Extend vhats and the plan to ``depth``, each new product one gcd."""
         vhats, z = self.vhats, self.level
         if len(vhats) > depth:
             return
-        if z is None:
-            raise ValueError(f"special values of depth {len(vhats) - 1} < {depth}")
         for k in range(len(vhats), depth + 1):
             N, D = z.residue_pair() if k == 1 else z.value_pair(1, z.Q**k)  # Res_{T=1} Z, then Z(Q^-k); D > 0
             num, den = vhats[-1]
@@ -191,10 +189,16 @@ class SpecialValues:
             vhats.append((num // c, den // c))
         pair_plan(self.Q, depth, self.plan)
 
+    def step(self, n: int) -> ZetaLevel:
+        """The level derived by n, by ``derive_step`` on this set the first time it is read; a raise keeps nothing."""
+        if n not in self.derived:
+            self.derived[n] = derive_step(self.level, n, self)
+        return self.derived[n]
+
 
 def special_values(z: ZetaLevel) -> SpecialValues:
-    """The special values of z, none computed yet: each reader grows them as far as it reads."""
-    return SpecialValues(z.Q, level=z)
+    """The special values of z, none computed yet: each reader grows them, and derives its steps, as far as it reads."""
+    return SpecialValues(z)
 
 
 def composition_sums(sv: SpecialValues, m_max: int, positive: bool = False) -> tuple:
@@ -260,10 +264,9 @@ def _truncated_product(x: list, y: list) -> list:
 def derive_step(z: ZetaLevel, n: int, sv: Optional[SpecialValues] = None) -> ZetaLevel:
     """Produce the next tower level; exact, certified, validated, and pure.
 
-    ``sv`` is the special values of z, such as a tower's set for the prefix,
-    which the step grows to depth n-1; when omitted the step makes its own.
-    A set of another level or another Q raises ValueError, and so does a set
-    with no level whose given values stop short of n-1.
+    ``sv`` is the special values of z, such as the set whose ``step(n)``
+    calls this, which the step grows to depth n-1; when omitted the step
+    makes its own.  A set of another level raises ValueError.
     """
     if n < 1:
         raise ValueError("derivation index must be >= 1")
@@ -271,7 +274,7 @@ def derive_step(z: ZetaLevel, n: int, sv: Optional[SpecialValues] = None) -> Zet
     steps = z.steps + (n,)
     if sv is None:
         sv = special_values(z)
-    elif sv.Q != Q or (sv.level is not None and sv.level != z):
+    elif sv.level != z:
         raise ValueError(f"special values of another level do not serve step {n} of the level {z.steps}")
     rows = composition_sums(sv, n - 1)
 

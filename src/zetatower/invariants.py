@@ -19,11 +19,14 @@ level, q^(C(n,2)(g-1)) * sum_p E[n][p] with the last-part table E of
 ``derived_engine.composition_sums``, whose row n is the int row (nums, D)
 with E[n][p] = nums[p] / D, so the sum is the int pair
 (q^(C(n,2)(g-1)) sum(nums), D); that is the dual route the test suite
-exercises everywhere, and ``beta_routes_check`` compares it with the residue
-pair by cross-multiplication, as the counting miracle compares constant terms.
-The rows are those kept on the special values, shared with the derivations
-that read the same set and built once; a table built afresh would give the
-same rows bit for bit, since both routes call one pure function on one set.
+exercises everywhere, and ``beta_routes_check(sv, n)`` compares it with the
+residue pair of ``sv.step(n)`` by cross-multiplication, as the counting
+miracle compares the constant terms of the set's steps n and n+1.  Each step
+check reads a set and n alone, so the level, its derived steps and the rows
+all belong to the set's level: no pair that does not belong together can be
+passed.  The rows are those kept on the set, shared with its derivations and
+built once; a table built afresh would give the same rows bit for bit, since
+both routes call one pure function on one set.
 The routes differ in what they read: the derived level's residue rests on
 rows <= n-1, through the step's certificate and Taylor read, and the closed
 sum on row n.  A second route that reads no table is still open.
@@ -139,42 +142,32 @@ def extract_invariants(z: ZetaLevel) -> InvariantSet:
     return InvariantSet(content=c, S=S, total=total)
 
 
-def beta_closed_form(sv: SpecialValues, n: int, genus: int) -> tuple:
-    """Residue of the next level by the closed composition sum, no derivation, as an unreduced int pair (N, D), D > 0."""
+def beta_closed_form(sv: SpecialValues, n: int) -> tuple:
+    """Residue of the level ``sv.step(n)`` by the closed composition sum, no derivation, as an unreduced int pair (N, D), D > 0."""
     nums, D = composition_sums(sv, n)[n]
-    return sv.Q ** (comb(n, 2) * (genus - 1)) * sum(nums), D
+    return sv.Q ** (comb(n, 2) * (sv.level.genus - 1)) * sum(nums), D
 
 
-def beta_routes_check(derived: ZetaLevel, sv: SpecialValues) -> CheckResult:
-    """The residue of the level (..., n) against ``beta_closed_form``, cross-multiplied.
-
-    ``derived`` must be ``sv.level`` derived by n, else ValueError: the pair
-    of another step would read a foreign row n and give a false "fail".
-    """
-    n = derived.steps[-1] if derived.steps else 0
-    if sv.level is None or derived.steps != sv.level.steps + (n,):
-        raise ValueError(f"level {derived.steps} is not the level of these special values derived by n")
-    num, den = derived.residue_pair()
-    closed_num, closed_den = beta_closed_form(sv, n, derived.genus)
+def beta_routes_check(sv: SpecialValues, n: int) -> CheckResult:
+    """The residue of ``sv.step(n)`` against ``beta_closed_form(sv, n)``, cross-multiplied."""
+    num, den = sv.step(n).residue_pair()
+    closed_num, closed_den = beta_closed_form(sv, n)
     return CheckResult("beta_routes", num * closed_den == closed_num * den)
 
 
-def counting_miracle_check(prev: ZetaLevel, derived: ZetaLevel, following: ZetaLevel) -> CheckResult:
-    """Constant term at step n+1 against q^(n(g-1)) * alpha_prev(0) * beta at step n, cross-multiplied.
+def counting_miracle_check(sv: SpecialValues, n: int) -> CheckResult:
+    """Constant term of ``sv.step(n + 1)`` against q^(n(g-1)) * alpha_prev(0) * beta of ``sv.step(n)``, cross-multiplied.
 
-    ``derived`` and ``following`` are ``prev`` derived by n and by n+1, taken
-    from the caller's tower; nothing is derived here.  Their steps must say
-    so, else ValueError.  beta is read off ``derived`` as a residue pair, and
-    each constant term is its view's content times its first int.
+    alpha_prev(0) is read off ``sv.level``, beta as a residue pair, and each
+    constant term is its view's content times its first int; the two steps
+    are the set's, each derived the first time a reader reads it and kept.
 
     The step reads alpha(0) off T = 0, where only its a = n term survives, so
     the left side is q^(n(g-1)) alpha_prev(0) times ``beta_closed_form`` as the
     step computes it: the routes beta_routes compares.  The full sum meets the
     closed value in validation's A_2g = Q_n^g A_0, which every a-term reaches.
     """
-    n = derived.steps[-1] if derived.steps else 0
-    if derived.steps != prev.steps + (n,) or following.steps != prev.steps + (n + 1,):
-        raise ValueError(f"levels {derived.steps}, {following.steps} are not {prev.steps} derived by n, n+1")
+    prev, derived, following = sv.level, sv.step(n), sv.step(n + 1)
     g = prev.genus
     (c, ints), (c_next, ints_next) = prev.P.view, following.P.view
     beta_num, beta_den = derived.residue_pair()

@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from zetatower.curves import CheckResult, ZetaLevel
+from zetatower.curves import CheckResult
+from zetatower.derived_engine import SpecialValues
 from zetatower.exact_arith import pair_str
 
 
@@ -77,15 +78,15 @@ def ratio_bounds_check(bs: Sequence[int], w: int, Q: int) -> list:
     return out
 
 
-def step_ratio_checks(prev: ZetaLevel, derived: ZetaLevel) -> tuple:
-    """Residue link alpha_0(prev)^n beta(n) of the step prev -> derived, then the bounds; ValueError unless one genus-1 step."""
-    n = derived.steps[-1] if derived.steps else 0
-    if prev.genus != 1 or derived.steps != prev.steps + (n,):
-        raise ValueError(f"level {derived.steps} is not the genus-1 level {prev.steps} derived by n")
+def step_ratio_checks(sv: SpecialValues, n: int) -> tuple:
+    """Residue link alpha_0(sv.level)^n beta(n) of ``sv.step(n)``, then the bounds; ValueError off genus 1."""
+    prev = sv.level
+    if prev.genus != 1:
+        raise ValueError(f"level {prev.steps + (n,)} is not the genus-1 level {prev.steps} derived by n")
+    num, den = sv.step(n).residue_pair()
     c, ints = prev.P.view
     w, Q = abs(ints[0]), prev.Q
     bs = elliptic_beta_recursion(ints[0], ints[1], Q, max(n, 2))  # the bounds start at n = 2
     D = w**n * math.prod(Q**k - 1 for k in range(1, n + 1))  # beta(n) = bs[n] / D, alpha_0(prev) = c * ints[0]
-    num, den = derived.residue_pair()
     link = CheckResult("ratio_bounds[residue]", num * c.denominator**n * D == den * (c.numerator * ints[0]) ** n * bs[n])
     return (link, *ratio_bounds_check(bs, w, Q))

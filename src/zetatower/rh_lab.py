@@ -30,20 +30,19 @@ rationals as strings.  Identical configs give byte-identical reports.  Each
 curve has one tower (``curve_tower``), the only derivation path that sweeps
 and the CLI use: sweeps read it, and so do the CLI's derive, invariants and
 rh-check.
-A level is derived from its prefix's level at most once, each distinct level
-numerator (invariants, RH verdict) is checked at most once per curve, and so
-is each step (the beta routes, the counting miracle, interlacing, the ratio
-bounds), by one call into ``invariants`` or ``mult_struct``: the tower only
-memoises.  Each prefix level has one set of special values, which its
-steps' derivations (the miracle's n+1 among them), beta routes and
-interlacing read in any order and grow as far as each reads, and with it
-the rows of its composition-sum tables, each built once and shared.  The
-genus-1 checks compare the ints of the levels' views by cross-multiplication;
-a rational is formed only for a report string, such as the final level's
-alphas and beta.  A step of index 1 gives back its prefix's numerator, so a
-level ``(..., 1)`` reuses its prefix's results.  A cell only combines the
-results of its path, and ``--jobs`` spreads the curves, not the cells, over
-worker processes.
+Each prefix level has one set of special values, which derives each of its
+steps at most once and keeps it.  Each distinct level numerator (invariants,
+RH verdict) is checked at most once per curve, and so is each step (the beta
+routes, the counting miracle, interlacing, the ratio bounds), by one call
+into ``invariants`` or ``mult_struct`` on (prefix set, n): the tower only
+memoises.  The steps' derivations (the miracle's n+1 among them) and checks
+read the set in any order and grow it as far as each reads, with the rows of
+its composition-sum tables, each built once and shared.  The genus-1 checks
+compare the ints of the levels' views by cross-multiplication; a rational is
+formed only for a report string, such as the final level's alphas and beta.
+A step of index 1 gives back its prefix's numerator, so a level ``(..., 1)``
+reuses its prefix's results.  A cell only combines the results of its path,
+and ``--jobs`` spreads the curves, not the cells, over worker processes.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import mpmath as mp
 
 from zetatower.curves import CheckResult, CurveSpec, ZetaLevel, hasse_traces, prime_power_split
-from zetatower.derived_engine import SpecialValues, derive_step, special_values
+from zetatower.derived_engine import SpecialValues, special_values
 from zetatower.exact_arith import (
     Poly,
     content_primitive,
@@ -344,11 +343,11 @@ class Tower(NamedTuple):
     Every field maps a tuple of steps to a result: ``level``, ``invariants``
     and ``rh`` belong to the level the steps reach; the others to the last
     step (prefix, n), the one that derives that level from its prefix.
-    ``level`` and the step fields are kept per tuple of steps, and each step
-    field is one call into ``invariants`` or ``mult_struct``.  ``invariants``
-    and ``rh`` are kept per ``ZetaLevel.numerator_key`` ``(P, Q, genus)``:
-    levels with one numerator, such as ``(..., 1)`` and its prefix, share one
-    result, computed on the first of them that is read.
+    ``level`` is the prefix set's kept step, and each step field is one call
+    into ``invariants`` or ``mult_struct`` on (prefix set, n), kept per tuple
+    of steps.  ``invariants`` and ``rh`` are kept per ``ZetaLevel.numerator_key``
+    ``(P, Q, genus)``: levels with one numerator, such as ``(..., 1)`` and its
+    prefix, share one result, computed on the first of them that is read.
     """
 
     level: Callable[[tuple], ZetaLevel]
@@ -363,33 +362,32 @@ class Tower(NamedTuple):
 def curve_tower(spec: CurveSpec) -> Tower:
     """A lazy tower over one curve: each entry is computed the first time it is read.
 
-    A level is derived, one step at a time, from the longest prefix already
-    stored, so the depth of a path costs no recursion; the base is the
-    spec's ``level``, built once, with the spec.  Each prefix level has one
-    set of special values, made the first time a step from it is read: its
-    steps' derivations (the miracle's n+1 among them), beta routes and
-    interlacing all read that set, in whatever order, and each grows it and
-    the table rows it keeps as far as it reads, so no value or row is built
+    Each prefix level has one set of special values, made the first time a
+    step from it is read, and a level is its prefix set's ``step``; the base
+    is the spec's ``level``, built once, with the spec.  The sets of a path
+    are found, and made, from the longest prefix that has one, in a loop, so
+    the depth of a path costs no recursion.  A step's derivation (the
+    miracle's n+1 among them) and its checks all read (prefix set, n), in
+    whatever order, and each grows the set, the table rows and the derived
+    levels it keeps as far as it reads, so no value, row or level is built
     twice.  The memos are local to this tower, and one that raises stores
     nothing: it is tried again, and raises again, every time it is read.
     Callees are looked up by name at call time, so a patched module global
     is the one that runs.
     """
-    levels = {(): spec.level}
+    sets = {}
 
-    @cache
     def prefix_values(prefix: tuple) -> SpecialValues:
-        """The prefix level's one set of special values."""
-        return special_values(level(prefix))
+        """The prefix level's one set of special values, and those of the prefixes before it."""
+        i = len(prefix)
+        while i >= 0 and prefix[:i] not in sets:
+            i -= 1
+        for j in range(i + 1, len(prefix) + 1):
+            sets[prefix[:j]] = special_values(sets[prefix[: j - 1]].step(prefix[j - 1]) if j else spec.level)
+        return sets[prefix]
 
     def level(steps: tuple) -> ZetaLevel:
-        i = len(steps)
-        while steps[:i] not in levels:
-            i -= 1
-        for j in range(i + 1, len(steps) + 1):
-            prefix, n = steps[: j - 1], steps[j - 1]
-            levels[steps[:j]] = derive_step(levels[prefix], n, prefix_values(prefix))
-        return levels[steps]
+        return prefix_values(steps[:-1]).step(steps[-1]) if steps else spec.level
 
     def by_numerator(stage: Callable[[ZetaLevel], object]) -> Callable[[tuple], object]:
         """``stage`` of the level ``steps`` reach, computed once per distinct numerator."""
@@ -405,27 +403,19 @@ def curve_tower(spec: CurveSpec) -> Tower:
 
         return read
 
-    invariants = by_numerator(lambda z: extract_invariants(z))
-    rh = by_numerator(lambda z: rh_verdict_for_level(z))
+    def by_step(check: Callable[[SpecialValues, int], object]) -> Callable[[tuple], object]:
+        """``check`` of the last step of ``steps``, on its prefix set and n, computed once per tuple of steps."""
+        return cache(lambda steps: check(prefix_values(steps[:-1]), steps[-1]))
 
-    @cache
-    def beta_route(steps: tuple) -> CheckResult:
-        return beta_routes_check(level(steps), prefix_values(steps[:-1]))
-
-    @cache
-    def miracle(steps: tuple) -> CheckResult:
-        prefix, n = steps[:-1], steps[-1]
-        return counting_miracle_check(level(prefix), level(steps), level(prefix + (n + 1,)))
-
-    @cache
-    def interlacing(steps: tuple) -> tuple:
-        return interlacing_sign_check(prefix_values(steps[:-1]), steps[-1])
-
-    @cache
-    def ratio_bounds(steps: tuple) -> tuple:
-        return step_ratio_checks(level(steps[:-1]), level(steps))
-
-    return Tower(level, invariants, rh, beta_route, miracle, interlacing, ratio_bounds)
+    return Tower(
+        level,
+        by_numerator(lambda z: extract_invariants(z)),
+        by_numerator(lambda z: rh_verdict_for_level(z)),
+        by_step(lambda sv, n: beta_routes_check(sv, n)),
+        by_step(lambda sv, n: counting_miracle_check(sv, n)),
+        by_step(lambda sv, n: interlacing_sign_check(sv, n)),
+        by_step(lambda sv, n: step_ratio_checks(sv, n)),
+    )
 
 
 def run_cell(spec: CurveSpec, steps: tuple, config: SweepConfig, tower: Tower) -> dict:

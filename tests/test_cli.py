@@ -859,13 +859,13 @@ def test_rh_check_has_no_normalize_option(capsys):
 
 
 def _refuse_derivation(monkeypatch):
-    from zetatower import derived_engine, rh_lab
+    from zetatower import derived_engine
 
     def fail(*args):
         raise AssertionError("derived a level of refused input")
 
-    for module in (rh_lab, derived_engine):  # the tower's step, and any other route to one
-        monkeypatch.setattr(module, "derive_step", fail)
+    # every route to a step, the tower's SpecialValues.step among them, looks it up here
+    monkeypatch.setattr(derived_engine, "derive_step", fail)
 
 
 def test_rh_check_checks_the_precision_before_deriving(monkeypatch, capsys):

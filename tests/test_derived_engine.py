@@ -40,6 +40,7 @@ from ratfunc_oracle import (
     to_ratfunc,
 )
 from zetatower.exact_arith import Poly
+from zetatower.invariants import counting_miracle_check
 
 
 # -- compositions --------------------------------------------------------------
@@ -116,13 +117,14 @@ def test_special_values_carry_the_plan_of_their_depth():
     for depth in (2, 5, 3):  # a set grows in place and never shrinks
         sv.grow(depth)
     assert len(sv.vhats) == 6 and sv.plan == pair_plan(3, 5)
-    # a set of given values, with no level, builds their plan and no rows
-    again = SpecialValues(Q=sv.Q, vhats=sv.vhats)
+    # a set grown as far, and read by no table, holds the same values and plan and no rows
+    again = SpecialValues(z)
+    again.grow(5)
     composition_sums(sv, 5), composition_sums(sv, 3, positive=True)
     assert [len(sv.tables[positive]) for positive in (False, True)] == [6, 4]
     assert [len(again.tables[positive]) for positive in (False, True)] == [1, 1]
-    assert again.level is None and again.vhats == sv.vhats and again.plan == sv.plan
-    assert SpecialValues(Q=3).plan == []
+    assert again.level is z and again.vhats == sv.vhats and again.plan == sv.plan
+    assert SpecialValues(z).plan == []
 
 
 def test_special_values_of_depth_zero_are_the_empty_table():
@@ -130,7 +132,7 @@ def test_special_values_of_depth_zero_are_the_empty_table():
         sv = special_values(z)
         assert sv.Q == z.Q and sv.level is z and sv.vhats == [(1, 1)] and sv.plan == []
         assert composition_sums(sv, 0) == (([0], 1),)  # what a step of index 1 reads
-        assert sv.vhats == [(1, 1)] and sv.plan == [] and SpecialValues(Q=z.Q).vhats == sv.vhats  # row 0 grows nothing
+        assert sv.vhats == [(1, 1)] and sv.plan == [] and SpecialValues(z).vhats == sv.vhats  # row 0 grows nothing
 
 
 def test_composition_weight_pairs():
@@ -184,16 +186,23 @@ def test_kept_table_rows_equal_a_fresh_build():
 
 def test_derive_step_refuses_foreign_or_shallow_special_values():
     z = artin_elliptic(3, 1)
-    shallow = special_values(z)
-    shallow.grow(2)
-    with pytest.raises(ValueError, match="depth 2 < 3"):
-        derive_step(z, 4, SpecialValues(Q=z.Q, vhats=shallow.vhats))  # given values with no level, depth 2 < n - 1
     with pytest.raises(ValueError, match="do not serve step 4"):
         derive_step(z, 4, special_values(artin_elliptic(2, 1)))  # another Q
     with pytest.raises(ValueError, match="do not serve step 1"):
-        derive_step(z, 1, SpecialValues(Q=2))
+        derive_step(z, 1, special_values(artin_elliptic(3, -2)))  # another level over the same Q
+    shallow = special_values(z)
+    shallow.grow(2)
     assert derive_step(z, 4, shallow) == derive_step(z, 4)  # its own level's set grows to n - 1
     assert len(shallow.vhats) == 4
+    # a set goes on from the values it holds: zeta_hat(2) + 1/3 written into a set grown to 2, and vhat(3)
+    # grown from it, do not cancel
+    planted = special_values(z)
+    planted.grow(2)
+    wrong = Fraction(*planted.vhats[2]) + Fraction(*planted.vhats[1]) / 3
+    planted.vhats[2] = (wrong.numerator, wrong.denominator)
+    with pytest.raises(DerivationError, match="do not cancel"):
+        derive_step(z, 4, planted)
+    assert len(planted.vhats) == 4 and planted.vhats[2] == (wrong.numerator, wrong.denominator)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -203,11 +212,36 @@ def test_derive_step_refuses_the_special_values_of_another_level_over_the_same_q
     z, other = artin_elliptic(3, 1), artin_elliptic(3, -2)
     with pytest.raises(ValueError, match=f"another level do not serve step {n}"):
         derive_step(z, n, special_values(other))
-    if n == 2:  # the same values given with no level are read as they are: P comes out scaled by 2
-        values = special_values(other)
-        values.grow(1)
-        assert derive_step(z, 2, SpecialValues(Q=3, vhats=values.vhats)).P == Poly([3, 3, 27])
+    if n == 2:  # the other's values written into a set of z are read as they are: P comes out scaled by 2
+        values, planted = special_values(other), special_values(z)
+        values.grow(1), planted.grow(1)
+        planted.vhats[1] = values.vhats[1]
+        assert derive_step(z, 2, planted).P == Poly([3, 3, 27])
         assert derive_step(z, 2).P == Poly([Fraction(3, 2), Fraction(3, 2), Fraction(27, 2)])
+
+
+def test_a_set_derives_each_step_once_and_keeps_nothing_from_a_raise(monkeypatch):
+    # sv.step looks derive_step up when it is called, so a patch of the module global is what runs
+    real, calls = derived_engine.derive_step, []
+
+    def counting(z, n, sv=None):
+        calls.append(n)
+        if z.Q == 2:
+            raise DerivationError(f"planted at {n}")
+        return real(z, n, sv)
+
+    monkeypatch.setattr(derived_engine, "derive_step", counting)
+    z = artin_elliptic(3, 1)
+    sv = special_values(z)
+    step = sv.step(3)
+    assert sv.step(3) is step and step == real(z, 3) and calls == [3]
+    assert counting_miracle_check(sv, 2).passed  # reads the kept step 3 as its n + 1
+    assert calls == [3, 2] and sorted(sv.derived) == [2, 3]
+    failing = special_values(artin_elliptic(2, 0))
+    for _ in range(2):  # nothing is kept, so the second read derives again and raises again
+        with pytest.raises(DerivationError, match="planted at 3"):
+            failing.step(3)
+    assert calls == [3, 2, 3, 3] and failing.derived == {}
 
 
 def test_derive_step_two_golden():
@@ -419,7 +453,7 @@ def test_corrupted_pair_plan_is_caught(monkeypatch, z, n):
 def test_corrupted_special_value_is_caught(monkeypatch, k):
     real = derived_engine.special_values
 
-    def corrupted(z):  # zeta_hat(k) + 1/3, the products from it on made from the wrong value, given with no level
+    def corrupted(z):  # zeta_hat(k) + 1/3, the products from it on made from the wrong value, written into the set
         sv = real(z)
         sv.grow(4)  # what step 5 reads
         vhats = [Fraction(*v) for v in sv.vhats]
@@ -430,7 +464,8 @@ def test_corrupted_special_value_is_caught(monkeypatch, k):
             x = Fraction(*wrong[-1]) * v
             wrong.append((x.numerator, x.denominator))
         assert wrong[k] != sv.vhats[k]
-        return SpecialValues(Q=sv.Q, vhats=wrong)
+        sv.vhats[:] = wrong
+        return sv
 
     monkeypatch.setattr(derived_engine, "special_values", corrupted)
     with pytest.raises(DerivationError, match="do not cancel"):

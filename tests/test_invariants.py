@@ -27,7 +27,6 @@ from zetatower.curves import CurveSpec, artin_elliptic, artin_from_point_counts,
 from zetatower import derived_engine
 from zetatower.derived_engine import (
     DerivationError,
-    SpecialValues,
     composition_sums,
     compositions,
     derive_step,
@@ -109,14 +108,14 @@ def test_trace_of_genus1():
 def test_beta_closed_form_depth_one_is_residue():
     z = artin_elliptic(2, 0)
     sv = special_values(z)
-    assert Fraction(*beta_closed_form(sv, 1, 1)) == 3 == Fraction(*sv.vhats[1])
+    assert Fraction(*beta_closed_form(sv, 1)) == 3 == Fraction(*sv.vhats[1])
 
 
 def test_beta_closed_form_depth_two():
     z = artin_elliptic(2, 0)
     sv = special_values(z)
     # v2 + v1^2/(1 - Q^2) = 9 + 9/(1-4) = 6
-    num, den = beta_closed_form(sv, 2, 1)
+    num, den = beta_closed_form(sv, 2)
     assert type(num) is int and type(den) is int and den > 0
     assert Fraction(num, den) == 6
 
@@ -129,27 +128,18 @@ def test_beta_dual_route_small_grid():
                 levels = [base] + derive_tower(base, steps)
                 for prev, nxt, n in zip(levels, levels[1:], steps):
                     sv = special_values(prev)
-                    assert residue_simple_pole(to_ratfunc(nxt), 1) == Fraction(*beta_closed_form(sv, n, prev.genus))
+                    assert residue_simple_pole(to_ratfunc(nxt), 1) == Fraction(*beta_closed_form(sv, n))
 
 
 def test_beta_closed_form_needs_depth():
-    # a set grows from its level as far as it is read; given values with no level stop where they end
+    # a set grows from its level as far as it is read, going on from the values it holds
     sv = special_values(artin_elliptic(2, 0))
     sv.grow(1)
-    with pytest.raises(ValueError, match="depth 1 < 2"):
-        beta_closed_form(SpecialValues(Q=sv.Q, vhats=sv.vhats), 2, 1)
-    assert Fraction(*beta_closed_form(sv, 2, 1)) == 6 and len(sv.vhats) == 3
-
-
-def test_beta_routes_check_refuses_a_pair_that_is_not_one_step():
-    # the check reads the set's row n for the level (..., n); any other pair would give a false "fail"
-    z = artin_elliptic(3, 1)
-    derived, sv = derive_step(z, 3), special_values(z)
-    assert beta_routes_check(derived, sv).passed
-    given = SpecialValues(Q=sv.Q, vhats=sv.vhats)  # the same values, with no level
-    for level, values in ((derived, special_values(derive_step(z, 2))), (z, sv), (derived, given)):
-        with pytest.raises(ValueError, match="derived by n"):
-            beta_routes_check(level, values)
+    assert Fraction(*beta_closed_form(sv, 2)) == 6 and len(sv.vhats) == 3
+    planted = special_values(artin_elliptic(2, 0))
+    planted.grow(1)
+    planted.vhats[1] = (-3, 1)  # zeta_hat(1) = -3: vhat(2) = -9 grows from it, and -9 + 9 / (1 - 4) = -12
+    assert Fraction(*beta_closed_form(planted, 2)) == -12 and len(planted.vhats) == 3
 
 
 def _table_with_one_cofactor_off(at, first_entry_off=False):
@@ -195,23 +185,24 @@ def test_a_planted_table_row_is_seen_by_some_step_check(monkeypatch):
     caught, escapes = [], {}
     for name, z in bases.items():
         for n in (5, 6, 7):
-            clean, sv = derive_step(z, n), special_values(z)
+            clean = derive_step(z, n)
             for at in sorted({(3, 1), (4, 1), (4, 2), (n - 1, 1)}):
                 with monkeypatch.context() as m:
                     table = _table_with_one_cofactor_off(at)
                     m.setattr(derived_engine, "composition_sums", table)
                     m.setattr(invariants_module, "composition_sums", table)
+                    sv = special_values(z)
                     try:
-                        derived = derive_step(z, n)
+                        derived = sv.step(n)
                     except DerivationError:
                         caught.append((name, n, at))
                         continue
                     with pytest.raises(DerivationError):
-                        derive_step(z, n + 1, sv)  # the miracle's step n + 1 reads the planted table too
+                        sv.step(n + 1)  # the miracle's step n + 1 reads the planted table too
                     escapes[name, n, at] = {
                         "P": derived.P == clean.P,
-                        "beta_routes": beta_routes_check(derived, sv).passed,
-                        "ratio link": step_ratio_checks(z, derived)[0].passed if z.genus == 1 else None,
+                        "beta_routes": beta_routes_check(sv, n).passed,
+                        "ratio link": step_ratio_checks(sv, n)[0].passed if z.genus == 1 else None,
                     }
     # the step's certificate or its validation refuses all but one; the one wrong P that passes both
     # agrees with the closed beta route, which reads the same table, and only the elliptic
@@ -272,19 +263,19 @@ def test_planted_plan_pole_and_first_entry_errors_are_seen_by_some_check(monkeyp
                 m.setattr(derived_engine, "pair_plan", _plan_with_one_error(error))
             sv = special_values(z)
             try:
-                derived = derive_step(z, n, sv)
+                derived = sv.step(n)
             except DerivationError as raised:
                 caught["certificate" if "do not cancel" in str(raised) else "validation"] += 1
                 continue
             assert derived.P != clean.P, (name, n, error)
             try:
-                miracle = counting_miracle_check(z, derived, derive_step(z, n + 1, sv)).passed
+                miracle = counting_miracle_check(sv, n).passed
             except DerivationError:  # a sweep cell that reads the miracle records the error
                 miracle = False
             checks = {
-                "beta_routes": beta_routes_check(derived, sv).passed,
+                "beta_routes": beta_routes_check(sv, n).passed,
                 "miracle": miracle,
-                "ratio link": step_ratio_checks(z, derived)[0].passed if z.genus == 1 else True,
+                "ratio link": step_ratio_checks(sv, n)[0].passed if z.genus == 1 else True,
             }
             escapes[name, n, error] = {check for check, passed in checks.items() if not passed}
     # validation refuses every wrong plan entry and pole but one; E[1][1] scales the step's P, which the
@@ -299,7 +290,7 @@ def test_planted_plan_pole_and_first_entry_errors_are_seen_by_some_check(monkeyp
 
 
 def _miracle(z, n):
-    return counting_miracle_check(z, derive_step(z, n), derive_step(z, n + 1))
+    return counting_miracle_check(special_values(z), n)
 
 
 def test_miracle_elliptic_n1_n2():
@@ -422,7 +413,9 @@ def test_interlacing_routes_agree_on_every_sign_flip_of_the_special_values():
             for k, (num, den) in enumerate(sv.vhats[1:], start=1):
                 sign = -sign if flips >> (k - 1) & 1 else sign
                 vhats.append((sign * num, den))
-            planted = SpecialValues(Q=sv.Q, vhats=vhats)
+            planted = special_values(z)
+            planted.grow(6)
+            planted.vhats[:] = vhats  # written into the set before any table row is read
             for n in range(1, 7):
                 check, signs = interlacing_sign_check(planted, n)
                 assert (check.passed, list(signs)) == _polynomial_route(planted, n), (z.Q, flips, n)
@@ -455,16 +448,15 @@ def test_invariant_report_schema():
 
 def test_miracle_accepts_the_derived_level():
     z = artin_elliptic(3, -1)
-    derived, following = derive_step(z, 3), derive_step(z, 4)
-    assert counting_miracle_check(z, derived, following).passed
-    # the check compares the levels it is given and derives nothing itself
-    planted = counting_miracle_check(z, derived, replace(following, P=ring(following.P) * 2))
+    assert counting_miracle_check(special_values(z), 3).passed
+    # the check compares the steps its set keeps: a wrong step 4 stored on the set before the check reads it
+    # is the one compared, and nothing is derived in its place
+    sv = special_values(z)
+    following = sv.step(4)
+    sv.derived[4] = replace(following, P=ring(following.P) * 2)
+    planted = counting_miracle_check(sv, 3)
     assert not planted.passed and "expected" in planted.detail
-    for derived_by, following_by in ((2, 4), (3, 5), (3, 3)):
-        with pytest.raises(ValueError, match="derived by"):
-            counting_miracle_check(z, derive_step(z, derived_by), derive_step(z, following_by))
-    with pytest.raises(ValueError, match="derived by"):
-        counting_miracle_check(z, z, following)
+    assert sv.derived[4].P != following.P
 
 
 def _fraction_miracle(prev, derived, following):
@@ -493,7 +485,9 @@ def test_miracle_matches_its_fraction_form():
                 a0 = following.P[0]
                 for scale in (1, 2, Fraction(-1, 3), 1 + 1 / a0):
                     shifted = replace(following, P=ring(following.P) * scale)
-                    check = counting_miracle_check(prev, derived, shifted)
+                    sv = special_values(prev)
+                    sv.derived.update({n: derived, n + 1: shifted})  # the steps the check reads, as kept
+                    check = counting_miracle_check(sv, n)
                     passed, detail = _fraction_miracle(prev, derived, shifted)
                     assert check.passed == passed, (spec.label, prefix, n, scale)
                     assert check.detail == ("" if passed else detail)

@@ -171,7 +171,7 @@ FRACTION_NAMES = {"Fraction", "BigRat", "as_rat", "rat_str", "residue", "residue
 
 # the functions the sweep's checks run on a level's view ints; "f.g" is g defined in f, a class stands for its methods
 CHECK_BODIES = {
-    "rh_lab.py": ("rh_exact_genus1", "curve_tower.ratio_bounds", "curve_tower.beta_route", "curve_tower.interlacing"),
+    "rh_lab.py": ("rh_exact_genus1", "curve_tower.by_step"),
     "invariants.py": (
         "InvariantSet",
         "reconstruct_numerator",
@@ -182,7 +182,7 @@ CHECK_BODIES = {
         "interlacing_sign_check",
     ),
     "mult_struct.py": ("elliptic_beta_recursion", "ratio_bounds", "ratio_bounds_check", "step_ratio_checks"),
-    "derived_engine.py": ("special_values", "composition_sums", "derive_step"),
+    "derived_engine.py": ("SpecialValues", "special_values", "composition_sums", "derive_step"),
 }
 
 

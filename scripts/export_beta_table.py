@@ -3,10 +3,11 @@
 
 The beta column comes from the three-term recursion, as its ints b(n) over
 the closed denominators D(n) = |A0|^n prod_{k=1..n} (Q^k - 1), reduced here;
-b_n comes from the tower: the reduced residue of ``derive_step(level, n)``,
-the identity that the sweep's ``ratio_bounds[residue]`` link checks.  The two
-must agree row by row, so the file doubles as a quick audit of the recursion
-against the tower that is easy to diff or plot.  ``lower_ok`` and ``upper_ok`` say whether the ratio
+b_n comes from the tower: the reduced residue of
+``derive_step(special_values(level), n)``, the identity that the sweep's
+``ratio_bounds[residue]`` link checks.  The two must agree row by row, so
+the file doubles as a quick audit of the recursion against the tower that is
+easy to diff or plot.  ``lower_ok`` and ``upper_ok`` say whether the ratio
 beta(n)/beta(n-1) meets each side of the ratio bounds
 1 < r < (q^(n/2)+1)/(q^(n/2)-1).
 
@@ -22,7 +23,7 @@ from pathlib import Path
 from typing import Sequence
 
 from zetatower.curves import artin_elliptic, hasse_traces
-from zetatower.derived_engine import derive_step
+from zetatower.derived_engine import derive_step, special_values
 from zetatower.exact_arith import pair_str, rat_str
 from zetatower.mult_struct import elliptic_beta_recursion, ratio_bounds
 
@@ -48,7 +49,7 @@ def export_elliptic_grid_csv(path, qs: Sequence[int], n_max: int = 8) -> int:
                 for n in range(1, n_max + 1):
                     r = betas[n] / betas[n - 1]
                     lower, upper = ratio_bounds(r.numerator, r.denominator, level.Q, n)
-                    b_n = pair_str(*derive_step(level, n).residue_pair())
+                    b_n = pair_str(*derive_step(special_values(level), n).residue_pair())
                     row = [q, a, n, rat_str(betas[n]), b_n, rat_str(r), int(lower), int(upper)]
                     writer.writerow(row)
                     rows += 1

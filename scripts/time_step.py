@@ -2,17 +2,19 @@
 """Time one tower step, layer by layer: best-of-3 wall seconds of ``derive_step``.
 
 Prints, for the elliptic curve E3a1 (q = 3, trace 1) and the genus-2 catalog
-curve X2g2, the time of ``derive_step(base, n)`` at n = 10, 20, 40, 60, then
-the time of each step of X2g2 along the tuple (10, 10, 10, 5), whose last
-level has Q = 2^5000.  Then the single steps (1), ..., (24) from E3a1 and
+curve X2g2, the time of ``derive_step(special_values(base), n)`` at
+n = 10, 20, 40, 60, then the time of each step of X2g2 along the tuple
+(10, 10, 10, 5), whose last level has Q = 2^5000.  Each timed step builds its
+set of special values inside the call, so every run times a whole step and
+none reads a step that an earlier run kept.  Then the single steps (1), ..., (24) from E3a1 and
 from X2g2 as a sweep of those tuples runs them: on a fresh
 ``curve_tower(spec)`` per run, each step's level and its ``beta_route``,
 all 24 steps reading the base's one set of special values, which grows as
 each step reads it.
 Then the shallow regime a default elliptic sweep runs:
 over the 30 bases of the built-in elliptic grid (q = 2..5) and X2g2, the total
-time of ``derive_step(base, n)`` for n = 1..5, of ``validate_zeta_level`` and
-of ``extract_invariants`` on those 155 levels, and of growing a fresh
+time of ``derive_step(special_values(base), n)`` for n = 1..5, of
+``validate_zeta_level`` and of ``extract_invariants`` on those 155 levels, and of growing a fresh
 ``special_values(base)`` to depth n for n = 1..5.  Last the RH verdict:
 ``rh_verdict_for_level`` summed over the 98 RH-admissible integer genus-2
 numerators 1 + a1 T + a2 T^2 + q a1 T^3 + q^2 T^4 over q = 2, 3 (the box
@@ -76,12 +78,12 @@ def main() -> int:
     bases = {"E3a1": artin_elliptic(3, 1), "X2g2": catalog_curve("X2g2").spec().level}
     for name, z in bases.items():
         for n in DEPTHS:
-            print(f"{name} (genus {z.genus}) derive_step n={n}: {best_of_3(lambda: derive_step(z, n)):.3f} s", flush=True)
+            print(f"{name} (genus {z.genus}) derive_step n={n}: {best_of_3(lambda: derive_step(special_values(z), n)):.3f} s", flush=True)
     z = bases["X2g2"]
     for n in TUPLE:
         bits = (z.Q**n).bit_length()
-        print(f"X2g2 step {z.steps + (n,)} (new Q has {bits} bits): {best_of_3(lambda: derive_step(z, n)):.3f} s", flush=True)
-        z = derive_step(z, n)
+        print(f"X2g2 step {z.steps + (n,)} (new Q has {bits} bits): {best_of_3(lambda: derive_step(special_values(z), n)):.3f} s", flush=True)
+        z = derive_step(special_values(z), n)
     for name, spec in (("E3a1", CurveSpec(label="E3a1", q=3, genus=1, trace=1)), ("X2g2", catalog_curve("X2g2").spec())):
 
         def single_steps():
@@ -93,9 +95,9 @@ def main() -> int:
         print(f"{label} through one tower, level and beta_route: {best_of_3(single_steps):.3f} s", flush=True)
 
     shallow = [spec.level for spec in builtin_elliptic_grid()] + [bases["X2g2"]]
-    levels = [derive_step(z, n) for z in shallow for n in SHALLOW]
+    levels = [derive_step(special_values(z), n) for z in shallow for n in SHALLOW]
     label = f"{len(shallow)} bases, n = {SHALLOW[0]}..{SHALLOW[-1]}"
-    steps_s = best_of_3(lambda: [derive_step(z, n) for z in shallow for n in SHALLOW])
+    steps_s = best_of_3(lambda: [derive_step(special_values(z), n) for z in shallow for n in SHALLOW])
     print(f"{label}: derive_step total {steps_s:.3f} s", flush=True)
     print(f"{label}: validate_zeta_level total {best_of_3(lambda: list(map(validate_zeta_level, levels))):.3f} s")
     print(f"{label}: extract_invariants total {best_of_3(lambda: list(map(extract_invariants, levels))):.3f} s")

@@ -25,19 +25,10 @@ of m with last part p, by the recurrence
 
     E[m][m] = v_m,    E[m][p] = v_p * sum_r E[m-p][r] / (1 - Q^(r+p)),
 
-in O(n^3) operations.  Reversing a composition keeps its weight, so
-the same table gives the first-part sums L_a needs.  The inner sum runs over
-the pair denominators Q^(p+1) - 1, ..., Q^m - 1, which depend on Q alone:
-``pair_plan`` gives every such run its lcm and cofactors once, so the inner
-sum is one dot product over the run's lcm.  ``SpecialValues`` is built from
-one level and grows as far as it is read: the values, the plan, the table's
-rows of both signs and the levels derived from it are each built once, when
-a reader first reaches them, and every later reader of the set shares them;
-none may mutate them.  Step n reads vhat(1..n-1), plan entries with indices
-below n and rows <= n-1, so ``derive_step(z, n, sv)`` takes the special
-values of z, grown or not, and without ``sv`` makes its own.  ``sv.step(n)``
-is that step on the set, kept: a step check reads (set, n), and the level,
-its step and the rows it compares all come from the one set.
+in O(n^3) operations.  Reversing a composition keeps its weight, so the same
+table gives the first-part sums L_a needs.  Step n reads v(1..n-1), the
+``pair_plan`` entries below index n and rows <= n-1, all from one
+``SpecialValues`` of the previous level.
 
 The step first certifies that the poles at the interior points T = Q^e,
 e = 1-n..-1, cancel.  Within one a-term the poles are simple and distinct
@@ -50,20 +41,9 @@ F(a-1, n-a+1+e) and the middle factor is Z(Q^(n-a+e)), with
 
 so the certificate reads only the poles 1/(1 - Q^k) = -1/(Q^k - 1),
 1 <= k < n, through the plan the table read, the middle values Z(Q^k),
-|k| < n, the residues of Z at 1 and 1/Q and the table.  From n = 3 on, one
-wrong table entry, special value, residue or value of Z makes some residue
-sum nonzero and raises DerivationError (the tests plant each at n = 5).  What
-it cannot see: at n = 2 the one residue sum is F(1, 0) (Res_1 + Q Res_(1/Q)),
-zero by the functional equation whatever E[1][1] is; rows that are wrong but
-consistent with the recurrence, such as E[4][1] off and row 5 rebuilt from it
-on E2a0 (q = 2, trace 0) at n = 6; and a wrong pole or plan entry that the
-table and the certificate read alike, such as a wrong Q^3 - 1, or, at even
-n, a wrong plan[s][n/2].  Those are left to validation.  On the Hasse bases
-with q <= 5 and X2g2 at n <= 8 it catches each wrong Q^3 - 1 and plan[s][n/2]
-but one: on E2a0 at n = 6 a wrong plan[1][3], like the rebuilt rows, gives
-a P unlike the oracle's that passes both.  A wrong E[1][1] at n = 2 scales
-P, which passes both on every one of those bases; the sweep's beta routes
-and counting miracle see it (the tests pin that matrix).
+|k| < n, the residues of Z at 1 and 1/Q and the table.  A nonzero residue
+sum raises DerivationError.  An error that the table and the certificate read
+alike may pass; the step checks' planted-error tests pin what sees it.
 
 Then P_n = Q^(C(n,2)(g-1)) (1-T)(1-Q^n T) T^(g-1) S(T), S the sum over a, is
 read off its first 2g+1 Taylor coefficients at T = 0, where every factor is
@@ -72,28 +52,15 @@ a series with int coefficients (u = Q^(n-a), c * ints the previous view):
     T/(T - Q^-r) = -sum_{k>=1} Q^(rk) T^k,    1/(1 - Q^s T) = sum_{k>=0} Q^(sk) T^k,
     T^(g-1) Z(uT) = c u^-(g-1) sum_k z_k u^k T^k,  z_k = sum_{i<=k} ints[i] (Q^(k-i+1) - 1)/(Q - 1).
 
-This is exact.  After the certificate, the poles at T = 1 and T = Q^-n are
-cleared by the denominator, the one at 0 has order at most g-1, and every
-term grows at most like T^(g-1), so the cleared sum is a polynomial of degree
-at most 2g.  Every factor is analytic at 0: the right sums have their poles
-at Q^e, e <= 0, the left sums at Q^-s, s >= 1, and T^(g-1) clears Z's pole
-of order g-1.  So the Taylor coefficients are the polynomial's coefficients.
-At T = 0 only the a = n term survives, so A_0 of P_n is
-Q^(C(n,2)(g-1)) A_0(prev) sum_p E[n-1][p], the closed row sum; A_2g collects
-every term, and validation ties it to A_0 by A_2g = Q^(ng) A_0.
-
-All of it runs on Python ints.  In the certificate a value is an unreduced
-int pair.  F(m, s) keeps row m's nums dotted with the cofactors of
-plan[s][m] over the plan's lcm, with the row's D_m factored out, so every
-a-term at an interior point is N_a / (D_(n-a) D_(a-1) Y_a), with Y_a from the
-plan's lcms, Z(Q^k) or the residues.  The step forms
-Lambda = lcm_a(D_(n-a) D_(a-1)) and sigma_a = Lambda / (D_(n-a) D_(a-1))
-once; at each point, with M the lcm of the Y_a, the residue sum scaled by
-Lambda M > 0 is the int sum_a sigma_a N_a (M // Y_a), tested for zero.
-``side_series`` gives the two side sums that read one table row; each a-term
-is two truncated products over D_(n-a) D_(a-1) u^(g-1), and the n terms go
-over one lcm.  Only special-value
-products, table rows and P_n (``Poly.from_ints``) are reduced, one gcd each.
+After the certificate, the poles at T = 1 and T = Q^-n are cleared by the
+denominator, the one at 0 has order at most g-1, and every term grows at most
+like T^(g-1), so the cleared sum is a polynomial of degree at most 2g.  Every
+factor is analytic at 0: the right sums have their poles at Q^e, e <= 0, the
+left sums at Q^-s, s >= 1, and T^(g-1) clears Z's pole of order g-1.  So the
+Taylor coefficients are the polynomial's coefficients.  At T = 0 only the
+a = n term survives, so A_0 of P_n is Q^(C(n,2)(g-1)) A_0(prev) times
+sum_p E[n-1][p], the closed row sum; A_2g collects every term, and validation
+ties it to A_0 by A_2g = Q^(ng) A_0.  All of it runs on Python ints.
 """
 
 from __future__ import annotations
@@ -164,12 +131,14 @@ class SpecialValues:
     vhats[0] = (1, 1); zeta_hat(k) itself is vhat(k) / vhat(k-1).
     ``plan`` is ``pair_plan(Q, depth)``, depth = len(vhats) - 1: the lcm and
     cofactors of every run of pair denominators Q^k - 1, k <= depth, that the
-    composition table and the step's certificate read.  ``grow(depth)``
-    extends both in place from ``level``, going on from what the set holds.
-    ``tables[positive]`` holds the rows of ``composition_sums`` built so far,
-    from row 0, for each sign, and ``derived[n]`` the level ``step(n)``
-    derived: each is built once, the first time it is read, and every later
-    read shares it.
+    composition table and the step's certificate read.  ``tables[positive]``
+    holds the rows of ``composition_sums`` built so far, from row 0, for each
+    sign, and ``derived[n]`` the level ``step(n)`` derived.
+
+    A set is built from its level alone and grows as far as it is read:
+    ``grow(depth)`` extends the values and the plan in place, going on from
+    what the set holds, and each row and step is built once, when a reader
+    first reaches it.  Every later reader shares it; none may mutate it.
     """
 
     def __init__(self, level: ZetaLevel):
@@ -192,7 +161,7 @@ class SpecialValues:
     def step(self, n: int) -> ZetaLevel:
         """The level derived by n, by ``derive_step`` on this set the first time it is read; a raise keeps nothing."""
         if n not in self.derived:
-            self.derived[n] = derive_step(self.level, n, self)
+            self.derived[n] = derive_step(self, n)
         return self.derived[n]
 
 
@@ -202,24 +171,18 @@ def special_values(z: ZetaLevel) -> SpecialValues:
 
 
 def composition_sums(sv: SpecialValues, m_max: int, positive: bool = False) -> tuple:
-    """E[m][p]: the sum of composition weights over the compositions of m with last part p.
+    """Rows 0..m_max of E[m][p], the sum of composition weights over the compositions of m with last part p.
 
-    Built by the recurrence E[m][m] = vhat(m),
-    E[m][p] = vhat(p) * sum_r E[m-p][r] / (1 - Q^(r+p)) in O(m_max^3) integer
-    operations.  The inner sum runs over the pair denominators
-    Q^(p+1) - 1, ..., Q^m - 1, so it is the row m-p nums dotted with the
-    cofactors of ``sv.plan[p][m-p]``, over its lcm: no lcm or division per
-    term.  Row m, for m = 0..m_max, is the int row (nums, D) with
-    E[m][p] = nums[p] / D, D > 0 and gcd(D, *nums) = 1: its unreduced entries
-    go over one lcm and the row is divided by one gcd, which keeps D from
-    compounding down the rows.  nums[0] = 0, and row 0 is ([0], 1): it holds
-    no composition.  Reversal keeps the weight, so E[m][p] is also the sum over
-    the compositions of m with first part p.  With positive=True every pair
-    denominator is Q^(r+p) - 1 instead, the interlacing convention.
-
-    The rows are ``sv.tables[positive]``: ``sv`` first grows to m_max, then
-    only the rows past the ones already built are built and kept, so every
-    reader of ``sv`` shares each row, and no reader may mutate one.
+    Built by the module's recurrence in O(m_max^3) int operations: the inner
+    sum is row m-p's nums dotted with the cofactors of ``sv.plan[p][m-p]``,
+    over its lcm, with no lcm or division per term.  Row m is the int row
+    (nums, D) with E[m][p] = nums[p] / D, D > 0 and gcd(D, *nums) = 1: its
+    entries go over one lcm and the row is divided by one gcd, which keeps D
+    from compounding down the rows.  nums[0] = 0, and row 0 is ([0], 1): it
+    holds no composition.  With positive=True every pair denominator is
+    Q^(r+p) - 1 instead, the interlacing convention.  The rows are
+    ``sv.tables[positive]``: ``sv`` grows to m_max, and only the rows past
+    those already kept are built.
     """
     sv.grow(m_max)
     sign = 1 if positive else -1  # 1 / (1 - Q^s) = -1 / (Q^s - 1)
@@ -261,21 +224,18 @@ def _truncated_product(x: list, y: list) -> list:
     return [sum(map(mul, x[: k + 1], y[k::-1])) for k in range(len(x))]
 
 
-def derive_step(z: ZetaLevel, n: int, sv: Optional[SpecialValues] = None) -> ZetaLevel:
-    """Produce the next tower level; exact, certified, validated, and pure.
+def derive_step(sv: SpecialValues, n: int) -> ZetaLevel:
+    """The level ``sv.level`` derived by n: exact, certified and validated.
 
-    ``sv`` is the special values of z, such as the set whose ``step(n)``
-    calls this, which the step grows to depth n-1; when omitted the step
-    makes its own.  A set of another level raises ValueError.
+    Reads the level off ``sv``, grows ``sv`` to depth n-1 and returns the new
+    level, with steps ``sv.level.steps + (n,)``.  Raises ValueError for n < 1,
+    and DerivationError when the pole certificate or validation fails.
     """
     if n < 1:
         raise ValueError("derivation index must be >= 1")
+    z = sv.level
     Q, g = z.Q, z.genus
     steps = z.steps + (n,)
-    if sv is None:
-        sv = special_values(z)
-    elif sv.level != z:
-        raise ValueError(f"special values of another level do not serve step {n} of the level {z.steps}")
     rows = composition_sums(sv, n - 1)
 
     K = 2 * g  # the series run to T^K; the certificate reads Q^k for k < n
@@ -301,9 +261,11 @@ def derive_step(z: ZetaLevel, n: int, sv: Optional[SpecialValues] = None) -> Zet
             middle[k] = z.value_pair(Qk[k], 1) if k >= 0 else z.value_pair(1, Qk[-k])
         return middle[k]
 
-    # The a-term's denominator is D_(n-a) D_(a-1) Y_a, Y_a from the plan, Z(Q^k) or the residues: each
-    # residue sum is scaled by Lambda = lcm_a(D_(n-a) D_(a-1)), once per step, and by the lcm of its Y_a;
-    # sigma[a-1] = Lambda / (D_(n-a) D_(a-1)).
+    # A value is an unreduced int pair.  F(m, s) keeps row m's nums dotted with the cofactors of plan[s][m]
+    # over the plan's lcm, with the row's D_m factored out, so the a-term at an interior point is
+    # N_a / (D_(n-a) D_(a-1) Y_a), Y_a from the plan's lcms, Z(Q^k) or the residues.  Each residue sum is
+    # scaled by Lambda = lcm_a(D_(n-a) D_(a-1)), once per step, and by M, the lcm of its Y_a; scaled by
+    # Lambda M > 0 it is an int, tested for zero.  sigma[a-1] = Lambda / (D_(n-a) D_(a-1)).
     sigma, _ = over_lcm((1, rows[n - a][1] * rows[a - 1][1]) for a in range(1, n + 1))
 
     # Each a-term has exactly one simple pole at T = Q^e: in the right sum R_a(Q^e) = F(n-a, a-n-e) for
@@ -338,6 +300,8 @@ def derive_step(z: ZetaLevel, n: int, sv: Optional[SpecialValues] = None) -> Zet
     content, ints = z.P.view
     h = list(accumulate(Qk[: K + 1]))
     zs = [sum(x * h[k - i] for i, x in enumerate(ints[: k + 1])) for k in range(K + 1)]
+    # each a-term is two truncated products over D_(n-a) D_(a-1) u^(g-1), and the n terms go over one lcm;
+    # only the special-value products, the table rows and P_n (Poly.from_ints) are reduced, one gcd each
     sides = [side_series(row, n, Qk[: K + 1]) for row in rows]
     series, dens = [], []
     for a in range(1, n + 1):
@@ -369,7 +333,7 @@ def normalize_level(z: ZetaLevel) -> ZetaLevel:
 
 
 def derive_tower(base: Union[CurveSpec, ZetaLevel], steps: Sequence[int]) -> list:
-    """Iterate derive_step along ``steps`` from a level or a spec's ``level``; returns the derived levels in order."""
+    """Iterate derive_step along ``steps`` from a level or a spec's ``level``, on a fresh set per level; returns the derived levels in order."""
     steps = tuple(int(n) for n in steps)
     if not steps:
         raise ValueError("derivation tuple must be nonempty")
@@ -377,5 +341,5 @@ def derive_tower(base: Union[CurveSpec, ZetaLevel], steps: Sequence[int]) -> lis
         raise ValueError("derivation tuple entries must be >= 1")
     levels = [base.level if isinstance(base, CurveSpec) else base]
     for n in steps:
-        levels.append(derive_step(levels[-1], n))
+        levels.append(derive_step(special_values(levels[-1]), n))
     return levels[1:]

@@ -482,7 +482,7 @@ def normalized_tower(base: ZetaLevel, steps) -> list:
     """The levels of ``derive_tower(base, steps)``, each step taken from the normalized previous level and normalized."""
     cur, levels = normalize_level(base), []
     for n in steps:
-        cur = normalize_level(derive_step(cur, n))
+        cur = normalize_level(derive_step(special_values(cur), n))
         levels.append(cur)
     return levels
 
@@ -556,7 +556,7 @@ def elliptic_beta_series_check(level: ZetaLevel, n_max: int) -> CheckResult:
     series = residue_series_exp(level, n_max)
     mismatches = []
     for n in range(0, n_max + 1):
-        beta_n = Fraction(*derive_step(level, n).residue_pair()) if n else Fraction(1)
+        beta_n = Fraction(*derive_step(special_values(level), n).residue_pair()) if n else Fraction(1)
         if beta_n != series[n]:
             mismatches.append((n, beta_n, series[n]))
     return CheckResult(

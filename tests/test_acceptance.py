@@ -157,7 +157,7 @@ def test_criterion_06_elliptic_triangle():
             recursion = elliptic_beta_recursion(1, -a, q, 6)
             reference = fraction_beta_recursion(a, q, 6)
             for n in range(1, 7):
-                level = derive_step(base, n)
+                level = derive_step(special_values(base), n)
                 extracted = invariant_values(extract_invariants(level), level.Q)[1]
                 beta = Fraction(recursion[n], prod(q**k - 1 for k in range(1, n + 1)))  # |A0| = 1
                 assert extracted == beta == reference[n] == series[n], (q, a, n)

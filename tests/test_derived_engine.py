@@ -147,7 +147,7 @@ def test_composition_weight_pairs():
 
 def test_derive_step_index_one_is_identity():
     z = artin_elliptic(2, 0)
-    z1 = derive_step(z, 1)
+    z1 = derive_step(special_values(z), 1)
     assert to_ratfunc(z1) == to_ratfunc(z)
     assert z1.steps == (1,)
     assert z1.Q == 2
@@ -160,11 +160,11 @@ def test_derive_step_reads_special_values_of_any_depth_it_needs():
     assert len(bases) == 31
     for z in bases:
         for n in range(1, 9):
-            level = derive_step(z, n)
+            level = derive_step(special_values(z), n)
             for depth in range(n - 2, n + 3):
                 sv = special_values(z)
                 sv.grow(depth)
-                assert derive_step(z, n, sv) == level, (z.P, n, depth)
+                assert derive_step(sv, n) == level, (z.P, n, depth)
                 assert len(sv.vhats) == max(depth, n - 1) + 1
 
 
@@ -185,14 +185,11 @@ def test_kept_table_rows_equal_a_fresh_build():
 
 
 def test_derive_step_refuses_foreign_or_shallow_special_values():
+    # a step reads its level off its set, so a set of another level cannot be passed beside a level
     z = artin_elliptic(3, 1)
-    with pytest.raises(ValueError, match="do not serve step 4"):
-        derive_step(z, 4, special_values(artin_elliptic(2, 1)))  # another Q
-    with pytest.raises(ValueError, match="do not serve step 1"):
-        derive_step(z, 1, special_values(artin_elliptic(3, -2)))  # another level over the same Q
     shallow = special_values(z)
     shallow.grow(2)
-    assert derive_step(z, 4, shallow) == derive_step(z, 4)  # its own level's set grows to n - 1
+    assert derive_step(shallow, 4) == derive_step(special_values(z), 4)  # the set grows to n - 1
     assert len(shallow.vhats) == 4
     # a set goes on from the values it holds: zeta_hat(2) + 1/3 written into a set grown to 2, and vhat(3)
     # grown from it, do not cancel
@@ -201,40 +198,42 @@ def test_derive_step_refuses_foreign_or_shallow_special_values():
     wrong = Fraction(*planted.vhats[2]) + Fraction(*planted.vhats[1]) / 3
     planted.vhats[2] = (wrong.numerator, wrong.denominator)
     with pytest.raises(DerivationError, match="do not cancel"):
-        derive_step(z, 4, planted)
+        derive_step(planted, 4)
     assert len(planted.vhats) == 4 and planted.vhats[2] == (wrong.numerator, wrong.denominator)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_derive_step_refuses_the_special_values_of_another_level_over_the_same_q(n):
-    # E3a1 and E3a-2 share Q = 3; read with the other's values, the step would return 2 times the
-    # right P at n = 2, which validation cannot see, and raise DerivationError at n = 3 and 5
+    # E3a1 and E3a-2 share Q = 3.  A step reads its level off its set, so the other's set cannot be passed
+    # beside z; the other's values written into a set of z are read as they are: the step returns 2 times
+    # the right P at n = 2, which validation cannot see, and raises DerivationError at n = 3 and 5
     z, other = artin_elliptic(3, 1), artin_elliptic(3, -2)
-    with pytest.raises(ValueError, match=f"another level do not serve step {n}"):
-        derive_step(z, n, special_values(other))
-    if n == 2:  # the other's values written into a set of z are read as they are: P comes out scaled by 2
-        values, planted = special_values(other), special_values(z)
-        values.grow(1), planted.grow(1)
-        planted.vhats[1] = values.vhats[1]
-        assert derive_step(z, 2, planted).P == Poly([3, 3, 27])
-        assert derive_step(z, 2).P == Poly([Fraction(3, 2), Fraction(3, 2), Fraction(27, 2)])
+    values, planted = special_values(other), special_values(z)
+    values.grow(n - 1), planted.grow(n - 1)
+    planted.vhats[:] = values.vhats
+    if n == 2:
+        assert derive_step(planted, 2).P == Poly([3, 3, 27])
+        assert derive_step(special_values(z), 2).P == Poly([Fraction(3, 2), Fraction(3, 2), Fraction(27, 2)])
+    else:
+        with pytest.raises(DerivationError, match="do not cancel"):
+            derive_step(planted, n)
 
 
 def test_a_set_derives_each_step_once_and_keeps_nothing_from_a_raise(monkeypatch):
     # sv.step looks derive_step up when it is called, so a patch of the module global is what runs
     real, calls = derived_engine.derive_step, []
 
-    def counting(z, n, sv=None):
+    def counting(sv, n):
         calls.append(n)
-        if z.Q == 2:
+        if sv.Q == 2:
             raise DerivationError(f"planted at {n}")
-        return real(z, n, sv)
+        return real(sv, n)
 
     monkeypatch.setattr(derived_engine, "derive_step", counting)
     z = artin_elliptic(3, 1)
     sv = special_values(z)
     step = sv.step(3)
-    assert sv.step(3) is step and step == real(z, 3) and calls == [3]
+    assert sv.step(3) is step and step == real(special_values(z), 3) and calls == [3]
     assert counting_miracle_check(sv, 2).passed  # reads the kept step 3 as its n + 1
     assert calls == [3, 2] and sorted(sv.derived) == [2, 3]
     failing = special_values(artin_elliptic(2, 0))
@@ -246,7 +245,7 @@ def test_a_set_derives_each_step_once_and_keeps_nothing_from_a_raise(monkeypatch
 
 def test_derive_step_two_golden():
     # expanded by hand: the two a-terms combine to 3(1+T+4T^2)/((1-T)(1-4T))
-    z2 = derive_step(artin_elliptic(2, 0), 2)
+    z2 = derive_step(special_values(artin_elliptic(2, 0)), 2)
     assert z2.P == Poly([3, 3, 12])
     assert z2.Q == 4
     assert residue_simple_pole(to_ratfunc(z2), 1) == 6
@@ -254,7 +253,8 @@ def test_derive_step_two_golden():
 
 def test_derive_step_twice():
     z = artin_elliptic(2, 0)
-    z22 = derive_step(derive_step(z, 2), 2)
+    z2 = derive_step(special_values(z), 2)
+    z22 = derive_step(special_values(z2), 2)
     assert z22.Q == 16
     rem = rational_divmod(RingPoly([1, -1]) * RingPoly([1, -16]), to_ratfunc(z22).den)[1]
     assert rem.is_zero()
@@ -279,7 +279,7 @@ def test_derivation_guard_trips_on_malformed_input():
     garbage = ZetaLevel(steps=(), Q=2, genus=1, P=Poly([1, -2]))
     assert to_ratfunc(garbage) == RatFunc(ONE, Poly([1, -1]))
     with pytest.raises(DerivationError, match="derivation inconsistency"):
-        derive_step(garbage, 2)
+        derive_step(special_values(garbage), 2)
 
 
 def test_derive_tower_rejects_bad_tuples():
@@ -299,7 +299,7 @@ def test_functional_equation_every_level():
 
 def test_genus2_derivation_validates():
     zg = artin_from_point_counts(2, 2, [3, 5])
-    z2 = derive_step(zg, 2)
+    z2 = derive_step(special_values(zg), 2)
     assert z2.Q == 4 and z2.genus == 2
     assert z2.P.degree == 4
     assert all(r.passed for r in validate_zeta_level(z2))
@@ -312,8 +312,8 @@ def test_constant_scaling_covariance(c, n):
     z = artin_elliptic(2, 0)
     scaled = ZetaLevel(steps=(), Q=z.Q, genus=1, P=ring(z.P) * c)
     assert to_ratfunc(scaled) == to_ratfunc(z) * c
-    derived = derive_step(z, n)
-    derived_scaled = derive_step(scaled, n)
+    derived = derive_step(special_values(z), n)
+    derived_scaled = derive_step(special_values(scaled), n)
     assert to_ratfunc(derived_scaled) == to_ratfunc(derived) * c**n
 
 
@@ -321,7 +321,7 @@ def test_constant_scaling_covariance(c, n):
 
 
 def test_normalize_level_records_constant():
-    z2 = derive_step(artin_elliptic(2, 0), 2)
+    z2 = derive_step(special_values(artin_elliptic(2, 0)), 2)
     z2n = normalize_level(z2)
     assert z2n.P[0] == 1
     assert to_ratfunc(z2n) * 3 == to_ratfunc(z2)
@@ -329,8 +329,8 @@ def test_normalize_level_records_constant():
 
 _NORMALIZE_LEVELS = [
     artin_elliptic(3, 1),
-    derive_step(artin_elliptic(2, 0), 2),
-    derive_step(artin_from_point_counts(2, 2, [3, 5]), 3),
+    derive_step(special_values(artin_elliptic(2, 0)), 2),
+    derive_step(special_values(artin_from_point_counts(2, 2, [3, 5])), 3),
 ]
 
 
@@ -389,14 +389,18 @@ def _corrupt_table(monkeypatch, m, p):
 
 @pytest.mark.parametrize("z", [artin_elliptic(3, 1), artin_from_point_counts(2, 2, [3, 5])], ids=["E3a1", "X2g2"])
 def test_corrupted_composition_sum_is_caught(monkeypatch, z):
+    """From n = 3 on, one wrong table entry, special value, residue or value of Z makes some residue sum nonzero.
+
+    This test and the ones below plant each at n = 5.
+    """
     n = 5
     for m in range(1, n):
         for p in range(1, m + 1):
             with monkeypatch.context() as mp:
                 _corrupt_table(mp, m, p)
                 with pytest.raises(DerivationError, match="do not cancel"):
-                    derive_step(z, n)
-    assert derive_step(z, n).steps == (n,)  # the real table passes
+                    derive_step(special_values(z), n)
+    assert derive_step(special_values(z), n).steps == (n,)  # the real table passes
 
 
 @pytest.mark.parametrize("z", [artin_elliptic(3, 1), artin_from_point_counts(2, 2, [3, 5])], ids=["E3a1", "X2g2"])
@@ -406,9 +410,9 @@ def test_a_patched_table_leaves_the_kept_rows_real(monkeypatch, z):
     with monkeypatch.context() as mp:
         _corrupt_table(mp, 3, 1)
         with pytest.raises(DerivationError, match="do not cancel"):
-            derive_step(z, n, sv)
+            derive_step(sv, n)
     assert composition_sums(sv, n) == composition_sums(special_values(z), n)
-    assert derive_step(z, n, sv) == derive_step(z, n)
+    assert derive_step(sv, n) == derive_step(special_values(z), n)
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -419,7 +423,7 @@ def test_corrupted_pair_plan_is_caught(monkeypatch, z, n):
     # only residue-pair terms, so a wrong entry there may leave the level as it is.  At even n the
     # certificate cannot see a wrong plan[s][n/2], which the table and the certificate read alike;
     # validation catches it here
-    true = derive_step(z, n)
+    true = derive_step(special_values(z), n)
     real = derived_engine.pair_plan
     for s in range(n - 1):
         for j in range(1, n - s):
@@ -440,40 +444,35 @@ def test_corrupted_pair_plan_is_caught(monkeypatch, z, n):
                     mp.setattr(derived_engine, "pair_plan", corrupted)
                     if s:
                         with pytest.raises(DerivationError, match="functional_equation" if 2 * j == n else "do not cancel"):
-                            derive_step(z, n)
+                            derive_step(special_values(z), n)
                     else:
                         try:
-                            assert derive_step(z, n) == true, (s, j, kind)
+                            assert derive_step(special_values(z), n) == true, (s, j, kind)
                         except DerivationError as caught:
                             assert "do not cancel" in str(caught)
-    assert derive_step(z, n) == true  # the real plan passes
+    assert derive_step(special_values(z), n) == true  # the real plan passes
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_corrupted_special_value_is_caught(monkeypatch, k):
-    real = derived_engine.special_values
-
-    def corrupted(z):  # zeta_hat(k) + 1/3, the products from it on made from the wrong value, written into the set
-        sv = real(z)
-        sv.grow(4)  # what step 5 reads
-        vhats = [Fraction(*v) for v in sv.vhats]
-        values = [b / a for a, b in zip(vhats, vhats[1:])]
-        values[k - 1] += Fraction(1, 3)
-        wrong = [(1, 1)]
-        for v in values:
-            x = Fraction(*wrong[-1]) * v
-            wrong.append((x.numerator, x.denominator))
-        assert wrong[k] != sv.vhats[k]
-        sv.vhats[:] = wrong
-        return sv
-
-    monkeypatch.setattr(derived_engine, "special_values", corrupted)
+def test_corrupted_special_value_is_caught(k):
+    # zeta_hat(k) + 1/3, the products from it on made from the wrong value, written into the set
+    sv = special_values(artin_elliptic(2, -1))
+    sv.grow(4)  # what step 5 reads
+    vhats = [Fraction(*v) for v in sv.vhats]
+    values = [b / a for a, b in zip(vhats, vhats[1:])]
+    values[k - 1] += Fraction(1, 3)
+    wrong = [(1, 1)]
+    for v in values:
+        x = Fraction(*wrong[-1]) * v
+        wrong.append((x.numerator, x.denominator))
+    assert wrong[k] != sv.vhats[k]
+    sv.vhats[:] = wrong
     with pytest.raises(DerivationError, match="do not cancel"):
-        derive_step(artin_elliptic(2, -1), 5)
+        derive_step(sv, 5)
 
 
 def test_deep_genus2_step_is_certified_and_valid():
-    z = derive_step(artin_from_point_counts(2, 2, [3, 5]), 20)
+    z = derive_step(special_values(artin_from_point_counts(2, 2, [3, 5])), 20)
     assert z.Q == 2**20 and z.P.degree == 4
     assert all(r.passed for r in validate_zeta_level(z))
 
@@ -502,7 +501,7 @@ def _plant(monkeypatch, name, wrong):
 def test_wrong_residue_of_the_previous_level_is_caught(monkeypatch, z, name):
     _plant(monkeypatch, name, lambda self, res: (3 * res[0] + res[1], 3 * res[1]))  # res + 1/3
     with pytest.raises(DerivationError, match="do not cancel"):
-        derive_step(z, 5)
+        derive_step(special_values(z), 5)
 
 
 @pytest.mark.parametrize("z", _BASES, ids=["E3a1", "X2g2"])
@@ -513,7 +512,7 @@ def test_wrong_interior_value_of_the_previous_level_is_caught(monkeypatch, z, k)
 
     _plant(monkeypatch, "value_pair", wrong)
     with pytest.raises(DerivationError, match="do not cancel"):
-        derive_step(z, 5)
+        derive_step(special_values(z), 5)
 
 
 @pytest.mark.parametrize("z", _BASES, ids=["E3a1", "X2g2"])
@@ -537,6 +536,6 @@ def test_wrong_taylor_coefficient_of_a_term_is_caught_by_validation(monkeypatch,
 
                     mp.setattr(derived_engine, "side_series", wrong)
                     with pytest.raises(DerivationError, match="functional_equation") as caught:
-                        derive_step(z, n)
+                        derive_step(special_values(z), n)
                     assert "do not cancel" not in str(caught.value)
-    assert derive_step(z, n).steps == (n,)  # the real series pass
+    assert derive_step(special_values(z), n).steps == (n,)  # the real series pass

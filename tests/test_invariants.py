@@ -99,7 +99,7 @@ def test_reconstruction_exercises_all_coefficient_ranges():
 
 
 def test_trace_of_genus1():
-    assert fraction_trace(derive_step(artin_elliptic(2, 0), 2)) == -1  # (Q+1) - (Q-1) * beta2/beta1 = 5 - 3*2
+    assert fraction_trace(derive_step(special_values(artin_elliptic(2, 0)), 2)) == -1  # (Q+1) - (Q-1) * beta2/beta1 = 5 - 3*2
 
 
 # -- beta closed form ------------------------------------------------------------
@@ -175,17 +175,28 @@ def _table_with_one_cofactor_off(at, first_entry_off=False):
 
 
 def test_a_planted_table_row_is_seen_by_some_step_check(monkeypatch):
-    # the detectability matrix of one error class: a recurrence-consistent table error, planted in the table
-    # that the step, its certificate and the closed beta route read alike, and the step checks that see it
-    bases = {"E2a0": artin_elliptic(2, 0), "E3a1": artin_elliptic(3, 1), "X2g2": catalog_curve("X2g2").spec().level}
+    """The detectability matrix of a recurrence-consistent table error, and the step checks that see it.
+
+    Cofactor 0 of one inner sum + 1, at E[3][1], E[4][1], E[4][2] or
+    E[n-1][1], with every later row rebuilt from it by the recurrence, on the
+    Hasse bases with q <= 5 and X2g2 at n = 5..8: the table that the step, its
+    certificate and the closed beta route read alike.  The step's certificate
+    or its validation refuses all but one of the 465 cases.  The one that
+    passes both is E2a0 (q = 2, trace 0) at n = 6 with E[4][1] off and row 5
+    rebuilt from it: its P is unlike the real one, the closed beta route, which
+    reads the same table, agrees with it, and only the elliptic recursion's
+    ratio link, which reads no table, and the miracle's step n + 1 refuse it.
+    """
+    bases = {f"E{q}a{a}": artin_elliptic(q, a) for q in (2, 3, 4, 5) for a in hasse_traces(q)}
+    bases["X2g2"] = catalog_curve("X2g2").spec().level
     for z in bases.values():
         sv = special_values(z)
         for positive in (False, True):
             assert _table_with_one_cofactor_off(None)(sv, 8, positive) == composition_sums(sv, 8, positive)
     caught, escapes = [], {}
     for name, z in bases.items():
-        for n in (5, 6, 7):
-            clean = derive_step(z, n)
+        for n in (5, 6, 7, 8):
+            clean = derive_step(special_values(z), n)
             for at in sorted({(3, 1), (4, 1), (4, 2), (n - 1, 1)}):
                 with monkeypatch.context() as m:
                     table = _table_with_one_cofactor_off(at)
@@ -204,10 +215,7 @@ def test_a_planted_table_row_is_seen_by_some_step_check(monkeypatch):
                         "beta_routes": beta_routes_check(sv, n).passed,
                         "ratio link": step_ratio_checks(sv, n)[0].passed if z.genus == 1 else None,
                     }
-    # the step's certificate or its validation refuses all but one; the one wrong P that passes both
-    # agrees with the closed beta route, which reads the same table, and only the elliptic
-    # recursion, which reads no table, and the miracle's step n + 1 refuse it
-    assert len(caught) + len(escapes) == 33 and len(caught) == 32
+    assert len(caught) + len(escapes) == 465 and len(caught) == 464
     assert escapes == {("E2a0", 6, (4, 1)): {"P": False, "beta_routes": True, "ratio link": False}}
 
 
@@ -239,11 +247,24 @@ def _plan_with_one_error(error):
 
 
 def test_planted_plan_pole_and_first_entry_errors_are_seen_by_some_check(monkeypatch):
-    # the detectability matrix of three more error classes that the table and the certificate read alike, on
-    # the Hasse bases with q <= 5 and X2g2: cofactor 0 of plan[s][n/2] + 1 at n = 4, 6, 8 (the plan entries
-    # the certificate cannot see), the pole Q^3 - 1 read as Q^3 at n = 4..8, and E[1][1] + 1 at n = 2, where
-    # the certificate's one residue sum is zero whatever E[1][1] is.  Each case reads one planted set, as a
-    # tower does for its prefix: the step, the closed beta route and the miracle's step n + 1
+    """The detectability matrix of three error classes that the table and the certificate read alike.
+
+    On the Hasse bases with q <= 5 and X2g2: cofactor 0 of plan[s][n/2] + 1
+    at n = 4, 6, 8, the pole Q^3 - 1 read as Q^3 at n = 4..8, and E[1][1] + 1
+    at n = 2.  Each case reads one planted set, as a tower does for its prefix:
+    the step, the closed beta route and the miracle's step n + 1.
+
+    The step's certificate cannot see any of them.  At even n a wrong
+    plan[s][n/2] and a wrong pole Q^3 - 1 are read alike by the table and the
+    certificate; validation catches each but one: on E2a0 (q = 2, trace 0) at
+    n = 6 a wrong plan[1][3], like the rebuilt rows of the cofactor matrix,
+    gives a P unlike the real one that passes both, and the ratio link and the
+    miracle's step n + 1 see it.  At n = 2 the one residue sum is F(1, 0)
+    (Res_1 + Q Res_(1/Q)), zero by the functional equation whatever E[1][1] is,
+    so a wrong E[1][1] scales P and passes the certificate and validation on
+    every base; the closed beta route, which reads row 2, and the miracle see
+    it, and at genus 1 the ratio link too.
+    """
     bases = {f"E{q}a{a}": artin_elliptic(q, a) for q in (2, 3, 4, 5) for a in hasse_traces(q)}
     bases["X2g2"] = catalog_curve("X2g2").spec().level
     cases = [(name, n, ("entry", s, n // 2)) for name in bases for n in (4, 6, 8) for s in range(1, n // 2)]
@@ -253,7 +274,7 @@ def test_planted_plan_pole_and_first_entry_errors_are_seen_by_some_check(monkeyp
     caught, escapes = {"certificate": 0, "validation": 0}, {}
     for name, n, error in cases:
         z = bases[name]
-        clean = derive_step(z, n)
+        clean = derive_step(special_values(z), n)
         with monkeypatch.context() as m:
             if error == ("first entry",):
                 table = _table_with_one_cofactor_off(None, first_entry_off=True)
@@ -278,8 +299,6 @@ def test_planted_plan_pole_and_first_entry_errors_are_seen_by_some_check(monkeyp
                 "ratio link": step_ratio_checks(sv, n)[0].passed if z.genus == 1 else True,
             }
             escapes[name, n, error] = {check for check, passed in checks.items() if not passed}
-    # validation refuses every wrong plan entry and pole but one; E[1][1] scales the step's P, which the
-    # certificate and validation cannot see, and the closed beta route, which reads row 2, sees it
     assert len(cases) == 372 and caught == {"certificate": 0, "validation": 340}
     first_entry = {(name, 2, ("first entry",)): {"beta_routes", "miracle", "ratio link"} for name in bases}
     first_entry["X2g2", 2, ("first entry",)] = {"beta_routes", "miracle"}
@@ -298,11 +317,11 @@ def test_miracle_elliptic_n1_n2():
     assert _miracle(z, 1).passed
     assert _miracle(z, 2).passed
     # g = 1 kills the q-power prefactor: alpha0 at (2) equals beta at (1)
-    assert derive_step(z, 2).P[0] == 3
+    assert derive_step(special_values(z), 2).P[0] == 3
 
 
 def test_miracle_at_depth():
-    z2 = derive_step(artin_elliptic(2, 0), 2)
+    z2 = derive_step(special_values(artin_elliptic(2, 0)), 2)
     assert _miracle(z2, 1).passed
     assert _miracle(z2, 2).passed
 
@@ -312,7 +331,7 @@ def test_miracle_genus2_prefactor():
     assert _miracle(zg, 1).passed
     assert _miracle(zg, 2).passed
     # n = 1, g = 2: alpha0 at (2) picks up q^(g-1) = 2 on alpha0 * beta = 5
-    assert derive_step(zg, 2).P[0] == 10
+    assert derive_step(special_values(zg), 2).P[0] == 10
 
 
 # -- interlacing polynomial -----------------------------------------------------------
@@ -393,7 +412,7 @@ def test_interlacing_signs_are_the_polynomials_horner_signs():
     cases = 0
     for spec in specs:
         for prefix in ((), (2,)):
-            z = derive_step(spec.level, 2) if prefix else spec.level
+            z = derive_step(special_values(spec.level), 2) if prefix else spec.level
             sv = special_values(z)
             for n in range(1, 8):
                 check, signs = interlacing_sign_check(sv, n)
@@ -435,7 +454,7 @@ def test_invariant_report_schema():
     # the values one level's report carries; the JSON record itself is built
     # by the invariants command and pinned in test_cli
     z = artin_elliptic(2, 0)
-    z2 = derive_step(z, 2)
+    z2 = derive_step(special_values(z), 2)
     inv = extract_invariants(z2)
     assert list(z2.steps) == [2]
     assert rat_str(z2.Q) == "4"

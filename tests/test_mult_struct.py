@@ -18,7 +18,7 @@ from zetatower.curves import (
     hasse_traces,
     point_counts_from_numerator,
 )
-from zetatower.derived_engine import derive_step, normalize_level
+from zetatower.derived_engine import derive_step, normalize_level, special_values
 from zetatower.exact_arith import Poly
 from zetatower.mult_struct import elliptic_beta_recursion, ratio_bounds, ratio_bounds_check
 from ratfunc_oracle import (
@@ -64,7 +64,7 @@ def test_power_sums_q2_a0():
 
 
 def test_power_sums_derived_level():
-    z2n = normalize_level(derive_step(artin_elliptic(2, 0), 2))
+    z2n = normalize_level(derive_step(special_values(artin_elliptic(2, 0)), 2))
     N = _counts(z2n, 1)
     # k = 1 Newton identity: N_1 = Q + 1 - trace, trace = -A_1
     assert N[0] == z2n.Q + 1 - fraction_trace(z2n) == 6
@@ -72,7 +72,7 @@ def test_power_sums_derived_level():
 
 def test_power_sums_requires_normalization():
     with pytest.raises(ValueError, match="constant term 1"):
-        residue_series_exp(derive_step(artin_elliptic(2, 0), 2), 3)
+        residue_series_exp(derive_step(special_values(artin_elliptic(2, 0)), 2), 3)
 
 
 def test_power_sums_match_brute_force_counts():
@@ -96,7 +96,7 @@ def test_series_first_coefficients():
 def test_series_routes_agree_to_order_12():
     cases = [artin_elliptic(2, 0), artin_elliptic(3, -3), artin_elliptic(5, 4)]
     cases.append(artin_from_point_counts(2, 2, [3, 5]))
-    cases.append(normalize_level(derive_step(artin_elliptic(2, 1), 2)))
+    cases.append(normalize_level(derive_step(special_values(artin_elliptic(2, 1)), 2)))
     for z in cases:
         zn = normalize_level(z) if z.P[0] != 1 else z
         exp_route = residue_series_exp(zn, 12)
@@ -150,8 +150,8 @@ def test_int_recursion_matches_the_fraction_recursion_on_the_export_grid():
 def test_int_recursion_matches_the_fraction_recursion_on_derived_prefixes():
     # the prefixes' numerators begin A_0 + A_1 T with A_0 != 1; the recursion reads the first two view ints,
     # which a positive content divides out, and a negated pair, which has the same trace
-    prefixes = [derive_step(artin_elliptic(q, a), n) for q, a in ((2, -2), (3, 1), (5, 4)) for n in (2, 3)]
-    prefixes.append(derive_step(prefixes[0], 2))
+    prefixes = [derive_step(special_values(artin_elliptic(q, a)), n) for q, a in ((2, -2), (3, 1), (5, 4)) for n in (2, 3)]
+    prefixes.append(derive_step(special_values(prefixes[0]), 2))
     assert all(z.P[0] != 1 for z in prefixes)
     for z in prefixes:
         x0, x1 = z.P.view[1][:2]
@@ -161,6 +161,30 @@ def test_int_recursion_matches_the_fraction_recursion_on_derived_prefixes():
     # traces whose reduced denominator is not 1, over each sign of A_0
     for A0, A1, Q in ((2, 5, 4), (-2, 5, 4), (3, -1, 2), (-5, 7, 3), (4, -3, 9)):
         assert _recursion_matches_the_fraction_route(A0, A1, Q, 8), (A0, A1, Q)
+
+
+def test_the_genus1_trace_is_the_step_ratio_of_the_recursion():
+    """a_n = Q^n + 1 - (Q^n - 1) r_n exactly, over the 30 Hasse bases with q <= 5 at n = 2..10 from the base.
+
+    a_n is the trace of ``special_values(base).step(n)``, read from its view
+    ints, and r_n = beta(n)/beta(n-1) = b(n) / (|A0| (Q^n - 1) b(n-1)) comes
+    from ``elliptic_beta_recursion``, which reads no table.  So the sweep's
+    ``rh`` and ``ratio_bounds`` checks test one inequality by two routes: the
+    upper ratio bound is a_n > -2 Q^(n/2), RH's lower side, and r_n > 1 is
+    a_n < 2.
+    """
+    cases = 0
+    for q in (2, 3, 4, 5):
+        for a in hasse_traces(q):
+            sv = special_values(artin_elliptic(q, a))
+            A0, A1 = sv.level.P.view[1][:2]
+            bs = elliptic_beta_recursion(A0, A1, q, 10)
+            for n in range(2, 11):
+                x0, x1 = sv.step(n).P.view[1][:2]
+                ratio = Fraction(bs[n], abs(A0) * (q**n - 1) * bs[n - 1])
+                assert Fraction(-x1, x0) == q**n + 1 - (q**n - 1) * ratio, (q, a, n)
+                cases += 1
+    assert cases == 270
 
 
 def test_int_recursion_refuses_a_zero_constant_term():
@@ -174,7 +198,7 @@ def test_beta_equals_series_check():
 
 
 def test_beta_equals_series_on_derived_prefix():
-    z2n = normalize_level(derive_step(artin_elliptic(2, 0), 2))
+    z2n = normalize_level(derive_step(special_values(artin_elliptic(2, 0)), 2))
     res = elliptic_beta_series_check(z2n, 4)
     assert res.passed, res.detail
 

@@ -39,7 +39,7 @@ def _tower_digest(key, normalize: bool) -> str:
         first = (normalized_tower if normalize else derive_tower)(_base(key), (n,))[0]
         levels = [first]
         for m in SECOND_STEPS:
-            nxt = derive_step(first, m)
+            nxt = derive_step(special_values(first), m)
             levels.append(normalize_level(nxt) if normalize else nxt)
         for z in levels:
             h.update(_line(z.steps, z.Q, *ring(z.P).coeffs))

@@ -35,7 +35,7 @@ from zetatower.curves import (
     hasse_traces,
 )
 from zetatower.cli import parse_curve_arg
-from zetatower.derived_engine import DerivationError, derive_step
+from zetatower.derived_engine import DerivationError, derive_step, special_values
 from zetatower.exact_arith import Poly, is_self_inversive, rat_str, real_weil_poly
 from zetatower.invariants import beta_closed_form
 from zetatower.rh_lab import (
@@ -63,7 +63,7 @@ def test_exact_holds_trace_zero():
 
 
 def test_exact_holds_derived_level():
-    v = rh_exact_genus1(derive_step(artin_elliptic(2, 0), 2))
+    v = rh_exact_genus1(derive_step(special_values(artin_elliptic(2, 0)), 2))
     assert v.holds and v.discriminant[1] > 0 and Fraction(*v.discriminant) == 1 - 16
 
 
@@ -83,7 +83,7 @@ def _genus1_verdict_levels():
     and every x0 + x1 T + Q x0 T^2 with |x0| <= 3, |x1| <= 12, Q = 2..5, over contents 1 and 3/7."""
     failing = artin_zeta(CurveSpec(label="f", q=2, genus=1, numerator=(1, 3, 2)))
     bases = [artin_elliptic(4, 4), artin_elliptic(4, -4), failing]
-    levels = bases + [derive_step(z, n) for z in bases for n in (2, 3)]
+    levels = bases + [derive_step(special_values(z), n) for z in bases for n in (2, 3)]
     for Q in (2, 3, 4, 5):
         for x0 in (-3, -2, -1, 1, 2, 3):
             for x1 in range(-12, 13):
@@ -125,8 +125,8 @@ def test_genus1_step_checks_match_their_fraction_forms(monkeypatch, plant):
     if plant:
         real = engine.derive_step
 
-        def scaled(z, n, sv=None):
-            level = real(z, n, sv)
+        def scaled(sv, n):
+            level = real(sv, n)
             return ZetaLevel(steps=level.steps, Q=level.Q, genus=1, P=ring(level.P) * n)
 
         monkeypatch.setattr(engine, "derive_step", scaled)
@@ -665,7 +665,7 @@ def test_exact_verdict_reads_the_numerator_directly(monkeypatch):
 
     monkeypatch.setattr(rh_lab, "extract_invariants", refuse)
     assert rh_verdict_for_level(artin_elliptic(2, 1)).holds is True
-    assert Fraction(*rh_verdict_for_level(derive_step(artin_elliptic(2, 0), 2)).discriminant) == 1 - 16
+    assert Fraction(*rh_verdict_for_level(derive_step(special_values(artin_elliptic(2, 0)), 2)).discriminant) == 1 - 16
 
 
 # -- the exact Sturm route (genus >= 3) ------------------------------------------------
@@ -1035,8 +1035,8 @@ def test_level_checks_read_the_levels_they_report_on(monkeypatch, check, plant):
     assert len(cells) == 36 and all(cell["checks"] == {check: "pass"} for cell in cells)
     real = engine.derive_step
 
-    def planted(z, n, sv=None):
-        level = real(z, n, sv)
+    def planted(sv, n):
+        level = real(sv, n)
         return ZetaLevel(steps=level.steps, Q=level.Q, genus=level.genus, P=plant(level))
 
     monkeypatch.setattr(engine, "derive_step", planted)
@@ -1082,11 +1082,11 @@ def _count_derivations(monkeypatch, fail_at=None):
     calls = []
     real = engine.derive_step
 
-    def counting(z, n, sv=None):
-        calls.append(z.steps + (n,))
+    def counting(sv, n):
+        calls.append(sv.level.steps + (n,))
         if calls[-1] == fail_at:
             raise DerivationError(f"planted at {fail_at}")
-        return real(z, n, sv)
+        return real(sv, n)
 
     for module in (engine, invariants, mult_struct, rh_lab):
         monkeypatch.setattr(module, "derive_step", counting, raising=False)

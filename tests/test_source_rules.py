@@ -1,6 +1,7 @@
 """Rules on the package source that no runtime test would notice being broken."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -301,6 +302,37 @@ def test_src_holds_what_the_commands_reach():
     assert _unreached(sample, "cli.main") == ["cli.dead", "m.Row.unread", "m.planted"]
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert _unreached(sources, "cli.main") == sorted(REACH_ALLOWLIST)
+
+
+def _load_src_lines():
+    spec = importlib.util.spec_from_file_location("src_lines", PACKAGE.parents[1] / "scripts" / "src_lines.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_src_lines_counts_docstrings_and_code_apart(tmp_path, capsys):
+    # a docstring line is a line of a module, class or function docstring; a code line is any other line that
+    # is neither blank nor a comment only, a string that is not a docstring among them
+    script = _load_src_lines()
+    sample = (
+        '"""Module.\n\nMore."""\n'
+        "\n"
+        "# a comment\n"
+        "class C:\n"
+        '    """One line."""\n'
+        "    def m(self):\n"
+        '        """Two\n        lines."""\n'
+        "        x = 1  # code with a comment\n"
+        '        "not a docstring"\n'
+        "        return x\n"
+    )
+    assert script.line_counts(sample) == (13, 6, 5)
+    (tmp_path / "a.py").write_text(sample, encoding="utf-8")
+    (tmp_path / "b.py").write_text("x = 1\n\n", encoding="utf-8")
+    assert script.main([str(tmp_path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["module", "total", "doc", "code"], ["a", "13", "6", "5"], ["b", "2", "0", "1"], ["all", "15", "6", "6"]]
 
 
 def _unused_imports(source: str, filename: str) -> list:

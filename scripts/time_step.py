@@ -1,41 +1,11 @@
 #!/usr/bin/env python3
-"""Time one tower step, layer by layer: best-of-3 wall seconds of ``derive_step``.
+"""Time tower steps and a sweep's check stages layer by layer, in wall seconds.
 
-Prints, for the elliptic curve E3a1 (q = 3, trace 1) and the genus-2 catalog
-curve X2g2, the time of ``derive_step(special_values(base), n)`` at
-n = 10, 20, 40, 60, then the time of each step of X2g2 along the tuple
-(10, 10, 10, 5), whose last level has Q = 2^5000.  Each timed step builds its
-set of special values inside the call, so every run times a whole step and
-none reads a step that an earlier run kept.  Then the single steps (1), ..., (24) from E3a1 and
-from X2g2 as a sweep of those tuples runs them: on a fresh
-``curve_tower(spec)`` per run, each step's level and its ``beta_route``,
-all 24 steps reading the base's one set of special values, which grows as
-each step reads it.
-Then the shallow regime a default elliptic sweep runs:
-over the 30 bases of the built-in elliptic grid (q = 2..5) and X2g2, the total
-time of ``derive_step(special_values(base), n)`` for n = 1..5, of
-``validate_zeta_level`` and of ``extract_invariants`` on those 155 levels, and of growing a fresh
-``special_values(base)`` to depth n for n = 1..5.  Last the RH verdict:
-``rh_verdict_for_level`` summed over the 98 RH-admissible integer genus-2
-numerators 1 + a1 T + a2 T^2 + q a1 T^3 + q^2 T^4 over q = 2, 3 (the box
-|a1| <= 4q, |a2| <= 6q, kept by the package's exact ``rh_sturm``) at the
-steps (), (2), (3), (2, 2), alone on X2g2 at (10, 10, 10) and at
-(10, 10, 10, 5), and alone on the genus-3 numerator 1 + T + 2T^2 + 3T^3 +
-4T^4 + 4T^5 + 8T^6 over F_2 at (10, 10, 10), whose verdict is the exact
-Sturm count (``rh_sturm``).  Last the genus-1 check stages of a sweep on
-E3a1 along (10, 10, 10): the tower's ``rh``, ``ratio_bounds``,
-``invariants``, ``miracle``, ``beta_route`` and ``interlacing`` over its
-levels and steps, each on a fresh tower whose levels (the miracle's
-(..., 11) among them) are read before the timer starts; deriving them builds
-the one set of special values each step's checks read, and the signed table
-rows kept on it, so ``beta_route`` there reads rows already built and
-``interlacing`` builds the positive table.  So that the closed formula's
-own cost stays visible, the last line times ``beta_closed_form`` at n = 10
-on a fresh set of special values of E3a1's level (10, 10), which builds the
-signed table to row 10.
-Each figure is the best of three runs on the same input; the inputs of the
-tuple's steps, the levels to validate and the levels to judge are derived
-once, outside the timer.
+Prints the cost of ``derive_step`` at growing n on a genus-1 and a genus-2
+base, along a deep tuple, over the single steps and the shallow regime a
+default sweep runs, then the RH verdicts and the genus-1 check stages.  Each
+timed step builds its own set of special values, so it reads nothing an
+earlier run kept, and each figure is the best of 3 runs on the same input.
 
   PYTHONPATH=src python scripts/time_step.py
 """

@@ -142,7 +142,7 @@ def cmd_catalog(args) -> int:
 
 
 def _tower(args):
-    """The curve, its lazy tower, and the paths to the levels of --tuple in prefix order; the tower computes what the command reads."""
+    """The curve, its lazy tower, and the paths to the levels of --tuple in prefix order."""
     spec = parse_curve_arg(args.curve)
     steps = parse_tuple_arg(args.tuple, args.allow_large)
     return spec, curve_tower(spec), [steps[:i] for i in range(len(steps) + 1)]

@@ -1,28 +1,15 @@
 """Base-level zeta functions of curves over finite fields.
 
 The complete zeta of a curve is P(T) / ((1-T)(1-qT)T^(g-1)) with deg P = 2g,
-P(0) = 1 and the coefficient symmetry A_{2g-i} = q^(g-i) A_i.  This module
-builds that object from three kinds of input (an elliptic trace, the first g
-point counts, or the numerator coefficients themselves), validates it with
-``validate_zeta_level`` like every level, and provides a small brute-force
-point counter for the catalog curves so the analytic data can be
-cross-checked against actual counting.  Point counts become P, and P becomes
-point counts, by one integer Newton recurrence each way, with
-p_k = q^k + 1 - N_k the power sums of the reciprocal roots.
+P(0) = 1 and the coefficient symmetry A_{2g-i} = q^(g-i) A_i.  It is built
+from an elliptic trace, the first g point counts or the numerator itself,
+and validated by ``validate_zeta_level`` like every level.  Point counts and
+P determine each other through the power sums p_k = q^k + 1 - N_k of the
+reciprocal roots.  Every derived level has the same shape over its own Q,
+so a ``ZetaLevel`` is its steps, Q, genus and P, nothing more.
 
-Every level of the derived tower has the same shape over its own Q, the int
-q^(prod of its steps), so a ``ZetaLevel`` is its steps, Q, genus and
-numerator P, nothing more.  Every value and residue reads the integer view
-of P (content times coprime ints), which is what the ``Poly`` is.  Its
-functional equation is the coefficient symmetry, its residue at T = 1 is
-P(1)/(Q-1), and validation is exact integer arithmetic on the view's ints.
-
-Point counting supports plane models y^2 + a3*y = f(x) with coefficients in
-the prime field and a single smooth point at infinity; that covers the whole
-catalog (char-2 Weierstrass forms, odd-characteristic y^2 = cubic, and the
-genus-2 quintic over F_2).  Counting works in GF(p^d) built from a
-deterministically chosen irreducible modulus; one reduction mod (modulus, p),
-``_reduce``, serves the field product and the modulus search.
+A brute-force point counter over GF(p^d) cross-checks the catalog's plane
+models y^2 + a3*y = f(x), each with one smooth point at infinity.
 """
 
 from __future__ import annotations
@@ -86,15 +73,12 @@ def _may_be_power(q: int, e: int) -> bool:
 
 
 def prime_power_split(q: int) -> tuple:
-    """(p, d) with q = p**d, or raise if q is not a prime power.
+    """(p, d) with q = p**d; ValueError if q is not a prime power or p is at or above MILLER_RABIN_BOUND.
 
     Exact roots of prime exponent e are taken by Newton's method on integers
     while one exists, from e = 2 up; a root of a number with no e'-th root,
-    e' < e, has none either, so p ends with none and d is the largest
-    exponent.  Only an e that passes the residue filter ``_may_be_power``
-    costs a root.  p must be prime (``_is_prime``), so a prime q of 61 bits
-    splits in milliseconds.  A p at or above MILLER_RABIN_BOUND raises
-    ValueError, since its primality is not decided.
+    e' < e, has none either, so d ends as the largest exponent.  Only an e
+    that passes the residue filter ``_may_be_power`` costs a root.
     """
     if q < 2:
         raise ValueError(f"q must be a prime power >= 2, got {q}")
@@ -138,11 +122,7 @@ def _reduce(a: Sequence[int], monic: tuple, p: int) -> tuple:
 
 
 def _find_irreducible(p: int, d: int) -> tuple:
-    """First monic irreducible of degree d over GF(p), in lexicographic order.
-
-    A candidate is irreducible when no monic polynomial of degree 1..d//2
-    divides it, i.e. leaves a zero ``_reduce`` remainder (so at d = 1, T itself).
-    """
+    """First monic irreducible of degree d over GF(p), in lexicographic order: no monic of degree 1..d//2 divides it."""
     divisors = [tail + (1,) for k in range(1, d // 2 + 1) for tail in itertools.product(range(p), repeat=k)]
     for tail in itertools.product(range(p), repeat=d):
         candidate = tail + (1,)
@@ -209,10 +189,9 @@ class PlaneModel:
 
 
 def count_points_bruteforce(equation: PlaneModel, q: int, k: int = 1) -> int:
-    """Number of F_{q^k}-rational points of the smooth projective model.
+    """Number of F_{q^k}-rational points of the smooth projective model, in O(q^k) field operations.
 
-    Enumerates one pass over x and one over y, matching value multiplicities,
-    so the cost is O(q^k) field operations rather than O(q^{2k}).
+    ValueError when q^k passes BRUTE_FORCE_FIELD_CAP.
     """
     if not isinstance(equation, PlaneModel):
         raise ValueError(f"unsupported equation form: {equation!r}")
@@ -242,19 +221,15 @@ CURVE_KEYS = ("label", "q", "genus", "trace", "point_counts", "numerator")  # of
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """Input data for a base-level zeta: exactly one source must be given.
+    """Input data for a base-level zeta: exactly one of trace, point_counts and numerator.
 
     Building a spec is the one check of its fields, from any source: a str
     label, int q, genus and trace, and a list or tuple of int point counts or
     of int, "p/q" string or Fraction numerator coefficients (never a bool),
-    or ValueError.  It divides a numerator by its A_0 and builds the base
-    level once (``artin_zeta``) as ``level``, which no comparison, hash, repr
-    or ``to_dict`` reads, so a spec whose level fails ``validate_zeta_level``
-    or whose point counts no curve has is refused.
-    The numerator source takes Weil-polynomial input, not only curves: any
-    self-inversive rational polynomial with P(1) > 0 is accepted, rational
-    coefficients and numerators that fail RH included, since the
-    rational-content towers and the RH controls are built from them.
+    or ValueError.  A numerator is divided by its A_0.  ``level`` is the base
+    level (``artin_zeta``), built once; a spec whose level fails validation
+    is refused.  Any self-inversive rational numerator with P(1) > 0 is
+    accepted, RH failures included: the RH controls are built from them.
     """
 
     label: str
@@ -366,9 +341,7 @@ class ZetaLevel:
 
     steps is the tuple of derivation indices applied so far (empty for the
     base), Q = q**prod(steps) is an int, and P is the numerator in this
-    level's own variable.  Every value and residue is one integer Horner pass
-    over ``P.view`` (content times coprime ints), kept as an unreduced int
-    pair: ``residue_pair``, ``residue_inv_q_pair`` and ``value_pair``.
+    level's own variable.  Each value and residue is an unreduced int pair.
     """
 
     steps: tuple
@@ -377,14 +350,11 @@ class ZetaLevel:
     P: Poly
 
     def numerator_key(self) -> tuple:
-        """(P, Q, genus), all that a level's invariants and RH verdict depend on.
-
-        Levels with one key, such as (..., 1) and its prefix, share those results.
-        """
+        """(P, Q, genus), all that a level's invariants and RH verdict depend on."""
         return self.P, self.Q, self.genus
 
     def residue_pair(self) -> tuple:
-        """Res_{T=1} Z as the unreduced int pair (c.numerator * sum(ints), c.denominator * (Q-1)); a check cross-multiplies it."""
+        """Res_{T=1} Z = P(1)/(Q-1) as the unreduced int pair (c.numerator * sum(ints), c.denominator * (Q-1))."""
         c, ints = self.P.view
         return c.numerator * sum(ints), c.denominator * (self.Q - 1)
 
@@ -420,12 +390,7 @@ class CheckResult:
 
 
 def validate_zeta_level(z: ZetaLevel) -> list:
-    """Structural checks every well-formed level must pass; reports, never raises.
-
-    All of them are exact integer arithmetic on the view (c, ints) of P: the
-    content c > 0 is common to every coefficient, so each identity on the
-    A_i = c * ints[i] holds exactly when it holds on the ints.
-    """
+    """Structural checks every well-formed level must pass, on the ints of P's view; reports, never raises."""
     P, Q, g = z.P, z.Q, z.genus
     ints = P.view[1]
     results = []
@@ -478,17 +443,14 @@ def artin_elliptic(q: int, a: int) -> ZetaLevel:
 
 
 def artin_from_point_counts(q: int, g: int, counts: Sequence[int]) -> ZetaLevel:
-    """Complete zeta from the first g point counts N_1..N_g.
+    """Complete zeta from the first g point counts N_1..N_g; counts past the g-th must agree with it.
 
     With p_k = q^k + 1 - N_k, Newton's identities k A_k = -sum_{j<=k} p_j A_{k-j}
     give A_0..A_g; on the ints a_k = g! A_k each division by k is exact.  The
-    upper half follows from A_{2g-i} = q^(g-i) A_i.  Extra counts beyond
-    the g needed are cross-checked against the result and rejected on mismatch.
-    Counts no curve has are refused, naming the first bad N_k: a negative one,
-    then (once the level passes ``validate_zeta_level``, so P(1), the class
-    number, is positive) one outside Weil's bound (q^k + 1 - N_k)^2 <= 4 g^2 q^k,
-    in exact ints.  Last, a curve's P has integer coefficients, so the first
-    non-integer A_i is named.
+    upper half follows from A_{2g-i} = q^(g-i) A_i.  ValueError names the
+    first count no curve has: a negative N_k, then (once the level validates)
+    one outside Weil's bound (q^k + 1 - N_k)^2 <= 4 g^2 q^k, then the first
+    non-integer A_i, since a curve's P is integral.
     """
     counts = _point_counts(counts)
     if g < 1:

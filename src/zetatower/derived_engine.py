@@ -1,10 +1,5 @@
 """The inductive derivation step of the zeta tower, at polynomial cost in n.
 
-A level is its numerator (``curves.ZetaLevel`` holds steps, Q, genus and P),
-and a numerator is its integer view ``P.view``, a rational content times
-coprime ints; every value, residue and special value of the previous zeta
-below is one integer Horner pass over those ints.
-
 Given a level with prime power Q, complete zeta Z(T) = P(T)/((1-T)(1-QT)T^(g-1))
 and special values, the next level for index n is the finite double sum
 
@@ -27,8 +22,7 @@ of m with last part p, by the recurrence
 
 in O(n^3) operations.  Reversing a composition keeps its weight, so the same
 table gives the first-part sums L_a needs.  Step n reads v(1..n-1), the
-``pair_plan`` entries below index n and rows <= n-1, all from one
-``SpecialValues`` of the previous level.
+plan below index n and rows <= n-1 of the previous level's ``SpecialValues``.
 
 The step first certifies that the poles at the interior points T = Q^e,
 e = 1-n..-1, cancel.  Within one a-term the poles are simple and distinct
@@ -60,7 +54,7 @@ left sums at Q^-s, s >= 1, and T^(g-1) clears Z's pole of order g-1.  So the
 Taylor coefficients are the polynomial's coefficients.  At T = 0 only the
 a = n term survives, so A_0 of P_n is Q^(C(n,2)(g-1)) A_0(prev) times
 sum_p E[n-1][p], the closed row sum; A_2g collects every term, and validation
-ties it to A_0 by A_2g = Q^(ng) A_0.  All of it runs on Python ints.
+ties it to A_0 by A_2g = Q^(ng) A_0.
 """
 
 from __future__ import annotations
@@ -100,11 +94,9 @@ def pair_plan(Q: int, depth: int, plan: Optional[list] = None) -> list:
 
     L = lcm(Q^(s+r) - 1, r = 1..j) and cof[r-1] = L // (Q^(s+r) - 1), so a
     sum of x_r / (Q^(s+r) - 1) is sum(map(mul, xs, cof)) / L; plan[s][0] is
-    (1, []), and depth 0 gives the empty plan.  Row s runs one lcm along r:
-    where it grows by f, the cofactors so far are multiplied by f, and the new
-    one is the old L over its gcd with the new denominator; no division by L.
-    Given ``plan``, the plan of a smaller depth, each row's run goes on from
-    its last entry, new rows start, and that plan is returned, extended.
+    (1, []), and depth 0 gives the empty plan.  Given ``plan``, the plan of a
+    smaller depth, each row's run goes on from its last entry, new rows start,
+    and that plan is returned, extended.
     """
     plan = [] if plan is None else plan
     plan += [[(1, [])] for _ in range(len(plan), depth)]
@@ -133,12 +125,9 @@ class SpecialValues:
     cofactors of every run of pair denominators Q^k - 1, k <= depth, that the
     composition table and the step's certificate read.  ``tables[positive]``
     holds the rows of ``composition_sums`` built so far, from row 0, for each
-    sign, and ``derived[n]`` the level ``step(n)`` derived.
-
-    A set is built from its level alone and grows as far as it is read:
-    ``grow(depth)`` extends the values and the plan in place, going on from
-    what the set holds, and each row and step is built once, when a reader
-    first reaches it.  Every later reader shares it; none may mutate it.
+    sign, and ``derived[n]`` the level ``step(n)`` derived.  A set grows in
+    place as far as it is read; its readers share what it holds, and none may
+    mutate it.
     """
 
     def __init__(self, level: ZetaLevel):
@@ -166,7 +155,7 @@ class SpecialValues:
 
 
 def special_values(z: ZetaLevel) -> SpecialValues:
-    """The special values of z, none computed yet: each reader grows them, and derives its steps, as far as it reads."""
+    """The set of special values of z, none computed yet."""
     return SpecialValues(z)
 
 
@@ -180,9 +169,8 @@ def composition_sums(sv: SpecialValues, m_max: int, positive: bool = False) -> t
     entries go over one lcm and the row is divided by one gcd, which keeps D
     from compounding down the rows.  nums[0] = 0, and row 0 is ([0], 1): it
     holds no composition.  With positive=True every pair denominator is
-    Q^(r+p) - 1 instead, the interlacing convention.  The rows are
-    ``sv.tables[positive]``: ``sv`` grows to m_max, and only the rows past
-    those already kept are built.
+    Q^(r+p) - 1 instead, the interlacing convention.  Only the rows past those
+    kept in ``sv.tables[positive]`` are built.
     """
     sv.grow(m_max)
     sign = 1 if positive else -1  # 1 / (1 - Q^s) = -1 / (Q^s - 1)

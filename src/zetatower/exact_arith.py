@@ -1,20 +1,7 @@
-"""Exact arithmetic substrate: big rationals and dense polynomials.
+"""Exact arithmetic substrate: int pairs, the integer view of a polynomial, and int polynomial division.
 
-The work runs on Python ints: sums over the lcm of their denominators
-(``over_lcm``), reduced once per output.  Nothing touches a float.
-A ``Poly`` is its integer view: a content c > 0 times coprime, trimmed ints,
-index ``i`` holding the coefficient of ``T**i`` (``content_primitive``; the
-zero polynomial is (1, ())).  That form is unique, so equality and hashing
-read it, and every evaluation is one integer ``horner`` pass over it.
-Fractions appear only at the edges: a coefficient that a caller reads
-(``P[i]``, c * ints[i]) and the rationals that callers pass in and get back.
-A level's Q is an int prime power that the callers pass in.  ``Poly`` has no
-ring operations and no division: ``pseudo_divide`` and ``poly_gcd`` work on
-int coefficient lists, such as a view's ints, and form no rational.
-
-All values are immutable after construction and all operations are pure, so
-everything here is safe to share freely across threads; the one exception is
-``unlimited_int_digits``, which changes a process-wide setting.
+Nothing here touches a float.  Every value is immutable and every function
+pure, except ``unlimited_int_digits``, which changes a process-wide setting.
 """
 
 from __future__ import annotations
@@ -112,8 +99,9 @@ class Poly:
     ``view`` is (c, ints): the coefficient of T**i is c * ints[i], with c > 0
     rational and the ints coprime and trimmed, (1, ()) for zero.  That form is
     unique, so ==, hash and pickling read it, and a Poly equals only a Poly.
-    ``P[i]`` is c * ints[i].  A ``Poly`` is not a ring: the work runs on the
-    view's ints.
+    A ``Poly`` is not a ring: each value is one integer ``horner`` pass over
+    the view's ints, and a Fraction is formed only where a caller reads a
+    coefficient, ``P[i]`` = c * ints[i].
     """
 
     __slots__ = ("view",)

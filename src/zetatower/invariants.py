@@ -1,4 +1,4 @@
-"""Numerator invariants of a tower level and their cross-checks.
+"""Numerator invariants of a tower level and the step checks that read them.
 
 A level's numerator P (degree 2g, constant term alpha(0)) decomposes as
 
@@ -6,49 +6,13 @@ A level's numerator P (degree 2g, constant term alpha(0)) decomposes as
 
 where beta is the residue at T = 1 and S is palindromic of degree 2(g-1) with
 lower coefficients alpha(0)..alpha(g-1).  Extraction inverts that by exact
-division on the ints of P's view, so any deviation from the required shape
-fails loudly instead of being least-squares'd away; a reconstruction
-mismatch, also in those ints, raises ReconstructionError, which
-``python -O`` keeps.  An ``InvariantSet`` holds ints and the view's content:
-the ints of S and P(1) / content, so positivity is a sign test, and the
-alphas and beta are formed (``invariant_values``) only where a report
-prints them.  P, Q and the genus are read off the ``ZetaLevel``, so only
-callers that need the invariants extract.  The same beta is also given by a
-closed sum over integer compositions of special values of the previous
-level, q^(C(n,2)(g-1)) * sum_p E[n][p] with the last-part table E of
-``derived_engine.composition_sums``, whose row n is the int row (nums, D)
-with E[n][p] = nums[p] / D, so the sum is the int pair
-(q^(C(n,2)(g-1)) sum(nums), D); that is the dual route the test suite
-exercises everywhere, and ``beta_routes_check(sv, n)`` compares it with the
-residue pair of ``sv.step(n)`` by cross-multiplication, as the counting
-miracle compares the constant terms of the set's steps n and n+1.  Each step
-check reads a set and n alone, so the level, its derived steps and the rows
-all belong to the set's level: no pair that does not belong together can be
-passed.  The rows are those kept on the set, shared with its derivations and
-built once; a table built afresh would give the same rows bit for bit, since
-both routes call one pure function on one set.
-The routes differ in what they read: the derived level's residue rests on
-rows <= n-1, through the step's certificate and Taylor read, and the closed
-sum on row n.  A second route that reads no table is still open.
-
-Interlacing is the statement that the cleared composition polynomial
-
-    sum over (k) of n:  [prod v_{k_i} / prod_j (Q^(k_j+k_{j+1}) - 1)] * prod_{l != k_last} (Q^l T - 1)
-
-has one real root in each interval (Q^-(kappa+1), Q^-kappa), kappa = 1..n-1.
-Grouped by last part p it is sum_p W_p * prod_{l != p} (Q^l T - 1), with W_p
-the entry of row n of the positive-denominator table.  At T = Q^-kappa every
-term but p = kappa vanishes, and the kappa - 1 factors l < kappa of the one
-left are negative, so its sign there is sign(W_kappa) * (-1)^(kappa+1): the
-signs alternate starting + exactly when W_1..W_n are all positive, and the
-check reads them off that row, with no polynomial.  Each W_kappa is positive
-whenever vhat(1..n) are (every pair denominator Q^s - 1 is), and the sweep
-checks a step only from a prefix whose invariants are positive.  That makes
-beta and, by the decomposition above with S's coefficients positive, every
-Z(Q^-k), k >= 2, positive, and so every vhat.  There the check can fail
-only through a fault in the positive table.  ``interlacing_poly``
-builds the polynomial itself for the per-layer trace and the numerator
-pins, which read it by name; no command calls it.
+division, so a level off that shape fails loudly instead of being
+least-squares'd away.  The beta of step n is also the closed sum
+q^(C(n,2)(g-1)) * sum_p E[n][p] over row n of the previous level's table
+(``derived_engine.composition_sums``), and ``beta_routes_check`` compares the
+two routes.  They differ in what they read: the derived level's residue rests
+on rows <= n-1, through the step's certificate and Taylor read, and the
+closed sum on row n.  A second route that reads no table is still open.
 """
 
 from __future__ import annotations
@@ -71,9 +35,7 @@ class ReconstructionError(RuntimeError):
 class InvariantSet:
     """One level's invariants on the ints of its view: alpha(l) = content * S[l], beta = content * total / (Q-1).
 
-    ``S`` holds S[0]..S[g-1] and ``total`` is P(1) / content, the sum of the
-    view's ints.  P, Q and the genus stay on the ZetaLevel; ``invariant_values``
-    forms the alphas and beta for a report that prints them.
+    ``S`` holds S[0]..S[g-1] and ``total`` is P(1) / content, the sum of the view's ints.
     """
 
     content: Fraction
@@ -111,9 +73,8 @@ def reconstruct_numerator(S: Sequence[int], total: int, Q: int, genus: int) -> l
 def extract_invariants(z: ZetaLevel) -> InvariantSet:
     """Read (S, P(1)) off a level by residue plus exact division, on the ints of P's view.
 
-    With P = c * ints, R = P - (Q-1) beta T^g is c times the ints with sum(ints)
-    taken off the middle one, and the division by 1 - (Q+1)T + QT^2, whose
-    constant term is 1, stays in the ints; so does the reconstruction check.
+    ValueError when P's degree is not 2g, the division leaves a remainder or S
+    is not palindromic; ReconstructionError when S and P(1) do not rebuild P.
     """
     g, Q = z.genus, z.Q
     P = z.P
@@ -158,14 +119,9 @@ def beta_routes_check(sv: SpecialValues, n: int) -> CheckResult:
 def counting_miracle_check(sv: SpecialValues, n: int) -> CheckResult:
     """Constant term of ``sv.step(n + 1)`` against q^(n(g-1)) * alpha_prev(0) * beta of ``sv.step(n)``, cross-multiplied.
 
-    alpha_prev(0) is read off ``sv.level``, beta as a residue pair, and each
-    constant term is its view's content times its first int; the two steps
-    are the set's, each derived the first time a reader reads it and kept.
-
-    The step reads alpha(0) off T = 0, where only its a = n term survives, so
-    the left side is q^(n(g-1)) alpha_prev(0) times ``beta_closed_form`` as the
-    step computes it: the routes beta_routes compares.  The full sum meets the
-    closed value in validation's A_2g = Q_n^g A_0, which every a-term reaches.
+    alpha_prev(0) is read off ``sv.level``.  Step n+1 reads its alpha(0) off
+    row n, the row ``beta_closed_form`` sums; what this check adds is that
+    step's certificate and its validation, which ties A_2g to that A_0.
     """
     prev, derived, following = sv.level, sv.step(n), sv.step(n + 1)
     g = prev.genus
@@ -188,9 +144,20 @@ def counting_miracle_check(sv: SpecialValues, n: int) -> CheckResult:
 def interlacing_sign_check(sv: SpecialValues, n: int) -> tuple:
     """(check, signs) of step n: the signs sign(W_kappa) * (-1)^(kappa+1) at T = Q^-kappa, kappa = 1..n.
 
-    They alternate starting + iff row n of the positive table is positive,
-    which forces one real root in each interval (Q^-(kappa+1), Q^-kappa);
-    a zero at a sample point is reported as degenerate rather than passed.
+    Interlacing is the statement that the cleared composition polynomial
+    sum_p W_p * prod_{l != p} (Q^l T - 1), W_p row n of the positive table
+    (``interlacing_poly``), has one real root in each interval
+    (Q^-(kappa+1), Q^-kappa).  At T = Q^-kappa only the p = kappa term is
+    left, and its kappa - 1 factors l < kappa are negative, so the signs
+    alternate from + iff W_1..W_n are all positive.  The check reads them off
+    the row, with no polynomial; a zero is reported as degenerate.
+
+    Each W_p is a sum of positive terms when vhat(1..n) are positive, and a
+    prefix with positive invariants has them: beta and, with S's coefficients
+    positive, every Z(Q^-k), k >= 2, are positive.  The sweep checks a step
+    only from such a prefix, so there the check can fail only through a fault
+    in the positive table
+    (``test_interlacing_holds_on_every_step_from_a_positive_prefix``).
     """
     nums, _ = composition_sums(sv, n, positive=True)[n]  # W_p = nums[p] / D, D > 0
     signs = tuple((-1) ** (kappa + 1) * ((w > 0) - (w < 0)) for kappa, w in enumerate(nums[1:], start=1))

@@ -1,14 +1,9 @@
-"""The elliptic residue recursion and the ratio bounds.
+"""The elliptic residue recursion and the ratio bounds, on ints.
 
-For genus 1 under the constant-term-1 convention, the residue beta(n) of the
-n-th derived level obeys a three-term recursion in the level's trace, and
-the ratios beta(n)/beta(n-1) obey the ratio bounds; both are checked here.
-Both run on ints: the recursion reads the level's first two view ints and
-gives each beta(n) as an int over the closed denominator |A0|^n prod (Q^k - 1),
-and each bound is cross-multiplied on what the denominators leave once they
-cancel, so no rational is formed unless a bound fails.
-The residue-generating series behind the recursion, and its exp route, live
-in ``tests/ratfunc_oracle.py``.
+At genus 1 under the constant-term-1 convention, the residues beta(n) of the
+derived levels obey a three-term recursion in the level's trace, and the
+ratios beta(n)/beta(n-1) obey the ratio bounds.  A rational is formed only
+for the detail of a failed bound.
 """
 
 from __future__ import annotations
@@ -61,9 +56,8 @@ def ratio_bounds_check(bs: Sequence[int], w: int, Q: int) -> list:
     """Per-step bound checks 1 < beta(n)/beta(n-1) < (Q^(n/2)+1)/(Q^(n/2)-1), by ``ratio_bounds``, for n >= 2.
 
     ``bs`` are the ints b(n) of ``elliptic_beta_recursion`` and w = |A0|, so
-    each ratio is the pair b(n) / (w (Q^n - 1) b(n-1)), its denominator made
-    positive.  The bounds start at n = 2: the base ratio N_1/(Q-1) may drop
-    below 1 for admissible traces, and ``ratio_bounds`` reads it alone.
+    each ratio is the pair b(n) / (w (Q^n - 1) b(n-1)).  The bounds start at
+    n = 2: the base ratio N_1/(Q-1) may drop below 1 for admissible traces.
     """
     out = []
     for n in range(2, len(bs)):

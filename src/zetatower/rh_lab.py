@@ -1,48 +1,17 @@
-"""Riemann-hypothesis verification and the conjecture sweep harness.
+"""Riemann-hypothesis verdicts and the conjecture sweep harness.
 
-Genus 1 is decided exactly: with P = alpha(0) (1 - A T + Q T^2), all roots lie
-on |T| = Q^(-1/2) iff A^2 <= 4Q, a single integer comparison on the view's
-ints, A_1^2 <= 4Q A_0^2 (the boundary A^2 = 4Q is a repeated on-circle root
-and carries its own flag).  Every higher genus goes through the degree-g R
-with P(T) = T^g R(QT + 1/T) (``real_weil_poly``, Kedlaya's criterion): RH
-holds iff every root of R is real and lies in [-2 sqrt Q, 2 sqrt Q].  The functional equation makes every
-level's P self-inversive, and any other P fails with no root sought.
+RH holds for a level iff every root of its P lies on |T| = Q^(-1/2).  The
+functional equation makes every level's P self-inversive, and any other P
+fails with no root sought.  Each genus has one route, stated at its function:
+``rh_exact_genus1``, ``rh_numeric`` (genus 2) and ``rh_sturm`` (genus >= 3).
+The last two read the degree-g R with P(T) = T^g R(QT + 1/T)
+(``real_weil_poly``, Kedlaya's criterion): RH holds iff every root of R is
+real and lies in [-2 sqrt Q, 2 sqrt Q].
 
-From genus 3 on the verdict is exact (``rh_sturm``): the roots u^2 of
-G(w) = R(u) R(-u) must lie in [0, 4Q], and a Sturm chain on the squarefree
-part of G counts them in integers, with no float and no setting.  Genus 2
-stays numeric (``rh_numeric``) until the benchmark's pinned reports change
-with it: R = c0 + c1 u + c2 u^2 is one quadratic, with the double root
--c1 / (2 c2) when c1^2 = 4 c0 c2, and otherwise solved in closed form in
-v = u / sqrt(Q) at the working precision, by the quadratic formula that does
-not cancel.  Each root u gives the two roots (u +- w) / 2Q of
-Q T^2 - u T + 1, w = sqrt(u^2 - 4Q); for a real u with w purely imaginary
-the second is the conjugate of the first, and the pair has one deviation.
-The numeric verdict runs at DEFAULT_PRECISION_BITS, with the tolerance
-10^(-0.15 precision_bits) formed once, at import.  It is "holds" when the
-worst |root| * sqrt(Q) deviation from 1 is below the tolerance, "fails" at
-10x the tolerance or beyond, and lands in the unknown band between (after
-one automatic retry at doubled precision, whose tolerance is formed then).
-
-Sweeps run a configurable battery of checks over a curve x tuple grid and
-emit a deterministic JSON-able report: no timestamps, fixed ordering, exact
-rationals as strings.  Identical configs give byte-identical reports.  Each
-curve has one tower (``curve_tower``), the only derivation path that sweeps
-and the CLI use: sweeps read it, and so do the CLI's derive, invariants and
-rh-check.
-Each prefix level has one set of special values, which derives each of its
-steps at most once and keeps it.  Each distinct level numerator (invariants,
-RH verdict) is checked at most once per curve, and so is each step (the beta
-routes, the counting miracle, interlacing, the ratio bounds), by one call
-into ``invariants`` or ``mult_struct`` on (prefix set, n): the tower only
-memoises.  The steps' derivations (the miracle's n+1 among them) and checks
-read the set in any order and grow it as far as each reads, with the rows of
-its composition-sum tables, each built once and shared.  The genus-1 checks
-compare the ints of the levels' views by cross-multiplication; a rational is
-formed only for a report string, such as the final level's alphas and beta.
-A step of index 1 gives back its prefix's numerator, so a level ``(..., 1)``
-reuses its prefix's results.  A cell only combines the results of its path,
-and ``--jobs`` spreads the curves, not the cells, over worker processes.
+A sweep runs a battery of checks over a curve x tuple grid, reading each
+curve's one tower (``curve_tower``), and emits a deterministic JSON-able
+report: no timestamps, fixed ordering, exact rationals as strings.
+Identical configs give byte-identical reports.
 """
 
 from __future__ import annotations
@@ -103,12 +72,11 @@ class RHVerdict:
 
 
 def rh_exact_genus1(level: ZetaLevel) -> RHVerdict:
-    """Exact integer decision for a quadratic numerator: A_1^2 <= 4Q A_0^2.
+    """Exact integer decision for a quadratic numerator: A_1^2 <= 4Q A_0^2, on the view's ints x_0, x_1.
 
-    The view's content is positive, so that holds iff it holds on the view's
-    ints x: x_1^2 <= 4Q x_0^2, with the boundary at equality.  The trace
-    A = -x_1/x_0 has the discriminant A^2 - 4Q = (x_1^2 - 4Q x_0^2) / x_0^2,
-    kept as that int pair; it is reduced only where it is printed.
+    The boundary A^2 = 4Q is a repeated root on the circle and sets
+    ``boundary``.  The discriminant A^2 - 4Q of the trace A = -x_1/x_0 is
+    kept as the int pair (x_1^2 - 4Q x_0^2, x_0^2).
     """
     if level.genus != 1:
         raise ValueError("exact criterion only applies to genus 1")
@@ -259,8 +227,11 @@ def _max_deviation(roots, sqrt_q):
 def rh_numeric(P: Poly, Q: int, _escalated: bool = False) -> RHVerdict:
     """Numeric root-modulus verdict for a genus-2 (degree-4) numerator P over an integer Q, from the 2 roots of its R.
 
-    A P that is not self-inversive fails with no root sought.  The verdict
-    runs at DEFAULT_PRECISION_BITS, its one retry (``_escalated``) at twice that.
+    It stays numeric until the benchmark's pinned reports change with it.  It
+    runs at DEFAULT_PRECISION_BITS with the tolerance tol = 10^(-0.15 bits),
+    neither a setting: "holds" when the worst | |root| sqrt(Q) - 1 | is below
+    tol, "fails" at UNKNOWN_BAND_FACTOR * tol or beyond, and in between one
+    retry (``_escalated``) at twice the bits, then "unknown".
     """
     if P.degree != 4:
         raise ValueError(f"the numeric verdict takes a genus-2 numerator of degree 4, got degree {P.degree}")
@@ -338,16 +309,11 @@ def _status(name: str, results, cell_checks: dict):
 
 
 class Tower(NamedTuple):
-    """One curve's levels and what the checks read off them, each computed once.
+    """One curve's levels and what the checks read off them (``curve_tower``).
 
     Every field maps a tuple of steps to a result: ``level``, ``invariants``
     and ``rh`` belong to the level the steps reach; the others to the last
     step (prefix, n), the one that derives that level from its prefix.
-    ``level`` is the prefix set's kept step, and each step field is one call
-    into ``invariants`` or ``mult_struct`` on (prefix set, n), kept per tuple
-    of steps.  ``invariants`` and ``rh`` are kept per ``ZetaLevel.numerator_key``
-    ``(P, Q, genus)``: levels with one numerator, such as ``(..., 1)`` and its
-    prefix, share one result, computed on the first of them that is read.
     """
 
     level: Callable[[tuple], ZetaLevel]
@@ -360,25 +326,22 @@ class Tower(NamedTuple):
 
 
 def curve_tower(spec: CurveSpec) -> Tower:
-    """A lazy tower over one curve: each entry is computed the first time it is read.
+    """A lazy tower over one curve: each entry is computed the first time it is read, and kept.
 
-    Each prefix level has one set of special values, made the first time a
-    step from it is read, and a level is its prefix set's ``step``; the base
-    is the spec's ``level``, built once, with the spec.  The sets of a path
-    are found, and made, from the longest prefix that has one, in a loop, so
-    the depth of a path costs no recursion.  A step's derivation (the
-    miracle's n+1 among them) and its checks all read (prefix set, n), in
-    whatever order, and each grows the set, the table rows and the derived
-    levels it keeps as far as it reads, so no value, row or level is built
-    twice.  The memos are local to this tower, and one that raises stores
-    nothing: it is tried again, and raises again, every time it is read.
-    Callees are looked up by name at call time, so a patched module global
-    is the one that runs.
+    Each prefix level has one set of special values, and a level is its prefix
+    set's ``step``; the base is the spec's ``level``.  A path's sets are made
+    from its longest prefix that has one, in a loop, so depth costs no
+    recursion.  A step's derivations (the miracle's n+1 among them) and its
+    checks each make one call on (prefix set, n), in any order, and grow the
+    set's values, table rows and steps as far as they read, so none is built
+    twice.  ``invariants`` and ``rh`` are kept per ``ZetaLevel.numerator_key``:
+    levels with one numerator, such as ``(..., 1)`` and its prefix, share one
+    result.  A memo that raises stores nothing.  Callees are looked up by name
+    at call time, so a patched module global is the one that runs.
     """
     sets = {}
 
     def prefix_values(prefix: tuple) -> SpecialValues:
-        """The prefix level's one set of special values, and those of the prefixes before it."""
         i = len(prefix)
         while i >= 0 and prefix[:i] not in sets:
             i -= 1
@@ -390,7 +353,6 @@ def curve_tower(spec: CurveSpec) -> Tower:
         return prefix_values(steps[:-1]).step(steps[-1]) if steps else spec.level
 
     def by_numerator(stage: Callable[[ZetaLevel], object]) -> Callable[[tuple], object]:
-        """``stage`` of the level ``steps`` reach, computed once per distinct numerator."""
         memo = {}
 
         @cache  # the key (P, Q, genus) is built and hashed once per tuple of steps
@@ -404,7 +366,6 @@ def curve_tower(spec: CurveSpec) -> Tower:
         return read
 
     def by_step(check: Callable[[SpecialValues, int], object]) -> Callable[[tuple], object]:
-        """``check`` of the last step of ``steps``, on its prefix set and n, computed once per tuple of steps."""
         return cache(lambda steps: check(prefix_values(steps[:-1]), steps[-1]))
 
     return Tower(
@@ -419,12 +380,9 @@ def curve_tower(spec: CurveSpec) -> Tower:
 
 
 def run_cell(spec: CurveSpec, steps: tuple, config: SweepConfig, tower: Tower) -> dict:
-    """Run the configured battery on one (curve, tuple) cell; never raises.
+    """Run the configured battery on one (curve, tuple) cell from the curve's ``tower``; never raises.
 
-    The cell only combines what ``tower`` (the curve's, from ``run_curve``)
-    holds for the levels and steps of its path, so a level or step that
-    several cells read is checked once.  Whatever raises there becomes the
-    cell's error.
+    Whatever raises becomes the cell's error.
     """
     cell = {"curve": spec.label, "tuple": list(steps), "checks": {}, "data": {}}
     checks = cell["checks"]
@@ -486,14 +444,7 @@ def run_cell(spec: CurveSpec, steps: tuple, config: SweepConfig, tower: Tower) -
 
 
 def run_curve(spec: CurveSpec, config: SweepConfig) -> list:
-    """Run every configured tuple on one curve over a single tower; returns the cells in tuple order.
-
-    Each level is derived, and each distinct level numerator and each step
-    checked, at most once per curve, in the order a cell-by-cell run would
-    first reach it; each prefix's special values grow as far as its cells
-    read them.  The tower lives for this call only, so every sweep does all
-    of its own work.
-    """
+    """Run every configured tuple on one curve over one ``curve_tower``, made for this call; the cells in tuple order."""
     tower = curve_tower(spec)
     # the report strings of deep levels pass 4300 digits; lifted here, a --jobs worker lifts it too
     with unlimited_int_digits():

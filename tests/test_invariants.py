@@ -36,7 +36,7 @@ from zetatower.derived_engine import (
 )
 from zetatower.exact_arith import Poly, over_lcm, rat_str
 from zetatower.mult_struct import step_ratio_checks
-from zetatower.rh_lab import curve_tower
+from zetatower.rh_lab import SweepConfig, curve_tower, sweep
 from zetatower.invariants import (
     beta_closed_form,
     beta_routes_check,
@@ -441,6 +441,49 @@ def test_interlacing_routes_agree_on_every_sign_flip_of_the_special_values():
                 cases += 1
                 failed += not check.passed
     assert (cases, failed) == (1152, 832)
+
+
+# the steps of the acceptance tuples (1), (2), (3), (4), (2,2), (2,3), (3,2), (2,2,2), as (prefix, n)
+ACCEPTANCE_STEPS = ((), 1), ((), 2), ((), 3), ((), 4), ((2,), 2), ((2,), 3), ((3,), 2), ((2, 2), 2)
+
+
+def test_interlacing_holds_on_every_step_from_a_positive_prefix():
+    """The interlacing theorem the ``invariants`` docstring states, on the Hasse grid q <= 5 and X2g2.
+
+    Each W_p of row n of the positive table is a sum of positive terms when
+    vhat(1..n) are positive, and a prefix with positive invariants has them:
+    beta and, with S's coefficients positive, every Z(Q^-k), k >= 2, are
+    positive.  So every step the sweep checks passes, and there interlacing
+    can fail only through a fault in the positive table.
+    """
+    specs = [CurveSpec(label=f"e_q{q}_a{a}", q=q, genus=1, trace=a) for q in (2, 3, 4, 5) for a in hasse_traces(q)]
+    specs.append(catalog_curve("X2g2").spec())
+    cases = 0
+    for spec in specs:
+        tower = curve_tower(spec)
+        for prefix, n in ACCEPTANCE_STEPS:
+            if not tower.invariants(prefix).positivity():
+                continue
+            sv = special_values(tower.level(prefix))
+            sv.grow(n)
+            assert all(num > 0 for num, _ in sv.vhats[1 : n + 1]), (spec.label, prefix, n)
+            check, signs = interlacing_sign_check(sv, n)
+            assert check.passed and signs == tuple((-1) ** (k + 1) for k in range(1, n + 1)), (spec.label, prefix, n)
+            cases += 1
+    assert cases == 248
+
+
+def test_interlacing_fails_off_its_hypothesis_and_the_sweep_skips_it_there():
+    # a base whose invariants are not positive: vhat(2) < 0, and the signs stop alternating from n = 2 on
+    spec = CurveSpec(label="control", q=2, genus=2, numerator=[1, -100, 300, -200, 4])
+    assert not extract_invariants(spec.level).positivity()
+    sv = special_values(spec.level)
+    sv.grow(2)
+    assert sv.vhats[2][0] < 0
+    assert interlacing_sign_check(sv, 2)[1] == (1, 1)
+    assert [interlacing_sign_check(sv, n)[0].passed for n in range(1, 6)] == [True, False, False, False, False]
+    report = sweep(SweepConfig(curves=(spec,), tuples=((2,), (3,), (4,), (5,)), checks=("interlacing",)))
+    assert [cell["checks"] for cell in report["cells"]] == [{"interlacing": "skipped"}] * 4
 
 
 # -- reports -----------------------------------------------------------------------

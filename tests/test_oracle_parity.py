@@ -29,12 +29,15 @@ from zetatower.curves import CurveSpec, artin_elliptic, artin_from_point_counts,
 from zetatower.derived_engine import composition_sums, compositions, derive_step, derive_tower, special_values
 from zetatower.exact_arith import Poly
 from zetatower.invariants import extract_invariants, interlacing_poly, invariant_values
+from zetatower.rh_lab import SweepConfig, sweep
 
 N_MAX = 8
-BASES = [(q, a) for q in (2, 3, 4, 5) for a in hasse_traces(q)] + ["X2g2"]
+# Z2g2 has P(1/4) = 0, so vhat(k) = 0 for every k >= 2: no step may divide by a special value
+BASES = [(q, a) for q in (2, 3, 4, 5) for a in hasse_traces(q)] + ["X2g2", "Z2g2"]
 # genus 3 carries T^(g-1) and u^(g-1) past g - 1 = 1 in the step's series; derived to n = 1..GENUS3_N_MAX
 GENUS3 = ["X2g3", "W2g3"]
 GENUS3_N_MAX = 5
+Z2G2 = CurveSpec(label="Z2g2", q=2, genus=2, numerator=["1", "-17/2", "22", "-17", "4"])
 
 
 def _base(key):
@@ -44,6 +47,8 @@ def _base(key):
         return artin_from_point_counts(2, 3, [3, 5, 9])
     if key == "W2g3":
         return CurveSpec(label=key, q=2, genus=3, numerator=[1, 1, 2, 3, 4, 4, 8]).level
+    if key == "Z2g2":
+        return Z2G2.level
     q, a = key
     return artin_elliptic(q, a)
 
@@ -60,6 +65,19 @@ def test_interlacing_matches_oracle(key):
     sv = special_values(_base(key))
     for n in range(1, N_MAX + 1):
         assert interlacing_poly(sv, n) == oracle_interlacing_poly(sv, n), n
+
+
+def test_a_base_with_a_vanishing_special_value_sweeps_with_no_cell_error():
+    """Z2g2's vhat(k), k >= 2, are 0; a certificate that read F(m, s) as E[m+s][s] / vhat(s) would divide by zero.
+
+    The step reads each boundary sum as a dot product of a table row with a
+    run's cofactors, so no special value is ever a divisor.
+    """
+    sv = special_values(Z2G2.level)
+    sv.grow(4)
+    assert [num for num, _ in sv.vhats[1:]] == [3, 0, 0, 0]
+    report = sweep(SweepConfig(curves=(Z2G2,), tuples=((1,), (2,), (3,), (4,), (2, 2))))
+    assert report["summary"]["errors"] == 0 and not [cell for cell in report["cells"] if "error" in cell]
 
 
 def test_oracle_parity_at_a_derived_level():
